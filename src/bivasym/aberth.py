@@ -165,19 +165,3 @@ def _quadratic(coeffs: Sequence[mpc]) -> List[mpc]:
 def roots_of_rational_poly(poly: Sequence[Fraction]) -> List[mpc]:
     """Roots of an exact-coefficient polynomial at ambient precision."""
     return aberth_roots([Fraction(c) for c in poly])
-
-
-def refine_newton(coefficients: Sequence, z0: mpc, iterations: int = 40) -> mpc:
-    """Plain Newton refinement of one root (used after deflation-free solves)."""
-    coeffs = [to_mpc(c) for c in coefficients]
-    z = to_mpc(z0)
-    tol = mpf(2) ** (-(mp.prec - 8))
-    for _ in range(iterations):
-        p, dp = _poly_and_deriv(coeffs, z)
-        if dp == 0:
-            break
-        step = p / dp
-        z = z - step
-        if abs(step) <= tol * (1 + abs(z)):
-            break
-    return z

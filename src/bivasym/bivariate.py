@@ -3,7 +3,8 @@
 Terms are a map from exponent pairs ``(i, j)`` to nonzero Fractions.  All
 arithmetic is exact; only evaluation at complex points is floating, and it
 uses a fixed lexicographic Horner scheme so results are bit-reproducible
-at a given precision.
+at a given precision.  ``eval_array`` is the one double-precision
+evaluator, used for every numpy grid, curve and probe slice.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
+import numpy as np
 from mpmath import mpf
+from numpy.polynomial.polynomial import polyval
 
 from .errors import EvaluationOverflow
 from .precision import is_finite, to_mpc, to_mpf
@@ -84,9 +87,6 @@ class BivariatePolynomial:
 
     def degree_y(self) -> int:
         return max((j for _, j in self.terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((i + j for i, j in self.terms), default=0)
 
     def is_constant(self) -> bool:
         return all(ij == (0, 0) for ij in self.terms)
@@ -184,9 +184,12 @@ class BivariatePolynomial:
             out[j][i] = c
         return [_trim(row) for row in out]
 
-    def coeffs_in_x(self):
-        """Coefficients as polynomials in y, indexed by x-degree."""
-        return self.swap_variables().coeffs_in_y()
+    def float_coeffs(self) -> np.ndarray:
+        """Dense float matrix A with A[i, j] = [x^i y^j] self."""
+        out = np.zeros((self.degree_x() + 1, self.degree_y() + 1))
+        for (i, j), c in self.terms.items():
+            out[i, j] = float(c)
+        return out
 
     def swap_variables(self) -> "BivariatePolynomial":
         return BivariatePolynomial({(j, i): c for (i, j), c in self.terms.items()})
@@ -240,6 +243,21 @@ class BivariatePolynomial:
         if not is_finite(acc):
             raise EvaluationOverflow("evaluation overflow")
         return acc
+
+    def eval_array(self, x, y) -> np.ndarray:
+        """Double-precision values at numpy arrays ``x``, ``y`` broadcast together.
+
+        Horner in y over columns evaluated in x; the result array is updated
+        in place so a large grid holds one complex128 buffer.
+        """
+        A = self.float_coeffs()
+        x, y = np.asarray(x), np.asarray(y)
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+        out[...] = polyval(x, A[:, -1])
+        for j in range(A.shape[1] - 2, -1, -1):
+            out *= y
+            out += polyval(x, A[:, j])
+        return out
 
     def eval_magnitude_scale(self, x, y) -> mpf:
         """Sum of |h_ij| |x|^i |y|^j: the natural scale for residual checks."""

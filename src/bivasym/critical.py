@@ -17,12 +17,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp, mpc, mpf
+from numpy.polynomial.polynomial import polyval
 
 from .aberth import aberth_roots, roots_of_rational_poly
 from .bivariate import BivariatePolynomial
-from .errors import ConfigError, NonIsolatedCriticalSet
+from .errors import ConfigError, NonIsolatedCriticalSet, RootFindingError
 from .precision import to_mpc, to_mpf
-from .resultant import resultant_eliminating, shares_positive_dimensional_zero
+from .resultant import resultant_eliminating
 from .unipoly import degree as upoly_degree
 from .unipoly import is_zero as upoly_is_zero
 from .unipoly import trim as upoly_trim
@@ -100,9 +101,6 @@ class CriticalPoint:
     witness: Optional[Tuple[complex, complex]] = None
     torus_class: Optional[int] = None
 
-    def moduli(self) -> Tuple[mpf, mpf]:
-        return abs(self.p), abs(self.q)
-
     def conjugate_of(self, other: "CriticalPoint", tol: float) -> bool:
         return (
             abs(self.p - mp.conj(other.p)) <= tol * (1 + abs(self.p))
@@ -130,6 +128,9 @@ def critical_system(
         raise ConfigError("H must be nonconstant")
     x, y = BivariatePolynomial.x(), BivariatePolynomial.y()
     dir_poly = direction.r0 * (y * H.partial("y")) - direction.s0 * (x * H.partial("x"))
+    if not dir_poly:
+        # H is a function of x^r0 * y^s0 alone: its whole zero curve is critical.
+        raise NonIsolatedCriticalSet("non-isolated critical set")
     return H, dir_poly
 
 
@@ -214,10 +215,10 @@ def solve_critical(
     simultaneous iteration fails to converge.
     """
     F1, F2 = critical_system(H, direction)
-    if shares_positive_dimensional_zero(F1, F2):
-        raise NonIsolatedCriticalSet("non-isolated critical set")
     res = resultant_eliminating(F1, F2, eliminate)
-    if upoly_is_zero(res):
+    other = "x" if eliminate == "y" else "y"
+    # A common factor makes the eliminant in x or in y vanish identically.
+    if upoly_is_zero(res) or upoly_is_zero(resultant_eliminating(F1, F2, other)):
         raise NonIsolatedCriticalSet("non-isolated critical set")
     if upoly_degree(res) < 1:
         return []
@@ -272,7 +273,7 @@ def _recover_partner(F1, F2, w: mpc, swap: bool):
             continue
         try:
             partners = aberth_roots(trimmed)
-        except Exception:
+        except RootFindingError:
             continue
         for v in partners:
             out.append((v, w) if swap else (w, v))
@@ -344,9 +345,8 @@ def minimality_probe(
     known = [(complex(c.p), complex(c.q)) for c in (pt, *peers)]
     match_tol = 1e-7 * max(1.0, mod_p, mod_q)
 
-    # Coefficients of H in x as (j, coeff) lists per x-degree.
-    cols = H.coeffs_in_x()
-    deg_x = len(cols) - 1
+    # Rows: y-degree; columns: x-degree, so polyval gives x-coefficients per y.
+    y_major = H.float_coeffs().T
     coeff_scale = float(H.coefficient_scale())
 
     min_margin = math.inf
@@ -356,12 +356,7 @@ def minimality_probe(
     for t in t_values:
         ys = t * mod_q * np.exp(1j * phis)
         # coeff matrix: rows x-degree, columns samples
-        cmat = np.zeros((deg_x + 1, grid.angles), dtype=np.complex128)
-        for i, ypoly in enumerate(cols):
-            acc = np.zeros(grid.angles, dtype=np.complex128)
-            for c in reversed(ypoly):
-                acc = acc * ys + float(c)
-            cmat[i] = acc
+        cmat = polyval(ys, y_major)
         for a in range(grid.angles):
             coeffs = cmat[:, a]
             y_val = ys[a]

@@ -50,6 +50,16 @@ class LocalData:
         return [name for name, ok in self.checks.items() if not ok]
 
 
+def _wrap(angle) -> float:
+    """``angle`` as a float in [0, 2*pi).
+
+    Float ``%`` rounds a tiny negative angle up to exactly 2*pi, which
+    would collapse every gap between excluded directions to zero.
+    """
+    a = float(angle) % TWO_PI
+    return 0.0 if a >= TWO_PI else a
+
+
 @dataclass(frozen=True)
 class BranchRay:
     """Branch-cut ray from the origin at ``angle`` in [0, 2*pi)."""
@@ -57,8 +67,7 @@ class BranchRay:
     angle: float
 
     def __post_init__(self):
-        a = float(self.angle) % TWO_PI
-        object.__setattr__(self, "angle", a)
+        object.__setattr__(self, "angle", _wrap(self.angle))
 
 
 @dataclass
@@ -140,12 +149,12 @@ def choose_branch_ray(
     even the best ray has angular margin below ``margin``.
     """
     hx_poly = H.partial("x")
-    excluded = [float(mp.arg(to_mpc(H.constant_term()))) % TWO_PI]
+    excluded = [_wrap(mp.arg(to_mpc(H.constant_term())))]
     for pt in points:
         w = -pt.p * hx_poly.eval(pt.p, pt.q)
         if abs(w) == 0:
             raise HypothesisFailure("hx_nonzero", "cannot place branch ray: -p*H_x = 0")
-        excluded.append(float(mp.arg(w)) % TWO_PI)
+        excluded.append(_wrap(mp.arg(w)))
     angles = sorted(set(excluded))
     best_angle, best_margin = None, -1.0
     for k, a in enumerate(angles):
@@ -218,16 +227,8 @@ def winding_number(
     p, q = complex(pt.p), complex(pt.q)
     cap = 1.0 - 1e-6
     scale = float(H.coefficient_scale())
-    terms = [(i, j, float(c)) for (i, j), c in H.sorted_terms()]
-
-    def curve(ts: np.ndarray) -> np.ndarray:
-        vals = np.zeros(len(ts), dtype=np.complex128)
-        for i, j, c in terms:
-            vals += c * (ts * p) ** i * (ts * q) ** j
-        return vals
-
     ts = np.linspace(0.0, cap, steps + 1)
-    vals = curve(ts)
+    vals = H.eval_array(ts * p, ts * q)
     for _ in range(24):
         if np.min(np.abs(vals)) <= 1e-9 * max(scale, 1.0):
             raise BranchTrackingError(
@@ -239,7 +240,7 @@ def winding_number(
             break
         mids = 0.5 * (ts[:-1][coarse] + ts[1:][coarse])
         ts = np.sort(np.concatenate([ts, mids]))
-        vals = curve(ts)
+        vals = H.eval_array(ts * p, ts * q)
     else:
         raise BranchTrackingError("winding sampling did not settle; refine grid")
 
@@ -320,7 +321,7 @@ def estimate_general(
         ray = choose_branch_ray(H, points)
     anchor = mp.arg(to_mpc(H.constant_term()))
 
-    sign_gamma, ln_abs_gamma = gamma_log(float(b))
+    sign_gamma, ln_abs_gamma = gamma_log(b)
     ln_r = mp.log(to_mpf(r))
 
     logmods, args, contribs = [], [], []
@@ -441,7 +442,7 @@ def estimate_real_positive(
     if abs(m.imag) > tiny * abs(m) or q2m <= 0:
         raise HypothesisFailure("saddle_real_part_positive", "-2*pi*q^2*M is not positive")
 
-    sign_gamma, ln_abs_gamma = gamma_log(float(b))
+    sign_gamma, ln_abs_gamma = gamma_log(b)
     ln_val = (
         (b - mpf(3) / 2) * mp.log(to_mpf(r))
         - to_mpf(r) * mp.log(p.real)

@@ -1,87 +1,26 @@
-"""Real gamma function via a Lanczos approximation.
+"""Real gamma function at the working precision of mpmath.
 
-Godfrey's 15-term coefficient set with g = 607/128, good to roughly 15
-significant digits in double precision; arguments below 1/2 go through
-the reflection formula.  A log-space variant supports the huge dynamic
-ranges of the asymptotic estimates.
+The log form carries the sign separately, so estimates stay in log space
+where Gamma(b) itself would be astronomically large or small.
 """
 
 from __future__ import annotations
 
-import math
+from mpmath import mp, mpf
 
 from .errors import GammaPole
-
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
+from .precision import to_mpf
 
 
-def _is_nonpositive_integer(b: float) -> bool:
-    return b <= 0 and float(b) == int(b)
-
-
-def _sinpi(x: float) -> float:
-    """sin(pi*x) with exact argument reduction, accurate near integers."""
-    n = round(x)
-    m = x - n  # exact for |x| well below 2**52
-    s = math.sin(math.pi * m)
-    return s if n % 2 == 0 else -s
-
-
-def _lanczos_series(x: float) -> float:
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (x + k)
-    return acc
-
-
-def gamma_real(b: float) -> float:
-    """Gamma(b) for real b, accurate to at least 12 significant digits.
-
-    Raises GammaPole at nonpositive integers.
-    """
-    b = float(b)
-    if _is_nonpositive_integer(b):
+def gamma_real(b) -> mpf:
+    """Gamma(b) for real b; raises GammaPole at nonpositive integers."""
+    b = to_mpf(b)
+    if b <= 0 and b == mp.floor(b):
         raise GammaPole("gamma pole")
-    if b < 0.5:
-        # Reflection: Gamma(b) Gamma(1-b) = pi / sin(pi b).
-        return math.pi / (_sinpi(b) * gamma_real(1.0 - b))
-    x = b - 1.0
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * _lanczos_series(x)
+    return mp.gamma(b)
 
 
-def gamma_log(b: float) -> tuple[int, float]:
-    """(sign, log|Gamma(b)|), safe for arguments where Gamma overflows."""
-    b = float(b)
-    if _is_nonpositive_integer(b):
-        raise GammaPole("gamma pole")
-    if b < 0.5:
-        sign_refl, log_refl = gamma_log(1.0 - b)
-        s = _sinpi(b)
-        sign = sign_refl * (1 if s > 0 else -1)
-        return sign, math.log(math.pi) - math.log(abs(s)) - log_refl
-    x = b - 1.0
-    t = x + _LANCZOS_G + 0.5
-    return 1, (
-        0.5 * math.log(2.0 * math.pi)
-        + (x + 0.5) * math.log(t)
-        - t
-        + math.log(_lanczos_series(x))
-    )
+def gamma_log(b) -> tuple[int, mpf]:
+    """(sign, log|Gamma(b)|) at working precision."""
+    g = gamma_real(b)
+    return (1 if g > 0 else -1), mp.log(abs(g))

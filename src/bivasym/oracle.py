@@ -87,11 +87,6 @@ class CoefficientTable:
             return self.series.box
         return (self.values.shape[0] - 1, self.values.shape[1] - 1)
 
-    def entry_exact(self, r: int, s: int) -> Tuple[Fraction, Prefactor]:
-        if self.series is None:
-            raise ConfigError("numeric table has no exact entries")
-        return self.series.coeffs[r][s], self.prefactor
-
     def value(self, r: int, s: int):
         """Entry value at current precision (prefactor folded in)."""
         if self.series is not None:
@@ -256,16 +251,6 @@ def closed_form_table(
 # ----------------------------------------------------------------------
 
 
-def _eval_grid(p: BivariatePolynomial, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation on the outer product of grids X (axis 0), Y (axis 1)."""
-    out = np.zeros((X.size, Y.size), dtype=np.complex128)
-    xs = X.reshape(-1, 1)
-    ys = Y.reshape(1, -1)
-    for (i, j), c in sorted(p.terms.items()):
-        out += float(c) * xs**i * ys**j
-    return out
-
-
 def _radial_anchor_arg(H: BivariatePolynomial, c1: float, c2: float) -> float:
     """Continuous argument of H(t*c1, t*c2) at t = 1, starting from t = 0.
 
@@ -276,9 +261,7 @@ def _radial_anchor_arg(H: BivariatePolynomial, c1: float, c2: float) -> float:
     samples = 257
     for _ in range(14):
         t = np.linspace(0.0, 1.0, samples)
-        vals = np.zeros(samples, dtype=np.complex128)
-        for (i, j), c in sorted(H.terms.items()):
-            vals += float(c) * (t * c1) ** i * (t * c2) ** j
+        vals = H.eval_array(t * c1, t * c2)
         if np.min(np.abs(vals)) <= 1e-12 * max(1.0, abs(h00)):
             raise BranchTrackingError(
                 "branch tracking failed; H vanishes on the radial anchor segment"
@@ -328,9 +311,9 @@ def quadrature_values(
 
     th1 = 2.0 * np.pi * np.arange(N1) / N1
     th2 = 2.0 * np.pi * np.arange(N2) / N2
-    X = c1 * np.exp(1j * th1)
-    Y = c2 * np.exp(1j * th2)
-    W = _eval_grid(H, X, Y)
+    X = c1 * np.exp(1j * th1).reshape(-1, 1)
+    Y = c2 * np.exp(1j * th2).reshape(1, -1)
+    W = H.eval_array(X, Y)
     scale = float(H.coefficient_scale())
     if np.min(np.abs(W)) <= 1e-9 * max(scale, 1.0):
         raise BranchTrackingError(
@@ -340,7 +323,7 @@ def quadrature_values(
     args = _continuous_args(W, anchor)
     F = np.exp(-b * (np.log(np.abs(W)) + 1j * args))
     if G is not None and G != BivariatePolynomial.constant(1):
-        F = F * _eval_grid(G, X, Y)
+        F = F * G.eval_array(X, Y)
 
     def extract(values: np.ndarray) -> np.ndarray:
         n1, n2 = values.shape

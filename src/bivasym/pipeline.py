@@ -40,15 +40,15 @@ class SolveOutcome:
 
 def run_solve(spec: ProblemSpec, probe: bool = True) -> SolveOutcome:
     """Solve the critical system, classify tori, probe the dominant class."""
-    points = solve_critical(spec.H, spec.direction, spec.tolerances)
+    points = solve_critical(spec.H, spec.direction)
     if not points:
         return SolveOutcome(points=[], classes=[], dominant=None)
-    classes = group_by_torus(points, spec.tolerances.merge, spec.direction)
+    classes = group_by_torus(points, direction=spec.direction)
     dom = dominant_class(classes)
     if probe:
         for pt in dom.points:
             peers = [o for o in dom.points if o is not pt]
-            minimality_probe(spec.H, pt, spec.probe_grid, peers, spec.tolerances)
+            minimality_probe(spec.H, pt, peers=peers)
     return SolveOutcome(points=points, classes=classes, dominant=dom)
 
 
@@ -68,12 +68,10 @@ def estimate_target(
     if len(smooth_pts) == 1:
         try:
             return estimate_real_positive(
-                spec.H, spec.G, spec.beta, smooth_pts[0], r, s,
-                spec.direction, spec.tolerances,
+                spec.H, spec.G, spec.beta, smooth_pts[0], r, s, spec.direction
             )
         except HypothesisFailure:
             pass
     return estimate_general(
-        spec.H, spec.G, spec.beta, smooth_pts, r, s,
-        spec.direction, winding_steps=spec.winding_steps, tol=spec.tolerances,
+        spec.H, spec.G, spec.beta, smooth_pts, r, s, spec.direction
     )

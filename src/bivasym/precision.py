@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .errors import EvaluationOverflow
-
 DEFAULT_PRECISION = 128
 
 mp.prec = DEFAULT_PRECISION
@@ -61,15 +59,3 @@ def to_mpc(x) -> mpc:
 def is_finite(z) -> bool:
     z = mpc(z)
     return bool(mp.isfinite(z.real) and mp.isfinite(z.imag))
-
-
-def require_finite(z, what: str = "evaluation"):
-    """Raise EvaluationOverflow if ``z`` is not finite."""
-    if not is_finite(z):
-        raise EvaluationOverflow(f"{what} overflow")
-    return z
-
-
-def eps() -> mpf:
-    """Unit roundoff at the current precision."""
-    return mpf(2) ** (-mp.prec)

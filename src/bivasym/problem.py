@@ -12,12 +12,12 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .bivariate import BivariatePolynomial
-from .critical import Direction, ProbeGrid, Tolerances
+from .critical import Direction
 from .errors import ConfigError, SpecFileError
 from .rationals import format_rational, parse_rational
 
 _DEFAULT_GRID = (512, 512)
-_DEFAULT_WINDING_STEPS = 1024
+_FIELDS = ("H", "G", "beta", "direction", "targets", "oracle_box", "quadrature")
 
 
 @dataclass
@@ -30,9 +30,6 @@ class ProblemSpec:
     oracle_box: Optional[Tuple[int, int]] = None
     quadrature_radii: Optional[Tuple[float, float]] = None
     quadrature_grid: Tuple[int, int] = _DEFAULT_GRID
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    probe_grid: ProbeGrid = field(default_factory=ProbeGrid)
-    winding_steps: int = _DEFAULT_WINDING_STEPS
 
     def __post_init__(self):
         if not self.H:
@@ -77,6 +74,9 @@ def parse_problem(text: str) -> ProblemSpec:
         ) from exc
     if not isinstance(doc, dict):
         raise SpecFileError("problem file must be a JSON object")
+    for key in doc:
+        if key not in _FIELDS:
+            raise SpecFileError(f"unknown field {key!r}; accepted: {', '.join(_FIELDS)}")
     try:
         H = _poly_from_json(doc["H"], "H")
         beta = parse_rational(doc["beta"])
@@ -96,22 +96,6 @@ def parse_problem(text: str) -> ProblemSpec:
     if "grid" in quad:
         grid = (int(quad["grid"][0]), int(quad["grid"][1]))
 
-    tols = doc.get("tolerances", {})
-    tolerances = Tolerances(
-        residual=float(tols.get("residual", Tolerances.residual)),
-        merge=float(tols.get("merge", Tolerances.merge)),
-        identity=float(tols.get("identity", Tolerances.identity)),
-        margin=float(tols.get("margin", Tolerances.margin)),
-        boundary=float(tols.get("boundary", Tolerances.boundary)),
-        smooth=float(tols.get("smooth", Tolerances.smooth)),
-    )
-    pg = doc.get("probe_grid", {})
-    probe_grid = ProbeGrid(
-        angles=int(pg.get("angles", ProbeGrid.angles)),
-        radii=int(pg.get("radii", ProbeGrid.radii)),
-    )
-    winding_steps = int(doc.get("winding_steps", _DEFAULT_WINDING_STEPS))
-
     try:
         return ProblemSpec(
             H=H,
@@ -122,9 +106,6 @@ def parse_problem(text: str) -> ProblemSpec:
             oracle_box=oracle_box,
             quadrature_radii=radii,
             quadrature_grid=grid,
-            tolerances=tolerances,
-            probe_grid=probe_grid,
-            winding_steps=winding_steps,
         )
     except ConfigError as exc:
         raise SpecFileError(str(exc)) from exc
@@ -149,20 +130,4 @@ def dump_problem(spec: ProblemSpec) -> str:
         quad["grid"] = list(spec.quadrature_grid)
     if quad:
         doc["quadrature"] = quad
-    if spec.tolerances != Tolerances():
-        doc["tolerances"] = {
-            "residual": spec.tolerances.residual,
-            "merge": spec.tolerances.merge,
-            "identity": spec.tolerances.identity,
-            "margin": spec.tolerances.margin,
-            "boundary": spec.tolerances.boundary,
-            "smooth": spec.tolerances.smooth,
-        }
-    if spec.probe_grid != ProbeGrid():
-        doc["probe_grid"] = {
-            "angles": spec.probe_grid.angles,
-            "radii": spec.probe_grid.radii,
-        }
-    if spec.winding_steps != _DEFAULT_WINDING_STEPS:
-        doc["winding_steps"] = spec.winding_steps
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

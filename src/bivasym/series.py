@@ -16,7 +16,7 @@ from mpmath import mp, mpc, mpf
 
 from .bivariate import BivariatePolynomial
 from .errors import BoxMismatch
-from .precision import to_mpc, to_mpf
+from .precision import to_mpf
 from .rationals import format_rational, rational_power
 
 Box = Tuple[int, int]
@@ -161,14 +161,3 @@ def poly_times_series(p: BivariatePolynomial, b: TruncatedSeries) -> TruncatedSe
                 if v != 0:
                     dst[s] += c * v
     return out
-
-
-def series_value(series: TruncatedSeries, prefactor: Prefactor, r: int, s: int):
-    """Numeric value of one entry, symbolic prefactor folded in (mpf/mpc)."""
-    entry = series.coeffs[r][s]
-    if prefactor.is_one():
-        return to_mpf(entry)
-    val = prefactor.value()
-    if isinstance(val, mpc):
-        return to_mpc(entry) * val
-    return to_mpf(entry) * val

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,49 @@ def test_eval_matches_exact_rational(p, qx, qy):
     bound = mpf(2) ** (-(get_precision() - 8))
     scale = max(to_mpf(abs(exact)), mpf(1))
     assert abs(approx - to_mpf(exact)) <= bound * scale
+
+
+small_fractions = st.lists(
+    st.fractions(min_value=-2, max_value=2, max_denominator=16), min_size=1, max_size=4
+)
+small_complex = st.lists(
+    st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _grid(p, xs, ys):
+    """eval_array on the (N1, 1) x (1, N2) grid shape used by quadrature."""
+    vals = p.eval_array(np.array(xs).reshape(-1, 1), np.array(ys).reshape(1, -1))
+    assert vals.shape == (len(xs), len(ys))
+    return vals
+
+
+@given(polynomials(), small_fractions, small_fractions)
+@settings(max_examples=60)
+def test_eval_array_matches_exact_rational(p, xs, ys):
+    vals = _grid(p, [float(x) for x in xs], [float(y) for y in ys])
+    for a, qx in enumerate(xs):
+        for b, qy in enumerate(ys):
+            scale = max(float(p.eval_magnitude_scale(qx, qy)), 1.0)
+            assert abs(vals[a, b] - float(p.eval_exact(qx, qy))) <= 1e-13 * scale
+
+
+@given(polynomials(), small_complex, small_complex)
+@settings(max_examples=60)
+def test_eval_array_matches_mpmath_eval(p, xs, ys):
+    def close(value, x, y):
+        scale = max(float(p.eval_magnitude_scale(x, y)), 1.0)
+        return abs(value - complex(p.eval(x, y))) <= 1e-13 * scale
+
+    vals = _grid(p, xs, ys)
+    assert all(close(vals[a, b], x, y) for a, x in enumerate(xs) for b, y in enumerate(ys))
+    # Equal-length 1-D arrays evaluate pointwise along a curve.
+    n = min(len(xs), len(ys))
+    curve = p.eval_array(np.array(xs[:n]), np.array(ys[:n]))
+    assert curve.shape == (n,)
+    assert all(close(v, x, y) for v, x, y in zip(curve, xs, ys))
 
 
 def test_eval_deterministic_bits(color_swap_h):

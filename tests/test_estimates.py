@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +11,21 @@ from bivasym import (
     BranchRay,
     CriticalPoint,
     choose_branch_ray,
+    coeff_recurrence,
     estimate_general,
     estimate_real_positive,
     local_data,
+    parse_problem,
     solve_critical,
     winding_number,
+    working_precision,
 )
 from bivasym.errors import ConfigError, HypothesisFailure
 from bivasym.estimates import principal_on_ray
+from bivasym.pipeline import estimate_target, run_solve
 from tests.conftest import WINDING_POINT
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def _point(H, direction, p, q):
@@ -104,6 +111,22 @@ def test_ray_avoids_all_excluded_directions():
     best = max(margin(a) for a in grid)
     assert margin(ray.angle) >= best - 1e-3
     assert margin(ray.angle) >= math.pi / 2 - 1e-9
+
+
+def test_ray_angle_wraps_below_two_pi():
+    # Float % maps a tiny negative angle to exactly 2*pi.
+    assert 0 <= BranchRay(-1e-101).angle < 2 * math.pi
+
+
+def test_branch_wrap_problem_matches_recurrence():
+    # One -p*H_x has argument about -1.6e-116; before the wrap fix every
+    # gap between excluded directions came out 0 and no ray was found.
+    spec = parse_problem((PROBLEMS / "branch_wrap.json").read_text())
+    outcome = run_solve(spec)
+    assert outcome.has_usable_point()
+    est = estimate_target(spec, outcome, 40, 40)
+    exact = coeff_recurrence(spec.H, spec.G, spec.beta, (40, 40)).value(40, 40)
+    assert abs(est.value / exact - 1) < 0.02
 
 
 def test_ray_margin_failure():
@@ -213,6 +236,12 @@ def test_multinomial_estimate_value(multinomial_h, diag_direction):
     expected = mpf(2) ** mpf("199.5") / (100 * mp.pi)
     assert abs(est.value - expected) <= 1e-12 * expected
     assert abs(est.value - mpf("3.61688e57")) < mpf("0.00001e57")
+    # Every factor, gamma included, follows the working precision.
+    with working_precision(256):
+        pt = _point(multinomial_h, diag_direction, 0.5, 0.5)
+        est = estimate_general(multinomial_h, None, F(1, 2), [pt], 100, 100, diag_direction)
+        expected = mpf(2) ** mpf("199.5") / (100 * mp.pi)
+        assert abs(est.value - expected) <= mpf("1e-60") * expected
 
 
 def test_real_positive_path_agrees(multinomial_h, diag_direction):

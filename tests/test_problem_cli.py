@@ -141,6 +141,23 @@ def test_constant_h_exit_64(tmp_path):
     assert main(["solve", "--spec", str(path)]) == 64
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tolerances", {"merge": 1e-8}),
+        ("probe_grid", {"angles": 512}),
+        ("winding_steps", 2048),
+    ],
+)
+def test_unknown_field_exit_64(tmp_path, capsys, key, value):
+    spec = json.loads(MULTINOMIAL)
+    spec[key] = value
+    path = tmp_path / "knob.json"
+    path.write_text(json.dumps(spec))
+    assert main(["solve", "--spec", str(path)]) == 64
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_missing_file_exit_64(tmp_path):
     assert main(["solve", "--spec", str(tmp_path / "absent.json")]) == 64
 
@@ -245,6 +262,17 @@ def test_hypothesis_failure_exit_70(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert main(["estimate", "--spec", str(path)]) == 70
     assert "beta_not_nonpositive_integer" in capsys.readouterr().err
+
+
+def test_whole_curve_critical_exit_70(tmp_path, capsys):
+    # H = 1 - xy in direction 1:1: the direction polynomial is identically 0.
+    spec = {"H": [[0, 0, "1"], [1, 1, "-1"]], "beta": "1/2", "direction": "1:1"}
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(spec))
+    assert main(["solve", "--spec", str(path)]) == 70
+    err = capsys.readouterr().err
+    assert "non-isolated critical set" in err
+    assert "Traceback" not in err
 
 
 def test_precision_flag(multinomial_spec_file, tmp_path):
