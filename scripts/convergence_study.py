@@ -13,24 +13,20 @@ from fractions import Fraction as F
 
 from mpmath import mp
 
-from bivasym import (
-    BivariatePolynomial,
-    Direction,
-    coeff_recurrence,
-    estimate_real_positive,
-    solve_critical,
-)
+from bivasym import BivariatePolynomial, Direction, coeff_recurrence
+from bivasym.pipeline import estimate_target, run_solve
+from bivasym.problem import ProblemSpec
 
 
 def main(argv):
     rs = [int(a) for a in argv[1:]] or [25, 50, 100, 200, 400]
     H = BivariatePolynomial.from_items([(0, 0, "1"), (1, 0, "-1"), (0, 1, "-1")])
-    direction = Direction(1, 1)
-    pt = solve_critical(H, direction)[0]
+    spec = ProblemSpec(H=H, beta=F(1, 2), direction=Direction(1, 1))
+    outcome = run_solve(spec)
     print("r,estimate,exact,ratio")
     for r in rs:
-        est = estimate_real_positive(H, None, F(1, 2), pt, r, r, direction)
-        exact = coeff_recurrence(H, None, F(1, 2), (r, r)).value(r, r)
+        est = estimate_target(spec, outcome, r, r)
+        exact = coeff_recurrence(spec.H, spec.G, spec.beta, (r, r)).value(r, r)
         ratio = est.value / exact
         print(f"{r},{mp.nstr(est.value, 17)},{mp.nstr(exact, 17)},{mp.nstr(ratio, 12)}")
     return 0

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Sweep the direction ratio for the color-swap generating function.
 
-For each direction r0:s0 the script solves the critical system, reports
-the dominant critical point with its minimality verdict, and estimates
-the coefficient at a target scaled to that direction.  Directions where
-the point moves off the positive axis or minimality becomes inconclusive
-show up immediately in the table.
+For each direction r0:s0 the script solves the critical system and
+probes the dominant class (``pipeline.run_solve``), reports the first
+dominant critical point with its minimality verdict, and estimates the
+coefficient at a target scaled to that direction
+(``pipeline.estimate_target``).  Directions where the point moves off the
+positive axis or minimality becomes inconclusive show up immediately in
+the table.
 
 Usage: python scripts/direction_sweep.py [base_r]
 """
@@ -15,16 +17,10 @@ from fractions import Fraction as F
 
 from mpmath import mp
 
-from bivasym import (
-    BivariatePolynomial,
-    Direction,
-    estimate_real_positive,
-    estimate_general,
-    minimality_probe,
-    group_by_torus,
-    solve_critical,
-)
-from bivasym.errors import BivasymError, HypothesisFailure
+from bivasym import BivariatePolynomial, Direction
+from bivasym.errors import BivasymError
+from bivasym.pipeline import estimate_target, run_solve
+from bivasym.problem import ProblemSpec
 
 
 def main(argv):
@@ -36,22 +32,16 @@ def main(argv):
     print("direction,p,q,minimality,target_r,target_s,estimate")
     for r0, s0 in ((5, 1), (4, 1), (3, 1), (2, 1), (3, 2), (5, 4)):
         direction = Direction(r0, s0)
-        try:
-            pts = solve_critical(H, direction)
-        except BivasymError as exc:
-            print(f"{direction},error: {exc}")
-            continue
-        classes = group_by_torus(pts, direction=direction)
-        dom = classes[0]
-        pt = dom.points[0]
-        peers = [o for o in dom.points if o is not pt]
-        minimality_probe(H, pt, peers=peers)
+        spec = ProblemSpec(H=H, G=G, beta=F(1, 2), direction=direction)
         r = base_r - base_r % r0
         s = r * s0 // r0
         try:
-            est = estimate_real_positive(H, G, F(1, 2), pt, r, s, direction)
-        except HypothesisFailure:
-            est = estimate_general(H, G, F(1, 2), dom.points, r, s, direction)
+            outcome = run_solve(spec)
+            est = estimate_target(spec, outcome, r, s)
+        except BivasymError as exc:
+            print(f"{direction},error: {exc}")
+            continue
+        pt = outcome.dominant.points[0]
         print(
             f"{direction},{mp.nstr(pt.p, 10)},{mp.nstr(pt.q, 10)},"
             f"{pt.minimality},{r},{s},{mp.nstr(est.value, 12)}"

@@ -10,7 +10,6 @@ from .critical import (
     CriticalPoint,
     Direction,
     ProbeGrid,
-    Tolerances,
     TorusClass,
     critical_system,
     group_by_torus,
@@ -77,7 +76,6 @@ __all__ = [
     "RootFindingError",
     "SingularAtOrigin",
     "SpecFileError",
-    "Tolerances",
     "TorusClass",
     "TruncatedSeries",
     "cauchy_quadrature",

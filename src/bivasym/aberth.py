@@ -21,6 +21,12 @@ _START_OFFSET = 0.376991118430775
 
 _STAGE_PREC = 64
 
+# Iteration cap of each stage.
+_MAX_ITER = 160
+
+# A root is accepted when |p(z)| is within 2**-24 of the coefficient scale at z.
+_RESIDUAL_BITS = 24
+
 
 def _poly_and_deriv(coeffs: Sequence[mpc], z: mpc):
     """Evaluate p(z) and p'(z) by one Horner pass."""
@@ -53,9 +59,9 @@ def _trim_leading(coeffs: List[mpc]) -> List[mpc]:
     return out
 
 
-def _aberth_iterate(coeffs: List[mpc], z: List[mpc], max_iter: int, tol: mpf) -> List[mpc]:
+def _aberth_iterate(coeffs: List[mpc], z: List[mpc], tol: mpf) -> List[mpc]:
     n = len(z)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         converged = True
         for i in range(n):
             zi = z[i]
@@ -89,9 +95,7 @@ def _aberth_iterate(coeffs: List[mpc], z: List[mpc], max_iter: int, tol: mpf) ->
     return z
 
 
-def aberth_roots(
-    coefficients: Sequence, max_iter: int = 160, residual_bits: int = 24
-) -> List[mpc]:
+def aberth_roots(coefficients: Sequence) -> List[mpc]:
     """All complex roots (with multiplicity) of an ascending-coefficient poly.
 
     Coefficients may be Fractions, ints, floats, or complex; they are taken
@@ -126,14 +130,14 @@ def aberth_roots(
     # Stage 1: cheap pass at reduced precision.
     with working_precision(_STAGE_PREC):
         lo = [mpc(c) for c in coeffs]
-        z = _aberth_iterate(lo, [mpc(s) for s in start], max_iter, mpf(2) ** (-40))
+        z = _aberth_iterate(lo, [mpc(s) for s in start], mpf(2) ** (-40))
     # Stage 2: finish at ambient precision.
     z = [mpc(v) for v in z]
     tol = mpf(2) ** (-(mp.prec - 12))
-    z = _aberth_iterate(coeffs, z, max_iter, tol)
+    z = _aberth_iterate(coeffs, z, tol)
 
     # Residual acceptance: |p(z)| relative to the coefficient scale at z.
-    loose = mpf(2) ** (-residual_bits)
+    loose = mpf(2) ** (-_RESIDUAL_BITS)
     bad = []
     for zi in z:
         p, _ = _poly_and_deriv(coeffs, zi)

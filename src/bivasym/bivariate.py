@@ -195,24 +195,12 @@ class BivariatePolynomial:
         return BivariatePolynomial({(j, i): c for (i, j), c in self.terms.items()})
 
     def specialize_y(self, value):
-        """Univariate coefficient list in x (ascending) with y set to ``value``.
-
-        ``value`` may be a Fraction (exact result) or a complex scalar
-        (mpc result).
-        """
-        exact = isinstance(value, (int, Fraction))
-        dx = self.degree_x()
-        if exact:
-            val = Fraction(value)
-            out = [Fraction(0)] * (dx + 1)
-            for (i, j), c in sorted(self.terms.items()):
-                out[i] += c * val**j
-            return out
+        """Ascending mpc coefficient list in x with y set to ``value``."""
         v = to_mpc(value)
-        outc = [to_mpc(0)] * (dx + 1)
+        out = [to_mpc(0)] * (self.degree_x() + 1)
         for (i, j), c in sorted(self.terms.items()):
-            outc[i] += to_mpc(c) * v**j
-        return outc
+            out[i] += to_mpc(c) * v**j
+        return out
 
     def specialize_x(self, value):
         return self.swap_variables().specialize_y(value)

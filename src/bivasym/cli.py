@@ -34,6 +34,8 @@ EXIT_PARSE = 64
 EXIT_CONFIG = 65
 EXIT_NUMERICAL = 70
 
+_NO_USABLE_POINT = "no smooth, probably strictly minimal point on the dominant torus\n"
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -106,8 +108,8 @@ def cmd_solve(spec: ProblemSpec, args) -> int:
 
 def cmd_estimate(spec: ProblemSpec, args) -> int:
     outcome = run_solve(spec)
-    if outcome.dominant is None or not any(pt.smooth for pt in outcome.dominant.points):
-        sys.stderr.write("no smooth critical point on the dominant torus\n")
+    if not outcome.has_usable_point():
+        sys.stderr.write(_NO_USABLE_POINT)
         return EXIT_NO_CRITICAL_POINT
     reports = [
         report_estimate(estimate_target(spec, outcome, r, s))
@@ -166,8 +168,8 @@ def cmd_compare(spec: ProblemSpec, args) -> int:
         if r > box[0] or s > box[1]:
             raise ConfigError(f"oracle box {box} too small for target ({r},{s})")
     outcome = run_solve(spec)
-    if outcome.dominant is None or not any(pt.smooth for pt in outcome.dominant.points):
-        sys.stderr.write("no smooth critical point on the dominant torus\n")
+    if not outcome.has_usable_point():
+        sys.stderr.write(_NO_USABLE_POINT)
         return EXIT_NO_CRITICAL_POINT
     table = coeff_recurrence(spec.H, spec.G, spec.beta, box)
     lines = ["r,s,estimate_log10,estimate,exact_log10,exact,ratio"]

@@ -64,21 +64,18 @@ class Direction:
         return f"{self.r0}:{self.s0}"
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Fixed numeric thresholds, overridable in one place."""
-
-    residual: float = 1e-12
-    merge: float = 1e-10
-    identity: float = 1e-10
-    margin: float = 1e-6
-    boundary: float = 1e-9
-    smooth: float = 1e-6
+# Fixed numeric thresholds, each relative to the scale it is compared with.
+RESIDUAL_TOL = 1e-12  # polished system residual accepted as a solution
+MERGE_TOL = 1e-10  # coordinates, moduli or weights this close count as equal
+IDENTITY_TOL = 1e-10  # H_y/H_x = p/(lambda*q) check in the local data
+MARGIN_TOL = 1e-6  # probe margin needed for probably_strictly_minimal
+BOUNDARY_TOL = 1e-9  # an x-root this close to the |p| circle touches it
+SMOOTH_TOL = 1e-6  # gradient below this times the coefficient scale is singular
 
 
 @dataclass(frozen=True)
 class ProbeGrid:
-    """Sampling resolution of the minimality probe."""
+    """Sampling resolution of the minimality probe, which uses the defaults."""
 
     angles: int = 256
     radii: int = 32
@@ -101,10 +98,10 @@ class CriticalPoint:
     witness: Optional[Tuple[complex, complex]] = None
     torus_class: Optional[int] = None
 
-    def conjugate_of(self, other: "CriticalPoint", tol: float) -> bool:
+    def conjugate_of(self, other: "CriticalPoint") -> bool:
         return (
-            abs(self.p - mp.conj(other.p)) <= tol * (1 + abs(self.p))
-            and abs(self.q - mp.conj(other.q)) <= tol * (1 + abs(self.q))
+            abs(self.p - mp.conj(other.p)) <= MERGE_TOL * (1 + abs(self.p))
+            and abs(self.q - mp.conj(other.q)) <= MERGE_TOL * (1 + abs(self.q))
         )
 
 
@@ -163,9 +160,8 @@ def _newton_polish(
     F2: BivariatePolynomial,
     p: mpc,
     q: mpc,
-    max_iter: int = 60,
 ):
-    """Damped Newton on the 2x2 system using the exact Jacobian."""
+    """Damped Newton on the 2x2 system using the exact Jacobian (60 steps at most)."""
     J = [
         [F1.partial("x"), F1.partial("y")],
         [F2.partial("x"), F2.partial("y")],
@@ -176,7 +172,7 @@ def _newton_polish(
         return max(_relative_residual(F1, a, b), _relative_residual(F2, a, b))
 
     cur = resid(p, q)
-    for _ in range(max_iter):
+    for _ in range(60):
         if cur <= target:
             break
         f1, f2 = F1.eval(p, q), F2.eval(p, q)
@@ -205,7 +201,6 @@ def _newton_polish(
 def solve_critical(
     H: BivariatePolynomial,
     direction: Direction,
-    tol: Tolerances = Tolerances(),
     eliminate: str = "y",
 ) -> List[CriticalPoint]:
     """All isolated solutions of the critical system, polished and deduplicated.
@@ -232,7 +227,7 @@ def solve_critical(
             if max(_relative_residual(F1, p0, q0), _relative_residual(F2, p0, q0)) > 1e-4:
                 continue
             p1, q1, r = _newton_polish(F1, F2, p0, q0)
-            if r > tol.residual:
+            if r > RESIDUAL_TOL:
                 continue
             points.append(
                 CriticalPoint(
@@ -243,9 +238,9 @@ def solve_critical(
                 )
             )
 
-    merged = _merge_duplicates(points, tol.merge)
+    merged = _merge_duplicates(points)
     for pt in merged:
-        pt.smooth = is_smooth(H, (pt.p, pt.q), tol.smooth)
+        pt.smooth = is_smooth(H, (pt.p, pt.q))
     return merged
 
 
@@ -281,15 +276,15 @@ def _recover_partner(F1, F2, w: mpc, swap: bool):
     return out
 
 
-def _merge_duplicates(points: List[CriticalPoint], tol: float) -> List[CriticalPoint]:
+def _merge_duplicates(points: List[CriticalPoint]) -> List[CriticalPoint]:
     kept: List[CriticalPoint] = []
     for pt in points:
         scale = 1 + float(max(abs(pt.p), abs(pt.q)))
         dup = None
         for other in kept:
             if (
-                abs(pt.p - other.p) <= tol * scale
-                and abs(pt.q - other.q) <= tol * scale
+                abs(pt.p - other.p) <= MERGE_TOL * scale
+                and abs(pt.q - other.q) <= MERGE_TOL * scale
             ):
                 dup = other
                 break
@@ -302,10 +297,10 @@ def _merge_duplicates(points: List[CriticalPoint], tol: float) -> List[CriticalP
     return kept
 
 
-def is_smooth(H: BivariatePolynomial, pt, tol: float = Tolerances.smooth) -> bool:
+def is_smooth(H: BivariatePolynomial, pt) -> bool:
     """True when the gradient of H does not vanish at the point.
 
-    The gradient magnitude is compared against ``tol`` times the
+    The gradient magnitude is compared against ``SMOOTH_TOL`` times the
     coefficient scale of H, so the verdict is invariant under rescaling H.
     """
     p, q = to_mpc(pt[0]), to_mpc(pt[1])
@@ -314,7 +309,7 @@ def is_smooth(H: BivariatePolynomial, pt, tol: float = Tolerances.smooth) -> boo
     scale = to_mpf(H.coefficient_scale())
     if scale == 0:
         return False
-    return bool(max(gx, gy) > tol * scale)
+    return bool(max(gx, gy) > SMOOTH_TOL * scale)
 
 
 # ----------------------------------------------------------------------
@@ -325,9 +320,8 @@ def is_smooth(H: BivariatePolynomial, pt, tol: float = Tolerances.smooth) -> boo
 def minimality_probe(
     H: BivariatePolynomial,
     pt: CriticalPoint,
-    grid: ProbeGrid = ProbeGrid(),
+    *,
     peers: Sequence[CriticalPoint] = (),
-    tol: Tolerances = Tolerances(),
 ) -> CriticalPoint:
     """Numerically probe strict minimality of ``pt`` on the closed polydisk.
 
@@ -349,8 +343,8 @@ def minimality_probe(
     y_major = H.float_coeffs().T
     coeff_scale = float(H.coefficient_scale())
 
+    grid = ProbeGrid()
     min_margin = math.inf
-    witness = None
     t_values = [k / grid.radii for k in range(1, grid.radii + 1)]
     phis = 2.0 * np.pi * np.arange(grid.angles) / grid.angles
     for t in t_values:
@@ -372,12 +366,12 @@ def minimality_probe(
                     continue
                 # Inside the polydisk, or on the |p| circle without being a
                 # known same-torus point: either way strictness fails.
-                if ax <= mod_p * (1 + tol.boundary):
+                if ax <= mod_p * (1 + BOUNDARY_TOL):
                     pt.minimality = VIOLATED
                     pt.witness = (complex(x_val), complex(y_val))
                     return pt
                 min_margin = min(min_margin, ax / mod_p - 1.0)
-    if min_margin > tol.margin:
+    if min_margin > MARGIN_TOL:
         pt.minimality = PROBABLY_STRICTLY_MINIMAL
     else:
         pt.minimality = INCONCLUSIVE
@@ -413,7 +407,6 @@ def _slice_roots(coeffs: np.ndarray, coeff_scale: float):
 
 def group_by_torus(
     points: Sequence[CriticalPoint],
-    tol: float = Tolerances.merge,
     direction: Optional[Direction] = None,
 ) -> List[TorusClass]:
     """Partition points by (|p|, |q|) and mark the dominant class.
@@ -429,8 +422,8 @@ def group_by_torus(
         mp_, mq = float(abs(pt.p)), float(abs(pt.q))
         home = None
         for cl in classes:
-            scale = 1 + max(cl.modulus_p, cl.modulus_q)
-            if abs(mp_ - cl.modulus_p) <= tol * scale and abs(mq - cl.modulus_q) <= tol * scale:
+            close = MERGE_TOL * (1 + max(cl.modulus_p, cl.modulus_q))
+            if abs(mp_ - cl.modulus_p) <= close and abs(mq - cl.modulus_q) <= close:
                 home = cl
                 break
         if home is None:
@@ -455,7 +448,7 @@ def group_by_torus(
     return classes
 
 
-def dominant_class(classes: List[TorusClass], weight_tol: float = 1e-10) -> TorusClass:
+def dominant_class(classes: List[TorusClass]) -> TorusClass:
     """The unique dominant torus class.
 
     Distinct classes whose direction weights tie cannot be combined by the
@@ -465,10 +458,10 @@ def dominant_class(classes: List[TorusClass], weight_tol: float = 1e-10) -> Toru
         raise ConfigError("no critical points to classify")
     best = classes[0]
     for other in classes[1:]:
-        if abs(other.weight - best.weight) <= weight_tol * max(1.0, abs(best.weight)):
+        if abs(other.weight - best.weight) <= MERGE_TOL * max(1.0, abs(best.weight)):
             same_moduli = (
-                abs(other.modulus_p - best.modulus_p) <= weight_tol * (1 + best.modulus_p)
-                and abs(other.modulus_q - best.modulus_q) <= weight_tol * (1 + best.modulus_q)
+                abs(other.modulus_p - best.modulus_p) <= MERGE_TOL * (1 + best.modulus_p)
+                and abs(other.modulus_q - best.modulus_q) <= MERGE_TOL * (1 + best.modulus_q)
             )
             if not same_moduli:
                 raise ConfigError(

@@ -18,12 +18,15 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .bivariate import BivariatePolynomial
-from .critical import CriticalPoint, Direction, Tolerances
+from .critical import IDENTITY_TOL, MERGE_TOL, SMOOTH_TOL, CriticalPoint, Direction
 from .errors import BranchTrackingError, ConfigError, HypothesisFailure
 from .gammafn import gamma_log
 from .precision import to_mpc, to_mpf
 
 TWO_PI = 2.0 * math.pi
+
+# Initial samples of H(t*p, t*q) for the winding count, before refinement.
+_WINDING_STEPS = 1024
 
 
 @dataclass
@@ -88,7 +91,6 @@ def local_data(
     H: BivariatePolynomial,
     pt: CriticalPoint,
     direction: Direction,
-    tol: Tolerances = Tolerances(),
 ) -> LocalData:
     """Evaluate the local derivative data of H at a polished critical point.
 
@@ -100,7 +102,7 @@ def local_data(
     hx = H.partial("x").eval(p, q)
     hy = H.partial("y").eval(p, q)
     scale = to_mpf(H.coefficient_scale())
-    if abs(hx) <= tol.smooth * scale:
+    if abs(hx) <= SMOOTH_TOL * scale:
         raise HypothesisFailure("hx_nonzero", "non-smooth in x; estimate inapplicable")
     hxx = H.partial("x").partial("x").eval(p, q)
     hxy = H.partial("x").partial("y").eval(p, q)
@@ -115,10 +117,10 @@ def local_data(
         "hx_nonzero": True,
         "p_nonzero": abs(p) > 0,
         "q_nonzero": abs(q) > 0,
-        "phase_hessian_nonzero": abs(m) > tol.smooth**2,
+        "phase_hessian_nonzero": abs(m) > SMOOTH_TOL**2,
         "saddle_real_part_positive": (-(q * q) * m).real > 0,
         "grad_ratio_identity": bool(
-            abs(ratio - p / (lam * q)) <= to_mpf(tol.identity) * max(abs(ratio), to_mpf(1e-30))
+            abs(ratio - p / (lam * q)) <= to_mpf(IDENTITY_TOL) * max(abs(ratio), to_mpf(1e-30))
         ),
     }
     return LocalData(
@@ -137,16 +139,13 @@ def local_data(
 # ----------------------------------------------------------------------
 
 
-def choose_branch_ray(
-    H: BivariatePolynomial,
-    points: Sequence[CriticalPoint],
-    margin: float = 1e-6,
-) -> BranchRay:
+def choose_branch_ray(H: BivariatePolynomial, points: Sequence[CriticalPoint]) -> BranchRay:
     """A cut ray avoiding every -p_i*H_x(p_i,q_i) and the anchor H(0,0).
 
     The chooser bisects the largest angular gap between excluded
-    directions, breaking ties toward the negative real axis, and fails if
-    even the best ray has angular margin below ``margin``.
+    directions, breaking ties toward the negative real axis.  With n
+    points that gap is at least 2*pi/(n+1), so the ray always clears
+    every excluded direction.
     """
     hx_poly = H.partial("x")
     excluded = [_wrap(mp.arg(to_mpc(H.constant_term())))]
@@ -168,8 +167,6 @@ def choose_branch_ray(
         tie = abs(half - best_margin) <= 1e-15
         if better or (tie and _dist_to_pi(mid) < _dist_to_pi(best_angle)):
             best_angle, best_margin = mid, half
-    if best_margin < margin:
-        raise ConfigError(f"no branch ray with angular margin >= {margin}")
     return BranchRay(best_angle)
 
 
@@ -213,7 +210,6 @@ def winding_number(
     H: BivariatePolynomial,
     pt: CriticalPoint,
     ray: BranchRay,
-    steps: int = 1024,
 ) -> int:
     """Signed crossings of the cut ray by the curve H(t*p, t*q), 0 <= t < 1.
 
@@ -222,12 +218,10 @@ def winding_number(
     linear to first order with direction -(p*H_x + q*H_y), which at a
     critical point matches -p*H_x up to a positive real factor.
     """
-    if steps < 1024:
-        raise ConfigError("winding sampling needs at least 1024 steps")
     p, q = complex(pt.p), complex(pt.q)
     cap = 1.0 - 1e-6
     scale = float(H.coefficient_scale())
-    ts = np.linspace(0.0, cap, steps + 1)
+    ts = np.linspace(0.0, cap, _WINDING_STEPS + 1)
     vals = H.eval_array(ts * p, ts * q)
     for _ in range(24):
         if np.min(np.abs(vals)) <= 1e-9 * max(scale, 1.0):
@@ -295,9 +289,6 @@ def estimate_general(
     r: int,
     s: int,
     direction: Direction,
-    ray: Optional[BranchRay] = None,
-    winding_steps: int = 1024,
-    tol: Tolerances = Tolerances(),
 ) -> AsymptoticEstimate:
     """Sum of saddle contributions over one torus class of critical points.
 
@@ -309,16 +300,15 @@ def estimate_general(
     if not points:
         raise ConfigError("no critical points supplied")
     b = _check_beta(beta)
-    _require_same_torus(points, tol.merge)
+    _require_same_torus(points)
     locals_ = []
     for pt in points:
-        ld = local_data(H, pt, direction, tol)
+        ld = local_data(H, pt, direction)
         failed = ld.failed_checks()
         if failed:
             raise HypothesisFailure(failed[0], f"critical point fails {failed}")
         locals_.append(ld)
-    if ray is None:
-        ray = choose_branch_ray(H, points)
+    ray = choose_branch_ray(H, points)
     anchor = mp.arg(to_mpc(H.constant_term()))
 
     sign_gamma, ln_abs_gamma = gamma_log(b)
@@ -329,7 +319,7 @@ def estimate_general(
         pt = ld.point
         w = -pt.p * ld.hx
         theta_w = branch_argument(w, ray, anchor)
-        omega = winding_number(H, pt, ray, winding_steps)
+        omega = winding_number(H, pt, ray)
         ld.winding = omega
         ld.branch_value = mp.exp(-b * (mp.log(abs(w)) + mpc(0, 1) * theta_w))
 
@@ -384,7 +374,7 @@ def estimate_general(
     drift = _drift_warning(direction, r, s)
     if drift:
         warnings.append(drift)
-    if _conjugate_closed(points, tol.merge):
+    if _conjugate_closed(points):
         if abs(value) > 0 and abs(value.imag) > 1e-8 * abs(value):
             warnings.append(
                 "conjugate-cancellation failed: imaginary part "
@@ -412,7 +402,6 @@ def estimate_real_positive(
     r: int,
     s: int,
     direction: Direction,
-    tol: Tolerances = Tolerances(),
 ) -> AsymptoticEstimate:
     """Fast path: single real-positive critical point of a real H.
 
@@ -421,7 +410,7 @@ def estimate_real_positive(
     general path.
     """
     b = _check_beta(beta)
-    ld = local_data(H, pt, direction, tol)
+    ld = local_data(H, pt, direction)
     failed = ld.failed_checks()
     if failed:
         raise HypothesisFailure(failed[0], f"critical point fails {failed}")
@@ -479,19 +468,19 @@ def estimate_real_positive(
     )
 
 
-def _require_same_torus(points: Sequence[CriticalPoint], tol: float) -> None:
+def _require_same_torus(points: Sequence[CriticalPoint]) -> None:
     mp0, mq0 = (abs(points[0].p), abs(points[0].q))
     for pt in points[1:]:
         if (
-            abs(abs(pt.p) - mp0) > tol * (1 + mp0)
-            or abs(abs(pt.q) - mq0) > tol * (1 + mq0)
+            abs(abs(pt.p) - mp0) > MERGE_TOL * (1 + mp0)
+            or abs(abs(pt.q) - mq0) > MERGE_TOL * (1 + mq0)
         ):
             raise ConfigError("critical points are not on one torus")
 
 
-def _conjugate_closed(points: Sequence[CriticalPoint], tol: float) -> bool:
+def _conjugate_closed(points: Sequence[CriticalPoint]) -> bool:
     for pt in points:
-        if not any(pt.conjugate_of(other, tol) for other in points):
+        if not any(pt.conjugate_of(other) for other in points):
             return False
     return True
 

@@ -129,13 +129,6 @@ def test_branch_wrap_problem_matches_recurrence():
     assert abs(est.value / exact - 1) < 0.02
 
 
-def test_ray_margin_failure():
-    H = BivariatePolynomial.from_items([(0, 0, "1"), (1, 0, "1")])
-    pt = CriticalPoint(p=mpc(1.0), q=mpc(1.0))
-    with pytest.raises(ConfigError):
-        choose_branch_ray(H, [pt], margin=math.pi)
-
-
 # ----------------------------------------------------------------------
 # Winding numbers
 # ----------------------------------------------------------------------
@@ -216,12 +209,6 @@ def test_winding_rejects_vanishing_curve(diag_direction):
 
     with pytest.raises(BranchTrackingError):
         winding_number(H, pt, BranchRay(math.pi))
-
-
-def test_winding_steps_minimum(multinomial_h, diag_direction):
-    pt = _point(multinomial_h, diag_direction, 0.5, 0.5)
-    with pytest.raises(ConfigError):
-        winding_number(multinomial_h, pt, BranchRay(math.pi), steps=256)
 
 
 # ----------------------------------------------------------------------

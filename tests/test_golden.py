@@ -1,0 +1,35 @@
+"""Byte-for-byte CLI outputs on the regression problems.
+
+The files under ``tests/data/golden`` are the stdout of
+``bivasym <command> --spec problems/<problem>.json`` at the default
+precision.  A change meant to keep behaviour must leave them unchanged; a
+change meant to move them regenerates them with
+
+    for p in color_swap multinomial_sqrt branch_wrap; do
+      for c in solve estimate compare; do
+        bivasym $c --spec problems/$p.json > tests/data/golden/$p.$c.out
+      done
+    done
+
+and says why in its description.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from bivasym.cli import main
+from bivasym.precision import DEFAULT_PRECISION, working_precision
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden"
+
+
+@pytest.mark.parametrize("command", ["solve", "estimate", "compare"])
+@pytest.mark.parametrize("problem", ["color_swap", "multinomial_sqrt", "branch_wrap"])
+def test_cli_output_unchanged(capsys, problem, command):
+    with working_precision(DEFAULT_PRECISION):
+        code = main([command, "--spec", str(ROOT / "problems" / f"{problem}.json")])
+    assert code == 0
+    expected = (GOLDEN / f"{problem}.{command}.out").read_text()
+    assert capsys.readouterr().out == expected

@@ -125,6 +125,31 @@ def test_solve_exit_two_without_minimal_point(tmp_path):
     assert main(["solve", "--spec", str(path)]) == 2
 
 
+# H whose dominant class (direction 1:1) the minimality probe rejects.
+# Estimating from it anyway is 5 orders of magnitude off for the first
+# (a criterion-4 random polynomial) and a hypothesis failure for the second.
+REJECTED_CLASSES = {
+    "one_plus_y_family": [[0, 0, "1"], [0, 1, "3/2"], [0, 2, "-1"], [2, 2, "2/3"]],
+    "violated_lowest_class": [[0, 0, "1"], [0, 2, "-1"], [3, 0, "1/3"], [3, 1, "-2"]],
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "estimate", "compare"])
+@pytest.mark.parametrize("name", sorted(REJECTED_CLASSES))
+def test_rejected_class_exit_two(tmp_path, capsys, name, command):
+    spec = {
+        "H": REJECTED_CLASSES[name],
+        "beta": "1/2",
+        "direction": "1:1",
+        "targets": [[40, 40]],
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    assert main([command, "--spec", str(path)]) == 2
+    if command != "solve":
+        assert capsys.readouterr().out == ""
+
+
 def test_parse_error_exit_64(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
