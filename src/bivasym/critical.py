@@ -96,6 +96,7 @@ class CriticalPoint:
     smooth: bool = False
     minimality: str = UNTESTED
     witness: Optional[Tuple[complex, complex]] = None
+    margin: Optional[float] = None  # least |x|/|p| - 1 the probe saw
     torus_class: Optional[int] = None
 
     def conjugate_of(self, other: "CriticalPoint") -> bool:
@@ -328,8 +329,12 @@ def minimality_probe(
     For every sampled y with |y| <= |q| the x-roots of H(. , y) are
     checked against |p|: a root strictly inside reports ``violated`` with
     a witness; a root on the |p| circle that is not one of the known
-    same-torus critical points does too.  The verdict (with witness) is
-    written onto ``pt`` and also returned.
+    same-torus critical points does too.  The grid is scanned one radius
+    at a time, all of its angles together, and stops at the first radius
+    that shows a violation.  The witness is the first event in
+    (angle, root) order, an identically zero slice counting as the root
+    x = 0.  The verdict, witness and ``margin`` (the least |x|/|p| - 1
+    over the roots checked) are written onto ``pt``, which is returned.
     """
     mod_p = float(abs(pt.p))
     mod_q = float(abs(pt.q))
@@ -341,68 +346,82 @@ def minimality_probe(
 
     # Rows: y-degree; columns: x-degree, so polyval gives x-coefficients per y.
     y_major = H.float_coeffs().T
-    coeff_scale = float(H.coefficient_scale())
+    zero_top = 1e-14 * max(float(H.coefficient_scale()), 1.0)
 
     grid = ProbeGrid()
     min_margin = math.inf
-    t_values = [k / grid.radii for k in range(1, grid.radii + 1)]
     phis = 2.0 * np.pi * np.arange(grid.angles) / grid.angles
-    for t in t_values:
-        ys = t * mod_q * np.exp(1j * phis)
-        # coeff matrix: rows x-degree, columns samples
-        cmat = polyval(ys, y_major)
-        for a in range(grid.angles):
-            coeffs = cmat[:, a]
-            y_val = ys[a]
-            roots = _slice_roots(coeffs, coeff_scale)
-            if roots is None:
-                # Whole slice lies in the zero set: definite violation.
-                pt.minimality = VIOLATED
-                pt.witness = (0j, complex(y_val))
-                return pt
-            for x_val in roots:
-                ax = abs(x_val)
-                if _matches_known(x_val, y_val, known, match_tol):
-                    continue
-                # Inside the polydisk, or on the |p| circle without being a
-                # known same-torus point: either way strictness fails.
-                if ax <= mod_p * (1 + BOUNDARY_TOL):
-                    pt.minimality = VIOLATED
-                    pt.witness = (complex(x_val), complex(y_val))
-                    return pt
-                min_margin = min(min_margin, ax / mod_p - 1.0)
-    if min_margin > MARGIN_TOL:
-        pt.minimality = PROBABLY_STRICTLY_MINIMAL
-    else:
-        pt.minimality = INCONCLUSIVE
+    for k in range(1, grid.radii + 1):
+        ys = k / grid.radii * mod_q * np.exp(1j * phis)
+        # One slice per row, x-coefficients from degree 0 up.
+        roots, valid, zero = _radius_roots(polyval(ys, y_major).T, zero_top)
+        # hypot rounds as abs() of a numpy scalar; np.abs on arrays may not.
+        ax = np.hypot(roots.real, roots.imag)
+        checked = valid.copy()
+        for kp, kq in known:
+            dx, dy = roots - kp, ys - kq
+            near_y = np.hypot(dy.real, dy.imag) <= match_tol
+            checked &= ~((np.hypot(dx.real, dx.imag) <= match_tol) & near_y[:, None])
+        if checked.any():
+            min_margin = min(min_margin, float((ax[checked] / mod_p - 1.0).min()))
+        # Inside the polydisk, or on the |p| circle without being a known
+        # same-torus point: either way strictness fails.
+        inside = checked & (ax <= mod_p * (1 + BOUNDARY_TOL))
+        hit = zero | inside.any(axis=1)
+        if hit.any():
+            if zero.any():
+                # A slice lying wholly in the zero set has the root x = 0.
+                min_margin = -1.0
+            a = int(np.argmax(hit))
+            x_val = 0j if zero[a] else complex(roots[a, np.argmax(inside[a])])
+            pt.minimality = VIOLATED
+            pt.witness = (x_val, complex(ys[a]))
+            pt.margin = min_margin
+            return pt
+    pt.minimality = PROBABLY_STRICTLY_MINIMAL if min_margin > MARGIN_TOL else INCONCLUSIVE
     pt.witness = None
+    pt.margin = min_margin
     return pt
 
 
-def _matches_known(x_val, y_val, known, match_tol) -> bool:
-    for kp, kq in known:
-        if abs(x_val - kp) <= match_tol and abs(y_val - kq) <= match_tol:
-            return True
-    return False
+def _radius_roots(cmat: np.ndarray, zero_top: float):
+    """x-roots of every slice of one radius, each slice in ``np.roots`` order.
 
-
-def _slice_roots(coeffs: np.ndarray, coeff_scale: float):
-    """Roots of one specialized slice; None when the slice is identically zero."""
-    mags = np.abs(coeffs)
-    top = mags.max()
-    if top <= 1e-14 * max(coeff_scale, 1.0):
-        return None
-    floor = 1e-13 * top
-    trimmed = coeffs.copy()
-    n = len(trimmed)
-    while n > 1 and abs(trimmed[n - 1]) <= floor:
-        n -= 1
-    trimmed = trimmed[:n]
-    if n == 1:
-        return []
-    if n == 2:
-        return [-trimmed[0] / trimmed[1]]
-    return list(np.roots(trimmed[::-1]))
+    ``cmat`` holds one slice per row, coefficients from x^0 up.  Each slice
+    is cut at its last coefficient above 1e-13 times its largest; a slice
+    whose largest is at most ``zero_top`` is identically zero.  Slices of
+    one effective degree and one count of exact zero low coefficients share
+    one stacked companion-matrix ``eigvals`` call, built as ``np.roots``
+    builds it, with the x = 0 roots after the others.  Returns ``(roots,
+    valid, zero)``: slice ``a`` has the roots ``roots[a][valid[a]]`` and is
+    identically zero when ``zero[a]``.
+    """
+    count, m = cmat.shape
+    top = np.abs(cmat).max(axis=1)
+    zero = top <= zero_top
+    # Effective length: one past the last coefficient above the floor,
+    # moduli by hypot as abs() gives them on a numpy scalar.
+    above = np.hypot(cmat.real, cmat.imag) > 1e-13 * top[:, None]
+    n = m - np.argmax(above[:, ::-1], axis=1)
+    n[zero] = 1
+    low_zeros = np.argmax(cmat != 0, axis=1)
+    roots = np.zeros((count, m - 1), dtype=complex)
+    valid = np.arange(m - 1) < (n - 1)[:, None]
+    linear = n == 2
+    if linear.any():  # never when H does not depend on x
+        roots[linear, 0] = -cmat[linear, 0] / cmat[linear, 1]
+    wide = n > 2
+    for length, tz in set(zip(n[wide].tolist(), low_zeros[wide].tolist())):
+        rows = np.flatnonzero((n == length) & (low_zeros == tz))
+        d = length - 1 - tz
+        if d == 0:
+            continue
+        high_first = cmat[rows, tz:length][:, ::-1]
+        companion = np.zeros((len(rows), d, d), dtype=complex)
+        companion[:, 0, :] = -high_first[:, 1:] / high_first[:, :1]
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1
+        roots[rows, :d] = np.linalg.eigvals(companion)
+    return roots, valid, zero
 
 
 def group_by_torus(
