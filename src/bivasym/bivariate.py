@@ -4,11 +4,13 @@ Terms are a map from exponent pairs ``(i, j)`` to nonzero Fractions.  All
 arithmetic is exact; only evaluation at complex points is floating, and it
 uses a fixed lexicographic Horner scheme so results are bit-reproducible
 at a given precision.  ``eval_array`` is the one double-precision
-evaluator, used for every numpy grid, curve and probe slice.
+evaluator, used for every numpy grid, curve and probe slice, and
+``ray_argument`` the one tracker of arg H along a ray from the origin.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
@@ -16,9 +18,10 @@ import numpy as np
 from mpmath import mpf
 from numpy.polynomial.polynomial import polyval
 
-from .errors import EvaluationOverflow
+from .errors import BranchTrackingError, EvaluationOverflow
 from .precision import is_finite, to_mpc, to_mpf
 from .rationals import parse_rational
+from .unipoly import trim
 
 Exponent = Tuple[int, int]
 
@@ -182,7 +185,7 @@ class BivariatePolynomial:
         out = [[Fraction(0)] * (dx + 1) for _ in range(dy + 1)]
         for (i, j), c in self.terms.items():
             out[j][i] = c
-        return [_trim(row) for row in out]
+        return [trim(row) for row in out]
 
     def float_coeffs(self) -> np.ndarray:
         """Dense float matrix A with A[i, j] = [x^i y^j] self."""
@@ -247,6 +250,36 @@ class BivariatePolynomial:
             out += polyval(x, A[:, j])
         return out
 
+    def vanish_floor(self) -> float:
+        """|H| at or below this counts as zero on a numpy curve or grid."""
+        return 1e-9 * max(float(self.coefficient_scale()), 1.0)
+
+    def ray_argument(self, a, b, t_end: float, steps: int) -> Tuple[float, float]:
+        """Continuous argument of H(t*a, t*b) at t = 0 and at t = ``t_end``.
+
+        Bisects ``steps`` equal steps, for at most 24 rounds, until no step
+        turns the argument by more than pi/8.  Raises BranchTrackingError
+        when a sample of |H| is at or below ``vanish_floor``.
+        """
+        a, b = complex(a), complex(b)
+        floor = self.vanish_floor()
+        ts = np.linspace(0.0, t_end, steps + 1)
+        vals = self.eval_array(ts * a, ts * b)
+        for _ in range(24):
+            if np.min(np.abs(vals)) <= floor:
+                raise BranchTrackingError("H vanishes on the ray from the origin")
+            deltas = np.angle(vals[1:] / vals[:-1])
+            coarse = np.abs(deltas) > math.pi / 8
+            if not coarse.any():
+                break
+            mids = 0.5 * (ts[:-1][coarse] + ts[1:][coarse])
+            ts = np.sort(np.concatenate([ts, mids]))
+            vals = self.eval_array(ts * a, ts * b)
+        else:
+            raise BranchTrackingError("argument along the ray did not settle")
+        start = float(np.angle(vals[0]))
+        return start, start + float(deltas.sum())
+
     def eval_magnitude_scale(self, x, y) -> mpf:
         """Sum of |h_ij| |x|^i |y|^j: the natural scale for residual checks."""
         ax, ay = abs(to_mpc(x)), abs(to_mpc(y))
@@ -280,13 +313,6 @@ def _horner_sparse(pairs_desc, z):
     if prev:
         acc = acc * z**prev
     return acc
-
-
-def _trim(coeffs):
-    out = list(coeffs)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def poly_eval(p: BivariatePolynomial, x, y):

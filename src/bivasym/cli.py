@@ -1,6 +1,6 @@
 """Command line front end: solve, estimate, oracle, compare.
 
-Exit codes: 0 success, 2 no valid critical point, 64 problem-file parse
+Exit codes: 0 success, 2 no valid critical point, 64 problem-file or usage
 error, 65 configuration error, 70 internal numerical failure.  All file
 output is deterministic (sorted keys, fixed formats, LF endings).
 """
@@ -25,7 +25,7 @@ from .errors import (
 from .estimates import report_estimate
 from .oracle import OracleConfig, coeff_recurrence, quadrature_values, table_to_csv
 from .pipeline import estimate_target, run_solve
-from .precision import set_precision
+from .precision import MIN_PRECISION, set_precision
 from .problem import ProblemSpec, dump_problem, parse_problem
 
 EXIT_OK = 0
@@ -35,6 +35,13 @@ EXIT_CONFIG = 65
 EXIT_NUMERICAL = 70
 
 _NO_USABLE_POINT = "no smooth, probably strictly minimal point on the dominant torus\n"
+
+
+def _precision_bits(text: str) -> int:
+    bits = int(text)
+    if bits < MIN_PRECISION:
+        raise argparse.ArgumentTypeError(f"need at least {MIN_PRECISION} bits, got {bits}")
+    return bits
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,13 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--spec", required=True, help="problem JSON file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--precision", type=int, help="significand bits")
-        p.add_argument("--grid", type=int, help="quadrature grid override (n x n)")
-        p.add_argument(
-            "--quadrature",
-            action="store_true",
-            help="oracle: add numeric quadrature columns",
-        )
+        p.add_argument("--precision", type=_precision_bits, help="significand bits")
+        if name == "oracle":
+            p.add_argument(
+                "--quadrature", action="store_true", help="add numeric quadrature columns"
+            )
         p.add_argument(
             "--dump-spec",
             action="store_true",
@@ -80,7 +85,7 @@ def _emit(text: str, out_path) -> None:
 def _load_spec(args) -> ProblemSpec:
     try:
         text = Path(args.spec).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"cannot read {args.spec}: {exc}") from exc
     return parse_problem(text)
 
@@ -119,7 +124,7 @@ def cmd_estimate(spec: ProblemSpec, args) -> int:
     return EXIT_OK
 
 
-def _quadrature_config(spec: ProblemSpec, args, box) -> OracleConfig:
+def _quadrature_config(spec: ProblemSpec, box) -> OracleConfig:
     radii = spec.quadrature_radii
     if radii is None:
         outcome = run_solve(spec, probe=False)
@@ -128,10 +133,7 @@ def _quadrature_config(spec: ProblemSpec, args, box) -> OracleConfig:
                 "no quadrature radii given and no critical points to derive them from"
             )
         radii = (0.5 * outcome.dominant.modulus_p, 0.5 * outcome.dominant.modulus_q)
-    grid = (args.grid, args.grid) if args.grid else spec.quadrature_grid
-    return OracleConfig(
-        box=box, beta=spec.beta, quadrature_radii=radii, quadrature_grid=grid
-    )
+    return OracleConfig(box=box, beta=spec.beta, quadrature_radii=radii)
 
 
 def cmd_oracle(spec: ProblemSpec, args) -> int:
@@ -140,7 +142,7 @@ def cmd_oracle(spec: ProblemSpec, args) -> int:
     if not args.quadrature:
         _emit(table_to_csv(table), args.out)
         return EXIT_OK
-    cfg = _quadrature_config(spec, args, box)
+    cfg = _quadrature_config(spec, box)
     numeric = quadrature_values(spec.H, spec.G, spec.beta, cfg)
     lines = [f"# prefactor: {table.prefactor}"]
     lines.append("r,s,numerator,denominator,value,quad_real,quad_imag,quad_error")
@@ -203,9 +205,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.precision:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_PARSE if exc.code else EXIT_OK
+    try:
+        if args.precision is not None:
             set_precision(args.precision)
         spec = _load_spec(args)
         if args.dump_spec:

@@ -53,7 +53,7 @@ class Direction:
         try:
             r0, s0 = text.split(":")
             return cls(int(r0), int(s0))
-        except (ValueError, TypeError) as exc:
+        except (AttributeError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad direction {text!r}; expected 'r0:s0'") from exc
 
     @property

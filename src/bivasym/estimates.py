@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .bivariate import BivariatePolynomial
@@ -24,9 +23,6 @@ from .gammafn import gamma_log
 from .precision import to_mpc, to_mpf
 
 TWO_PI = 2.0 * math.pi
-
-# Initial samples of H(t*p, t*q) for the winding count, before refinement.
-_WINDING_STEPS = 1024
 
 
 @dataclass
@@ -44,9 +40,6 @@ class LocalData:
     curvature: mpc
     phase_hessian: mpc
     hx: mpc
-    hy: mpc
-    branch_value: Optional[mpc] = None
-    winding: Optional[int] = None
     checks: dict = field(default_factory=dict)
 
     def failed_checks(self) -> List[str]:
@@ -129,7 +122,6 @@ def local_data(
         curvature=curv,
         phase_hessian=m,
         hx=hx,
-        hy=hy,
         checks=checks,
     )
 
@@ -213,33 +205,12 @@ def winding_number(
 ) -> int:
     """Signed crossings of the cut ray by the curve H(t*p, t*q), 0 <= t < 1.
 
-    The curve is sampled on an adaptive grid (refined until each argument
-    step is below pi/8), capped at t = 1 - 1e-6; the remaining tail is
-    linear to first order with direction -(p*H_x + q*H_y), which at a
-    critical point matches -p*H_x up to a positive real factor.
+    The curve is tracked by ``H.ray_argument`` up to t = 1 - 1e-6; the
+    remaining tail is linear to first order with direction
+    -(p*H_x + q*H_y), which at a critical point matches -p*H_x up to a
+    positive real factor.
     """
-    p, q = complex(pt.p), complex(pt.q)
-    cap = 1.0 - 1e-6
-    scale = float(H.coefficient_scale())
-    ts = np.linspace(0.0, cap, _WINDING_STEPS + 1)
-    vals = H.eval_array(ts * p, ts * q)
-    for _ in range(24):
-        if np.min(np.abs(vals)) <= 1e-9 * max(scale, 1.0):
-            raise BranchTrackingError(
-                "curve passes near origin; refine or reject minimality"
-            )
-        deltas = np.angle(vals[1:] / vals[:-1])
-        coarse = np.abs(deltas) > math.pi / 8
-        if not coarse.any():
-            break
-        mids = 0.5 * (ts[:-1][coarse] + ts[1:][coarse])
-        ts = np.sort(np.concatenate([ts, mids]))
-        vals = H.eval_array(ts * p, ts * q)
-    else:
-        raise BranchTrackingError("winding sampling did not settle; refine grid")
-
-    theta_start = float(np.angle(vals[0]))
-    theta_end = theta_start + float(deltas.sum())
+    theta_start, theta_end = H.ray_argument(pt.p, pt.q, 1.0 - 1e-6, 1024)
     # Analytic tail: argument converges to the linearized direction.
     hx = H.partial("x").eval(pt.p, pt.q)
     hy = H.partial("y").eval(pt.p, pt.q)
@@ -271,14 +242,14 @@ def _check_beta(beta) -> mpf:
     return b
 
 
-def _drift_warning(direction: Direction, r: int, s: int) -> Optional[str]:
+def _drift_warnings(direction: Direction, r: int, s: int) -> List[str]:
     drift = abs(r * direction.s0 - s * direction.r0)
     if drift > math.sqrt(max(r, s)):
-        return (
+        return [
             f"target ({r},{s}) drifts from direction {direction} "
             f"by {drift}; estimate uses the solve direction"
-        )
-    return None
+        ]
+    return []
 
 
 def estimate_general(
@@ -320,8 +291,6 @@ def estimate_general(
         w = -pt.p * ld.hx
         theta_w = branch_argument(w, ray, anchor)
         omega = winding_number(H, pt, ray)
-        ld.winding = omega
-        ld.branch_value = mp.exp(-b * (mp.log(abs(w)) + mpc(0, 1) * theta_w))
 
         q2m = -2 * mp.pi * pt.q * pt.q * ld.phase_hessian
         gval = G.eval(pt.p, pt.q) if G is not None else to_mpc(1)
@@ -354,7 +323,7 @@ def estimate_general(
                 "log10_modulus": logmod / mp.log(10),
                 "argument": arg,
                 "winding": omega,
-                "branch_value": ld.branch_value,
+                "branch_value": principal_on_ray(w, b, ray, anchor),
                 "point": (pt.p, pt.q),
             }
         )
@@ -370,10 +339,7 @@ def estimate_general(
             acc += mp.exp(mpc(lm - peak, a))
         value = acc * mp.exp(peak)
 
-    warnings = []
-    drift = _drift_warning(direction, r, s)
-    if drift:
-        warnings.append(drift)
+    warnings = _drift_warnings(direction, r, s)
     if _conjugate_closed(points):
         if abs(value) > 0 and abs(value.imag) > 1e-8 * abs(value):
             warnings.append(
@@ -443,10 +409,7 @@ def estimate_real_positive(
     gval = G.eval(p, q).real if G is not None else mpf(1)
     value = sign_gamma * mp.exp(ln_val) * gval
 
-    warnings = []
-    drift = _drift_warning(direction, r, s)
-    if drift:
-        warnings.append(drift)
+    warnings = _drift_warnings(direction, r, s)
     log10_modulus = mp.ninf if value == 0 else mp.log(abs(value), 10)
     return AsymptoticEstimate(
         value=value,
@@ -487,7 +450,7 @@ def _conjugate_closed(points: Sequence[CriticalPoint]) -> bool:
 
 def report_estimate(est: AsymptoticEstimate) -> dict:
     """JSON-ready estimate report (17-digit value plus log-modulus form)."""
-    out = {
+    return {
         "r": est.r,
         "s": est.s,
         "formula": est.formula,
@@ -517,4 +480,3 @@ def report_estimate(est: AsymptoticEstimate) -> dict:
             for c in est.contributions
         ],
     }
-    return out

@@ -60,22 +60,18 @@ class OracleConfig:
 class CoefficientTable:
     """Coefficients of G*H**(-beta) on a box, exact or numeric.
 
-    Exact sources ("recurrence", "closed-form") populate ``series`` and
-    ``prefactor``; the "quadrature" source populates complex ``values``
-    with per-entry error estimates.
+    The exact oracles (recurrence, closed form) populate ``series`` and
+    ``prefactor``; quadrature populates complex ``values`` with per-entry
+    error estimates.
     """
 
     def __init__(
         self,
-        beta: Fraction,
-        source: str,
         series: Optional[TruncatedSeries] = None,
         prefactor: Prefactor = Prefactor(),
         values: Optional[np.ndarray] = None,
         errors: Optional[np.ndarray] = None,
     ):
-        self.beta = beta
-        self.source = source
         self.series = series
         self.prefactor = prefactor
         self.values = values
@@ -91,10 +87,7 @@ class CoefficientTable:
         """Entry value at current precision (prefactor folded in)."""
         if self.series is not None:
             v = to_mpf(self.series.coeffs[r][s])
-            if self.prefactor.is_one():
-                return v
-            pv = self.prefactor.value()
-            return v * pv
+            return v if self.prefactor.is_one() else v * self.prefactor.value()
         return to_mpc(complex(self.values[r, s]))
 
     def log10_abs(self, r: int, s: int):
@@ -108,9 +101,7 @@ class CoefficientTable:
         return mp.ninf if v == 0 else mp.log(to_mpf(v), 10)
 
     def entry_error(self, r: int, s: int) -> float:
-        if self.errors is None:
-            return 0.0
-        return float(self.errors[r, s])
+        return 0.0 if self.errors is None else float(self.errors[r, s])
 
 
 def _normalized_coeffs(H: BivariatePolynomial) -> Tuple[dict, Fraction]:
@@ -189,7 +180,7 @@ def coeff_recurrence(
     if rational is not None:
         series = series.scale(rational)
         prefactor = Prefactor()
-    return CoefficientTable(beta, "recurrence", series=series, prefactor=prefactor)
+    return CoefficientTable(series=series, prefactor=prefactor)
 
 
 def coeff_linear_closed_form(
@@ -228,49 +219,18 @@ def closed_form_table(
     c1 = H.coefficient(1, 0)
     c2 = H.coefficient(0, 1)
     R, S = box
-    coeffs = []
-    prefactor = Prefactor(Fraction(c0), -Fraction(beta))
-    folded = prefactor.rational_value() is not None
-    for r in range(R + 1):
-        row = []
-        for s in range(S + 1):
-            val, _ = coeff_linear_closed_form(c0, c1, c2, beta, r, s)
-            row.append(val)
-        coeffs.append(row)
-    series = TruncatedSeries((R, S), coeffs)
-    return CoefficientTable(
-        Fraction(beta),
-        "closed-form",
-        series=series,
-        prefactor=Prefactor() if folded else prefactor,
-    )
+    entries = [
+        [coeff_linear_closed_form(c0, c1, c2, beta, r, s) for s in range(S + 1)]
+        for r in range(R + 1)
+    ]
+    series = TruncatedSeries((R, S), [[val for val, _ in row] for row in entries])
+    # Every entry carries the same prefactor c0**(-beta), 1 once folded.
+    return CoefficientTable(series=series, prefactor=entries[0][0][1])
 
 
 # ----------------------------------------------------------------------
 # Cauchy quadrature
 # ----------------------------------------------------------------------
-
-
-def _radial_anchor_arg(H: BivariatePolynomial, c1: float, c2: float) -> float:
-    """Continuous argument of H(t*c1, t*c2) at t = 1, starting from t = 0.
-
-    The start value is the principal argument of H(0,0); the segment is
-    refined adaptively until every step is below pi/8.
-    """
-    h00 = complex(H.constant_term())
-    samples = 257
-    for _ in range(14):
-        t = np.linspace(0.0, 1.0, samples)
-        vals = H.eval_array(t * c1, t * c2)
-        if np.min(np.abs(vals)) <= 1e-12 * max(1.0, abs(h00)):
-            raise BranchTrackingError(
-                "branch tracking failed; H vanishes on the radial anchor segment"
-            )
-        steps = np.angle(vals[1:] / vals[:-1])
-        if np.max(np.abs(steps)) < math.pi / 8:
-            return float(np.angle(vals[0]) + steps.sum())
-        samples = 2 * samples - 1
-    raise BranchTrackingError("branch tracking failed; refine grid")
 
 
 def _continuous_args(W: np.ndarray, anchor: float) -> np.ndarray:
@@ -281,9 +241,7 @@ def _continuous_args(W: np.ndarray, anchor: float) -> np.ndarray:
     """
     d0 = np.angle(W[1:, 0] / W[:-1, 0])
     d1 = np.angle(W[:, 1:] / W[:, :-1])
-    if d0.size and np.max(np.abs(d0)) >= _JUMP_LIMIT:
-        raise BranchTrackingError("branch tracking failed; refine grid")
-    if d1.size and np.max(np.abs(d1)) >= _JUMP_LIMIT:
+    if max(np.max(np.abs(d0)), np.max(np.abs(d1))) >= _JUMP_LIMIT:
         raise BranchTrackingError("branch tracking failed; refine grid")
     args = np.empty(W.shape, dtype=np.float64)
     args[0, 0] = anchor
@@ -314,12 +272,9 @@ def quadrature_values(
     X = c1 * np.exp(1j * th1).reshape(-1, 1)
     Y = c2 * np.exp(1j * th2).reshape(1, -1)
     W = H.eval_array(X, Y)
-    scale = float(H.coefficient_scale())
-    if np.min(np.abs(W)) <= 1e-9 * max(scale, 1.0):
-        raise BranchTrackingError(
-            "branch tracking failed; H nearly vanishes on the torus"
-        )
-    anchor = _radial_anchor_arg(H, c1, c2)
+    if np.min(np.abs(W)) <= H.vanish_floor():
+        raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
+    _, anchor = H.ray_argument(c1, c2, 1.0, 256)
     args = _continuous_args(W, anchor)
     F = np.exp(-b * (np.log(np.abs(W)) + 1j * args))
     if G is not None and G != BivariatePolynomial.constant(1):
@@ -334,8 +289,7 @@ def quadrature_values(
 
     full = extract(F)
     half = extract(F[::2, ::2])
-    errors = np.abs(full - half)
-    return CoefficientTable(Fraction(beta), "quadrature", values=full, errors=errors)
+    return CoefficientTable(values=full, errors=np.abs(full - half))
 
 
 def cauchy_quadrature(

@@ -14,13 +14,14 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 DEFAULT_PRECISION = 128
+MIN_PRECISION = 24
 
 mp.prec = DEFAULT_PRECISION
 
 
 def set_precision(bits: int) -> None:
     """Set the significand width, in bits, for all floating work."""
-    if bits < 24:
+    if bits < MIN_PRECISION:
         raise ValueError(f"precision too low: {bits} bits")
     mp.prec = bits
 

@@ -7,6 +7,7 @@ problem file round-trips byte-for-byte through ``dump``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -15,9 +16,6 @@ from .bivariate import BivariatePolynomial
 from .critical import Direction
 from .errors import ConfigError, SpecFileError
 from .rationals import format_rational, parse_rational
-
-_DEFAULT_GRID = (512, 512)
-_FIELDS = ("H", "G", "beta", "direction", "targets", "oracle_box", "quadrature")
 
 
 @dataclass
@@ -29,7 +27,6 @@ class ProblemSpec:
     G: Optional[BivariatePolynomial] = None
     oracle_box: Optional[Tuple[int, int]] = None
     quadrature_radii: Optional[Tuple[float, float]] = None
-    quadrature_grid: Tuple[int, int] = _DEFAULT_GRID
 
     def __post_init__(self):
         if not self.H:
@@ -50,12 +47,55 @@ class ProblemSpec:
         return (max(r for r, _ in self.targets), max(s for _, s in self.targets))
 
 
-def _poly_from_json(items, what: str) -> BivariatePolynomial:
-    try:
-        triples = [(int(i), int(j), parse_rational(c)) for i, j, c in items]
-    except (TypeError, ValueError) as exc:
-        raise SpecFileError(f"bad {what} term list: {exc}") from exc
-    return BivariatePolynomial.from_items(triples)
+def _check_keys(doc: dict, accepted, what: str) -> None:
+    for key in doc:
+        if key not in accepted:
+            raise SpecFileError(f"unknown {what} {key!r}; accepted: {', '.join(accepted)}")
+
+
+def _index(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _radius(v) -> bool:
+    return type(v) in (int, float) and 0 < v < math.inf
+
+
+def _pair(value, ok) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2 and all(map(ok, value))):
+        raise ValueError(f"bad pair {value!r}")
+    return tuple(value)
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {value!r}")
+    return value
+
+
+def _poly(items) -> BivariatePolynomial:
+    for i, j, _ in _list(items):
+        _pair([i, j], _index)
+    return BivariatePolynomial.from_items(items)
+
+
+def _radii(quad) -> Optional[Tuple[float, float]]:
+    if not isinstance(quad, dict):
+        raise ValueError(f"expected an object, got {quad!r}")
+    _check_keys(quad, ("radii",), "quadrature field")
+    return tuple(map(float, _pair(quad["radii"], _radius))) if "radii" in quad else None
+
+
+# Problem-file field -> (ProblemSpec attribute, converter of its JSON value).
+_FIELDS = {
+    "H": ("H", _poly),
+    "G": ("G", _poly),
+    "beta": ("beta", parse_rational),
+    "direction": ("direction", Direction.from_string),
+    "targets": ("targets", lambda v: [_pair(t, _index) for t in _list(v)]),
+    "oracle_box": ("oracle_box", lambda v: _pair(v, _index)),
+    "quadrature": ("quadrature_radii", _radii),
+}
 
 
 def _poly_to_json(p: BivariatePolynomial):
@@ -63,7 +103,10 @@ def _poly_to_json(p: BivariatePolynomial):
 
 
 def parse_problem(text: str) -> ProblemSpec:
-    """Parse a problem JSON document; SpecFileError carries line/column."""
+    """Parse a problem JSON document; any bad document raises SpecFileError.
+
+    A JSON syntax error carries its line and column.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -74,39 +117,19 @@ def parse_problem(text: str) -> ProblemSpec:
         ) from exc
     if not isinstance(doc, dict):
         raise SpecFileError("problem file must be a JSON object")
-    for key in doc:
-        if key not in _FIELDS:
-            raise SpecFileError(f"unknown field {key!r}; accepted: {', '.join(_FIELDS)}")
+    _check_keys(doc, _FIELDS, "field")
+    for key in ("H", "beta", "direction"):
+        if key not in doc:
+            raise SpecFileError(f"missing required field {key!r}")
+    fields = {}
+    for key, value in doc.items():
+        attr, convert = _FIELDS[key]
+        try:
+            fields[attr] = convert(value)
+        except (ConfigError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise SpecFileError(f"bad {key}: {exc}") from exc
     try:
-        H = _poly_from_json(doc["H"], "H")
-        beta = parse_rational(doc["beta"])
-        direction = Direction.from_string(doc["direction"])
-    except KeyError as exc:
-        raise SpecFileError(f"missing required field {exc.args[0]!r}") from exc
-
-    G = _poly_from_json(doc["G"], "G") if "G" in doc else None
-    targets = [(int(r), int(s)) for r, s in doc.get("targets", [])]
-    oracle_box = tuple(int(v) for v in doc["oracle_box"]) if "oracle_box" in doc else None
-
-    radii = None
-    grid = _DEFAULT_GRID
-    quad = doc.get("quadrature", {})
-    if "radii" in quad:
-        radii = (float(quad["radii"][0]), float(quad["radii"][1]))
-    if "grid" in quad:
-        grid = (int(quad["grid"][0]), int(quad["grid"][1]))
-
-    try:
-        return ProblemSpec(
-            H=H,
-            beta=beta,
-            direction=direction,
-            targets=targets,
-            G=G,
-            oracle_box=oracle_box,
-            quadrature_radii=radii,
-            quadrature_grid=grid,
-        )
+        return ProblemSpec(**fields)
     except ConfigError as exc:
         raise SpecFileError(str(exc)) from exc
 
@@ -123,11 +146,6 @@ def dump_problem(spec: ProblemSpec) -> str:
         doc["G"] = _poly_to_json(spec.G)
     if spec.oracle_box is not None:
         doc["oracle_box"] = list(spec.oracle_box)
-    quad = {}
     if spec.quadrature_radii is not None:
-        quad["radii"] = [spec.quadrature_radii[0], spec.quadrature_radii[1]]
-    if spec.quadrature_grid != _DEFAULT_GRID:
-        quad["grid"] = list(spec.quadrature_grid)
-    if quad:
-        doc["quadrature"] = quad
+        doc["quadrature"] = {"radii": list(spec.quadrature_radii)}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

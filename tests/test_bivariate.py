@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from bivasym import BivariatePolynomial, poly_eval, poly_partial
-from bivasym.errors import EvaluationOverflow
+from bivasym.errors import BranchTrackingError, EvaluationOverflow
 from bivasym.precision import get_precision, to_mpf, working_precision
 
 coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=64)
@@ -148,3 +148,19 @@ def test_scale_and_degree_helpers(color_swap_h):
     assert color_swap_h.degree_y() == 2
     assert color_swap_h.coefficient_scale() == 2
     assert color_swap_h.coefficient(2, 1) == 2
+
+
+def test_ray_argument_is_continuous_past_pi():
+    # arg (1 - 2it)^3 = -3*atan(2t) leaves (-pi, pi] before t = 1; four
+    # starting steps force the tracker to bisect.
+    H = BivariatePolynomial.from_items([(0, 0, 1), (1, 0, -3), (2, 0, 3), (3, 0, -1)])
+    start, end = H.ray_argument(2j, 0.0, 1.0, 4)
+    assert start == 0.0
+    assert end == pytest.approx(-3 * np.arctan(2.0), abs=1e-12)
+
+
+def test_ray_argument_rejects_a_zero_on_the_ray():
+    # 1 - 2x vanishes at t = 1/2 on the ray x = t.
+    H = BivariatePolynomial.from_items([(0, 0, 1), (1, 0, -2)])
+    with pytest.raises(BranchTrackingError, match="vanishes on the ray"):
+        H.ray_argument(1.0, 0.0, 1.0, 1024)

@@ -44,6 +44,8 @@ def test_singular_origin_rejected():
         coeff_recurrence(H, None, F(1, 2), (2, 2))
     with pytest.raises(SingularAtOrigin):
         coeff_linear_closed_form(F(0), F(1), F(1), F(1, 2), 1, 1)
+    with pytest.raises(SingularAtOrigin):
+        closed_form_table(H, F(1, 2), (2, 2))
 
 
 def test_large_entry_matches_reported_value(multinomial_h):
@@ -166,6 +168,20 @@ def test_quadrature_rejects_vanishing_torus():
         quadrature_grid=(64, 64),
     )
     with pytest.raises(BranchTrackingError):
+        quadrature_values(H, None, F(1, 2), cfg)
+
+
+def test_quadrature_anchor_ray_crosses_a_zero():
+    # (1 - x)(1 - 2x) has no zero on |x| = 0.75, but the anchor ray from the
+    # origin to the torus passes x = 1/2: the tracker names that cause.
+    H = BivariatePolynomial.from_items([(0, 0, "1"), (1, 0, "-3"), (2, 0, "2")])
+    cfg = OracleConfig(
+        box=(2, 2),
+        beta=F(1, 2),
+        quadrature_radii=(0.75, 0.3),
+        quadrature_grid=(64, 64),
+    )
+    with pytest.raises(BranchTrackingError, match="vanishes on the ray"):
         quadrature_values(H, None, F(1, 2), cfg)
 
 

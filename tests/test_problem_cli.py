@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bivasym import parse_problem, dump_problem
+from bivasym import dump_problem, get_precision, parse_problem
 from bivasym.cli import main
 from bivasym.errors import SpecFileError
 
@@ -183,8 +189,58 @@ def test_unknown_field_exit_64(tmp_path, capsys, key, value):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "compare", "oracle"])
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("quadrature", 5, "quadrature"),
+        ("quadrature", {"radii": [0.3]}, "quadrature"),
+        ("quadrature", {"radii": ["a", 1]}, "quadrature"),
+        ("quadrature", {"radii": [0.3, 0.3], "grid": [64, 64]}, "'grid'"),
+        ("targets", [[1]], "targets"),
+        ("targets", 5, "targets"),
+        ("beta", 0.5, "beta"),
+        ("beta", "abc", "beta"),
+        ("direction", 5, "direction"),
+        ("direction", "0:1", "direction"),
+        ("oracle_box", [1, 2, 3], "oracle_box"),
+    ],
+)
+def test_bad_field_value_exit_64(tmp_path, capsys, command, key, value, named):
+    spec = json.loads(MULTINOMIAL)
+    spec[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main([command, "--spec", str(path)]) == 64
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["estimate", "--spec", "{spec}", "--grid", "64"],
+        ["solve", "--spec", "{spec}", "--quadrature"],
+        ["solve", "--spec", "{spec}", "--precision", "8"],
+        ["solve", "--spec", "{spec}", "--precision", "-5"],
+        ["solve", "--spec", "{spec}", "--precision", "0"],
+    ],
+)
+def test_usage_error_exit_64(multinomial_spec_file, capsys, argv):
+    bits = get_precision()
+    assert main([a.format(spec=multinomial_spec_file) for a in argv]) == 64
+    assert "error:" in capsys.readouterr().err
+    assert get_precision() == bits
+
+
 def test_missing_file_exit_64(tmp_path):
     assert main(["solve", "--spec", str(tmp_path / "absent.json")]) == 64
+
+
+def test_undecodable_file_exit_64(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(["solve", "--spec", str(path)]) == 64
 
 
 def test_compare_box_too_small_exit_65(tmp_path):
@@ -336,3 +392,59 @@ def test_oracle_quadrature_default_radii(tmp_path):
         l for l in out.read_text().splitlines() if l.startswith("# max_relative")
     ]
     assert float(summary[0].split(":")[1]) < 1e-8
+
+
+# Per-field values that mix valid ones, wrong types, wrong lengths and
+# bad entries; unknown keys get any value.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(-2, 2) | st.just(float("nan")),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_PAIR = st.lists(st.integers(-1, 12), max_size=3) | _JUNK
+_TERM = st.tuples(
+    st.integers(-1, 3), st.integers(0, 3), st.sampled_from(["1", "-2", "1/2", "1/0", "x"])
+).map(list)
+_POLY = st.lists(_TERM | _JUNK, max_size=4) | _JUNK
+_RADII = st.lists(st.floats(-1, 2) | st.integers(-1, 2) | st.text(max_size=2), max_size=3)
+_VALUES = {
+    "H": _POLY,
+    "G": _POLY,
+    "beta": st.sampled_from(["1/2", "-1", "0.5", "1/0", "abc"]) | _JUNK,
+    "direction": st.sampled_from(["1:1", "2:1", "0:1", "1:2:3", "a:b"]) | _JUNK,
+    "targets": st.lists(_PAIR, max_size=3) | _JUNK,
+    "oracle_box": _PAIR,
+    "quadrature": st.fixed_dictionaries({}, optional={"radii": _RADII | _JUNK, "grid": _PAIR})
+    | _JUNK,
+    "tolerances": _JUNK,
+    "grid": _JUNK,
+}
+
+
+@st.composite
+def _documents(draw):
+    """The multinomial problem with some fields replaced and some dropped."""
+    doc = json.loads(MULTINOMIAL)
+    for key in draw(st.sets(st.sampled_from(sorted(_VALUES)), max_size=3)):
+        doc[key] = draw(_VALUES[key])
+    for key in draw(st.sets(st.sampled_from(sorted(doc)), max_size=2)):
+        del doc[key]
+    return doc
+
+
+@given(_documents())
+@settings(max_examples=150, deadline=None)
+def test_any_problem_document_exits_0_or_64(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["solve", "--spec", str(path), "--dump-spec"])
+    assert code in (0, 64)
+    if code == 0:
+        assert parse_problem(out.getvalue()) == parse_problem(json.dumps(doc))
