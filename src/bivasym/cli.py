@@ -25,7 +25,7 @@ from .errors import (
 from .estimates import report_estimate
 from .oracle import OracleConfig, coeff_recurrence, quadrature_values, table_to_csv
 from .pipeline import estimate_target, run_solve
-from .precision import MIN_PRECISION, set_precision
+from .precision import MIN_PRECISION, get_precision, working_precision
 from .problem import ProblemSpec, dump_problem, parse_problem
 
 EXIT_OK = 0
@@ -209,14 +209,15 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_PARSE if exc.code else EXIT_OK
+    bits = get_precision() if args.precision is None else args.precision
     try:
-        if args.precision is not None:
-            set_precision(args.precision)
-        spec = _load_spec(args)
-        if args.dump_spec:
-            _emit(dump_problem(spec), args.out)
-            return EXIT_OK
-        return _COMMANDS[args.command](spec, args)
+        # The precision holds for this call only, not for the caller's process.
+        with working_precision(bits):
+            spec = _load_spec(args)
+            if args.dump_spec:
+                _emit(dump_problem(spec), args.out)
+                return EXIT_OK
+            return _COMMANDS[args.command](spec, args)
     except SpecFileError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

@@ -26,6 +26,7 @@ from .precision import to_mpc, to_mpf
 from .resultant import resultant_eliminating
 from .unipoly import degree as upoly_degree
 from .unipoly import is_zero as upoly_is_zero
+from .unipoly import squarefree_part as upoly_squarefree_part
 from .unipoly import trim as upoly_trim
 
 PROBABLY_STRICTLY_MINIMAL = "probably_strictly_minimal"
@@ -218,7 +219,9 @@ def solve_critical(
         raise NonIsolatedCriticalSet("non-isolated critical set")
     if upoly_degree(res) < 1:
         return []
-    first_roots = roots_of_rational_poly(res)
+    # Each distinct root once: Aberth converges only linearly on a repeated
+    # root, and _recover_partner takes every partner of a root anyway.
+    first_roots = roots_of_rational_poly(upoly_squarefree_part(res))
 
     swap = eliminate == "x"
     points: List[CriticalPoint] = []

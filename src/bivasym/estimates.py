@@ -242,6 +242,19 @@ def _check_beta(beta) -> mpf:
     return b
 
 
+def _checked_local_data(H, pt, direction) -> LocalData:
+    """``local_data`` at ``pt``, raising HypothesisFailure on its first failed check."""
+    ld = local_data(H, pt, direction)
+    failed = ld.failed_checks()
+    if failed:
+        raise HypothesisFailure(failed[0], f"critical point fails {failed}")
+    return ld
+
+
+def _log10_modulus(value) -> mpf:
+    return mp.ninf if value == 0 else mp.log(abs(value), 10)
+
+
 def _drift_warnings(direction: Direction, r: int, s: int) -> List[str]:
     drift = abs(r * direction.s0 - s * direction.r0)
     if drift > math.sqrt(max(r, s)):
@@ -272,13 +285,7 @@ def estimate_general(
         raise ConfigError("no critical points supplied")
     b = _check_beta(beta)
     _require_same_torus(points)
-    locals_ = []
-    for pt in points:
-        ld = local_data(H, pt, direction)
-        failed = ld.failed_checks()
-        if failed:
-            raise HypothesisFailure(failed[0], f"critical point fails {failed}")
-        locals_.append(ld)
+    locals_ = [_checked_local_data(H, pt, direction) for pt in points]
     ray = choose_branch_ray(H, points)
     anchor = mp.arg(to_mpc(H.constant_term()))
 
@@ -347,10 +354,9 @@ def estimate_general(
                 f"{mp.nstr(value.imag, 5)} survives; square-root branch suspect"
             )
 
-    log10_modulus = mp.ninf if abs(value) == 0 else mp.log(abs(value), 10)
     return AsymptoticEstimate(
         value=value,
-        log10_modulus=log10_modulus,
+        log10_modulus=_log10_modulus(value),
         argument=float(mp.arg(value)) if abs(value) > 0 else 0.0,
         r=r,
         s=s,
@@ -376,10 +382,7 @@ def estimate_real_positive(
     general path.
     """
     b = _check_beta(beta)
-    ld = local_data(H, pt, direction)
-    failed = ld.failed_checks()
-    if failed:
-        raise HypothesisFailure(failed[0], f"critical point fails {failed}")
+    ld = _checked_local_data(H, pt, direction)
 
     p, q = pt.p, pt.q
     tiny = mpf(10) ** (-mp.dps + 6)
@@ -410,7 +413,7 @@ def estimate_real_positive(
     value = sign_gamma * mp.exp(ln_val) * gval
 
     warnings = _drift_warnings(direction, r, s)
-    log10_modulus = mp.ninf if value == 0 else mp.log(abs(value), 10)
+    log10_modulus = _log10_modulus(value)
     return AsymptoticEstimate(
         value=value,
         log10_modulus=log10_modulus,

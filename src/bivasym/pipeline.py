@@ -7,6 +7,7 @@ from typing import List, Optional
 
 from .critical import (
     PROBABLY_STRICTLY_MINIMAL,
+    SMOOTH_TOL,
     CriticalPoint,
     TorusClass,
     dominant_class,
@@ -20,6 +21,7 @@ from .estimates import (
     estimate_general,
     estimate_real_positive,
 )
+from .precision import to_mpf
 from .problem import ProblemSpec
 
 
@@ -46,9 +48,16 @@ def run_solve(spec: ProblemSpec, probe: bool = True) -> SolveOutcome:
     classes = group_by_torus(points, direction=spec.direction)
     dom = dominant_class(classes)
     if probe:
+        # The probe sees a point only through (|p|, |q|) and the class's
+        # known points, so points sharing those moduli share its answer.
+        probed = {}
         for pt in dom.points:
-            peers = [o for o in dom.points if o is not pt]
-            minimality_probe(spec.H, pt, peers=peers)
+            key = (float(abs(pt.p)), float(abs(pt.q)))
+            if key not in probed:
+                peers = [o for o in dom.points if o is not pt]
+                probed[key] = minimality_probe(spec.H, pt, peers=peers)
+            done = probed[key]
+            pt.minimality, pt.witness, pt.margin = done.minimality, done.witness, done.margin
     return SolveOutcome(points=points, classes=classes, dominant=dom)
 
 
@@ -65,6 +74,11 @@ def estimate_target(
     smooth_pts = [pt for pt in outcome.dominant.points if pt.smooth]
     if not smooth_pts:
         raise HypothesisFailure("smooth_point_exists", "no smooth dominant point")
+    if spec.G is not None:
+        floor = SMOOTH_TOL * to_mpf(spec.G.coefficient_scale())
+        if all(abs(spec.G.eval(pt.p, pt.q)) <= floor for pt in smooth_pts):
+            # The leading term vanishes; the true order is lower in n.
+            raise HypothesisFailure("G_nonzero_at_point", "G vanishes at every dominant point")
     if len(smooth_pts) == 1:
         try:
             return estimate_real_positive(

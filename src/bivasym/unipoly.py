@@ -99,6 +99,14 @@ def gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> UPoly:
     return scale(a, 1 / a[-1])
 
 
+def squarefree_part(p: Sequence[Fraction]) -> UPoly:
+    """``p`` divided by gcd(p, p'): the same roots, each of multiplicity one."""
+    q, r = divmod_exact(p, gcd(p, derivative(p)))
+    if not is_zero(r):
+        raise ArithmeticError("gcd(p, p') does not divide p")
+    return q
+
+
 def lagrange_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> UPoly:
     """Exact polynomial through (xs[i], ys[i]) via Newton divided differences."""
     n = len(xs)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bivasym import dump_problem, get_precision, parse_problem
 from bivasym.cli import main
 from bivasym.errors import SpecFileError
+from bivasym.oracle import coeff_recurrence
 
 MULTINOMIAL = """{
   "H": [[0, 0, "1"], [1, 0, "-1"], [0, 1, "-1"]],
@@ -154,6 +155,19 @@ def test_rejected_class_exit_two(tmp_path, capsys, name, command):
     assert main([command, "--spec", str(path)]) == 2
     if command != "solve":
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare"])
+def test_g_vanishing_at_point_exit_70(capsys, command):
+    # G = 1 - 2x is zero at the critical point (1/2, 1/2) of 1 - x - y, so
+    # the leading term is 0 while [x^50 y^50] is about -2.86e25.
+    path = Path(__file__).resolve().parent.parent / "problems" / "g_vanishes.json"
+    spec = parse_problem(path.read_text())
+    assert coeff_recurrence(spec.H, spec.G, spec.beta, (50, 50)).value(50, 50) < -1e25
+    assert main([command, "--spec", str(path)]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "G_nonzero_at_point" in captured.err
 
 
 def test_parse_error_exit_64(tmp_path, capsys):
@@ -357,24 +371,21 @@ def test_whole_curve_critical_exit_70(tmp_path, capsys):
 
 
 def test_precision_flag(multinomial_spec_file, tmp_path):
-    from bivasym import set_precision
-
     out = tmp_path / "est.json"
-    try:
-        code = main(
-            [
-                "estimate",
-                "--spec",
-                str(multinomial_spec_file),
-                "--precision",
-                "192",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-    finally:
-        set_precision(128)  # restore the default for other tests
+    code = main(
+        [
+            "estimate",
+            "--spec",
+            str(multinomial_spec_file),
+            "--precision",
+            "192",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    # The flag holds for the call only.
+    assert get_precision() == 128
 
 
 def test_oracle_quadrature_default_radii(tmp_path):

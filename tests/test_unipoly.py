@@ -13,6 +13,7 @@ from bivasym.unipoly import (
     gcd,
     lagrange_interpolate,
     mul,
+    squarefree_part,
     trim,
 )
 
@@ -44,6 +45,14 @@ def test_gcd_of_designed_factors():
     g = gcd(a, b)
     # monic (1+x)^2 = 1 + 2x + x^2
     assert g == [F(1), F(2), F(1)]
+
+
+def test_squarefree_part_keeps_each_root_once():
+    # 3 x^2 (x - 1)^3 (x + 2) -> 3 x (x - 1) (x + 2)
+    three_x, x_minus_1, x_plus_2 = [F(0), F(3)], [F(-1), F(1)], [F(2), F(1)]
+    p = mul(mul(three_x, [F(0), F(1)]), mul(mul(x_minus_1, x_minus_1), mul(x_minus_1, x_plus_2)))
+    assert squarefree_part(p) == mul(three_x, mul(x_minus_1, x_plus_2))
+    assert squarefree_part([F(5)]) == [F(5)]
 
 
 def test_lagrange_recovers_polynomial():
