@@ -23,11 +23,9 @@ from .aberth import aberth_roots, roots_of_rational_poly
 from .bivariate import BivariatePolynomial
 from .errors import ConfigError, NonIsolatedCriticalSet, RootFindingError
 from .precision import to_mpc, to_mpf
-from .resultant import resultant_eliminating
+from .resultant import resultant_eliminating, shares_positive_dimensional_zero
 from .unipoly import degree as upoly_degree
-from .unipoly import is_zero as upoly_is_zero
 from .unipoly import squarefree_part as upoly_squarefree_part
-from .unipoly import trim as upoly_trim
 
 PROBABLY_STRICTLY_MINIMAL = "probably_strictly_minimal"
 VIOLATED = "violated"
@@ -133,21 +131,18 @@ def critical_system(
     return H, dir_poly
 
 
-def eliminant(
-    H: BivariatePolynomial, direction: Direction, eliminate: str = "y"
-) -> List[Fraction]:
-    """Resultant of the critical system with trivial monomial factors removed.
+def eliminant(H: BivariatePolynomial, direction: Direction) -> List[Fraction]:
+    """Resultant in x of the critical system, y eliminated, as computed.
 
-    Roots at the origin of the raw resultant never extend to solutions of
-    the system when H(0,0) != 0, so the x^k factor is stripped.
+    Raises NonIsolatedCriticalSet when the system polynomials share a
+    factor.  Roots at the origin are kept: a solution can have p = 0 even
+    when H(0,0) != 0, as (0, 1) for H = x + (1 - y)^2 in direction 1:1.
     """
     f, g = critical_system(H, direction)
-    res = resultant_eliminating(f, g, eliminate)
-    if upoly_is_zero(res):
+    res = resultant_eliminating(f, g, "y")
+    if shares_positive_dimensional_zero(f, g, res):
         raise NonIsolatedCriticalSet("non-isolated critical set")
-    while len(res) > 1 and res[0] == 0:
-        res.pop(0)
-    return upoly_trim(res)
+    return res
 
 
 def _relative_residual(poly: BivariatePolynomial, p: mpc, q: mpc) -> mpf:
@@ -200,33 +195,24 @@ def _newton_polish(
     return p, q, cur
 
 
-def solve_critical(
-    H: BivariatePolynomial,
-    direction: Direction,
-    eliminate: str = "y",
-) -> List[CriticalPoint]:
+def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[CriticalPoint]:
     """All isolated solutions of the critical system, polished and deduplicated.
 
     Raises NonIsolatedCriticalSet when the system polynomials share a
     factor, and RootFindingError (with partial results) when the
     simultaneous iteration fails to converge.
     """
-    F1, F2 = critical_system(H, direction)
-    res = resultant_eliminating(F1, F2, eliminate)
-    other = "x" if eliminate == "y" else "y"
-    # A common factor makes the eliminant in x or in y vanish identically.
-    if upoly_is_zero(res) or upoly_is_zero(resultant_eliminating(F1, F2, other)):
-        raise NonIsolatedCriticalSet("non-isolated critical set")
+    res = eliminant(H, direction)
     if upoly_degree(res) < 1:
         return []
+    F1, F2 = critical_system(H, direction)
     # Each distinct root once: Aberth converges only linearly on a repeated
     # root, and _recover_partner takes every partner of a root anyway.
     first_roots = roots_of_rational_poly(upoly_squarefree_part(res))
 
-    swap = eliminate == "x"
     points: List[CriticalPoint] = []
     for w in first_roots:
-        for cand in _recover_partner(F1, F2, w, swap):
+        for cand in _recover_partner(F1, F2, w):
             p0, q0 = cand
             if max(_relative_residual(F1, p0, q0), _relative_residual(F2, p0, q0)) > 1e-4:
                 continue
@@ -248,19 +234,15 @@ def solve_critical(
     return merged
 
 
-def _recover_partner(F1, F2, w: mpc, swap: bool):
-    """Candidate (p, q) pairs for one eliminant root.
+def _recover_partner(F1, F2, w: mpc):
+    """Candidate (p, q) pairs for the eliminant root p = ``w``.
 
-    ``w`` is an x-value when y was eliminated (swap=False), else a y-value.
     Partner values come from whichever system polynomial still depends on
-    the remaining variable at the specialized point.
+    y at x = ``w``.
     """
-    specialize = (lambda poly: poly.specialize_x(w)) if not swap else (
-        lambda poly: poly.specialize_y(w)
-    )
     out = []
     for poly in (F1, F2):
-        coeffs = specialize(poly)
+        coeffs = poly.specialize_x(w)
         scale = max((abs(c) for c in coeffs), default=mpf(0))
         if scale == 0 or len(coeffs) == 1:
             continue
@@ -274,8 +256,7 @@ def _recover_partner(F1, F2, w: mpc, swap: bool):
             partners = aberth_roots(trimmed)
         except RootFindingError:
             continue
-        for v in partners:
-            out.append((v, w) if swap else (w, v))
+        out.extend((w, v) for v in partners)
         break
     return out
 
@@ -435,7 +416,8 @@ def group_by_torus(
 
     Dominance uses the direction-weighted product order: the class
     minimizing r0*log|p| + s0*log|q| dominates (1:1 when no direction is
-    given).
+    given).  A class on an axis (p = 0 or q = 0) has no torus to estimate
+    from: its weight is +inf, it sorts last and never dominates.
     """
     r0 = direction.r0 if direction else 1
     s0 = direction.s0 if direction else 1
@@ -455,7 +437,7 @@ def group_by_torus(
                     points=[pt],
                     modulus_p=mp_,
                     modulus_q=mq,
-                    weight=r0 * math.log(mp_) + s0 * math.log(mq) if mp_ > 0 and mq > 0 else -math.inf,
+                    weight=r0 * math.log(mp_) + s0 * math.log(mq) if mp_ > 0 and mq > 0 else math.inf,
                 )
             )
         else:
@@ -465,7 +447,7 @@ def group_by_torus(
         cl.index = i
         for pt in cl.points:
             pt.torus_class = i
-    if classes:
+    if classes and classes[0].weight < math.inf:
         classes[0].dominant = True
     return classes
 

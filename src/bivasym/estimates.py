@@ -4,14 +4,15 @@ Per critical point the estimate needs the gradient ratio and curvature of
 the zero set, the second derivative of the saddle phase, a branch value
 of (-H_x*p)**(-beta) on a chosen ray, and the signed count of branch-cut
 crossings along H(t*p, t*q).  The general path sums contributions over
-one torus class in log space; a real-positive fast path covers the
-common case of a single positive critical point of a real H.
+one torus class in log space.  The real-positive entry point checks that
+a single critical point of a real H is real and positive, then returns
+that same sum as a real value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 from mpmath import mp, mpc, mpf
@@ -255,16 +256,6 @@ def _log10_modulus(value) -> mpf:
     return mp.ninf if value == 0 else mp.log(abs(value), 10)
 
 
-def _drift_warnings(direction: Direction, r: int, s: int) -> List[str]:
-    drift = abs(r * direction.s0 - s * direction.r0)
-    if drift > math.sqrt(max(r, s)):
-        return [
-            f"target ({r},{s}) drifts from direction {direction} "
-            f"by {drift}; estimate uses the solve direction"
-        ]
-    return []
-
-
 def estimate_general(
     H: BivariatePolynomial,
     G: Optional[BivariatePolynomial],
@@ -346,7 +337,13 @@ def estimate_general(
             acc += mp.exp(mpc(lm - peak, a))
         value = acc * mp.exp(peak)
 
-    warnings = _drift_warnings(direction, r, s)
+    warnings = []
+    drift = abs(r * direction.s0 - s * direction.r0)
+    if drift > math.sqrt(max(r, s)):
+        warnings.append(
+            f"target ({r},{s}) drifts from direction {direction} "
+            f"by {drift}; estimate uses the solve direction"
+        )
     if _conjugate_closed(points):
         if abs(value) > 0 and abs(value.imag) > 1e-8 * abs(value):
             warnings.append(
@@ -375,13 +372,15 @@ def estimate_real_positive(
     s: int,
     direction: Direction,
 ) -> AsymptoticEstimate:
-    """Fast path: single real-positive critical point of a real H.
+    """``estimate_general`` at a single real-positive point of a real H, made real.
 
-    All-real log-space evaluation; every precondition is runtime-checked
-    and a violation raises HypothesisFailure directing the caller to the
-    general path.
+    Every precondition is checked first, and a violation raises
+    HypothesisFailure directing the caller to the general sum.  At such a
+    point the sum's imaginary parts are rounding noise, so the value, its
+    argument (0 or pi) and each contribution's argument and branch value
+    are returned as reals.
     """
-    b = _check_beta(beta)
+    _check_beta(beta)
     ld = _checked_local_data(H, pt, direction)
 
     p, q = pt.p, pt.q
@@ -392,45 +391,23 @@ def estimate_real_positive(
         raise HypothesisFailure("q_real_positive", "q is not real positive")
     if H.constant_term() <= 0:
         raise HypothesisFailure("origin_positive", "H(0,0) must be positive")
-    w = -p.real * ld.hx.real
-    if abs(ld.hx.imag) > tiny * abs(ld.hx) or w <= 0:
+    if abs(ld.hx.imag) > tiny * abs(ld.hx) or -p.real * ld.hx.real <= 0:
         raise HypothesisFailure("neg_hx_p_positive", "-H_x(p,q)*p is not real positive")
     m = ld.phase_hessian
-    q2m = -2 * mp.pi * q.real * q.real * m.real
-    if abs(m.imag) > tiny * abs(m) or q2m <= 0:
+    if abs(m.imag) > tiny * abs(m) or m.real >= 0:
         raise HypothesisFailure("saddle_real_part_positive", "-2*pi*q^2*M is not positive")
 
-    sign_gamma, ln_abs_gamma = gamma_log(b)
-    ln_val = (
-        (b - mpf(3) / 2) * mp.log(to_mpf(r))
-        - to_mpf(r) * mp.log(p.real)
-        - to_mpf(s) * mp.log(q.real)
-        - b * mp.log(w)
-        - ln_abs_gamma
-        - mp.log(q2m) / 2
-    )
-    gval = G.eval(p, q).real if G is not None else mpf(1)
-    value = sign_gamma * mp.exp(ln_val) * gval
-
-    warnings = _drift_warnings(direction, r, s)
-    log10_modulus = _log10_modulus(value)
-    return AsymptoticEstimate(
+    est = estimate_general(H, G, beta, [pt], r, s, direction)
+    value = est.value.real
+    for c in est.contributions:
+        c["argument"] = mpf(0) if mp.cos(c["argument"]) >= 0 else +mp.pi
+        c["branch_value"] = c["branch_value"].real
+    return replace(
+        est,
         value=value,
-        log10_modulus=log10_modulus,
+        log10_modulus=_log10_modulus(value),
         argument=0.0 if value >= 0 else math.pi,
-        r=r,
-        s=s,
         formula="real-positive",
-        contributions=[
-            {
-                "log10_modulus": log10_modulus,
-                "argument": 0.0,
-                "winding": 0,
-                "branch_value": mp.exp(-b * mp.log(w)),
-                "point": (p, q),
-            }
-        ],
-        warnings=warnings,
     )
 
 

@@ -43,9 +43,9 @@ class SolveOutcome:
 def run_solve(spec: ProblemSpec, probe: bool = True) -> SolveOutcome:
     """Solve the critical system, classify tori, probe the dominant class."""
     points = solve_critical(spec.H, spec.direction)
-    if not points:
-        return SolveOutcome(points=[], classes=[], dominant=None)
     classes = group_by_torus(points, direction=spec.direction)
+    if not classes or not classes[0].dominant:  # no points, or all on an axis
+        return SolveOutcome(points=points, classes=classes, dominant=None)
     dom = dominant_class(classes)
     if probe:
         # The probe sees a point only through (|p|, |q|) and the class's
@@ -66,8 +66,9 @@ def estimate_target(
 ) -> AsymptoticEstimate:
     """Estimate one coefficient from the dominant torus class.
 
-    Uses the real-positive fast path when a single smooth point qualifies;
-    otherwise the general sum.
+    A single smooth point that passes the real-positive checks gets the
+    general sum projected to a real value (formula "real-positive");
+    otherwise the general sum is returned as it is.
     """
     if outcome.dominant is None:
         raise HypothesisFailure("critical_point_exists", "no critical points found")

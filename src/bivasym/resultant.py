@@ -10,7 +10,7 @@ linear algebra and needs no fraction-free pseudo-division machinery.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from typing import List, Optional
 
 from .bivariate import BivariatePolynomial
 from .unipoly import (
@@ -102,13 +102,14 @@ def _power(p: UPoly, n: int) -> UPoly:
 
 
 def shares_positive_dimensional_zero(
-    f: BivariatePolynomial, g: BivariatePolynomial
+    f: BivariatePolynomial, g: BivariatePolynomial, res_y: Optional[UPoly] = None
 ) -> bool:
     """True when f and g have a common factor, i.e. a curve of common zeros.
 
     A nonconstant common factor has positive degree in x or in y, so one of
-    the two eliminants vanishes identically.
+    the two eliminants vanishes identically.  ``res_y`` is the eliminant of
+    y when the caller has it already.
     """
-    return is_zero(resultant_eliminating(f, g, "y")) or is_zero(
-        resultant_eliminating(f, g, "x")
-    )
+    if res_y is None:
+        res_y = resultant_eliminating(f, g, "y")
+    return is_zero(res_y) or is_zero(resultant_eliminating(f, g, "x"))

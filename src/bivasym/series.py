@@ -98,24 +98,10 @@ class TruncatedSeries:
             return NotImplemented
         return self.box == other.box and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.box, tuple(tuple(row) for row in self.coeffs)))
-
     def scale(self, c: Fraction) -> "TruncatedSeries":
         c = Fraction(c)
         return TruncatedSeries(
             self.box, [[c * v for v in row] for row in self.coeffs]
-        )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.box != other.box:
-            raise BoxMismatch(f"box mismatch: {self.box} vs {other.box}")
-        return TruncatedSeries(
-            self.box,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.coeffs, other.coeffs)
-            ],
         )
 
 

@@ -29,7 +29,7 @@ from bivasym import (
     solve_critical,
     winding_number,
 )
-from bivasym.critical import PROBABLY_STRICTLY_MINIMAL, VIOLATED, group_by_torus
+from bivasym.critical import PROBABLY_STRICTLY_MINIMAL, VIOLATED
 from bivasym.errors import BivasymError, HypothesisFailure
 from bivasym.estimates import principal_on_ray
 from bivasym.oracle import quadrature_values
@@ -161,14 +161,40 @@ def _random_polynomials(seed: int):
             yield BivariatePolynomial(terms)
 
 
-def test_criterion_4_formula_identity():
+# H = c + a*x + b*y as (c, a, b); the critical point is real positive for
+# the first two, which the real-positive entry point then accepts.
+LINEAR_H = [(1, -1, -1), (2, -1, -3), (1, 1, -2), (3, -2, 1), (1, 2, 3)]
+
+
+def _linear_leading_term(c, a, b, beta, r, s):
+    """Leading term of [x^r y^s] (c + a*x + b*y)^(-beta).
+
+    The exact coefficient is c^(-beta) Gamma(n+beta)/(Gamma(beta) r! s!)
+    (-a/c)^r (-b/c)^s with n = r + s.  Its Stirling form is the
+    Flajolet-Odlyzko n^(beta-1)/Gamma(beta) shape times the multinomial
+    n^n/(r^r s^s) sqrt(n/(2 pi r s)).
+    """
+    c, a, b, beta = mpf(c), mpf(a), mpf(b), mpf(beta.numerator) / beta.denominator
+    n = r + s
+    return (
+        c ** (-beta)
+        * (-a / c) ** r
+        * (-b / c) ** s
+        * mpf(n) ** (beta - 1)
+        / mp.gamma(beta)
+        * mpf(n) ** n
+        / (mpf(r) ** r * mpf(s) ** s)
+        * mp.sqrt(n / (2 * mp.pi * r * s))
+    )
+
+
+def test_criterion_4_formula_identity(color_swap_h, color_swap_g, color_swap_direction):
     direction = Direction(1, 1)
     lam = mpf(1)
     gen = _random_polynomials(20260810)
     checked = 0
     attempts = 0
     identity_ok = True
-    agreement_ok = True
     while checked < 50 and attempts < 600:
         attempts += 1
         H = next(gen)
@@ -191,23 +217,42 @@ def test_criterion_4_formula_identity():
             expected = pt.p / (lam * pt.q)
             if abs(ratio - expected) > 1e-10 * max(abs(ratio), mpf(1e-20)):
                 identity_ok = False
-        classes = group_by_torus(smooth, direction=direction)
-        dom = classes[0].points
-        if len(dom) == 1:
-            try:
-                fast = estimate_real_positive(H, None, F(1, 2), dom[0], 40, 40, direction)
-            except (HypothesisFailure, BivasymError):
-                fast = None
-            if fast is not None:
-                gen_est = estimate_general(H, None, F(1, 2), dom, 40, 40, direction)
-                if abs(gen_est.value - fast.value) > 1e-12 * abs(fast.value):
-                    agreement_ok = False
         if used:
             checked += 1
+
+    # Both entry points against closed-form leading terms: the linear family
+    # (zero curvature) and color-swap's 4^r/(r pi sqrt(3)) (nonzero).
+    compared = {"general": 0, "real-positive": 0}
+    worst = 0.0
+
+    def compare(est, expected):
+        nonlocal worst
+        compared[est.formula] += 1
+        worst = max(worst, float(abs(est.value - expected) / abs(expected)))
+
+    for c, a, b in LINEAR_H:
+        H = BivariatePolynomial({(0, 0): F(c), (1, 0): F(a), (0, 1): F(b)})
+        for d in (Direction(1, 1), Direction(2, 1), Direction(1, 3), Direction(3, 2)):
+            (pt,) = solve_critical(H, d)
+            r, s = 60 * d.r0, 60 * d.s0
+            for beta in (F(1, 3), F(1, 2), F(1), F(5, 2)):
+                expected = _linear_leading_term(c, a, b, beta, r, s)
+                compare(estimate_general(H, None, beta, [pt], r, s, d), expected)
+                try:
+                    fast = estimate_real_positive(H, None, beta, pt, r, s, d)
+                except HypothesisFailure:
+                    continue
+                compare(fast, expected)
+    pt = _pt(solve_critical(color_swap_h, color_swap_direction), 0.25, 1.0)
+    expected = mpf(4) ** 70 / (70 * mp.pi * mp.sqrt(3))
+    args = (color_swap_h, color_swap_g, F(1, 2))
+    compare(estimate_general(*args, [pt], 70, 35, color_swap_direction), expected)
+    compare(estimate_real_positive(*args, pt, 70, 35, color_swap_direction), expected)
     _report(
-        "4 formula identity on random polynomials",
-        checked == 50 and identity_ok and agreement_ok,
-        f"checked={checked} identity={identity_ok} agreement={agreement_ok}",
+        "4 formula identity and closed-form leading terms",
+        checked == 50 and identity_ok and compared == {"general": 81, "real-positive": 33}
+        and worst <= 1e-12,
+        f"checked={checked} identity={identity_ok} compared={compared} worst={worst:.1e}",
     )
 
 

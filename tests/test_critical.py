@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -12,6 +13,7 @@ from bivasym import (
     group_by_torus,
     is_smooth,
     minimality_probe,
+    parse_problem,
     solve_critical,
 )
 from bivasym.critical import (
@@ -20,6 +22,9 @@ from bivasym.critical import (
     dominant_class,
 )
 from bivasym.errors import ConfigError, NonIsolatedCriticalSet
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def bp(items):
@@ -89,14 +94,20 @@ def test_gradient_ratio_identity(color_swap_h, color_swap_direction):
         assert abs(ratio - expected) <= 1e-10 * abs(ratio)
 
 
-def test_elimination_swap_same_points(color_swap_h, color_swap_direction):
-    a = solve_critical(color_swap_h, color_swap_direction, eliminate="y")
-    b = solve_critical(color_swap_h, color_swap_direction, eliminate="x")
-    assert len(a) == len(b)
-    for pt in a:
-        match = _closest(b, complex(pt.p), complex(pt.q))
-        assert abs(pt.p - match.p) < 1e-10
-        assert abs(pt.q - match.q) < 1e-10
+def test_elimination_swap_same_points():
+    # Solving H(y, x) in direction s0:r0 eliminates x from the original
+    # system instead of y; swapped back, it must find the same points.
+    for name, count in (("color_swap", 3), ("branch_wrap", 8)):
+        spec = parse_problem((PROBLEMS / f"{name}.json").read_text())
+        d = spec.direction
+        a = solve_critical(spec.H, d)
+        swapped = solve_critical(spec.H.swap_variables(), Direction(d.s0, d.r0))
+        b = [(c.q, c.p) for c in swapped]
+        assert len(a) == len(b) == count
+        for pt in a:
+            p, q = min(b, key=lambda c: abs(c[0] - pt.p) + abs(c[1] - pt.q))
+            assert abs(pt.p - p) < 1e-10
+            assert abs(pt.q - q) < 1e-10
 
 
 def test_scaling_invariance(color_swap_h, color_swap_direction):

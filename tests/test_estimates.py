@@ -231,14 +231,27 @@ def test_multinomial_estimate_value(multinomial_h, diag_direction):
         assert abs(est.value - expected) <= mpf("1e-60") * expected
 
 
+def _multinomial_log10(r):
+    """log10 of 2^(2r - 1/2) / (pi r), the leading term of [x^r y^r](1-x-y)^(-1/2)."""
+    return (2 * r - mpf(1) / 2) * mp.log10(2) - mp.log10(mp.pi * r)
+
+
 def test_real_positive_path_agrees(multinomial_h, diag_direction):
     pt = _point(multinomial_h, diag_direction, 0.5, 0.5)
-    gen = estimate_general(multinomial_h, None, F(1, 2), [pt], 100, 100, diag_direction)
-    fast = estimate_real_positive(
+    est = estimate_real_positive(
         multinomial_h, None, F(1, 2), pt, 100, 100, diag_direction
     )
-    assert abs(gen.value - fast.value) <= 1e-12 * abs(fast.value)
-    assert fast.value > 0
+    expected = mpf(10) ** _multinomial_log10(100)
+    assert abs(est.value - expected) <= 1e-12 * expected
+    assert est.formula == "real-positive"
+    assert mpc(est.value).imag == 0 and est.argument == 0.0
+    (c,) = est.contributions
+    assert c["argument"] == 0.0 and mpc(c["branch_value"]).imag == 0
+    # A negative G turns the value and its one contribution to argument pi.
+    G = BivariatePolynomial.constant(-1)
+    neg = estimate_real_positive(multinomial_h, G, F(1, 2), pt, 100, 100, diag_direction)
+    assert abs(neg.value + est.value) <= 1e-30 * est.value
+    assert neg.argument == math.pi and neg.contributions[0]["argument"] == mp.pi
 
 
 def test_color_swap_estimate(color_swap_h, color_swap_g, color_swap_direction):
@@ -307,12 +320,14 @@ def test_overflow_safety(multinomial_h, diag_direction):
     # |log10| of the estimate beyond 1e6: all intermediates must stay finite.
     pt = _point(multinomial_h, diag_direction, 0.5, 0.5)
     r = 1_670_000
-    est = estimate_real_positive(multinomial_h, None, F(1, 2), pt, r, r, diag_direction)
-    assert mp.isfinite(est.value)
-    assert est.log10_modulus > 1e6
-    gen = estimate_general(multinomial_h, None, F(1, 2), [pt], r, r, diag_direction)
-    assert mp.isfinite(gen.value)
-    assert abs(gen.value - est.value) <= 1e-10 * est.value
+    expected = _multinomial_log10(r)
+    assert expected > 1e6
+    for est in (
+        estimate_real_positive(multinomial_h, None, F(1, 2), pt, r, r, diag_direction),
+        estimate_general(multinomial_h, None, F(1, 2), [pt], r, r, diag_direction),
+    ):
+        assert mp.isfinite(est.value)
+        assert abs(est.log10_modulus - expected) <= 1e-12
 
 
 def test_mixed_torus_rejected(diag_direction):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivasym import dump_problem, get_precision, parse_problem
+from bivasym import dump_problem, get_precision, parse_problem, solve_critical
 from bivasym.cli import main
 from bivasym.errors import SpecFileError
 from bivasym.oracle import coeff_recurrence
@@ -168,6 +168,21 @@ def test_g_vanishing_at_point_exit_70(capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "G_nonzero_at_point" in captured.err
+
+
+def test_axis_point_never_dominates(capsys):
+    # (0, 1) solves the critical system of H = x + (1-y)^2 at 1:1.  Its
+    # direction weight log|p| + log|q| is -inf, which once made it tie with
+    # every other class, so compare refused with exit 65.  It stays a
+    # solution, but the estimate comes from (-4/9, 1/3).
+    path = Path(__file__).resolve().parent.parent / "problems" / "axis_point.json"
+    spec = parse_problem(path.read_text())
+    points = solve_critical(spec.H, spec.direction)
+    assert any(abs(pt.p) < 1e-30 and abs(pt.q - 1) < 1e-30 for pt in points)
+    assert main(["compare", "--spec", str(path)]) == 0
+    r, s, *_, ratio = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert (r, s) == ("80", "80")
+    assert abs(float(ratio) - 1) < 0.01
 
 
 def test_parse_error_exit_64(tmp_path, capsys):

@@ -60,18 +60,20 @@ def test_no_common_factor_not_flagged(color_swap_h, color_swap_direction):
 def test_color_swap_eliminant_contains_reported_cubic(
     color_swap_h, color_swap_direction
 ):
-    res = eliminant(color_swap_h, color_swap_direction, "y")
+    res = eliminant(color_swap_h, color_swap_direction)
     # Reported x-eliminant factor at ratio 1/2 (ascending):
     # 1/4 - (3/2) x + (3/2) x^2 + 2 x^3
     cubic = [F(1, 4), F(-3, 2), F(3, 2), F(2)]
     q, r = divmod_exact(res, cubic)
     assert is_zero(r)
-    # After stripping origin factors, exactly the degree-3 candidate count.
-    assert len(res) - 1 == 3
+    # The raw resultant is x^4 times the cubic: stripped of x^k, exactly
+    # the degree-3 candidate count.
+    k = next(i for i, c in enumerate(res) if c != 0)
+    assert (k, len(res) - 1 - k) == (4, 3)
 
 
 def test_multinomial_eliminant_linear(multinomial_h, diag_direction):
-    res = eliminant(multinomial_h, diag_direction, "y")
+    res = eliminant(multinomial_h, diag_direction)
     assert len(res) - 1 == 1
     # Unique root at 1/2.
     assert -res[0] / res[1] == F(1, 2)
@@ -80,7 +82,7 @@ def test_multinomial_eliminant_linear(multinomial_h, diag_direction):
 def test_squared_factor_raises(multinomial_h, diag_direction):
     squared = multinomial_h * multinomial_h
     with pytest.raises(NonIsolatedCriticalSet):
-        eliminant(squared, diag_direction, "y")
+        eliminant(squared, diag_direction)
 
 
 def test_symmetry_swaps_system_roles(multinomial_h):
