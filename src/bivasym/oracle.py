@@ -104,13 +104,6 @@ class CoefficientTable:
         return 0.0 if self.errors is None else float(self.errors[r, s])
 
 
-def _normalized_coeffs(H: BivariatePolynomial) -> Tuple[dict, Fraction]:
-    h00 = H.constant_term()
-    if h00 == 0:
-        raise SingularAtOrigin("singular at origin")
-    return {ij: c / h00 for ij, c in H.terms.items()}, h00
-
-
 def coeff_recurrence(
     H: BivariatePolynomial,
     G: Optional[BivariatePolynomial],
@@ -120,66 +113,81 @@ def coeff_recurrence(
 ) -> CoefficientTable:
     """Exact table of G*H**(-beta) from the differential recurrence.
 
-    ``order`` selects the fill schedule ("rows" or "antidiagonal"); both
-    produce identical exact values, which the test suite checks.
+    With h = H/h00, h*F_x = -beta*h_x*F gives
+    a*f[a][b] = -sum h_ij*((a-i) + beta*i)*f[a-i][b-j] over (i, j) != (0, 0),
+    and the y-identity the same form, divided by b, down the column a = 0.
+    The fill uses Python ints only.  With beta = u/v, D the lcm of the
+    denominators of h and w = v*v*D, it stores g[a][b] = f[a][b]*w**(a+b),
+    whose sum has the integer factors n_ij*(v*(a-i) + u*i)*v**(2k-1)*D**(k-1)
+    with n_ij = D*h_ij and k = i + j.  The division by a (or b) is exact:
+    f[a][b] sums binom(-u/v, k)*[x^a y^b](h - 1)**k over k <= a + b, the
+    denominator of binom(-u/v, k) divides v**(2k) and that of the second
+    factor divides D**k.  A nonzero remainder raises ``ArithmeticError``.
 
-    The stored series is that of G*(H/h00)**(-beta); the symbolic scalar
-    h00**(-beta) is folded into the table when rational, otherwise carried
-    as the prefactor.
+    ``order`` selects the fill schedule ("rows" or "antidiagonal"); both run
+    the same integer step.  Each entry becomes one Fraction, with
+    h00**(-beta) folded in when rational, else carried as the prefactor.
     """
     beta = Fraction(beta)
     R, S = int(box[0]), int(box[1])
-    h, h00 = _normalized_coeffs(H)
-    dy = H.degree_y()
+    h00 = H.constant_term()
+    if h00 == 0:
+        raise SingularAtOrigin("singular at origin")
+    h = {ij: c / h00 for ij, c in H.terms.items() if ij != (0, 0)}
+    u, v = beta.numerator, beta.denominator
+    D = math.lcm(*(c.denominator for c in h.values()))
+    w = v * v * D
+    # (i, j, n_ij * v**(2k-1) * D**(k-1)) for each nonconstant term.
+    terms = [
+        (i, j, c.numerator * (D // c.denominator) * v ** (2 * (i + j) - 1) * D ** (i + j - 1))
+        for (i, j), c in h.items()
+    ]
+    column = [(j, m) for i, j, m in terms if i == 0]
+    g = [[0] * (S + 1) for _ in range(R + 1)]
+    g[0][0] = 1
+    # Row a's step, term by term: (j, source row a - i, its integer factor).
+    row_terms = [
+        [(j, g[a - i], m * (v * (a - i) + u * i)) for i, j, m in terms if i <= a]
+        for a in range(R + 1)
+    ]
 
-    f = [[Fraction(0)] * (S + 1) for _ in range(R + 1)]
-    f[0][0] = Fraction(1)
-
-    col = [h.get((0, j), Fraction(0)) for j in range(dy + 1)]
-
-    def fill_entry(a: int, b: int) -> None:
-        if a == 0 and b == 0:
-            return
-        if a == 0:
-            s = b - 1
-            total = Fraction(0)
-            for j in range(1, min(dy, s + 1) + 1):
-                cj = col[j]
-                if cj:
-                    total += cj * ((s - j + 1) + beta * j) * f[0][s - j + 1]
-            f[0][b] = -total / (s + 1)
-            return
-        r = a - 1
-        total = Fraction(0)
-        for (i, j), hij in h.items():
-            if i == 0 and j == 0:
-                continue
-            rr = r - i + 1
-            ss = b - j
-            if rr < 0 or ss < 0:
-                continue
-            total += hij * ((r - i + 1) + beta * i) * f[rr][ss]
-        f[a][b] = -total / (r + 1)
+    def step(a: int, b: int) -> None:
+        total = 0
+        if a:
+            for j, src, m in row_terms[a]:
+                if j <= b:
+                    total += m * src[b - j]
+        else:
+            for j, m in column:
+                if j <= b:
+                    total += m * (v * (b - j) + u * j) * g[0][b - j]
+        q, rem = divmod(-total, a or b)
+        if rem:
+            raise ArithmeticError(f"inexact recurrence step at ({a}, {b})")
+        g[a][b] = q
 
     if order == "rows":
-        for a in range(R + 1):
-            for b in range(S + 1):
-                fill_entry(a, b)
+        cells = ((a, b) for a in range(R + 1) for b in range(S + 1))
     elif order == "antidiagonal":
-        for d in range(R + S + 1):
-            for a in range(min(d, R), max(0, d - S) - 1, -1):
-                fill_entry(a, d - a)
+        cells = (
+            (a, d - a) for d in range(R + S + 1) for a in range(min(d, R), max(0, d - S) - 1, -1)
+        )
     else:
         raise ConfigError(f"unknown fill order {order!r}")
+    for a, b in cells:
+        if a or b:
+            step(a, b)
 
-    series = TruncatedSeries((R, S), f)
+    prefactor = Prefactor(h00, -beta)
+    folded = prefactor.rational_value()
+    if folded is not None:
+        prefactor = Prefactor()
+    num, den = (folded or 1).as_integer_ratio()
+    scales = [den * w**k for k in range(R + S + 1)]
+    rows = [[Fraction(x * num, scales[a + b]) for b, x in enumerate(row)] for a, row in enumerate(g)]
+    series = TruncatedSeries((R, S), rows)
     if G is not None and G != BivariatePolynomial.constant(1):
         series = poly_times_series(G, series)
-    prefactor = Prefactor(h00, -beta)
-    rational = prefactor.rational_value()
-    if rational is not None:
-        series = series.scale(rational)
-        prefactor = Prefactor()
     return CoefficientTable(series=series, prefactor=prefactor)
 
 
@@ -219,13 +227,23 @@ def closed_form_table(
     c1 = H.coefficient(1, 0)
     c2 = H.coefficient(0, 1)
     R, S = box
-    entries = [
-        [coeff_linear_closed_form(c0, c1, c2, beta, r, s) for s in range(S + 1)]
+    # Entry (r, s) is K[r + s] * comb(r + s, r) * c1**r * c2**s, where
+    # K[n] = C(-beta, n) / c0**n * scale and the (0, 0) entry is that scale:
+    # the folded prefactor, or 1 when it stays symbolic.
+    scale, prefactor = coeff_linear_closed_form(c0, c1, c2, beta, 0, 0)
+    K = [binomial_general(-Fraction(beta), n) / c0**n * scale for n in range(R + S + 1)]
+    p1, p2 = [c1**r for r in range(R + 1)], [c2**s for s in range(S + 1)]
+    rows = [
+        [
+            Fraction(
+                K[r + s].numerator * math.comb(r + s, r) * p1[r].numerator * p2[s].numerator,
+                K[r + s].denominator * p1[r].denominator * p2[s].denominator,
+            )
+            for s in range(S + 1)
+        ]
         for r in range(R + 1)
     ]
-    series = TruncatedSeries((R, S), [[val for val, _ in row] for row in entries])
-    # Every entry carries the same prefactor c0**(-beta), 1 once folded.
-    return CoefficientTable(series=series, prefactor=entries[0][0][1])
+    return CoefficientTable(series=TruncatedSeries((R, S), rows), prefactor=prefactor)
 
 
 # ----------------------------------------------------------------------

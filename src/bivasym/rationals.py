@@ -7,6 +7,7 @@ invariants we need without a wrapper type.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -37,16 +38,15 @@ def format_rational(q: Fraction) -> str:
 
 
 def binomial_general(alpha: Fraction, n: int) -> Fraction:
-    """Generalized binomial coefficient C(alpha, n) for rational alpha."""
+    """C(alpha, n) for rational alpha = u/v: prod(u - k*v, k < n) / (v**n * n!)."""
     if n < 0:
         return Fraction(0)
-    num = Fraction(1)
+    alpha = Fraction(alpha)
+    u, v = alpha.numerator, alpha.denominator
+    num = 1
     for k in range(n):
-        num *= alpha - k
-    den = 1
-    for k in range(2, n + 1):
-        den *= k
-    return num / den
+        num *= u - k * v
+    return Fraction(num, v**n * math.factorial(n))
 
 
 def integer_nth_root(n: int, k: int) -> Optional[int]:

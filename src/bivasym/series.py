@@ -72,7 +72,9 @@ class TruncatedSeries:
         else:
             if len(coeffs) != R + 1 or any(len(row) != S + 1 for row in coeffs):
                 raise ValueError("coefficient array does not match box")
-            self.coeffs = [[Fraction(c) for c in row] for row in coeffs]
+            self.coeffs = [
+                [c if type(c) is Fraction else Fraction(c) for c in row] for row in coeffs
+            ]
 
     @classmethod
     def one(cls, box: Box) -> "TruncatedSeries":
@@ -97,12 +99,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.box == other.box and self.coeffs == other.coeffs
-
-    def scale(self, c: Fraction) -> "TruncatedSeries":
-        c = Fraction(c)
-        return TruncatedSeries(
-            self.box, [[c * v for v in row] for row in self.coeffs]
-        )
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -133,17 +129,20 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def poly_times_series(p: BivariatePolynomial, b: TruncatedSeries) -> TruncatedSeries:
-    """Truncated product polynomial * series, exploiting the sparse polynomial."""
+    """Truncated product polynomial * series, exploiting the sparse polynomial.
+
+    Each output entry is summed on one integer numerator and denominator.
+    """
     R, S = b.box
-    out = TruncatedSeries(b.box)
-    for (i, j), c in sorted(p.terms.items()):
-        if i > R or j > S:
-            continue
-        for r in range(i, R + 1):
-            src = b.coeffs[r - i]
-            dst = out.coeffs[r]
-            for s in range(j, S + 1):
-                v = src[s - j]
-                if v != 0:
-                    dst[s] += c * v
-    return out
+    terms = [(i, j, c.numerator, c.denominator) for (i, j), c in p.terms.items()]
+
+    def entry(r: int, s: int) -> Fraction:
+        num, den = 0, 1
+        for i, j, cn, cd in terms:
+            if i <= r and j <= s:
+                v = b.coeffs[r - i][s - j]
+                n, d = cn * v.numerator, cd * v.denominator
+                num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
+        return Fraction(num, den)
+
+    return TruncatedSeries(b.box, [[entry(r, s) for s in range(S + 1)] for r in range(R + 1)])

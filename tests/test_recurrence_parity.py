@@ -1,0 +1,143 @@
+"""The integer recurrence fill against the Fraction fill it replaced.
+
+``coeff_recurrence`` fills a rescaled table of Python ints and builds one
+Fraction per entry at the end.  The reference below is the earlier fill:
+every step in ``Fraction`` arithmetic on the coefficients of H/h00, then
+the product with G term by term and the scalar h00**(-beta) multiplied in
+when it is rational.  The two tables must be equal entry for entry, with
+the same prefactor, under both fill schedules.
+"""
+
+import itertools
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from bivasym import BivariatePolynomial, coeff_linear_closed_form, coeff_recurrence
+from bivasym.problem import parse_problem
+from bivasym.series import Prefactor
+from tests.test_acceptance import _random_polynomials
+
+ROOT = Path(__file__).resolve().parent.parent
+
+BETAS = [F(1, 2), F(-3, 2), F(2, 3), F(3), F(-1), F(0)]
+
+
+def reference_recurrence(H, G, beta, box):
+    """(coefficient rows, prefactor) of G*H**(-beta) by the Fraction fill."""
+    beta = F(beta)
+    R, S = box
+    h00 = H.constant_term()
+    h = {ij: c / h00 for ij, c in H.terms.items()}
+    dy = H.degree_y()
+    f = [[F(0)] * (S + 1) for _ in range(R + 1)]
+    f[0][0] = F(1)
+    col = [h.get((0, j), F(0)) for j in range(dy + 1)]
+
+    def fill_entry(a, b):
+        if a == 0 and b == 0:
+            return
+        if a == 0:
+            s = b - 1
+            total = F(0)
+            for j in range(1, min(dy, s + 1) + 1):
+                cj = col[j]
+                if cj:
+                    total += cj * ((s - j + 1) + beta * j) * f[0][s - j + 1]
+            f[0][b] = -total / (s + 1)
+            return
+        r = a - 1
+        total = F(0)
+        for (i, j), hij in h.items():
+            if i == 0 and j == 0:
+                continue
+            rr = r - i + 1
+            ss = b - j
+            if rr < 0 or ss < 0:
+                continue
+            total += hij * ((r - i + 1) + beta * i) * f[rr][ss]
+        f[a][b] = -total / (r + 1)
+
+    for a in range(R + 1):
+        for b in range(S + 1):
+            fill_entry(a, b)
+
+    if G is not None:
+        out = [[F(0)] * (S + 1) for _ in range(R + 1)]
+        for (i, j), c in G.terms.items():
+            for r in range(i, R + 1):
+                for s in range(j, S + 1):
+                    out[r][s] += c * f[r - i][s - j]
+        f = out
+    prefactor = Prefactor(h00, -beta)
+    rational = prefactor.rational_value()
+    if rational is not None:
+        f = [[rational * c for c in row] for row in f]
+        prefactor = Prefactor()
+    return f, prefactor
+
+
+def _assert_parity(H, G, beta, box, orders=("rows", "antidiagonal")):
+    coeffs, prefactor = reference_recurrence(H, G, beta, box)
+    for order in orders:
+        table = coeff_recurrence(H, G, beta, box, order=order)
+        assert table.series.coeffs == coeffs, (order, box)
+        assert table.prefactor == prefactor, order
+
+
+def _poly(*items):
+    return BivariatePolynomial.from_items(list(items))
+
+
+@pytest.mark.parametrize("name", ["multinomial_sqrt", "color_swap"])
+def test_problem_files_at_their_oracle_box(name):
+    spec = parse_problem((ROOT / "problems" / f"{name}.json").read_text())
+    _assert_parity(spec.H, spec.G, spec.beta, spec.effective_box(), orders=("rows",))
+
+
+def test_criterion_4_family_at_20x20():
+    gen = _random_polynomials(20260810)
+    for H in itertools.islice(gen, 32):
+        for beta in BETAS:
+            _assert_parity(H, None, beta, (20, 20), orders=("rows",))
+
+
+@pytest.mark.parametrize("h00", ["2", "-1", "4/9"])
+@pytest.mark.parametrize("beta", BETAS)
+def test_constant_terms_other_than_one(h00, beta):
+    H = _poly((0, 0, h00), (1, 0, "-1"), (0, 1, "1/3"), (1, 1, "-2"))
+    _assert_parity(H, None, beta, (8, 7))
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_fractional_h_and_g(beta):
+    H = _poly((0, 0, "3/5"), (1, 0, "-7/4"), (0, 2, "2/9"), (2, 1, "-5/6"), (0, 3, "1/7"))
+    G = _poly((0, 0, "-2/3"), (1, 1, "5/2"), (0, 2, "-1/11"))
+    _assert_parity(H, G, beta, (9, 11))
+
+
+@pytest.mark.parametrize("h00", ["1", "2", "-1", "4/9"])
+def test_constant_h(h00):
+    H = BivariatePolynomial.constant(F(h00))
+    G = _poly((0, 0, "1"), (2, 1, "-3/2"))
+    for beta in BETAS:
+        _assert_parity(H, None, beta, (3, 4))
+        _assert_parity(H, G, beta, (3, 4))
+
+
+@pytest.mark.parametrize("box", [(0, 12), (12, 0), (0, 0)])
+def test_boxes_with_an_empty_side(box, color_swap_h, color_swap_g):
+    H = _poly((0, 0, "4/9"), (2, 0, "-1"), (0, 1, "2/3"), (0, 3, "-1/5"), (1, 2, "1"))
+    for beta in BETAS:
+        _assert_parity(H, None, beta, box)
+        _assert_parity(color_swap_h, color_swap_g, beta, box)
+
+
+def test_multinomial_400_corners_match_closed_form(multinomial_h):
+    table = coeff_recurrence(multinomial_h, None, F(1, 2), (400, 400))
+    assert table.prefactor.is_one()
+    for r, s in [(400, 400), (400, 0), (0, 400), (400, 399), (217, 400)]:
+        value, prefactor = coeff_linear_closed_form(F(1), F(-1), F(-1), F(1, 2), r, s)
+        assert prefactor.is_one()
+        assert table.series.coeffs[r][s] == value
