@@ -11,19 +11,20 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import mp, mpc
 
-from .critical import report_critical_points
+from .critical import CriticalPoint
 from .errors import (
     BivasymError,
     ConfigError,
     HypothesisFailure,
     SpecFileError,
 )
-from .estimates import report_estimate
-from .oracle import OracleConfig, coeff_recurrence, quadrature_values, table_to_csv
+from .estimates import AsymptoticEstimate
+from .oracle import OracleConfig, coeff_recurrence, format_entry, quadrature_values, table_to_csv
 from .pipeline import estimate_target, run_solve
 from .precision import MIN_PRECISION, get_precision, working_precision
 from .problem import ProblemSpec, dump_problem, parse_problem
@@ -94,6 +95,61 @@ def _json_doc(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _digits(x) -> str:
+    """17 significant digits of a real mpmath value; -inf prints as "-inf"."""
+    return mp.nstr(x, 17)
+
+
+def _complex_doc(z) -> dict:
+    z = mpc(z)
+    return {"re": _digits(z.real), "im": _digits(z.imag)}
+
+
+def report_critical_points(points: Sequence[CriticalPoint]) -> dict:
+    """JSON-ready report of coordinates (17 digits), residuals, verdicts."""
+    out = []
+    for pt in points:
+        entry = {
+            "p": _complex_doc(pt.p),
+            "q": _complex_doc(pt.q),
+            "residual_h": f"{pt.residual_h:.3e}",
+            "residual_direction": f"{pt.residual_dir:.3e}",
+            "smooth": pt.smooth,
+            "minimality": pt.minimality,
+            "torus_class": pt.torus_class,
+        }
+        if pt.witness is not None:
+            entry["witness"] = {
+                name: {"re": f"{w.real:.17g}", "im": f"{w.imag:.17g}"}
+                for name, w in zip("xy", pt.witness)
+            }
+        out.append(entry)
+    return {"critical_points": out}
+
+
+def report_estimate(est: AsymptoticEstimate) -> dict:
+    """JSON-ready estimate report (17-digit value plus log-modulus form)."""
+    return {
+        "r": est.r,
+        "s": est.s,
+        "formula": est.formula,
+        "value": _complex_doc(est.value),
+        "log10_modulus": _digits(est.log10_modulus),
+        "argument": f"{est.argument:.17g}",
+        "warnings": list(est.warnings),
+        "contributions": [
+            {
+                "log10_modulus": _digits(c["log10_modulus"]),
+                "argument": _digits(c["argument"]),
+                "winding": c["winding"],
+                "branch_value": _complex_doc(c["branch_value"]),
+                "point": {"p": _complex_doc(c["point"][0]), "q": _complex_doc(c["point"][1])},
+            }
+            for c in est.contributions
+        ],
+    }
+
+
 def cmd_solve(spec: ProblemSpec, args) -> int:
     outcome = run_solve(spec)
     doc = report_critical_points(outcome.points)
@@ -144,21 +200,18 @@ def cmd_oracle(spec: ProblemSpec, args) -> int:
         return EXIT_OK
     cfg = _quadrature_config(spec, box)
     numeric = quadrature_values(spec.H, spec.G, spec.beta, cfg)
-    lines = [f"# prefactor: {table.prefactor}"]
-    lines.append("r,s,numerator,denominator,value,quad_real,quad_imag,quad_error")
+    prefactor, header, *rows = table_to_csv(table).splitlines()
+    # The numeric table's rows are r,s,real,imag,error; append all but r,s.
+    quad = [row.split(",", 2)[2] for row in table_to_csv(numeric).splitlines()[1:]]
+    lines = [prefactor, header + ",quad_real,quad_imag,quad_error"]
+    lines += [f"{row},{q}" for row, q in zip(rows, quad)]
     worst = 0.0
     R, S = box
     for r in range(R + 1):
         for s in range(S + 1):
-            c = table.series.coeffs[r][s]
-            exact = table.value(r, s)
-            z = complex(numeric.values[r, s])
-            if c != 0:
-                worst = max(worst, float(abs(z - complex(exact)) / abs(complex(exact))))
-            lines.append(
-                f"{r},{s},{c.numerator},{c.denominator},{mp.nstr(mpf(exact), 17)},"
-                f"{z.real:.17g},{z.imag:.17g},{numeric.entry_error(r, s):.3e}"
-            )
+            exact = complex(table.value(r, s))
+            if exact:
+                worst = max(worst, abs(complex(numeric.values[r, s]) - exact) / abs(exact))
     lines.append(f"# max_relative_discrepancy: {worst:.3e}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -178,19 +231,15 @@ def cmd_compare(spec: ProblemSpec, args) -> int:
     ln10 = mp.log(10)
     for r, s in spec.targets:
         exact_log10 = table.log10_abs(r, s)
-        exact_str = mp.nstr(mpf(table.value(r, s)), 17)
-        exact_log10_str = (
-            mp.nstr(exact_log10, 17) if exact_log10 != mp.ninf else "-inf"
-        )
+        exact = f"{_digits(exact_log10)},{format_entry(table.value(r, s))}"
         if r == 0 or s == 0:
-            lines.append(f"{r},{s},n/a,n/a,{exact_log10_str},{exact_str},n/a")
+            lines.append(f"{r},{s},n/a,n/a,{exact},n/a")
             continue
         est = estimate_target(spec, outcome, r, s)
         ratio = mp.exp((est.log10_modulus - exact_log10) * ln10)
         lines.append(
-            f"{r},{s},{mp.nstr(est.log10_modulus, 17)},"
-            f"{mp.nstr(abs(est.value), 17)},"
-            f"{exact_log10_str},{exact_str},{mp.nstr(ratio, 17)}"
+            f"{r},{s},{_digits(est.log10_modulus)},{_digits(abs(est.value))},"
+            f"{exact},{_digits(ratio)}"
         )
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

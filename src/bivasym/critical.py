@@ -476,24 +476,3 @@ def dominant_class(classes: List[TorusClass]) -> TorusClass:
                 )
     return best
 
-
-def report_critical_points(points: Sequence[CriticalPoint]) -> dict:
-    """JSON-ready report of coordinates (17 digits), residuals, verdicts."""
-    out = []
-    for pt in points:
-        entry = {
-            "p": {"re": mp.nstr(pt.p.real, 17), "im": mp.nstr(pt.p.imag, 17)},
-            "q": {"re": mp.nstr(pt.q.real, 17), "im": mp.nstr(pt.q.imag, 17)},
-            "residual_h": f"{pt.residual_h:.3e}",
-            "residual_direction": f"{pt.residual_dir:.3e}",
-            "smooth": pt.smooth,
-            "minimality": pt.minimality,
-            "torus_class": pt.torus_class,
-        }
-        if pt.witness is not None:
-            entry["witness"] = {
-                "x": {"re": f"{pt.witness[0].real:.17g}", "im": f"{pt.witness[0].imag:.17g}"},
-                "y": {"re": f"{pt.witness[1].real:.17g}", "im": f"{pt.witness[1].imag:.17g}"},
-            }
-        out.append(entry)
-    return {"critical_points": out}

@@ -427,36 +427,3 @@ def _conjugate_closed(points: Sequence[CriticalPoint]) -> bool:
             return False
     return True
 
-
-def report_estimate(est: AsymptoticEstimate) -> dict:
-    """JSON-ready estimate report (17-digit value plus log-modulus form)."""
-    return {
-        "r": est.r,
-        "s": est.s,
-        "formula": est.formula,
-        "value": {
-            "re": mp.nstr(mpc(est.value).real, 17),
-            "im": mp.nstr(mpc(est.value).imag, 17),
-        },
-        "log10_modulus": mp.nstr(est.log10_modulus, 17)
-        if est.log10_modulus != mp.ninf
-        else "-inf",
-        "argument": f"{est.argument:.17g}",
-        "warnings": list(est.warnings),
-        "contributions": [
-            {
-                "log10_modulus": mp.nstr(c["log10_modulus"], 17),
-                "argument": mp.nstr(c["argument"], 17),
-                "winding": c["winding"],
-                "branch_value": {
-                    "re": mp.nstr(mpc(c["branch_value"]).real, 17),
-                    "im": mp.nstr(mpc(c["branch_value"]).imag, 17),
-                },
-                "point": {
-                    "p": {"re": mp.nstr(mpc(c["point"][0]).real, 17), "im": mp.nstr(mpc(c["point"][0]).imag, 17)},
-                    "q": {"re": mp.nstr(mpc(c["point"][1]).real, 17), "im": mp.nstr(mpc(c["point"][1]).imag, 17)},
-                },
-            }
-            for c in est.contributions
-        ],
-    }

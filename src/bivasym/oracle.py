@@ -145,18 +145,17 @@ def coeff_recurrence(
     column = [(j, m) for i, j, m in terms if i == 0]
     g = [[0] * (S + 1) for _ in range(R + 1)]
     g[0][0] = 1
-    # Row a's step, term by term: (j, source row a - i, its integer factor).
-    row_terms = [
-        [(j, g[a - i], m * (v * (a - i) + u * i)) for i, j, m in terms if i <= a]
-        for a in range(R + 1)
+    # Row a's step, term by term: (i, j, its integer factor).
+    factors = [
+        [(i, j, m * (v * (a - i) + u * i)) for i, j, m in terms if i <= a] for a in range(R + 1)
     ]
 
     def step(a: int, b: int) -> None:
         total = 0
         if a:
-            for j, src, m in row_terms[a]:
+            for i, j, m in factors[a]:
                 if j <= b:
-                    total += m * src[b - j]
+                    total += m * g[a - i][b - j]
         else:
             for j, m in column:
                 if j <= b:
@@ -184,7 +183,8 @@ def coeff_recurrence(
         prefactor = Prefactor()
     num, den = (folded or 1).as_integer_ratio()
     scales = [den * w**k for k in range(R + S + 1)]
-    rows = [[Fraction(x * num, scales[a + b]) for b, x in enumerate(row)] for a, row in enumerate(g)]
+    # Popping each integer row frees it as soon as its Fraction row is built.
+    rows = [[Fraction(x * num, scales[a + b]) for b, x in enumerate(g.pop(0))] for a in range(R + 1)]
     series = TruncatedSeries((R, S), rows)
     if G is not None and G != BivariatePolynomial.constant(1):
         series = poly_times_series(G, series)
@@ -341,7 +341,7 @@ def table_to_csv(table: CoefficientTable) -> str:
             for s in range(S + 1):
                 c = table.series.coeffs[r][s]
                 v = table.value(r, s)
-                lines.append(f"{r},{s},{c.numerator},{c.denominator},{_fmt(v)}")
+                lines.append(f"{r},{s},{c.numerator},{c.denominator},{format_entry(v)}")
     else:
         lines.append("r,s,real,imag,error")
         for r in range(R + 1):
@@ -353,7 +353,8 @@ def table_to_csv(table: CoefficientTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(v) -> str:
+def format_entry(v) -> str:
+    """17-digit text of an exact entry; ``re+imj`` when the prefactor is complex."""
     if isinstance(v, mpc):
         return f"{mp.nstr(v.real, 17)}+{mp.nstr(v.imag, 17)}j"
     return mp.nstr(mpf(v), 17)

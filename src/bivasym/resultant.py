@@ -10,18 +10,12 @@ linear algebra and needs no fraction-free pseudo-division machinery.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import List, Optional
 
 from .bivariate import BivariatePolynomial
-from .unipoly import (
-    UPoly,
-    determinant_fraction,
-    eval_at,
-    is_zero,
-    lagrange_interpolate,
-    mul,
-    trim,
-)
+from .unipoly import UPoly, degree, determinant_fraction, eval_at, gcd, is_zero
+from .unipoly import lagrange_interpolate, mul, trim
 
 
 def sylvester_matrix(f_rows: List[UPoly], g_rows: List[UPoly]) -> List[List[UPoly]]:
@@ -106,10 +100,12 @@ def shares_positive_dimensional_zero(
 ) -> bool:
     """True when f and g have a common factor, i.e. a curve of common zeros.
 
-    A nonconstant common factor has positive degree in x or in y, so one of
-    the two eliminants vanishes identically.  ``res_y`` is the eliminant of
-    y when the caller has it already.
+    A common factor of positive degree in y makes the eliminant of y vanish
+    identically.  A factor free of y divides f exactly when it divides each
+    y-coefficient of f (Gauss's lemma), so f and g share one exactly when
+    the gcd in Q[x] of all their y-coefficients is not constant.  ``res_y``
+    is the eliminant of y when the caller has it already.
     """
     if res_y is None:
         res_y = resultant_eliminating(f, g, "y")
-    return is_zero(res_y) or is_zero(resultant_eliminating(f, g, "x"))
+    return is_zero(res_y) or degree(reduce(gcd, f.coeffs_in_y() + g.coeffs_in_y())) > 0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from bivasym import dump_problem, get_precision, parse_problem, solve_critical
 from bivasym.cli import main
 from bivasym.errors import SpecFileError
-from bivasym.oracle import coeff_recurrence
+from bivasym.oracle import coeff_recurrence, format_entry
 
 MULTINOMIAL = """{
   "H": [[0, 0, "1"], [1, 0, "-1"], [0, 1, "-1"]],
@@ -183,6 +183,31 @@ def test_axis_point_never_dominates(capsys):
     r, s, *_, ratio = capsys.readouterr().out.splitlines()[-1].split(",")
     assert (r, s) == ("80", "80")
     assert abs(float(ratio) - 1) < 0.01
+
+
+NEGATIVE_ORIGIN = Path(__file__).resolve().parent.parent / "problems" / "negative_origin.json"
+
+
+def test_negative_origin_compare_prints_complex_exact(capsys):
+    # H = -1 + x + y with beta = 1/2: the prefactor (-1)^(-1/2) makes every
+    # exact entry complex, which once crashed compare with a TypeError.
+    assert main(["compare", "--spec", str(NEGATIVE_ORIGIN)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    spec = parse_problem(NEGATIVE_ORIGIN.read_text())
+    table = coeff_recurrence(spec.H, spec.G, spec.beta, spec.effective_box())
+    assert [(int(r), int(s)) for r, s, *_ in rows] == [(10, 10), (20, 20)]
+    for r, s, _, _, _, exact, _ in rows:
+        assert exact == format_entry(table.value(int(r), int(s)))
+        assert exact.endswith("j")
+    assert abs(float(rows[1][-1]) - 1) < 0.02  # 1.0094 at (20, 20)
+
+
+def test_negative_origin_oracle_quadrature(capsys):
+    assert main(["oracle", "--spec", str(NEGATIVE_ORIGIN), "--quadrature"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# prefactor: (-1)^(-1/2)"
+    assert len(lines) == 2 + 21 * 21 + 1
+    assert float(lines[-1].split(":")[1]) < 1e-3
 
 
 def test_parse_error_exit_64(tmp_path, capsys):
@@ -474,3 +499,44 @@ def test_any_problem_document_exits_0_or_64(doc):
     assert code in (0, 64)
     if code == 0:
         assert parse_problem(out.getvalue()) == parse_problem(json.dumps(doc))
+
+
+# Small rational H with a constant term of either sign.  A negative one
+# with a non-integer beta makes the exact entries complex.
+_H00 = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-3)])
+_NONCONSTANT = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda ij: ij != (0, 0)),
+        st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 3), F(3, 2)]),
+    ),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda term: term[0],
+)
+
+
+@given(
+    _H00,
+    _NONCONSTANT,
+    st.sampled_from(["1/2", "1/3", "-1/2", "3/2", "2"]),
+    st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_compare_and_quadrature_end_in_a_documented_code(h00, terms, beta, direction):
+    r0, s0 = direction
+    doc = {
+        "H": [[0, 0, str(h00)]] + [[i, j, str(c)] for (i, j), c in terms],
+        "beta": beta,
+        "direction": f"{r0}:{s0}",
+        "targets": [[6 * r0, 6 * s0]],
+        "oracle_box": [6 * r0, 6 * s0],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["compare"], ["oracle", "--quadrature"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = main(argv + ["--spec", str(path)])
+            assert code in (0, 2, 64, 65, 70), (argv, doc)

@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from bivasym import BivariatePolynomial, Direction
+from bivasym import BivariatePolynomial, Direction, parse_problem
 from bivasym.critical import critical_system, eliminant
 from bivasym.errors import NonIsolatedCriticalSet
 from bivasym.resultant import (
@@ -10,6 +12,9 @@ from bivasym.resultant import (
     shares_positive_dimensional_zero,
 )
 from bivasym.unipoly import divmod_exact, is_zero, trim
+from tests.test_acceptance import _random_polynomials
+
+PROBLEM_FILES = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
 
 
 def bp(items):
@@ -50,6 +55,39 @@ def test_common_factor_in_x_only_detected():
     assert not is_zero(resultant_eliminating(f, g, "y"))
     assert is_zero(resultant_eliminating(f, g, "x"))
     assert shares_positive_dimensional_zero(f, g)
+
+
+def _two_eliminant_verdict(f, g) -> bool:
+    """The reference: either eliminant vanishes identically."""
+    return is_zero(resultant_eliminating(f, g, "y")) or is_zero(
+        resultant_eliminating(f, g, "x")
+    )
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (bp([(0, 1, "1"), (1, 0, "-1")]), bp([(0, 1, "1"), (2, 0, "-3")])),
+        (bp([(0, 0, "1"), (1, 0, "-2")]), bp([(1, 0, "3"), (2, 0, "-6")])),
+        (bp([(0, 0, "2")]), bp([(0, 1, "1"), (1, 0, "1")])),
+        (bp([(1, 1, "1"), (1, 0, "1")]), bp([(2, 0, "1"), (1, 2, "-1")])),
+    ],
+)
+def test_content_gcd_matches_two_eliminants_on_small_pairs(f, g):
+    assert shares_positive_dimensional_zero(f, g) == _two_eliminant_verdict(f, g)
+
+
+def test_content_gcd_matches_two_eliminants_on_solved_systems():
+    # The 32 random-solve polynomials at 1:1 and every problem file.
+    systems = [
+        critical_system(H, Direction(1, 1))
+        for H in itertools.islice(_random_polynomials(20260810), 32)
+    ]
+    for path in PROBLEM_FILES:
+        spec = parse_problem(path.read_text())
+        systems.append(critical_system(spec.H, spec.direction))
+    for f, g in systems:
+        assert shares_positive_dimensional_zero(f, g) == _two_eliminant_verdict(f, g)
 
 
 def test_no_common_factor_not_flagged(color_swap_h, color_swap_direction):
