@@ -31,6 +31,7 @@ from .series import Prefactor, TruncatedSeries, poly_times_series
 Box = Tuple[int, int]
 
 _JUMP_LIMIT = 0.95 * math.pi
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -251,23 +252,6 @@ def closed_form_table(
 # ----------------------------------------------------------------------
 
 
-def _continuous_args(W: np.ndarray, anchor: float) -> np.ndarray:
-    """Anchored continuous argument over the torus grid.
-
-    Tracks along the theta1 line at theta2 = 0 and then along theta2 for
-    each theta1, verifying that no wrapped step comes near +-pi.
-    """
-    d0 = np.angle(W[1:, 0] / W[:-1, 0])
-    d1 = np.angle(W[:, 1:] / W[:, :-1])
-    if max(np.max(np.abs(d0)), np.max(np.abs(d1))) >= _JUMP_LIMIT:
-        raise BranchTrackingError("branch tracking failed; refine grid")
-    args = np.empty(W.shape, dtype=np.float64)
-    args[0, 0] = anchor
-    args[1:, 0] = anchor + np.cumsum(d0)
-    args[:, 1:] = args[:, :1] + np.cumsum(d1, axis=1)
-    return args
-
-
 def quadrature_values(
     H: BivariatePolynomial,
     G: Optional[BivariatePolynomial],
@@ -277,36 +261,54 @@ def quadrature_values(
     """Numeric coefficient table over the full box by torus quadrature.
 
     Composite trapezoid rule over both angles (spectrally accurate for the
-    periodic analytic integrand), realized as one FFT; the error estimate
-    per entry is the difference against the half-resolution grid.
+    periodic analytic integrand), with the half-resolution grid's difference
+    as the error estimate.  The theta1 grid is walked in ``_BLOCK_ROWS``-row
+    blocks, so memory holds one block: each keeps the first S + 1 outputs of
+    its row FFT, and a column FFT on the kept N1 x (S + 1) strip gives the
+    R + 1 rows (``fft2``'s DFT, which also runs the last axis first).  arg H
+    is anchored by the ray from the origin, tracked down the theta2 = 0
+    column, then along theta2.  Checks run in grid order; the first failure
+    raises ``BranchTrackingError``: the column (H vanishing, then a jump),
+    the ray, then each block in theta1 order (vanishing, then a jump).
     """
     R, S = cfg.box
     c1, c2 = cfg.quadrature_radii
     N1, N2 = cfg.quadrature_grid
     b = float(to_mpf(Fraction(beta)))
+    X = c1 * np.exp(1j * (2.0 * np.pi * np.arange(N1) / N1)).reshape(-1, 1)
+    Y = c2 * np.exp(1j * (2.0 * np.pi * np.arange(N2) / N2)).reshape(1, -1)
 
-    th1 = 2.0 * np.pi * np.arange(N1) / N1
-    th2 = 2.0 * np.pi * np.arange(N2) / N2
-    X = c1 * np.exp(1j * th1).reshape(-1, 1)
-    Y = c2 * np.exp(1j * th2).reshape(1, -1)
-    W = H.eval_array(X, Y)
-    if np.min(np.abs(W)) <= H.vanish_floor():
-        raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
+    def checked(W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        mod = np.abs(W)
+        if np.min(mod) <= H.vanish_floor():
+            raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
+        steps = np.angle(W[..., 1:] / W[..., :-1])
+        if np.max(np.abs(steps)) >= _JUMP_LIMIT:
+            raise BranchTrackingError("branch tracking failed; refine grid")
+        return mod, steps
+
+    _, d0 = checked(H.eval_array(X, Y[:, :1])[:, 0])
     _, anchor = H.ray_argument(c1, c2, 1.0, 256)
-    args = _continuous_args(W, anchor)
-    F = np.exp(-b * (np.log(np.abs(W)) + 1j * args))
-    if G is not None and G != BivariatePolynomial.constant(1):
-        F = F * G.eval_array(X, Y)
+    start = np.concatenate(([anchor], anchor + np.cumsum(d0)))
+    full = np.empty((N1, S + 1), dtype=np.complex128)
+    half = np.empty((N1 // 2, S + 1), dtype=np.complex128)
+    for lo in range(0, N1, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        mod, d1 = checked(H.eval_array(X[rows], Y))
+        args = np.empty(mod.shape)
+        args[:, 0] = start[rows]
+        args[:, 1:] = args[:, :1] + np.cumsum(d1, axis=1)
+        F = np.exp(-b * (np.log(mod) + 1j * args))
+        if G is not None and G != BivariatePolynomial.constant(1):
+            F = F * G.eval_array(X[rows], Y)
+        full[rows] = np.fft.fft(F, axis=1)[:, : S + 1]
+        half[lo // 2 : (lo + _BLOCK_ROWS) // 2] = np.fft.fft(F[::2, ::2], axis=1)[:, : S + 1]
 
-    def extract(values: np.ndarray) -> np.ndarray:
-        n1, n2 = values.shape
-        spec = np.fft.fft2(values) / (n1 * n2)
-        rows = np.arange(R + 1).reshape(-1, 1)
-        cols = np.arange(S + 1).reshape(1, -1)
-        return spec[: R + 1, : S + 1] / (c1**rows * c2**cols)
-
-    full = extract(F)
-    half = extract(F[::2, ::2])
+    scale = c1 ** np.arange(R + 1).reshape(-1, 1) * c2 ** np.arange(S + 1).reshape(1, -1)
+    full, half = (
+        np.fft.fft(strip, axis=0)[: R + 1] / (strip.shape[0] * n2) / scale
+        for strip, n2 in ((full, N2), (half, N2 // 2))
+    )
     return CoefficientTable(values=full, errors=np.abs(full - half))
 
 
@@ -354,7 +356,7 @@ def table_to_csv(table: CoefficientTable) -> str:
 
 
 def format_entry(v) -> str:
-    """17-digit text of an exact entry; ``re+imj`` when the prefactor is complex."""
+    """17-digit text of an exact entry; ``re+imj`` or ``re-imj`` when the prefactor is complex."""
     if isinstance(v, mpc):
-        return f"{mp.nstr(v.real, 17)}+{mp.nstr(v.imag, 17)}j"
+        return f"{mp.nstr(v.real, 17)}+{mp.nstr(v.imag, 17)}j".replace("+-", "-")
     return mp.nstr(mpf(v), 17)

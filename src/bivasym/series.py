@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .bivariate import BivariatePolynomial
 from .errors import BoxMismatch
@@ -41,12 +41,10 @@ class Prefactor:
         return rational_power(self.base, self.exponent)
 
     def value(self):
-        """Numeric value at current precision (mpf, or mpc for negative base)."""
-        b = to_mpf(self.base)
+        """Numeric value: mpf, or the mpc |base|**e * exp(i*pi*e) for a negative base."""
         e = to_mpf(self.exponent)
-        if self.base > 0:
-            return mp.exp(e * mp.log(b))
-        return mp.exp(mpc(e) * mp.log(mpc(b)))
+        magnitude = mp.exp(e * mp.log(abs(to_mpf(self.base))))
+        return magnitude if self.base > 0 else magnitude * mp.expjpi(e)
 
     def log10_abs(self) -> mpf:
         return to_mpf(self.exponent) * mp.log(abs(to_mpf(self.base)), 10)

@@ -202,6 +202,20 @@ def test_negative_origin_compare_prints_complex_exact(capsys):
     assert abs(float(rows[1][-1]) - 1) < 0.02  # 1.0094 at (20, 20)
 
 
+def test_negative_origin_exact_entries_parse_as_complex(capsys):
+    # The prefactor (-1)^(-1/2) is exactly -1j, so every exact entry is
+    # purely imaginary and prints its sign once: "0.0-12258399404.308869j".
+    assert main(["oracle", "--spec", str(NEGATIVE_ORIGIN)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    values = [line.split(",")[4] for line in lines[2:]]
+    assert main(["compare", "--spec", str(NEGATIVE_ORIGIN)]) == 0
+    values += [line.split(",")[5] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(values) == 21 * 21 + 2
+    for text in values:
+        z = complex(text)
+        assert z.real == 0 and z.imag < 0, text
+
+
 def test_negative_origin_oracle_quadrature(capsys):
     assert main(["oracle", "--spec", str(NEGATIVE_ORIGIN), "--quadrature"]) == 0
     lines = capsys.readouterr().out.splitlines()

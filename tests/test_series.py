@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpc
 
 from bivasym import (
     BivariatePolynomial,
@@ -85,3 +86,13 @@ def test_prefactor_value_and_rationality():
     q = Prefactor(F(4), F(-1, 2))
     assert q.rational_value() == F(1, 2)
     assert Prefactor().is_one()
+
+
+def test_negative_base_prefactor_has_no_noise_real_part():
+    # (-1)^(-1/2) on the principal branch is exactly -1j: its real part is
+    # zero, not rounding noise.
+    assert Prefactor(F(-1), F(-1, 2)).value() == mpc(0, -1)
+    assert Prefactor(F(-4), F(1, 2)).value() == mpc(0, 2)
+    assert Prefactor(F(-1), F(3)).value() == mpc(-1, 0)
+    z = complex(Prefactor(F(-2), F(1, 3)).value())
+    assert abs(z - complex(-2) ** (1 / 3)) < 1e-15
