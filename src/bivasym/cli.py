@@ -14,9 +14,9 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from mpmath import mp, mpc
+from mpmath import mp
 
-from .critical import CriticalPoint
+from .critical import CriticalPoint, noise_floor, snap_noise
 from .errors import (
     BivasymError,
     ConfigError,
@@ -101,8 +101,14 @@ def _digits(x) -> str:
 
 
 def _complex_doc(z) -> dict:
-    z = mpc(z)
+    """Both parts in 17 digits; a part below the noise floor prints as 0.0."""
+    z = snap_noise(z)
     return {"re": _digits(z.real), "im": _digits(z.imag)}
+
+
+def _residual(r: float) -> str:
+    """A relative residual in 3 digits; at or below the noise floor, 0.000e+00."""
+    return f"{0.0 if r <= noise_floor() else r:.3e}"
 
 
 def report_critical_points(points: Sequence[CriticalPoint]) -> dict:
@@ -112,8 +118,8 @@ def report_critical_points(points: Sequence[CriticalPoint]) -> dict:
         entry = {
             "p": _complex_doc(pt.p),
             "q": _complex_doc(pt.q),
-            "residual_h": f"{pt.residual_h:.3e}",
-            "residual_direction": f"{pt.residual_dir:.3e}",
+            "residual_h": _residual(pt.residual_h),
+            "residual_direction": _residual(pt.residual_dir),
             "smooth": pt.smooth,
             "minimality": pt.minimality,
             "torus_class": pt.torus_class,

@@ -145,6 +145,22 @@ def eliminant(H: BivariatePolynomial, direction: Direction) -> List[Fraction]:
     return res
 
 
+def noise_floor() -> mpf:
+    """Relative size at or below which a computed part is noise: 2^-(prec-8)."""
+    return mpf(2) ** (-(mp.prec - 8))
+
+
+def snap_noise(z) -> mpc:
+    """``z`` with each part at most ``noise_floor() * |z|`` set to exact zero.
+
+    A real point then sorts by ``arg p`` as exactly 0 or pi, whatever the
+    sign of the noise its polish left in the imaginary part.
+    """
+    z = mpc(z)
+    floor = noise_floor() * abs(z)
+    return mpc(0 if abs(z.real) <= floor else z.real, 0 if abs(z.imag) <= floor else z.imag)
+
+
 def _relative_residual(poly: BivariatePolynomial, p: mpc, q: mpc) -> mpf:
     scale = poly.eval_magnitude_scale(p, q)
     if scale == 0:
@@ -219,6 +235,7 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
             p1, q1, r = _newton_polish(F1, F2, p0, q0)
             if r > RESIDUAL_TOL:
                 continue
+            p1, q1 = snap_noise(p1), snap_noise(q1)
             points.append(
                 CriticalPoint(
                     p=p1,

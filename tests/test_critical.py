@@ -19,7 +19,9 @@ from bivasym import (
 from bivasym.critical import (
     PROBABLY_STRICTLY_MINIMAL,
     VIOLATED,
+    _merge_duplicates,
     dominant_class,
+    snap_noise,
 )
 from bivasym.errors import ConfigError, NonIsolatedCriticalSet
 
@@ -108,6 +110,34 @@ def test_elimination_swap_same_points():
             p, q = min(b, key=lambda c: abs(c[0] - pt.p) + abs(c[1] - pt.q))
             assert abs(pt.p - p) < 1e-10
             assert abs(pt.q - q) < 1e-10
+
+
+def test_snapped_noise_fixes_the_sort_order():
+    # -a + 1e-88j and -a - 1e-88j differ only in rounding noise, yet their
+    # arguments are +pi and -pi: unsnapped, the sign decides whether the
+    # point sorts before or after its real peer +a.
+    a = mpf("1.7671250079474493")
+    q = mpc(1)
+
+    def order(noise, snap):
+        fix = snap_noise if snap else mpc
+        points = [CriticalPoint(p=fix(mpc(-a, noise)), q=q), CriticalPoint(p=fix(mpc(a)), q=q)]
+        return [float(pt.p.real) for pt in _merge_duplicates(points)]
+
+    assert order(mpf("1e-88"), snap=False) != order(mpf("-1e-88"), snap=False)
+    assert order(mpf("1e-88"), snap=True) == order(mpf("-1e-88"), snap=True) == [float(a), -float(a)]
+
+
+def test_branch_wrap_points_have_exact_zero_parts():
+    spec = parse_problem((PROBLEMS / "branch_wrap.json").read_text())
+    pts = solve_critical(spec.H, spec.direction)
+    real = [pt for pt in pts if abs(pt.p.imag) < 1e-30 * abs(pt.p)]
+    assert len(real) == 2
+    for pt in pts:
+        for z in (pt.p, pt.q):
+            for part in (z.real, z.imag):
+                assert part == 0 or abs(part) > 1e-30 * abs(z)
+    assert all(pt.p.imag == 0 and pt.q.imag == 0 for pt in real)
 
 
 def test_scaling_invariance(color_swap_h, color_swap_direction):

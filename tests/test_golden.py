@@ -2,7 +2,12 @@
 
 The files under ``tests/data/golden`` are the stdout of
 ``bivasym <command> --spec problems/<problem>.json`` at the default
-precision.  A change meant to keep behaviour must leave them unchanged; a
+precision.  Nothing below working precision is printed: a real or
+imaginary part at most ``2^-(prec-8)`` times the modulus of its number,
+and a relative residual at most ``2^-(prec-8)``, print as zero
+(``critical.noise_floor``).  ``solve_critical`` also snaps such parts of
+each point to exact zero, so the sign of the noise cannot reorder points.
+A change meant to keep behaviour must leave them unchanged; a
 change meant to move them regenerates them with
 
     for p in color_swap multinomial_sqrt branch_wrap; do
