@@ -1,16 +1,18 @@
 """Simultaneous (Aberth–Ehrlich) polynomial root finding in high precision.
 
-Roots are iterated all at once from perturbed-circle starting points; a
-reduced-precision pass gets near the roots cheaply and the ambient
-precision pass finishes.  Everything is deterministic: fixed starting
-angles, fixed iteration caps, no randomness.
+Roots are iterated all at once from perturbed-circle starting points.  A
+first stage gets within 2^-40 of the roots cheaply: one vectorised
+complex128 iteration, or a 64-bit mpmath one when double precision cannot
+be trusted.  An ambient precision stage finishes.  Everything is
+deterministic: fixed starting angles, fixed iteration caps, no randomness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
+import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .errors import RootFindingError
@@ -19,6 +21,8 @@ from .precision import to_mpc, working_precision
 # Fixed angular offset for the starting circle, breaking root symmetries.
 _START_OFFSET = 0.376991118430775
 
+# The first stage stops at 2**-40; its fallback runs at 64 bits.
+_STAGE_TOL = 2.0**-40
 _STAGE_PREC = 64
 
 # Iteration cap of each stage.
@@ -95,6 +99,44 @@ def _aberth_iterate(coeffs: List[mpc], z: List[mpc], tol: mpf) -> List[mpc]:
     return z
 
 
+def _float_stage(coeffs: Sequence[mpc], start: Sequence[mpc]) -> Optional[List[mpc]]:
+    """The first stage in complex128: all roots updated at once per sweep.
+
+    Returns None when a coefficient or start point has no finite
+    complex128 value, when an iterate becomes non-finite, or when
+    ``_MAX_ITER`` sweeps do not reach the stopping tolerance; the 64-bit
+    stage then runs instead.
+    """
+    c = np.array([complex(v) for v in coeffs])
+    z = np.array([complex(v) for v in start])
+    if not (np.isfinite(c).all() and np.isfinite(z).all()):
+        return None
+    others = ~np.eye(len(z), dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_ITER):
+            p, dp = np.full_like(z, c[-1]), np.zeros_like(z)
+            for ck in c[-2::-1]:
+                dp = dp * z + p
+                p = p * z + ck
+            diff = np.where(others, z[:, None] - z[None, :], np.inf)
+            w = p / dp
+            delta = w / (1 - w * (1 / diff).sum(axis=1))
+            z = z - delta
+            if not np.isfinite(z).all():
+                return None
+            if (np.abs(delta) <= _STAGE_TOL * (1 + np.abs(z))).all():
+                return [mpc(v) for v in z]
+    return None
+
+
+def _mp_stage(coeffs: Sequence[mpc], start: Sequence[mpc]) -> List[mpc]:
+    """The first stage at 64 bits, one root at a time."""
+    with working_precision(_STAGE_PREC):
+        lo = [mpc(c) for c in coeffs]
+        z = _aberth_iterate(lo, [mpc(s) for s in start], mpf(_STAGE_TOL))
+    return [mpc(v) for v in z]
+
+
 def aberth_roots(coefficients: Sequence) -> List[mpc]:
     """All complex roots (with multiplicity) of an ascending-coefficient poly.
 
@@ -127,12 +169,11 @@ def aberth_roots(coefficients: Sequence) -> List[mpc]:
         for k in range(n)
     ]
 
-    # Stage 1: cheap pass at reduced precision.
-    with working_precision(_STAGE_PREC):
-        lo = [mpc(c) for c in coeffs]
-        z = _aberth_iterate(lo, [mpc(s) for s in start], mpf(2) ** (-40))
+    # Stage 1: near the roots in complex128, or at 64 bits when that fails.
+    z = _float_stage(coeffs, start)
+    if z is None:
+        z = _mp_stage(coeffs, start)
     # Stage 2: finish at ambient precision.
-    z = [mpc(v) for v in z]
     tol = mpf(2) ** (-(mp.prec - 12))
     z = _aberth_iterate(coeffs, z, tol)
 

@@ -1,11 +1,18 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from mpmath import mp, mpf
 
+from bivasym import Direction, aberth
 from bivasym.aberth import aberth_roots, roots_of_rational_poly
+from bivasym.critical import eliminant
+from bivasym.errors import RootFindingError
 from bivasym.precision import get_precision
+from bivasym.unipoly import squarefree_part
+from tests.test_acceptance import _random_polynomials
 
 
 def _sorted(zs):
@@ -76,3 +83,69 @@ def test_deterministic():
     a = aberth_roots(poly)
     b = aberth_roots(poly)
     assert all(x == y for x, y in zip(a, b))
+
+
+def _family_eliminants():
+    """Square-free eliminants of the 32 criterion-4 random polynomials at 1:1."""
+    family = itertools.islice(_random_polynomials(20260810), 32)
+    return [squarefree_part(eliminant(H, Direction(1, 1))) for H in family]
+
+
+def test_float_stage_matches_mp_stage_on_the_family(monkeypatch):
+    eliminants = _family_eliminants()
+    with monkeypatch.context() as m:
+        # The float stage must carry every eliminant without falling back.
+        m.setattr(aberth, "_mp_stage", lambda *a: pytest.fail("float stage fell back"))
+        float_first = [roots_of_rational_poly(e) for e in eliminants]
+    monkeypatch.setattr(aberth, "_float_stage", lambda *a: None)
+    mp_stage = [roots_of_rational_poly(e) for e in eliminants]
+    for got, ref in zip(float_first, mp_stage):
+        assert len(got) == len(ref)
+        nearest = [min(range(len(ref)), key=lambda k: abs(z - ref[k])) for z in got]
+        assert sorted(nearest) == list(range(len(ref)))
+        for z, k in zip(got, nearest):
+            assert abs(z - ref[k]) <= mpf(10) ** -30 * (1 + abs(ref[k]))
+
+
+def test_overflowing_coefficients_fall_back_to_the_mp_stage(monkeypatch):
+    # (x-1)(x-2)(x-3) * 10^400: no coefficient fits in a complex128.
+    poly = [F(c * 10**400) for c in (-6, 11, -6, 1)]
+    calls = []
+    mp_stage = aberth._mp_stage
+    monkeypatch.setattr(aberth, "_mp_stage", lambda *a: calls.append(1) or mp_stage(*a))
+    got = _sorted(roots_of_rational_poly(poly))
+    assert calls == [1]
+    assert len(got) == 3
+    for g, e in zip(got, [1, 2, 3]):
+        assert abs(g - e) < 1e-30
+
+
+def _from_roots(roots):
+    """Ascending integer coefficients of the monic polynomial with these roots."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return [F(c) for c in coeffs]
+
+
+def test_wilkinson_16_falls_back_and_solves(monkeypatch):
+    # Double precision cannot bring these roots within 2^-40, so the
+    # 64-bit stage takes over; started from the circle instead, the
+    # ambient stage alone does not converge.
+    calls = []
+    mp_stage = aberth._mp_stage
+    monkeypatch.setattr(aberth, "_mp_stage", lambda *a: calls.append(1) or mp_stage(*a))
+    got = _sorted(roots_of_rational_poly(_from_roots(range(1, 17))))
+    assert calls == [1]
+    for g, e in zip(got, range(1, 17)):
+        assert abs(g - e) < 1e-30
+
+
+def test_root_finding_error_carries_partial(monkeypatch):
+    # One sweep per stage leaves Wilkinson-8 far from its roots.
+    monkeypatch.setattr(aberth, "_MAX_ITER", 1)
+    poly = [F(0)] + _from_roots(range(1, 9))
+    with pytest.raises(RootFindingError) as info:
+        aberth_roots(poly)
+    assert len(info.value.partial) == 9
+    assert info.value.partial[0] == 0
