@@ -1,9 +1,10 @@
 """Simultaneous (Aberth–Ehrlich) polynomial root finding in high precision.
 
-Roots are iterated all at once from perturbed-circle starting points.  A
-first stage gets within 2^-40 of the roots cheaply: one vectorised
-complex128 iteration, or a 64-bit mpmath one when double precision cannot
-be trusted.  An ambient precision stage finishes.  Everything is
+Roots are iterated all at once from starting points on the circles of
+the Newton polygon of the coefficient moduli (Bini 1996).  A first stage
+gets within 2^-40 of the roots cheaply: one vectorised complex128
+iteration, or a 64-bit mpmath one when double precision cannot be
+trusted.  An ambient precision stage finishes.  Everything is
 deterministic: fixed starting angles, fixed iteration caps, no randomness.
 """
 
@@ -18,8 +19,11 @@ from mpmath import mp, mpc, mpf
 from .errors import RootFindingError
 from .precision import to_mpc, working_precision
 
-# Fixed angular offset for the starting circle, breaking root symmetries.
+# Fixed angular offset for the starting circles, breaking root symmetries.
 _START_OFFSET = 0.376991118430775
+
+# A nonzero value below this modulus is lost in complex128 (subnormal or 0).
+_FLOAT_TINY = 2.0**-1000
 
 # The first stage stops at 2**-40; its fallback runs at 64 bits.
 _STAGE_TOL = 2.0**-40
@@ -99,17 +103,26 @@ def _aberth_iterate(coeffs: List[mpc], z: List[mpc], tol: mpf) -> List[mpc]:
     return z
 
 
+def _complex128(values: Sequence[mpc]) -> Optional[np.ndarray]:
+    """``values`` in complex128, or None when one overflows or a nonzero one underflows."""
+    out = np.array([complex(v) for v in values])
+    if not np.isfinite(out).all():
+        return None
+    if any(v != 0 and abs(w) < _FLOAT_TINY for v, w in zip(values, out)):
+        return None
+    return out
+
+
 def _float_stage(coeffs: Sequence[mpc], start: Sequence[mpc]) -> Optional[List[mpc]]:
     """The first stage in complex128: all roots updated at once per sweep.
 
     Returns None when a coefficient or start point has no finite
-    complex128 value, when an iterate becomes non-finite, or when
-    ``_MAX_ITER`` sweeps do not reach the stopping tolerance; the 64-bit
-    stage then runs instead.
+    complex128 value, or a nonzero one falls below ``_FLOAT_TINY``, when an
+    iterate becomes non-finite, or when ``_MAX_ITER`` sweeps do not reach
+    the stopping tolerance; the 64-bit stage then runs instead.
     """
-    c = np.array([complex(v) for v in coeffs])
-    z = np.array([complex(v) for v in start])
-    if not (np.isfinite(c).all() and np.isfinite(z).all()):
+    c, z = _complex128(coeffs), _complex128(start)
+    if c is None or z is None:
         return None
     others = ~np.eye(len(z), dtype=bool)
     with np.errstate(all="ignore"):
@@ -162,12 +175,7 @@ def aberth_roots(coefficients: Sequence) -> List[mpc]:
         roots.extend(_quadratic(coeffs))
         return roots
 
-    lead = coeffs[-1]
-    radius = 1 + max(abs(c / lead) for c in coeffs[:-1])
-    start = [
-        radius * mp.exp(mpc(0, 2 * mp.pi * k / n + _START_OFFSET))
-        for k in range(n)
-    ]
+    start = _start_points(coeffs)
 
     # Stage 1: near the roots in complex128, or at 64 bits when that fails.
     z = _float_stage(coeffs, start)
@@ -191,6 +199,35 @@ def aberth_roots(coefficients: Sequence) -> List[mpc]:
         )
     roots.extend(z)
     return roots
+
+
+def _start_points(coeffs: Sequence[mpc]) -> List[mpc]:
+    """Bini's starting points: on the circles of the Newton polygon.
+
+    Each edge of the upper convex hull of the points (i, log|c_i|), from i
+    to j, gives j - i points evenly spread on the circle of radius
+    (|c_i|/|c_j|)^(1/(j-i)), turned by 2*pi*i/n plus a fixed offset.  The
+    roots of a polynomial whose moduli span many decades then start near
+    their own moduli.
+    """
+    n = len(coeffs) - 1
+    hull: List[tuple] = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        log_c = mp.log(abs(c))
+        while len(hull) >= 2:
+            (i0, l0), (i1, l1) = hull[-2], hull[-1]
+            if (l1 - l0) * (i - i0) > (log_c - l0) * (i1 - i0):
+                break  # the last vertex lies strictly above the new chord
+            hull.pop()
+        hull.append((i, log_c))
+    start = []
+    for (i, log_i), (j, log_j) in zip(hull, hull[1:]):
+        radius = mp.exp((log_i - log_j) / (j - i))
+        turn = 2 * mp.pi * i / n + _START_OFFSET
+        start.extend(radius * mp.exp(mpc(0, 2 * mp.pi * k / (j - i) + turn)) for k in range(j - i))
+    return start
 
 
 def _quadratic(coeffs: Sequence[mpc]) -> List[mpc]:

@@ -70,6 +70,9 @@ IDENTITY_TOL = 1e-10  # H_y/H_x = p/(lambda*q) check in the local data
 MARGIN_TOL = 1e-6  # probe margin needed for probably_strictly_minimal
 BOUNDARY_TOL = 1e-9  # an x-root this close to the |p| circle touches it
 SMOOTH_TOL = 1e-6  # gradient below this times the coefficient scale is singular
+PRUNE_PAD = 1e-10  # probe's root bound pads each coefficient by this times the largest
+PRUNE_NEWTON_STEPS = 8  # Newton steps towards the probe's root bound
+PRUNE_SEED = 64  # slices the probe solves first to bound the margin
 
 
 @dataclass(frozen=True)
@@ -330,12 +333,23 @@ def minimality_probe(
     For every sampled y with |y| <= |q| the x-roots of H(. , y) are
     checked against |p|: a root strictly inside reports ``violated`` with
     a witness; a root on the |p| circle that is not one of the known
-    same-torus critical points does too.  The grid is scanned one radius
-    at a time, all of its angles together, and stops at the first radius
-    that shows a violation.  The witness is the first event in
-    (angle, root) order, an identically zero slice counting as the root
-    x = 0.  The verdict, witness and ``margin`` (the least |x|/|p| - 1
-    over the roots checked) are written onto ``pt``, which is returned.
+    same-torus critical points does too.  The witness is the first event
+    of the first radius that shows one, in (angle, root) order, an
+    identically zero slice counting as the root x = 0.  The verdict,
+    witness and ``margin`` (the least |x|/|p| - 1 over the roots checked,
+    on every radius up to that one) are written onto ``pt``, which is
+    returned.
+
+    Only the slices whose roots can decide these are root-solved.  Each
+    slice has a certified lower bound L on the moduli of its roots
+    (``_root_modulus_bounds``).  Pass 1 goes through the radii in order,
+    solves the slices with L <= |p|(1 + BOUNDARY_TOL), and stops at the
+    first radius with a violation.  Pass 2 finds the margin over the
+    radii scanned: it solves the ``PRUNE_SEED`` unsolved slices of least
+    L, whose roots bound the margin by U, then every unsolved slice with
+    L <= |p|(1 + U).  A skipped slice has every root beyond
+    |p|(1 + margin), so the answers are those of solving every slice,
+    bit for bit.
     """
     mod_p = float(abs(pt.p))
     mod_q = float(abs(pt.q))
@@ -350,39 +364,120 @@ def minimality_probe(
     zero_top = 1e-14 * max(float(H.coefficient_scale()), 1.0)
 
     grid = ProbeGrid()
-    min_margin = math.inf
-    phis = 2.0 * np.pi * np.arange(grid.angles) / grid.angles
-    for k in range(1, grid.radii + 1):
-        ys = k / grid.radii * mod_q * np.exp(1j * phis)
-        # One slice per row, x-coefficients from degree 0 up.
-        roots, valid, zero = _radius_roots(polyval(ys, y_major).T, zero_top)
+    turns = np.exp(2j * np.pi * np.arange(grid.angles) / grid.angles)
+    # Slice (k, angle) is row (k - 1) * angles + angle, x-coefficients from
+    # degree 0 up.
+    ys = np.concatenate([k / grid.radii * mod_q * turns for k in range(1, grid.radii + 1)])
+    cmat = polyval(ys, y_major).T
+    zero = np.abs(cmat).max(axis=1) <= zero_top
+    bound = _root_modulus_bounds(cmat)
+    solved = np.zeros(len(ys), dtype=bool)
+    reach = mod_p * (1 + BOUNDARY_TOL)
+
+    def check(rows):
+        """Roots of slices ``rows``, their in-reach flags and least margin."""
+        solved[rows] = True
+        roots, valid, _ = _radius_roots(cmat[rows], zero_top)
         # hypot rounds as abs() of a numpy scalar; np.abs on arrays may not.
         ax = np.hypot(roots.real, roots.imag)
         checked = valid.copy()
         for kp, kq in known:
-            dx, dy = roots - kp, ys - kq
+            dx, dy = roots - kp, ys[rows] - kq
             near_y = np.hypot(dy.real, dy.imag) <= match_tol
             checked &= ~((np.hypot(dx.real, dx.imag) <= match_tol) & near_y[:, None])
-        if checked.any():
-            min_margin = min(min_margin, float((ax[checked] / mod_p - 1.0).min()))
+        margin = float((ax[checked] / mod_p - 1.0).min()) if checked.any() else math.inf
         # Inside the polydisk, or on the |p| circle without being a known
         # same-torus point: either way strictness fails.
-        inside = checked & (ax <= mod_p * (1 + BOUNDARY_TOL))
-        hit = zero | inside.any(axis=1)
+        return roots, checked & (ax <= reach), margin
+
+    # Pass 1: the first radius with a violation.
+    min_margin = math.inf
+    witness = None
+    for k in range(grid.radii):
+        ring = np.arange(k * grid.angles, (k + 1) * grid.angles)
+        rows = ring[(bound[ring] <= reach) & ~zero[ring]]
+        hit = zero[ring].copy()
+        if rows.size:
+            roots, inside, margin = check(rows)
+            min_margin = min(min_margin, margin)
+            hit[rows - ring[0]] |= inside.any(axis=1)
         if hit.any():
-            if zero.any():
+            a = ring[np.argmax(hit)]
+            if zero[a]:
                 # A slice lying wholly in the zero set has the root x = 0.
-                min_margin = -1.0
-            a = int(np.argmax(hit))
-            x_val = 0j if zero[a] else complex(roots[a, np.argmax(inside[a])])
-            pt.minimality = VIOLATED
-            pt.witness = (x_val, complex(ys[a]))
-            pt.margin = min_margin
-            return pt
-    pt.minimality = PROBABLY_STRICTLY_MINIMAL if min_margin > MARGIN_TOL else INCONCLUSIVE
-    pt.witness = None
+                x_val = 0j
+            else:
+                i = np.searchsorted(rows, a)
+                x_val = complex(roots[i, np.argmax(inside[i])])
+            witness = (x_val, complex(ys[a]))
+            break
+    scanned = (k + 1) * grid.angles
+
+    # Pass 2: the least margin over the radii scanned.
+    if zero[:scanned].any():
+        min_margin = -1.0
+    else:
+        unsolved = np.flatnonzero(~solved[:scanned])
+        seed = unsolved[np.argsort(bound[unsolved], kind="stable")[:PRUNE_SEED]]
+        if seed.size:
+            min_margin = min(min_margin, check(seed)[2])
+        rest = np.flatnonzero(~solved[:scanned] & (bound[:scanned] <= mod_p * (1 + min_margin)))
+        if rest.size:
+            min_margin = min(min_margin, check(rest)[2])
+    if witness is not None:
+        pt.minimality = VIOLATED
+    else:
+        pt.minimality = PROBABLY_STRICTLY_MINIMAL if min_margin > MARGIN_TOL else INCONCLUSIVE
+    pt.witness = witness
     pt.margin = min_margin
     return pt
+
+
+def _root_modulus_bounds(cmat: np.ndarray) -> np.ndarray:
+    """Per slice, a lower bound on the moduli of the roots ``_radius_roots`` returns.
+
+    The slice is cut as ``_radius_roots`` cuts it, and each coefficient is
+    padded by ``PRUNE_PAD`` times the slice's largest, which covers the
+    backward error of ``eigvals``.  By Cauchy's bound no root lies below
+    the positive root of sum_{i>=1} (|c_i| + pad) t^i = |c_0| - pad; a few
+    Newton steps from above approach it, and the result times (1 - 1e-6)
+    is kept only when the sign of the sum certifies it.  The bound is 0
+    when |c_0| is within the pad of 0, and +inf when the slice has no
+    x-roots.
+    """
+    m = cmat.shape[1]
+    mags = np.hypot(cmat.real, cmat.imag)
+    top = mags.max(axis=1)
+    above = mags > 1e-13 * top[:, None]
+    n = m - np.argmax(above[:, ::-1], axis=1)
+    pad = PRUNE_PAD * top
+    powers = np.arange(m)
+    terms = np.where((powers >= 1) & (powers < n[:, None]), mags + pad[:, None], 0.0)
+    rhs = mags[:, 0] - pad
+
+    def lhs(t):
+        """sum_i terms_i t^i and its derivative, by one Horner pass."""
+        s, ds = terms[:, -1].copy(), np.zeros_like(t)
+        for c in terms.T[-2::-1]:
+            ds = ds * t + s
+            s = s * t + c
+        return s, ds
+
+    with np.errstate(all="ignore"):
+        # Each term alone reaches rhs at or beyond the root: start above it.
+        t = np.min(
+            np.where(terms[:, 1:] > 0, (rhs[:, None] / terms[:, 1:]) ** (1.0 / powers[1:]), np.inf),
+            axis=1,
+            initial=np.inf,
+        )
+        for _ in range(PRUNE_NEWTON_STEPS):
+            s, ds = lhs(t)
+            t = t - (s - rhs) / ds
+        t = t * (1 - 1e-6)
+        bound = np.where(lhs(t)[0] < rhs, t, 0.0)
+    bound[rhs <= 0] = 0.0
+    bound[n == 1] = np.inf
+    return bound
 
 
 def _radius_roots(cmat: np.ndarray, zero_top: float):

@@ -149,3 +149,33 @@ def test_root_finding_error_carries_partial(monkeypatch):
         aberth_roots(poly)
     assert len(info.value.partial) == 9
     assert info.value.partial[0] == 0
+
+
+@pytest.mark.parametrize("exponent, falls_back", [(20, False), (100, False), (400, True), (1000, True)])
+def test_roots_spanning_many_decades(exponent, falls_back, monkeypatch):
+    # x^3 - x^2 + 10^-e has a root near 1 and two near +-10^(-e/2).  From
+    # one circle of radius about 2 the small pair approached 0 only
+    # linearly and 10^-100 raised RootFindingError; the Newton polygon
+    # starts them on their own circle.  Below 2^-1000 the constant has no
+    # complex128 value, so the 64-bit stage runs.
+    calls = []
+    mp_stage = aberth._mp_stage
+    monkeypatch.setattr(aberth, "_mp_stage", lambda *a: calls.append(1) or mp_stage(*a))
+    negative, positive, big = sorted(
+        aberth_roots([F(1, 10**exponent), F(0), F(-1), F(1)]), key=lambda z: (abs(z) > 0.5, z.real)
+    )
+    assert calls == ([1] if falls_back else [])
+    modulus = mpf(10) ** (-exponent // 2)
+    for z in (negative, positive):
+        assert abs(abs(z) / modulus - 1) < 1e-9
+    assert negative.real < 0 < positive.real
+    assert abs(big - 1) < 1e-15
+
+
+def test_start_points_lie_on_the_newton_polygon_circles():
+    # Hull vertices (0, log 10^-100), (2, 0), (3, 0): radii 10^-50 twice, then 1.
+    start = aberth._start_points([mpf(10) ** -100, mpf(0), mpf(-1), mpf(1)])
+    radii = [abs(z) for z in start]
+    for r in radii[:2]:
+        assert abs(r / mpf(10) ** -50 - 1) < 1e-30
+    assert abs(radii[2] - 1) < 1e-30

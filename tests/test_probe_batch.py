@@ -1,11 +1,13 @@
-"""The batched minimality probe against the slice-by-slice reference.
+"""The pruned, batched minimality probe against its two references.
 
-``minimality_probe`` finds the x-roots of all angles of one radius with
-stacked companion-matrix ``eigvals`` calls.  The reference below is the
-per-slice ``np.roots`` loop it replaced, changed only to finish the radius
-that shows the first violation, so that it also yields the least margin
-over the roots the batched probe checks.  Verdicts, witnesses and margins
-must agree bit for bit.
+``minimality_probe`` finds x-roots with stacked companion-matrix
+``eigvals`` calls, and only on the slices that a root-modulus bound cannot
+clear.  ``_reference_probe`` is the per-slice ``np.roots`` loop the
+batching replaced, changed only to finish the radius that shows the first
+violation, so that it also yields the least margin over the roots the
+batched probe checks.  ``_unpruned_probe`` is the batched probe before the
+pruning: every slice of one radius at a time.  Verdicts, witnesses and
+margins must agree with both bit for bit.
 """
 
 import itertools
@@ -14,10 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpc
 from numpy.polynomial.polynomial import polyval
 
-from bivasym import BivariatePolynomial, Direction
+from bivasym import BivariatePolynomial, Direction, critical
 from bivasym.critical import (
     BOUNDARY_TOL,
     INCONCLUSIVE,
@@ -27,6 +31,7 @@ from bivasym.critical import (
     CriticalPoint,
     ProbeGrid,
     _radius_roots,
+    _root_modulus_bounds,
     dominant_class,
     group_by_torus,
     minimality_probe,
@@ -95,6 +100,40 @@ def _reference_probe(H, pt, peers=()):
                 min_margin = min(min_margin, ax / mod_p - 1.0)
         if witness is not None:
             return VIOLATED, witness, min_margin
+    verdict = PROBABLY_STRICTLY_MINIMAL if min_margin > MARGIN_TOL else INCONCLUSIVE
+    return verdict, None, min_margin
+
+
+def _unpruned_probe(H, pt, peers=()):
+    """(minimality, witness, margin) with every slice of every radius solved."""
+    mod_p = float(abs(pt.p))
+    mod_q = float(abs(pt.q))
+    known = [(complex(c.p), complex(c.q)) for c in (pt, *peers)]
+    match_tol = 1e-7 * max(1.0, mod_p, mod_q)
+    y_major = H.float_coeffs().T
+    zero_top = 1e-14 * max(float(H.coefficient_scale()), 1.0)
+    grid = ProbeGrid()
+    min_margin = math.inf
+    phis = 2.0 * np.pi * np.arange(grid.angles) / grid.angles
+    for k in range(1, grid.radii + 1):
+        ys = k / grid.radii * mod_q * np.exp(1j * phis)
+        roots, valid, zero = _radius_roots(polyval(ys, y_major).T, zero_top)
+        ax = np.hypot(roots.real, roots.imag)
+        checked = valid.copy()
+        for kp, kq in known:
+            dx, dy = roots - kp, ys - kq
+            near_y = np.hypot(dy.real, dy.imag) <= match_tol
+            checked &= ~((np.hypot(dx.real, dx.imag) <= match_tol) & near_y[:, None])
+        if checked.any():
+            min_margin = min(min_margin, float((ax[checked] / mod_p - 1.0).min()))
+        inside = checked & (ax <= mod_p * (1 + BOUNDARY_TOL))
+        hit = zero | inside.any(axis=1)
+        if hit.any():
+            if zero.any():
+                min_margin = -1.0
+            a = int(np.argmax(hit))
+            x_val = 0j if zero[a] else complex(roots[a, np.argmax(inside[a])])
+            return VIOLATED, (x_val, complex(ys[a])), min_margin
     verdict = PROBABLY_STRICTLY_MINIMAL if min_margin > MARGIN_TOL else INCONCLUSIVE
     return verdict, None, min_margin
 
@@ -229,3 +268,100 @@ def test_margin_unset_until_probed(multinomial_h, diag_direction):
     assert pt.margin is None
     minimality_probe(multinomial_h, pt)
     assert pt.margin == _reference_probe(multinomial_h, pt)[2]
+
+
+def _family(item):
+    return next(itertools.islice(_random_polynomials(20260810), item, None))
+
+
+def _assert_bounds_hold(cmat, zero_top):
+    """Every root ``_radius_roots`` returns has modulus at least its slice's bound."""
+    bound = _root_modulus_bounds(cmat)
+    roots, valid, _ = _radius_roots(cmat, zero_top)
+    ax = np.hypot(roots.real, roots.imag)
+    assert (ax >= bound[:, None])[valid].all()
+    return bound
+
+
+@pytest.mark.parametrize("case", ["color_swap", "multinomial_sqrt", "branch_wrap", 6, 7, 9, 11])
+def test_root_modulus_bound_is_sound(case):
+    if isinstance(case, str):
+        spec = parse_problem((ROOT / "problems" / f"{case}.json").read_text())
+        H, dom = spec.H, run_solve(spec, probe=False).dominant
+    else:
+        H, direction = _family(case), Direction(1, 1)
+        dom = dominant_class(group_by_torus(solve_critical(H, direction), direction=direction))
+    zero_top = 1e-14 * max(float(H.coefficient_scale()), 1.0)
+    # Every slice of every radius the probe could solve.
+    cmat = np.concatenate([_radius(H, dom.modulus_q, k) for k in range(1, 33)])
+    _assert_bounds_hold(cmat, zero_top)
+
+
+@pytest.mark.parametrize("name", ["color_swap", "multinomial_sqrt", "branch_wrap"])
+def test_probe_solves_few_slices(name, monkeypatch):
+    spec = parse_problem((ROOT / "problems" / f"{name}.json").read_text())
+    pt = run_solve(spec, probe=False).dominant.points[0]
+    rows = []
+    radius_roots = critical._radius_roots
+    monkeypatch.setattr(
+        critical, "_radius_roots", lambda cmat, top: rows.append(len(cmat)) or radius_roots(cmat, top)
+    )
+    minimality_probe(spec.H, pt)
+    # Of the 8192 slices, pass 2 solves its seed of 64 and a few more.
+    assert critical.PRUNE_SEED <= sum(rows) < 8192 // 10
+
+
+_small = st.builds(complex, st.integers(-4, 4), st.integers(-4, 4)) | st.complex_numbers(
+    max_magnitude=8, allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coeffs=st.lists(_small, min_size=1, max_size=6),
+    zero_c0=st.booleans(),
+    lead_scale=st.sampled_from([1.0, 1e-6, 1e-11, 1e-12, 2e-13]),
+)
+def test_root_modulus_bound_on_small_polynomials(coeffs, zero_c0, lead_scale):
+    # Covers a zero c_0, a leading coefficient just above the trim cut, and
+    # (one coefficient) a slice with no x-terms at all.
+    c = np.array(coeffs, dtype=complex)
+    if zero_c0:
+        c[0] = 0
+    c[-1] *= lead_scale
+    top = np.abs(c).max()
+    bound = _assert_bounds_hold(c[None, :], 1e-14)
+    if len(c) == 1 and top > 1e-14:
+        assert bound[0] == np.inf
+    if zero_c0 and len(c) > 1:
+        assert bound[0] == 0.0
+
+
+def _assert_same_as_unpruned(H, pt, peers):
+    expected = _unpruned_probe(H, pt, peers)
+    got = minimality_probe(H, pt, peers=peers)
+    assert repr((got.minimality, got.witness, got.margin)) == repr(expected)
+    return got.minimality
+
+
+# Family items 0-31 except the six whose unpruned scans are slowest (13, 14,
+# 17, 18, 20, 21): 78 points, 56 violated, 20 accepted, 2 inconclusive.
+PARITY_ITEMS = [i for i in range(32) if i not in (13, 14, 17, 18, 20, 21)]
+
+
+def test_every_torus_class_matches_the_unpruned_probe():
+    direction = Direction(1, 1)
+    verdicts = []
+    for item in PARITY_ITEMS:
+        H = _family(item)
+        for cl in group_by_torus(solve_critical(H, direction), direction=direction):
+            for pt in cl.points:
+                if abs(pt.p) == 0 or abs(pt.q) == 0:
+                    continue
+                peers = [o for o in cl.points if o is not pt]
+                verdicts.append(_assert_same_as_unpruned(H, pt, peers))
+    assert [verdicts.count(v) for v in (VIOLATED, PROBABLY_STRICTLY_MINIMAL, INCONCLUSIVE)] == [
+        56,
+        20,
+        2,
+    ]
