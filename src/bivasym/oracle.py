@@ -9,7 +9,11 @@ Three independent routes:
   fixed by continuous argument tracking anchored at the origin.
 
 Exact tables are stored for (H/h00)**(-beta); the scalar h00**(-beta) is
-kept as a symbolic prefactor and folded in only when it is rational.
+kept as a symbolic prefactor and folded in only when it is rational.  The
+recurrence keeps its table as integer numerators over one scale per total
+degree and reduces an entry to a Fraction only when it is read, so a caller
+that reads a few entries pays for those alone; the closed form stores
+Fractions.
 """
 
 from __future__ import annotations
@@ -87,9 +91,13 @@ class CoefficientTable:
     def value(self, r: int, s: int):
         """Entry value at current precision (prefactor folded in)."""
         if self.series is not None:
-            v = to_mpf(self.series.coeffs[r][s])
-            return v if self.prefactor.is_one() else v * self.prefactor.value()
+            return self._folded(self.series.coeffs[r][s])
         return to_mpc(complex(self.values[r, s]))
+
+    def _folded(self, c: Fraction):
+        """Value of the exact entry ``c`` with the prefactor folded in."""
+        v = to_mpf(c)
+        return v if self.prefactor.is_one() else v * self.prefactor.value()
 
     def log10_abs(self, r: int, s: int):
         """log10 |entry|, exact path overflow-safe; -inf for a zero entry."""
@@ -126,8 +134,12 @@ def coeff_recurrence(
     factor divides D**k.  A nonzero remainder raises ``ArithmeticError``.
 
     ``order`` selects the fill schedule ("rows" or "antidiagonal"); both run
-    the same integer step.  Each entry becomes one Fraction, with
-    h00**(-beta) folded in when rational, else carried as the prefactor.
+    the same integer step.  The table is returned as it is, a scaled series
+    (``TruncatedSeries.scaled``) with entry g[a][b] over den*w**(a+b): when
+    h00**(-beta) = num/den is rational, num is multiplied into g, else
+    den = 1 and h00**(-beta) is carried as the prefactor.  An entry is
+    reduced to a Fraction only when it is read, and the product with G
+    stays on integers (``poly_times_series``).
     """
     beta = Fraction(beta)
     R, S = int(box[0]), int(box[1])
@@ -183,10 +195,9 @@ def coeff_recurrence(
     if folded is not None:
         prefactor = Prefactor()
     num, den = (folded or 1).as_integer_ratio()
-    scales = [den * w**k for k in range(R + S + 1)]
-    # Popping each integer row frees it as soon as its Fraction row is built.
-    rows = [[Fraction(x * num, scales[a + b]) for b, x in enumerate(g.pop(0))] for a in range(R + 1)]
-    series = TruncatedSeries((R, S), rows)
+    if num != 1:
+        g = [[x * num for x in row] for row in g]
+    series = TruncatedSeries.scaled((R, S), g, [den * w**k for k in range(R + S + 1)])
     if G is not None and G != BivariatePolynomial.constant(1):
         series = poly_times_series(G, series)
     return CoefficientTable(series=series, prefactor=prefactor)
@@ -341,8 +352,9 @@ def table_to_csv(table: CoefficientTable) -> str:
         lines.append("r,s,numerator,denominator,value")
         for r in range(R + 1):
             for s in range(S + 1):
+                # One read: each read of a scaled entry reduces it again.
                 c = table.series.coeffs[r][s]
-                v = table.value(r, s)
+                v = table._folded(c)
                 lines.append(f"{r},{s},{c.numerator},{c.denominator},{format_entry(v)}")
     else:
         lines.append("r,s,real,imag,error")

@@ -15,8 +15,13 @@ change meant to move them regenerates them with
         bivasym $c --spec problems/$p.json > tests/data/golden/$p.$c.out
       done
     done
+    for p in negative_origin color_swap; do
+      bivasym oracle --spec problems/$p.json > tests/data/golden/$p.oracle.out
+    done
 
-and says why in its description.
+and says why in its description.  The ``oracle`` goldens print every entry
+of the exact table (numerator, denominator and value): ``negative_origin``
+carries a symbolic complex prefactor and ``color_swap`` a numerator ``G``.
 """
 
 from pathlib import Path
@@ -37,4 +42,13 @@ def test_cli_output_unchanged(capsys, problem, command):
         code = main([command, "--spec", str(ROOT / "problems" / f"{problem}.json")])
     assert code == 0
     expected = (GOLDEN / f"{problem}.{command}.out").read_text()
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("problem", ["negative_origin", "color_swap"])
+def test_oracle_table_unchanged(capsys, problem):
+    with working_precision(DEFAULT_PRECISION):
+        code = main(["oracle", "--spec", str(ROOT / "problems" / f"{problem}.json")])
+    assert code == 0
+    expected = (GOLDEN / f"{problem}.oracle.out").read_text()
     assert capsys.readouterr().out == expected

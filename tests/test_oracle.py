@@ -13,6 +13,7 @@ from bivasym import (
 )
 from bivasym.errors import BranchTrackingError, ConfigError, SingularAtOrigin
 from bivasym.oracle import quadrature_values, table_to_csv
+from bivasym.precision import to_mpf
 from bivasym.series import Prefactor
 
 
@@ -218,3 +219,25 @@ def test_csv_export_quadrature(multinomial_h):
     text = table_to_csv(table)
     assert text.splitlines()[0] == "r,s,real,imag,error"
     assert len(text.splitlines()) == 5
+
+
+def test_reading_one_entry_reduces_only_that_entry(monkeypatch, multinomial_h):
+    built = []
+
+    class Counted(F):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    for module in ("bivasym.series", "bivasym.oracle"):
+        monkeypatch.setattr(f"{module}.Fraction", Counted)
+    table = coeff_recurrence(multinomial_h, None, F(1, 2), (200, 200))
+    # Building the 201 x 201 table reduces no entry.
+    assert len(built) < 201
+    built.clear()
+    value = table.value(100, 100)
+    log10 = table.log10_abs(100, 100)
+    assert len(built) == 2 and built[0] == built[1]
+    closed, _ = coeff_linear_closed_form(F(1), F(-1), F(-1), F(1, 2), 100, 100)
+    assert value == to_mpf(closed)
+    assert abs(log10 - mp.log(value, 10)) < mpf(10) ** (-30)
