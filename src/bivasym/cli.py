@@ -206,18 +206,17 @@ def cmd_oracle(spec: ProblemSpec, args) -> int:
         return EXIT_OK
     cfg = _quadrature_config(spec, box)
     numeric = quadrature_values(spec.H, spec.G, spec.beta, cfg)
-    prefactor, header, *rows = table_to_csv(table).splitlines()
-    # The numeric table's rows are r,s,real,imag,error; append all but r,s.
-    quad = [row.split(",", 2)[2] for row in table_to_csv(numeric).splitlines()[1:]]
-    lines = [prefactor, header + ",quad_real,quad_imag,quad_error"]
-    lines += [f"{row},{q}" for row, q in zip(rows, quad)]
+    lines = [
+        f"# prefactor: {table.prefactor}",
+        "r,s,numerator,denominator,value,quad_real,quad_imag,quad_error",
+    ]
     worst = 0.0
-    R, S = box
-    for r in range(R + 1):
-        for s in range(S + 1):
-            exact = complex(table.value(r, s))
-            if exact:
-                worst = max(worst, abs(complex(numeric.values[r, s]) - exact) / abs(exact))
+    # One pass over both tables, in the same row order.
+    for (r, s, cells, v), (_, _, quad, z) in zip(table.csv_cells(), numeric.csv_cells()):
+        lines.append(f"{r},{s},{cells},{quad}")
+        exact = complex(v)
+        if exact:
+            worst = max(worst, abs(z - exact) / abs(exact))
     lines.append(f"# max_relative_discrepancy: {worst:.3e}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -481,11 +481,12 @@ def _root_modulus_bounds(cmat: np.ndarray) -> np.ndarray:
 
 
 def _radius_roots(cmat: np.ndarray, zero_top: float):
-    """x-roots of every slice of one radius, each slice in ``np.roots`` order.
+    """x-roots of each slice in ``cmat``, each slice in ``np.roots`` order.
 
-    ``cmat`` holds one slice per row, coefficients from x^0 up.  Each slice
-    is cut at its last coefficient above 1e-13 times its largest; a slice
-    whose largest is at most ``zero_top`` is identically zero.  Slices of
+    ``cmat`` holds one slice per row, coefficients from x^0 up; the slices
+    may be any set, of one radius or several.  Each slice is cut at its
+    last coefficient above 1e-13 times its largest; a slice whose largest
+    is at most ``zero_top`` is identically zero.  Slices of
     one effective degree and one count of exact zero low coefficients share
     one stacked companion-matrix ``eigvals`` call, built as ``np.roots``
     builds it, with the x = 0 roots after the others.  Returns ``(roots,

@@ -9,11 +9,10 @@ Three independent routes:
   fixed by continuous argument tracking anchored at the origin.
 
 Exact tables are stored for (H/h00)**(-beta); the scalar h00**(-beta) is
-kept as a symbolic prefactor and folded in only when it is rational.  The
-recurrence keeps its table as integer numerators over one scale per total
-degree and reduces an entry to a Fraction only when it is read, so a caller
-that reads a few entries pays for those alone; the closed form stores
-Fractions.
+kept as a symbolic prefactor and folded in only when it is rational.  Both
+exact routes fill integer numerators over one scale per total degree
+(``TruncatedSeries.scaled``) and an entry is reduced to a Fraction only when
+it is read, so a caller that reads a few entries pays for those alone.
 """
 
 from __future__ import annotations
@@ -91,13 +90,28 @@ class CoefficientTable:
     def value(self, r: int, s: int):
         """Entry value at current precision (prefactor folded in)."""
         if self.series is not None:
-            return self._folded(self.series.coeffs[r][s])
+            v = to_mpf(self.series.coeffs[r][s])
+            return v if self.prefactor.is_one() else v * self.prefactor.value()
         return to_mpc(complex(self.values[r, s]))
 
-    def _folded(self, c: Fraction):
-        """Value of the exact entry ``c`` with the prefactor folded in."""
-        v = to_mpf(c)
-        return v if self.prefactor.is_one() else v * self.prefactor.value()
+    def csv_cells(self):
+        """(r, s, CSV cells after "r,s,", value) per entry, in row order.
+
+        An exact entry is read once, and the prefactor evaluated once per
+        table.
+        """
+        if self.series is None:
+            R, S = self.box
+            for r in range(R + 1):
+                for s in range(S + 1):
+                    z = complex(self.values[r, s])
+                    yield r, s, f"{z.real:.17g},{z.imag:.17g},{self.entry_error(r, s):.3e}", z
+            return
+        scalar = 1 if self.prefactor.is_one() else self.prefactor.value()
+        for r, row in enumerate(self.series.coeffs):
+            for s, c in enumerate(row):
+                v = to_mpf(c) * scalar
+                yield r, s, f"{c.numerator},{c.denominator},{format_entry(v)}", v
 
     def log10_abs(self, r: int, s: int):
         """log10 |entry|, exact path overflow-safe; -inf for a zero entry."""
@@ -111,6 +125,22 @@ class CoefficientTable:
 
     def entry_error(self, r: int, s: int) -> float:
         return 0.0 if self.errors is None else float(self.errors[r, s])
+
+
+def _origin_power(h00: Fraction, beta) -> Tuple[int, int, Prefactor]:
+    """h00**(-beta) as (num, den, prefactor).
+
+    When the power is rational it is num/den and the prefactor is 1; else
+    num = den = 1 and the power is the symbolic prefactor.
+    """
+    if h00 == 0:
+        raise SingularAtOrigin("singular at origin")
+    prefactor = Prefactor(h00, -beta)
+    folded = prefactor.rational_value()
+    if folded is None:
+        return 1, 1, prefactor
+    num, den = folded.as_integer_ratio()
+    return num, den, Prefactor()
 
 
 def coeff_recurrence(
@@ -141,11 +171,9 @@ def coeff_recurrence(
     reduced to a Fraction only when it is read, and the product with G
     stays on integers (``poly_times_series``).
     """
-    beta = Fraction(beta)
     R, S = int(box[0]), int(box[1])
     h00 = H.constant_term()
-    if h00 == 0:
-        raise SingularAtOrigin("singular at origin")
+    num, den, prefactor = _origin_power(h00, beta)
     h = {ij: c / h00 for ij, c in H.terms.items() if ij != (0, 0)}
     u, v = beta.numerator, beta.denominator
     D = math.lcm(*(c.denominator for c in h.values()))
@@ -190,11 +218,6 @@ def coeff_recurrence(
         if a or b:
             step(a, b)
 
-    prefactor = Prefactor(h00, -beta)
-    folded = prefactor.rational_value()
-    if folded is not None:
-        prefactor = Prefactor()
-    num, den = (folded or 1).as_integer_ratio()
     if num != 1:
         g = [[x * num for x in row] for row in g]
     series = TruncatedSeries.scaled((R, S), g, [den * w**k for k in range(R + S + 1)])
@@ -212,8 +235,7 @@ def coeff_linear_closed_form(
     (folded into the rational part when it is itself rational).
     """
     c0, c1, c2, beta = Fraction(c0), Fraction(c1), Fraction(c2), Fraction(beta)
-    if c0 == 0:
-        raise SingularAtOrigin("singular at origin")
+    num, den, prefactor = _origin_power(c0, beta)
     n = r + s
     rational = (
         binomial_general(-beta, n)
@@ -222,40 +244,48 @@ def coeff_linear_closed_form(
         * c2**s
         / c0**n
     )
-    prefactor = Prefactor(c0, -beta)
-    folded = prefactor.rational_value()
-    if folded is not None:
-        return rational * folded, Prefactor()
-    return rational, prefactor
+    return rational * num / den, prefactor
 
 
 def closed_form_table(
     H: BivariatePolynomial, beta: Fraction, box: Box
 ) -> CoefficientTable:
-    """Full box of closed-form entries for linear H = c0 + c1*x + c2*y."""
+    """Full box of closed-form entries for linear H = c0 + c1*x + c2*y.
+
+    Entry (r, s) is C(-beta, n) * comb(n, r) * c1**r * c2**s / c0**n times
+    c0**(-beta), n = r + s, filled on integers over the scales den*w**n
+    that ``coeff_recurrence`` uses.  With beta = u/v, c_i = p_i/q_i,
+    M = lcm(q1, q2) and w = v*v*|p0|*M, the numerator of entry (r, s) is
+    K[n] * comb(n, r) * (p1*M/q1)**r * (p2*M/q2)**s with
+    K[n] = num * C(-u/v, n) * v**(2n) * (q0*sgn(p0))**n.  K[n] is an
+    integer, because the denominator of C(-u/v, n) divides v**(2n), so the
+    step K[n+1] = K[n] * (-u - n*v) * v * q0 * sgn(p0) / (n + 1) divides
+    exactly; a nonzero remainder raises ``ArithmeticError``.
+    """
     if H.degree_x() > 1 or H.degree_y() > 1 or H.coefficient(1, 1) != 0:
         raise ConfigError("closed form requires linear H")
     c0 = H.constant_term()
-    c1 = H.coefficient(1, 0)
-    c2 = H.coefficient(0, 1)
-    R, S = box
-    # Entry (r, s) is K[r + s] * comb(r + s, r) * c1**r * c2**s, where
-    # K[n] = C(-beta, n) / c0**n * scale and the (0, 0) entry is that scale:
-    # the folded prefactor, or 1 when it stays symbolic.
-    scale, prefactor = coeff_linear_closed_form(c0, c1, c2, beta, 0, 0)
-    K = [binomial_general(-Fraction(beta), n) / c0**n * scale for n in range(R + S + 1)]
-    p1, p2 = [c1**r for r in range(R + 1)], [c2**s for s in range(S + 1)]
-    rows = [
-        [
-            Fraction(
-                K[r + s].numerator * math.comb(r + s, r) * p1[r].numerator * p2[s].numerator,
-                K[r + s].denominator * p1[r].denominator * p2[s].denominator,
-            )
-            for s in range(S + 1)
-        ]
+    num, den, prefactor = _origin_power(c0, beta)
+    c1, c2 = H.coefficient(1, 0), H.coefficient(0, 1)
+    R, S = int(box[0]), int(box[1])
+    u, v = beta.numerator, beta.denominator
+    M = math.lcm(c1.denominator, c2.denominator)
+    w = v * v * abs(c0.numerator) * M
+    step = v * c0.denominator * (1 if c0 > 0 else -1)
+    K = [num]
+    for n in range(R + S):
+        k, rem = divmod(K[n] * (-u - n * v) * step, n + 1)
+        if rem:
+            raise ArithmeticError(f"inexact closed-form step at degree {n + 1}")
+        K.append(k)
+    a1, a2 = (c.numerator * (M // c.denominator) for c in (c1, c2))
+    p1, p2 = [a1**r for r in range(R + 1)], [a2**s for s in range(S + 1)]
+    nums = [
+        [K[r + s] * math.comb(r + s, r) * p1[r] * p2[s] for s in range(S + 1)]
         for r in range(R + 1)
     ]
-    return CoefficientTable(series=TruncatedSeries((R, S), rows), prefactor=prefactor)
+    series = TruncatedSeries.scaled((R, S), nums, [den * w**n for n in range(R + S + 1)])
+    return CoefficientTable(series=series, prefactor=prefactor)
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +315,7 @@ def quadrature_values(
     R, S = cfg.box
     c1, c2 = cfg.quadrature_radii
     N1, N2 = cfg.quadrature_grid
-    b = float(to_mpf(Fraction(beta)))
+    b = float(to_mpf(beta))
     X = c1 * np.exp(1j * (2.0 * np.pi * np.arange(N1) / N1)).reshape(-1, 1)
     Y = c2 * np.exp(1j * (2.0 * np.pi * np.arange(N2) / N2)).reshape(1, -1)
 
@@ -345,25 +375,11 @@ def cauchy_quadrature(
 
 def table_to_csv(table: CoefficientTable) -> str:
     """Deterministic CSV, LF endings; exact tables carry the prefactor header."""
-    lines = []
-    R, S = table.box
     if table.series is not None:
-        lines.append(f"# prefactor: {table.prefactor}")
-        lines.append("r,s,numerator,denominator,value")
-        for r in range(R + 1):
-            for s in range(S + 1):
-                # One read: each read of a scaled entry reduces it again.
-                c = table.series.coeffs[r][s]
-                v = table._folded(c)
-                lines.append(f"{r},{s},{c.numerator},{c.denominator},{format_entry(v)}")
+        lines = [f"# prefactor: {table.prefactor}", "r,s,numerator,denominator,value"]
     else:
-        lines.append("r,s,real,imag,error")
-        for r in range(R + 1):
-            for s in range(S + 1):
-                z = complex(table.values[r, s])
-                lines.append(
-                    f"{r},{s},{z.real:.17g},{z.imag:.17g},{table.entry_error(r, s):.3e}"
-                )
+        lines = ["r,s,real,imag,error"]
+    lines += [f"{r},{s},{cells}" for r, s, cells, _ in table.csv_cells()]
     return "\n".join(lines) + "\n"
 
 

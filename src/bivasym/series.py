@@ -1,10 +1,9 @@
 """Dense truncated bivariate power series over the rationals.
 
 A TruncatedSeries holds exact coefficients on a rectangular box
-r <= R, s <= S, in one of two forms: rows of Fractions, or integer
-numerators over one scale per total degree r + s (``TruncatedSeries.scaled``),
-whose entries are reduced to a Fraction only when they are read.  Tables
-that represent c^e for an irrational scalar power carry that scalar as a
+r <= R, s <= S as integer numerators over one scale per total degree r + s;
+an entry is reduced to a Fraction only when it is read.  Tables that
+represent c^e for an irrational scalar power carry that scalar as a
 symbolic Prefactor (rational base, rational exponent) so the stored entries
 stay rational.
 """
@@ -98,22 +97,18 @@ class ScaledRow(Sequence):
 class TruncatedSeries:
     """Exact coefficients of a power series on a box (R, S).
 
-    ``coeffs`` is a list of rows and ``coeffs[r][s]`` a Fraction in both
-    storage forms.  The default form keeps lists of Fractions; ``scaled``
-    keeps ``ScaledRow``s of integer numerators, which build the Fraction of
-    an entry each time it is read, with no cache.
+    ``coeffs`` is a list of ``ScaledRow``s of integer numerators, and
+    ``coeffs[r][s]`` builds the Fraction of an entry each time it is read,
+    with no cache.
     """
 
     __slots__ = ("box", "coeffs")
 
-    def __init__(self, box: Box, coeffs: List[List[Fraction]] | None = None):
-        R, S = self.box = _checked_box(box, coeffs)
-        if coeffs is None:
-            self.coeffs = [[Fraction(0)] * (S + 1) for _ in range(R + 1)]
-        else:
-            self.coeffs = [
-                [c if type(c) is Fraction else Fraction(c) for c in row] for row in coeffs
-            ]
+    def __init__(self, box: Box, rows: List[List[Fraction]]):
+        """Series of rational rows, put over the lcm of their denominators (w = 1)."""
+        den = math.lcm(*(c.denominator for row in rows for c in row))
+        nums = [[c.numerator * (den // c.denominator) for c in row] for row in rows]
+        self._store(box, nums, [den] * (int(box[0]) + int(box[1]) + 1))
 
     @classmethod
     def scaled(cls, box: Box, nums: List[List[int]], scales: List[int]) -> "TruncatedSeries":
@@ -124,81 +119,62 @@ class TruncatedSeries:
         copied.
         """
         s = cls.__new__(cls)
-        R, S = s.box = _checked_box(box, nums)
+        s._store(box, nums, scales)
+        return s
+
+    def _store(self, box: Box, nums: List[List[int]], scales: List[int]) -> None:
+        R, S = self.box = _checked_box(box, nums)
         if len(scales) != R + S + 1:
             raise ValueError("need one scale per total degree")
-        s.coeffs = [ScaledRow(row, scales, r) for r, row in enumerate(nums)]
-        return s
+        self.coeffs = [ScaledRow(row, scales, r) for r, row in enumerate(nums)]
 
     @classmethod
     def one(cls, box: Box) -> "TruncatedSeries":
-        s = cls(box)
-        s.coeffs[0][0] = Fraction(1)
-        return s
+        return cls.from_polynomial(BivariatePolynomial.constant(1), box)
 
     @classmethod
     def from_polynomial(cls, p: BivariatePolynomial, box: Box) -> "TruncatedSeries":
-        s = cls(box)
         R, S = box
-        for (i, j), c in p.terms.items():
-            if i <= R and j <= S:
-                s.coeffs[i][j] = c
-        return s
+        return cls(box, [[p.terms.get((r, s), 0) for s in range(S + 1)] for r in range(R + 1)])
 
     def __getitem__(self, rs: Tuple[int, int]) -> Fraction:
         r, s = rs
         return self.coeffs[r][s]
 
     def __eq__(self, other) -> bool:
+        """Entry by entry, cross-multiplied over the two scales: no entry is reduced."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.box == other.box and self.coeffs == other.coeffs
+        sa, sb = self.coeffs[0].scales, other.coeffs[0].scales
+        return self.box == other.box and all(
+            x * sb[r + s] == y * sa[r + s]
+            for r, (a, b) in enumerate(zip(self.coeffs, other.coeffs))
+            for s, (x, y) in enumerate(zip(a.nums, b.nums))
+        )
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Exact Cauchy product truncated to the common box.
 
-    Both inputs must share the same box; each entry of a scaled input is
-    read once.
+    Both inputs must share the same box.  The nonzero entries of ``a`` form
+    a polynomial, and ``poly_times_series`` multiplies it into ``b`` on
+    integers.
     """
     if a.box != b.box:
         raise BoxMismatch(f"box mismatch: {a.box} vs {b.box}")
-    R, S = a.box
-    arows, brows = ([list(row) for row in x.coeffs] for x in (a, b))
-    out = TruncatedSeries(a.box)
-    # Skip zero rows of `a` to keep the quartic loop tolerable on real inputs.
-    for i in range(R + 1):
-        row = arows[i]
-        for j in range(S + 1):
-            c = row[j]
-            if c == 0:
-                continue
-            for r in range(i, R + 1):
-                bc = brows[r - i]
-                orow = out.coeffs[r]
-                for s in range(j, S + 1):
-                    v = bc[s - j]
-                    if v != 0:
-                        orow[s] += c * v
-    return out
+    terms = {(i, j): c for i, row in enumerate(a.coeffs) for j, c in enumerate(row) if c != 0}
+    return poly_times_series(BivariatePolynomial(terms), b)
 
 
 def poly_times_series(p: BivariatePolynomial, b: TruncatedSeries) -> TruncatedSeries:
-    """Truncated product polynomial * series, on integers; returns a scaled series.
+    """Truncated product polynomial * series, on integers.
 
     With b's entries n[r][s] / scales[r + s], scales[k] = scales[0] * w**k
     and L the lcm of the denominators of p, the product's entry (r, s) is
     sum c_ij * L * w**(i+j) * n[r-i][s-j] over the scale L * scales[r + s].
-    A series of Fractions is first put over the lcm of its denominators
-    (w = 1).
     """
     R, S = b.box
-    if isinstance(b.coeffs[0], ScaledRow):
-        nums, scales = [row.nums for row in b.coeffs], b.coeffs[0].scales
-    else:
-        den = math.lcm(*(c.denominator for row in b.coeffs for c in row))
-        nums = [[c.numerator * (den // c.denominator) for c in row] for row in b.coeffs]
-        scales = [den] * (R + S + 1)
+    nums, scales = [row.nums for row in b.coeffs], b.coeffs[0].scales
     w = scales[1] // scales[0] if len(scales) > 1 else 1
     L = math.lcm(*(c.denominator for c in p.terms.values()))
     out = [[0] * (S + 1) for _ in range(R + 1)]

@@ -1,6 +1,9 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from bivasym import (
@@ -11,10 +14,14 @@ from bivasym import (
     coeff_linear_closed_form,
     coeff_recurrence,
 )
+from bivasym.cli import main
 from bivasym.errors import BranchTrackingError, ConfigError, SingularAtOrigin
 from bivasym.oracle import quadrature_values, table_to_csv
 from bivasym.precision import to_mpf
+from bivasym.problem import parse_problem
 from bivasym.series import Prefactor
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_entry_1_1_is_three_quarters(multinomial_h):
@@ -64,6 +71,26 @@ def test_cross_oracle_full_box(multinomial_h):
     cf = closed_form_table(multinomial_h, F(1, 2), box)
     assert rec.series == cf.series
     assert rec.prefactor == cf.prefactor
+
+
+# Small rationals, 0 included; c0 of either sign, so its power may stay symbolic.
+_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+
+
+@given(
+    c0=st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 5)),
+    c1=_rationals,
+    c2=_rationals,
+    beta=st.builds(F, st.integers(-7, 7).filter(bool), st.integers(1, 4)),
+    box=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+)
+@settings(max_examples=80, deadline=None)
+def test_closed_form_matches_recurrence(c0, c1, c2, beta, box):
+    H = BivariatePolynomial({(0, 0): c0, (1, 0): c1, (0, 1): c2})
+    cf = closed_form_table(H, beta, box)
+    rec = coeff_recurrence(H, None, beta, box)
+    assert cf.series == rec.series
+    assert cf.prefactor == rec.prefactor
 
 
 def test_fill_order_equivalence(multinomial_h, color_swap_h, color_swap_g):
@@ -221,7 +248,8 @@ def test_csv_export_quadrature(multinomial_h):
     assert len(text.splitlines()) == 5
 
 
-def test_reading_one_entry_reduces_only_that_entry(monkeypatch, multinomial_h):
+def _count_fractions(monkeypatch) -> list:
+    """Record the arguments of every Fraction built in bivasym.series and bivasym.oracle."""
     built = []
 
     class Counted(F):
@@ -231,13 +259,45 @@ def test_reading_one_entry_reduces_only_that_entry(monkeypatch, multinomial_h):
 
     for module in ("bivasym.series", "bivasym.oracle"):
         monkeypatch.setattr(f"{module}.Fraction", Counted)
+    return built
+
+
+def test_reading_one_entry_reduces_only_that_entry(monkeypatch, multinomial_h):
+    built = _count_fractions(monkeypatch)
     table = coeff_recurrence(multinomial_h, None, F(1, 2), (200, 200))
     # Building the 201 x 201 table reduces no entry.
     assert len(built) < 201
-    built.clear()
+    closed_table = closed_form_table(multinomial_h, F(1, 2), (200, 200))
+    assert built == []
     value = table.value(100, 100)
     log10 = table.log10_abs(100, 100)
     assert len(built) == 2 and built[0] == built[1]
+    assert closed_table.value(100, 100) == value
     closed, _ = coeff_linear_closed_form(F(1), F(-1), F(-1), F(1, 2), 100, 100)
     assert value == to_mpf(closed)
     assert abs(log10 - mp.log(value, 10)) < mpf(10) ** (-30)
+
+
+def test_quadrature_export_reads_each_exact_entry_once(monkeypatch, tmp_path):
+    built = _count_fractions(monkeypatch)
+    spec = ROOT / "problems" / "color_swap.json"
+    assert main(["oracle", "--quadrature", "--spec", str(spec), "--out", str(tmp_path / "q")]) == 0
+    R, S = parse_problem(spec.read_text()).effective_box()
+    assert len(built) == (R + 1) * (S + 1)
+
+
+def test_csv_export_evaluates_the_prefactor_once(monkeypatch):
+    spec = parse_problem((ROOT / "problems" / "negative_origin.json").read_text())
+    table = coeff_recurrence(spec.H, spec.G, spec.beta, spec.effective_box())
+    assert not table.prefactor.is_one()
+    calls = []
+    value = Prefactor.value
+
+    def counted(self):
+        calls.append(self)
+        return value(self)
+
+    monkeypatch.setattr(Prefactor, "value", counted)
+    text = table_to_csv(table)
+    assert len(calls) == 1
+    assert text == (ROOT / "tests" / "data" / "golden" / "negative_origin.oracle.out").read_text()

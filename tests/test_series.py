@@ -30,16 +30,16 @@ def small_series(draw):
 
 
 def _scaled(box, den=6, w=10, seed=1):
-    """A scaled series over den*w**(r+s) and the same series stored eagerly."""
+    """A series over den*w**(r+s), the same series built from its Fraction rows, and the rows."""
     R, S = box
     nums = [[(7 * seed + 31 * r - 13 * s) % 23 - 11 for s in range(S + 1)] for r in range(R + 1)]
     scales = [den * w**k for k in range(R + S + 1)]
-    eager = [[F(n, scales[r + s]) for s, n in enumerate(row)] for r, row in enumerate(nums)]
-    return TruncatedSeries.scaled(box, nums, scales), TruncatedSeries(box, eager)
+    rows = [[F(n, scales[r + s]) for s, n in enumerate(row)] for r, row in enumerate(nums)]
+    return TruncatedSeries.scaled(box, nums, scales), TruncatedSeries(box, rows), rows
 
 
 def test_scaled_rows_read_like_lists():
-    scaled, eager = _scaled((3, 4))
+    scaled, eager, _ = _scaled((3, 4))
     rows = scaled.coeffs
     assert len(rows) == 4 and all(len(row) == 5 for row in rows)
     assert [list(row) for row in rows] == eager.coeffs
@@ -53,8 +53,8 @@ def test_scaled_rows_read_like_lists():
 
 
 def test_scaled_equality_both_ways():
-    scaled, eager = _scaled((3, 4))
-    other, other_eager = _scaled((3, 4), seed=2)
+    scaled, eager, plain = _scaled((3, 4))
+    other, other_eager, _ = _scaled((3, 4), seed=2)
     assert scaled == eager and eager == scaled
     assert not (scaled != eager) and not (eager != scaled)
     assert scaled.coeffs == eager.coeffs and eager.coeffs == scaled.coeffs
@@ -62,14 +62,16 @@ def test_scaled_equality_both_ways():
     assert scaled != other and other != scaled
     assert scaled != other_eager and other_eager != scaled
     assert scaled.coeffs[1] != other_eager.coeffs[1] and other_eager.coeffs[1] != scaled.coeffs[1]
-    assert scaled.coeffs[1] != eager.coeffs[1][:-1]
+    assert scaled.coeffs[1] != list(eager.coeffs[1])[:-1]
+    assert scaled.coeffs == plain and plain == scaled.coeffs
+    assert scaled.coeffs[1] != plain[1][:-1] and plain[1][:-1] != scaled.coeffs[1]
     # The same values over other scales.
     tenfold = [[10 * n for n in row.nums] for row in scaled.coeffs]
     assert scaled == TruncatedSeries.scaled((3, 4), tenfold, [60 * 10**k for k in range(8)])
 
 
 def test_series_mul_with_a_scaled_operand():
-    scaled, eager = _scaled((4, 3))
+    scaled, eager, _ = _scaled((4, 3))
     other = _scaled((4, 3), den=5, w=3, seed=3)[1]
     expected = series_mul(eager, other)
     assert series_mul(scaled, other) == expected
@@ -82,7 +84,7 @@ def test_poly_times_scaled_series_stays_on_integers(box):
     G = BivariatePolynomial.from_items(
         [(0, 0, "-2/3"), (1, 0, "5/4"), (0, 1, "1/6"), (1, 1, "5/2"), (0, 2, "-1/11")]
     )
-    scaled, eager = _scaled(box, den=12, w=15)
+    scaled, eager, _ = _scaled(box, den=12, w=15)
     product = poly_times_series(G, scaled)
     assert all(isinstance(row, ScaledRow) for row in product.coeffs)
     expected = series_mul(TruncatedSeries.from_polynomial(G, box), eager)
