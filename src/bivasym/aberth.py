@@ -96,7 +96,9 @@ def _aberth_iterate(coeffs: List[mpc], z: List[mpc], tol: mpf) -> List[mpc]:
             else:
                 delta = w / denom
             z[i] = zi - delta
-            if abs(delta) > tol * (1 + abs(z[i])):
+            # Relative, so a tiny root gets as many bits as a large one; an
+            # iterate at exact zero has converged only on a zero step.
+            if abs(delta) > tol * abs(z[i]):
                 converged = False
         if converged:
             break

@@ -3,7 +3,9 @@
 Terms are a map from exponent pairs ``(i, j)`` to nonzero Fractions.  All
 arithmetic is exact; only evaluation at complex points is floating, and it
 uses a fixed lexicographic Horner scheme so results are bit-reproducible
-at a given precision.  ``eval_array`` is the one double-precision
+at a given precision.  Each coefficient is rounded to mpmath once per
+``mp.prec`` and kept, in the Horner layout and as moduli, and each partial
+derivative is made once.  ``eval_array`` is the one double-precision
 evaluator, used for every numpy grid, curve and probe slice, and
 ``ray_argument`` the one tracker of arg H along a ray from the origin.
 """
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
-from mpmath import mpf
+from mpmath import mp, mpf
 from numpy.polynomial.polynomial import polyval
 
 from .errors import BranchTrackingError, EvaluationOverflow
@@ -30,9 +32,11 @@ class BivariatePolynomial:
     """Polynomial in x and y over the rationals, stored sparsely.
 
     Zero coefficients are never stored; the zero polynomial has no terms.
+    The terms are never changed after construction, which the caches of
+    rounded coefficients and partial derivatives rely on.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_rounded", "_partials")
 
     def __init__(self, terms: Dict[Exponent, Fraction] | None = None):
         clean: Dict[Exponent, Fraction] = {}
@@ -44,6 +48,8 @@ class BivariatePolynomial:
                 if c != 0:
                     clean[(int(i), int(j))] = c
         self.terms = clean
+        self._rounded: Dict[int, tuple] = {}
+        self._partials: Dict[str, "BivariatePolynomial"] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -161,16 +167,18 @@ class BivariatePolynomial:
         return out
 
     def partial(self, var: str) -> "BivariatePolynomial":
-        """Exact formal partial derivative with respect to "x" or "y"."""
+        """Exact formal partial derivative with respect to "x" or "y", made once."""
         if var not in ("x", "y"):
             raise ValueError(f"unknown variable {var!r}")
-        terms: Dict[Exponent, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            if var == "x" and i > 0:
-                terms[(i - 1, j)] = terms.get((i - 1, j), Fraction(0)) + c * i
-            elif var == "y" and j > 0:
-                terms[(i, j - 1)] = terms.get((i, j - 1), Fraction(0)) + c * j
-        return BivariatePolynomial(terms)
+        if var not in self._partials:
+            terms: Dict[Exponent, Fraction] = {}
+            for (i, j), c in self.terms.items():
+                if var == "x" and i > 0:
+                    terms[(i - 1, j)] = terms.get((i - 1, j), Fraction(0)) + c * i
+                elif var == "y" and j > 0:
+                    terms[(i, j - 1)] = terms.get((i, j - 1), Fraction(0)) + c * j
+            self._partials[var] = BivariatePolynomial(terms)
+        return self._partials[var]
 
     # -- views ------------------------------------------------------------
 
@@ -199,14 +207,16 @@ class BivariatePolynomial:
 
     def specialize_y(self, value):
         """Ascending mpc coefficient list in x with y set to ``value``."""
-        v = to_mpc(value)
-        out = [to_mpc(0)] * (self.degree_x() + 1)
-        for (i, j), c in sorted(self.terms.items()):
-            out[i] += to_mpc(c) * v**j
-        return out
+        return self.swap_variables().specialize_x(value)
 
     def specialize_x(self, value):
-        return self.swap_variables().specialize_y(value)
+        """Ascending mpc coefficient list in y with x set to ``value``."""
+        v = to_mpc(value)
+        rounded, _, _ = self._at_precision()
+        out = [to_mpc(0)] * (self.degree_y() + 1)
+        for i, j in sorted(self.terms, key=lambda ij: (ij[1], ij[0])):
+            out[j] += rounded[(i, j)] * v**i
+        return out
 
     # -- evaluation --------------------------------------------------------
 
@@ -218,19 +228,32 @@ class BivariatePolynomial:
             total += c * qx**i * qy**j
         return total
 
+    def _at_precision(self):
+        """``(rounded, layout, moduli)``: the coefficients rounded at ``mp.prec``.
+
+        ``rounded`` maps (i, j) to c_ij as mpc; ``layout`` holds
+        ``(i, [(j, c_ij as mpc), ...])`` with i and, within a row, j
+        descending, the order of the Horner scheme of ``eval``; ``moduli``
+        holds ``(i, j, |c_ij| as mpf)`` in lexicographic order.
+        """
+        key = mp.prec
+        if key not in self._rounded:
+            rounded = {ij: to_mpc(c) for ij, c in self.terms.items()}
+            rows: Dict[int, list] = {}
+            for (i, j), c in rounded.items():
+                rows.setdefault(i, []).append((j, c))
+            layout = [(i, sorted(rows[i], reverse=True)) for i in sorted(rows, reverse=True)]
+            moduli = [(i, j, to_mpf(abs(c))) for (i, j), c in sorted(self.terms.items())]
+            self._rounded[key] = (rounded, layout, moduli)
+        return self._rounded[key]
+
     def eval(self, x, y):
         """Evaluate at complex (x, y) by nested Horner in lexicographic order."""
         if not self.terms:
             return to_mpc(0)
         xz, yz = to_mpc(x), to_mpc(y)
-        rows: Dict[int, list] = {}
-        for (i, j), c in self.terms.items():
-            rows.setdefault(i, []).append((j, c))
-        outer = [
-            (i, _horner_sparse(sorted(rows[i], reverse=True), yz))
-            for i in sorted(rows, reverse=True)
-        ]
-        acc = _horner_sparse(outer, xz)
+        _, layout, _ = self._at_precision()
+        acc = _horner_sparse([(i, _horner_sparse(row, yz)) for i, row in layout], xz)
         if not is_finite(acc):
             raise EvaluationOverflow("evaluation overflow")
         return acc
@@ -284,8 +307,9 @@ class BivariatePolynomial:
         """Sum of |h_ij| |x|^i |y|^j: the natural scale for residual checks."""
         ax, ay = abs(to_mpc(x)), abs(to_mpc(y))
         total = to_mpf(0)
-        for (i, j), c in sorted(self.terms.items()):
-            total += to_mpf(abs(c)) * ax**i * ay**j
+        _, _, moduli = self._at_precision()
+        for i, j, m in moduli:
+            total += m * ax**i * ay**j
         return total
 
     # -- formatting ---------------------------------------------------------
@@ -304,11 +328,11 @@ class BivariatePolynomial:
 
 
 def _horner_sparse(pairs_desc, z):
-    """Horner evaluation of sparse (exponent, value) pairs, exponents descending."""
-    acc = to_mpc(pairs_desc[0][1])
+    """Horner evaluation of sparse (exponent, mpc value) pairs, exponents descending."""
+    acc = pairs_desc[0][1]
     prev = pairs_desc[0][0]
     for e, v in pairs_desc[1:]:
-        acc = acc * z ** (prev - e) + to_mpc(v)
+        acc = acc * z ** (prev - e) + v
         prev = e
     if prev:
         acc = acc * z**prev

@@ -176,8 +176,9 @@ def _newton_polish(
     F2: BivariatePolynomial,
     p: mpc,
     q: mpc,
+    cur: mpf,
 ):
-    """Damped Newton on the 2x2 system using the exact Jacobian (60 steps at most)."""
+    """Damped Newton on the 2x2 system from (p, q), of residual ``cur``, at most 60 steps."""
     J = [
         [F1.partial("x"), F1.partial("y")],
         [F2.partial("x"), F2.partial("y")],
@@ -187,7 +188,6 @@ def _newton_polish(
     def resid(a: mpc, b: mpc) -> mpf:
         return max(_relative_residual(F1, a, b), _relative_residual(F2, a, b))
 
-    cur = resid(p, q)
     for _ in range(60):
         if cur <= target:
             break
@@ -233,9 +233,10 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
     for w in first_roots:
         for cand in _recover_partner(F1, F2, w):
             p0, q0 = cand
-            if max(_relative_residual(F1, p0, q0), _relative_residual(F2, p0, q0)) > 1e-4:
+            r0 = max(_relative_residual(F1, p0, q0), _relative_residual(F2, p0, q0))
+            if r0 > 1e-4:
                 continue
-            p1, q1, r = _newton_polish(F1, F2, p0, q0)
+            p1, q1, r = _newton_polish(F1, F2, p0, q0, r0)
             if r > RESIDUAL_TOL:
                 continue
             p1, q1 = snap_noise(p1), snap_noise(q1)

@@ -308,9 +308,12 @@ def quadrature_values(
     its row FFT, and a column FFT on the kept N1 x (S + 1) strip gives the
     R + 1 rows (``fft2``'s DFT, which also runs the last axis first).  arg H
     is anchored by the ray from the origin, tracked down the theta2 = 0
-    column, then along theta2.  Checks run in grid order; the first failure
-    raises ``BranchTrackingError``: the column (H vanishing, then a jump),
-    the ray, then each block in theta1 order (vanishing, then a jump).
+    column, then along theta2.  That branch of H^(-beta) is periodic only
+    when arg H turns by 0 round the column and round every row; a zero of H
+    inside the polydisk off the positive ray can make it turn by 2 pi.  Checks run
+    in grid order; the first failure raises ``BranchTrackingError``: the
+    column (H vanishing, then a jump), the ray, the column's winding, then
+    each block in theta1 order (vanishing, a jump, then winding).
     """
     R, S = cfg.box
     c1, c2 = cfg.quadrature_radii
@@ -319,23 +322,33 @@ def quadrature_values(
     X = c1 * np.exp(1j * (2.0 * np.pi * np.arange(N1) / N1)).reshape(-1, 1)
     Y = c2 * np.exp(1j * (2.0 * np.pi * np.arange(N2) / N2)).reshape(1, -1)
 
-    def checked(W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def checked(W: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """|W|, the steps of arg W along the last axis, and whether it winds."""
         mod = np.abs(W)
         if np.min(mod) <= H.vanish_floor():
             raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
         steps = np.angle(W[..., 1:] / W[..., :-1])
         if np.max(np.abs(steps)) >= _JUMP_LIMIT:
             raise BranchTrackingError("branch tracking failed; refine grid")
-        return mod, steps
+        # The turn round the circle, the wrap step back to the first point
+        # included, is a multiple of 2 pi: nonzero when H winds.
+        turn = steps.sum(axis=-1) + np.angle(W[..., 0] / W[..., -1])
+        return mod, steps, bool(np.max(np.abs(turn)) >= math.pi)
 
-    _, d0 = checked(H.eval_array(X, Y[:, :1])[:, 0])
+    def unwound(winds: bool) -> None:
+        if winds:
+            raise BranchTrackingError("branch tracking failed; H winds around 0 on the torus")
+
+    _, d0, column_winds = checked(H.eval_array(X, Y[:, :1])[:, 0])
     _, anchor = H.ray_argument(c1, c2, 1.0, 256)
+    unwound(column_winds)
     start = np.concatenate(([anchor], anchor + np.cumsum(d0)))
     full = np.empty((N1, S + 1), dtype=np.complex128)
     half = np.empty((N1 // 2, S + 1), dtype=np.complex128)
     for lo in range(0, N1, _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
-        mod, d1 = checked(H.eval_array(X[rows], Y))
+        mod, d1, winds = checked(H.eval_array(X[rows], Y))
+        unwound(winds)
         args = np.empty(mod.shape)
         args[:, 0] = start[rows]
         args[:, 1:] = args[:, :1] + np.cumsum(d1, axis=1)

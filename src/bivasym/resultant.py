@@ -1,36 +1,37 @@
 """Sylvester resultants of bivariate rational polynomials.
 
-The eliminant is computed exactly over the rationals by
-evaluation&ndash;interpolation: the Sylvester determinant is evaluated at
-enough integer sample points with exact fraction arithmetic, then
-recovered by Newton interpolation.  This stays within plain rational
-linear algebra and needs no fraction-free pseudo-division machinery.
+The eliminant is computed exactly on Python ints by
+evaluation&ndash;interpolation.  Each input is first put over the lcm of its
+denominators, using ``Res(a*f, b*g) = a^n * b^m * Res(f, g)`` for y-degrees
+m and n.  At each sample point x = 0, 1, ..., past the degree bound, every
+y-coefficient is evaluated once and the integer Sylvester determinant is
+taken by Bareiss elimination.  Forward differences recover the integer
+polynomial, and the factor ``a^n * b^m`` is divided out once at the end.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import reduce
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .bivariate import BivariatePolynomial
-from .unipoly import UPoly, degree, determinant_fraction, eval_at, gcd, is_zero
-from .unipoly import lagrange_interpolate, mul, trim
+from .unipoly import UPoly, degree, determinant_int, eval_at, gcd, is_zero, mul, trim
 
 
-def sylvester_matrix(f_rows: List[UPoly], g_rows: List[UPoly]) -> List[List[UPoly]]:
-    """Sylvester matrix of two polynomials in y with Q[x] coefficients.
+def sylvester_matrix(f_rows: Sequence, g_rows: Sequence) -> List[list]:
+    """Sylvester matrix of two polynomials in y, coefficients in any ring.
 
-    ``f_rows[j]`` is the x-polynomial multiplying y^j (ascending), same for
-    ``g_rows``.  Returns the (m+n) x (m+n) matrix of x-polynomials.
+    ``f_rows[j]`` is the coefficient of y^j (ascending), same for
+    ``g_rows``.  Returns the (m+n) x (m+n) matrix, zero entries ``0``.
     """
     m = len(f_rows) - 1
     n = len(g_rows) - 1
     if m < 0 or n < 0:
         raise ValueError("empty polynomial")
     size = m + n
-    zero: UPoly = [Fraction(0)]
-    mat: List[List[UPoly]] = [[zero] * size for _ in range(size)]
+    mat: List[list] = [[0] * size for _ in range(size)]
     # Rows of f coefficients, highest y-degree first, shifted right.
     for row in range(n):
         for k in range(m + 1):
@@ -70,22 +71,43 @@ def resultant_eliminating(
     if n == 0:
         return _power(g_rows[0], m)
 
+    a = math.lcm(*(c.denominator for c in f.terms.values()))
+    b = math.lcm(*(c.denominator for c in g.terms.values()))
+    f_ints = [[int(c * a) for c in row] for row in f_rows]
+    g_ints = [[int(c * b) for c in row] for row in g_rows]
     bound = n * f.degree_x() + m * g.degree_x()
-    xs = [Fraction(_sample_point(k)) for k in range(bound + 1)]
-    mat = sylvester_matrix(f_rows, g_rows)
-    ys = []
-    for x0 in xs:
-        numeric = [[eval_at(entry, x0) for entry in row] for row in mat]
-        ys.append(determinant_fraction(numeric))
-    return trim(lagrange_interpolate(xs, ys))
+    samples = []
+    for x0 in range(bound + 1):
+        f_vals = [eval_at(row, x0) for row in f_ints]
+        g_vals = [eval_at(row, x0) for row in g_ints]
+        samples.append(determinant_int(sylvester_matrix(f_vals, g_vals)))
+    scale = a**n * b**m
+    return [c / scale for c in trim(_interpolate_from_zero(samples))]
 
 
-def _sample_point(k: int) -> int:
-    # 0, 1, -1, 2, -2, ...
-    if k == 0:
-        return 0
-    half = (k + 1) // 2
-    return half if k % 2 == 1 else -half
+def _interpolate_from_zero(values: List[int]) -> List[int]:
+    """Integer coefficients of the polynomial R with R(k) = ``values[k]``.
+
+    Newton's forward form R(x) = sum_k (Delta^k R(0) / k!) x(x-1)...(x-k+1).
+    For R with integer coefficients each Delta^k R(0) is a multiple of k!;
+    a remainder raises ArithmeticError.
+    """
+    diffs, newton, fact = list(values), [], 1
+    for k in range(len(values)):
+        fact *= max(k, 1)
+        q, rem = divmod(diffs[0], fact)
+        if rem:
+            raise ArithmeticError("samples do not fit a polynomial with integer coefficients")
+        newton.append(q)
+        diffs = [hi - lo for lo, hi in zip(diffs, diffs[1:])]
+    # Horner on the falling factorials: acc = acc * (x - k) + newton[k].
+    out = [newton[-1]]
+    for k in range(len(newton) - 2, -1, -1):
+        out = [0] + out
+        for i in range(len(out) - 1):
+            out[i] -= k * out[i + 1]
+        out[0] += newton[k]
+    return out
 
 
 def _power(p: UPoly, n: int) -> UPoly:

@@ -1,13 +1,17 @@
 """Univariate polynomial utilities over exact rationals.
 
 Polynomials are ascending coefficient lists of Fractions.  These back the
-resultant elimination and the exact seeding of root finding.
+resultant elimination and the exact seeding of root finding.  The gcd,
+the square-free part and the determinant clear denominators first and
+work on Python ints: a primitive remainder sequence (each pseudo-remainder
+divided by its content) and Bareiss's fraction-free elimination.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 UPoly = List[Fraction]
 
@@ -58,8 +62,9 @@ def scale(a: Sequence[Fraction], c: Fraction) -> UPoly:
 
 
 def eval_at(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(p)):
+    """``p(x)`` by Horner; on int coefficients and an int ``x`` it stays on ints."""
+    acc = 0
+    for c in reversed(p):
         acc = acc * x + c
     return acc
 
@@ -88,23 +93,79 @@ def divmod_exact(a: Sequence[Fraction], b: Sequence[Fraction]):
     return trim(q), trim(r)
 
 
+def _int_primitive(a: List[int]) -> List[int]:
+    """``a`` over the gcd of its coefficients, leading coefficient positive."""
+    content = math.gcd(*a)
+    if content == 0:
+        return [0]
+    return [v // content for v in a] if a[-1] > 0 else [-v // content for v in a]
+
+
+def _primitive_part(p: Sequence[Fraction]) -> Tuple[Fraction, List[int]]:
+    """``(c, P)`` with ``p = c * P`` and P as ``_int_primitive`` gives it; c = 0 for p = 0."""
+    p = trim(p)
+    den = math.lcm(*(c.denominator for c in p))
+    P = _int_primitive([int(c * den) for c in p])
+    return (p[-1] / P[-1] if P[-1] else Fraction(0)), P
+
+
+def _int_prem(a: List[int], b: List[int]) -> List[int]:
+    """A remainder of ``lc(b)^k * a`` by ``b`` over the integers, some k >= 0."""
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    while len(r) - 1 >= db and any(r):
+        top, shift = r.pop(), len(r) - db
+        r = [lb * v for v in r]
+        for i, v in enumerate(b[:-1]):
+            r[shift + i] -= top * v
+        while len(r) > 1 and r[-1] == 0:
+            r.pop()
+    return r or [0]
+
+
+def _int_gcd(a: List[int], b: List[int]) -> List[int]:
+    """Primitive gcd of two trimmed integer polynomials by a primitive remainder sequence."""
+    a, b = _int_primitive(a), _int_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b != [0]:
+        a, b = b, _int_primitive(_int_prem(a, b))
+    return a
+
+
+def _int_divexact(a: List[int], b: List[int]) -> List[int]:
+    """``a / b`` for trimmed integer polynomials that divide over the integers."""
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    q = [0] * max(1, len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        q[k], rem = divmod(r[k + db], lb)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        for i, v in enumerate(b):
+            r[k + i] -= q[k] * v
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
 def gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> UPoly:
-    """Monic GCD by the Euclidean algorithm."""
-    a, b = trim(a), trim(b)
-    while not is_zero(b):
-        _, r = divmod_exact(a, b)
-        a, b = b, r
-    if is_zero(a):
+    """Monic GCD, by a primitive remainder sequence on integer coefficients."""
+    g = _int_gcd(_primitive_part(a)[1], _primitive_part(b)[1])
+    if g == [0]:
         return [Fraction(0)]
-    return scale(a, 1 / a[-1])
+    return [Fraction(c, g[-1]) for c in g]
 
 
 def squarefree_part(p: Sequence[Fraction]) -> UPoly:
-    """``p`` divided by gcd(p, p'): the same roots, each of multiplicity one."""
-    q, r = divmod_exact(p, gcd(p, derivative(p)))
-    if not is_zero(r):
-        raise ArithmeticError("gcd(p, p') does not divide p")
-    return q
+    """``p`` divided by the monic gcd(p, p'): the same roots, each once.
+
+    On integers: ``p = c * P``, ``G`` the primitive gcd of P and P', and the
+    result ``c * lc(G) * (P / G)``, so it equals the rational quotient.
+    Raises ArithmeticError should ``G`` not divide ``P``.
+    """
+    c, P = _primitive_part(p)
+    G = _int_gcd(P, [i * v for i, v in enumerate(P)][1:] or [0])
+    scale = c * G[-1]
+    return [scale * v for v in _int_divexact(P, G)]
 
 
 def lagrange_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> UPoly:
@@ -126,28 +187,37 @@ def lagrange_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> UPol
     return trim(out)
 
 
-def determinant_fraction(matrix: List[List[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination with pivoting."""
+def determinant_int(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix by Bareiss elimination.
+
+    Each step's 2x2 cross-multiplication is divided exactly by the previous
+    pivot (Bareiss, Math. Comp. 22, 1968), so entries stay minors of the
+    input and no fraction is formed.  A zero pivot swaps in a lower row.
+    """
     n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(c) for c in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        pv = m[col][col]
-        det *= pv
-        inv = 1 / pv
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f == 0:
-                continue
-            row_r, row_c = m[r], m[col]
-            for c in range(col, n):
-                row_r[c] -= f * row_c[c]
-    return det
+    m = [list(row) for row in matrix]
+    sign, prev = 1, 1
+    for k in range(n):
+        if m[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        pk, row_k = m[k][k], m[k]
+        for row in m[k + 1 :]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pk * row[j] - a * row_k[j]) // prev
+        prev = pk
+    return sign * prev
+
+
+def determinant_fraction(matrix: List[List[Fraction]]) -> Fraction:
+    """Exact determinant of a rational matrix: rows over their denominators, then Bareiss."""
+    scale, rows = 1, []
+    for row in matrix:
+        den = math.lcm(*(Fraction(c).denominator for c in row))
+        rows.append([int(c * den) for c in row])
+        scale *= den
+    return Fraction(determinant_int(rows), scale)

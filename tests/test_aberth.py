@@ -179,3 +179,23 @@ def test_start_points_lie_on_the_newton_polygon_circles():
     for r in radii[:2]:
         assert abs(r / mpf(10) ** -50 - 1) < 1e-30
     assert abs(radii[2] - 1) < 1e-30
+
+
+@pytest.mark.parametrize("exponent", [100, 400])
+def test_tiny_roots_reach_working_precision(exponent):
+    # Stage 2 stops on a step relative to |z|.  On an absolute step it left
+    # the pair near +-10^(-e/2) with relative errors of 7.5e-20 (e = 100)
+    # and 2.3e-31 (e = 400) at 128 bits.
+    coeffs = [F(1, 10**exponent), F(0), F(-1), F(1)]
+    with mp.workprec(128):
+        roots = aberth_roots(coeffs)
+    with mp.workprec(400):
+        c = [mpf(v.numerator) / v.denominator for v in coeffs]
+        tiny = [z for z in roots if abs(z) < 0.5]
+        assert len(tiny) == 2
+        for z in tiny:
+            ref = mp.mpc(z)
+            for _ in range(20):
+                p = ((c[3] * ref + c[2]) * ref + c[1]) * ref + c[0]
+                ref -= p / ((3 * c[3] * ref + 2 * c[2]) * ref + c[1])
+            assert abs(z - ref) <= mpf(2) ** -100 * abs(ref)

@@ -164,3 +164,32 @@ def test_ray_argument_rejects_a_zero_on_the_ray():
     H = BivariatePolynomial.from_items([(0, 0, 1), (1, 0, -2)])
     with pytest.raises(BranchTrackingError, match="vanishes on the ray"):
         H.ray_argument(1.0, 0.0, 1.0, 1024)
+
+
+# Coefficients with no finite binary expansion round differently per precision.
+THIRDS = {(0, 0): F(1), (1, 0): F(1, 3), (1, 1): F(-2, 7), (2, 1): F(5, 11), (0, 2): F(1, 10)}
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_rounded_coefficients_follow_the_precision(bits):
+    # The mpc coefficients and mpf moduli are kept per precision: values
+    # after evaluating at other precisions equal a fresh polynomial's.
+    x, y = ("0.3", "0.1"), ("-0.7", "0.45")
+    used = BivariatePolynomial(THIRDS)
+    for other in (53, 64, 128, 256):
+        with working_precision(other):
+            used.eval(mp.mpc(*x), mp.mpc(*y))
+            used.eval_magnitude_scale(mp.mpc(*x), mp.mpc(*y))
+    fresh = BivariatePolynomial(THIRDS)
+    with working_precision(bits):
+        px, py = mp.mpc(*x), mp.mpc(*y)
+        for value in ("eval", "eval_magnitude_scale"):
+            got, want = getattr(used, value)(px, py), getattr(fresh, value)(px, py)
+            assert repr(got) == repr(want)
+
+
+def test_partial_is_made_once(color_swap_h):
+    for var in ("x", "y"):
+        first = color_swap_h.partial(var)
+        assert color_swap_h.partial(var) is first
+        assert first == BivariatePolynomial(dict(color_swap_h.terms)).partial(var)

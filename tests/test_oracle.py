@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from bivasym.errors import BranchTrackingError, ConfigError, SingularAtOrigin
 from bivasym.oracle import quadrature_values, table_to_csv
 from bivasym.precision import to_mpf
 from bivasym.problem import parse_problem
+from bivasym.rationals import binomial_general
 from bivasym.series import Prefactor
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -301,3 +303,32 @@ def test_csv_export_evaluates_the_prefactor_once(monkeypatch):
     text = table_to_csv(table)
     assert len(calls) == 1
     assert text == (ROOT / "tests" / "data" / "golden" / "negative_origin.oracle.out").read_text()
+
+
+TORUS_WINDS = ROOT / "problems" / "torus_winds.json"
+
+
+def test_quadrature_refuses_a_torus_round_which_h_winds(capsys):
+    # H = 1 + x/10 + 4xy has zeros inside the polydisk of radii (0.6, 0.6)
+    # off the positive ray, so arg H turns by 2 pi round the torus.  The
+    # quadrature once printed [x^3 y^3] ~ -0.123 against an exact -20.
+    spec = parse_problem(TORUS_WINDS.read_text())
+    cfg = OracleConfig(
+        box=spec.effective_box(), beta=spec.beta, quadrature_radii=spec.quadrature_radii
+    )
+    with pytest.raises(BranchTrackingError, match="H winds around 0 on the torus"):
+        quadrature_values(spec.H, spec.G, spec.beta, cfg)
+    assert main(["oracle", "--quadrature", "--spec", str(TORUS_WINDS)]) == 70
+    assert capsys.readouterr().out == ""
+
+
+def test_torus_winds_exact_entries():
+    # (1 + x/10 + 4xy)^(-1/2) = sum_r C(-1/2, r) x^r (1/10 + 4y)^r.
+    spec = parse_problem(TORUS_WINDS.read_text())
+    table = coeff_recurrence(spec.H, spec.G, spec.beta, spec.effective_box())
+    for r in range(4):
+        for s in range(4):
+            want = binomial_general(F(-1, 2), r) * math.comb(r, s) * F(1, 10) ** (r - s) * 4**s
+            assert table.series.coeffs[r][s] == want
+    assert table.prefactor.is_one()
+    assert table.series.coeffs[3][3] == -20
