@@ -308,8 +308,11 @@ class BivariatePolynomial:
         ax, ay = abs(to_mpc(x)), abs(to_mpc(y))
         total = to_mpf(0)
         _, _, moduli = self._at_precision()
+        # One power per distinct exponent; each term still rounds as (m*ax^i)*ay^j.
+        px = {i: ax**i for i in {i for i, _, _ in moduli}}
+        py = {j: ay**j for j in {j for _, j, _ in moduli}}
         for i, j, m in moduli:
-            total += m * ax**i * ay**j
+            total += m * px[i] * py[j]
         return total
 
     # -- formatting ---------------------------------------------------------

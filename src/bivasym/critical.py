@@ -1,11 +1,19 @@
 """Critical points of H in a direction: solve, polish, classify.
 
 The critical system { H = 0, r0*y*H_y = s0*x*H_x } is reduced to one
-variable by an exact Sylvester resultant, all roots of the eliminant are
-found by simultaneous iteration, partners are recovered from the
-specialized system, and every candidate is Newton-polished on the full
-2x2 system with its exact Jacobian.  Minimality is probed numerically on
-a polydisk grid; verdicts carry a concrete witness when violated.
+variable by an exact Sylvester resultant, and all roots of its square-free
+part are found by simultaneous iteration.  The partner of a root ``w`` is
+read off the first subresultant ``S1 = sigma1(x)*y + sigma0(x)`` of the
+system: when ``sigma1(w) != 0`` the two polynomials share exactly one root
+above ``w``, namely ``q = -sigma0(w)/sigma1(w)`` (González-Vega and
+El Kahoui, J. Complexity 12, 1996; the rational representation of
+Melczer and Salvy, ISSAC 2016).  The partners are found by root-solving
+the specialized system instead when ``|sigma1(w)|`` is at most
+``2^-(prec/2)`` of its coefficient scale at ``w`` (two points share the
+x, or both leading coefficients in y vanish there), when a y-degree of 0
+leaves S1 undefined, or when ``q`` fails the 1e-4 residual filter.  Every candidate is Newton-polished on the full 2x2
+system with its exact Jacobian.  Minimality is probed numerically on a
+polydisk grid; verdicts carry a concrete witness when violated.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .aberth import aberth_roots, roots_of_rational_poly
 from .bivariate import BivariatePolynomial
 from .errors import ConfigError, NonIsolatedCriticalSet, RootFindingError
 from .precision import to_mpc, to_mpf
-from .resultant import resultant_eliminating, shares_positive_dimensional_zero
+from .resultant import first_subresultant, resultant_eliminating, shares_positive_dimensional_zero
 from .unipoly import degree as upoly_degree
 from .unipoly import squarefree_part as upoly_squarefree_part
 
@@ -65,6 +73,7 @@ class Direction:
 
 # Fixed numeric thresholds, each relative to the scale it is compared with.
 RESIDUAL_TOL = 1e-12  # polished system residual accepted as a solution
+START_TOL = 1e-4  # unpolished residual a partner candidate needs to be polished
 MERGE_TOL = 1e-10  # coordinates, moduli or weights this close count as equal
 IDENTITY_TOL = 1e-10  # H_y/H_x = p/(lambda*q) check in the local data
 MARGIN_TOL = 1e-6  # probe margin needed for probably_strictly_minimal
@@ -171,6 +180,10 @@ def _relative_residual(poly: BivariatePolynomial, p: mpc, q: mpc) -> mpf:
     return abs(poly.eval(p, q)) / scale
 
 
+def _system_residual(F1, F2, p: mpc, q: mpc) -> mpf:
+    return max(_relative_residual(F1, p, q), _relative_residual(F2, p, q))
+
+
 def _newton_polish(
     F1: BivariatePolynomial,
     F2: BivariatePolynomial,
@@ -184,10 +197,6 @@ def _newton_polish(
         [F2.partial("x"), F2.partial("y")],
     ]
     target = mpf(2) ** (-(mp.prec - 16))
-
-    def resid(a: mpc, b: mpc) -> mpf:
-        return max(_relative_residual(F1, a, b), _relative_residual(F2, a, b))
-
     for _ in range(60):
         if cur <= target:
             break
@@ -203,7 +212,7 @@ def _newton_polish(
         improved = False
         for _ in range(30):
             np_, nq = p - step * dx, q - step * dy
-            nr = resid(np_, nq)
+            nr = _system_residual(F1, F2, np_, nq)
             if nr < cur:
                 p, q, cur = np_, nq, nr
                 improved = True
@@ -226,16 +235,14 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
         return []
     F1, F2 = critical_system(H, direction)
     # Each distinct root once: Aberth converges only linearly on a repeated
-    # root, and _recover_partner takes every partner of a root anyway.
+    # root, and the partners of a shared x come from _recover_partner.
     first_roots = roots_of_rational_poly(upoly_squarefree_part(res))
+    s1 = first_subresultant(F1, F2)
+    sigmas = None if s1 is None else [[mpf(c) for c in sigma] for sigma in s1]
 
     points: List[CriticalPoint] = []
     for w in first_roots:
-        for cand in _recover_partner(F1, F2, w):
-            p0, q0 = cand
-            r0 = max(_relative_residual(F1, p0, q0), _relative_residual(F2, p0, q0))
-            if r0 > 1e-4:
-                continue
+        for p0, q0, r0 in _partners(F1, F2, w, sigmas):
             p1, q1, r = _newton_polish(F1, F2, p0, q0, r0)
             if r > RESIDUAL_TOL:
                 continue
@@ -255,13 +262,42 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
     return merged
 
 
-def _recover_partner(F1, F2, w: mpc):
-    """Candidate (p, q) pairs for the eliminant root p = ``w``.
+def _partners(F1, F2, w: mpc, sigmas):
+    """Start points ``(w, q, residual)`` for the eliminant root p = ``w``.
 
-    Partner values come from whichever system polynomial still depends on
-    y at x = ``w``.
+    ``sigmas`` holds the coefficients of sigma0 and sigma1 rounded to mpf,
+    or is None when S1 is undefined.  The one partner
+    ``-sigma0(w)/sigma1(w)`` is used unless ``|sigma1(w)|`` is at most
+    ``2^-(prec/2)`` of its coefficient scale at ``w`` or the point fails
+    the ``START_TOL`` residual filter; ``_recover_partner`` then gives them.
     """
-    out = []
+    if sigmas is not None:
+        (sigma0, _), (sigma1, scale) = (_eval_with_scale(sigma, w) for sigma in sigmas)
+        if abs(sigma1) > scale * mpf(2) ** (-(mp.prec // 2)):
+            q = -sigma0 / sigma1
+            r = _system_residual(F1, F2, w, q)
+            if r <= START_TOL:
+                return [(w, q, r)]
+    return _recover_partner(F1, F2, w)
+
+
+def _eval_with_scale(coeffs, w: mpc):
+    """``(p(w), sum |c_k| |w|^k)`` for the ascending mpf coefficients of p."""
+    aw = abs(w)
+    value, scale = mpc(0), mpf(0)
+    for c in reversed(coeffs):
+        value = value * w + c
+        scale = scale * aw + abs(c)
+    return value, scale
+
+
+def _recover_partner(F1, F2, w: mpc):
+    """Start points ``(w, q, residual)`` above ``w`` by root-solving in y.
+
+    The partners are the roots of whichever system polynomial still
+    depends on y at x = ``w``; those whose system residual exceeds
+    ``START_TOL`` are dropped.  The fallback of ``_partners``.
+    """
     for poly in (F1, F2):
         coeffs = poly.specialize_x(w)
         scale = max((abs(c) for c in coeffs), default=mpf(0))
@@ -277,9 +313,9 @@ def _recover_partner(F1, F2, w: mpc):
             partners = aberth_roots(trimmed)
         except RootFindingError:
             continue
-        out.extend((w, v) for v in partners)
-        break
-    return out
+        starts = [(w, q, _system_residual(F1, F2, w, q)) for q in partners]
+        return [start for start in starts if start[2] <= START_TOL]
+    return []
 
 
 def _merge_duplicates(points: List[CriticalPoint]) -> List[CriticalPoint]:

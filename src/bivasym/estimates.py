@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from mpmath import mp, mpc, mpf
 
 from .bivariate import BivariatePolynomial
-from .critical import IDENTITY_TOL, MERGE_TOL, SMOOTH_TOL, CriticalPoint, Direction
+from .critical import IDENTITY_TOL, MERGE_TOL, SMOOTH_TOL, CriticalPoint, Direction, snap_noise
 from .errors import BranchTrackingError, ConfigError, HypothesisFailure
 from .gammafn import gamma_log
 from .precision import to_mpc, to_mpf
@@ -335,7 +335,8 @@ def estimate_general(
             if lm == mp.ninf:
                 continue
             acc += mp.exp(mpc(lm - peak, a))
-        value = acc * mp.exp(peak)
+        # Conjugate contributions cancel only to the working precision.
+        value = snap_noise(acc * mp.exp(peak))
 
     warnings = []
     drift = abs(r * direction.s0 - s * direction.r0)

@@ -1,4 +1,4 @@
-"""Sylvester resultants of bivariate rational polynomials.
+"""Sylvester resultants and first subresultants of bivariate rational polynomials.
 
 The eliminant is computed exactly on Python ints by
 evaluation&ndash;interpolation.  Each input is first put over the lcm of its
@@ -7,6 +7,17 @@ m and n.  At each sample point x = 0, 1, ..., past the degree bound, every
 y-coefficient is evaluated once and the integer Sylvester determinant is
 taken by Bareiss elimination.  Forward differences recover the integer
 polynomial, and the factor ``a^n * b^m`` is divided out once at the end.
+
+The first subresultant ``S1 = sigma1(x)*y + sigma0(x)`` comes from the same
+integer rows, sample points and interpolation: its two coefficients are
+the Bareiss minors of the (m+n-2) x (m+n-1) matrix of
+``y^(n-2)*f, ..., f, y^(m-2)*g, ..., g``.  It is the gcd of ``f(w, .)`` and
+``g(w, .)`` when the eliminant vanishes at ``w`` and ``sigma1(w) != 0``
+(González-Vega and El Kahoui, J. Complexity 12, 1996), so the one common
+root above ``w`` is ``y = -sigma0(w)/sigma1(w)``.  Melczer and Salvy
+(ISSAC 2016) carry critical points in this rational form.  The factor
+``a^(n-1) * b^(m-1)`` cancels in that ratio and is never divided out.
+With both y-degrees 1 the matrix is empty, and ``b*g`` stands in for S1.
 """
 
 from __future__ import annotations
@@ -14,32 +25,57 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .bivariate import BivariatePolynomial
-from .unipoly import UPoly, degree, determinant_int, eval_at, gcd, is_zero, mul, trim
+from .unipoly import UPoly, bareiss_minors, degree, eval_at, gcd, is_zero, mul
 
 
-def sylvester_matrix(f_rows: Sequence, g_rows: Sequence) -> List[list]:
+def sylvester_matrix(f_rows: Sequence, g_rows: Sequence, k: int = 0) -> List[list]:
     """Sylvester matrix of two polynomials in y, coefficients in any ring.
 
     ``f_rows[j]`` is the coefficient of y^j (ascending), same for
-    ``g_rows``.  Returns the (m+n) x (m+n) matrix, zero entries ``0``.
+    ``g_rows``.  For m = deg f and n = deg g, returns the rows of
+    ``y^(n-k-1)*f, ..., f, y^(m-k-1)*g, ..., g``, highest power of y
+    first, over m + n - k columns, zero entries ``0``: the square
+    Sylvester matrix for ``k = 0``, the k-th subresultant's matrix above.
     """
     m = len(f_rows) - 1
     n = len(g_rows) - 1
     if m < 0 or n < 0:
         raise ValueError("empty polynomial")
-    size = m + n
-    mat: List[list] = [[0] * size for _ in range(size)]
+    mat: List[list] = [[0] * (m + n - k) for _ in range(m + n - 2 * k)]
     # Rows of f coefficients, highest y-degree first, shifted right.
-    for row in range(n):
-        for k in range(m + 1):
-            mat[row][row + k] = f_rows[m - k]
-    for row in range(m):
-        for k in range(n + 1):
-            mat[n + row][row + k] = g_rows[n - k]
+    for row in range(n - k):
+        for c in range(m + 1):
+            mat[row][row + c] = f_rows[m - c]
+    for row in range(m - k):
+        for c in range(n + 1):
+            mat[n - k + row][row + c] = g_rows[n - c]
     return mat
+
+
+def _integer_rows(f: BivariatePolynomial, g: BivariatePolynomial):
+    """``(a, b, f_ints, g_ints)``: the y-coefficients of ``a*f`` and ``b*g`` on ints.
+
+    ``a`` and ``b`` are the lcms of the denominators of f and g, and each
+    row is an ascending integer polynomial in x.
+    """
+    a = math.lcm(*(c.denominator for c in f.terms.values()))
+    b = math.lcm(*(c.denominator for c in g.terms.values()))
+    f_ints = [[int(c * a) for c in row] for row in f.coeffs_in_y()]
+    g_ints = [[int(c * b) for c in row] for row in g.coeffs_in_y()]
+    return a, b, f_ints, g_ints
+
+
+def _sample_minors(f_ints, g_ints, k: int, count: int) -> List[List[int]]:
+    """Bareiss minors of the k-th Sylvester matrix at x = 0, ..., count - 1."""
+    out = []
+    for x0 in range(count):
+        f_vals = [eval_at(row, x0) for row in f_ints]
+        g_vals = [eval_at(row, x0) for row in g_ints]
+        out.append(bareiss_minors(sylvester_matrix(f_vals, g_vals, k)))
+    return out
 
 
 def resultant_eliminating(
@@ -60,33 +96,50 @@ def resultant_eliminating(
     if not f or not g:
         raise ValueError("resultant of the zero polynomial")
 
-    f_rows = f.coeffs_in_y()
-    g_rows = g.coeffs_in_y()
-    m = len(f_rows) - 1
-    n = len(g_rows) - 1
+    m = f.degree_y()
+    n = g.degree_y()
     if m == 0 and n == 0:
         return [Fraction(1)]
     if m == 0:
-        return _power(f_rows[0], n)
+        return _power(f.coeffs_in_y()[0], n)
     if n == 0:
-        return _power(g_rows[0], m)
+        return _power(g.coeffs_in_y()[0], m)
 
-    a = math.lcm(*(c.denominator for c in f.terms.values()))
-    b = math.lcm(*(c.denominator for c in g.terms.values()))
-    f_ints = [[int(c * a) for c in row] for row in f_rows]
-    g_ints = [[int(c * b) for c in row] for row in g_rows]
+    a, b, f_ints, g_ints = _integer_rows(f, g)
     bound = n * f.degree_x() + m * g.degree_x()
-    samples = []
-    for x0 in range(bound + 1):
-        f_vals = [eval_at(row, x0) for row in f_ints]
-        g_vals = [eval_at(row, x0) for row in g_ints]
-        samples.append(determinant_int(sylvester_matrix(f_vals, g_vals)))
+    samples = [det for (det,) in _sample_minors(f_ints, g_ints, 0, bound + 1)]
     scale = a**n * b**m
-    return [c / scale for c in trim(_interpolate_from_zero(samples))]
+    return [Fraction(c, scale) for c in _interpolate_from_zero(samples)]
 
 
-def _interpolate_from_zero(values: List[int]) -> List[int]:
-    """Integer coefficients of the polynomial R with R(k) = ``values[k]``.
+def first_subresultant(
+    f: BivariatePolynomial, g: BivariatePolynomial
+) -> Optional[Tuple[List[int], List[int]]]:
+    """``(sigma0, sigma1)`` with ``S1(f, g) = sigma1*y + sigma0``, up to a positive factor.
+
+    Both are ascending integer polynomials in x.  The factor is
+    ``a^(n-1) * b^(m-1)`` for the lcms ``a``, ``b`` of the denominators of
+    f and g.  With one y-degree 1, S1 is that polynomial times a power of
+    its leading coefficient, and with both y-degrees 1 it is taken to be
+    ``b*g``.  Returns None when a y-degree is 0, where S1
+    is not defined.  Each coefficient has degree at most
+    ``(n-1)*deg_x f + (m-1)*deg_x g``, so that many samples plus one
+    determine it.
+    """
+    m = f.degree_y()
+    n = g.degree_y()
+    if m == 0 or n == 0:
+        return None
+    _, _, f_ints, g_ints = _integer_rows(f, g)
+    if m == n == 1:
+        return g_ints[0], g_ints[1]
+    bound = (n - 1) * f.degree_x() + (m - 1) * g.degree_x()
+    sigma1, sigma0 = zip(*_sample_minors(f_ints, g_ints, 1, bound + 1))
+    return _interpolate_from_zero(sigma0), _interpolate_from_zero(sigma1)
+
+
+def _interpolate_from_zero(values: Sequence[int]) -> List[int]:
+    """Integer coefficients of the polynomial R with R(k) = ``values[k]``, trimmed.
 
     Newton's forward form R(x) = sum_k (Delta^k R(0) / k!) x(x-1)...(x-k+1).
     For R with integer coefficients each Delta^k R(0) is a multiple of k!;
@@ -107,6 +160,8 @@ def _interpolate_from_zero(values: List[int]) -> List[int]:
         for i in range(len(out) - 1):
             out[i] -= k * out[i + 1]
         out[0] += newton[k]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
     return out
 
 

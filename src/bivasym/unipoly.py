@@ -188,29 +188,38 @@ def lagrange_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> UPol
 
 
 def determinant_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination.
+    """Exact determinant of a square integer matrix (1 for the empty one); see ``bareiss_minors``."""
+    return bareiss_minors(matrix)[0] if matrix else 1
 
+
+def bareiss_minors(matrix: Sequence[Sequence[int]]) -> List[int]:
+    """Minors of an r x c integer matrix (0 < r <= c) by Bareiss elimination.
+
+    Entry ``t`` of the result is the determinant of the first r - 1 columns
+    together with column r - 1 + t, so a square matrix gives ``[det]``.
     Each step's 2x2 cross-multiplication is divided exactly by the previous
     pivot (Bareiss, Math. Comp. 22, 1968), so entries stay minors of the
-    input and no fraction is formed.  A zero pivot swaps in a lower row.
+    input and no fraction is formed.  A zero pivot swaps in a lower row;
+    when there is none, the first r - 1 columns are dependent and every
+    minor is 0.
     """
-    n = len(matrix)
+    n, width = len(matrix), len(matrix[0])
     m = [list(row) for row in matrix]
     sign, prev = 1, 1
-    for k in range(n):
+    for k in range(n - 1):
         if m[k][k] == 0:
             pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if pivot is None:
-                return 0
+                return [0] * (width - n + 1)
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         pk, row_k = m[k][k], m[k]
         for row in m[k + 1 :]:
             a = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row[j] = (pk * row[j] - a * row_k[j]) // prev
         prev = pk
-    return sign * prev
+    return [sign * v for v in m[n - 1][n - 1 :]]
 
 
 def determinant_fraction(matrix: List[List[Fraction]]) -> Fraction:

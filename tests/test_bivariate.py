@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from bivasym import BivariatePolynomial, poly_eval, poly_partial
+from bivasym.critical import critical_system
 from bivasym.errors import BranchTrackingError, EvaluationOverflow
 from bivasym.precision import get_precision, to_mpf, working_precision
+from bivasym.problem import parse_problem
 
 coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 
@@ -193,3 +196,24 @@ def test_partial_is_made_once(color_swap_h):
         first = color_swap_h.partial(var)
         assert color_swap_h.partial(var) is first
         assert first == BivariatePolynomial(dict(color_swap_h.terms)).partial(var)
+
+
+PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_magnitude_scale_equals_the_per_term_form(bits):
+    # One power per distinct exponent gives the bits of sum_ij (|h_ij| |x|^i) |y|^j
+    # taken term by term, on every problem's H, G and critical system.
+    with working_precision(bits):
+        points = [(mp.mpc(k / 7, 1 - k / 3), mp.mpc(k / 11 - 1, mp.pi / k)) for k in range(1, 13)]
+        for path in PROBLEMS:
+            spec = parse_problem(path.read_text())
+            polys = [spec.H, *critical_system(spec.H, spec.direction)]
+            for poly in polys + ([spec.G] if spec.G is not None else []):
+                for x, y in points:
+                    ax, ay = abs(x), abs(y)
+                    want = to_mpf(0)
+                    for (i, j), c in sorted(poly.terms.items()):
+                        want += to_mpf(abs(c)) * ax**i * ay**j
+                    assert repr(poly.eval_magnitude_scale(x, y)) == repr(want)

@@ -24,6 +24,7 @@ of the exact table (numerator, denominator and value): ``negative_origin``
 carries a symbolic complex prefactor and ``color_swap`` a numerator ``G``.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,16 @@ def test_oracle_table_unchanged(capsys, problem):
     assert code == 0
     expected = (GOLDEN / f"{problem}.oracle.out").read_text()
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("problem", ["branch_wrap", "axis_point"])
+def test_real_total_prints_argument_zero(capsys, problem, bits):
+    # branch_wrap sums two conjugate contributions and axis_point has one
+    # contribution of argument -2*pi*n: each total is real, and the noise
+    # its sum leaves below working precision is not printed as an argument.
+    spec = str(ROOT / "problems" / f"{problem}.json")
+    code = main(["estimate", "--spec", spec, "--precision", str(bits)])
+    assert code == 0
+    estimates = json.loads(capsys.readouterr().out)["estimates"]
+    assert estimates and [e["argument"] for e in estimates] == ["0"] * len(estimates)

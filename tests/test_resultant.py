@@ -1,17 +1,21 @@
 import itertools
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from bivasym import BivariatePolynomial, Direction, parse_problem
-from bivasym.critical import critical_system, eliminant
+from bivasym import critical
+from bivasym.critical import critical_system, eliminant, solve_critical
 from bivasym.errors import NonIsolatedCriticalSet
 from bivasym.resultant import (
+    first_subresultant,
     resultant_eliminating,
     shares_positive_dimensional_zero,
+    sylvester_matrix,
 )
-from bivasym.unipoly import divmod_exact, is_zero, trim
+from bivasym.unipoly import determinant_fraction, divmod_exact, eval_at, is_zero, trim
 from tests.test_acceptance import _random_polynomials
 
 PROBLEM_FILES = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
@@ -130,3 +134,103 @@ def test_symmetry_swaps_system_roles(multinomial_h):
     fs, gs = critical_system(multinomial_h.swap_variables(), Direction(1, 2))
     assert fs == f  # symmetric H
     assert gs == g.swap_variables().scale(-1) or gs == g.swap_variables()
+
+
+def test_first_subresultant_of_two_quadratics():
+    # For monic quadratics S1 = g - f; here f = (2*y^2 - x)/2 over a = 2,
+    # so the integers are 2*(g - f) = -6y + 5x.
+    f = bp([(0, 2, "1"), (1, 0, "-1/2")])  # y^2 - x/2
+    g = bp([(0, 2, "1"), (0, 1, "-3"), (1, 0, "2")])  # y^2 - 3y + 2x
+    sigma0, sigma1 = first_subresultant(f, g)
+    assert (sigma0, sigma1) == ([0, 5], [-6])
+    # The eliminant x*(25x/4 - 9/2) vanishes at 0 and 18/25; above each the
+    # common root is y = -sigma0/sigma1 = 5x/6.
+    assert resultant_eliminating(f, g, "y") == [F(0), F(-9, 2), F(25, 4)]
+    for x0 in (F(0), F(18, 25)):
+        y0 = -F(eval_at(sigma0, x0)) / eval_at(sigma1, x0)
+        assert f.eval_exact(x0, y0) == 0 and g.eval_exact(x0, y0) == 0
+
+
+def test_first_subresultant_with_a_linear_polynomial():
+    quadratic = bp([(0, 2, "1"), (1, 1, "1"), (0, 0, "-1")])  # y^2 + xy - 1
+    linear = bp([(0, 1, "2"), (1, 0, "-1")])  # 2y - x
+    # y-degrees 2 and 1: S1 = lc(g)^0 * g, and the same with the roles swapped.
+    assert first_subresultant(quadratic, linear) == ([0, -1], [2])
+    assert first_subresultant(linear, quadratic) == ([0, -1], [2])
+    # Both of y-degree 1: b*g with b = 3 stands in for S1.
+    f = bp([(1, 1, "1"), (0, 0, "-1")])  # xy - 1
+    g = bp([(0, 1, "1"), (1, 0, "-1/3")])  # y - x/3
+    assert first_subresultant(f, g) == ([0, -1], [3])
+    # A y-degree 0 leaves S1 undefined.
+    assert first_subresultant(quadratic, bp([(1, 0, "1"), (0, 0, "-1")])) is None
+
+
+def test_first_subresultant_matches_rational_minors():
+    # At rational x0, sigma_j(x0) is a^(n-1) b^(m-1) times the minor of the
+    # rational S1 matrix on its first m+n-3 columns and the column of y^j.
+    for H in itertools.islice(_random_polynomials(20260810), 32):
+        for direction in (Direction(1, 1), Direction(2, 1), Direction(1, 3)):
+            try:
+                f, g = critical_system(H, direction)
+            except NonIsolatedCriticalSet:
+                continue
+            m, n = f.degree_y(), g.degree_y()
+            if min(m, n) < 1 or m == n == 1:
+                continue
+            a = _denominator_lcm(f)
+            b = _denominator_lcm(g)
+            sigma0, sigma1 = first_subresultant(f, g)
+            for x0 in (F(-2), F(1, 3), F(5)):
+                mat = sylvester_matrix(
+                    [eval_at(row, x0) for row in f.coeffs_in_y()],
+                    [eval_at(row, x0) for row in g.coeffs_in_y()],
+                    1,
+                )
+                for sigma, col in ((sigma1, m + n - 3), (sigma0, m + n - 2)):
+                    minor = determinant_fraction([row[: m + n - 3] + [row[col]] for row in mat])
+                    assert eval_at(sigma, x0) == a ** (n - 1) * b ** (m - 1) * minor
+
+
+def _denominator_lcm(poly):
+    out = 1
+    for c in poly.terms.values():
+        out = out * c.denominator // math.gcd(out, c.denominator)
+    return out
+
+
+def test_linear_system_takes_no_partner_root_solve(multinomial_h, diag_direction, monkeypatch):
+    # H = 1 - x - y: both system polynomials have y-degree 1.
+    monkeypatch.setattr(critical, "aberth_roots", _no_root_solve)
+    (pt,) = solve_critical(multinomial_h, diag_direction)
+    assert (pt.p, pt.q) == (0.5, 0.5)
+
+
+def test_quadratic_system_takes_no_partner_root_solve(monkeypatch):
+    # axis_point has y-degrees 2 and 2 and no two critical points share an x.
+    spec = parse_problem(next(p for p in PROBLEM_FILES if p.stem == "axis_point").read_text())
+    monkeypatch.setattr(critical, "aberth_roots", _no_root_solve)
+    assert len(solve_critical(spec.H, spec.direction)) == 2
+
+
+def _no_root_solve(coeffs):
+    raise AssertionError("partner taken from a root solve")
+
+
+def test_two_points_over_one_real_x_take_the_fallback(monkeypatch):
+    # H = 1 - y^2 + 2xy + 3xy^2 at 1:1: the second polynomial is
+    # y^2 (3x - 2), so both critical points lie over x = 2/3, at the
+    # conjugate roots y = -2/3 +- i*sqrt(5)/3 of H(2/3, y).
+    H = bp([(0, 0, "1"), (0, 2, "-1"), (1, 1, "2"), (1, 2, "3")])
+    f, g = critical_system(H, Direction(1, 1))
+    sigma0, sigma1 = first_subresultant(f, g)
+    assert (sigma0, sigma1) == ([2, -3], [0, 4, -6])
+    assert eval_at(sigma1, F(2, 3)) == 0 and eval_at(sigma0, F(2, 3)) == 0
+    calls = []
+    recover = critical._recover_partner
+    monkeypatch.setattr(critical, "_recover_partner", lambda *a: calls.append(a[2]) or recover(*a))
+    points = solve_critical(H, Direction(1, 1))
+    assert len(calls) == 1 and abs(calls[0] - F(2, 3)) < 1e-30
+    assert len(points) == 2
+    for pt, sign in zip(sorted(points, key=lambda pt: pt.q.imag), (-1, 1)):
+        assert abs(pt.p - F(2, 3)) < 1e-30
+        assert abs(pt.q - complex(-2 / 3, sign * 5**0.5 / 3)) < 1e-15

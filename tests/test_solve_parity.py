@@ -1,9 +1,15 @@
-"""The square-free eliminant and the per-key probe against the full ones.
+"""Solve routes against their references.
 
 ``solve_critical`` finds the roots of the square-free part of the
 eliminant.  The reference below is the same solve on the full eliminant,
 made by replacing the square-free step with the identity.  The two must
 find the same points, with the same smoothness, or the same typed error.
+
+``solve_critical`` reads the partner of each eliminant root off the first
+subresultant.  The reference takes every partner from ``_recover_partner``'s
+root solve, made by leaving the subresultant undefined.  The two must find
+the same points, in the same order and with the same smoothness, to
+``2^-(prec-16)`` relative, at 64, 128 and 256 bits.
 
 ``run_solve`` probes one point per (|p|, |q|) key of the dominant class and
 copies the answer to the other points with that key.  The reference probes
@@ -23,6 +29,7 @@ from bivasym import Direction, critical
 from bivasym.critical import critical_system, minimality_probe, solve_critical
 from bivasym.errors import BivasymError
 from bivasym.pipeline import run_solve
+from bivasym.precision import working_precision
 from bivasym.problem import ProblemSpec, parse_problem
 from bivasym.resultant import resultant_eliminating
 from bivasym.unipoly import degree, squarefree_part
@@ -81,6 +88,84 @@ def test_squarefree_eliminant_finds_the_same_points(case, monkeypatch):
         # precision only (item 5's (9, -1) differs by 4.5e-20).
         tol = mp.mpf(10) ** -20 if ref.smooth else mp.mpf(2) ** (4 - mp.prec // 2)
         assert _relative_gap(ref, pt) <= tol
+
+
+def _half_precision() -> mp.mpf:
+    """Gap within which either route locates a non-smooth point."""
+    return mp.mpf(2) ** (4 - mp.prec // 2)
+
+
+def _tie_groups(points):
+    """Runs of consecutive points whose (|p|, |q|) agree to ``MERGE_TOL``.
+
+    ``solve_critical`` sorts by (|p|, |q|, arg p) in doubles, so the order
+    inside such a run, one torus class, can rest on the last bits of |p|
+    and |q|: at 64 bits the symmetric points of item 19 at 2:1 swap on a
+    one-ulp |q|.
+    """
+    groups = []
+    for pt in points:
+        head = groups[-1][0] if groups else None
+        if head is not None and all(
+            abs(abs(a) - abs(b)) <= critical.MERGE_TOL * (1 + abs(b))
+            for a, b in ((pt.p, head.p), (pt.q, head.q))
+        ):
+            groups[-1].append(pt)
+        else:
+            groups.append([pt])
+    return groups
+
+
+def _once(points):
+    """``points`` with each non-smooth point kept once.
+
+    A singular solution is a double root in y, so a root solve can return
+    it as two partners that the polish leaves apart: at 64 bits item 5's
+    (9, -1) comes back twice, up to 3.7e-8 apart, from ``_recover_partner``.
+    Two copies each within ``_half_precision`` of the point are within
+    twice that of each other.
+    """
+    kept = []
+    for pt in points:
+        if pt.smooth or all(k.smooth or _relative_gap(k, pt) > 2 * _half_precision() for k in kept):
+            kept.append(pt)
+    return kept
+
+
+FAMILY_SYSTEMS = [
+    (item, direction) for item in range(32) for direction in ("1:1", "2:1", "1:3")
+]
+PROBLEM_FILES = sorted(p.stem for p in (ROOT / "problems").glob("*.json"))
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("case", FAMILY_SYSTEMS + PROBLEM_FILES)
+def test_subresultant_partners_match_the_root_solve(case, bits, monkeypatch):
+    if isinstance(case, tuple):
+        item, direction = case
+        spec = dataclasses.replace(_spec(item), direction=Direction.from_string(direction))
+    else:
+        spec = parse_problem((ROOT / "problems" / f"{case}.json").read_text())
+    with working_precision(bits):
+        got = _solve(spec)
+        with monkeypatch.context() as m:
+            m.setattr(critical, "first_subresultant", lambda f, g: None)
+            ref = _solve(spec)
+        if not isinstance(ref, list):
+            assert got is ref
+            return
+        got_groups, ref_groups = _tie_groups(_once(got)), _tie_groups(_once(ref))
+        assert [len(g) for g in got_groups] == [len(g) for g in ref_groups]
+        for mine, theirs in zip(got_groups, ref_groups):
+            unmatched = list(mine)
+            for ref_pt in theirs:
+                pt = min(unmatched, key=lambda c: _relative_gap(ref_pt, c))
+                unmatched.remove(pt)
+                assert pt.smooth == ref_pt.smooth
+                # A non-smooth point is a singular solution, which either
+                # route locates to about half the working precision only.
+                tol = mp.mpf(2) ** (16 - bits) if ref_pt.smooth else _half_precision()
+                assert _relative_gap(ref_pt, pt) <= tol
 
 
 @pytest.mark.parametrize("case", REPEATED_ROOT_ITEMS + PROBLEMS)
