@@ -12,8 +12,9 @@ the specialized system instead when ``|sigma1(w)|`` is at most
 ``2^-(prec/2)`` of its coefficient scale at ``w`` (two points share the
 x, or both leading coefficients in y vanish there), when a y-degree of 0
 leaves S1 undefined, or when ``q`` fails the 1e-4 residual filter.  Every candidate is Newton-polished on the full 2x2
-system with its exact Jacobian.  Minimality is probed numerically on a
-polydisk grid; verdicts carry a concrete witness when violated.
+system with its exact Jacobian.  Minimality is probed numerically on the
+one circle |y| = |q| plus the roots of H(0, y); verdicts carry a concrete
+witness when violated.
 """
 
 from __future__ import annotations
@@ -79,21 +80,14 @@ IDENTITY_TOL = 1e-10  # H_y/H_x = p/(lambda*q) check in the local data
 MARGIN_TOL = 1e-6  # probe margin needed for probably_strictly_minimal
 BOUNDARY_TOL = 1e-9  # an x-root this close to the |p| circle touches it
 SMOOTH_TOL = 1e-6  # gradient below this times the coefficient scale is singular
-PRUNE_PAD = 1e-10  # probe's root bound pads each coefficient by this times the largest
-PRUNE_NEWTON_STEPS = 8  # Newton steps towards the probe's root bound
-PRUNE_SEED = 64  # slices the probe solves first to bound the margin
 
 
 @dataclass(frozen=True)
 class ProbeGrid:
-    """Sampling resolution of the minimality probe, which uses the defaults."""
+    """Sample count of the minimality probe: ``angles`` slices of one circle."""
 
     angles: int = 256
-    radii: int = 32
-
-    def __post_init__(self):
-        if self.angles < 256 or self.radii < 32:
-            raise ConfigError("probe grid below minimum resolution (256 angles, 32 radii)")
+    radii: int = 1
 
 
 @dataclass
@@ -367,26 +361,26 @@ def minimality_probe(
 ) -> CriticalPoint:
     """Numerically probe strict minimality of ``pt`` on the closed polydisk.
 
-    For every sampled y with |y| <= |q| the x-roots of H(. , y) are
-    checked against |p|: a root strictly inside reports ``violated`` with
-    a witness; a root on the |p| circle that is not one of the known
-    same-torus critical points does too.  The witness is the first event
-    of the first radius that shows one, in (angle, root) order, an
-    identically zero slice counting as the root x = 0.  The verdict,
-    witness and ``margin`` (the least |x|/|p| - 1 over the roots checked,
-    on every radius up to that one) are written onto ``pt``, which is
-    returned.
+    Write H = sum_i h_i(y) x^i.  Where h_0 = H(0, .) does not vanish, the
+    reciprocals of the x-roots of H(., y) are the eigenvalues of a
+    companion matrix analytic in y, so the log of their spectral radius is
+    subharmonic (Vesentini, "On the subharmonicity of the spectral
+    radius", Boll. UMI, 1968), and the least x-root modulus over |y| <= |q|
+    is reached on |y| = |q|.  A zero y0 of H(0, .) with |y0| <= |q| is
+    itself the point (0, y0) of the zero set inside the polydisk.  So
+    (p, q) is minimal exactly when (a) H(0, .) has no root in |y| <= |q|
+    and (b) no x-root on the circle |y| = |q| lies within |p|.
 
-    Only the slices whose roots can decide these are root-solved.  Each
-    slice has a certified lower bound L on the moduli of its roots
-    (``_root_modulus_bounds``).  Pass 1 goes through the radii in order,
-    solves the slices with L <= |p|(1 + BOUNDARY_TOL), and stops at the
-    first radius with a violation.  Pass 2 finds the margin over the
-    radii scanned: it solves the ``PRUNE_SEED`` unsolved slices of least
-    L, whose roots bound the margin by U, then every unsolved slice with
-    L <= |p|(1 + U).  A skipped slice has every root beyond
-    |p|(1 + margin), so the answers are those of solving every slice,
-    bit for bit.
+    Check (a) root-solves H(0, .): a root with |y0| <= |q|(1 +
+    BOUNDARY_TOL) reports ``violated`` with the witness (0, y0), the first
+    such root in ``np.roots`` order, and margin -1.  Otherwise check (b)
+    samples ``ProbeGrid().angles`` slices of the circle: a root strictly
+    inside |p| reports ``violated``, and so does a root on the |p| circle
+    that is not one of the known same-torus critical points.  The witness
+    is the first such event in (angle, root) order, an identically zero
+    slice counting as the root x = 0 (margin -1).  The verdict, witness and
+    ``margin`` (the least |x|/|p| - 1 over the circle's checked roots) are
+    written onto ``pt``, which is returned.
     """
     mod_p = float(abs(pt.p))
     mod_q = float(abs(pt.q))
@@ -400,133 +394,56 @@ def minimality_probe(
     y_major = H.float_coeffs().T
     zero_top = 1e-14 * max(float(H.coefficient_scale()), 1.0)
 
-    grid = ProbeGrid()
-    turns = np.exp(2j * np.pi * np.arange(grid.angles) / grid.angles)
-    # Slice (k, angle) is row (k - 1) * angles + angle, x-coefficients from
-    # degree 0 up.
-    ys = np.concatenate([k / grid.radii * mod_q * turns for k in range(1, grid.radii + 1)])
-    cmat = polyval(ys, y_major).T
-    zero = np.abs(cmat).max(axis=1) <= zero_top
-    bound = _root_modulus_bounds(cmat)
-    solved = np.zeros(len(ys), dtype=bool)
-    reach = mod_p * (1 + BOUNDARY_TOL)
+    # Check (a): the roots of H(0, .), the one coefficient column x^0.
+    roots, valid, _ = _radius_roots(y_major[:, :1].T, zero_top)
+    for y0 in roots[0][valid[0]]:
+        if np.hypot(y0.real, y0.imag) <= mod_q * (1 + BOUNDARY_TOL):
+            pt.minimality = VIOLATED
+            pt.witness = (0j, complex(y0))
+            pt.margin = -1.0
+            return pt
 
-    def check(rows):
-        """Roots of slices ``rows``, their in-reach flags and least margin."""
-        solved[rows] = True
-        roots, valid, _ = _radius_roots(cmat[rows], zero_top)
-        # hypot rounds as abs() of a numpy scalar; np.abs on arrays may not.
-        ax = np.hypot(roots.real, roots.imag)
-        checked = valid.copy()
-        for kp, kq in known:
-            dx, dy = roots - kp, ys[rows] - kq
-            near_y = np.hypot(dy.real, dy.imag) <= match_tol
-            checked &= ~((np.hypot(dx.real, dx.imag) <= match_tol) & near_y[:, None])
-        margin = float((ax[checked] / mod_p - 1.0).min()) if checked.any() else math.inf
-        # Inside the polydisk, or on the |p| circle without being a known
-        # same-torus point: either way strictness fails.
-        return roots, checked & (ax <= reach), margin
-
-    # Pass 1: the first radius with a violation.
-    min_margin = math.inf
+    # Check (b): the circle |y| = |q|, slices in angle order.
+    angles = ProbeGrid().angles
+    ys = mod_q * np.exp(2j * np.pi * np.arange(angles) / angles)
+    roots, valid, zero = _radius_roots(polyval(ys, y_major).T, zero_top)
+    # hypot rounds as abs() of a numpy scalar; np.abs on arrays may not.
+    ax = np.hypot(roots.real, roots.imag)
+    checked = valid.copy()
+    for kp, kq in known:
+        dx, dy = roots - kp, ys - kq
+        near_y = np.hypot(dy.real, dy.imag) <= match_tol
+        checked &= ~((np.hypot(dx.real, dx.imag) <= match_tol) & near_y[:, None])
+    margin = float((ax[checked] / mod_p - 1.0).min()) if checked.any() else math.inf
+    # Inside the polydisk, or on the |p| circle without being a known
+    # same-torus point: either way strictness fails.
+    inside = checked & (ax <= mod_p * (1 + BOUNDARY_TOL))
+    hit = zero | inside.any(axis=1)
     witness = None
-    for k in range(grid.radii):
-        ring = np.arange(k * grid.angles, (k + 1) * grid.angles)
-        rows = ring[(bound[ring] <= reach) & ~zero[ring]]
-        hit = zero[ring].copy()
-        if rows.size:
-            roots, inside, margin = check(rows)
-            min_margin = min(min_margin, margin)
-            hit[rows - ring[0]] |= inside.any(axis=1)
-        if hit.any():
-            a = ring[np.argmax(hit)]
-            if zero[a]:
-                # A slice lying wholly in the zero set has the root x = 0.
-                x_val = 0j
-            else:
-                i = np.searchsorted(rows, a)
-                x_val = complex(roots[i, np.argmax(inside[i])])
-            witness = (x_val, complex(ys[a]))
-            break
-    scanned = (k + 1) * grid.angles
-
-    # Pass 2: the least margin over the radii scanned.
-    if zero[:scanned].any():
-        min_margin = -1.0
-    else:
-        unsolved = np.flatnonzero(~solved[:scanned])
-        seed = unsolved[np.argsort(bound[unsolved], kind="stable")[:PRUNE_SEED]]
-        if seed.size:
-            min_margin = min(min_margin, check(seed)[2])
-        rest = np.flatnonzero(~solved[:scanned] & (bound[:scanned] <= mod_p * (1 + min_margin)))
-        if rest.size:
-            min_margin = min(min_margin, check(rest)[2])
-    if witness is not None:
+    if hit.any():
+        a = int(np.argmax(hit))
+        # A slice lying wholly in the zero set has the root x = 0.
+        x_val = 0j if zero[a] else complex(roots[a, np.argmax(inside[a])])
+        witness = (x_val, complex(ys[a]))
         pt.minimality = VIOLATED
     else:
-        pt.minimality = PROBABLY_STRICTLY_MINIMAL if min_margin > MARGIN_TOL else INCONCLUSIVE
+        pt.minimality = PROBABLY_STRICTLY_MINIMAL if margin > MARGIN_TOL else INCONCLUSIVE
     pt.witness = witness
-    pt.margin = min_margin
+    pt.margin = -1.0 if zero.any() else margin
     return pt
-
-
-def _root_modulus_bounds(cmat: np.ndarray) -> np.ndarray:
-    """Per slice, a lower bound on the moduli of the roots ``_radius_roots`` returns.
-
-    The slice is cut as ``_radius_roots`` cuts it, and each coefficient is
-    padded by ``PRUNE_PAD`` times the slice's largest, which covers the
-    backward error of ``eigvals``.  By Cauchy's bound no root lies below
-    the positive root of sum_{i>=1} (|c_i| + pad) t^i = |c_0| - pad; a few
-    Newton steps from above approach it, and the result times (1 - 1e-6)
-    is kept only when the sign of the sum certifies it.  The bound is 0
-    when |c_0| is within the pad of 0, and +inf when the slice has no
-    x-roots.
-    """
-    m = cmat.shape[1]
-    mags = np.hypot(cmat.real, cmat.imag)
-    top = mags.max(axis=1)
-    above = mags > 1e-13 * top[:, None]
-    n = m - np.argmax(above[:, ::-1], axis=1)
-    pad = PRUNE_PAD * top
-    powers = np.arange(m)
-    terms = np.where((powers >= 1) & (powers < n[:, None]), mags + pad[:, None], 0.0)
-    rhs = mags[:, 0] - pad
-
-    def lhs(t):
-        """sum_i terms_i t^i and its derivative, by one Horner pass."""
-        s, ds = terms[:, -1].copy(), np.zeros_like(t)
-        for c in terms.T[-2::-1]:
-            ds = ds * t + s
-            s = s * t + c
-        return s, ds
-
-    with np.errstate(all="ignore"):
-        # Each term alone reaches rhs at or beyond the root: start above it.
-        t = np.min(
-            np.where(terms[:, 1:] > 0, (rhs[:, None] / terms[:, 1:]) ** (1.0 / powers[1:]), np.inf),
-            axis=1,
-            initial=np.inf,
-        )
-        for _ in range(PRUNE_NEWTON_STEPS):
-            s, ds = lhs(t)
-            t = t - (s - rhs) / ds
-        t = t * (1 - 1e-6)
-        bound = np.where(lhs(t)[0] < rhs, t, 0.0)
-    bound[rhs <= 0] = 0.0
-    bound[n == 1] = np.inf
-    return bound
 
 
 def _radius_roots(cmat: np.ndarray, zero_top: float):
     """x-roots of each slice in ``cmat``, each slice in ``np.roots`` order.
 
-    ``cmat`` holds one slice per row, coefficients from x^0 up; the slices
-    may be any set, of one radius or several.  Each slice is cut at its
-    last coefficient above 1e-13 times its largest; a slice whose largest
-    is at most ``zero_top`` is identically zero.  Slices of
-    one effective degree and one count of exact zero low coefficients share
-    one stacked companion-matrix ``eigvals`` call, built as ``np.roots``
-    builds it, with the x = 0 roots after the others.  Returns ``(roots,
+    ``cmat`` holds one slice per row, coefficients from x^0 up: the
+    probe's circle of y-values, or the one row of H(0, y) with y in the
+    place of x.  Each slice is cut at its last coefficient above 1e-13
+    times its largest; a slice whose largest is at most ``zero_top`` is
+    identically zero.  Slices of one effective degree and one count of
+    exact zero low coefficients share one stacked companion-matrix
+    ``eigvals`` call, built as ``np.roots`` builds it, with the x = 0
+    roots after the others.  Returns ``(roots,
     valid, zero)``: slice ``a`` has the roots ``roots[a][valid[a]]`` and is
     identically zero when ``zero[a]``.
     """

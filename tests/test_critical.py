@@ -8,7 +8,6 @@ from bivasym import (
     BivariatePolynomial,
     CriticalPoint,
     Direction,
-    ProbeGrid,
     critical_system,
     group_by_torus,
     is_smooth,
@@ -192,13 +191,6 @@ def test_probe_violated_product_family():
     assert abs(x_w) <= 0.5 * (1 + 1e-9)
     assert abs(y_w) <= 0.5 * (1 + 1e-9)
     assert (x_w, y_w) != (0.5, 0.5)
-
-
-def test_probe_grid_minimums():
-    with pytest.raises(ConfigError):
-        ProbeGrid(angles=128, radii=32)
-    with pytest.raises(ConfigError):
-        ProbeGrid(angles=256, radii=16)
 
 
 def test_group_single_point(multinomial_h, diag_direction):

@@ -18,8 +18,11 @@ change meant to move them regenerates them with
     for p in negative_origin color_swap; do
       bivasym oracle --spec problems/$p.json > tests/data/golden/$p.oracle.out
     done
+    bivasym solve --spec problems/origin_zero_inside.json \
+      > tests/data/golden/origin_zero_inside.solve.out
 
-and says why in its description.  The ``oracle`` goldens print every entry
+and says why in its description.  ``origin_zero_inside`` is refused (exit
+2), and its report shows the witness of the refusal.  The ``oracle`` goldens print every entry
 of the exact table (numerator, denominator and value): ``negative_origin``
 carries a symbolic complex prefactor and ``color_swap`` a numerator ``G``.
 """
@@ -52,6 +55,14 @@ def test_oracle_table_unchanged(capsys, problem):
         code = main(["oracle", "--spec", str(ROOT / "problems" / f"{problem}.json")])
     assert code == 0
     expected = (GOLDEN / f"{problem}.oracle.out").read_text()
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_refused_solve_report_unchanged(capsys, bits):
+    spec = str(ROOT / "problems" / "origin_zero_inside.json")
+    assert main(["solve", "--spec", spec, "--precision", str(bits)]) == 2
+    expected = (GOLDEN / "origin_zero_inside.solve.out").read_text()
     assert capsys.readouterr().out == expected
 
 

@@ -1,13 +1,14 @@
-"""The pruned, batched minimality probe against its two references.
+"""The one-circle minimality probe against the polydisk scan it replaced.
 
-``minimality_probe`` finds x-roots with stacked companion-matrix
-``eigvals`` calls, and only on the slices that a root-modulus bound cannot
-clear.  ``_reference_probe`` is the per-slice ``np.roots`` loop the
-batching replaced, changed only to finish the radius that shows the first
-violation, so that it also yields the least margin over the roots the
-batched probe checks.  ``_unpruned_probe`` is the batched probe before the
-pruning: every slice of one radius at a time.  Verdicts, witnesses and
-margins must agree with both bit for bit.
+``minimality_probe`` root-solves H(0, y) and the 256 slices of the one
+circle |y| = |q|, with stacked companion-matrix ``eigvals`` calls.  The
+references scan the closed polydisk on 32 radii by 256 angles:
+``_reference_probe`` with one ``np.roots`` call per slice, finishing the
+radius that shows the first violation, and ``_unpruned_probe`` with every
+slice of one radius batched at a time.  Verdicts must agree on every point
+and margins bit for bit on every point that is not violated; a violated
+point's witness comes from H(0, y) or from the circle, and must lie on the
+zero set inside the polydisk.
 """
 
 import itertools
@@ -16,8 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mpc
 from numpy.polynomial.polynomial import polyval
 
@@ -29,9 +28,8 @@ from bivasym.critical import (
     PROBABLY_STRICTLY_MINIMAL,
     VIOLATED,
     CriticalPoint,
-    ProbeGrid,
     _radius_roots,
-    _root_modulus_bounds,
+    _relative_residual,
     dominant_class,
     group_by_torus,
     minimality_probe,
@@ -42,6 +40,7 @@ from bivasym.problem import parse_problem
 from tests.test_acceptance import _random_polynomials
 
 ROOT = Path(__file__).resolve().parent.parent
+ANGLES, RADII = 256, 32  # the polydisk grid of the references
 
 
 def _reference_slice_roots(coeffs, coeff_scale):
@@ -77,14 +76,13 @@ def _reference_probe(H, pt, peers=()):
     match_tol = 1e-7 * max(1.0, mod_p, mod_q)
     y_major = H.float_coeffs().T
     coeff_scale = float(H.coefficient_scale())
-    grid = ProbeGrid()
     min_margin = math.inf
     witness = None
-    phis = 2.0 * np.pi * np.arange(grid.angles) / grid.angles
-    for t in [k / grid.radii for k in range(1, grid.radii + 1)]:
+    phis = 2.0 * np.pi * np.arange(ANGLES) / ANGLES
+    for t in [k / RADII for k in range(1, RADII + 1)]:
         ys = t * mod_q * np.exp(1j * phis)
         cmat = polyval(ys, y_major)
-        for a in range(grid.angles):
+        for a in range(ANGLES):
             y_val = ys[a]
             roots = _reference_slice_roots(cmat[:, a], coeff_scale)
             if roots is None:
@@ -112,11 +110,10 @@ def _unpruned_probe(H, pt, peers=()):
     match_tol = 1e-7 * max(1.0, mod_p, mod_q)
     y_major = H.float_coeffs().T
     zero_top = 1e-14 * max(float(H.coefficient_scale()), 1.0)
-    grid = ProbeGrid()
     min_margin = math.inf
-    phis = 2.0 * np.pi * np.arange(grid.angles) / grid.angles
-    for k in range(1, grid.radii + 1):
-        ys = k / grid.radii * mod_q * np.exp(1j * phis)
+    phis = 2.0 * np.pi * np.arange(ANGLES) / ANGLES
+    for k in range(1, RADII + 1):
+        ys = k / RADII * mod_q * np.exp(1j * phis)
         roots, valid, zero = _radius_roots(polyval(ys, y_major).T, zero_top)
         ax = np.hypot(roots.real, roots.imag)
         checked = valid.copy()
@@ -138,13 +135,20 @@ def _unpruned_probe(H, pt, peers=()):
     return verdict, None, min_margin
 
 
-def _assert_same(H, pt, peers=()):
-    verdict, witness, margin = _reference_probe(H, pt, peers)
+def _assert_same(H, pt, peers=(), reference=_reference_probe):
+    """Probe ``pt`` and check it against the polydisk scan ``reference``."""
+    verdict, _, margin = reference(H, pt, peers)
     got = minimality_probe(H, pt, peers=peers)
-    # repr tells -0.0 from 0.0, which the CLI report prints differently.
-    assert repr((got.minimality, got.witness, got.margin)) == repr(
-        (verdict, witness, float(margin))
-    )
+    assert got.minimality == verdict
+    if verdict == VIOLATED:
+        x_w, y_w = got.witness
+        assert abs(x_w) <= float(abs(pt.p)) * (1 + BOUNDARY_TOL)
+        assert abs(y_w) <= float(abs(pt.q)) * (1 + BOUNDARY_TOL)
+        assert _relative_residual(H, mpc(x_w), mpc(y_w)) < 1e-9
+    else:
+        # repr tells -0.0 from 0.0, which the CLI report prints differently.
+        assert got.witness is None
+        assert repr(got.margin) == repr(float(margin))
     return got
 
 
@@ -152,15 +156,29 @@ def bp(items):
     return BivariatePolynomial.from_items(items)
 
 
-@pytest.mark.parametrize("name", ["color_swap", "multinomial_sqrt", "branch_wrap"])
+# The verdict on the dominant points of each problem file that has them
+# (torus_winds has no critical point).
+PROBLEM_VERDICTS = {
+    "axis_point": PROBABLY_STRICTLY_MINIMAL,
+    "branch_wrap": PROBABLY_STRICTLY_MINIMAL,
+    "color_swap": PROBABLY_STRICTLY_MINIMAL,
+    "g_vanishes": PROBABLY_STRICTLY_MINIMAL,
+    "multinomial_sqrt": PROBABLY_STRICTLY_MINIMAL,
+    "negative_origin": PROBABLY_STRICTLY_MINIMAL,
+    "origin_zero_inside": VIOLATED,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_VERDICTS))
 def test_problem_files_match_reference(name):
     spec = parse_problem((ROOT / "problems" / f"{name}.json").read_text())
     outcome = run_solve(spec, probe=False)
     for pt in outcome.dominant.points:
         peers = [o for o in outcome.dominant.points if o is not pt]
         got = _assert_same(spec.H, pt, peers)
-        assert got.minimality == PROBABLY_STRICTLY_MINIMAL
-        assert got.margin > MARGIN_TOL
+        assert got.minimality == PROBLEM_VERDICTS[name]
+        if got.minimality == PROBABLY_STRICTLY_MINIMAL:
+            assert got.margin > MARGIN_TOL
 
 
 # Criterion-4 family items (seed 20260810) with quick solves: item 6 is
@@ -210,9 +228,10 @@ def test_mixed_degree_radius_matches_reference():
     H = bp([(0, 0, "3"), (1, 0, "-1"), (2, 0, "1"), (2, 1, "-2")])
     roots, valid, zero = _radius_roots(_radius(H, 1.0, 16), 1e-14 * 2)
     assert valid.sum(axis=1).tolist() == [1] + [2] * 255
-    # Radius 16 is scanned in full before the violation at radius 31.
+    # H(0, y) = 3 has no root, so the witness is on the circle |y| = 1;
+    # the reference finds its first violation at radius 31 of 32.
     got = _assert_same(H, CriticalPoint(p=mpc(1), q=mpc(1)))
-    assert got.minimality == VIOLATED and abs(got.witness[1]) == 31 / 32
+    assert got.minimality == VIOLATED and abs(got.witness[1]) == 1
 
 
 @pytest.mark.parametrize(
@@ -225,7 +244,8 @@ def test_mixed_degree_radius_matches_reference():
     ],
 )
 def test_exact_zero_root_is_the_witness(items):
-    # |p| = 0.01: every root stays outside until y = 1/2 makes x = 0 a root.
+    # |p| = 0.01: every root stays outside until y = 1/2 makes x = 0 a
+    # root, and y = 1/2 is the root of H(0, y) = 1 - 2y.
     got = _assert_same(bp(items), CriticalPoint(p=mpc(0.01), q=mpc(1)))
     assert got.minimality == VIOLATED
     assert got.witness[0] == 0 and got.witness[1] == 0.5
@@ -233,9 +253,9 @@ def test_exact_zero_root_is_the_witness(items):
 
 
 def test_zero_slice_before_violating_roots_wins():
-    # H = (1 - 2y)(x^2 y^2 - 1): at radius 16 (|y| = 1/2) the slice y = 1/2
-    # (angle 0) is identically zero and every other slice has roots
-    # |x| = 2 < |p| = 2.1; no earlier radius violates.
+    # H = (1 - 2y)(x^2 y^2 - 1): the slice y = 1/2 is identically zero, and
+    # y = 1/2 is the root of H(0, y) = 2y - 1, so it is the witness, though
+    # the circle |y| = 1 has roots |x| = 1 < |p| = 2.1.
     H = bp([(2, 2, "1"), (2, 3, "-2"), (0, 0, "-1"), (0, 1, "2")])
     got = _assert_same(H, CriticalPoint(p=mpc(2.1), q=mpc(1)))
     assert got.minimality == VIOLATED
@@ -244,20 +264,20 @@ def test_zero_slice_before_violating_roots_wins():
 
 
 def test_violating_roots_before_zero_slice_win():
-    # H = (1 + 2y)(x^2 y^2 - 1): the zero slice is y ~ -1/2 (angle 128), so
-    # the roots x = +-2 of slice 0 (y = 1/2) come first.
+    # H = (1 + 2y)(x^2 y^2 - 1): the circle's first slice (y = 1) has the
+    # violating roots x = +-1, but H(0, y) = -1 - 2y is checked before the
+    # circle, so its root y = -1/2 is the witness.
     H = bp([(2, 2, "1"), (2, 3, "2"), (0, 0, "-1"), (0, 1, "-2")])
     got = _assert_same(H, CriticalPoint(p=mpc(2.1), q=mpc(1)))
     assert got.minimality == VIOLATED
-    assert got.witness[1] == 0.5 + 0j
-    assert abs(abs(got.witness[0]) - 2) < 1e-12
+    assert got.witness == (0j, -0.5 + 0j)
     assert got.margin == -1.0
 
 
 @pytest.mark.parametrize("mod_q, verdict", [(0.25, PROBABLY_STRICTLY_MINIMAL), (1.0, VIOLATED)])
 def test_slices_without_x_roots(mod_q, verdict):
-    # H = 1 - 2y does not depend on x, so no slice has roots; the slice
-    # y = 1/2 vanishes when |q| = 1 and is not sampled when |q| = 1/4.
+    # H = 1 - 2y does not depend on x, so no slice has roots; the root
+    # y = 1/2 of H(0, y) lies in |y| <= |q| when |q| = 1, not when |q| = 1/4.
     H = bp([(0, 0, "1"), (0, 1, "-2")])
     got = _assert_same(H, CriticalPoint(p=mpc(1), q=mpc(mod_q)))
     assert got.minimality == verdict
@@ -274,29 +294,6 @@ def _family(item):
     return next(itertools.islice(_random_polynomials(20260810), item, None))
 
 
-def _assert_bounds_hold(cmat, zero_top):
-    """Every root ``_radius_roots`` returns has modulus at least its slice's bound."""
-    bound = _root_modulus_bounds(cmat)
-    roots, valid, _ = _radius_roots(cmat, zero_top)
-    ax = np.hypot(roots.real, roots.imag)
-    assert (ax >= bound[:, None])[valid].all()
-    return bound
-
-
-@pytest.mark.parametrize("case", ["color_swap", "multinomial_sqrt", "branch_wrap", 6, 7, 9, 11])
-def test_root_modulus_bound_is_sound(case):
-    if isinstance(case, str):
-        spec = parse_problem((ROOT / "problems" / f"{case}.json").read_text())
-        H, dom = spec.H, run_solve(spec, probe=False).dominant
-    else:
-        H, direction = _family(case), Direction(1, 1)
-        dom = dominant_class(group_by_torus(solve_critical(H, direction), direction=direction))
-    zero_top = 1e-14 * max(float(H.coefficient_scale()), 1.0)
-    # Every slice of every radius the probe could solve.
-    cmat = np.concatenate([_radius(H, dom.modulus_q, k) for k in range(1, 33)])
-    _assert_bounds_hold(cmat, zero_top)
-
-
 @pytest.mark.parametrize("name", ["color_swap", "multinomial_sqrt", "branch_wrap"])
 def test_probe_solves_few_slices(name, monkeypatch):
     spec = parse_problem((ROOT / "problems" / f"{name}.json").read_text())
@@ -307,44 +304,27 @@ def test_probe_solves_few_slices(name, monkeypatch):
         critical, "_radius_roots", lambda cmat, top: rows.append(len(cmat)) or radius_roots(cmat, top)
     )
     minimality_probe(spec.H, pt)
-    # Of the 8192 slices, pass 2 solves its seed of 64 and a few more.
-    assert critical.PRUNE_SEED <= sum(rows) < 8192 // 10
+    # H(0, y), then the 256 slices of |y| = |q|; the polydisk had 8192.
+    assert rows == [1, 256]
 
 
-_small = st.builds(complex, st.integers(-4, 4), st.integers(-4, 4)) | st.complex_numbers(
-    max_magnitude=8, allow_nan=False, allow_infinity=False
-)
+def test_origin_zero_is_found_only_by_the_origin_check():
+    # H = 1 + 3y - x y^2 + x^2 y/2 at 2:1: H(0, -1/3) = 0 inside |y| <= |q|
+    # = sqrt(2), yet every x-root on the circle |y| = |q| lies beyond |p|:
+    # the circle alone would accept the point at margin 8.7e-6.
+    spec = parse_problem((ROOT / "problems" / "origin_zero_inside.json").read_text())
+    zero_top = 1e-14 * max(float(spec.H.coefficient_scale()), 1.0)
+    dom = run_solve(spec, probe=False).dominant
+    for pt in dom.points:
+        mod_p, mod_q = float(abs(pt.p)), float(abs(pt.q))
+        roots, valid, zero = _radius_roots(_radius(spec.H, mod_q, 32), zero_top)
+        assert not zero.any()
+        assert np.abs(roots[valid]).min() / mod_p - 1 > MARGIN_TOL
+        got = _assert_same(spec.H, pt, [o for o in dom.points if o is not pt])
+        assert got.witness == (0j, complex(-1 / 3)) and got.margin == -1.0
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    coeffs=st.lists(_small, min_size=1, max_size=6),
-    zero_c0=st.booleans(),
-    lead_scale=st.sampled_from([1.0, 1e-6, 1e-11, 1e-12, 2e-13]),
-)
-def test_root_modulus_bound_on_small_polynomials(coeffs, zero_c0, lead_scale):
-    # Covers a zero c_0, a leading coefficient just above the trim cut, and
-    # (one coefficient) a slice with no x-terms at all.
-    c = np.array(coeffs, dtype=complex)
-    if zero_c0:
-        c[0] = 0
-    c[-1] *= lead_scale
-    top = np.abs(c).max()
-    bound = _assert_bounds_hold(c[None, :], 1e-14)
-    if len(c) == 1 and top > 1e-14:
-        assert bound[0] == np.inf
-    if zero_c0 and len(c) > 1:
-        assert bound[0] == 0.0
-
-
-def _assert_same_as_unpruned(H, pt, peers):
-    expected = _unpruned_probe(H, pt, peers)
-    got = minimality_probe(H, pt, peers=peers)
-    assert repr((got.minimality, got.witness, got.margin)) == repr(expected)
-    return got.minimality
-
-
-# Family items 0-31 except the six whose unpruned scans are slowest (13, 14,
+# Family items 0-31 except the six whose polydisk scans are slowest (13, 14,
 # 17, 18, 20, 21): 78 points, 56 violated, 20 accepted, 2 inconclusive.
 PARITY_ITEMS = [i for i in range(32) if i not in (13, 14, 17, 18, 20, 21)]
 
@@ -359,7 +339,7 @@ def test_every_torus_class_matches_the_unpruned_probe():
                 if abs(pt.p) == 0 or abs(pt.q) == 0:
                     continue
                 peers = [o for o in cl.points if o is not pt]
-                verdicts.append(_assert_same_as_unpruned(H, pt, peers))
+                verdicts.append(_assert_same(H, pt, peers, reference=_unpruned_probe).minimality)
     assert [verdicts.count(v) for v in (VIOLATED, PROBABLY_STRICTLY_MINIMAL, INCONCLUSIVE)] == [
         56,
         20,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -183,6 +184,29 @@ def test_axis_point_never_dominates(capsys):
     r, s, *_, ratio = capsys.readouterr().out.splitlines()[-1].split(",")
     assert (r, s) == ("80", "80")
     assert abs(float(ratio) - 1) < 0.01
+
+
+def test_origin_zero_inside_is_refused(capsys):
+    # H = 1 + 3y - x y^2 + x^2 y/2 at 2:1: the dominant points have
+    # |p| = |q| = sqrt(2), and H(0, -1/3) = 0 puts (0, -1/3) of the zero set
+    # inside their polydisk.  [x^2k y^k] decays like exp(-0.73 k), not like
+    # the exp(-3k log sqrt 2) = exp(-1.04 k) an estimate from them would give.
+    path = Path(__file__).resolve().parent.parent / "problems" / "origin_zero_inside.json"
+    spec = parse_problem(path.read_text())
+    exact = coeff_recurrence(spec.H, spec.G, spec.beta, (160, 80)).value(160, 80)
+    rate = math.log(abs(exact)) / 80
+    assert -0.75 < rate < -0.7
+    assert main(["solve", "--spec", str(path)]) == 2
+    points = json.loads(capsys.readouterr().out)["critical_points"]
+    assert len(points) == 2
+    for pt in points:
+        p, q = (complex(float(pt[c]["re"]), float(pt[c]["im"])) for c in "pq")
+        assert rate + 2 * math.log(abs(p)) + math.log(abs(q)) > 0.3
+        assert pt["minimality"] == "violated"
+        assert complex(float(pt["witness"]["x"]["re"]), float(pt["witness"]["x"]["im"])) == 0
+        assert float(pt["witness"]["y"]["re"]) == -1 / 3 and float(pt["witness"]["y"]["im"]) == 0
+    assert main(["compare", "--spec", str(path)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 NEGATIVE_ORIGIN = Path(__file__).resolve().parent.parent / "problems" / "negative_origin.json"
