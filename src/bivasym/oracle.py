@@ -6,7 +6,9 @@ Three independent routes:
   (with the analogous y-identity seeding the x = 0 column),
 * a closed form for linear H via generalized binomials,
 * numerical Cauchy quadrature over a torus, with the branch of H**(-beta)
-  fixed by continuous argument tracking anchored at the origin.
+  fixed by continuous argument tracking anchored at the origin; as H and G
+  have real coefficients and the radii are real, the rows past the middle
+  of the theta1 grid mirror the rows below it.
 
 Exact tables are stored for (H/h00)**(-beta); the scalar h00**(-beta) is
 kept as a symbolic prefactor and folded in only when it is rational.  Both
@@ -303,17 +305,22 @@ def quadrature_values(
 
     Composite trapezoid rule over both angles (spectrally accurate for the
     periodic analytic integrand), with the half-resolution grid's difference
-    as the error estimate.  The theta1 grid is walked in ``_BLOCK_ROWS``-row
-    blocks, so memory holds one block: each keeps the first S + 1 outputs of
-    its row FFT, and a column FFT on the kept N1 x (S + 1) strip gives the
-    R + 1 rows (``fft2``'s DFT, which also runs the last axis first).  arg H
-    is anchored by the ray from the origin, tracked down the theta2 = 0
-    column, then along theta2.  That branch of H^(-beta) is periodic only
-    when arg H turns by 0 round the column and round every row; a zero of H
-    inside the polydisk off the positive ray can make it turn by 2 pi.  Checks run
-    in grid order; the first failure raises ``BranchTrackingError``: the
-    column (H vanishing, then a jump), the ray, the column's winding, then
-    each block in theta1 order (vanishing, a jump, then winding).
+    as the error estimate.  arg H is anchored by the ray from the origin,
+    tracked down the theta2 = 0 column, then along theta2.  That branch of
+    H^(-beta) is periodic only when arg H turns by 0 round the column and
+    round every row; a zero of H inside the polydisk off the positive ray
+    can make it turn by 2 pi.  H and G have real coefficients and the radii
+    are real, so H(conj x, conj y) = conj H(x, y), the tracked argument maps
+    to 2*anchor - arg H, and F = G*H^(-beta) has F(conj x, conj y) =
+    phi*conj F(x, y) with phi = exp(-2i*beta*anchor).  Only rows 0..N1/2 of
+    the theta1 grid are evaluated, in ``_BLOCK_ROWS``-row blocks; each keeps
+    the first S + 1 outputs of its row FFT.  Row N1 - k of the kept
+    N1 x (S + 1) strip is phi times the conjugate of row k, and a column FFT
+    on the strip gives the R + 1 rows (``fft2``'s DFT).  Row N1 - k fails a
+    check exactly when row k does.  Checks run in grid order; the first
+    failure raises ``BranchTrackingError``: the column (H vanishing, then a
+    jump), the ray, the column's winding, then each block of rows 0..N1/2
+    in theta1 order (vanishing, a jump, then winding).
     """
     R, S = cfg.box
     c1, c2 = cfg.quadrature_radii
@@ -343,20 +350,27 @@ def quadrature_values(
     _, anchor = H.ray_argument(c1, c2, 1.0, 256)
     unwound(column_winds)
     start = np.concatenate(([anchor], anchor + np.cumsum(d0)))
+    has_G = G is not None and G != BivariatePolynomial.constant(1)
     full = np.empty((N1, S + 1), dtype=np.complex128)
     half = np.empty((N1 // 2, S + 1), dtype=np.complex128)
-    for lo in range(0, N1, _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
+    for lo in range(0, N1 // 2 + 1, _BLOCK_ROWS):
+        rows = slice(lo, min(lo + _BLOCK_ROWS, N1 // 2 + 1))
         mod, d1, winds = checked(H.eval_array(X[rows], Y))
         unwound(winds)
         args = np.empty(mod.shape)
         args[:, 0] = start[rows]
         args[:, 1:] = args[:, :1] + np.cumsum(d1, axis=1)
-        F = np.exp(-b * (np.log(mod) + 1j * args))
-        if G is not None and G != BivariatePolynomial.constant(1):
-            F = F * G.eval_array(X[rows], Y)
+        args *= -b
+        mod **= -b
+        F = np.empty(mod.shape, dtype=np.complex128)
+        F.real, F.imag = mod * np.cos(args), mod * np.sin(args)
+        if has_G:
+            F *= G.eval_array(X[rows], Y)
         full[rows] = np.fft.fft(F, axis=1)[:, : S + 1]
-        half[lo // 2 : (lo + _BLOCK_ROWS) // 2] = np.fft.fft(F[::2, ::2], axis=1)[:, : S + 1]
+        half[lo // 2 : (rows.stop + 1) // 2] = np.fft.fft(F[::2, ::2], axis=1)[:, : S + 1]
+    phi = np.exp(-2j * b * anchor)  # F(conj x, conj y) = phi * conj F(x, y)
+    for n, strip in ((N1 // 2, full), (N1 // 4, half)):
+        strip[n + 1 :] = phi * np.conj(strip[n - 1 : 0 : -1])
 
     scale = c1 ** np.arange(R + 1).reshape(-1, 1) * c2 ** np.arange(S + 1).reshape(1, -1)
     full, half = (

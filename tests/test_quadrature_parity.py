@@ -1,18 +1,26 @@
-"""Row-blocked torus quadrature against the full-grid route it replaced.
+"""Half-torus row-blocked quadrature against the full-grid route it replaced.
 
-``quadrature_values`` walks the theta1 grid in blocks of rows, keeps the
-first S + 1 outputs of each row FFT and finishes with one column FFT on the
-kept strip.  The reference below is the earlier route: H, the anchored
-argument and the integrand on the whole grid at once, then one ``fft2`` of
-the full and of the half grid.  Values and error estimates must agree to
-1e-14 of the largest entry, on a grid smaller than one block and on grids
-of several blocks.
+``quadrature_values`` evaluates rows 0..N1/2 of the theta1 grid only, in
+blocks of rows, and keeps the first S + 1 outputs of each row FFT.  H and G
+have real coefficients and the radii are real, so F = G*H^(-beta) has
+F(conj x, conj y) = phi*conj F(x, y) with phi = exp(-2i*beta*anchor), and
+row N1 - k of the kept strip is phi times the conjugate of row k.  One
+column FFT on the strip finishes.  The reference below is the earlier
+route: H, the anchored argument and the integrand on the whole grid at
+once, then one ``fft2`` of the full and of the half grid.  The mirrored
+rows are a different rounding of the same sum, so values and error
+estimates must agree to a roundoff floor per entry,
+4*eps*max|G*H^(-beta)| / (c1^r*c2^s) with the max over the grid, and no
+entry may lie further from the exact recurrence's table than the
+reference's entry does, plus one floor.  This holds on a grid smaller than
+one block, on grids of several blocks, and where phi is not real.
 
 Each ``BranchTrackingError`` cause keeps its message.  The reference checks
 the whole grid for a vanishing H, then the ray anchor, then every jump.  The
-blocked route checks in grid order: the theta2 = 0 column (vanishing, then a
-jump), the ray anchor, then each block in theta1 order (vanishing, then a
-jump).  So where more than one cause holds, the first in that order wins,
+half-torus route checks in grid order: the theta2 = 0 column (vanishing,
+then a jump), the ray anchor, then each block of rows 0..N1/2 in theta1
+order (vanishing, then a jump).  Row N1 - k fails a check exactly when row k
+does.  So where more than one cause holds, the first in that order wins,
 and within one block a vanishing H wins over a jump.  The cases below pin it.
 """
 
@@ -24,7 +32,7 @@ import pytest
 
 from bivasym import BivariatePolynomial, OracleConfig
 from bivasym.errors import BranchTrackingError
-from bivasym.oracle import _JUMP_LIMIT, CoefficientTable, quadrature_values
+from bivasym.oracle import _JUMP_LIMIT, CoefficientTable, coeff_recurrence, quadrature_values
 from bivasym.precision import to_mpf
 from bivasym.problem import parse_problem
 
@@ -33,16 +41,21 @@ GRIDS = [64, 256, 1024, 2048]
 BOX = (10, 10)
 
 
+def _torus(cfg):
+    """The grid's x column and y row."""
+    c1, c2 = cfg.quadrature_radii
+    N1, N2 = cfg.quadrature_grid
+    th1 = 2.0 * np.pi * np.arange(N1) / N1
+    th2 = 2.0 * np.pi * np.arange(N2) / N2
+    return c1 * np.exp(1j * th1).reshape(-1, 1), c2 * np.exp(1j * th2).reshape(1, -1)
+
+
 def reference_quadrature(H, G, beta, cfg):
     """Full-grid quadrature table: one fft2 of the whole and the half grid."""
     R, S = cfg.box
     c1, c2 = cfg.quadrature_radii
-    N1, N2 = cfg.quadrature_grid
     b = float(to_mpf(F(beta)))
-    th1 = 2.0 * np.pi * np.arange(N1) / N1
-    th2 = 2.0 * np.pi * np.arange(N2) / N2
-    X = c1 * np.exp(1j * th1).reshape(-1, 1)
-    Y = c2 * np.exp(1j * th2).reshape(1, -1)
+    X, Y = _torus(cfg)
     W = H.eval_array(X, Y)
     if np.min(np.abs(W)) <= H.vanish_floor():
         raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
@@ -92,17 +105,71 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("grid", GRIDS)
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_blocked_quadrature_matches_full_grid(name, grid):
-    H, G, beta, radii = CASES[name]
+def _roundoff_floor(H, G, beta, cfg):
+    """4*eps*max|G*H^(-beta)| over the grid, over c1^r*c2^s, per entry."""
+    R, S = cfg.box
+    c1, c2 = cfg.quadrature_radii
+    X, Y = _torus(cfg)
+    mod = np.abs(H.eval_array(X, Y)) ** -float(beta)
+    if G is not None:
+        mod = mod * np.abs(G.eval_array(X, Y))
+    rows = np.arange(R + 1).reshape(-1, 1)
+    cols = np.arange(S + 1).reshape(1, -1)
+    return 4 * np.finfo(float).eps * np.max(mod) / (c1**rows * c2**cols)
+
+
+def _assert_matches_references(H, G, beta, radii, grid):
     cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=(grid, grid))
     got = quadrature_values(H, G, beta, cfg)
     ref = reference_quadrature(H, G, beta, cfg)
     assert got.values.shape == ref.values.shape == (BOX[0] + 1, BOX[1] + 1)
-    scale = np.max(np.abs(ref.values))
-    assert np.max(np.abs(got.values - ref.values)) <= 1e-14 * scale
-    assert np.max(np.abs(got.errors - ref.errors)) <= 1e-14 * scale
+    floor = _roundoff_floor(H, G, beta, cfg)
+    assert np.all(np.abs(got.values - ref.values) <= floor)
+    assert np.all(np.abs(got.errors - ref.errors) <= floor)
+    table = coeff_recurrence(H, G, beta, BOX)
+    exact = np.array(
+        [[complex(table.value(r, s)) for s in range(BOX[1] + 1)] for r in range(BOX[0] + 1)]
+    )
+    assert np.all(np.abs(got.values - exact) <= np.abs(ref.values - exact) + floor)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_blocked_quadrature_matches_full_grid(name, grid):
+    _assert_matches_references(*CASES[name], grid)
+
+
+# H(c1, c2) < 0, so the anchor is pi and phi = exp(-2i*pi*beta) is not real.
+PHASE_H = _poly((0, 0, "-1"), (1, 0, "1"), (0, 1, "1"), (1, 1, "1/2"))
+PHASE_G = _poly((0, 0, "1"), (1, 0, "-1"), (0, 2, "3"))
+
+
+@pytest.mark.parametrize("grid", [64, 256, 1024])
+@pytest.mark.parametrize("beta", [F(1, 3), F(3, 2), F(5, 7)])
+def test_mirror_with_a_complex_phase(beta, grid):
+    _assert_matches_references(PHASE_H, PHASE_G, beta, (0.25, 0.3), grid)
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+def test_quadrature_evaluates_half_the_torus(grid, monkeypatch):
+    H, G, beta, radii = CASES["color_swap"]
+    shapes = []
+    eval_array = BivariatePolynomial.eval_array
+
+    def recording(poly, x, y):
+        out = eval_array(poly, x, y)
+        if poly is H and out.ndim == 2:
+            shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(BivariatePolynomial, "eval_array", recording)
+    cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=(grid, grid))
+    quadrature_values(H, G, beta, cfg)
+    # The theta2 = 0 column, then the blocks of rows 0..N1/2; the ray's
+    # samples are one-dimensional.
+    assert shapes[0] == (grid, 1)
+    assert {n2 for _, n2 in shapes[1:]} == {grid}
+    assert sum(n1 for n1, _ in shapes[1:]) == grid // 2 + 1
 
 
 VANISH = "branch tracking failed; H nearly vanishes on the torus"
