@@ -205,10 +205,6 @@ class BivariatePolynomial:
     def swap_variables(self) -> "BivariatePolynomial":
         return BivariatePolynomial({(j, i): c for (i, j), c in self.terms.items()})
 
-    def specialize_y(self, value):
-        """Ascending mpc coefficient list in x with y set to ``value``."""
-        return self.swap_variables().specialize_x(value)
-
     def specialize_x(self, value):
         """Ascending mpc coefficient list in y with x set to ``value``."""
         v = to_mpc(value)

@@ -11,8 +11,11 @@ Melczer and Salvy, ISSAC 2016).  The partners are found by root-solving
 the specialized system instead when ``|sigma1(w)|`` is at most
 ``2^-(prec/2)`` of its coefficient scale at ``w`` (two points share the
 x, or both leading coefficients in y vanish there), when a y-degree of 0
-leaves S1 undefined, or when ``q`` fails the 1e-4 residual filter.  Every candidate is Newton-polished on the full 2x2
-system with its exact Jacobian.  Minimality is probed numerically on the
+leaves S1 undefined, or when ``q`` fails the 1e-4 residual filter.  Every
+candidate is Newton-polished on the full 2x2 system with its exact
+Jacobian.  Points come out by torus, in the order of each torus's first
+(|p|, |q|), and by arg p on one torus; ``same_torus`` alone decides
+whether two points share a torus.  Minimality is probed numerically on the
 one circle |y| = |q| plus the roots of H(0, y); verdicts carry a concrete
 witness when violated.
 """
@@ -104,6 +107,11 @@ class CriticalPoint:
     margin: Optional[float] = None  # least |x|/|p| - 1 the probe saw
     torus_class: Optional[int] = None
 
+    @property
+    def moduli(self) -> Tuple[float, float]:
+        """``(|p|, |q|)`` in doubles, as ``same_torus`` compares them."""
+        return float(abs(self.p)), float(abs(self.q))
+
     def conjugate_of(self, other: "CriticalPoint") -> bool:
         return (
             abs(self.p - mp.conj(other.p)) <= MERGE_TOL * (1 + abs(self.p))
@@ -111,9 +119,18 @@ class CriticalPoint:
         )
 
 
+def same_torus(a: Tuple[float, float], b: Tuple[float, float]) -> bool:
+    """True when each modulus of ``b`` is within ``MERGE_TOL * (1 + max(a))`` of ``a``'s.
+
+    ``a`` and ``b`` are ``(|p|, |q|)`` pairs.
+    """
+    close = MERGE_TOL * (1 + max(a))
+    return abs(a[0] - b[0]) <= close and abs(a[1] - b[1]) <= close
+
+
 @dataclass
 class TorusClass:
-    """Critical points sharing (|p|, |q|) within tolerance."""
+    """Critical points on one torus (``same_torus``) with its first point's moduli."""
 
     index: int
     points: List[CriticalPoint]
@@ -174,24 +191,26 @@ def _relative_residual(poly: BivariatePolynomial, p: mpc, q: mpc) -> mpf:
     return abs(poly.eval(p, q)) / scale
 
 
-def _system_residual(F1, F2, p: mpc, q: mpc) -> mpf:
-    return max(_relative_residual(F1, p, q), _relative_residual(F2, p, q))
+def _snapped_point(F1, F2, p: mpc, q: mpc):
+    """``(p, q, residual_h, residual_dir)``: the point snapped by ``snap_noise``, its residuals."""
+    p, q = snap_noise(p), snap_noise(q)
+    return p, q, _relative_residual(F1, p, q), _relative_residual(F2, p, q)
 
 
-def _newton_polish(
-    F1: BivariatePolynomial,
-    F2: BivariatePolynomial,
-    p: mpc,
-    q: mpc,
-    cur: mpf,
-):
-    """Damped Newton on the 2x2 system from (p, q), of residual ``cur``, at most 60 steps."""
+def _newton_polish(F1: BivariatePolynomial, F2: BivariatePolynomial, start):
+    """Damped Newton on the 2x2 system from ``start``, at most 60 steps.
+
+    ``start`` and the result are ``_snapped_point`` tuples; a step is
+    taken when its snapped point lowers the larger of the two residuals.
+    """
     J = [
         [F1.partial("x"), F1.partial("y")],
         [F2.partial("x"), F2.partial("y")],
     ]
     target = mpf(2) ** (-(mp.prec - 16))
+    best = start
     for _ in range(60):
+        p, q, cur = best[0], best[1], max(best[2:])
         if cur <= target:
             break
         f1, f2 = F1.eval(p, q), F2.eval(p, q)
@@ -203,18 +222,15 @@ def _newton_polish(
         dx = (f1 * d - f2 * b) / det
         dy = (a * f2 - c * f1) / det
         step = mpf(1)
-        improved = False
         for _ in range(30):
-            np_, nq = p - step * dx, q - step * dy
-            nr = _system_residual(F1, F2, np_, nq)
-            if nr < cur:
-                p, q, cur = np_, nq, nr
-                improved = True
+            cand = _snapped_point(F1, F2, p - step * dx, q - step * dy)
+            if max(cand[2:]) < cur:
+                best = cand
                 break
             step /= 2
-        if not improved:
+        else:
             break
-    return p, q, cur
+    return best
 
 
 def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[CriticalPoint]:
@@ -236,19 +252,10 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
 
     points: List[CriticalPoint] = []
     for w in first_roots:
-        for p0, q0, r0 in _partners(F1, F2, w, sigmas):
-            p1, q1, r = _newton_polish(F1, F2, p0, q0, r0)
-            if r > RESIDUAL_TOL:
-                continue
-            p1, q1 = snap_noise(p1), snap_noise(q1)
-            points.append(
-                CriticalPoint(
-                    p=p1,
-                    q=q1,
-                    residual_h=float(_relative_residual(F1, p1, q1)),
-                    residual_dir=float(_relative_residual(F2, p1, q1)),
-                )
-            )
+        for start in _partners(F1, F2, w, sigmas):
+            p, q, res_h, res_dir = _newton_polish(F1, F2, start)
+            if max(res_h, res_dir) <= RESIDUAL_TOL:
+                points.append(CriticalPoint(p, q, float(res_h), float(res_dir)))
 
     merged = _merge_duplicates(points)
     for pt in merged:
@@ -257,7 +264,7 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
 
 
 def _partners(F1, F2, w: mpc, sigmas):
-    """Start points ``(w, q, residual)`` for the eliminant root p = ``w``.
+    """Start points (``_snapped_point`` tuples) for the eliminant root p = ``w``.
 
     ``sigmas`` holds the coefficients of sigma0 and sigma1 rounded to mpf,
     or is None when S1 is undefined.  The one partner
@@ -268,10 +275,9 @@ def _partners(F1, F2, w: mpc, sigmas):
     if sigmas is not None:
         (sigma0, _), (sigma1, scale) = (_eval_with_scale(sigma, w) for sigma in sigmas)
         if abs(sigma1) > scale * mpf(2) ** (-(mp.prec // 2)):
-            q = -sigma0 / sigma1
-            r = _system_residual(F1, F2, w, q)
-            if r <= START_TOL:
-                return [(w, q, r)]
+            start = _snapped_point(F1, F2, w, -sigma0 / sigma1)
+            if max(start[2:]) <= START_TOL:
+                return [start]
     return _recover_partner(F1, F2, w)
 
 
@@ -286,11 +292,11 @@ def _eval_with_scale(coeffs, w: mpc):
 
 
 def _recover_partner(F1, F2, w: mpc):
-    """Start points ``(w, q, residual)`` above ``w`` by root-solving in y.
+    """Start points (``_snapped_point`` tuples) above ``w`` by root-solving in y.
 
     The partners are the roots of whichever system polynomial still
-    depends on y at x = ``w``; those whose system residual exceeds
-    ``START_TOL`` are dropped.  The fallback of ``_partners``.
+    depends on y at x = ``w``; those with a residual above ``START_TOL``
+    are dropped.  The fallback of ``_partners``.
     """
     for poly in (F1, F2):
         coeffs = poly.specialize_x(w)
@@ -307,12 +313,18 @@ def _recover_partner(F1, F2, w: mpc):
             partners = aberth_roots(trimmed)
         except RootFindingError:
             continue
-        starts = [(w, q, _system_residual(F1, F2, w, q)) for q in partners]
-        return [start for start in starts if start[2] <= START_TOL]
+        starts = [_snapped_point(F1, F2, w, q) for q in partners]
+        return [start for start in starts if max(start[2:]) <= START_TOL]
     return []
 
 
 def _merge_duplicates(points: List[CriticalPoint]) -> List[CriticalPoint]:
+    """``points`` with near-duplicates merged (the copy of least residual kept).
+
+    A stable sort orders them by the moduli of their torus's first point in
+    merged order (``same_torus``), then by ``arg p``: on one torus the order
+    rests on ``arg p``, not on the last bit of a polished modulus.
+    """
     kept: List[CriticalPoint] = []
     for pt in points:
         scale = 1 + float(max(abs(pt.p), abs(pt.q)))
@@ -329,7 +341,11 @@ def _merge_duplicates(points: List[CriticalPoint]) -> List[CriticalPoint]:
         elif max(pt.residual_h, pt.residual_dir) < max(dup.residual_h, dup.residual_dir):
             dup.p, dup.q = pt.p, pt.q
             dup.residual_h, dup.residual_dir = pt.residual_h, pt.residual_dir
-    kept.sort(key=lambda c: (float(abs(c.p)), float(abs(c.q)), float(mp.arg(c.p))))
+    tori: List[Tuple[float, float]] = []
+    for pt in kept:
+        if not any(same_torus(t, pt.moduli) for t in tori):
+            tori.append(pt.moduli)
+    kept.sort(key=lambda c: (next(t for t in tori if same_torus(t, c.moduli)), float(mp.arg(c.p))))
     return kept
 
 
@@ -490,13 +506,10 @@ def group_by_torus(
     s0 = direction.s0 if direction else 1
     classes: List[TorusClass] = []
     for pt in points:
-        mp_, mq = float(abs(pt.p)), float(abs(pt.q))
-        home = None
-        for cl in classes:
-            close = MERGE_TOL * (1 + max(cl.modulus_p, cl.modulus_q))
-            if abs(mp_ - cl.modulus_p) <= close and abs(mq - cl.modulus_q) <= close:
-                home = cl
-                break
+        mp_, mq = pt.moduli
+        home = next(
+            (cl for cl in classes if same_torus((cl.modulus_p, cl.modulus_q), (mp_, mq))), None
+        )
         if home is None:
             classes.append(
                 TorusClass(
@@ -522,24 +535,20 @@ def group_by_torus(
 def dominant_class(classes: List[TorusClass]) -> TorusClass:
     """The unique dominant torus class.
 
-    Distinct classes whose direction weights tie cannot be combined by the
-    single-torus estimate, so that situation is refused with a diagnostic.
+    Distinct classes of ``group_by_torus`` lie on distinct tori
+    (``same_torus``), and the single-torus estimate cannot combine them, so
+    a direction-weight tie with the first class is refused with a diagnostic.
     """
     if not classes:
         raise ConfigError("no critical points to classify")
     best = classes[0]
     for other in classes[1:]:
         if abs(other.weight - best.weight) <= MERGE_TOL * max(1.0, abs(best.weight)):
-            same_moduli = (
-                abs(other.modulus_p - best.modulus_p) <= MERGE_TOL * (1 + best.modulus_p)
-                and abs(other.modulus_q - best.modulus_q) <= MERGE_TOL * (1 + best.modulus_q)
+            raise ConfigError(
+                "two torus classes share the dominant direction weight "
+                f"({best.modulus_p:.6g},{best.modulus_q:.6g}) vs "
+                f"({other.modulus_p:.6g},{other.modulus_q:.6g}); "
+                "cannot combine distinct tori in one estimate"
             )
-            if not same_moduli:
-                raise ConfigError(
-                    "two torus classes share the dominant direction weight "
-                    f"({best.modulus_p:.6g},{best.modulus_q:.6g}) vs "
-                    f"({other.modulus_p:.6g},{other.modulus_q:.6g}); "
-                    "cannot combine distinct tori in one estimate"
-                )
     return best
 

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from mpmath import mp, mpc, mpf
 
 from .bivariate import BivariatePolynomial
-from .critical import IDENTITY_TOL, MERGE_TOL, SMOOTH_TOL, CriticalPoint, Direction, snap_noise
+from .critical import IDENTITY_TOL, SMOOTH_TOL, CriticalPoint, Direction, same_torus, snap_noise
 from .errors import BranchTrackingError, ConfigError, HypothesisFailure
 from .gammafn import gamma_log
 from .precision import to_mpc, to_mpf
@@ -413,13 +413,9 @@ def estimate_real_positive(
 
 
 def _require_same_torus(points: Sequence[CriticalPoint]) -> None:
-    mp0, mq0 = (abs(points[0].p), abs(points[0].q))
-    for pt in points[1:]:
-        if (
-            abs(abs(pt.p) - mp0) > MERGE_TOL * (1 + mp0)
-            or abs(abs(pt.q) - mq0) > MERGE_TOL * (1 + mq0)
-        ):
-            raise ConfigError("critical points are not on one torus")
+    first = points[0].moduli
+    if not all(same_torus(first, pt.moduli) for pt in points[1:]):
+        raise ConfigError("critical points are not on one torus")
 
 
 def _conjugate_closed(points: Sequence[CriticalPoint]) -> bool:

@@ -41,23 +41,19 @@ class SolveOutcome:
 
 
 def run_solve(spec: ProblemSpec, probe: bool = True) -> SolveOutcome:
-    """Solve the critical system, classify tori, probe the dominant class."""
+    """Solve the critical system, classify tori, probe the dominant class once."""
     points = solve_critical(spec.H, spec.direction)
     classes = group_by_torus(points, direction=spec.direction)
     if not classes or not classes[0].dominant:  # no points, or all on an axis
         return SolveOutcome(points=points, classes=classes, dominant=None)
     dom = dominant_class(classes)
     if probe:
-        # The probe sees a point only through (|p|, |q|) and the class's
-        # known points, so points sharing those moduli share its answer.
-        probed = {}
-        for pt in dom.points:
-            key = (float(abs(pt.p)), float(abs(pt.q)))
-            if key not in probed:
-                peers = [o for o in dom.points if o is not pt]
-                probed[key] = minimality_probe(spec.H, pt, peers=peers)
-            done = probed[key]
-            pt.minimality, pt.witness, pt.margin = done.minimality, done.witness, done.margin
+        # The probe sees a point only through its torus and the class's
+        # known points, so one probe answers for the whole class.
+        first, *rest = dom.points
+        minimality_probe(spec.H, first, peers=rest)
+        for pt in rest:
+            pt.minimality, pt.witness, pt.margin = first.minimality, first.witness, first.margin
     return SolveOutcome(points=points, classes=classes, dominant=dom)
 
 

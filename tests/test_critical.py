@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from bivasym.critical import (
     snap_noise,
 )
 from bivasym.errors import ConfigError, NonIsolatedCriticalSet
+from bivasym.estimates import _require_same_torus
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -127,6 +129,15 @@ def test_snapped_noise_fixes_the_sort_order():
     assert order(mpf("1e-88"), snap=True) == order(mpf("-1e-88"), snap=True) == [float(a), -float(a)]
 
 
+def test_one_torus_sorts_by_arg_p_not_the_last_bit_of_a_modulus():
+    # The two |q| differ by one ulp: sorted on the moduli themselves, the
+    # point with arg p = 0 would follow the one with arg p = pi.
+    up = CriticalPoint(p=mpc(0.5), q=mpc(math.nextafter(1.5, 2)))
+    down = CriticalPoint(p=mpc(-0.5), q=mpc(0, 1.5))
+    for points in ([up, down], [down, up]):
+        assert [pt.p for pt in _merge_duplicates(points)] == [up.p, down.p]
+
+
 def test_branch_wrap_points_have_exact_zero_parts():
     spec = parse_problem((PROBLEMS / "branch_wrap.json").read_text())
     pts = solve_critical(spec.H, spec.direction)
@@ -216,6 +227,18 @@ def test_group_distinct_moduli_nearest_dominant():
     assert len(classes) == 2
     assert classes[0].dominant
     assert abs(classes[0].modulus_p - 0.5) < 1e-15
+
+
+def test_class_and_estimate_share_the_torus_rule():
+    # |p| differs by 5e-10: within MERGE_TOL * (1 + max(|p|, |q|)) = 1.1e-9,
+    # so the points form one class, which the estimate must then accept.
+    a = CriticalPoint(p=mpc(0.1), q=mpc(10))
+    b = CriticalPoint(p=mpc(0.1 + 5e-10), q=mpc(0, 10))
+    (only,) = group_by_torus([a, b])
+    assert only.points == [a, b]
+    _require_same_torus(only.points)
+    with pytest.raises(ConfigError, match="not on one torus"):
+        _require_same_torus([a, CriticalPoint(p=mpc(0.1 + 2e-9), q=mpc(10))])
 
 
 def test_dominant_tie_refused():

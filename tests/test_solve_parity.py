@@ -11,10 +11,10 @@ root solve, made by leaving the subresultant undefined.  The two must find
 the same points, in the same order and with the same smoothness, to
 ``2^-(prec-16)`` relative, at 64, 128 and 256 bits.
 
-``run_solve`` probes one point per (|p|, |q|) key of the dominant class and
-copies the answer to the other points with that key.  The reference probes
-every point, each with the rest of the class as its peers.  Verdicts,
-witnesses and margins must agree bit for bit.
+``run_solve`` probes the dominant class once, on its first point with the
+others as peers, and copies the answer to the other points.  The reference
+probes every point, each with the rest of the class as its peers.
+Verdicts, witnesses and margins must agree bit for bit.
 """
 
 import dataclasses
@@ -95,27 +95,6 @@ def _half_precision() -> mp.mpf:
     return mp.mpf(2) ** (4 - mp.prec // 2)
 
 
-def _tie_groups(points):
-    """Runs of consecutive points whose (|p|, |q|) agree to ``MERGE_TOL``.
-
-    ``solve_critical`` sorts by (|p|, |q|, arg p) in doubles, so the order
-    inside such a run, one torus class, can rest on the last bits of |p|
-    and |q|: at 64 bits the symmetric points of item 19 at 2:1 swap on a
-    one-ulp |q|.
-    """
-    groups = []
-    for pt in points:
-        head = groups[-1][0] if groups else None
-        if head is not None and all(
-            abs(abs(a) - abs(b)) <= critical.MERGE_TOL * (1 + abs(b))
-            for a, b in ((pt.p, head.p), (pt.q, head.q))
-        ):
-            groups[-1].append(pt)
-        else:
-            groups.append([pt])
-    return groups
-
-
 def _once(points):
     """``points`` with each non-smooth point kept once.
 
@@ -154,18 +133,14 @@ def test_subresultant_partners_match_the_root_solve(case, bits, monkeypatch):
         if not isinstance(ref, list):
             assert got is ref
             return
-        got_groups, ref_groups = _tie_groups(_once(got)), _tie_groups(_once(ref))
-        assert [len(g) for g in got_groups] == [len(g) for g in ref_groups]
-        for mine, theirs in zip(got_groups, ref_groups):
-            unmatched = list(mine)
-            for ref_pt in theirs:
-                pt = min(unmatched, key=lambda c: _relative_gap(ref_pt, c))
-                unmatched.remove(pt)
-                assert pt.smooth == ref_pt.smooth
-                # A non-smooth point is a singular solution, which either
-                # route locates to about half the working precision only.
-                tol = mp.mpf(2) ** (16 - bits) if ref_pt.smooth else _half_precision()
-                assert _relative_gap(ref_pt, pt) <= tol
+        got, ref = _once(got), _once(ref)
+        assert len(got) == len(ref)
+        for pt, ref_pt in zip(got, ref):
+            assert pt.smooth == ref_pt.smooth
+            # A non-smooth point is a singular solution, which either
+            # route locates to about half the working precision only.
+            tol = mp.mpf(2) ** (16 - bits) if ref_pt.smooth else _half_precision()
+            assert _relative_gap(ref_pt, pt) <= tol
 
 
 @pytest.mark.parametrize("case", REPEATED_ROOT_ITEMS + PROBLEMS)
