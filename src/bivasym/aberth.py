@@ -4,8 +4,10 @@ Roots are iterated all at once from starting points on the circles of
 the Newton polygon of the coefficient moduli (Bini 1996).  A first stage
 gets within 2^-40 of the roots cheaply: one vectorised complex128
 iteration, or a 64-bit mpmath one when double precision cannot be
-trusted.  An ambient precision stage finishes.  Everything is
-deterministic: fixed starting angles, fixed iteration caps, no randomness.
+trusted.  An ambient precision stage finishes.  Only exactly-zero leading
+coefficients are dropped: whether a computed one is noise is the caller's
+to judge, against its own scale.  Everything is deterministic: fixed
+starting angles, fixed iteration caps, no randomness.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import RootFindingError
 from .precision import to_mpc, working_precision
+from .unipoly import eval_at
 
 # Fixed angular offset for the starting circles, breaking root symmetries.
 _START_OFFSET = 0.376991118430775
@@ -44,27 +47,6 @@ def _poly_and_deriv(coeffs: Sequence[mpc], z: mpc):
         dp = dp * z + p
         p = p * z + c
     return p, dp
-
-
-def _magnitude_scale(coeffs: Sequence[mpc], z: mpc) -> mpf:
-    az = abs(z)
-    total = mpf(0)
-    power = mpf(1)
-    for c in coeffs:
-        total += abs(c) * power
-        power *= az
-    return total
-
-
-def _trim_leading(coeffs: List[mpc]) -> List[mpc]:
-    biggest = max((abs(c) for c in coeffs), default=mpf(0))
-    if biggest == 0:
-        return [mpc(0)]
-    floor = biggest * mpf(2) ** (-(mp.prec - 8))
-    out = list(coeffs)
-    while len(out) > 1 and abs(out[-1]) <= floor:
-        out.pop()
-    return out
 
 
 def _aberth_iterate(coeffs: List[mpc], z: List[mpc], tol: mpf) -> List[mpc]:
@@ -156,11 +138,13 @@ def aberth_roots(coefficients: Sequence) -> List[mpc]:
     """All complex roots (with multiplicity) of an ascending-coefficient poly.
 
     Coefficients may be Fractions, ints, floats, or complex; they are taken
-    exactly into the working precision.  Raises RootFindingError (carrying
-    partial results) when a residual check fails after the iteration cap.
+    exactly into the working precision; exactly-zero leading ones are
+    dropped.  Raises RootFindingError (carrying partial results) when a
+    residual check fails after the iteration cap.
     """
     coeffs = [to_mpc(c) for c in coefficients]
-    coeffs = _trim_leading(coeffs)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
     # Factor out roots at the origin exactly.
     zero_roots = 0
     while len(coeffs) > 1 and coeffs[0] == 0:
@@ -189,10 +173,11 @@ def aberth_roots(coefficients: Sequence) -> List[mpc]:
 
     # Residual acceptance: |p(z)| relative to the coefficient scale at z.
     loose = mpf(2) ** (-_RESIDUAL_BITS)
+    moduli = [abs(c) for c in coeffs]
     bad = []
     for zi in z:
         p, _ = _poly_and_deriv(coeffs, zi)
-        if abs(p) > loose * _magnitude_scale(coeffs, zi):
+        if abs(p) > loose * eval_at(moduli, abs(zi)):
             bad.append(zi)
     if bad:
         raise RootFindingError(

@@ -8,14 +8,17 @@ system: when ``sigma1(w) != 0`` the two polynomials share exactly one root
 above ``w``, namely ``q = -sigma0(w)/sigma1(w)`` (González-Vega and
 El Kahoui, J. Complexity 12, 1996; the rational representation of
 Melczer and Salvy, ISSAC 2016).  The partners are found by root-solving
-the specialized system instead when ``|sigma1(w)|`` is at most
-``2^-(prec/2)`` of its coefficient scale at ``w`` (two points share the
-x, or both leading coefficients in y vanish there), when a y-degree of 0
-leaves S1 undefined, or when ``q`` fails the 1e-4 residual filter.  Every
-candidate is Newton-polished on the full 2x2 system with its exact
-Jacobian.  Points come out by torus, in the order of each torus's first
-(|p|, |q|), and by arg p on one torus; ``same_torus`` alone decides
-whether two points share a torus.  Minimality is probed numerically on the
+the specialized system instead when ``sigma1(w)`` vanishes (two points
+share the x, or both leading coefficients in y vanish there), when a
+y-degree of 0 leaves S1 undefined, or when ``q`` fails the 1e-4 residual
+filter.  That root solve first drops each top y-coefficient of ``F(w, .)``
+that vanishes.  One test, ``_vanishes_at``, decides both: a value at ``w``
+vanishes when it is at most ``2^-(prec/2)`` of its own coefficient scale
+at ``|w|``.  Every candidate is Newton-polished on the full 2x2 system with
+its exact Jacobian.  Points come out by torus, in the order of each
+torus's first (|p|, |q|), and by arg p on one torus; ``same_point`` alone
+decides whether two points coincide, and ``same_torus`` whether they share
+a torus.  Minimality is probed numerically on the
 one circle |y| = |q| plus the roots of H(0, y); verdicts carry a concrete
 witness when violated.
 """
@@ -37,6 +40,7 @@ from .errors import ConfigError, NonIsolatedCriticalSet, RootFindingError
 from .precision import to_mpc, to_mpf
 from .resultant import first_subresultant, resultant_eliminating, shares_positive_dimensional_zero
 from .unipoly import degree as upoly_degree
+from .unipoly import eval_at
 from .unipoly import squarefree_part as upoly_squarefree_part
 
 PROBABLY_STRICTLY_MINIMAL = "probably_strictly_minimal"
@@ -113,10 +117,16 @@ class CriticalPoint:
         return float(abs(self.p)), float(abs(self.q))
 
     def conjugate_of(self, other: "CriticalPoint") -> bool:
-        return (
-            abs(self.p - mp.conj(other.p)) <= MERGE_TOL * (1 + abs(self.p))
-            and abs(self.q - mp.conj(other.q)) <= MERGE_TOL * (1 + abs(self.q))
-        )
+        return same_point((self.p, self.q), (mp.conj(other.p), mp.conj(other.q)))
+
+
+def same_point(a: Tuple[mpc, mpc], b: Tuple[mpc, mpc]) -> bool:
+    """True when each coordinate of ``b`` is within ``MERGE_TOL * (1 + max(|p|, |q|))`` of ``a``'s.
+
+    ``a`` and ``b`` are ``(p, q)`` pairs, the scale taken from ``a``.
+    """
+    close = MERGE_TOL * (1 + float(max(abs(a[0]), abs(a[1]))))
+    return abs(a[0] - b[0]) <= close and abs(a[1] - b[1]) <= close
 
 
 def same_torus(a: Tuple[float, float], b: Tuple[float, float]) -> bool:
@@ -268,49 +278,46 @@ def _partners(F1, F2, w: mpc, sigmas):
 
     ``sigmas`` holds the coefficients of sigma0 and sigma1 rounded to mpf,
     or is None when S1 is undefined.  The one partner
-    ``-sigma0(w)/sigma1(w)`` is used unless ``|sigma1(w)|`` is at most
-    ``2^-(prec/2)`` of its coefficient scale at ``w`` or the point fails
-    the ``START_TOL`` residual filter; ``_recover_partner`` then gives them.
+    ``-sigma0(w)/sigma1(w)`` is used unless ``sigma1(w)`` vanishes
+    (``_vanishes_at``) or the point fails the ``START_TOL`` residual
+    filter; ``_recover_partner`` then gives them.
     """
     if sigmas is not None:
-        (sigma0, _), (sigma1, scale) = (_eval_with_scale(sigma, w) for sigma in sigmas)
-        if abs(sigma1) > scale * mpf(2) ** (-(mp.prec // 2)):
+        sigma0, sigma1 = (eval_at(sigma, w) for sigma in sigmas)
+        if not _vanishes_at(sigma1, [abs(c) for c in sigmas[1]], w):
             start = _snapped_point(F1, F2, w, -sigma0 / sigma1)
             if max(start[2:]) <= START_TOL:
                 return [start]
     return _recover_partner(F1, F2, w)
 
 
-def _eval_with_scale(coeffs, w: mpc):
-    """``(p(w), sum |c_k| |w|^k)`` for the ascending mpf coefficients of p."""
-    aw = abs(w)
-    value, scale = mpc(0), mpf(0)
-    for c in reversed(coeffs):
-        value = value * w + c
-        scale = scale * aw + abs(c)
-    return value, scale
+def _vanishes_at(value: mpc, moduli: Sequence[mpf], w: mpc) -> bool:
+    """True when ``|value| <= 2^-(prec/2) * sum moduli[k] |w|^k``.
+
+    ``value`` is a polynomial at ``w``, ``moduli`` those of its ascending
+    coefficients: each value is judged against its own scale.
+    """
+    return abs(value) <= mpf(2) ** (-(mp.prec // 2)) * eval_at(moduli, abs(w))
 
 
 def _recover_partner(F1, F2, w: mpc):
     """Start points (``_snapped_point`` tuples) above ``w`` by root-solving in y.
 
     The partners are the roots of whichever system polynomial still
-    depends on y at x = ``w``; those with a residual above ``START_TOL``
-    are dropped.  The fallback of ``_partners``.
+    depends on y at x = ``w`` once each top y-coefficient that vanishes
+    there (``_vanishes_at`` on its exact row) is dropped; those with a
+    residual above ``START_TOL`` are dropped.  The fallback of ``_partners``.
     """
     for poly in (F1, F2):
-        coeffs = poly.specialize_x(w)
-        scale = max((abs(c) for c in coeffs), default=mpf(0))
-        if scale == 0 or len(coeffs) == 1:
-            continue
-        floor = scale * mpf(2) ** (-(mp.prec // 2))
-        trimmed = list(coeffs)
-        while len(trimmed) > 1 and abs(trimmed[-1]) <= floor:
-            trimmed.pop()
-        if len(trimmed) == 1:
+        coeffs, rows = poly.specialize_x(w), poly.coeffs_in_y()
+        while len(coeffs) > 1 and _vanishes_at(
+            coeffs[-1], [to_mpf(abs(c)) for c in rows[len(coeffs) - 1]], w
+        ):
+            coeffs.pop()
+        if len(coeffs) == 1:
             continue
         try:
-            partners = aberth_roots(trimmed)
+            partners = aberth_roots(coeffs)
         except RootFindingError:
             continue
         starts = [_snapped_point(F1, F2, w, q) for q in partners]
@@ -327,15 +334,7 @@ def _merge_duplicates(points: List[CriticalPoint]) -> List[CriticalPoint]:
     """
     kept: List[CriticalPoint] = []
     for pt in points:
-        scale = 1 + float(max(abs(pt.p), abs(pt.q)))
-        dup = None
-        for other in kept:
-            if (
-                abs(pt.p - other.p) <= MERGE_TOL * scale
-                and abs(pt.q - other.q) <= MERGE_TOL * scale
-            ):
-                dup = other
-                break
+        dup = next((other for other in kept if same_point((pt.p, pt.q), (other.p, other.q))), None)
         if dup is None:
             kept.append(pt)
         elif max(pt.residual_h, pt.residual_dir) < max(dup.residual_h, dup.residual_dir):

@@ -376,7 +376,8 @@ def estimate_real_positive(
     """``estimate_general`` at a single real-positive point of a real H, made real.
 
     Every precondition is checked first, and a violation raises
-    HypothesisFailure directing the caller to the general sum.  At such a
+    HypothesisFailure directing the caller to the general sum; "real" is
+    ``snap_noise``'s, as in the solve and the report.  At such a
     point the sum's imaginary parts are rounding noise, so the value, its
     argument (0 or pi) and each contribution's argument and branch value
     are returned as reals.
@@ -384,18 +385,16 @@ def estimate_real_positive(
     _check_beta(beta)
     ld = _checked_local_data(H, pt, direction)
 
-    p, q = pt.p, pt.q
-    tiny = mpf(10) ** (-mp.dps + 6)
-    if abs(p.imag) > tiny * abs(p) or p.real <= 0:
+    p = snap_noise(pt.p)
+    if not _real_positive(p):
         raise HypothesisFailure("p_real_positive", "p is not real positive")
-    if abs(q.imag) > tiny * abs(q) or q.real <= 0:
+    if not _real_positive(pt.q):
         raise HypothesisFailure("q_real_positive", "q is not real positive")
     if H.constant_term() <= 0:
         raise HypothesisFailure("origin_positive", "H(0,0) must be positive")
-    if abs(ld.hx.imag) > tiny * abs(ld.hx) or -p.real * ld.hx.real <= 0:
+    if not _real_positive(-p * ld.hx):
         raise HypothesisFailure("neg_hx_p_positive", "-H_x(p,q)*p is not real positive")
-    m = ld.phase_hessian
-    if abs(m.imag) > tiny * abs(m) or m.real >= 0:
+    if not _real_positive(-ld.phase_hessian):
         raise HypothesisFailure("saddle_real_part_positive", "-2*pi*q^2*M is not positive")
 
     est = estimate_general(H, G, beta, [pt], r, s, direction)
@@ -410,6 +409,12 @@ def estimate_real_positive(
         argument=0.0 if value >= 0 else math.pi,
         formula="real-positive",
     )
+
+
+def _real_positive(z) -> bool:
+    """True when ``snap_noise(z)`` is real and positive."""
+    z = snap_noise(z)
+    return z.imag == 0 and z.real > 0
 
 
 def _require_same_torus(points: Sequence[CriticalPoint]) -> None:

@@ -62,7 +62,10 @@ def scale(a: Sequence[Fraction], c: Fraction) -> UPoly:
 
 
 def eval_at(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    """``p(x)`` by Horner; on int coefficients and an int ``x`` it stays on ints."""
+    """``p(x)`` by Horner; on int coefficients and an int ``x`` it stays on ints.
+
+    On the moduli of mpc coefficients at ``|x|`` it gives the value's scale.
+    """
     acc = 0
     for c in reversed(p):
         acc = acc * x + c

@@ -10,7 +10,7 @@ from bivasym import Direction, aberth
 from bivasym.aberth import aberth_roots, roots_of_rational_poly
 from bivasym.critical import eliminant
 from bivasym.errors import RootFindingError
-from bivasym.precision import get_precision
+from bivasym.precision import get_precision, working_precision
 from bivasym.unipoly import squarefree_part
 from tests.test_acceptance import _random_polynomials
 
@@ -199,3 +199,14 @@ def test_tiny_roots_reach_working_precision(exponent):
                 p = ((c[3] * ref + c[2]) * ref + c[1]) * ref + c[0]
                 ref -= p / ((3 * c[3] * ref + 2 * c[2]) * ref + c[1])
             assert abs(z - ref) <= mpf(2) ** -100 * abs(ref)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_small_exact_leading_coefficient_keeps_its_far_root(bits):
+    # 10^-40 x^2 + x - 1 has roots near -10^40 and 1.  Its leading
+    # coefficient is below 2^-(prec-8) of the largest at 64 and 128 bits,
+    # but it is exact, and only an exact zero may be dropped.
+    with working_precision(bits):
+        far, near = sorted(aberth_roots([F(-1), F(1), F(1, 10**40)]), key=abs, reverse=True)
+    assert abs(far / -(mpf(10) ** 40) - 1) < 1e-15
+    assert abs(near - 1) < 1e-15

@@ -20,6 +20,7 @@ from bivasym import (
     winding_number,
     working_precision,
 )
+from bivasym.cli import report_critical_points
 from bivasym.errors import ConfigError, HypothesisFailure
 from bivasym.estimates import principal_on_ray
 from bivasym.pipeline import estimate_target, run_solve
@@ -127,6 +128,23 @@ def test_branch_wrap_problem_matches_recurrence():
     est = estimate_target(spec, outcome, 40, 40)
     exact = coeff_recurrence(spec.H, spec.G, spec.beta, (40, 40)).value(40, 40)
     assert abs(est.value / exact - 1) < 0.02
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_far_point_problem_matches_recurrence(bits):
+    # H = 1 - x - y + x^2/10^40 has a second critical point at
+    # (2e40/3, -2e40/9), which the solve once dropped at 64 and 128 bits.
+    # It is not dominant, so the estimate is that of (1/2, 1/2).
+    spec = parse_problem((PROBLEMS / "far_point.json").read_text())
+    with working_precision(bits):
+        outcome = run_solve(spec)
+        est = estimate_target(spec, outcome, 40, 40)
+    near, far = outcome.classes
+    assert near.dominant and (near.modulus_p, near.modulus_q) == (0.5, 0.5)
+    assert abs(far.modulus_p / (2e40 / 3) - 1) < 1e-12
+    assert abs(far.modulus_q / (2e40 / 9) - 1) < 1e-12
+    exact = coeff_recurrence(spec.H, spec.G, spec.beta, (40, 40)).value(40, 40)
+    assert abs(est.value / exact - 1) < 0.01
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +317,18 @@ def test_real_positive_rejections(multinomial_h, diag_direction):
     with pytest.raises(HypothesisFailure) as info:
         estimate_real_positive(multinomial_h, None, F(1, 2), pt, 10, 10, diag_direction)
     assert info.value.name in ("p_real_positive", "hx_nonzero", "grad_ratio_identity")
+
+
+def test_real_positive_uses_the_report_noise_rule(multinomial_h, diag_direction):
+    # At 64 bits an imaginary part of 1e-14 on p = 0.5 is far above the
+    # noise floor 2^-56 that the report applies: it is printed, so p is not
+    # real.  A decimal tolerance of 10^(6 - dps) once let it through.
+    with working_precision(64):
+        pt = CriticalPoint(p=mpc(0.5, 1e-14), q=mpc(0.5))
+        assert report_critical_points([pt])["critical_points"][0]["p"]["im"] == "1.0e-14"
+        with pytest.raises(HypothesisFailure) as info:
+            estimate_real_positive(multinomial_h, None, F(1, 2), pt, 100, 100, diag_direction)
+    assert info.value.name == "p_real_positive"
 
 
 def test_nonpositive_integer_beta_rejected(multinomial_h, diag_direction):

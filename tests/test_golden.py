@@ -2,7 +2,8 @@
 
 The files under ``tests/data/golden`` are the stdout of
 ``bivasym <command> --spec problems/<problem>.json`` at the default
-precision.  Nothing below working precision is printed: a real or
+precision; ``solve``, ``estimate`` and ``compare`` must print the same at
+``--precision 64`` and ``256``.  Nothing below working precision is printed: a real or
 imaginary part at most ``2^-(prec-8)`` times the modulus of its number,
 and a relative residual at most ``2^-(prec-8)``, print as zero
 (``critical.noise_floor``).  ``solve_critical`` also snaps such parts of
@@ -39,11 +40,25 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
 
 
-@pytest.mark.parametrize("command", ["solve", "estimate", "compare"])
-@pytest.mark.parametrize("problem", ["color_swap", "multinomial_sqrt", "branch_wrap"])
-def test_cli_output_unchanged(capsys, problem, command):
+# The default precision, then each other precision the console-script
+# check diffs against the same goldens.
+CLI_CASES = [
+    (problem, command, bits)
+    for bits in (None, 64, 256)
+    for problem in ("branch_wrap", "color_swap", "multinomial_sqrt")
+    for command in ("compare", "estimate", "solve")
+]
+
+
+@pytest.mark.parametrize(
+    "problem, command, bits",
+    CLI_CASES,
+    ids=["-".join(str(v) for v in case if v is not None) for case in CLI_CASES],
+)
+def test_cli_output_unchanged(capsys, problem, command, bits):
+    args = [command, "--spec", str(ROOT / "problems" / f"{problem}.json")]
     with working_precision(DEFAULT_PRECISION):
-        code = main([command, "--spec", str(ROOT / "problems" / f"{problem}.json")])
+        code = main(args if bits is None else args + ["--precision", str(bits)])
     assert code == 0
     expected = (GOLDEN / f"{problem}.{command}.out").read_text()
     assert capsys.readouterr().out == expected
@@ -77,3 +92,16 @@ def test_real_total_prints_argument_zero(capsys, problem, bits):
     assert code == 0
     estimates = json.loads(capsys.readouterr().out)["estimates"]
     assert estimates and [e["argument"] for e in estimates] == ["0"] * len(estimates)
+
+
+@pytest.mark.parametrize("problem", sorted(p.stem for p in (ROOT / "problems").glob("*.json")))
+def test_solve_report_is_the_same_at_every_precision(capsys, problem):
+    # far_point has a critical point near (6.7e39, -2.2e39) that the solve
+    # once dropped at 64 and 128 bits: a top coefficient was judged against
+    # the largest coefficient, not against its own scale.
+    spec = str(ROOT / "problems" / f"{problem}.json")
+    runs = []
+    for bits in (64, 128, 256):
+        code = main(["solve", "--spec", spec, "--precision", str(bits)])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
