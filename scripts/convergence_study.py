@@ -13,7 +13,8 @@ from fractions import Fraction as F
 
 from mpmath import mp
 
-from bivasym import BivariatePolynomial, Direction, coeff_recurrence
+from bivasym import BivariatePolynomial, Direction
+from bivasym.oracle import coefficients_at, exact_value
 from bivasym.pipeline import estimate_target, run_solve
 from bivasym.problem import ProblemSpec
 
@@ -23,12 +24,11 @@ def main(argv):
     H = BivariatePolynomial.from_items([(0, 0, "1"), (1, 0, "-1"), (0, 1, "-1")])
     spec = ProblemSpec(H=H, beta=F(1, 2), direction=Direction(1, 1))
     outcome = run_solve(spec)
-    top = max(rs)
-    table = coeff_recurrence(spec.H, spec.G, spec.beta, (top, top))
+    values, prefactor = coefficients_at(spec.H, spec.G, spec.beta, [(r, r) for r in rs])
     print("r,estimate,exact,ratio")
-    for r in rs:
+    for r, c in zip(rs, values):
         est = estimate_target(spec, outcome, r, r)
-        exact = table.value(r, r)
+        exact = exact_value(c, prefactor)
         ratio = est.value / exact
         print(f"{r},{mp.nstr(est.value, 17)},{mp.nstr(exact, 17)},{mp.nstr(ratio, 12)}")
     return 0

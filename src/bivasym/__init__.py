@@ -47,6 +47,7 @@ from .oracle import (
     cauchy_quadrature,
     coeff_linear_closed_form,
     coeff_recurrence,
+    coefficients_at,
     closed_form_table,
 )
 from .precision import get_precision, set_precision, working_precision
@@ -83,6 +84,7 @@ __all__ = [
     "closed_form_table",
     "coeff_linear_closed_form",
     "coeff_recurrence",
+    "coefficients_at",
     "critical_system",
     "dump_problem",
     "estimate_general",

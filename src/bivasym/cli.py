@@ -24,7 +24,16 @@ from .errors import (
     SpecFileError,
 )
 from .estimates import AsymptoticEstimate
-from .oracle import OracleConfig, coeff_recurrence, format_entry, quadrature_values, table_to_csv
+from .oracle import (
+    OracleConfig,
+    coeff_recurrence,
+    coefficients_at,
+    exact_log10_abs,
+    exact_value,
+    format_entry,
+    quadrature_values,
+    table_to_csv,
+)
 from .pipeline import estimate_target, run_solve
 from .precision import MIN_PRECISION, get_precision, working_precision
 from .problem import ProblemSpec, dump_problem, parse_problem
@@ -231,12 +240,12 @@ def cmd_compare(spec: ProblemSpec, args) -> int:
     if not outcome.has_usable_point():
         sys.stderr.write(_NO_USABLE_POINT)
         return EXIT_NO_CRITICAL_POINT
-    table = coeff_recurrence(spec.H, spec.G, spec.beta, box)
+    values, prefactor = coefficients_at(spec.H, spec.G, spec.beta, spec.targets)
     lines = ["r,s,estimate_log10,estimate,exact_log10,exact,ratio"]
     ln10 = mp.log(10)
-    for r, s in spec.targets:
-        exact_log10 = table.log10_abs(r, s)
-        exact = f"{_digits(exact_log10)},{format_entry(table.value(r, s))}"
+    for (r, s), c in zip(spec.targets, values):
+        exact_log10 = exact_log10_abs(c, prefactor)
+        exact = f"{_digits(exact_log10)},{format_entry(exact_value(c, prefactor))}"
         if r == 0 or s == 0:
             lines.append(f"{r},{s},n/a,n/a,{exact},n/a")
             continue

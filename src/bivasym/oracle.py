@@ -15,14 +15,24 @@ kept as a symbolic prefactor and folded in only when it is rational.  Both
 exact routes fill integer numerators over one scale per total degree
 (``TruncatedSeries.scaled``) and an entry is reduced to a Fraction only when
 it is read, so a caller that reads a few entries pays for those alone.
+
+The recurrence runs as a row kernel: row a is built from rows a - i,
+i <= deg_x H, by whole-row multiply-adds over Python ints, then divided by
+a.  ``coeff_recurrence`` keeps every row (the table for the CSV export);
+``coefficients_at`` streams the same rows and keeps a window of them, for
+callers that need a few entries.  ``coeff_recurrence(order="antidiagonal")``
+is the independent reference: a per-cell step along antidiagonals.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from itertools import repeat
+from operator import add
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp, mpc, mpf
@@ -92,8 +102,7 @@ class CoefficientTable:
     def value(self, r: int, s: int):
         """Entry value at current precision (prefactor folded in)."""
         if self.series is not None:
-            v = to_mpf(self.series.coeffs[r][s])
-            return v if self.prefactor.is_one() else v * self.prefactor.value()
+            return exact_value(self.series.coeffs[r][s], self.prefactor)
         return to_mpc(complex(self.values[r, s]))
 
     def csv_cells(self):
@@ -118,15 +127,25 @@ class CoefficientTable:
     def log10_abs(self, r: int, s: int):
         """log10 |entry|, exact path overflow-safe; -inf for a zero entry."""
         if self.series is not None:
-            c = self.series.coeffs[r][s]
-            if c == 0:
-                return mp.ninf
-            return mp.log(abs(to_mpf(c)), 10) + self.prefactor.log10_abs()
+            return exact_log10_abs(self.series.coeffs[r][s], self.prefactor)
         v = abs(complex(self.values[r, s]))
         return mp.ninf if v == 0 else mp.log(to_mpf(v), 10)
 
     def entry_error(self, r: int, s: int) -> float:
         return 0.0 if self.errors is None else float(self.errors[r, s])
+
+
+def exact_value(c: Fraction, prefactor: Prefactor):
+    """c times the prefactor, at current precision."""
+    v = to_mpf(c)
+    return v if prefactor.is_one() else v * prefactor.value()
+
+
+def exact_log10_abs(c: Fraction, prefactor: Prefactor):
+    """log10 |c times the prefactor|, overflow-safe; -inf for c = 0."""
+    if c == 0:
+        return mp.ninf
+    return mp.log(abs(to_mpf(c)), 10) + prefactor.log10_abs()
 
 
 def _origin_power(h00: Fraction, beta) -> Tuple[int, int, Prefactor]:
@@ -145,46 +164,91 @@ def _origin_power(h00: Fraction, beta) -> Tuple[int, int, Prefactor]:
     return num, den, Prefactor()
 
 
-def coeff_recurrence(
-    H: BivariatePolynomial,
-    G: Optional[BivariatePolynomial],
-    beta: Fraction,
-    box: Box,
-    order: str = "rows",
-) -> CoefficientTable:
-    """Exact table of G*H**(-beta) from the differential recurrence.
+def _integer_terms(
+    H: BivariatePolynomial, beta: Fraction
+) -> Tuple[int, List[Tuple[int, int, int]]]:
+    """(w, terms) of the integer fill of (H/h00)**(-beta).
 
-    With h = H/h00, h*F_x = -beta*h_x*F gives
-    a*f[a][b] = -sum h_ij*((a-i) + beta*i)*f[a-i][b-j] over (i, j) != (0, 0),
-    and the y-identity the same form, divided by b, down the column a = 0.
-    The fill uses Python ints only.  With beta = u/v, D the lcm of the
-    denominators of h and w = v*v*D, it stores g[a][b] = f[a][b]*w**(a+b),
-    whose sum has the integer factors n_ij*(v*(a-i) + u*i)*v**(2k-1)*D**(k-1)
-    with n_ij = D*h_ij and k = i + j.  The division by a (or b) is exact:
-    f[a][b] sums binom(-u/v, k)*[x^a y^b](h - 1)**k over k <= a + b, the
-    denominator of binom(-u/v, k) divides v**(2k) and that of the second
-    factor divides D**k.  A nonzero remainder raises ``ArithmeticError``.
-
-    ``order`` selects the fill schedule ("rows" or "antidiagonal"); both run
-    the same integer step.  The table is returned as it is, a scaled series
-    (``TruncatedSeries.scaled``) with entry g[a][b] over den*w**(a+b): when
-    h00**(-beta) = num/den is rational, num is multiplied into g, else
-    den = 1 and h00**(-beta) is carried as the prefactor.  An entry is
-    reduced to a Fraction only when it is read, and the product with G
-    stays on integers (``poly_times_series``).
+    With beta = u/v, D the lcm of the denominators of h = H/h00 and
+    w = v*v*D, each nonconstant term h_ij gives (i, j, n_ij*v**(2k-1)*D**(k-1))
+    with n_ij = D*h_ij and k = i + j.
     """
-    R, S = int(box[0]), int(box[1])
     h00 = H.constant_term()
-    num, den, prefactor = _origin_power(h00, beta)
     h = {ij: c / h00 for ij, c in H.terms.items() if ij != (0, 0)}
-    u, v = beta.numerator, beta.denominator
+    v = beta.denominator
     D = math.lcm(*(c.denominator for c in h.values()))
-    w = v * v * D
-    # (i, j, n_ij * v**(2k-1) * D**(k-1)) for each nonconstant term.
     terms = [
         (i, j, c.numerator * (D // c.denominator) * v ** (2 * (i + j) - 1) * D ** (i + j - 1))
         for (i, j), c in h.items()
     ]
+    return v * v * D, terms
+
+
+def _inexact(a: int, b: int) -> ArithmeticError:
+    return ArithmeticError(f"inexact recurrence step at ({a}, {b})")
+
+
+def _integer_rows(terms, beta: Fraction, R: int, S: int) -> Iterator[List[int]]:
+    """Rows 0..R of the integer table g, each S + 1 ints, one row at a time.
+
+    Row 0 follows the y-identity cell by cell.  Row a >= 1 takes one
+    whole-row multiply-add per term with i >= 1 (row a - i shifted by j,
+    times -m_ij*(v*(a - i) + u*i)), one exact division of the row by a, then
+    a pass along the row for the pure-y terms.  A pure-y term's factor
+    m_0j*(v*a + u*0) is a multiple of a, so it subtracts v*m_0j*g[a][b-j]
+    after the division, and a nonzero remainder of the division is one of
+    the full step.  Only the last deg_x H rows are kept.
+    """
+    u, v = beta.numerator, beta.denominator
+    column = sorted((j, m) for i, j, m in terms if i == 0)
+    row = [1] + [0] * S
+    for b in range(1, S + 1):
+        total = 0
+        for j, m in column:
+            if j > b:
+                break
+            total += m * (v * (b - j) + u * j) * row[b - j]
+        row[b], rem = divmod(-total, b)
+        if rem:
+            raise _inexact(0, b)
+    yield row
+    shifted = sorted((i, j, -m) for i, j, m in terms if i and j <= S)
+    in_row = [(j, v * m) for j, m in column]
+    window = deque([row], maxlen=max((i for i, _, _ in shifted), default=1))
+    for a in range(1, R + 1):
+        acc = None
+        for i, j, m in shifted:
+            if i > a:
+                break
+            tail = map((m * (v * (a - i) + u * i)).__mul__, window[-i][: S + 1 - j])
+            if acc is None:
+                acc = [0] * j + list(tail)
+            else:
+                acc[j:] = map(add, acc[j:], tail)
+        if acc is None:
+            acc = [0] * (S + 1)
+        row, rems = map(list, zip(*map(divmod, acc, repeat(a))))
+        if any(rems):
+            raise _inexact(a, next(b for b, rem in enumerate(rems) if rem))
+        if in_row:
+            for b in range(1, S + 1):
+                t = row[b]
+                for j, e in in_row:
+                    if j > b:
+                        break
+                    t -= e * row[b - j]
+                row[b] = t
+        window.append(row)
+        yield row
+
+
+def _antidiagonal_rows(terms, beta: Fraction, R: int, S: int) -> List[List[int]]:
+    """The integer table g filled cell by cell along antidiagonals.
+
+    The independent reference for ``_integer_rows``: each step sums every
+    term of the recurrence at one cell.
+    """
+    u, v = beta.numerator, beta.denominator
     column = [(j, m) for i, j, m in terms if i == 0]
     g = [[0] * (S + 1) for _ in range(R + 1)]
     g[0][0] = 1
@@ -205,27 +269,101 @@ def coeff_recurrence(
                     total += m * (v * (b - j) + u * j) * g[0][b - j]
         q, rem = divmod(-total, a or b)
         if rem:
-            raise ArithmeticError(f"inexact recurrence step at ({a}, {b})")
+            raise _inexact(a, b)
         g[a][b] = q
 
+    for d in range(1, R + S + 1):
+        for a in range(min(d, R), max(0, d - S) - 1, -1):
+            step(a, d - a)
+    return g
+
+
+def coeff_recurrence(
+    H: BivariatePolynomial,
+    G: Optional[BivariatePolynomial],
+    beta: Fraction,
+    box: Box,
+    order: str = "rows",
+) -> CoefficientTable:
+    """Exact table of G*H**(-beta) from the differential recurrence.
+
+    With h = H/h00, h*F_x = -beta*h_x*F gives
+    a*f[a][b] = -sum h_ij*((a-i) + beta*i)*f[a-i][b-j] over (i, j) != (0, 0),
+    and the y-identity the same form, divided by b, down the column a = 0.
+    The fill uses Python ints only.  With beta = u/v, D the lcm of the
+    denominators of h and w = v*v*D, it stores g[a][b] = f[a][b]*w**(a+b),
+    whose sum has the integer factors n_ij*(v*(a-i) + u*i)*v**(2k-1)*D**(k-1)
+    with n_ij = D*h_ij and k = i + j.  The division by a (or b) is exact:
+    f[a][b] sums binom(-u/v, k)*[x^a y^b](h - 1)**k over k <= a + b, the
+    denominator of binom(-u/v, k) divides v**(2k) and that of the second
+    factor divides D**k.  A nonzero remainder raises ``ArithmeticError``
+    naming the cell.
+
+    ``order="rows"`` runs the row kernel that ``coefficients_at`` also
+    streams: one whole-row multiply-add per term of H over earlier rows,
+    the exact division of the row by a, then a pass along the row for the
+    pure-y terms.  ``order="antidiagonal"`` fills cell by cell along
+    antidiagonals, summing every term at each cell; it is the independent
+    reference for the row kernel.  The table is returned as it is, a scaled
+    series (``TruncatedSeries.scaled``) with entry g[a][b] over
+    den*w**(a+b): when h00**(-beta) = num/den is rational, num is multiplied
+    into g, else den = 1 and h00**(-beta) is carried as the prefactor.  An
+    entry is reduced to a Fraction only when it is read, and the product
+    with G stays on integers (``poly_times_series``).
+    """
+    R, S = int(box[0]), int(box[1])
+    num, den, prefactor = _origin_power(H.constant_term(), beta)
+    w, terms = _integer_terms(H, beta)
     if order == "rows":
-        cells = ((a, b) for a in range(R + 1) for b in range(S + 1))
+        g = list(_integer_rows(terms, beta, R, S))
     elif order == "antidiagonal":
-        cells = (
-            (a, d - a) for d in range(R + S + 1) for a in range(min(d, R), max(0, d - S) - 1, -1)
-        )
+        g = _antidiagonal_rows(terms, beta, R, S)
     else:
         raise ConfigError(f"unknown fill order {order!r}")
-    for a, b in cells:
-        if a or b:
-            step(a, b)
-
     if num != 1:
         g = [[x * num for x in row] for row in g]
     series = TruncatedSeries.scaled((R, S), g, [den * w**k for k in range(R + S + 1)])
     if G is not None and G != BivariatePolynomial.constant(1):
         series = poly_times_series(G, series)
     return CoefficientTable(series=series, prefactor=prefactor)
+
+
+def coefficients_at(
+    H: BivariatePolynomial,
+    G: Optional[BivariatePolynomial],
+    beta: Fraction,
+    targets: Sequence[Tuple[int, int]],
+) -> Tuple[List[Fraction], Prefactor]:
+    """Exact [x^r y^s] G*H**(-beta) at each target, without the full table.
+
+    Streams the row kernel of ``coeff_recurrence`` up to the largest target
+    row, over columns 0..max s, and keeps at most deg_x H + deg_x G + 1
+    integer rows: the kernel reads rows a - i for i <= deg_x H and the
+    product with G rows r - i for i <= deg_x G.  Returns one Fraction per
+    target, in order, equal to ``coeff_recurrence``'s entry, and the
+    prefactor shared by all of them.
+    """
+    if any(r < 0 or s < 0 for r, s in targets):
+        raise ConfigError("targets must be nonnegative")
+    num, den, prefactor = _origin_power(H.constant_term(), beta)
+    w, terms = _integer_terms(H, beta)
+    if G is None:
+        G = BivariatePolynomial.constant(1)
+    R = max((r for r, _ in targets), default=-1)
+    S = max((s for _, s in targets), default=0)
+    kept = deque(maxlen=G.degree_x() + 1)
+    values = {}
+    for a, row in enumerate(_integer_rows(terms, beta, R, S)):
+        kept.append(row)
+        for r, s in targets:
+            if r == a:
+                total = sum(
+                    c * w ** (i + j) * kept[-1 - i][s - j]
+                    for (i, j), c in G.terms.items()
+                    if i <= r and j <= s
+                )
+                values[r, s] = total * num / (den * w ** (r + s))
+    return [values[t] for t in targets], prefactor
 
 
 def coeff_linear_closed_form(

@@ -84,7 +84,10 @@ class ScaledRow(Sequence):
     def __len__(self) -> int:
         return len(self.nums)
 
-    def __getitem__(self, s: int) -> Fraction:
+    def __getitem__(self, s):
+        """Entry s as a reduced Fraction; a slice gives the list of its entries."""
+        if isinstance(s, slice):
+            return [self[k] for k in range(len(self.nums))[s]]
         s = range(len(self.nums))[s]
         return Fraction(self.nums[s], self.scales[self.r + s])
 

@@ -134,6 +134,28 @@ def test_boxes_with_an_empty_side(box, color_swap_h, color_swap_g):
         _assert_parity(color_swap_h, color_swap_g, beta, box)
 
 
+# H with and without pure-y terms (the row kernel's in-row pass runs or is
+# skipped), h00 negative (complex prefactor) or a rational other than +-1
+# (its rational power folded in), deg_x H = 3 and deg_y H = 3.
+KERNEL_H = {
+    "pure_y": [(0, 0, "1"), (1, 0, "-1"), (0, 1, "-2/3"), (0, 3, "1/4"), (3, 1, "1/2")],
+    "no_pure_y": [(0, 0, "1"), (1, 0, "-2"), (1, 1, "1/3"), (3, 0, "-1"), (2, 3, "5/7")],
+    "negative_h00": [(0, 0, "-1"), (1, 0, "1"), (0, 2, "3"), (3, 1, "-1"), (1, 3, "2")],
+    "rational_h00": [(0, 0, "9/4"), (3, 0, "-1/2"), (0, 1, "-1"), (0, 3, "-3/5"), (1, 1, "4")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_H))
+@pytest.mark.parametrize("box", [(0, 0), (6, 0), (0, 6), (5, 2), (2, 5), (5, 7)])
+def test_row_kernel_edges(name, box):
+    """Empty sides, S < deg_y H (a pure-y term beyond the box) and R < deg_x H."""
+    H = _poly(*KERNEL_H[name])
+    G = _poly((0, 0, "1"), (1, 2, "-3/2"))
+    for beta in BETAS:
+        _assert_parity(H, None, beta, box)
+        _assert_parity(H, G, beta, box)
+
+
 def test_multinomial_400_corners_match_closed_form(multinomial_h):
     table = coeff_recurrence(multinomial_h, None, F(1, 2), (400, 400))
     assert table.prefactor.is_one()

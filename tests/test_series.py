@@ -52,6 +52,15 @@ def test_scaled_rows_read_like_lists():
         rows[0][-6]
 
 
+def test_scaled_row_slices_are_lists_of_fractions():
+    scaled, _, plain = _scaled((3, 4))
+    for r, row in enumerate(scaled.coeffs):
+        for cut in (slice(1, 3), slice(None), slice(None, None, -2), slice(-3, None), slice(7, 9)):
+            part = row[cut]
+            assert part == plain[r][cut]
+            assert all(type(c) is F for c in part)
+
+
 def test_scaled_equality_both_ways():
     scaled, eager, plain = _scaled((3, 4))
     other, other_eager, _ = _scaled((3, 4), seed=2)
