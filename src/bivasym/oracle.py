@@ -8,7 +8,8 @@ Three independent routes:
 * numerical Cauchy quadrature over a torus, with the branch of H**(-beta)
   fixed by continuous argument tracking anchored at the origin; as H and G
   have real coefficients and the radii are real, the rows past the middle
-  of the theta1 grid mirror the rows below it.
+  of the theta1 grid mirror the rows below it.  The rows are walked in
+  blocks of a fixed node count, ``_BLOCK_NODES``.
 
 Exact tables are stored for (H/h00)**(-beta); the scalar h00**(-beta) is
 kept as a symbolic prefactor and folded in only when it is rational.  Both
@@ -46,7 +47,9 @@ from .series import Prefactor, TruncatedSeries, poly_times_series
 Box = Tuple[int, int]
 
 _JUMP_LIMIT = 0.95 * math.pi
-_BLOCK_ROWS = 128
+# Nodes per quadrature block: a block's temporaries stay in a core's L2
+# cache, and a call's memory does not grow with N2.
+_BLOCK_NODES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,14 @@ class CoefficientTable:
             return self.series.box
         return (self.values.shape[0] - 1, self.values.shape[1] - 1)
 
+    def _check(self, r: int, s: int) -> None:
+        R, S = self.box
+        if not (0 <= r <= R and 0 <= s <= S):
+            raise ConfigError("target outside the oracle box")
+
     def value(self, r: int, s: int):
         """Entry value at current precision (prefactor folded in)."""
+        self._check(r, s)
         if self.series is not None:
             return exact_value(self.series.coeffs[r][s], self.prefactor)
         return to_mpc(complex(self.values[r, s]))
@@ -126,12 +135,14 @@ class CoefficientTable:
 
     def log10_abs(self, r: int, s: int):
         """log10 |entry|, exact path overflow-safe; -inf for a zero entry."""
+        self._check(r, s)
         if self.series is not None:
             return exact_log10_abs(self.series.coeffs[r][s], self.prefactor)
         v = abs(complex(self.values[r, s]))
         return mp.ninf if v == 0 else mp.log(to_mpf(v), 10)
 
     def entry_error(self, r: int, s: int) -> float:
+        self._check(r, s)
         return 0.0 if self.errors is None else float(self.errors[r, s])
 
 
@@ -451,8 +462,10 @@ def quadrature_values(
     are real, so H(conj x, conj y) = conj H(x, y), the tracked argument maps
     to 2*anchor - arg H, and F = G*H^(-beta) has F(conj x, conj y) =
     phi*conj F(x, y) with phi = exp(-2i*beta*anchor).  Only rows 0..N1/2 of
-    the theta1 grid are evaluated, in ``_BLOCK_ROWS``-row blocks; each keeps
-    the first S + 1 outputs of its row FFT.  Row N1 - k of the kept
+    the theta1 grid are evaluated, in blocks of 2*max(1, _BLOCK_NODES //
+    (2*N2)) rows (an even count, so each block starts on a row of the half
+    grid); each block takes the phase of F from one tan (``_polar``) and
+    keeps the first S + 1 outputs of its row FFT.  Row N1 - k of the kept
     N1 x (S + 1) strip is phi times the conjugate of row k, and a column FFT
     on the strip gives the R + 1 rows (``fft2``'s DFT).  Row N1 - k fails a
     check exactly when row k does.  Checks run in grid order; the first
@@ -491,8 +504,9 @@ def quadrature_values(
     has_G = G is not None and G != BivariatePolynomial.constant(1)
     full = np.empty((N1, S + 1), dtype=np.complex128)
     half = np.empty((N1 // 2, S + 1), dtype=np.complex128)
-    for lo in range(0, N1 // 2 + 1, _BLOCK_ROWS):
-        rows = slice(lo, min(lo + _BLOCK_ROWS, N1 // 2 + 1))
+    step = 2 * max(1, _BLOCK_NODES // (2 * N2))
+    for lo in range(0, N1 // 2 + 1, step):
+        rows = slice(lo, min(lo + step, N1 // 2 + 1))
         mod, d1, winds = checked(H.eval_array(X[rows], Y))
         unwound(winds)
         args = np.empty(mod.shape)
@@ -500,8 +514,7 @@ def quadrature_values(
         args[:, 1:] = args[:, :1] + np.cumsum(d1, axis=1)
         args *= -b
         mod **= -b
-        F = np.empty(mod.shape, dtype=np.complex128)
-        F.real, F.imag = mod * np.cos(args), mod * np.sin(args)
+        F = _polar(mod, args)
         if has_G:
             F *= G.eval_array(X[rows], Y)
         full[rows] = np.fft.fft(F, axis=1)[:, : S + 1]
@@ -518,6 +531,25 @@ def quadrature_values(
     return CoefficientTable(values=full, errors=np.abs(full - half))
 
 
+def _polar(mod: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """mod * exp(i*a) from t = tan(a/2); overwrites both arrays.
+
+    cos a = (1 - t^2)/(1 + t^2) and sin a = 2t/(1 + t^2): one tan, which
+    numpy vectorises, in place of its cos and sin, which it does not.  The
+    steps run in place: a block's arrays stay in cache.
+    """
+    a *= 0.5
+    t = np.tan(a, out=a)
+    q = t * t
+    mod /= 1.0 + q
+    F = np.empty(mod.shape, dtype=np.complex128)
+    np.subtract(1.0, q, out=q)
+    np.multiply(q, mod, out=F.real)
+    np.multiply(t, mod, out=F.imag)
+    F.imag *= 2.0
+    return F
+
+
 def cauchy_quadrature(
     H: BivariatePolynomial,
     G: Optional[BivariatePolynomial],
@@ -527,7 +559,7 @@ def cauchy_quadrature(
     cfg: OracleConfig,
 ):
     """One coefficient by torus quadrature: (value, error_estimate)."""
-    if r > cfg.box[0] or s > cfg.box[1]:
+    if not (0 <= r <= cfg.box[0] and 0 <= s <= cfg.box[1]):
         raise ConfigError("target outside the oracle box")
     table = quadrature_values(H, G, beta, cfg)
     return table.value(r, s), table.entry_error(r, s)

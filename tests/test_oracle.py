@@ -154,6 +154,29 @@ def test_quadrature_cross_oracle_color_swap(color_swap_h, color_swap_g):
     assert abs(value - exact) / abs(exact) < 1e-8
 
 
+OUTSIDE_4x4 = [(-1, 0), (0, -1), (5, 0), (0, 5), (-1, 5)]
+
+
+@pytest.mark.parametrize("r, s", OUTSIDE_4x4)
+def test_an_index_outside_the_box_is_refused(multinomial_h, r, s):
+    # A negative index would wrap to the far end of the row or column.
+    cfg = OracleConfig(
+        box=(4, 4), beta=F(1, 2), quadrature_radii=(0.3, 0.3), quadrature_grid=(64, 64)
+    )
+    exact = coeff_recurrence(multinomial_h, None, F(1, 2), (4, 4))
+    numeric = quadrature_values(multinomial_h, None, F(1, 2), cfg)
+    for table in (exact, numeric):
+        for read in (table.value, table.log10_abs, table.entry_error):
+            with pytest.raises(ConfigError, match="outside the oracle box"):
+                read(r, s)
+    with pytest.raises(ConfigError, match="outside the oracle box"):
+        cauchy_quadrature(multinomial_h, None, F(1, 2), r, s, cfg)
+    # The far corner stays readable.
+    assert abs(complex(numeric.value(4, 4)) / complex(exact.value(4, 4)) - 1) < 1e-10
+    assert abs(numeric.log10_abs(4, 4) - exact.log10_abs(4, 4)) < 1e-10
+    assert exact.entry_error(4, 4) == 0 and numeric.entry_error(4, 4) < 1e-10
+
+
 def test_quadrature_branch_agrees_for_negative_constant_term():
     # Negative H(0,0): the series branch value is complex (-i here), and the
     # quadrature's radially-anchored branch must match the exact table's

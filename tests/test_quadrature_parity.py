@@ -1,19 +1,24 @@
 """Half-torus row-blocked quadrature against the full-grid route it replaced.
 
 ``quadrature_values`` evaluates rows 0..N1/2 of the theta1 grid only, in
-blocks of rows, and keeps the first S + 1 outputs of each row FFT.  H and G
-have real coefficients and the radii are real, so F = G*H^(-beta) has
+blocks of an even number of rows holding about ``_BLOCK_NODES`` nodes, and
+keeps the first S + 1 outputs of each row FFT.  H and G have real
+coefficients and the radii are real, so F = G*H^(-beta) has
 F(conj x, conj y) = phi*conj F(x, y) with phi = exp(-2i*beta*anchor), and
 row N1 - k of the kept strip is phi times the conjugate of row k.  One
 column FFT on the strip finishes.  The reference below is the earlier
 route: H, the anchored argument and the integrand on the whole grid at
-once, then one ``fft2`` of the full and of the half grid.  The mirrored
-rows are a different rounding of the same sum, so values and error
-estimates must agree to a roundoff floor per entry,
-4*eps*max|G*H^(-beta)| / (c1^r*c2^s) with the max over the grid, and no
-entry may lie further from the exact recurrence's table than the
-reference's entry does, plus one floor.  This holds on a grid smaller than
-one block, on grids of several blocks, and where phi is not real.
+once, then one ``fft2`` of the full and of the half grid.  The values do
+not equal ``fft2``'s bit for bit: the mirrored rows are a different
+rounding of the same sum, and the blocked route takes the phase from
+tan(a/2) where the reference takes exp.  So values and error estimates
+must agree to a roundoff floor per entry, 4*eps*max|G*H^(-beta)| /
+(c1^r*c2^s) with the max over the grid, and no entry may lie further from
+the exact recurrence's table than the reference's entry does, plus one
+floor.  This holds on a grid of one block, on grids of several blocks, and
+where phi is not real.  The block size changes no value: the blocked
+route gives the same bits at every block size, and no block holds more
+than max(_BLOCK_NODES, 2*N2) nodes.
 
 Each ``BranchTrackingError`` cause keeps its message.  The reference checks
 the whole grid for a vanishing H, then the ray anchor, then every jump.  The
@@ -24,6 +29,7 @@ does.  So where more than one cause holds, the first in that order wins,
 and within one block a vanishing H wins over a jump.  The cases below pin it.
 """
 
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -32,7 +38,14 @@ import pytest
 
 from bivasym import BivariatePolynomial, OracleConfig
 from bivasym.errors import BranchTrackingError
-from bivasym.oracle import _JUMP_LIMIT, CoefficientTable, coeff_recurrence, quadrature_values
+from bivasym import oracle
+from bivasym.oracle import (
+    _JUMP_LIMIT,
+    CoefficientTable,
+    _polar,
+    coeff_recurrence,
+    quadrature_values,
+)
 from bivasym.precision import to_mpf
 from bivasym.problem import parse_problem
 
@@ -150,9 +163,8 @@ def test_mirror_with_a_complex_phase(beta, grid):
     _assert_matches_references(PHASE_H, PHASE_G, beta, (0.25, 0.3), grid)
 
 
-@pytest.mark.parametrize("grid", [256, 2048])
-def test_quadrature_evaluates_half_the_torus(grid, monkeypatch):
-    H, G, beta, radii = CASES["color_swap"]
+def _record_blocks(monkeypatch, H):
+    """The shapes of H's two-dimensional evaluations, in call order."""
     shapes = []
     eval_array = BivariatePolynomial.eval_array
 
@@ -163,6 +175,13 @@ def test_quadrature_evaluates_half_the_torus(grid, monkeypatch):
         return out
 
     monkeypatch.setattr(BivariatePolynomial, "eval_array", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+def test_quadrature_evaluates_half_the_torus(grid, monkeypatch):
+    H, G, beta, radii = CASES["color_swap"]
+    shapes = _record_blocks(monkeypatch, H)
     cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=(grid, grid))
     quadrature_values(H, G, beta, cfg)
     # The theta2 = 0 column, then the blocks of rows 0..N1/2; the ray's
@@ -170,6 +189,50 @@ def test_quadrature_evaluates_half_the_torus(grid, monkeypatch):
     assert shapes[0] == (grid, 1)
     assert {n2 for _, n2 in shapes[1:]} == {grid}
     assert sum(n1 for n1, _ in shapes[1:]) == grid // 2 + 1
+
+
+@pytest.mark.parametrize("grid", [(256, 256), (1024, 1024), (128, 4096)])
+def test_values_do_not_depend_on_the_block_size(grid, monkeypatch):
+    H, G, beta, radii = CASES["color_swap"]
+    cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=grid)
+    N1, N2 = grid
+    shapes = _record_blocks(monkeypatch, H)
+    default = quadrature_values(H, G, beta, cfg)
+    # 1 gives blocks of 2 rows; 3*N2 would give 3 rows, and odd first rows,
+    # were the count not rounded down to an even one; N1*N2 gives one block.
+    for nodes in (1, 3 * N2, 6 * N2, N1 * N2):
+        monkeypatch.setattr(oracle, "_BLOCK_NODES", nodes)
+        del shapes[:]
+        got = quadrature_values(H, G, beta, cfg)
+        assert np.array_equal(got.values, default.values)
+        assert np.array_equal(got.errors, default.errors)
+        blocks = shapes[1:]
+        assert sum(n1 for n1, _ in blocks) == N1 // 2 + 1
+        assert max(n1 * n2 for n1, n2 in blocks) <= max(nodes, 2 * N2)
+
+
+@pytest.mark.parametrize("grid", [(2048, 2048), (256, 16384)])
+def test_quadrature_memory_does_not_grow_with_the_grid(grid):
+    H, G, beta, radii = CASES["color_swap"]
+    cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=grid)
+    tracemalloc.start()
+    try:
+        quadrature_values(H, G, beta, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+def test_polar_matches_cos_and_sin():
+    pi = np.pi
+    points = [0.0, pi / 2, -pi / 2, pi, -pi, 3 * pi, -3 * pi]
+    points += [sign * pi + d for sign in (1, -1) for d in (1e-12, -1e-12)]
+    a = np.concatenate((points, np.linspace(-8 * pi, 8 * pi, 200_001)))
+    got = _polar(np.ones(a.size), a.copy())
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got.real - np.cos(a)) <= 4 * eps)
+    assert np.all(np.abs(got.imag - np.sin(a)) <= 4 * eps)
 
 
 VANISH = "branch tracking failed; H nearly vanishes on the torus"
@@ -198,7 +261,7 @@ SEVERAL_CAUSES = {
     "anchor ray, then a zero off the column": (
         _poly((0, 0, "1"), (1, 0, "-2")) * _poly((0, 0, "1"), (0, 1, "1")), (1.0, 1.0), RAY, VANISH
     ),
-    # Block 0 jumps; the zero sits in block 2.
+    # Block 0 jumps; the zero sits in a later block.
     "jump in the first block, zero in a later one": (
         ISOLATED_ZERO * OFF_GRID_ZERO, (1.0, 1.0), JUMP, VANISH
     ),
