@@ -9,7 +9,9 @@ Three independent routes:
   fixed by continuous argument tracking anchored at the origin; as H and G
   have real coefficients and the radii are real, the rows past the middle
   of the theta1 grid mirror the rows below it.  The rows are walked in
-  blocks of a fixed node count, ``_BLOCK_NODES``.
+  blocks of a fixed node count, ``_BLOCK_NODES``, in buffers allocated once
+  per call, and G is applied to the kept outputs of the row FFTs of
+  H**(-beta) rather than at every node.
 
 Exact tables are stored for (H/h00)**(-beta); the scalar h00**(-beta) is
 kept as a symbolic prefactor and folded in only when it is rational.  Both
@@ -66,8 +68,8 @@ class OracleConfig:
         if R < 0 or S < 0:
             raise ConfigError("box must be nonnegative")
         c1, c2 = self.quadrature_radii
-        if not (c1 > 0 and c2 > 0):
-            raise ConfigError("quadrature radii must be positive")
+        if not (0 < c1 < math.inf and 0 < c2 < math.inf):
+            raise ConfigError("quadrature radii must be positive and finite")
         N1, N2 = self.quadrature_grid
         for n in (N1, N2):
             if n < 64 or (n & (n - 1)) != 0:
@@ -455,73 +457,70 @@ def quadrature_values(
     Composite trapezoid rule over both angles (spectrally accurate for the
     periodic analytic integrand), with the half-resolution grid's difference
     as the error estimate.  arg H is anchored by the ray from the origin,
-    tracked down the theta2 = 0 column, then along theta2.  That branch of
-    H^(-beta) is periodic only when arg H turns by 0 round the column and
-    round every row; a zero of H inside the polydisk off the positive ray
-    can make it turn by 2 pi.  H and G have real coefficients and the radii
-    are real, so H(conj x, conj y) = conj H(x, y), the tracked argument maps
-    to 2*anchor - arg H, and F = G*H^(-beta) has F(conj x, conj y) =
-    phi*conj F(x, y) with phi = exp(-2i*beta*anchor).  Only rows 0..N1/2 of
-    the theta1 grid are evaluated, in blocks of 2*max(1, _BLOCK_NODES //
-    (2*N2)) rows (an even count, so each block starts on a row of the half
-    grid); each block takes the phase of F from one tan (``_polar``) and
-    keeps the first S + 1 outputs of its row FFT.  Row N1 - k of the kept
-    N1 x (S + 1) strip is phi times the conjugate of row k, and a column FFT
-    on the strip gives the R + 1 rows (``fft2``'s DFT).  Row N1 - k fails a
-    check exactly when row k does.  Checks run in grid order; the first
-    failure raises ``BranchTrackingError``: the column (H vanishing, then a
-    jump), the ray, the column's winding, then each block of rows 0..N1/2
-    in theta1 order (vanishing, a jump, then winding).
+    tracked down the theta2 = 0 column, then along theta2
+    (``_tracked_argument``: one arctan2 per node, and 2 pi added or taken
+    away after each crossing of the negative real axis).  That branch of
+    Phi = H^(-beta) is periodic only when arg H turns by 0 round the column
+    and round every row; a zero of H inside the polydisk off the positive
+    ray can make it turn by 2 pi.  H and G have real coefficients and the
+    radii are real, so H(conj x, conj y) = conj H(x, y), the tracked
+    argument maps to 2*anchor - arg H, and Phi, like F = G*Phi, has
+    Phi(conj x, conj y) = phi*conj Phi(x, y) with phi = exp(-2i*beta*anchor).
+
+    Only rows 0..N1/2 of the theta1 grid are evaluated, in blocks of
+    2*max(1, _BLOCK_NODES // (2*N2)) rows (an even count, so each block
+    starts on a row of the half grid), in buffers allocated once per call.
+    Each block takes the phase of Phi from one tan (``_polar``) and keeps
+    outputs -J..S of its row FFT, J = deg_y G, indices mod the row's length.
+    Row N1 - k of a kept strip is phi times the conjugate of row k.  G is
+    applied to the strips: output s of the row FFT of y^j*Phi is c2^j times
+    output s - j of that of Phi, so output s of the row FFT of F is
+    sum_j g_j(x)*c2^j*(output s - j), with g_j(x) = [y^j] G.  A column FFT
+    on each N1 x (S + 1) strip gives the R + 1 rows (``fft2``'s DFT).
+
+    Row N1 - k fails a check exactly when row k does.  Checks run in grid
+    order; the first failure raises ``BranchTrackingError``: the column (H
+    vanishing, then a jump), the ray, the column's winding, then each block
+    of rows 0..N1/2 in theta1 order (vanishing, a jump, then winding).
     """
     R, S = cfg.box
     c1, c2 = cfg.quadrature_radii
     N1, N2 = cfg.quadrature_grid
     b = float(to_mpf(beta))
+    floor = H.vanish_floor()
     X = c1 * np.exp(1j * (2.0 * np.pi * np.arange(N1) / N1)).reshape(-1, 1)
     Y = c2 * np.exp(1j * (2.0 * np.pi * np.arange(N2) / N2)).reshape(1, -1)
 
-    def checked(W: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
-        """|W|, the steps of arg W along the last axis, and whether it winds."""
-        mod = np.abs(W)
-        if np.min(mod) <= H.vanish_floor():
-            raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
-        steps = np.angle(W[..., 1:] / W[..., :-1])
-        if np.max(np.abs(steps)) >= _JUMP_LIMIT:
-            raise BranchTrackingError("branch tracking failed; refine grid")
-        # The turn round the circle, the wrap step back to the first point
-        # included, is a multiple of 2 pi: nonzero when H winds.
-        turn = steps.sum(axis=-1) + np.angle(W[..., 0] / W[..., -1])
-        return mod, steps, bool(np.max(np.abs(turn)) >= math.pi)
-
-    def unwound(winds: bool) -> None:
-        if winds:
-            raise BranchTrackingError("branch tracking failed; H winds around 0 on the torus")
-
-    _, d0, column_winds = checked(H.eval_array(X, Y[:, :1])[:, 0])
+    column = H.eval_array(X, Y[:, :1]).reshape(1, -1)
+    _, start, _ = bufs = np.empty((3, 1, N1))
+    column_winds = _tracked_argument(column, floor, *bufs)
     _, anchor = H.ray_argument(c1, c2, 1.0, 256)
-    unwound(column_winds)
-    start = np.concatenate(([anchor], anchor + np.cumsum(d0)))
+    _unwound(column_winds)
+    start = start[0] + (anchor - start[0, 0])
+
     has_G = G is not None and G != BivariatePolynomial.constant(1)
-    full = np.empty((N1, S + 1), dtype=np.complex128)
-    half = np.empty((N1 // 2, S + 1), dtype=np.complex128)
+    keep = np.arange(-(G.degree_y() if has_G else 0), S + 1)
+    full = np.empty((N1, keep.size), dtype=np.complex128)
+    half = np.empty((N1 // 2, keep.size), dtype=np.complex128)
     step = 2 * max(1, _BLOCK_NODES // (2 * N2))
+    W = np.empty((min(step, N1 // 2 + 1), N2), dtype=np.complex128)
+    bufs = np.empty((3,) + W.shape)  # |H|, arg H and a scratch array
     for lo in range(0, N1 // 2 + 1, step):
-        rows = slice(lo, min(lo + step, N1 // 2 + 1))
-        mod, d1, winds = checked(H.eval_array(X[rows], Y))
-        unwound(winds)
-        args = np.empty(mod.shape)
-        args[:, 0] = start[rows]
-        args[:, 1:] = args[:, :1] + np.cumsum(d1, axis=1)
-        args *= -b
-        mod **= -b
-        F = _polar(mod, args)
-        if has_G:
-            F *= G.eval_array(X[rows], Y)
-        full[rows] = np.fft.fft(F, axis=1)[:, : S + 1]
-        half[lo // 2 : (rows.stop + 1) // 2] = np.fft.fft(F[::2, ::2], axis=1)[:, : S + 1]
-    phi = np.exp(-2j * b * anchor)  # F(conj x, conj y) = phi * conj F(x, y)
+        hi = min(lo + step, N1 // 2 + 1)
+        w, (m, a, q) = W[: hi - lo], bufs[:, : hi - lo]
+        H.eval_array(X[lo:hi], Y, out=w)
+        _unwound(_tracked_argument(w, floor, m, a, q))
+        a += (start[lo:hi] - a[:, 0]).reshape(-1, 1)
+        a *= -b
+        np.power(m, -b, out=m)
+        Phi = _polar(m, a, q, out=w)
+        full[lo:hi] = np.fft.fft(Phi, axis=1)[:, keep % N2]
+        half[lo // 2 : (hi + 1) // 2] = np.fft.fft(Phi[::2, ::2], axis=1)[:, keep % (N2 // 2)]
+    phi = np.exp(-2j * b * anchor)  # Phi(conj x, conj y) = phi * conj Phi(x, y)
     for n, strip in ((N1 // 2, full), (N1 // 4, half)):
         strip[n + 1 :] = phi * np.conj(strip[n - 1 : 0 : -1])
+    if has_G:
+        full, half = _times_G(G, full, X, c2, S), _times_G(G, half, X[::2], c2, S)
 
     scale = c1 ** np.arange(R + 1).reshape(-1, 1) * c2 ** np.arange(S + 1).reshape(1, -1)
     full, half = (
@@ -531,23 +530,90 @@ def quadrature_values(
     return CoefficientTable(values=full, errors=np.abs(full - half))
 
 
-def _polar(mod: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """mod * exp(i*a) from t = tan(a/2); overwrites both arrays.
+def _unwound(winds: bool) -> None:
+    if winds:
+        raise BranchTrackingError("branch tracking failed; H winds around 0 on the torus")
+
+
+def _tracked_argument(
+    W: np.ndarray, floor: float, mod: np.ndarray, arg: np.ndarray, scratch: np.ndarray
+) -> bool:
+    """|W| into ``mod``, arg W tracked along each row into ``arg``; whether a row winds.
+
+    ``mod``, ``arg`` and ``scratch`` are C-contiguous float arrays of W's
+    two-dimensional shape.  Raises ``BranchTrackingError`` when |W| is at
+    most ``floor`` somewhere, then when an argument step along a row is at
+    least ``_JUMP_LIMIT``.
+    With A = arg W, one arctan2 per node, and d = A[n+1] - A[n], the true
+    step is d when |d| <= pi and d -+ 2 pi when the row crosses the negative
+    real axis, |d| > pi; a step is a jump when min(|d|, 2 pi - |d|) is at
+    least the limit.  ``arg`` is A plus -2 pi*sign(d) after each crossing,
+    so its first node stays A[0].  A row winds exactly when its signed
+    crossings, the wrap step from the last node back to the first counted,
+    do not sum to 0.
+    """
+    np.abs(W, out=mod)
+    if mod.min() <= floor:
+        raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
+    np.arctan2(W.imag, W.real, out=arg)
+    # One pass over the flat buffer; column 0 would hold the step from the
+    # row above, and holds 0.
+    flat = scratch.ravel()
+    np.subtract(arg.ravel()[1:], arg.ravel()[:-1], out=flat[1:])
+    scratch[:, 0] = 0.0
+    np.abs(flat, out=flat)
+    size = scratch[:, 1:]
+    wrap = arg[:, 0] - arg[:, -1]
+    turns = np.where(np.abs(wrap) > math.pi, np.sign(wrap), 0.0)
+    if flat.max() >= _JUMP_LIMIT:
+        if np.any((size >= _JUMP_LIMIT) & (size <= 2 * math.pi - _JUMP_LIMIT)):
+            raise BranchTrackingError("branch tracking failed; refine grid")
+        hot = np.flatnonzero(np.any(size > math.pi, axis=1))
+        d = np.diff(arg[hot], axis=1)
+        crossings = np.cumsum(np.where(np.abs(d) > math.pi, np.sign(d), 0.0), axis=1)
+        arg[hot, 1:] -= 2 * math.pi * crossings
+        turns[hot] += crossings[:, -1]
+    return bool(turns.any())
+
+
+def _times_G(
+    G: BivariatePolynomial, strip: np.ndarray, x: np.ndarray, c2: float, S: int
+) -> np.ndarray:
+    """Outputs 0..S of the row FFTs of G*Phi from outputs -J..S of Phi's.
+
+    Column J + m of ``strip`` is output m of the row FFT of Phi at the row's
+    x, J = deg_y G; the y grid has radius c2.  Output s of G*Phi's sums,
+    over the terms g_ij*x^i*y^j of G, g_ij*x^i*c2^j times output s - j of
+    Phi's.
+    """
+    J = G.degree_y()
+    out = np.zeros((strip.shape[0], S + 1), dtype=np.complex128)
+    for (i, j), g in G.terms.items():
+        out += (float(g) * c2**j) * x**i * strip[:, J - j : J - j + S + 1]
+    return out
+
+
+def _polar(
+    mod: np.ndarray, a: np.ndarray, q: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """mod * exp(i*a) from t = tan(a/2); overwrites ``mod``, ``a`` and ``q``.
 
     cos a = (1 - t^2)/(1 + t^2) and sin a = 2t/(1 + t^2): one tan, which
     numpy vectorises, in place of its cos and sin, which it does not.  The
-    steps run in place: a block's arrays stay in cache.
+    steps run in place, in the float scratch ``q`` and the complex ``out``
+    of mod's shape when given: a block's arrays stay in cache.
     """
+    q = np.empty(mod.shape) if q is None else q
+    out = np.empty(mod.shape, dtype=np.complex128) if out is None else out
     a *= 0.5
     t = np.tan(a, out=a)
-    q = t * t
-    mod /= 1.0 + q
-    F = np.empty(mod.shape, dtype=np.complex128)
+    np.multiply(t, t, out=q)
+    mod /= np.add(q, 1.0, out=out.real)
     np.subtract(1.0, q, out=q)
-    np.multiply(q, mod, out=F.real)
-    np.multiply(t, mod, out=F.imag)
-    F.imag *= 2.0
-    return F
+    np.multiply(q, mod, out=out.real)
+    t *= 2.0
+    np.multiply(t, mod, out=out.imag)
+    return out
 
 
 def cauchy_quadrature(

@@ -249,6 +249,13 @@ def test_config_validation():
         OracleConfig(box=(40, 2), beta=F(1, 2), quadrature_radii=(0.3, 0.3), quadrature_grid=(64, 64))
 
 
+@pytest.mark.parametrize("radii", [(math.inf, 0.3), (0.3, math.inf), (math.nan, 0.3)])
+def test_config_refuses_a_radius_that_is_not_finite(radii):
+    # An infinite radius once gave a table of NaN values and errors.
+    with pytest.raises(ConfigError, match="positive and finite"):
+        OracleConfig(box=(2, 2), beta=F(1, 2), quadrature_radii=radii, quadrature_grid=(64, 64))
+
+
 def test_csv_export_exact(multinomial_h):
     table = coeff_recurrence(multinomial_h, None, F(1, 2), (1, 1))
     text = table_to_csv(table)

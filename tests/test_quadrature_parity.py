@@ -1,22 +1,27 @@
 """Half-torus row-blocked quadrature against the full-grid route it replaced.
 
 ``quadrature_values`` evaluates rows 0..N1/2 of the theta1 grid only, in
-blocks of an even number of rows holding about ``_BLOCK_NODES`` nodes, and
-keeps the first S + 1 outputs of each row FFT.  H and G have real
-coefficients and the radii are real, so F = G*H^(-beta) has
-F(conj x, conj y) = phi*conj F(x, y) with phi = exp(-2i*beta*anchor), and
-row N1 - k of the kept strip is phi times the conjugate of row k.  One
-column FFT on the strip finishes.  The reference below is the earlier
-route: H, the anchored argument and the integrand on the whole grid at
-once, then one ``fft2`` of the full and of the half grid.  The values do
-not equal ``fft2``'s bit for bit: the mirrored rows are a different
-rounding of the same sum, and the blocked route takes the phase from
-tan(a/2) where the reference takes exp.  So values and error estimates
-must agree to a roundoff floor per entry, 4*eps*max|G*H^(-beta)| /
-(c1^r*c2^s) with the max over the grid, and no entry may lie further from
-the exact recurrence's table than the reference's entry does, plus one
-floor.  This holds on a grid of one block, on grids of several blocks, and
-where phi is not real.  The block size changes no value: the blocked
+blocks of an even number of rows holding about ``_BLOCK_NODES`` nodes, in
+buffers allocated once per call.  arg H is one arctan2 per node, with 2 pi
+added or taken away after each crossing of the negative real axis
+(``_tracked_argument``).  Each block keeps outputs -deg_y G..S of the row
+FFT of Phi = H^(-beta).  H and G have real coefficients and the radii are
+real, so Phi(conj x, conj y) = phi*conj Phi(x, y) with
+phi = exp(-2i*beta*anchor), and row N1 - k of the kept strip is phi times
+the conjugate of row k.  G is applied to the strip: output s of the row FFT
+of y^j*Phi is c2^j times output s - j of Phi's, indices mod the row's
+length.  One column FFT on the strip finishes.  The reference below is the
+earlier route: H, the anchored argument and the integrand F = G*Phi on the
+whole grid at once, then one ``fft2`` of the full and of the half grid.
+The values do not equal ``fft2``'s bit for bit: the mirrored rows and the
+shifted outputs are a different rounding of the same sums, and the blocked
+route takes the phase from tan(a/2) where the reference takes exp.  So
+values and error estimates must agree to a roundoff floor per entry,
+4*eps*max|G*H^(-beta)| / (c1^r*c2^s) with the max over the grid, and no
+entry may lie further from the exact recurrence's table than the
+reference's entry does, plus one floor.  This holds on a grid of one block,
+on grids of several blocks, where phi is not real, and where deg_y G
+exceeds the half grid's row.  The block size changes no value: the blocked
 route gives the same bits at every block size, and no block holds more
 than max(_BLOCK_NODES, 2*N2) nodes.
 
@@ -29,6 +34,7 @@ does.  So where more than one cause holds, the first in that order wins,
 and within one block a vanishing H wins over a jump.  The cases below pin it.
 """
 
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -43,6 +49,7 @@ from bivasym.oracle import (
     _JUMP_LIMIT,
     CoefficientTable,
     _polar,
+    _tracked_argument,
     coeff_recurrence,
     quadrature_values,
 )
@@ -163,13 +170,75 @@ def test_mirror_with_a_complex_phase(beta, grid):
     _assert_matches_references(PHASE_H, PHASE_G, beta, (0.25, 0.3), grid)
 
 
+MULT_H = CASES["multinomial_sqrt"][0]
+
+
+@pytest.mark.parametrize(
+    "H, G, radii, grids",
+    [
+        # G in x alone: only output s - 0 of each row FFT is read.
+        (MULT_H, _poly((0, 0, "1"), (1, 0, "-2"), (3, 0, "3/2")), (0.3, 0.3), [64, 256, 1024]),
+        (MULT_H, _poly((0, 0, "-3/2")), (0.3, 0.3), [64, 256, 1024]),
+        # The half grid has 32 points in theta2, so outputs s - 40 wrap.
+        (CASES["color_swap"][0], _poly((0, 0, "1"), (1, 40, "1")), (0.2, 0.8), [64]),
+    ],
+    ids=["G in x alone", "constant G", "G = 1 + x*y**40"],
+)
+def test_G_applied_to_the_kept_strip(H, G, radii, grids):
+    for grid in grids:
+        _assert_matches_references(H, G, F(1, 2), radii, grid)
+
+
+def _track(W, floor=1e-9):
+    """(tracked argument, whether a row winds) of the rows of W."""
+    W = np.atleast_2d(W)
+    arg = np.empty(W.shape)
+    winds = _tracked_argument(W, floor, np.empty(W.shape), arg, np.empty(W.shape))
+    return arg, winds
+
+
+T = 2.0 * np.pi * np.arange(2048) / 2048
+RHO = 1.0 + 0.5 * np.cos(3 * T)
+
+
+# Half a step later, the wrap step from the last node to the first crosses
+# the cut too.
+@pytest.mark.parametrize("shift", [0.0, np.pi / T.size])
+def test_tracking_across_the_cut_many_times(shift):
+    theta = np.pi + 2.5 * np.sin(T + shift)
+    W = RHO * np.exp(1j * theta)
+    assert np.max(np.abs(np.angle(W) - theta)) > np.pi  # arg W does cross the cut
+    arg, winds = _track(W)
+    # The first node keeps its principal argument; the rest follow it.
+    assert np.max(np.abs(arg[0] - arg[0, 0] + theta[0] - theta)) <= 1e-12
+    assert not winds
+
+
+def test_tracking_a_row_that_winds_once():
+    arg, winds = _track(RHO * np.exp(1j * T))
+    assert np.max(np.abs(arg[0] - T)) <= 1e-12
+    assert winds
+    # One winding row among rows that do not.
+    _, winds = _track(np.stack([RHO + 0j, RHO * np.exp(1j * T), -RHO + 0j]))
+    assert winds
+
+
+@pytest.mark.parametrize("base", [0.0, 0.6 * np.pi])
+def test_a_step_of_0_96_pi_is_a_jump(base):
+    # From 0.6 pi the step ends past the cut, where the raw difference of
+    # arg W is -1.04 pi.
+    theta = base + 0.96 * np.pi * (np.arange(T.size) >= T.size // 2)
+    with pytest.raises(BranchTrackingError, match="refine grid"):
+        _track(RHO * np.exp(1j * theta))
+
+
 def _record_blocks(monkeypatch, H):
     """The shapes of H's two-dimensional evaluations, in call order."""
     shapes = []
     eval_array = BivariatePolynomial.eval_array
 
-    def recording(poly, x, y):
-        out = eval_array(poly, x, y)
+    def recording(poly, x, y, out=None):
+        out = eval_array(poly, x, y, out=out)
         if poly is H and out.ndim == 2:
             shapes.append(out.shape)
         return out
@@ -222,6 +291,33 @@ def test_quadrature_memory_does_not_grow_with_the_grid(grid):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+def test_eval_array_fills_the_buffer_it_is_given():
+    X, Y = _torus(OracleConfig(box=BOX, beta=F(1, 2), quadrature_radii=(0.3, 0.4)))
+    x = X[:16]
+    for path in sorted((ROOT / "problems").glob("*.json")):
+        spec = parse_problem(path.read_text())
+        for poly in filter(None, (spec.H, spec.G)):
+            buf = np.empty((16, Y.size), dtype=np.complex128)
+            assert poly.eval_array(x, Y, out=buf) is buf
+            assert np.array_equal(buf, poly.eval_array(x, Y))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt counts pages on Linux")
+def test_quadrature_reuses_its_block_buffers():
+    # Blocks of 16 x 2048 nodes: a complex temporary of each block would be
+    # 512 KB, which the allocator maps and unmaps, about 8,300 page faults
+    # a call; the buffers allocated once per call take a few hundred.
+    import resource
+
+    H, G, beta, radii = CASES["color_swap"]
+    cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=(2048, 2048))
+    quadrature_values(H, G, beta, cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    quadrature_values(H, G, beta, cfg)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 2500, faults
 
 
 def test_polar_matches_cos_and_sin():
