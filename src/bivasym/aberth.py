@@ -4,7 +4,17 @@ Roots are iterated all at once from starting points on the circles of
 the Newton polygon of the coefficient moduli (Bini 1996).  A first stage
 gets within 2^-40 of the roots cheaply: one vectorised complex128
 iteration, or a 64-bit mpmath one when double precision cannot be
-trusted.  An ambient precision stage finishes.  Only exactly-zero leading
+trusted.  An ambient precision stage finishes.  Its p, p' and step
+w/(1 - w*s), w = p/p', and the convergence test run at working precision:
+that is where a root's bits come from.  The pair sum s = sum_{j != i}
+1/(z_i - z_j) only rescales a step whose size goes to 0, so after a
+complex128 first stage it is taken in doubles, from double copies of
+the iterates refreshed after every step (MPSolve raises precision only
+where the evaluation of p needs it; Bini and Robol 2014).  A root with
+a double difference |z_i - z_j| <= ``_CLUSTER`` * (|z_i| + |z_j|) keeps
+the working-precision sum: so few bits of that difference survive that
+the sum would spoil the step.  After the 64-bit fallback every sum is at
+working precision.  Only exactly-zero leading
 coefficients are dropped: whether a computed one is noise is the caller's
 to judge, against its own scale.  Everything is deterministic: fixed
 starting angles, fixed iteration caps, no randomness.
@@ -12,6 +22,7 @@ starting angles, fixed iteration caps, no randomness.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -32,6 +43,10 @@ _FLOAT_TINY = 2.0**-1000
 _STAGE_TOL = 2.0**-40
 _STAGE_PREC = 64
 
+# A double pair difference |z_i - z_j| at most this times |z_i| + |z_j|
+# has too few bits left: that root's pair sum is taken at working precision.
+_CLUSTER = 2.0**-12
+
 # Iteration cap of each stage.
 _MAX_ITER = 160
 
@@ -49,8 +64,44 @@ def _poly_and_deriv(coeffs: Sequence[mpc], z: mpc):
     return p, dp
 
 
-def _aberth_iterate(coeffs: List[mpc], z: List[mpc], tol: mpf) -> List[mpc]:
+def _pair_sum(z: Sequence[mpc], i: int, zi: mpc) -> mpc:
+    """``sum_{j != i} 1/(zi - z_j)`` at working precision."""
+    s = mpc(0)
+    for j, zj in enumerate(z):
+        if j != i:
+            d = zi - zj
+            if d == 0:
+                d = (abs(zi) + 1) * mpf(2) ** (-mp.prec + 4)
+            s += 1 / d
+    return s
+
+
+def _float_pair_sum(zd: Sequence[complex], i: int, zi: complex) -> Optional[complex]:
+    """``sum_{j != i} 1/(zi - zd_j)`` in doubles, or None when ``zi`` is clustered.
+
+    Clustered: some ``|zi - zd_j| <= _CLUSTER * (|zi| + |zd_j|)``, where a
+    double difference has lost the bits the sum needs.  None also when the
+    sum is not finite.
+    """
+    s = 0j
+    azi = abs(zi)
+    for j, zj in enumerate(zd):
+        if j != i:
+            d = zi - zj
+            if abs(d) <= _CLUSTER * (azi + abs(zj)):
+                return None
+            s += 1 / d
+    return s if cmath.isfinite(s) else None
+
+
+def _aberth_iterate(coeffs: List[mpc], z: List[mpc], tol: mpf, float_sums: bool = False) -> List[mpc]:
+    """Aberth sweeps, one root at a time, until every step is within ``tol`` of its root.
+
+    With ``float_sums`` each pair sum is taken in doubles from ``zd``, the
+    double copies of the iterates, unless the root is clustered.
+    """
     n = len(z)
+    zd = [complex(v) for v in z] if float_sums else None
     for _ in range(_MAX_ITER):
         converged = True
         for i in range(n):
@@ -65,19 +116,16 @@ def _aberth_iterate(coeffs: List[mpc], z: List[mpc], tol: mpf) -> List[mpc]:
                 if dp == 0:
                     continue
             w = p / dp
-            s = mpc(0)
-            for j in range(n):
-                if j != i:
-                    d = zi - z[j]
-                    if d == 0:
-                        d = (abs(zi) + 1) * mpf(2) ** (-mp.prec + 4)
-                    s += 1 / d
+            s = None if zd is None else _float_pair_sum(zd, i, complex(zi))
+            s = _pair_sum(z, i, zi) if s is None else mpc(s)
             denom = 1 - w * s
             if denom == 0:
                 delta = w
             else:
                 delta = w / denom
             z[i] = zi - delta
+            if zd is not None:
+                zd[i] = complex(z[i])
             # Relative, so a tiny root gets as many bits as a large one; an
             # iterate at exact zero has converged only on a zero step.
             if abs(delta) > tol * abs(z[i]):
@@ -165,18 +213,19 @@ def aberth_roots(coefficients: Sequence) -> List[mpc]:
 
     # Stage 1: near the roots in complex128, or at 64 bits when that fails.
     z = _float_stage(coeffs, start)
+    float_sums = z is not None
     if z is None:
         z = _mp_stage(coeffs, start)
     # Stage 2: finish at ambient precision.
     tol = mpf(2) ** (-(mp.prec - 12))
-    z = _aberth_iterate(coeffs, z, tol)
+    z = _aberth_iterate(coeffs, z, tol, float_sums)
 
     # Residual acceptance: |p(z)| relative to the coefficient scale at z.
     loose = mpf(2) ** (-_RESIDUAL_BITS)
     moduli = [abs(c) for c in coeffs]
     bad = []
     for zi in z:
-        p, _ = _poly_and_deriv(coeffs, zi)
+        p = eval_at(coeffs, zi)
         if abs(p) > loose * eval_at(moduli, abs(zi)):
             bad.append(zi)
     if bad:

@@ -5,9 +5,13 @@ arithmetic is exact; only evaluation at complex points is floating, and it
 uses a fixed lexicographic Horner scheme so results are bit-reproducible
 at a given precision.  Each coefficient is rounded to mpmath once per
 ``mp.prec`` and kept, in the Horner layout and as moduli, and each partial
-derivative is made once.  ``eval_array`` is the one double-precision
-evaluator, used for every numpy grid, curve and probe slice, and
-``ray_argument`` the one tracker of arg H along a ray from the origin.
+derivative is made once.  ``eval`` keeps its last 8 values, keyed by
+``mp.prec`` and the bits of x and y, so a partial derivative asked for
+again at one point (smoothness, local data, branch ray, winding, the
+polish's start) costs no second Horner pass.  ``eval_array`` is the one
+double-precision evaluator, used for every numpy grid, curve and probe
+slice, and ``ray_argument`` the one tracker of arg H along a ray from the
+origin.
 """
 
 from __future__ import annotations
@@ -27,16 +31,19 @@ from .unipoly import trim
 
 Exponent = Tuple[int, int]
 
+# Values ``BivariatePolynomial.eval`` keeps, the oldest dropped first.
+_MEMO_SIZE = 8
+
 
 class BivariatePolynomial:
     """Polynomial in x and y over the rationals, stored sparsely.
 
     Zero coefficients are never stored; the zero polynomial has no terms.
     The terms are never changed after construction, which the caches of
-    rounded coefficients and partial derivatives rely on.
+    rounded coefficients, partial derivatives and values rely on.
     """
 
-    __slots__ = ("terms", "_rounded", "_partials")
+    __slots__ = ("terms", "_rounded", "_partials", "_values")
 
     def __init__(self, terms: Dict[Exponent, Fraction] | None = None):
         clean: Dict[Exponent, Fraction] = {}
@@ -50,6 +57,7 @@ class BivariatePolynomial:
         self.terms = clean
         self._rounded: Dict[int, tuple] = {}
         self._partials: Dict[str, "BivariatePolynomial"] = {}
+        self._values: Dict[tuple, object] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -244,14 +252,26 @@ class BivariatePolynomial:
         return self._rounded[key]
 
     def eval(self, x, y):
-        """Evaluate at complex (x, y) by nested Horner in lexicographic order."""
+        """Evaluate at complex (x, y) by nested Horner in lexicographic order.
+
+        The last ``_MEMO_SIZE`` values are kept, keyed by ``mp.prec`` and
+        the bits of x and y; a repeated call returns the same bits without
+        the Horner pass.
+        """
         if not self.terms:
             return to_mpc(0)
         xz, yz = to_mpc(x), to_mpc(y)
+        key = (mp.prec, xz._mpc_, yz._mpc_)
+        acc = self._values.get(key)
+        if acc is not None:
+            return acc
         _, layout, _ = self._at_precision()
         acc = _horner_sparse([(i, _horner_sparse(row, yz)) for i, row in layout], xz)
         if not is_finite(acc):
             raise EvaluationOverflow("evaluation overflow")
+        if len(self._values) >= _MEMO_SIZE:
+            del self._values[next(iter(self._values))]
+        self._values[key] = acc
         return acc
 
     def eval_array(self, x, y, out=None) -> np.ndarray:

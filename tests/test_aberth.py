@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,11 @@ from bivasym.aberth import aberth_roots, roots_of_rational_poly
 from bivasym.critical import eliminant
 from bivasym.errors import RootFindingError
 from bivasym.precision import get_precision, working_precision
+from bivasym.problem import parse_problem
 from bivasym.unipoly import squarefree_part
 from tests.test_acceptance import _random_polynomials
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def _sorted(zs):
@@ -121,7 +126,7 @@ def test_overflowing_coefficients_fall_back_to_the_mp_stage(monkeypatch):
 
 
 def _from_roots(roots):
-    """Ascending integer coefficients of the monic polynomial with these roots."""
+    """Ascending coefficients of the monic polynomial with these (rational) roots."""
     coeffs = [1]
     for r in roots:
         coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
@@ -210,3 +215,73 @@ def test_small_exact_leading_coefficient_keeps_its_far_root(bits):
         far, near = sorted(aberth_roots([F(-1), F(1), F(1, 10**40)]), key=abs, reverse=True)
     assert abs(far / -(mpf(10) ** 40) - 1) < 1e-15
     assert abs(near - 1) < 1e-15
+
+
+def _problem_eliminants():
+    """Square-free eliminants of every problem file that has one."""
+    out = {}
+    for path in sorted(PROBLEMS.glob("*.json")):
+        spec = parse_problem(path.read_text())
+        out[path.stem] = squarefree_part(eliminant(spec.H, spec.direction))
+    return out
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_float_pair_sums_match_working_precision_sums(bits, monkeypatch):
+    # Stage 2 takes a pair sum in doubles unless the root is clustered; with
+    # _CLUSTER = inf every root counts as clustered, so every sum is taken
+    # at working precision.  The sum only rescales the Newton step, so the
+    # roots agree, in order, to working-precision noise.
+    polys = _family_eliminants() + list(_problem_eliminants().values())
+    with working_precision(bits):
+        got = [roots_of_rational_poly(e) for e in polys]
+        monkeypatch.setattr(aberth, "_CLUSTER", math.inf)
+        ref = [roots_of_rational_poly(e) for e in polys]
+        tol = mpf(2) ** -(bits - 16)
+        for roots, want in zip(got, ref):
+            assert len(roots) == len(want)
+            for z, w in zip(roots, want):
+                assert abs(z - w) <= tol * abs(w)
+
+
+@pytest.mark.parametrize("exponent", [30, 15, 12])
+def test_clustered_roots_take_working_precision_sums(exponent):
+    # (x - 1)(x - 1 - d)(x + 2) with d = 10^-e: the pair near 1 is within
+    # _CLUSTER in doubles, where 1/(z_i - z_j) has lost its bits.  Rounding
+    # the coefficients moves such a pair by about 2^-prec / d, so that is
+    # the accuracy asked of it.  Pair sums taken in doubles left it 2^-35
+    # from the roots at d = 10^-12 (2^-90 here).
+    d = F(1, 10**exponent)
+    coeffs = _from_roots([1, 1 + d, -2])
+    with working_precision(128):
+        near = [z for z in aberth_roots(coeffs) if abs(z - 1) < 0.5]
+    assert len(near) == 2
+    with working_precision(400):
+        c = [mpf(v.numerator) / v.denominator for v in coeffs]
+        d = mpf(10) ** -exponent
+        refs = []
+        for z in near:
+            ref = mp.mpc(z)
+            for _ in range(400):
+                p = ((c[3] * ref + c[2]) * ref + c[1]) * ref + c[0]
+                ref -= p / ((3 * c[3] * ref + 2 * c[2]) * ref + c[1])
+            refs.append(ref)
+            assert abs(z - ref) <= mpf(2) ** -(128 - 16) / d
+        # The two iterates found both roots of the pair.
+        assert abs(refs[0] - refs[1]) > d / 2
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("cubic", [False, True])
+def test_far_point_keeps_its_far_root(bits, cubic):
+    # far_point's eliminant 1 - 2x + 3*10^-40 x^2 has a root near 6.7e39,
+    # the widest range the double pair sums see; times (1 + x) it is a
+    # cubic that the Aberth iteration solves.
+    e = _problem_eliminants()["far_point"]
+    if cubic:
+        e = [a + b for a, b in zip(e + [F(0)], [F(0)] + e)]
+    with working_precision(bits):
+        roots = roots_of_rational_poly(e)
+        far = max(roots, key=abs)
+        assert abs(far / (mpf(2) / 3 * mpf(10) ** 40) - 1) < 1e-15
+        assert abs(far.imag) <= mpf(2) ** -(bits - 16) * abs(far)

@@ -7,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from bivasym import BivariatePolynomial, poly_eval, poly_partial
-from bivasym.critical import critical_system
+from bivasym import BivariatePolynomial, bivariate, poly_eval, poly_partial
+from bivasym.critical import critical_system, is_smooth
 from bivasym.errors import BranchTrackingError, EvaluationOverflow
+from bivasym.estimates import local_data
+from bivasym.pipeline import run_solve
 from bivasym.precision import get_precision, to_mpf, working_precision
 from bivasym.problem import parse_problem
+
+ROOT = Path(__file__).resolve().parent.parent
 
 coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 
@@ -217,3 +221,52 @@ def test_magnitude_scale_equals_the_per_term_form(bits):
                     for (i, j), c in sorted(poly.terms.items()):
                         want += to_mpf(abs(c)) * ax**i * ay**j
                     assert repr(poly.eval_magnitude_scale(x, y)) == repr(want)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_kept_values_equal_a_fresh_polynomials(bits):
+    # eval keeps its last values keyed by the precision and the bits of x
+    # and y.  x and y are exact at 64 bits and above, so each precision
+    # asks for the same bits; the value at (x, y) is a fresh polynomial's
+    # after the other precisions, and after 20 other points.
+    with working_precision(64):
+        x, y = mp.mpc("0.3", "0.1"), mp.mpc("-0.7", "0.45")
+    used = BivariatePolynomial(THIRDS)
+    for other in (64, 128, 256):
+        with working_precision(other):
+            used.eval(x, y)
+    with working_precision(bits):
+        fresh = BivariatePolynomial(THIRDS).eval(x, y)
+        assert used.eval(x, y)._mpc_ == fresh._mpc_
+        for k in range(20):
+            used.eval(mp.mpc(k, 1), mp.mpc(1, -k))
+        assert used.eval(x, y)._mpc_ == fresh._mpc_
+
+
+def test_kept_values_are_bounded():
+    poly = BivariatePolynomial(THIRDS)
+    for k in range(40):
+        poly.eval(mp.mpc(k, 1), mp.mpc(1, k % 3))
+        poly.eval(mp.mpc(k % 5, 1), mp.mpc(1, 0))
+        assert len(poly._values) <= bivariate._MEMO_SIZE == 8
+
+
+def test_local_data_reuses_the_gradient_of_is_smooth(monkeypatch):
+    # local_data right after is_smooth at color_swap's dominant point
+    # evaluates H_x and H_y without a Horner pass.
+    spec = parse_problem((ROOT / "problems" / "color_swap.json").read_text())
+    pt = run_solve(spec, probe=False).dominant.points[0]
+    H = spec.H
+    assert is_smooth(H, (pt.p, pt.q))
+    gradient_rows = {
+        id(row) for var in ("x", "y") for _, row in H.partial(var)._at_precision()[1]
+    }
+    runs = []
+    horner = bivariate._horner_sparse
+    monkeypatch.setattr(
+        bivariate,
+        "_horner_sparse",
+        lambda pairs, z: runs.append(id(pairs) in gradient_rows) or horner(pairs, z),
+    )
+    local_data(H, pt, spec.direction)
+    assert runs and not any(runs)
