@@ -4,7 +4,9 @@ Roots are iterated all at once from starting points on the circles of
 the Newton polygon of the coefficient moduli (Bini 1996).  A first stage
 gets within 2^-40 of the roots cheaply: one vectorised complex128
 iteration, or a 64-bit mpmath one when double precision cannot be
-trusted.  An ambient precision stage finishes.  Its p, p' and step
+trusted.  An ambient precision stage finishes.  Its p and p' are the
+exact polynomial's values at the iterate, computed on integers and
+rounded once to working precision (``unipoly.values_at``), and its step
 w/(1 - w*s), w = p/p', and the convergence test run at working precision:
 that is where a root's bits come from.  The pair sum s = sum_{j != i}
 1/(z_i - z_j) only rescales a step whose size goes to 0, so after a
@@ -14,7 +16,8 @@ where the evaluation of p needs it; Bini and Robol 2014).  A root with
 a double difference |z_i - z_j| <= ``_CLUSTER`` * (|z_i| + |z_j|) keeps
 the working-precision sum: so few bits of that difference survive that
 the sum would spoil the step.  After the 64-bit fallback every sum is at
-working precision.  Only exactly-zero leading
+working precision.  The residual acceptance takes |p| and the scale
+sum |c_k| |z|^k the same way.  Only exactly-zero leading
 coefficients are dropped: whether a computed one is noise is the caller's
 to judge, against its own scale.  Everything is deterministic: fixed
 starting angles, fixed iteration caps, no randomness.
@@ -31,7 +34,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import RootFindingError
 from .precision import to_mpc, working_precision
-from .unipoly import eval_at
+from .unipoly import ExactForm, exact_form, values_at
 
 # Fixed angular offset for the starting circles, breaking root symmetries.
 _START_OFFSET = 0.376991118430775
@@ -52,16 +55,6 @@ _MAX_ITER = 160
 
 # A root is accepted when |p(z)| is within 2**-24 of the coefficient scale at z.
 _RESIDUAL_BITS = 24
-
-
-def _poly_and_deriv(coeffs: Sequence[mpc], z: mpc):
-    """Evaluate p(z) and p'(z) by one Horner pass."""
-    p = coeffs[-1]
-    dp = mpc(0)
-    for c in reversed(coeffs[:-1]):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
 
 
 def _pair_sum(z: Sequence[mpc], i: int, zi: mpc) -> mpc:
@@ -94,9 +87,12 @@ def _float_pair_sum(zd: Sequence[complex], i: int, zi: complex) -> Optional[comp
     return s if cmath.isfinite(s) else None
 
 
-def _aberth_iterate(coeffs: List[mpc], z: List[mpc], tol: mpf, float_sums: bool = False) -> List[mpc]:
+def _aberth_iterate(
+    forms: Sequence[ExactForm], z: List[mpc], tol: mpf, float_sums: bool = False
+) -> List[mpc]:
     """Aberth sweeps, one root at a time, until every step is within ``tol`` of its root.
 
+    ``forms`` holds the polynomial and its derivative (``_with_derivative``).
     With ``float_sums`` each pair sum is taken in doubles from ``zd``, the
     double copies of the iterates, unless the root is clustered.
     """
@@ -106,20 +102,20 @@ def _aberth_iterate(coeffs: List[mpc], z: List[mpc], tol: mpf, float_sums: bool 
         converged = True
         for i in range(n):
             zi = z[i]
-            p, dp = _poly_and_deriv(coeffs, zi)
-            if p == 0:
+            p, dp = values_at(forms, zi)
+            if not p:
                 continue
-            if dp == 0:
+            if not dp:
                 # Nudge off an exact critical point; deterministic direction.
                 zi = zi + (abs(zi) + 1) * mpf(2) ** (-mp.prec // 2)
-                p, dp = _poly_and_deriv(coeffs, zi)
-                if dp == 0:
+                p, dp = values_at(forms, zi)
+                if not dp:
                     continue
             w = p / dp
             s = None if zd is None else _float_pair_sum(zd, i, complex(zi))
             s = _pair_sum(z, i, zi) if s is None else mpc(s)
             denom = 1 - w * s
-            if denom == 0:
+            if not denom:
                 delta = w
             else:
                 delta = w / denom
@@ -174,12 +170,18 @@ def _float_stage(coeffs: Sequence[mpc], start: Sequence[mpc]) -> Optional[List[m
     return None
 
 
-def _mp_stage(coeffs: Sequence[mpc], start: Sequence[mpc]) -> List[mpc]:
+def _mp_stage(forms: Sequence[ExactForm], start: Sequence[mpc]) -> List[mpc]:
     """The first stage at 64 bits, one root at a time."""
     with working_precision(_STAGE_PREC):
-        lo = [mpc(c) for c in coeffs]
-        z = _aberth_iterate(lo, [mpc(s) for s in start], mpf(_STAGE_TOL))
+        z = _aberth_iterate(forms, [mpc(s) for s in start], mpf(_STAGE_TOL))
     return [mpc(v) for v in z]
+
+
+def _with_derivative(form: ExactForm) -> List[ExactForm]:
+    """``[form, its derivative's form]``."""
+    re, im, den = form
+    re1, im1 = ([k * v for k, v in enumerate(part)][1:] for part in (re, im or re))
+    return [form, (re1, im and im1, den)]
 
 
 def aberth_roots(coefficients: Sequence) -> List[mpc]:
@@ -190,14 +192,15 @@ def aberth_roots(coefficients: Sequence) -> List[mpc]:
     dropped.  Raises RootFindingError (carrying partial results) when a
     residual check fails after the iteration cap.
     """
-    coeffs = [to_mpc(c) for c in coefficients]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
+    exact = list(coefficients)
+    while len(exact) > 1 and exact[-1] == 0:
+        exact.pop()
     # Factor out roots at the origin exactly.
     zero_roots = 0
-    while len(coeffs) > 1 and coeffs[0] == 0:
-        coeffs.pop(0)
+    while len(exact) > 1 and exact[0] == 0:
+        exact.pop(0)
         zero_roots += 1
+    coeffs = [to_mpc(c) for c in exact]
     n = len(coeffs) - 1
     roots: List[mpc] = [mpc(0)] * zero_roots
     if n == 0:
@@ -210,23 +213,25 @@ def aberth_roots(coefficients: Sequence) -> List[mpc]:
         return roots
 
     start = _start_points(coeffs)
+    forms = _with_derivative(exact_form(exact))
 
     # Stage 1: near the roots in complex128, or at 64 bits when that fails.
     z = _float_stage(coeffs, start)
     float_sums = z is not None
     if z is None:
-        z = _mp_stage(coeffs, start)
+        z = _mp_stage(forms, start)
     # Stage 2: finish at ambient precision.
     tol = mpf(2) ** (-(mp.prec - 12))
-    z = _aberth_iterate(coeffs, z, tol, float_sums)
+    z = _aberth_iterate(forms, z, tol, float_sums)
 
     # Residual acceptance: |p(z)| relative to the coefficient scale at z.
     loose = mpf(2) ** (-_RESIDUAL_BITS)
-    moduli = [abs(c) for c in coeffs]
+    moduli = [exact_form([abs(c) for c in exact])]
     bad = []
     for zi in z:
-        p = eval_at(coeffs, zi)
-        if abs(p) > loose * eval_at(moduli, abs(zi)):
+        (p,) = values_at(forms[:1], zi)
+        (scale,) = values_at(moduli, abs(zi))
+        if abs(p) > loose * scale.real:
             bad.append(zi)
     if bad:
         raise RootFindingError(

@@ -1,17 +1,19 @@
 """Sparse bivariate polynomials with exact rational coefficients.
 
 Terms are a map from exponent pairs ``(i, j)`` to nonzero Fractions.  All
-arithmetic is exact; only evaluation at complex points is floating, and it
-uses a fixed lexicographic Horner scheme so results are bit-reproducible
-at a given precision.  Each coefficient is rounded to mpmath once per
-``mp.prec`` and kept, in the Horner layout and as moduli, and each partial
-derivative is made once.  ``eval`` keeps its last 8 values, keyed by
-``mp.prec`` and the bits of x and y, so a partial derivative asked for
-again at one point (smoothness, local data, branch ray, winding, the
-polish's start) costs no second Horner pass.  ``eval_array`` is the one
-double-precision evaluator, used for every numpy grid, curve and probe
-slice, and ``ray_argument`` the one tracker of arg H along a ray from the
-origin.
+arithmetic is exact, and so is evaluation at a working-precision point:
+``eval``, ``eval_magnitude_scale`` and ``specialize_x`` run
+``unipoly.horner_exact`` over the coefficients put over their lcm, each
+column of x-coefficients first and then the column values in y, and
+round the result once to ``mp.prec``.  A value is the correctly rounded
+value of the exact polynomial at the point.  The integer columns and each
+partial derivative are made once.  ``eval`` keeps its last 8 values,
+keyed by ``mp.prec`` and the bits of x and y, so a partial derivative
+asked for again at one point (smoothness, local data, branch ray,
+winding, the polish's start) costs no second Horner pass.  ``eval_array``
+is the one double-precision evaluator, used for every numpy grid, curve
+and probe slice, and ``ray_argument`` the one tracker of arg H along a
+ray from the origin.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 from mpmath import mp, mpf
 from numpy.polynomial.polynomial import polyval
 
-from .errors import BranchTrackingError, EvaluationOverflow
-from .precision import is_finite, to_mpc, to_mpf
+from .errors import BranchTrackingError
+from .precision import to_mpc
 from .rationals import parse_rational
-from .unipoly import trim
+from .unipoly import dyadic, horner_exact, round_exact, trim, values_at
 
 Exponent = Tuple[int, int]
 
@@ -40,10 +42,10 @@ class BivariatePolynomial:
 
     Zero coefficients are never stored; the zero polynomial has no terms.
     The terms are never changed after construction, which the caches of
-    rounded coefficients, partial derivatives and values rely on.
+    integer columns, partial derivatives and values rely on.
     """
 
-    __slots__ = ("terms", "_rounded", "_partials", "_values")
+    __slots__ = ("terms", "_columns", "_partials", "_values")
 
     def __init__(self, terms: Dict[Exponent, Fraction] | None = None):
         clean: Dict[Exponent, Fraction] = {}
@@ -55,7 +57,7 @@ class BivariatePolynomial:
                 if c != 0:
                     clean[(int(i), int(j))] = c
         self.terms = clean
-        self._rounded: Dict[int, tuple] = {}
+        self._columns: tuple | None = None
         self._partials: Dict[str, "BivariatePolynomial"] = {}
         self._values: Dict[tuple, object] = {}
 
@@ -214,13 +216,9 @@ class BivariatePolynomial:
         return BivariatePolynomial({(j, i): c for (i, j), c in self.terms.items()})
 
     def specialize_x(self, value):
-        """Ascending mpc coefficient list in y with x set to ``value``."""
-        v = to_mpc(value)
-        rounded, _, _ = self._at_precision()
-        out = [to_mpc(0)] * (self.degree_y() + 1)
-        for i, j in sorted(self.terms, key=lambda ij: (ij[1], ij[0])):
-            out[j] += rounded[(i, j)] * v**i
-        return out
+        """Ascending mpc coefficient list in y with x set to ``value``, each rounded once."""
+        den, cols, _ = self._integer_columns()
+        return values_at([(col, None, den) for col in cols], to_mpc(value))
 
     # -- evaluation --------------------------------------------------------
 
@@ -232,31 +230,49 @@ class BivariatePolynomial:
             total += c * qx**i * qy**j
         return total
 
-    def _at_precision(self):
-        """``(rounded, layout, moduli)``: the coefficients rounded at ``mp.prec``.
+    def _integer_columns(self):
+        """``(den, columns, moduli)``: the coefficients over their lcm ``den``.
 
-        ``rounded`` maps (i, j) to c_ij as mpc; ``layout`` holds
-        ``(i, [(j, c_ij as mpc), ...])`` with i and, within a row, j
-        descending, the order of the Horner scheme of ``eval``; ``moduli``
-        holds ``(i, j, |c_ij| as mpf)`` in lexicographic order.
+        Column j of ``columns`` holds the ints ``c_ij * den`` of y^j with i
+        ascending, trimmed; ``moduli`` holds their absolute values.
         """
-        key = mp.prec
-        if key not in self._rounded:
-            rounded = {ij: to_mpc(c) for ij, c in self.terms.items()}
-            rows: Dict[int, list] = {}
-            for (i, j), c in rounded.items():
-                rows.setdefault(i, []).append((j, c))
-            layout = [(i, sorted(rows[i], reverse=True)) for i in sorted(rows, reverse=True)]
-            moduli = [(i, j, to_mpf(abs(c))) for (i, j), c in sorted(self.terms.items())]
-            self._rounded[key] = (rounded, layout, moduli)
-        return self._rounded[key]
+        if self._columns is None:
+            den = math.lcm(*(c.denominator for c in self.terms.values()))
+            cols = [[0] * (self.degree_x() + 1) for _ in range(self.degree_y() + 1)]
+            for (i, j), c in self.terms.items():
+                cols[j][i] = c.numerator * (den // c.denominator)
+            for col in cols:
+                while len(col) > 1 and not col[-1]:
+                    col.pop()
+            self._columns = (den, cols, [[abs(v) for v in col] for col in cols])
+        return self._columns
+
+    def _horner_nested(self, cols, x, y):
+        """``(re, im, exp)`` with ``(re + i*im) * 2^exp`` the integer ``cols`` at (x, y), exactly.
+
+        Each column is evaluated in x by ``horner_exact`` and scaled to the
+        longest column's power of two; those values are then the
+        coefficients of one ``horner_exact`` pass in y.
+        """
+        xa, xb, xs = dyadic(x)
+        ya, yb, ys = dyadic(y)
+        dx = max(len(col) for col in cols) - 1
+        vr, vi = [], []
+        for col in cols:
+            ur, ui = horner_exact(col, None, xa, xb, xs)
+            shift = xs * (dx + 1 - len(col))
+            vr.append(ur << shift)
+            vi.append(ui << shift)
+        ur, ui = horner_exact(vr, vi, ya, yb, ys)
+        return ur, ui, -xs * dx - ys * (len(cols) - 1)
 
     def eval(self, x, y):
-        """Evaluate at complex (x, y) by nested Horner in lexicographic order.
+        """The value at complex (x, y), exact and rounded once to ``mp.prec``.
 
-        The last ``_MEMO_SIZE`` values are kept, keyed by ``mp.prec`` and
-        the bits of x and y; a repeated call returns the same bits without
-        the Horner pass.
+        Raises EvaluationOverflow when a part of x or y is not finite.  The
+        last ``_MEMO_SIZE`` values are kept, keyed by ``mp.prec`` and the
+        bits of x and y; a repeated call returns the same bits without the
+        Horner pass.
         """
         if not self.terms:
             return to_mpc(0)
@@ -265,10 +281,8 @@ class BivariatePolynomial:
         acc = self._values.get(key)
         if acc is not None:
             return acc
-        _, layout, _ = self._at_precision()
-        acc = _horner_sparse([(i, _horner_sparse(row, yz)) for i, row in layout], xz)
-        if not is_finite(acc):
-            raise EvaluationOverflow("evaluation overflow")
+        den, cols, _ = self._integer_columns()
+        acc = round_exact(*self._horner_nested(cols, xz, yz), den)
         if len(self._values) >= _MEMO_SIZE:
             del self._values[next(iter(self._values))]
         self._values[key] = acc
@@ -323,16 +337,14 @@ class BivariatePolynomial:
         return start, start + float(deltas.sum())
 
     def eval_magnitude_scale(self, x, y) -> mpf:
-        """Sum of |h_ij| |x|^i |y|^j: the natural scale for residual checks."""
-        ax, ay = abs(to_mpc(x)), abs(to_mpc(y))
-        total = to_mpf(0)
-        _, _, moduli = self._at_precision()
-        # One power per distinct exponent; each term still rounds as (m*ax^i)*ay^j.
-        px = {i: ax**i for i in {i for i, _, _ in moduli}}
-        py = {j: ay**j for j in {j for _, j, _ in moduli}}
-        for i, j, m in moduli:
-            total += m * px[i] * py[j]
-        return total
+        """Sum of |h_ij| |x|^i |y|^j: the natural scale for residual checks.
+
+        |x| and |y| are taken at working precision, the sum exactly and
+        rounded once; x and y may be given as their moduli.
+        """
+        den, _, moduli = self._integer_columns()
+        ax, ay = (abs(v) if isinstance(v, mpf) else abs(to_mpc(v)) for v in (x, y))
+        return round_exact(*self._horner_nested(moduli, ax, ay), den).real
 
     # -- formatting ---------------------------------------------------------
 
@@ -347,18 +359,6 @@ class BivariatePolynomial:
             )
             bits.append(f"{c}{'*' if mono else ''}{mono}")
         return "BivariatePolynomial(" + " + ".join(bits) + ")"
-
-
-def _horner_sparse(pairs_desc, z):
-    """Horner evaluation of sparse (exponent, mpc value) pairs, exponents descending."""
-    acc = pairs_desc[0][1]
-    prev = pairs_desc[0][0]
-    for e, v in pairs_desc[1:]:
-        acc = acc * z ** (prev - e) + v
-        prev = e
-    if prev:
-        acc = acc * z**prev
-    return acc
 
 
 def poly_eval(p: BivariatePolynomial, x, y):

@@ -17,8 +17,9 @@ vanishes when it is at most ``2^-(prec/2)`` of its own coefficient scale
 at ``|w|``.  Every candidate is Newton-polished on the full 2x2 system with
 its exact Jacobian.  Points come out by torus, in the order of each
 torus's first (|p|, |q|), and by arg p on one torus; ``same_point`` alone
-decides whether two points coincide, and ``same_torus`` whether they share
-a torus.  Minimality is probed numerically on the
+decides whether two points coincide (``apart`` settles it in doubles
+first where their difference is plain), and ``same_torus`` whether they
+share a torus.  Minimality is probed numerically on the
 one circle |y| = |q| plus the roots of H(0, y); verdicts carry a concrete
 witness when violated.
 """
@@ -39,8 +40,8 @@ from .bivariate import BivariatePolynomial
 from .errors import ConfigError, NonIsolatedCriticalSet, RootFindingError
 from .precision import to_mpc, to_mpf
 from .resultant import first_subresultant, resultant_eliminating, shares_positive_dimensional_zero
+from .unipoly import ExactForm, exact_form, values_at
 from .unipoly import degree as upoly_degree
-from .unipoly import eval_at
 from .unipoly import squarefree_part as upoly_squarefree_part
 
 PROBABLY_STRICTLY_MINIMAL = "probably_strictly_minimal"
@@ -116,6 +117,11 @@ class CriticalPoint:
         """``(|p|, |q|)`` in doubles, as ``same_torus`` compares them."""
         return float(abs(self.p)), float(abs(self.q))
 
+    @property
+    def doubles(self) -> Tuple[complex, complex]:
+        """``(p, q)`` in doubles, as ``apart`` compares them."""
+        return complex(self.p), complex(self.q)
+
     def conjugate_of(self, other: "CriticalPoint") -> bool:
         return same_point((self.p, self.q), (mp.conj(other.p), mp.conj(other.q)))
 
@@ -127,6 +133,17 @@ def same_point(a: Tuple[mpc, mpc], b: Tuple[mpc, mpc]) -> bool:
     """
     close = MERGE_TOL * (1 + float(max(abs(a[0]), abs(a[1]))))
     return abs(a[0] - b[0]) <= close and abs(a[1] - b[1]) <= close
+
+
+def apart(a: Tuple[complex, complex], b: Tuple[complex, complex]) -> bool:
+    """True when the doubles of two points settle that ``same_point`` fails.
+
+    ``a`` and ``b`` are ``(p, q)`` in doubles, the scale taken from ``a``:
+    some coordinate differs by more than the tolerance plus what rounding
+    to doubles can move.  Not finite doubles settle nothing.
+    """
+    close = MERGE_TOL * (1 + max(abs(a[0]), abs(a[1]))) * (1 + 1e-12)
+    return any(abs(u - v) > close + 1e-15 * (abs(u) + abs(v)) + 1e-300 for u, v in zip(a, b))
 
 
 def same_torus(a: Tuple[float, float], b: Tuple[float, float]) -> bool:
@@ -194,8 +211,9 @@ def snap_noise(z) -> mpc:
     return mpc(0 if abs(z.real) <= floor else z.real, 0 if abs(z.imag) <= floor else z.imag)
 
 
-def _relative_residual(poly: BivariatePolynomial, p: mpc, q: mpc) -> mpf:
-    scale = poly.eval_magnitude_scale(p, q)
+def _relative_residual(poly: BivariatePolynomial, p: mpc, q: mpc, moduli=None) -> mpf:
+    """``|poly(p, q)|`` over its magnitude scale; ``moduli``, when given, is ``(|p|, |q|)``."""
+    scale = poly.eval_magnitude_scale(*(moduli or (p, q)))
     if scale == 0:
         return to_mpf(0)
     return abs(poly.eval(p, q)) / scale
@@ -204,7 +222,8 @@ def _relative_residual(poly: BivariatePolynomial, p: mpc, q: mpc) -> mpf:
 def _snapped_point(F1, F2, p: mpc, q: mpc):
     """``(p, q, residual_h, residual_dir)``: the point snapped by ``snap_noise``, its residuals."""
     p, q = snap_noise(p), snap_noise(q)
-    return p, q, _relative_residual(F1, p, q), _relative_residual(F2, p, q)
+    moduli = abs(p), abs(q)
+    return p, q, _relative_residual(F1, p, q, moduli), _relative_residual(F2, p, q, moduli)
 
 
 def _newton_polish(F1: BivariatePolynomial, F2: BivariatePolynomial, start):
@@ -258,7 +277,7 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
     # root, and the partners of a shared x come from _recover_partner.
     first_roots = roots_of_rational_poly(upoly_squarefree_part(res))
     s1 = first_subresultant(F1, F2)
-    sigmas = None if s1 is None else [[mpf(c) for c in sigma] for sigma in s1]
+    sigmas = None if s1 is None else [exact_form(v) for v in (*s1, [abs(c) for c in s1[1]])]
 
     points: List[CriticalPoint] = []
     for w in first_roots:
@@ -276,28 +295,30 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
 def _partners(F1, F2, w: mpc, sigmas):
     """Start points (``_snapped_point`` tuples) for the eliminant root p = ``w``.
 
-    ``sigmas`` holds the coefficients of sigma0 and sigma1 rounded to mpf,
-    or is None when S1 is undefined.  The one partner
+    ``sigmas`` holds the exact forms of sigma0, sigma1 and sigma1's
+    moduli, or is None when S1 is undefined.  The one partner
     ``-sigma0(w)/sigma1(w)`` is used unless ``sigma1(w)`` vanishes
     (``_vanishes_at``) or the point fails the ``START_TOL`` residual
     filter; ``_recover_partner`` then gives them.
     """
     if sigmas is not None:
-        sigma0, sigma1 = (eval_at(sigma, w) for sigma in sigmas)
-        if not _vanishes_at(sigma1, [abs(c) for c in sigmas[1]], w):
+        sigma0, sigma1 = values_at(sigmas[:2], w)
+        if not _vanishes_at(sigma1, sigmas[2], w):
             start = _snapped_point(F1, F2, w, -sigma0 / sigma1)
             if max(start[2:]) <= START_TOL:
                 return [start]
     return _recover_partner(F1, F2, w)
 
 
-def _vanishes_at(value: mpc, moduli: Sequence[mpf], w: mpc) -> bool:
-    """True when ``|value| <= 2^-(prec/2) * sum moduli[k] |w|^k``.
+def _vanishes_at(value: mpc, moduli: ExactForm, w: mpc) -> bool:
+    """True when ``|value| <= 2^-(prec/2) * sum m_k |w|^k``.
 
-    ``value`` is a polynomial at ``w``, ``moduli`` those of its ascending
-    coefficients: each value is judged against its own scale.
+    ``value`` is a polynomial at ``w``, ``moduli`` the exact form of the
+    moduli ``m_k`` of its ascending coefficients: each value is judged
+    against its own scale.
     """
-    return abs(value) <= mpf(2) ** (-(mp.prec // 2)) * eval_at(moduli, abs(w))
+    (scale,) = values_at([moduli], abs(w))
+    return abs(value) <= mpf(2) ** (-(mp.prec // 2)) * scale.real
 
 
 def _recover_partner(F1, F2, w: mpc):
@@ -311,7 +332,7 @@ def _recover_partner(F1, F2, w: mpc):
     for poly in (F1, F2):
         coeffs, rows = poly.specialize_x(w), poly.coeffs_in_y()
         while len(coeffs) > 1 and _vanishes_at(
-            coeffs[-1], [to_mpf(abs(c)) for c in rows[len(coeffs) - 1]], w
+            coeffs[-1], exact_form([abs(c) for c in rows[len(coeffs) - 1]]), w
         ):
             coeffs.pop()
         if len(coeffs) == 1:
@@ -333,18 +354,27 @@ def _merge_duplicates(points: List[CriticalPoint]) -> List[CriticalPoint]:
     rests on ``arg p``, not on the last bit of a polished modulus.
     """
     kept: List[CriticalPoint] = []
+    doubles: List[Tuple[complex, complex]] = []
     for pt in points:
-        dup = next((other for other in kept if same_point((pt.p, pt.q), (other.p, other.q))), None)
-        if dup is None:
+        d = pt.doubles
+        near = [k for k, other in enumerate(doubles) if not apart(d, other)]
+        k = next((k for k in near if same_point((pt.p, pt.q), (kept[k].p, kept[k].q))), None)
+        if k is None:
             kept.append(pt)
-        elif max(pt.residual_h, pt.residual_dir) < max(dup.residual_h, dup.residual_dir):
+            doubles.append(d)
+        elif max(pt.residual_h, pt.residual_dir) < max(kept[k].residual_h, kept[k].residual_dir):
+            dup = kept[k]
             dup.p, dup.q = pt.p, pt.q
             dup.residual_h, dup.residual_dir = pt.residual_h, pt.residual_dir
+            doubles[k] = d
+    moduli = {id(pt): pt.moduli for pt in kept}
     tori: List[Tuple[float, float]] = []
-    for pt in kept:
-        if not any(same_torus(t, pt.moduli) for t in tori):
-            tori.append(pt.moduli)
-    kept.sort(key=lambda c: (next(t for t in tori if same_torus(t, c.moduli)), float(mp.arg(c.p))))
+    for m in moduli.values():
+        if not any(same_torus(t, m) for t in tori):
+            tori.append(m)
+    kept.sort(
+        key=lambda c: (next(t for t in tori if same_torus(t, moduli[id(c)])), float(mp.arg(c.p)))
+    )
     return kept
 
 

@@ -19,6 +19,7 @@ from mpmath import mp, mpc, mpf
 
 from .bivariate import BivariatePolynomial
 from .critical import IDENTITY_TOL, SMOOTH_TOL, CriticalPoint, Direction, same_torus, snap_noise
+from .critical import apart
 from .errors import BranchTrackingError, ConfigError, HypothesisFailure
 from .gammafn import gamma_log
 from .precision import to_mpc, to_mpf
@@ -345,8 +346,10 @@ def estimate_general(
             f"target ({r},{s}) drifts from direction {direction} "
             f"by {drift}; estimate uses the solve direction"
         )
-    if _conjugate_closed(points):
-        if abs(value) > 0 and abs(value.imag) > 1e-8 * abs(value):
+    # Judged against the largest contribution: where they cancel, the value
+    # is itself rounding noise.
+    if peak != mp.ninf and _conjugate_closed(points):
+        if abs(value.imag) > 1e-8 * mp.exp(peak):
             warnings.append(
                 "conjugate-cancellation failed: imaginary part "
                 f"{mp.nstr(value.imag, 5)} survives; square-root branch suspect"
@@ -424,8 +427,11 @@ def _require_same_torus(points: Sequence[CriticalPoint]) -> None:
 
 
 def _conjugate_closed(points: Sequence[CriticalPoint]) -> bool:
-    for pt in points:
-        if not any(pt.conjugate_of(other) for other in points):
-            return False
-    return True
+    """True when each point's conjugate is one of ``points`` (``conjugate_of``)."""
+    doubles = [pt.doubles for pt in points]
+    conjugates = [(p.conjugate(), q.conjugate()) for p, q in doubles]
+    return all(
+        any(not apart(d, c) and pt.conjugate_of(other) for other, c in zip(points, conjugates))
+        for pt, d in zip(points, doubles)
+    )
 

@@ -50,13 +50,10 @@ def to_mpf(x) -> mpf:
 
 def to_mpc(x) -> mpc:
     """Convert a real or complex scalar to an mpc at current precision."""
+    if isinstance(x, mpc) and max(x._mpc_[0][3], x._mpc_[1][3]) <= mp.prec:
+        return x  # already at working precision: mpc(x) would equal it
     if isinstance(x, Fraction):
         return mpc(to_mpf(x))
     if isinstance(x, complex):
         return mpc(x.real, x.imag)
     return mpc(x)
-
-
-def is_finite(z) -> bool:
-    z = mpc(z)
-    return bool(mp.isfinite(z.real) and mp.isfinite(z.imag))

@@ -5,15 +5,37 @@ resultant elimination and the exact seeding of root finding.  The gcd,
 the square-free part and the determinant clear denominators first and
 work on Python ints: a primitive remainder sequence (each pseudo-remainder
 divided by its content) and Bareiss's fraction-free elimination.
+
+Every value at a working-precision point is computed here too, exactly:
+``exact_form`` puts the coefficients over one denominator as Gaussian
+ints, ``dyadic`` reads the point's parts as ``(a + b*i) / 2^s`` from their
+``_mpf_`` tuples, ``horner_exact`` runs Horner on ints, and
+``round_exact`` rounds the result once to ``mp.prec`` (``values_at`` does
+all four).  A value is then
+the correctly rounded value of the exact polynomial at the point.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+from mpmath import mp
+from mpmath.libmp import from_man_exp, fzero, round_nearest
+
+from .errors import EvaluationOverflow
 
 UPoly = List[Fraction]
+
+# ``(re, im, den)``: ascending coefficients (re[k] + i*im[k]) / den on ints;
+# im is None when every coefficient is real.
+ExactForm = Tuple[List[int], Optional[List[int]], int]
+
+# Bits of a point's smaller part more than 2*prec + _GAP_BITS below the top
+# of its larger part are rounded off, so the ints do not grow with the gap;
+# a value then moves by about 2^-(2*prec + _GAP_BITS) of its scale.
+_GAP_BITS = 1024
 
 
 def trim(p: Sequence[Fraction]) -> UPoly:
@@ -62,14 +84,113 @@ def scale(a: Sequence[Fraction], c: Fraction) -> UPoly:
 
 
 def eval_at(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    """``p(x)`` by Horner; on int coefficients and an int ``x`` it stays on ints.
-
-    On the moduli of mpc coefficients at ``|x|`` it gives the value's scale.
-    """
+    """``p(x)`` by Horner; on int coefficients and an int ``x`` it stays on ints."""
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def exact_form(coeffs: Sequence) -> ExactForm:
+    """The ascending ``coeffs`` (ints, Fractions, floats, complex, mpf or mpc), exactly.
+
+    An mpf or mpc is taken as ``dyadic`` reads it.
+    """
+    parts = [_exact_parts(c) for c in coeffs]
+    den = math.lcm(*(v.denominator for pair in parts for v in pair))
+    re = [v.numerator * (den // v.denominator) for v, _ in parts]
+    im = [v.numerator * (den // v.denominator) for _, v in parts]
+    return re, (im if any(im) else None), den
+
+
+def _exact_parts(c) -> Tuple[Fraction, Fraction]:
+    if hasattr(c, "_mpf_") or hasattr(c, "_mpc_"):
+        a, b, s = dyadic(c)
+        return Fraction(a, 1 << s), Fraction(b, 1 << s)
+    if isinstance(c, complex):
+        return Fraction(c.real), Fraction(c.imag)
+    return Fraction(c), Fraction(0)
+
+
+def dyadic(z) -> Tuple[int, int, int]:
+    """``(a, b, s)`` with the mpf or mpc ``z`` equal to ``(a + b*i) / 2^s``, s >= 0.
+
+    The parts are read exactly from their ``_mpf_`` tuples, except that the
+    bits of a part more than ``2*prec + _GAP_BITS`` below the other part's
+    top are rounded off, so the ints do not grow with the gap between the
+    parts.  Raises EvaluationOverflow on a part that is not finite.
+    """
+    parts = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, fzero)
+    if any(not man and exp for _, man, exp, _ in parts):  # inf or nan
+        raise EvaluationOverflow("evaluation overflow")
+    (a, ea), (b, eb) = ((-man if sign else man, exp) for sign, man, exp, _ in parts)
+    if not a:
+        ea = eb
+    elif not b:
+        eb = ea
+    top = max(ea + a.bit_length(), eb + b.bit_length())
+    e = max(min(ea, eb), top - 2 * mp.prec - _GAP_BITS)
+    a, b = _times_power_of_two(a, ea - e), _times_power_of_two(b, eb - e)
+    return (a << e, b << e, 0) if e > 0 else (a, b, -e)
+
+
+def _times_power_of_two(m: int, k: int) -> int:
+    """``m * 2^k``, rounded to an int (half up) when k < 0."""
+    return m << k if k >= 0 else (m + (1 << (-k - 1))) >> -k
+
+
+def horner_exact(re: Sequence[int], im: Optional[Sequence[int]], a: int, b: int, s: int):
+    """``sum_k c_k (a + b*i)^k 2^(s*(d - k))`` on Gaussian ints, ``c_k = re[k] + i*im[k]``.
+
+    With ``z = (a + b*i) / 2^s`` and ``d = len(re) - 1`` that is ``2^(s*d)``
+    times the polynomial at z, exactly, as ``(real, imaginary)``; ``im``
+    None stands for real coefficients.
+    """
+    d = len(re) - 1
+    ur, ui = re[d], (im[d] if im else 0)
+    shift = 0
+    for k in range(d - 1, -1, -1):
+        shift += s
+        if b:
+            ur, ui = ur * a - ui * b, ur * b + ui * a
+        else:
+            ur, ui = ur * a, ui * a
+        if re[k]:
+            ur += re[k] << shift
+        if im and im[k]:
+            ui += im[k] << shift
+    return ur, ui
+
+
+def round_exact(re: int, im: int, exp: int, den: int):
+    """The mpc ``(re + i*im) * 2^exp / den``, each part rounded once to ``mp.prec``, to nearest."""
+    return mp.make_mpc((_round_part(re, exp, den), _round_part(im, exp, den)))
+
+
+def _round_part(v: int, exp: int, den: int) -> tuple:
+    """The mpf tuple of ``v * 2^exp / den`` rounded once to ``mp.prec``, to nearest.
+
+    Off a power of two, the quotient keeps at least ``prec + 3`` bits and
+    a sticky bit for a nonzero remainder, so the one rounding is correct.
+    """
+    if den & (den - 1):
+        m = abs(v)
+        shift = max(0, mp.prec + 3 + den.bit_length() - m.bit_length())
+        q, r = divmod(m << shift, den)
+        m = (q << 1) | (r > 0)
+        v, exp = (-m if v < 0 else m), exp - shift - 1
+        den = 1
+    return from_man_exp(v, exp - den.bit_length() + 1, mp.prec, round_nearest)
+
+
+def values_at(forms: Sequence[ExactForm], z) -> list:
+    """Each form's polynomial at the mpf or mpc ``z``, rounded once to ``mp.prec``, as mpc."""
+    a, b, s = dyadic(z)
+    out = []
+    for re, im, den in forms:
+        ur, ui = horner_exact(re, im, a, b, s)
+        out.append(round_exact(ur, ui, -s * (len(re) - 1), den))
+    return out
 
 
 def derivative(p: Sequence[Fraction]) -> UPoly:

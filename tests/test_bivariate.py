@@ -14,6 +14,7 @@ from bivasym.estimates import local_data
 from bivasym.pipeline import run_solve
 from bivasym.precision import get_precision, to_mpf, working_precision
 from bivasym.problem import parse_problem
+from tests.test_exact_eval import exact_fraction, rounded_once
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -179,8 +180,8 @@ THIRDS = {(0, 0): F(1), (1, 0): F(1, 3), (1, 1): F(-2, 7), (2, 1): F(5, 11), (0,
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_rounded_coefficients_follow_the_precision(bits):
-    # The mpc coefficients and mpf moduli are kept per precision: values
-    # after evaluating at other precisions equal a fresh polynomial's.
+    # Nothing rounded is kept from one precision to the next: values after
+    # evaluating at other precisions equal a fresh polynomial's.
     x, y = ("0.3", "0.1"), ("-0.7", "0.45")
     used = BivariatePolynomial(THIRDS)
     for other in (53, 64, 128, 256):
@@ -207,8 +208,9 @@ PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_magnitude_scale_equals_the_per_term_form(bits):
-    # One power per distinct exponent gives the bits of sum_ij (|h_ij| |x|^i) |y|^j
-    # taken term by term, on every problem's H, G and critical system.
+    # The scale is sum_ij |h_ij| |x|^i |y|^j with |x| and |y| taken at
+    # working precision, summed exactly and rounded once, on every
+    # problem's H, G and critical system.
     with working_precision(bits):
         points = [(mp.mpc(k / 7, 1 - k / 3), mp.mpc(k / 11 - 1, mp.pi / k)) for k in range(1, 13)]
         for path in PROBLEMS:
@@ -216,11 +218,9 @@ def test_magnitude_scale_equals_the_per_term_form(bits):
             polys = [spec.H, *critical_system(spec.H, spec.direction)]
             for poly in polys + ([spec.G] if spec.G is not None else []):
                 for x, y in points:
-                    ax, ay = abs(x), abs(y)
-                    want = to_mpf(0)
-                    for (i, j), c in sorted(poly.terms.items()):
-                        want += to_mpf(abs(c)) * ax**i * ay**j
-                    assert repr(poly.eval_magnitude_scale(x, y)) == repr(want)
+                    ax, ay = exact_fraction(abs(x)), exact_fraction(abs(y))
+                    want = sum(abs(c) * ax**i * ay**j for (i, j), c in poly.terms.items())
+                    assert poly.eval_magnitude_scale(x, y) == rounded_once(want)
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
@@ -253,20 +253,20 @@ def test_kept_values_are_bounded():
 
 def test_local_data_reuses_the_gradient_of_is_smooth(monkeypatch):
     # local_data right after is_smooth at color_swap's dominant point
-    # evaluates H_x and H_y without a Horner pass.
+    # evaluates H_x and H_y without a pass of the integer Horner kernel.
     spec = parse_problem((ROOT / "problems" / "color_swap.json").read_text())
     pt = run_solve(spec, probe=False).dominant.points[0]
     H = spec.H
     assert is_smooth(H, (pt.p, pt.q))
-    gradient_rows = {
-        id(row) for var in ("x", "y") for _, row in H.partial(var)._at_precision()[1]
+    gradient_columns = {
+        id(col) for var in ("x", "y") for col in H.partial(var)._integer_columns()[1]
     }
     runs = []
-    horner = bivariate._horner_sparse
+    horner = bivariate.horner_exact
     monkeypatch.setattr(
         bivariate,
-        "_horner_sparse",
-        lambda pairs, z: runs.append(id(pairs) in gradient_rows) or horner(pairs, z),
+        "horner_exact",
+        lambda re, *rest: runs.append(id(re) in gradient_columns) or horner(re, *rest),
     )
     local_data(H, pt, spec.direction)
     assert runs and not any(runs)

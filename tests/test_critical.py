@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,15 +18,20 @@ from bivasym import (
     parse_problem,
     solve_critical,
 )
+from bivasym import critical
 from bivasym.critical import (
     PROBABLY_STRICTLY_MINIMAL,
     VIOLATED,
     _merge_duplicates,
+    apart,
     dominant_class,
+    same_point,
+    same_torus,
     snap_noise,
 )
-from bivasym.errors import ConfigError, NonIsolatedCriticalSet
-from bivasym.estimates import _require_same_torus
+from bivasym.errors import BivasymError, ConfigError, NonIsolatedCriticalSet
+from bivasym.estimates import _conjugate_closed, _require_same_torus
+from tests.test_acceptance import _random_polynomials
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -247,3 +254,53 @@ def test_dominant_tie_refused():
     classes = group_by_torus([a, b])
     with pytest.raises(ConfigError):
         dominant_class(classes)
+
+
+def _plain_merge(points):
+    """``_merge_duplicates`` by ``same_point`` alone, moduli taken where used."""
+    kept = []
+    for pt in points:
+        dup = next((o for o in kept if same_point((pt.p, pt.q), (o.p, o.q))), None)
+        if dup is None:
+            kept.append(pt)
+        elif max(pt.residual_h, pt.residual_dir) < max(dup.residual_h, dup.residual_dir):
+            dup.p, dup.q = pt.p, pt.q
+            dup.residual_h, dup.residual_dir = pt.residual_h, pt.residual_dir
+    tori = []
+    for pt in kept:
+        if not any(same_torus(t, pt.moduli) for t in tori):
+            tori.append(pt.moduli)
+    kept.sort(key=lambda c: (next(t for t in tori if same_torus(t, c.moduli)), float(mp.arg(c.p))))
+    return kept
+
+
+def test_gated_merge_and_conjugates_equal_the_plain_rule(monkeypatch):
+    # The merge inputs of the first 64 family polynomials at 1:1, 2:1 and
+    # 1:3: merging with the double gate gives the plain rule's points in
+    # its order, bit for bit, and every conjugate verdict is the same.
+    inputs = []
+    merge = critical._merge_duplicates
+
+    def keep(pts):
+        inputs.append([replace(p) for p in pts])
+        return merge(pts)
+
+    monkeypatch.setattr(critical, "_merge_duplicates", keep)
+    family = itertools.islice(_random_polynomials(20260810), 64)
+    for H in family:
+        for direction in (Direction(1, 1), Direction(2, 1), Direction(1, 3)):
+            try:
+                solve_critical(H, direction)
+            except BivasymError:
+                pass
+    assert sum(len(pts) for pts in inputs) > 300
+    for pts in inputs:
+        gated = merge([replace(p) for p in pts])
+        plain = _plain_merge([replace(p) for p in pts])
+        assert [(p.p._mpc_, p.q._mpc_) for p in gated] == [(p.p._mpc_, p.q._mpc_) for p in plain]
+        assert _conjugate_closed(gated) == all(any(a.conjugate_of(b) for b in plain) for a in plain)
+        for a in pts:
+            for b in pts:
+                conj = tuple(v.conjugate() for v in b.doubles)
+                assert not (apart(a.doubles, conj) and a.conjugate_of(b))
+                assert not (apart(a.doubles, b.doubles) and same_point((a.p, a.q), (b.p, b.q)))

@@ -10,6 +10,7 @@ from bivasym import (
     BivariatePolynomial,
     BranchRay,
     CriticalPoint,
+    Direction,
     choose_branch_ray,
     coeff_recurrence,
     estimate_general,
@@ -24,6 +25,7 @@ from bivasym.cli import report_critical_points
 from bivasym.errors import ConfigError, HypothesisFailure
 from bivasym.estimates import principal_on_ray
 from bivasym.pipeline import estimate_target, run_solve
+from bivasym.problem import ProblemSpec
 from tests.conftest import WINDING_POINT
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -366,3 +368,18 @@ def test_mixed_torus_rejected(diag_direction):
     H = BivariatePolynomial.from_items([(0, 0, "1"), (1, 0, "-1"), (0, 1, "-1")])
     with pytest.raises(ConfigError):
         estimate_general(H, None, F(1, 2), [a, b], 10, 10, diag_direction)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_contributions_that_cancel_to_noise_give_no_warning(bits):
+    # H = 1 - x^2 - y is even in x, so [x^41 y^40] H^(-1/2) = 0: the real
+    # points (+-1/sqrt(3), 2/3) contribute opposite terms, the sum is
+    # rounding noise, and so is its imaginary part.
+    H = BivariatePolynomial({(0, 0): F(1), (2, 0): F(-1), (0, 1): F(-1)})
+    with working_precision(bits):
+        spec = ProblemSpec(H=H, beta=F(1, 2), direction=Direction(1, 1), targets=[(41, 40)])
+        est = estimate_target(spec, run_solve(spec), 41, 40)
+        largest = mpf(10) ** max(c["log10_modulus"] for c in est.contributions)
+        assert len(est.contributions) == 2
+        assert abs(est.value) <= mpf(2) ** (-(bits // 2)) * largest
+        assert not any("conjugate-cancellation" in w for w in est.warnings)
