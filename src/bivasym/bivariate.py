@@ -212,6 +212,11 @@ class BivariatePolynomial:
             out[i, j] = float(c)
         return out
 
+    def moduli_in_y(self):
+        """The moduli of each y^j's x-coefficients as ``unipoly`` exact forms, j ascending."""
+        den, _, moduli = self._integer_columns()
+        return [(col, None, den) for col in moduli]
+
     def swap_variables(self) -> "BivariatePolynomial":
         return BivariatePolynomial({(j, i): c for (i, j), c in self.terms.items()})
 

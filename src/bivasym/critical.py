@@ -16,7 +16,9 @@ that vanishes.  One test, ``_vanishes_at``, decides both: a value at ``w``
 vanishes when it is at most ``2^-(prec/2)`` of its own coefficient scale
 at ``|w|``.  Every candidate is Newton-polished on the full 2x2 system with
 its exact Jacobian.  Points come out by torus, in the order of each
-torus's first (|p|, |q|), and by arg p on one torus; ``same_point`` alone
+torus's first (|p|, |q|), and by arg p, then arg q, on one torus.  A root
+below the real axis whose conjugate is another root takes the exact
+conjugates of that root's points.  ``same_point`` alone
 decides whether two points coincide (``apart`` settles it in doubles
 first where their difference is plain), and ``same_torus`` whether they
 share a torus.  Minimality is probed numerically on the
@@ -265,6 +267,15 @@ def _newton_polish(F1: BivariatePolynomial, F2: BivariatePolynomial, start):
 def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[CriticalPoint]:
     """All isolated solutions of the critical system, polished and deduplicated.
 
+    H has rational coefficients, so the eliminant's non-real roots and
+    their points come in conjugate pairs.  A root ``w`` below the real
+    axis with a twin ``u`` above it (``_conjugate_twins``) is not solved:
+    its points are the exact conjugates (``mp.conj``) of ``u``'s, with
+    their residuals, and a point that is the exact conjugate of another
+    takes its smoothness.  Points that are conjugates only to within
+    ``same_point`` share no work; a near-real root, or one without a
+    unique twin, is solved on its own.
+
     Raises NonIsolatedCriticalSet when the system polynomials share a
     factor, and RootFindingError (with partial results) when the
     simultaneous iteration fails to converge.
@@ -278,18 +289,54 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
     first_roots = roots_of_rational_poly(upoly_squarefree_part(res))
     s1 = first_subresultant(F1, F2)
     sigmas = None if s1 is None else [exact_form(v) for v in (*s1, [abs(c) for c in s1[1]])]
+    twins = _conjugate_twins(first_roots)
 
+    solved = {}
+    for k, w in enumerate(first_roots):
+        if k not in twins:
+            polished = (_newton_polish(F1, F2, start) for start in _partners(F1, F2, w, sigmas))
+            solved[k] = [
+                CriticalPoint(p, q, float(res_h), float(res_dir))
+                for p, q, res_h, res_dir in polished
+                if max(res_h, res_dir) <= RESIDUAL_TOL
+            ]
     points: List[CriticalPoint] = []
-    for w in first_roots:
-        for start in _partners(F1, F2, w, sigmas):
-            p, q, res_h, res_dir = _newton_polish(F1, F2, start)
-            if max(res_h, res_dir) <= RESIDUAL_TOL:
-                points.append(CriticalPoint(p, q, float(res_h), float(res_dir)))
+    for k in range(len(first_roots)):
+        if k in twins:
+            points += [
+                CriticalPoint(mp.conj(c.p), mp.conj(c.q), c.residual_h, c.residual_dir)
+                for c in solved[twins[k]]
+            ]
+        else:
+            points += solved[k]
 
     merged = _merge_duplicates(points)
+    smooth = {}
     for pt in merged:
-        pt.smooth = is_smooth(H, (pt.p, pt.q))
+        # H_x and H_y are exact and rounded once, so their moduli at a
+        # conjugate point are the same bits.
+        mirror = smooth.get((mp.conj(pt.p)._mpc_, mp.conj(pt.q)._mpc_))
+        pt.smooth = is_smooth(H, (pt.p, pt.q)) if mirror is None else mirror
+        smooth[pt.p._mpc_, pt.q._mpc_] = pt.smooth
     return merged
+
+
+def _conjugate_twins(roots: Sequence[mpc]) -> dict:
+    """``{k: j}``: root ``k`` lies below the real axis and ``roots[j]`` is its twin above it.
+
+    Decided in doubles: ``|Im w| > MERGE_TOL * (1 + |w|)`` for ``w =
+    roots[k]``, ``roots[j]`` is the one root with a positive imaginary part
+    within that tolerance of ``conj(w)``, and ``w`` is the one such root
+    for ``roots[j]``.  A root whose double is not finite has no twin.
+    """
+    z = [complex(w) for w in roots]
+    near = {}
+    for k, w in enumerate(z):
+        tol = MERGE_TOL * (1 + abs(w))
+        if w.imag < -tol:
+            near[k] = [j for j, u in enumerate(z) if u.imag > 0 and abs(u - w.conjugate()) <= tol]
+    claims = [js[0] for js in near.values() if len(js) == 1]
+    return {k: js[0] for k, js in near.items() if len(js) == 1 and claims.count(js[0]) == 1}
 
 
 def _partners(F1, F2, w: mpc, sigmas):
@@ -330,10 +377,8 @@ def _recover_partner(F1, F2, w: mpc):
     residual above ``START_TOL`` are dropped.  The fallback of ``_partners``.
     """
     for poly in (F1, F2):
-        coeffs, rows = poly.specialize_x(w), poly.coeffs_in_y()
-        while len(coeffs) > 1 and _vanishes_at(
-            coeffs[-1], exact_form([abs(c) for c in rows[len(coeffs) - 1]]), w
-        ):
+        coeffs, moduli = poly.specialize_x(w), poly.moduli_in_y()
+        while len(coeffs) > 1 and _vanishes_at(coeffs[-1], moduli[len(coeffs) - 1], w):
             coeffs.pop()
         if len(coeffs) == 1:
             continue
@@ -350,8 +395,9 @@ def _merge_duplicates(points: List[CriticalPoint]) -> List[CriticalPoint]:
     """``points`` with near-duplicates merged (the copy of least residual kept).
 
     A stable sort orders them by the moduli of their torus's first point in
-    merged order (``same_torus``), then by ``arg p``: on one torus the order
-    rests on ``arg p``, not on the last bit of a polished modulus.
+    merged order (``same_torus``), then by ``arg p`` and ``arg q``: on one
+    torus the order rests on the arguments, not on the last bit of a
+    polished modulus or on the order the points were found in.
     """
     kept: List[CriticalPoint] = []
     doubles: List[Tuple[complex, complex]] = []
@@ -373,7 +419,11 @@ def _merge_duplicates(points: List[CriticalPoint]) -> List[CriticalPoint]:
         if not any(same_torus(t, m) for t in tori):
             tori.append(m)
     kept.sort(
-        key=lambda c: (next(t for t in tori if same_torus(t, moduli[id(c)])), float(mp.arg(c.p)))
+        key=lambda c: (
+            next(t for t in tori if same_torus(t, moduli[id(c)])),
+            float(mp.arg(c.p)),
+            float(mp.arg(c.q)),
+        )
     )
     return kept
 
@@ -419,7 +469,12 @@ def minimality_probe(
     Check (a) root-solves H(0, .): a root with |y0| <= |q|(1 +
     BOUNDARY_TOL) reports ``violated`` with the witness (0, y0), the first
     such root in ``np.roots`` order, and margin -1.  Otherwise check (b)
-    samples ``ProbeGrid().angles`` slices of the circle: a root strictly
+    samples ``N = ProbeGrid().angles`` slices of the circle.  H has real
+    coefficients, so H(conj x, conj y) = conj H(x, y): only slices
+    0..N/2 are root-solved, and slice N - k takes the exact conjugates of
+    slice k's y and roots, in the same order, and its flags.  The
+    mirrored y differs from exp(2 pi i (N - k)/N) |q| by rounding alone,
+    and check (b) reads the slices as before: a root strictly
     inside |p| reports ``violated``, and so does a root on the |p| circle
     that is not one of the known same-torus critical points.  The witness
     is the first such event in (angle, root) order, an identically zero
@@ -448,10 +503,17 @@ def minimality_probe(
             pt.margin = -1.0
             return pt
 
-    # Check (b): the circle |y| = |q|, slices in angle order.
+    # Check (b): the circle |y| = |q|, slices in angle order.  H is real,
+    # so slice N - k is the conjugate of slice k: slices 0..N/2 are solved.
     angles = ProbeGrid().angles
-    ys = mod_q * np.exp(2j * np.pi * np.arange(angles) / angles)
+    solved = angles // 2 + 1
+    ys = mod_q * np.exp(2j * np.pi * np.arange(solved) / angles)
     roots, valid, zero = _radius_roots(polyval(ys, y_major).T, zero_top)
+    mirror = np.arange(angles - solved, 0, -1)
+    ys = np.concatenate([ys, ys[mirror].conj()])
+    roots = np.concatenate([roots, roots[mirror].conj()])
+    valid = np.concatenate([valid, valid[mirror]])
+    zero = np.concatenate([zero, zero[mirror]])
     # hypot rounds as abs() of a numpy scalar; np.abs on arrays may not.
     ax = np.hypot(roots.real, roots.imag)
     checked = valid.copy()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpc, mpf
 
@@ -113,7 +113,8 @@ def local_data(
         "p_nonzero": abs(p) > 0,
         "q_nonzero": abs(q) > 0,
         "phase_hessian_nonzero": abs(m) > SMOOTH_TOL**2,
-        "saddle_real_part_positive": (-(q * q) * m).real > 0,
+        # A real part at rounding noise is no sign (as in ``_real_positive``).
+        "saddle_real_part_positive": snap_noise(-(q * q) * m).real > 0,
         "grad_ratio_identity": bool(
             abs(ratio - p / (lam * q)) <= to_mpf(IDENTITY_TOL) * max(abs(ratio), to_mpf(1e-30))
         ),
@@ -204,15 +205,23 @@ def winding_number(
     H: BivariatePolynomial,
     pt: CriticalPoint,
     ray: BranchRay,
+    tracked: Optional[dict] = None,
 ) -> int:
     """Signed crossings of the cut ray by the curve H(t*p, t*q), 0 <= t < 1.
 
-    The curve is tracked by ``H.ray_argument`` up to t = 1 - 1e-6; the
+    The curve is tracked by ``ray_thetas`` up to t = 1 - 1e-6; the
     remaining tail is linear to first order with direction
     -(p*H_x + q*H_y), which at a critical point matches -p*H_x up to a
-    positive real factor.
+    positive real factor.  ``tracked``, when given, maps the bits of points
+    already wound to their ray arguments: a point whose exact conjugate is
+    there takes ``mirrored_thetas`` of them instead, and ``pt`` is added.
     """
-    theta_start, theta_end = H.ray_argument(pt.p, pt.q, 1.0 - 1e-6, 1024)
+    if tracked is None:
+        theta_start, theta_end = ray_thetas(H, pt)
+    else:
+        mirror = tracked.get((mp.conj(pt.p)._mpc_, mp.conj(pt.q)._mpc_))
+        thetas = ray_thetas(H, pt) if mirror is None else mirrored_thetas(mirror)
+        tracked[pt.p._mpc_, pt.q._mpc_] = theta_start, theta_end = thetas
     # Analytic tail: argument converges to the linearized direction.
     hx = H.partial("x").eval(pt.p, pt.q)
     hy = H.partial("y").eval(pt.p, pt.q)
@@ -228,6 +237,25 @@ def winding_number(
         math.floor((theta_final - alpha) / TWO_PI)
         - math.floor((theta_start - alpha) / TWO_PI)
     )
+
+
+def ray_thetas(H: BivariatePolynomial, pt: CriticalPoint) -> Tuple[float, float]:
+    """``H.ray_argument`` of ``pt``'s ray at t = 0 and at t = 1 - 1e-6."""
+    return H.ray_argument(pt.p, pt.q, 1.0 - 1e-6, 1024)
+
+
+def mirrored_thetas(thetas: Tuple[float, float]) -> Tuple[float, float]:
+    """The ray arguments of the conjugate point from ``thetas = (start, end)``.
+
+    H is real, so H(t*conj p, t*conj q) = conj H(t*p, t*q) and its argument
+    turns the other way from the same start, arg H(0, 0).  The double
+    samples of ``ray_argument`` are exact conjugates, so where H(0, 0) > 0
+    (start 0) this is its result bit for bit; otherwise the end may differ
+    by rounding, which cannot move a winding number, since the cut ray
+    clears both ends.
+    """
+    start, end = thetas
+    return start, 2 * start - end
 
 
 # ----------------------------------------------------------------------
@@ -270,8 +298,11 @@ def estimate_general(
 
     Complex powers p**(-r), q**(-s) are carried in log space (modulus via
     logarithms, argument separately), so targets far beyond double range
-    are fine.  Raises HypothesisFailure naming the first violated
-    precondition.
+    are fine.  A point that is the exact conjugate (equal bits, not
+    ``same_point``) of an earlier one in ``points`` takes its ray
+    arguments from that point's by ``mirrored_thetas`` instead of
+    tracking its own ray (``winding_number``'s ``tracked``).
+    Raises HypothesisFailure naming the first violated precondition.
     """
     if not points:
         raise ConfigError("no critical points supplied")
@@ -285,11 +316,12 @@ def estimate_general(
     ln_r = mp.log(to_mpf(r))
 
     logmods, args, contribs = [], [], []
+    tracked = {}
     for ld in locals_:
         pt = ld.point
         w = -pt.p * ld.hx
         theta_w = branch_argument(w, ray, anchor)
-        omega = winding_number(H, pt, ray)
+        omega = winding_number(H, pt, ray, tracked)
 
         q2m = -2 * mp.pi * pt.q * pt.q * ld.phase_hessian
         gval = G.eval(pt.p, pt.q) if G is not None else to_mpc(1)

@@ -14,6 +14,7 @@ from bivasym.estimates import local_data
 from bivasym.pipeline import run_solve
 from bivasym.precision import get_precision, to_mpf, working_precision
 from bivasym.problem import parse_problem
+from bivasym.unipoly import exact_form, values_at
 from tests.test_exact_eval import exact_fraction, rounded_once
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -270,3 +271,22 @@ def test_local_data_reuses_the_gradient_of_is_smooth(monkeypatch):
     )
     local_data(H, pt, spec.direction)
     assert runs and not any(runs)
+
+
+def test_moduli_in_y_give_the_row_scales_bit_for_bit():
+    # The moduli of each y-row, kept over the lcm of all coefficients, give
+    # the same rounded scale as the row's own Fractions put over theirs.
+    H = BivariatePolynomial(
+        {(0, 0): F(1), (2, 0): F(-5, 3), (1, 1): F(7, 2), (3, 1): F(1, 9), (0, 3): F(-2, 7)}
+    )
+    for poly in (H, H.partial("x"), H.partial("y")):
+        forms = poly.moduli_in_y()
+        rows = poly.coeffs_in_y()
+        assert len(forms) == len(rows)
+        for bits in (64, 128, 256):
+            with working_precision(bits):
+                for z in (mpf("0.3"), mpf(7) / 3, mpf("1e-40"), mpf("1e40")):
+                    for form, row in zip(forms, rows):
+                        (got,) = values_at([form], z)
+                        (want,) = values_at([exact_form([abs(c) for c in row])], z)
+                        assert got._mpc_ == want._mpc_

@@ -270,7 +270,13 @@ def _plain_merge(points):
     for pt in kept:
         if not any(same_torus(t, pt.moduli) for t in tori):
             tori.append(pt.moduli)
-    kept.sort(key=lambda c: (next(t for t in tori if same_torus(t, c.moduli)), float(mp.arg(c.p))))
+    kept.sort(
+        key=lambda c: (
+            next(t for t in tori if same_torus(t, c.moduli)),
+            float(mp.arg(c.p)),
+            float(mp.arg(c.q)),
+        )
+    )
     return kept
 
 

@@ -383,3 +383,18 @@ def test_contributions_that_cancel_to_noise_give_no_warning(bits):
         assert len(est.contributions) == 2
         assert abs(est.value) <= mpf(2) ** (-(bits // 2)) * largest
         assert not any("conjugate-cancellation" in w for w in est.warnings)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+def test_saddle_real_part_at_noise_is_refused(bits):
+    # H = 1 + y^2 - x*y/3 - x*y^3 at 1:3 (family item 24): -q^2*M is purely
+    # imaginary at the dominant points, so its computed real part is
+    # rounding noise of either sign.  snap_noise reads it as 0, and every
+    # precision refuses alike.
+    H = BivariatePolynomial.from_items([(0, 0, "1"), (0, 2, "1"), (1, 1, "-1/3"), (1, 3, "-1")])
+    with working_precision(bits):
+        spec = ProblemSpec(H=H, beta=F(1, 2), direction=Direction(1, 3), targets=[(40, 120)])
+        outcome = run_solve(spec)
+        with pytest.raises(HypothesisFailure) as err:
+            estimate_target(spec, outcome, 40, 120)
+        assert err.value.name == "saddle_real_part_positive"

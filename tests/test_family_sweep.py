@@ -57,7 +57,6 @@ def _family():
 def cone_row(H, direction: Direction) -> str:
     """Where the ray ``r0:s0`` lies against the cone of H's non-constant exponents."""
     exps = [ij for ij in H.terms if ij != (0, 0)]
-    r0, s0 = direction.r0, direction.s0
 
     def cross(a, b):
         return a[0] * b[1] - a[1] * b[0]
@@ -66,7 +65,7 @@ def cone_row(H, direction: Direction) -> str:
     # exponents of least and greatest angle.
     lo = min(exps, key=lambda e: Fraction(e[1], e[0]) if e[0] else float("inf"))
     hi = max(exps, key=lambda e: Fraction(e[1], e[0]) if e[0] else float("inf"))
-    d = (r0, s0)
+    d = (direction.r0, direction.s0)
     if cross(lo, d) == 0 or cross(d, hi) == 0:
         return "boundary"
     return "inside" if cross(lo, d) > 0 and cross(d, hi) > 0 else "outside"

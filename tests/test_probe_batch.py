@@ -1,14 +1,18 @@
 """The one-circle minimality probe against the polydisk scan it replaced.
 
-``minimality_probe`` root-solves H(0, y) and the 256 slices of the one
-circle |y| = |q|, with stacked companion-matrix ``eigvals`` calls.  The
-references scan the closed polydisk on 32 radii by 256 angles:
+``minimality_probe`` root-solves H(0, y) and slices 0..128 of the 256
+slices of the one circle |y| = |q|, with stacked companion-matrix
+``eigvals`` calls, and takes slices 129..255 as the conjugates of slices
+127..1.  The references scan the closed polydisk on 32 radii by 256 angles:
 ``_reference_probe`` with one ``np.roots`` call per slice, finishing the
 radius that shows the first violation, and ``_unpruned_probe`` with every
 slice of one radius batched at a time.  Verdicts must agree on every point
-and margins bit for bit on every point that is not violated; a violated
+and margins to ``MARGIN_EPS`` on every point that is not violated (the
+mirrored slices' y differ from the references' by rounding); a violated
 point's witness comes from H(0, y) or from the circle, and must lie on the
-zero set inside the polydisk.
+zero set inside the polydisk.  ``_every_slice_probe`` solves all 256
+slices of the circle as the probe did before the mirror: verdicts and
+witnesses equal it exactly.
 """
 
 import itertools
@@ -21,6 +25,7 @@ from mpmath import mpc
 from numpy.polynomial.polynomial import polyval
 
 from bivasym import BivariatePolynomial, Direction, critical
+from bivasym.errors import BivasymError
 from bivasym.critical import (
     BOUNDARY_TOL,
     INCONCLUSIVE,
@@ -41,6 +46,13 @@ from tests.test_acceptance import _random_polynomials
 
 ROOT = Path(__file__).resolve().parent.parent
 ANGLES, RADII = 256, 32  # the polydisk grid of the references
+# A margin read from mirrored slices is within this many eps (times
+# 1 + |margin|) of the one from slices solved directly.
+MARGIN_EPS = 8
+
+
+def _margin_close(got, want):
+    return got == want or abs(got - want) <= MARGIN_EPS * np.finfo(float).eps * (1 + abs(want))
 
 
 def _reference_slice_roots(coeffs, coeff_scale):
@@ -146,9 +158,8 @@ def _assert_same(H, pt, peers=(), reference=_reference_probe):
         assert abs(y_w) <= float(abs(pt.q)) * (1 + BOUNDARY_TOL)
         assert _relative_residual(H, mpc(x_w), mpc(y_w)) < 1e-9
     else:
-        # repr tells -0.0 from 0.0, which the CLI report prints differently.
         assert got.witness is None
-        assert repr(got.margin) == repr(float(margin))
+        assert _margin_close(got.margin, float(margin))
     return got
 
 
@@ -287,7 +298,7 @@ def test_margin_unset_until_probed(multinomial_h, diag_direction):
     pt = solve_critical(multinomial_h, diag_direction)[0]
     assert pt.margin is None
     minimality_probe(multinomial_h, pt)
-    assert pt.margin == _reference_probe(multinomial_h, pt)[2]
+    assert _margin_close(pt.margin, _reference_probe(multinomial_h, pt)[2])
 
 
 def _family(item):
@@ -304,8 +315,8 @@ def test_probe_solves_few_slices(name, monkeypatch):
         critical, "_radius_roots", lambda cmat, top: rows.append(len(cmat)) or radius_roots(cmat, top)
     )
     minimality_probe(spec.H, pt)
-    # H(0, y), then the 256 slices of |y| = |q|; the polydisk had 8192.
-    assert rows == [1, 256]
+    # H(0, y), then slices 0..128 of the 256 of |y| = |q|; the polydisk had 8192.
+    assert rows == [1, 129]
 
 
 def test_origin_zero_is_found_only_by_the_origin_check():
@@ -345,3 +356,58 @@ def test_every_torus_class_matches_the_unpruned_probe():
         20,
         2,
     ]
+
+
+def _every_slice_probe(H, pt, peers=()):
+    """(minimality, witness, margin) of the circle check with all 256 slices solved."""
+    mod_p, mod_q = float(abs(pt.p)), float(abs(pt.q))
+    known = [(complex(c.p), complex(c.q)) for c in (pt, *peers)]
+    match_tol = 1e-7 * max(1.0, mod_p, mod_q)
+    zero_top = 1e-14 * max(float(H.coefficient_scale()), 1.0)
+    y_major = H.float_coeffs().T
+    roots, valid, _ = _radius_roots(y_major[:, :1].T, zero_top)
+    for y0 in roots[0][valid[0]]:
+        if np.hypot(y0.real, y0.imag) <= mod_q * (1 + BOUNDARY_TOL):
+            return VIOLATED, (0j, complex(y0)), -1.0
+    ys = mod_q * np.exp(2j * np.pi * np.arange(ANGLES) / ANGLES)
+    roots, valid, zero = _radius_roots(polyval(ys, y_major).T, zero_top)
+    ax = np.hypot(roots.real, roots.imag)
+    checked = valid.copy()
+    for kp, kq in known:
+        dx, dy = roots - kp, ys - kq
+        near_y = np.hypot(dy.real, dy.imag) <= match_tol
+        checked &= ~((np.hypot(dx.real, dx.imag) <= match_tol) & near_y[:, None])
+    margin = float((ax[checked] / mod_p - 1.0).min()) if checked.any() else math.inf
+    inside = checked & (ax <= mod_p * (1 + BOUNDARY_TOL))
+    hit = zero | inside.any(axis=1)
+    if hit.any():
+        a = int(np.argmax(hit))
+        x_val = 0j if zero[a] else complex(roots[a, np.argmax(inside[a])])
+        verdict, witness = VIOLATED, (x_val, complex(ys[a]))
+    else:
+        verdict = PROBABLY_STRICTLY_MINIMAL if margin > MARGIN_TOL else INCONCLUSIVE
+        witness = None
+    return verdict, witness, -1.0 if zero.any() else margin
+
+
+def test_mirrored_slices_match_every_slice_solved():
+    # Every torus class of the first 32 family polynomials at 1:1, 2:1 and
+    # 1:3 (187 classes): the same verdicts and witnesses as solving all 256
+    # slices, and margins within MARGIN_EPS (30 move, by at most 6 eps).
+    checked = 0
+    for item, direction in itertools.product(range(32), ("1:1", "2:1", "1:3")):
+        H, direction = _family(item), Direction.from_string(direction)
+        try:
+            classes = group_by_torus(solve_critical(H, direction), direction=direction)
+        except BivasymError:
+            continue
+        for cl in classes:
+            pt = cl.points[0]
+            if abs(pt.p) == 0 or abs(pt.q) == 0:
+                continue
+            verdict, witness, margin = _every_slice_probe(H, pt, cl.points[1:])
+            got = minimality_probe(H, pt, peers=cl.points[1:])
+            assert (got.minimality, got.witness) == (verdict, witness)
+            assert _margin_close(got.margin, margin)
+            checked += 1
+    assert checked == 187
