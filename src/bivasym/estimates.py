@@ -217,11 +217,12 @@ def winding_number(
     there takes ``mirrored_thetas`` of them instead, and ``pt`` is added.
     """
     if tracked is None:
-        theta_start, theta_end = ray_thetas(H, pt)
+        thetas = ray_thetas(H, pt)
     else:
         mirror = tracked.get((mp.conj(pt.p)._mpc_, mp.conj(pt.q)._mpc_))
         thetas = ray_thetas(H, pt) if mirror is None else mirrored_thetas(mirror)
-        tracked[pt.p._mpc_, pt.q._mpc_] = theta_start, theta_end = thetas
+        tracked[pt.p._mpc_, pt.q._mpc_] = thetas
+    theta_start, theta_end = thetas
     # Analytic tail: argument converges to the linearized direction.
     hx = H.partial("x").eval(pt.p, pt.q)
     hy = H.partial("y").eval(pt.p, pt.q)
