@@ -470,13 +470,18 @@ def quadrature_values(
     Only rows 0..N1/2 of the theta1 grid are evaluated, in blocks of
     2*max(1, _BLOCK_NODES // (2*N2)) rows (an even count, so each block
     starts on a row of the half grid), in buffers allocated once per call.
-    Each block takes the phase of Phi from one tan (``_polar``) and keeps
-    outputs -J..S of its row FFT, J = deg_y G, indices mod the row's length.
-    Row N1 - k of a kept strip is phi times the conjugate of row k.  G is
-    applied to the strips: output s of the row FFT of y^j*Phi is c2^j times
-    output s - j of that of Phi, so output s of the row FFT of F is
-    sum_j g_j(x)*c2^j*(output s - j), with g_j(x) = [y^j] G.  A column FFT
-    on each N1 x (S + 1) strip gives the R + 1 rows (``fft2``'s DFT).
+    Each block scales the tracked argument by -beta/2 once and takes the
+    phase of Phi from tan(-beta*arg/2) (``_polar``).  It runs one row FFT
+    and keeps outputs -J..S of it, J = deg_y G, indices mod the row's
+    length.  The half grid's nodes on an even row are every other node of
+    that row, so output s of the half grid's row FFT is the mean of outputs
+    s and s + N2/2 of the full row's; the block keeps that mean for its
+    even rows.  Row N1 - k of a kept strip is phi times the conjugate of
+    row k.  G is applied to the strips: output s of the row FFT of y^j*Phi
+    is c2^j times output s - j of that of Phi, so output s of the row FFT
+    of F is sum_j g_j(x)*c2^j*(output s - j), with g_j(x) = [y^j] G.  A
+    column FFT on each N1 x (S + 1) strip gives the R + 1 rows (``fft2``'s
+    DFT).
 
     Row N1 - k fails a check exactly when row k does.  Checks run in grid
     order; the first failure raises ``BranchTrackingError``: the column (H
@@ -500,6 +505,7 @@ def quadrature_values(
 
     has_G = G is not None and G != BivariatePolynomial.constant(1)
     keep = np.arange(-(G.degree_y() if has_G else 0), S + 1)
+    cols, upper = keep % N2, (keep + N2 // 2) % N2
     full = np.empty((N1, keep.size), dtype=np.complex128)
     half = np.empty((N1 // 2, keep.size), dtype=np.complex128)
     step = 2 * max(1, _BLOCK_NODES // (2 * N2))
@@ -511,11 +517,12 @@ def quadrature_values(
         H.eval_array(X[lo:hi], Y, out=w)
         _unwound(_tracked_argument(w, floor, m, a, q))
         a += (start[lo:hi] - a[:, 0]).reshape(-1, 1)
-        a *= -b
+        a *= -0.5 * b
         np.power(m, -b, out=m)
-        Phi = _polar(m, a, q, out=w)
-        full[lo:hi] = np.fft.fft(Phi, axis=1)[:, keep % N2]
-        half[lo // 2 : (hi + 1) // 2] = np.fft.fft(Phi[::2, ::2], axis=1)[:, keep % (N2 // 2)]
+        rows = np.fft.fft(_polar(m, a, q, out=w), axis=1)
+        full[lo:hi] = rows[:, cols]
+        half[lo // 2 : (hi + 1) // 2] = (rows[::2, cols] + rows[::2, upper]) * 0.5
+        del rows  # freed before the next block's transform is allocated
     phi = np.exp(-2j * b * anchor)  # Phi(conj x, conj y) = phi * conj Phi(x, y)
     for n, strip in ((N1 // 2, full), (N1 // 4, half)):
         strip[n + 1 :] = phi * np.conj(strip[n - 1 : 0 : -1])
@@ -544,18 +551,23 @@ def _tracked_argument(
     two-dimensional shape.  Raises ``BranchTrackingError`` when |W| is at
     most ``floor`` somewhere, then when an argument step along a row is at
     least ``_JUMP_LIMIT``.
-    With A = arg W, one arctan2 per node, and d = A[n+1] - A[n], the true
-    step is d when |d| <= pi and d -+ 2 pi when the row crosses the negative
-    real axis, |d| > pi; a step is a jump when min(|d|, 2 pi - |d|) is at
-    least the limit.  ``arg`` is A plus -2 pi*sign(d) after each crossing,
-    so its first node stays A[0].  A row winds exactly when its signed
-    crossings, the wrap step from the last node back to the first counted,
-    do not sum to 0.
+    A = arg W is one arctan2 per node, on copies of W's real and imaginary
+    parts in ``scratch`` and ``arg``: numpy's arctan2 runs faster on
+    contiguous arrays than on the strided views of a complex array, with
+    the same bits.  With d = A[n+1] - A[n], the true step is d when
+    |d| <= pi and d -+ 2 pi when the row crosses the negative real axis,
+    |d| > pi; a step is a jump when min(|d|, 2 pi - |d|) is at least the
+    limit.  ``arg`` is A plus -2 pi*sign(d) after each crossing, so its
+    first node stays A[0].  A row winds exactly when its signed crossings,
+    the wrap step from the last node back to the first counted, do not sum
+    to 0.
     """
     np.abs(W, out=mod)
     if mod.min() <= floor:
         raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
-    np.arctan2(W.imag, W.real, out=arg)
+    np.copyto(scratch, W.real)
+    np.copyto(arg, W.imag)
+    np.arctan2(arg, scratch, out=arg)
     # One pass over the flat buffer; column 0 would hold the step from the
     # row above, and holds 0.
     flat = scratch.ravel()
@@ -594,25 +606,25 @@ def _times_G(
 
 
 def _polar(
-    mod: np.ndarray, a: np.ndarray, q: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None
+    mod: np.ndarray, t: np.ndarray, q: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """mod * exp(i*a) from t = tan(a/2); overwrites ``mod``, ``a`` and ``q``.
+    """mod * exp(2i*t) from tan t; overwrites ``t`` and ``q``.
 
-    cos a = (1 - t^2)/(1 + t^2) and sin a = 2t/(1 + t^2): one tan, which
-    numpy vectorises, in place of its cos and sin, which it does not.  The
-    steps run in place, in the float scratch ``q`` and the complex ``out``
-    of mod's shape when given: a block's arrays stay in cache.
+    ``t`` holds the half angle.  With r = mod/(1 + tan^2 t), mod*cos 2t is
+    2r - mod and mod*sin 2t is 2r*tan t: one tan, which numpy vectorises,
+    in place of its cos and sin, which it does not.  The steps run in
+    place, in the float scratch ``q`` and the complex ``out`` of mod's
+    shape when given: a block's arrays stay in cache.
     """
     q = np.empty(mod.shape) if q is None else q
     out = np.empty(mod.shape, dtype=np.complex128) if out is None else out
-    a *= 0.5
-    t = np.tan(a, out=a)
+    t = np.tan(t, out=t)
     np.multiply(t, t, out=q)
-    mod /= np.add(q, 1.0, out=out.real)
-    np.subtract(1.0, q, out=q)
-    np.multiply(q, mod, out=out.real)
-    t *= 2.0
-    np.multiply(t, mod, out=out.imag)
+    q += 1.0
+    np.divide(mod, q, out=q)
+    q += q
+    np.subtract(q, mod, out=out.real)
+    np.multiply(q, t, out=out.imag)
     return out
 
 

@@ -4,26 +4,29 @@
 blocks of an even number of rows holding about ``_BLOCK_NODES`` nodes, in
 buffers allocated once per call.  arg H is one arctan2 per node, with 2 pi
 added or taken away after each crossing of the negative real axis
-(``_tracked_argument``).  Each block keeps outputs -deg_y G..S of the row
-FFT of Phi = H^(-beta).  H and G have real coefficients and the radii are
-real, so Phi(conj x, conj y) = phi*conj Phi(x, y) with
-phi = exp(-2i*beta*anchor), and row N1 - k of the kept strip is phi times
-the conjugate of row k.  G is applied to the strip: output s of the row FFT
-of y^j*Phi is c2^j times output s - j of Phi's, indices mod the row's
-length.  One column FFT on the strip finishes.  The reference below is the
-earlier route: H, the anchored argument and the integrand F = G*Phi on the
-whole grid at once, then one ``fft2`` of the full and of the half grid.
-The values do not equal ``fft2``'s bit for bit: the mirrored rows and the
-shifted outputs are a different rounding of the same sums, and the blocked
-route takes the phase from tan(a/2) where the reference takes exp.  So
-values and error estimates must agree to a roundoff floor per entry,
-4*eps*max|G*H^(-beta)| / (c1^r*c2^s) with the max over the grid, and no
-entry may lie further from the exact recurrence's table than the
-reference's entry does, plus one floor.  This holds on a grid of one block,
-on grids of several blocks, where phi is not real, and where deg_y G
-exceeds the half grid's row.  The block size changes no value: the blocked
-route gives the same bits at every block size, and no block holds more
-than max(_BLOCK_NODES, 2*N2) nodes.
+(``_tracked_argument``).  Each block runs one row FFT of Phi = H^(-beta)
+and keeps its outputs -deg_y G..S; on even rows, output s of the half
+grid's row FFT is the mean of outputs s and s + N2/2 of that one.  H and G
+have real coefficients and the radii are real, so
+Phi(conj x, conj y) = phi*conj Phi(x, y) with phi = exp(-2i*beta*anchor),
+and row N1 - k of a kept strip is phi times the conjugate of row k.  G is
+applied to the strip: output s of the row FFT of y^j*Phi is c2^j times
+output s - j of Phi's, indices mod the row's length.  One column FFT on the
+strip finishes.  The reference below is the earlier route: H, the anchored
+argument and the integrand F = G*Phi on the whole grid at once, then one
+``fft2`` of the full and of the half grid.  The values do not equal
+``fft2``'s bit for bit: the mirrored rows, the shifted outputs and the
+half grid's means are a different rounding of the same sums, and the
+blocked route takes the phase from tan(-beta*arg/2) where the reference
+takes exp.  So values and error estimates must agree to a roundoff floor
+per entry, 4*eps*max|G*H^(-beta)| / (c1^r*c2^s) with the max over the
+grid, and no entry may lie further from the exact recurrence's table than
+the reference's entry does, plus one floor.  This holds on a grid of one
+block, on grids of several blocks, where phi is not real, and where
+deg_y G exceeds the half grid's row.  The block size changes no value: the
+blocked route gives the same bits at every block size, where phi is real
+and where it is not, and no block holds more than max(_BLOCK_NODES, 2*N2)
+nodes.
 
 Each ``BranchTrackingError`` cause keeps its message.  The reference checks
 the whole grid for a vanishing H, then the ray anchor, then every jump.  The
@@ -223,6 +226,23 @@ def test_tracking_a_row_that_winds_once():
     assert winds
 
 
+def test_argument_is_arctan2_on_rows_that_do_not_cross():
+    # Rows that stay off the negative real axis: made-up ones, and those of
+    # a block of color_swap's H on its torus.
+    rows = [RHO * np.exp(1j * k * 0.3 * np.sin(T + k)) for k in range(1, 11)]
+    H, _, _, (c1, c2) = CASES["color_swap"]
+    X, Y = _torus(OracleConfig(box=BOX, beta=F(1, 2), quadrature_radii=(c1, c2)))
+    block = H.eval_array(X[:32], Y)
+    A = np.arctan2(block.imag, block.real)
+    steps = np.abs(np.diff(np.concatenate((A, A[:, :1]), axis=1), axis=1))
+    calm = block[np.all(steps <= np.pi, axis=1)]
+    assert len(calm) > 0
+    for W in (np.stack(rows), calm):
+        arg, winds = _track(W)
+        assert np.array_equal(arg, np.arctan2(W.imag, W.real))
+        assert not winds
+
+
 @pytest.mark.parametrize("base", [0.0, 0.6 * np.pi])
 def test_a_step_of_0_96_pi_is_a_jump(base):
     # From 0.6 pi the step ends past the cut, where the raw difference of
@@ -247,10 +267,24 @@ def _record_blocks(monkeypatch, H):
     return shapes
 
 
+def _record_ffts(monkeypatch):
+    """The axis of each ``np.fft.fft`` call, in call order."""
+    axes = []
+    fft = np.fft.fft
+
+    def recording(a, *args, axis=-1, **kwargs):
+        axes.append(axis)
+        return fft(a, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", recording)
+    return axes
+
+
 @pytest.mark.parametrize("grid", [256, 2048])
 def test_quadrature_evaluates_half_the_torus(grid, monkeypatch):
     H, G, beta, radii = CASES["color_swap"]
     shapes = _record_blocks(monkeypatch, H)
+    axes = _record_ffts(monkeypatch)
     cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=(grid, grid))
     quadrature_values(H, G, beta, cfg)
     # The theta2 = 0 column, then the blocks of rows 0..N1/2; the ray's
@@ -258,26 +292,32 @@ def test_quadrature_evaluates_half_the_torus(grid, monkeypatch):
     assert shapes[0] == (grid, 1)
     assert {n2 for _, n2 in shapes[1:]} == {grid}
     assert sum(n1 for n1, _ in shapes[1:]) == grid // 2 + 1
+    # One row transform per block gives the full and the half grid's
+    # outputs; then one column transform of each strip.
+    assert axes == [1] * len(shapes[1:]) + [0, 0]
 
 
 @pytest.mark.parametrize("grid", [(256, 256), (1024, 1024), (128, 4096)])
 def test_values_do_not_depend_on_the_block_size(grid, monkeypatch):
-    H, G, beta, radii = CASES["color_swap"]
-    cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=grid)
     N1, N2 = grid
-    shapes = _record_blocks(monkeypatch, H)
-    default = quadrature_values(H, G, beta, cfg)
-    # 1 gives blocks of 2 rows; 3*N2 would give 3 rows, and odd first rows,
-    # were the count not rounded down to an even one; N1*N2 gives one block.
-    for nodes in (1, 3 * N2, 6 * N2, N1 * N2):
-        monkeypatch.setattr(oracle, "_BLOCK_NODES", nodes)
-        del shapes[:]
-        got = quadrature_values(H, G, beta, cfg)
-        assert np.array_equal(got.values, default.values)
-        assert np.array_equal(got.errors, default.errors)
-        blocks = shapes[1:]
-        assert sum(n1 for n1, _ in blocks) == N1 // 2 + 1
-        assert max(n1 * n2 for n1, n2 in blocks) <= max(nodes, 2 * N2)
+    # color_swap, and a case whose mirror multiplies by a non-real phi.
+    for H, G, beta, radii in (CASES["color_swap"], (PHASE_H, PHASE_G, F(1, 3), (0.25, 0.3))):
+        cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=grid)
+        with monkeypatch.context() as patch:
+            shapes = _record_blocks(patch, H)
+            default = quadrature_values(H, G, beta, cfg)
+            # 1 gives blocks of 2 rows; 3*N2 would give 3 rows, and odd first
+            # rows, were the count not rounded down to an even one; N1*N2
+            # gives one block.
+            for nodes in (1, 3 * N2, 6 * N2, N1 * N2):
+                patch.setattr(oracle, "_BLOCK_NODES", nodes)
+                del shapes[:]
+                got = quadrature_values(H, G, beta, cfg)
+                assert np.array_equal(got.values, default.values)
+                assert np.array_equal(got.errors, default.errors)
+                blocks = shapes[1:]
+                assert sum(n1 for n1, _ in blocks) == N1 // 2 + 1
+                assert max(n1 * n2 for n1, n2 in blocks) <= max(nodes, 2 * N2)
 
 
 @pytest.mark.parametrize("grid", [(2048, 2048), (256, 16384)])
@@ -325,7 +365,7 @@ def test_polar_matches_cos_and_sin():
     points = [0.0, pi / 2, -pi / 2, pi, -pi, 3 * pi, -3 * pi]
     points += [sign * pi + d for sign in (1, -1) for d in (1e-12, -1e-12)]
     a = np.concatenate((points, np.linspace(-8 * pi, 8 * pi, 200_001)))
-    got = _polar(np.ones(a.size), a.copy())
+    got = _polar(np.ones(a.size), 0.5 * a)
     eps = np.finfo(float).eps
     assert np.all(np.abs(got.real - np.cos(a)) <= 4 * eps)
     assert np.all(np.abs(got.imag - np.sin(a)) <= 4 * eps)
