@@ -3,31 +3,50 @@
 Roots are iterated all at once from starting points on the circles of
 the Newton polygon of the coefficient moduli (Bini 1996).  A first stage
 gets within 2^-40 of the roots cheaply: one vectorised complex128
-iteration, or a 64-bit mpmath one when double precision cannot be
-trusted.  An ambient precision stage finishes.  Its p and p' are the
-exact polynomial's values at the iterate, computed on integers and
-rounded once to working precision (``unipoly.values_at``), and its step
-w/(1 - w*s), w = p/p', and the convergence test run at working precision:
-that is where a root's bits come from.  The pair sum s = sum_{j != i}
-1/(z_i - z_j) only rescales a step whose size goes to 0, so after a
-complex128 first stage it is taken in doubles, from double copies of
-the iterates refreshed after every step (MPSolve raises precision only
-where the evaluation of p needs it; Bini and Robol 2014).  A root with
-a double difference |z_i - z_j| <= ``_CLUSTER`` * (|z_i| + |z_j|) keeps
-the working-precision sum: so few bits of that difference survive that
-the sum would spoil the step.  After the 64-bit fallback every sum is at
-working precision.  The residual acceptance takes |p| and the scale
-sum |c_k| |z|^k the same way.  Only exactly-zero leading
-coefficients are dropped: whether a computed one is noise is the caller's
-to judge, against its own scale.  Everything is deterministic: fixed
-starting angles, fixed iteration caps, no randomness.
+iteration from start points computed in doubles, or, when double
+precision cannot be trusted, a 64-bit mpmath one from start points
+computed at working precision.  An ambient precision stage finishes.
+Its p and p' are the exact polynomial's values at the iterate, computed
+on integers and rounded once to working precision
+(``unipoly.values_at``), and its step p/(p' - p*s), Aberth's
+w/(1 - w*s) with w = p/p' in one division, and the convergence test run
+at working precision: that is where a root's bits come from.  The pair
+sum s = sum_{j != i} 1/(z_i - z_j) only rescales a step whose size goes
+to 0, so after a complex128 first stage it is taken in doubles, from
+double copies of the iterates refreshed after every step (MPSolve raises
+precision only where the evaluation of p needs it; Bini and Robol 2014).
+A root with a double difference |z_i - z_j| <= ``_CLUSTER`` *
+(|z_i| + |z_j|) keeps the working-precision sum: so few bits of that
+difference survive that the sum would spoil the step.  After the 64-bit
+fallback every sum is at working precision.
+
+The finishing stage stops after a sweep whose steps are all within
+2^-(prec-12) of their roots, or, when no root is clustered, after a
+sweep whose steps bound the error they leave below 2^-(prec + 8).
+Aberth's step leaves root i the error e_i^2 d_i / (1 + e_i d_i), where
+d_i is the pair sum over the other roots themselves less s_i; relative
+to z_i that is about r_i^2 g_i max(max_j r_j, n 2^-52), with r_j the
+steps relative to their roots, g_i = sum_{j != i} |z_i| (|z_i| + |z_j|)
+/ |z_i - z_j|^2, and n 2^-52 the double pair sum's own rounding, which
+makes the rate quadratic, not cubic, once the steps fall below 2^-53.
+The estimate holds while each iterate is nearer its root than its
+neighbours; an iterate that is not has g_j r_j^2 >= 1/4 and r_j >=
+2^-13, which fails the bound at any precision.  A clustered root, or
+the 64-bit fallback, leaves only the first rule.
+
+The residual acceptance takes |p| and the scale sum |c_k| |z|^k the same
+way as the steps' p.  Only exactly-zero leading coefficients are dropped:
+whether a computed one is noise is the caller's to judge, against its
+own scale.  Everything is deterministic: fixed starting angles, fixed
+iteration caps, no randomness.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp, mpc, mpf
@@ -50,6 +69,10 @@ _STAGE_PREC = 64
 # has too few bits left: that root's pair sum is taken at working precision.
 _CLUSTER = 2.0**-12
 
+# A finishing sweep with no clustered root is the last when the error it
+# left, bounded from its steps, is below 2**-(prec + _LAST_SWEEP_BITS).
+_LAST_SWEEP_BITS = 8
+
 # Iteration cap of each stage.
 _MAX_ITER = 160
 
@@ -69,37 +92,55 @@ def _pair_sum(z: Sequence[mpc], i: int, zi: mpc) -> mpc:
     return s
 
 
-def _float_pair_sum(zd: Sequence[complex], i: int, zi: complex) -> Optional[complex]:
-    """``sum_{j != i} 1/(zi - zd_j)`` in doubles, or None when ``zi`` is clustered.
+def _float_pair_sum(
+    zd: Sequence[complex], i: int, zi: complex
+) -> Optional[Tuple[complex, float]]:
+    """``(s, g)`` in doubles, or None when ``zi`` is clustered.
 
+    ``s = sum_{j != i} 1/(zi - zd_j)`` and ``g = sum_{j != i} |zi|
+    (|zi| + |zd_j|) / |zi - zd_j|^2``, the factor by which an error in the
+    other iterates, relative to their moduli, spoils ``zi``'s next step.
     Clustered: some ``|zi - zd_j| <= _CLUSTER * (|zi| + |zd_j|)``, where a
     double difference has lost the bits the sum needs.  None also when the
     sum is not finite.
     """
-    s = 0j
+    s, g = 0j, 0.0
     azi = abs(zi)
     for j, zj in enumerate(zd):
         if j != i:
             d = zi - zj
-            if abs(d) <= _CLUSTER * (azi + abs(zj)):
+            ad, span = abs(d), azi + abs(zj)
+            if ad <= _CLUSTER * span:
                 return None
             s += 1 / d
-    return s if cmath.isfinite(s) else None
+            g += (azi / ad) * (span / ad)
+    return (s, g) if cmath.isfinite(s) else None
 
 
 def _aberth_iterate(
     forms: Sequence[ExactForm], z: List[mpc], tol: mpf, float_sums: bool = False
 ) -> List[mpc]:
-    """Aberth sweeps, one root at a time, until every step is within ``tol`` of its root.
+    """Aberth sweeps, one root at a time, until the roots have their bits.
 
     ``forms`` holds the polynomial and its derivative (``_with_derivative``).
-    With ``float_sums`` each pair sum is taken in doubles from ``zd``, the
-    double copies of the iterates, unless the root is clustered.
+    With ``float_sums`` (the iterates come from the complex128 stage) each
+    pair sum is taken in doubles from ``zd``, the double copies of the
+    iterates, unless the root is clustered.  A sweep is the last when every
+    step is within ``tol`` of its root, or when every root took a double
+    pair sum and ``max_i g_i r_i^2 * max(max_j r_j, n 2^-52)``, with the
+    ``g_i`` of ``_float_pair_sum`` and the steps ``r_i`` relative to their
+    roots, is at most ``2^-(prec + _LAST_SWEEP_BITS)``: that bounds the
+    error the sweep left.  After the 64-bit stage, and in a sweep with a
+    clustered root, only the ``tol`` rule applies.
     """
     n = len(z)
     zd = [complex(v) for v in z] if float_sums else None
+    # The last-sweep test runs in log2: the bound on the error a sweep
+    # leaves, and the double pair sum's own rounding.
+    bound, rounding = -(mp.prec + _LAST_SWEEP_BITS), math.log2(n) - 52
     for _ in range(_MAX_ITER):
-        converged = True
+        converged = last = True
+        spoil, reach = -math.inf, rounding
         for i in range(n):
             zi = z[i]
             p, dp = values_at(forms, zi)
@@ -109,26 +150,37 @@ def _aberth_iterate(
                 # Nudge off an exact critical point; deterministic direction.
                 zi = zi + (abs(zi) + 1) * mpf(2) ** (-mp.prec // 2)
                 p, dp = values_at(forms, zi)
+                last = False
                 if not dp:
                     continue
-            w = p / dp
-            s = None if zd is None else _float_pair_sum(zd, i, complex(zi))
-            s = _pair_sum(z, i, zi) if s is None else mpc(s)
-            denom = 1 - w * s
-            if not denom:
-                delta = w
-            else:
-                delta = w / denom
+            pair = None if zd is None else _float_pair_sum(zd, i, complex(zi))
+            # g = 0: a working-precision sum, whose sweep is not the last.
+            s, g = pair or (_pair_sum(z, i, zi), 0.0)
+            # The step p/p' / (1 - (p/p')*s) with one division.
+            denom = dp - p * mpc(s)
+            delta = p / (denom if denom else dp)
             z[i] = zi - delta
             if zd is not None:
                 zd[i] = complex(z[i])
             # Relative, so a tiny root gets as many bits as a large one; an
             # iterate at exact zero has converged only on a zero step.
-            if abs(delta) > tol * abs(z[i]):
+            step, size = abs(delta), abs(z[i])
+            if step > tol * size:
                 converged = False
-        if converged:
+            if last and size and g:
+                r = _log2(step) - _log2(size)
+                spoil, reach = max(spoil, math.log2(g) + 2 * r), max(reach, r)
+            else:
+                last = False
+        if converged or (last and spoil + reach <= bound):
             break
     return z
+
+
+def _log2(x: mpf) -> float:
+    """``log2(x)`` of a positive mpf, at any exponent."""
+    man, exp = x.man_exp
+    return math.log2(man) + exp
 
 
 def _complex128(values: Sequence[mpc]) -> Optional[np.ndarray]:
@@ -141,16 +193,18 @@ def _complex128(values: Sequence[mpc]) -> Optional[np.ndarray]:
     return out
 
 
-def _float_stage(coeffs: Sequence[mpc], start: Sequence[mpc]) -> Optional[List[mpc]]:
+def _float_stage(coeffs: Sequence[mpc]) -> Optional[List[mpc]]:
     """The first stage in complex128: all roots updated at once per sweep.
 
-    Returns None when a coefficient or start point has no finite
-    complex128 value, or a nonzero one falls below ``_FLOAT_TINY``, when an
-    iterate becomes non-finite, or when ``_MAX_ITER`` sweeps do not reach
-    the stopping tolerance; the 64-bit stage then runs instead.
+    It starts from ``_float_start_points``.  Returns None when a
+    coefficient or start point has no finite complex128 value, or a nonzero
+    one falls below ``_FLOAT_TINY``, when an iterate becomes non-finite, or
+    when ``_MAX_ITER`` sweeps do not reach the stopping tolerance; the
+    64-bit stage then runs instead.
     """
-    c, z = _complex128(coeffs), _complex128(start)
-    if c is None or z is None:
+    c = _complex128(coeffs)
+    z = None if c is None else _float_start_points(c)
+    if z is None or not np.isfinite(z).all() or (np.abs(z) < _FLOAT_TINY).any():
         return None
     others = ~np.eye(len(z), dtype=bool)
     with np.errstate(all="ignore"):
@@ -212,14 +266,13 @@ def aberth_roots(coefficients: Sequence) -> List[mpc]:
         roots.extend(_quadratic(coeffs))
         return roots
 
-    start = _start_points(coeffs)
     forms = _with_derivative(exact_form(exact))
 
     # Stage 1: near the roots in complex128, or at 64 bits when that fails.
-    z = _float_stage(coeffs, start)
+    z = _float_stage(coeffs)
     float_sums = z is not None
     if z is None:
-        z = _mp_stage(forms, start)
+        z = _mp_stage(forms, _start_points(coeffs))
     # Stage 2: finish at ambient precision.
     tol = mpf(2) ** (-(mp.prec - 12))
     z = _aberth_iterate(forms, z, tol, float_sums)
@@ -242,6 +295,23 @@ def aberth_roots(coefficients: Sequence) -> List[mpc]:
     return roots
 
 
+def _hull_edges(log_moduli) -> List[tuple]:
+    """``(i, j, log radius)`` for each edge of the upper convex hull of ``(i, log|c_i|)``.
+
+    ``log_moduli`` lists the ``(i, log|c_i|)`` of the nonzero coefficients,
+    i ascending; the edge from i to j has radius ``(|c_i|/|c_j|)^(1/(j-i))``.
+    """
+    hull: List[tuple] = []
+    for i, log_c in log_moduli:
+        while len(hull) >= 2:
+            (i0, l0), (i1, l1) = hull[-2], hull[-1]
+            if (l1 - l0) * (i - i0) > (log_c - l0) * (i1 - i0):
+                break  # the last vertex lies strictly above the new chord
+            hull.pop()
+        hull.append((i, log_c))
+    return [(i, j, (log_i - log_j) / (j - i)) for (i, log_i), (j, log_j) in zip(hull, hull[1:])]
+
+
 def _start_points(coeffs: Sequence[mpc]) -> List[mpc]:
     """Bini's starting points: on the circles of the Newton polygon.
 
@@ -249,26 +319,32 @@ def _start_points(coeffs: Sequence[mpc]) -> List[mpc]:
     to j, gives j - i points evenly spread on the circle of radius
     (|c_i|/|c_j|)^(1/(j-i)), turned by 2*pi*i/n plus a fixed offset.  The
     roots of a polynomial whose moduli span many decades then start near
-    their own moduli.
+    their own moduli.  Taken at working precision for the 64-bit stage.
     """
     n = len(coeffs) - 1
-    hull: List[tuple] = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        log_c = mp.log(abs(c))
-        while len(hull) >= 2:
-            (i0, l0), (i1, l1) = hull[-2], hull[-1]
-            if (l1 - l0) * (i - i0) > (log_c - l0) * (i1 - i0):
-                break  # the last vertex lies strictly above the new chord
-            hull.pop()
-        hull.append((i, log_c))
     start = []
-    for (i, log_i), (j, log_j) in zip(hull, hull[1:]):
-        radius = mp.exp((log_i - log_j) / (j - i))
+    for i, j, log_r in _hull_edges([(i, mp.log(abs(c))) for i, c in enumerate(coeffs) if c]):
+        radius = mp.exp(log_r)
         turn = 2 * mp.pi * i / n + _START_OFFSET
         start.extend(radius * mp.exp(mpc(0, 2 * mp.pi * k / (j - i) + turn)) for k in range(j - i))
     return start
+
+
+def _float_start_points(c: np.ndarray) -> Optional[np.ndarray]:
+    """``_start_points`` in doubles from the complex128 coefficients ``c``.
+
+    None when a radius overflows a double.
+    """
+    n = len(c) - 1
+    start = []
+    for i, j, log_r in _hull_edges([(i, math.log(abs(v))) for i, v in enumerate(c) if v]):
+        try:
+            radius = math.exp(log_r)
+        except OverflowError:
+            return None
+        turn = 2 * math.pi * i / n + _START_OFFSET
+        start.extend(cmath.rect(radius, 2 * math.pi * k / (j - i) + turn) for k in range(j - i))
+    return np.array(start)
 
 
 def _quadratic(coeffs: Sequence[mpc]) -> List[mpc]:

@@ -205,6 +205,15 @@ class BivariatePolynomial:
             out[j][i] = c
         return [trim(row) for row in out]
 
+    def integer_coeffs_in_y(self):
+        """``(den, rows)``: ``coeffs_in_y`` of ``den * self`` as ints.
+
+        ``den`` is the lcm of the denominators.  The rows are the cached
+        integer columns, shared by every caller: they must not be changed.
+        """
+        den, cols, _ = self._integer_columns()
+        return den, cols
+
     def float_coeffs(self) -> np.ndarray:
         """Dense float matrix A with A[i, j] = [x^i y^j] self."""
         out = np.zeros((self.degree_x() + 1, self.degree_y() + 1))

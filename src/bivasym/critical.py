@@ -190,7 +190,11 @@ def eliminant(H: BivariatePolynomial, direction: Direction) -> List[Fraction]:
     factor.  Roots at the origin are kept: a solution can have p = 0 even
     when H(0,0) != 0, as (0, 1) for H = x + (1 - y)^2 in direction 1:1.
     """
-    f, g = critical_system(H, direction)
+    return _system_eliminant(*critical_system(H, direction))
+
+
+def _system_eliminant(f: BivariatePolynomial, g: BivariatePolynomial) -> List[Fraction]:
+    """``eliminant`` of the critical system ``(f, g)``."""
     res = resultant_eliminating(f, g, "y")
     if shares_positive_dimensional_zero(f, g, res):
         raise NonIsolatedCriticalSet("non-isolated critical set")
@@ -280,10 +284,10 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
     factor, and RootFindingError (with partial results) when the
     simultaneous iteration fails to converge.
     """
-    res = eliminant(H, direction)
+    F1, F2 = critical_system(H, direction)
+    res = _system_eliminant(F1, F2)
     if upoly_degree(res) < 1:
         return []
-    F1, F2 = critical_system(H, direction)
     # Each distinct root once: Aberth converges only linearly on a repeated
     # root, and the partners of a shared x come from _recover_partner.
     first_roots = roots_of_rational_poly(upoly_squarefree_part(res))

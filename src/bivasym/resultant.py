@@ -22,7 +22,6 @@ With both y-degrees 1 the matrix is empty, and ``b*g`` stands in for S1.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import reduce
 from typing import List, Optional, Sequence, Tuple
@@ -61,10 +60,8 @@ def _integer_rows(f: BivariatePolynomial, g: BivariatePolynomial):
     ``a`` and ``b`` are the lcms of the denominators of f and g, and each
     row is an ascending integer polynomial in x.
     """
-    a = math.lcm(*(c.denominator for c in f.terms.values()))
-    b = math.lcm(*(c.denominator for c in g.terms.values()))
-    f_ints = [[int(c * a) for c in row] for row in f.coeffs_in_y()]
-    g_ints = [[int(c * b) for c in row] for row in g.coeffs_in_y()]
+    a, f_ints = f.integer_coeffs_in_y()
+    b, g_ints = g.integer_coeffs_in_y()
     return a, b, f_ints, g_ints
 
 
@@ -132,7 +129,7 @@ def first_subresultant(
         return None
     _, _, f_ints, g_ints = _integer_rows(f, g)
     if m == n == 1:
-        return g_ints[0], g_ints[1]
+        return list(g_ints[0]), list(g_ints[1])
     bound = (n - 1) * f.degree_x() + (m - 1) * g.degree_x()
     sigma1, sigma0 = zip(*_sample_minors(f_ints, g_ints, 1, bound + 1))
     return _interpolate_from_zero(sigma0), _interpolate_from_zero(sigma1)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -6,12 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from bivasym import Direction, aberth
 from bivasym.aberth import aberth_roots, roots_of_rational_poly
-from bivasym.critical import eliminant
-from bivasym.errors import RootFindingError
+from bivasym.critical import eliminant, noise_floor
+from bivasym.errors import BivasymError, RootFindingError
 from bivasym.precision import get_precision, working_precision
 from bivasym.problem import parse_problem
 from bivasym.unipoly import squarefree_part
@@ -90,6 +91,7 @@ def test_deterministic():
     assert all(x == y for x, y in zip(a, b))
 
 
+@functools.lru_cache(maxsize=None)
 def _family_eliminants():
     """Square-free eliminants of the 32 criterion-4 random polynomials at 1:1."""
     family = itertools.islice(_random_polynomials(20260810), 32)
@@ -177,6 +179,21 @@ def test_roots_spanning_many_decades(exponent, falls_back, monkeypatch):
     assert abs(big - 1) < 1e-15
 
 
+def test_float_start_points_match_the_mp_start_points():
+    # The same hull, circles and angles in doubles.  A radius past the
+    # double range gives None, one below _FLOAT_TINY a float stage that
+    # declines, and the 64-bit stage starts from _start_points.
+    cases = ([mpf(10) ** -100, 0, -1, 1], [1, 2, 3, 4, 5, 6], [7, 0, 0, 1])
+    for coeffs in ([mpc(c) for c in case] for case in cases):
+        got = aberth._float_start_points(np.array([complex(c) for c in coeffs]))
+        want = aberth._start_points(coeffs)
+        assert len(got) == len(want)
+        for z, w in zip(got, want):
+            assert abs(z - complex(w)) <= 1e-14 * abs(w)
+    assert aberth._float_start_points(np.array([1e300, 1e-300])) is None
+    assert aberth._float_stage([mpc(1e-300), mpc(1e300)]) is None
+
+
 def test_start_points_lie_on_the_newton_polygon_circles():
     # Hull vertices (0, log 10^-100), (2, 0), (3, 0): radii 10^-50 twice, then 1.
     start = aberth._start_points([mpf(10) ** -100, mpf(0), mpf(-1), mpf(1)])
@@ -217,6 +234,7 @@ def test_small_exact_leading_coefficient_keeps_its_far_root(bits):
     assert abs(near - 1) < 1e-15
 
 
+@functools.lru_cache(maxsize=None)
 def _problem_eliminants():
     """Square-free eliminants of every problem file that has one."""
     out = {}
@@ -285,3 +303,165 @@ def test_far_point_keeps_its_far_root(bits, cubic):
         far = max(roots, key=abs)
         assert abs(far / (mpf(2) / 3 * mpf(10) ** 40) - 1) < 1e-15
         assert abs(far.imag) <= mpf(2) ** -(bits - 16) * abs(far)
+
+
+def _finishing_sweeps(monkeypatch, coeffs, bits):
+    """``(sweeps, roots)``: the iterates of each finishing sweep at ``bits``, and the roots.
+
+    Every sweep evaluates p and p' once per root through ``values_at``; the
+    first stage and the residual acceptance are left out (the 64-bit stage
+    by its precision, the acceptance by its single form).  ``coeffs`` has
+    no root at 0.
+    """
+    points = []
+    values_at = aberth.values_at
+
+    def record(forms, z):
+        if len(forms) == 2 and mp.prec == bits:
+            points.append(z)
+        return values_at(forms, z)
+
+    monkeypatch.setattr(aberth, "values_at", record)
+    with working_precision(bits):
+        roots = aberth_roots(coeffs)
+    n = len(roots)
+    assert points and len(points) % n == 0
+    return [points[k : k + n] for k in range(0, len(points), n)], roots
+
+
+def _last_steps(sweeps, roots):
+    """Each root's step in the last sweep, relative to the root."""
+    return [abs(r - z) / abs(r) for z, r in zip(sweeps[-1], roots)]
+
+
+def test_separated_family_roots_finish_in_one_sweep(monkeypatch):
+    # The 14th family polynomial's eliminant at 1:1: 14 simple roots, none
+    # clustered.  The complex128 stage leaves every root 2^-50 to 2^-55 from
+    # its value, so the error bound of the first finishing sweep is already
+    # below 2^-(128 + 8): 14 evaluations of p and p'.  The tol rule alone
+    # would run a second sweep whose steps are below one ulp.
+    e = _family_eliminants()[13]
+    assert len(e) == 15
+    sweeps, roots = _finishing_sweeps(monkeypatch, e, 128)
+    assert len(sweeps) == 1
+    tol = mpf(2) ** -(128 - 12)
+    assert max(_last_steps(sweeps, roots)) > tol
+    monkeypatch.setattr(aberth, "_aberth_iterate", _reference_iterate)
+    reference, _ = _finishing_sweeps(monkeypatch, e, 128)
+    assert len(reference) == 2
+
+
+@pytest.mark.parametrize("bits, sweeps", [(256, 2), (512, 3), (1024, 4), (2048, 5)])
+def test_double_pair_sums_converge_quadratically(bits, sweeps, monkeypatch):
+    # The same eliminant: the double pair sum carries about 2^-53 of its
+    # value, so a step of 2^-k leaves an error near 2^-(2k + 53), not
+    # 2^-3k.  The steps fall as about 2^-50, 2^-149, 2^-347, 2^-743, and
+    # each precision takes the first sweep whose bound is below 2^-prec.
+    e = _family_eliminants()[13]
+    found, _ = _finishing_sweeps(monkeypatch, e, bits)
+    assert len(found) == sweeps
+
+
+@pytest.mark.parametrize("exponent", [30, 15])
+def test_clustered_roots_stop_by_tol(exponent, monkeypatch):
+    # The pair near 1 takes working-precision pair sums, so only the tol
+    # rule may end its iteration: the last sweep's steps are all within tol.
+    coeffs = _from_roots([1, 1 + F(1, 10**exponent), -2])
+    sweeps, roots = _finishing_sweeps(monkeypatch, coeffs, 128)
+    assert len(sweeps) >= 2
+    assert max(_last_steps(sweeps, roots)) <= mpf(2) ** -(128 - 12)
+
+
+def test_fallback_stage_roots_stop_by_tol(monkeypatch):
+    # Wallis's cubic x^3 - 2x - 5 times 10^400: no coefficient fits in a
+    # complex128, so the 64-bit stage runs first, and the finishing stage
+    # keeps only the tol rule although its first steps are within 2^-50.
+    coeffs = [F(c * 10**400) for c in (-5, -2, 0, 1)]
+    sweeps, roots = _finishing_sweeps(monkeypatch, coeffs, 128)
+    assert len(sweeps) >= 2
+    assert max(_last_steps(sweeps, roots)) <= mpf(2) ** -(128 - 12)
+
+
+def _reference_iterate(forms, z, tol, float_sums=False):
+    """The finishing loop with the tol rule alone and the step w/(1 - w*s), w = p/p'."""
+    zd = [complex(v) for v in z] if float_sums else None
+    for _ in range(aberth._MAX_ITER):
+        converged = True
+        for i in range(len(z)):
+            zi = z[i]
+            p, dp = aberth.values_at(forms, zi)
+            if not p:
+                continue
+            if not dp:
+                zi = zi + (abs(zi) + 1) * mpf(2) ** (-mp.prec // 2)
+                p, dp = aberth.values_at(forms, zi)
+                if not dp:
+                    continue
+            w = p / dp
+            s = None if zd is None else aberth._float_pair_sum(zd, i, complex(zi))
+            s = aberth._pair_sum(z, i, zi) if s is None else mpc(s[0])
+            denom = 1 - w * s
+            delta = w / denom if denom else w
+            z[i] = zi - delta
+            if zd is not None:
+                zd[i] = complex(z[i])
+            if abs(delta) > tol * abs(z[i]):
+                converged = False
+        if converged:
+            break
+    return z
+
+
+def _parity_with_the_tol_rule(polys, bits, monkeypatch):
+    """Every root of ``polys`` at ``bits`` is within noise_floor() of the tol rule's, in order."""
+    with working_precision(bits):
+        got = [roots_of_rational_poly(e) for e in polys]
+        monkeypatch.setattr(aberth, "_aberth_iterate", _reference_iterate)
+        ref = [roots_of_rational_poly(e) for e in polys]
+        floor = noise_floor()
+        for roots, want in zip(got, ref):
+            assert len(roots) == len(want)
+            for z, w in zip(roots, want):
+                assert abs(z - w) <= floor * abs(w)
+
+
+@functools.lru_cache(maxsize=None)
+def _direction_eliminants(direction: str):
+    """Square-free eliminants of the first 64 family polynomials that have one in ``direction``."""
+    out = []
+    for H in itertools.islice(_random_polynomials(20260810), 64):
+        try:
+            out.append(squarefree_part(eliminant(H, Direction.from_string(direction))))
+        except BivasymError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_last_sweep_exit_matches_the_tol_rule(bits, monkeypatch):
+    # The first 64 family polynomials in the sweep's three directions and
+    # the problem files: stopping on the error bound leaves every root
+    # within noise_floor() of the root the tol rule alone reaches, in order.
+    polys = [e for d in ("1:1", "2:1", "1:3") for e in _direction_eliminants(d)]
+    polys += list(_problem_eliminants().values())
+    _parity_with_the_tol_rule(polys, bits, monkeypatch)
+
+
+@pytest.mark.parametrize("bits", [1024, 2048])
+def test_last_sweep_exit_matches_the_tol_rule_at_high_precision(bits, monkeypatch):
+    # A rule that stops once a step is within 2^-(prec//3 + 8), as if the
+    # rate were cubic, leaves some of these roots 2^-759 (1024 bits) and
+    # 2^-1570 (2048 bits) from the tol rule's, relative: far above
+    # noise_floor(), 2^-1016 and 2^-2040.
+    _parity_with_the_tol_rule(_family_eliminants()[:8], bits, monkeypatch)
+
+
+def test_roots_just_outside_a_cluster_match_the_tol_rule(monkeypatch):
+    # 1 and 1 + 3/2^12 are 1.5 * _CLUSTER * (|z_i| + |z_j|) apart: each
+    # takes a double pair sum, whose error bound grows with the closeness.
+    coeffs = _from_roots([1, 1 + F(3, 2**12), -2])
+    with working_precision(128):
+        roots = roots_of_rational_poly(coeffs)
+    zd = [complex(z) for z in roots]
+    assert all(aberth._float_pair_sum(zd, i, zd[i]) is not None for i in range(3))
+    _parity_with_the_tol_rule([coeffs], 128, monkeypatch)

@@ -15,8 +15,8 @@ inside.
 the counts per row.  A change that moves a class updates the file and says
 so; the counts of ``confirmed`` never fall.  From the repository root,
 ``python -m tests.test_family_sweep --precision BITS`` checks that the
-classes at that precision equal the file's (CI does so at 64 and 256 bits),
-and ``--write`` rewrites the file from a 128-bit sweep.
+classes at that precision equal the file's (CI does so at 64, 256 and 512
+bits), and ``--write`` rewrites the file from a 128-bit sweep.
 """
 
 from __future__ import annotations
