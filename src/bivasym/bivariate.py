@@ -9,11 +9,12 @@ round the result once to ``mp.prec``.  A value is the correctly rounded
 value of the exact polynomial at the point.  The integer columns and each
 partial derivative are made once.  ``eval`` keeps its last 8 values,
 keyed by ``mp.prec`` and the bits of x and y, so a partial derivative
-asked for again at one point (smoothness, local data, branch ray,
-winding, the polish's start) costs no second Horner pass.  ``eval_array``
-is the one double-precision evaluator, used for every numpy grid, curve
-and probe slice, and ``ray_argument`` the one tracker of arg H along a
-ray from the origin.
+asked for again at one point costs no second Horner pass: ``local_data``
+reuses the H_x and H_y of ``is_smooth``, and ``choose_branch_ray`` and
+``winding_number`` those of ``local_data``.
+``eval_array`` is the one double-precision evaluator, used for every
+numpy grid, curve and probe slice, and ``ray_argument`` the one tracker
+of arg H along a ray from the origin.
 """
 
 from __future__ import annotations

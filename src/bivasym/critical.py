@@ -275,10 +275,8 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
     their points come in conjugate pairs.  A root ``w`` below the real
     axis with a twin ``u`` above it (``_conjugate_twins``) is not solved:
     its points are the exact conjugates (``mp.conj``) of ``u``'s, with
-    their residuals, and a point that is the exact conjugate of another
-    takes its smoothness.  Points that are conjugates only to within
-    ``same_point`` share no work; a near-real root, or one without a
-    unique twin, is solved on its own.
+    their residuals.  A root without a unique twin, or a near-real one, is
+    solved on its own.  Each merged point gets its own ``is_smooth``.
 
     Raises NonIsolatedCriticalSet when the system polynomials share a
     factor, and RootFindingError (with partial results) when the
@@ -315,13 +313,8 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
             points += solved[k]
 
     merged = _merge_duplicates(points)
-    smooth = {}
     for pt in merged:
-        # H_x and H_y are exact and rounded once, so their moduli at a
-        # conjugate point are the same bits.
-        mirror = smooth.get((mp.conj(pt.p)._mpc_, mp.conj(pt.q)._mpc_))
-        pt.smooth = is_smooth(H, (pt.p, pt.q)) if mirror is None else mirror
-        smooth[pt.p._mpc_, pt.q._mpc_] = pt.smooth
+        pt.smooth = is_smooth(H, (pt.p, pt.q))
     return merged
 
 

@@ -27,7 +27,7 @@ from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from .bivariate import BivariatePolynomial
-from .unipoly import UPoly, bareiss_minors, degree, eval_at, gcd, is_zero, mul
+from .unipoly import UPoly, _int_gcd, bareiss_minors, eval_at, is_zero, mul
 
 
 def sylvester_matrix(f_rows: Sequence, g_rows: Sequence, k: int = 0) -> List[list]:
@@ -52,17 +52,6 @@ def sylvester_matrix(f_rows: Sequence, g_rows: Sequence, k: int = 0) -> List[lis
         for c in range(n + 1):
             mat[n - k + row][row + c] = g_rows[n - c]
     return mat
-
-
-def _integer_rows(f: BivariatePolynomial, g: BivariatePolynomial):
-    """``(a, b, f_ints, g_ints)``: the y-coefficients of ``a*f`` and ``b*g`` on ints.
-
-    ``a`` and ``b`` are the lcms of the denominators of f and g, and each
-    row is an ascending integer polynomial in x.
-    """
-    a, f_ints = f.integer_coeffs_in_y()
-    b, g_ints = g.integer_coeffs_in_y()
-    return a, b, f_ints, g_ints
 
 
 def _sample_minors(f_ints, g_ints, k: int, count: int) -> List[List[int]]:
@@ -102,7 +91,8 @@ def resultant_eliminating(
     if n == 0:
         return _power(g.coeffs_in_y()[0], m)
 
-    a, b, f_ints, g_ints = _integer_rows(f, g)
+    a, f_ints = f.integer_coeffs_in_y()
+    b, g_ints = g.integer_coeffs_in_y()
     bound = n * f.degree_x() + m * g.degree_x()
     samples = [det for (det,) in _sample_minors(f_ints, g_ints, 0, bound + 1)]
     scale = a**n * b**m
@@ -127,7 +117,8 @@ def first_subresultant(
     n = g.degree_y()
     if m == 0 or n == 0:
         return None
-    _, _, f_ints, g_ints = _integer_rows(f, g)
+    f_ints = f.integer_coeffs_in_y()[1]
+    g_ints = g.integer_coeffs_in_y()[1]
     if m == n == 1:
         return list(g_ints[0]), list(g_ints[1])
     bound = (n - 1) * f.degree_x() + (m - 1) * g.degree_x()
@@ -177,9 +168,12 @@ def shares_positive_dimensional_zero(
     A common factor of positive degree in y makes the eliminant of y vanish
     identically.  A factor free of y divides f exactly when it divides each
     y-coefficient of f (Gauss's lemma), so f and g share one exactly when
-    the gcd in Q[x] of all their y-coefficients is not constant.  ``res_y``
-    is the eliminant of y when the caller has it already.
+    the gcd in Q[x] of all their y-coefficients is not constant.  It is
+    taken over the integer rows of ``integer_coeffs_in_y``: scaling by a
+    constant changes no factor.  ``res_y`` is the eliminant of y when the
+    caller has it already.
     """
     if res_y is None:
         res_y = resultant_eliminating(f, g, "y")
-    return is_zero(res_y) or degree(reduce(gcd, f.coeffs_in_y() + g.coeffs_in_y())) > 0
+    rows = f.integer_coeffs_in_y()[1] + g.integer_coeffs_in_y()[1]
+    return is_zero(res_y) or len(reduce(_int_gcd, rows)) > 1

@@ -1,21 +1,20 @@
-"""Conjugate pairs in the estimate chain are solved, probed and wound once.
+"""Conjugate pairs of eliminant roots are solved once.
 
-H has rational coefficients, so the eliminant's non-real roots, their
-critical points and the rays the winding tracks come in conjugate pairs.
-``solve_critical`` takes a twin root's points as the exact conjugates of
-its partner's, and ``estimate_general`` takes an exact conjugate's ray
-arguments from ``mirrored_thetas``.  These tests hold both against doing
-the work for every root and every point (the probe's mirror is held in
+H has rational coefficients, so the eliminant's non-real roots and their
+critical points come in conjugate pairs.  ``solve_critical`` takes a twin
+root's points as the exact conjugates of its partner's
+(``_conjugate_twins``), and then runs ``is_smooth`` on every merged point.
+These tests hold the points, their smoothness and their torus classes
+against partnering and polishing every root (the probe's mirror is held in
 ``tests/test_probe_batch.py``).
 """
 
 import itertools
-from pathlib import Path
 
 import pytest
 from mpmath import mp
 
-from bivasym import Direction, estimates, pipeline
+from bivasym import Direction
 from bivasym.aberth import roots_of_rational_poly
 from bivasym.critical import (
     RESIDUAL_TOL,
@@ -31,9 +30,7 @@ from bivasym.critical import (
     solve_critical,
 )
 from bivasym.errors import BivasymError
-from bivasym.estimates import choose_branch_ray, mirrored_thetas, ray_thetas, winding_number
 from bivasym.precision import working_precision
-from bivasym.problem import parse_problem
 from bivasym.resultant import first_subresultant
 from bivasym.unipoly import degree, exact_form, squarefree_part
 from tests.test_acceptance import _random_polynomials
@@ -134,64 +131,3 @@ def test_conjugate_twins_of_roots():
     assert _conjugate_twins([mp.mpc(3, 1), mp.mpc(3, -1), mp.mpc(3 + 1e-12, -1)]) == {}
     # A root beyond double range has no twin.
     assert _conjugate_twins([mp.mpc(1, mp.mpf("1e400")), mp.mpc(1, -mp.mpf("1e400"))]) == {}
-
-
-def _non_real(family_points, items):
-    """``(H, points, non-real points)`` of the first ``items`` family polynomials."""
-    for (k, _), points in family_points.items():
-        if k < items and points:
-            yield FAMILY[k], points, [pt for pt in points if pt.p.imag != 0 or pt.q.imag != 0]
-
-
-def test_mirrored_ray_arguments_equal_the_tracked_ones_bit_for_bit(family_points):
-    count = 0
-    for H, _, pts in _non_real(family_points, 32):
-        for pt in pts:
-            try:
-                thetas = ray_thetas(H, pt)
-            except BivasymError:
-                continue
-            conj = CriticalPoint(mp.conj(pt.p), mp.conj(pt.q))
-            assert ray_thetas(H, conj) == mirrored_thetas(thetas)
-            count += 1
-    assert count > 250
-
-
-def test_mirrored_winding_equals_the_direct_winding(family_points):
-    # The family, and the family negated so that H(0, 0) = -1 (start pi):
-    # -H has the critical points of H.
-    count = 0
-    for H0, points, pts in _non_real(family_points, 16):
-        for H in (H0, -H0):
-            try:
-                ray = choose_branch_ray(H, points)
-            except BivasymError:
-                continue
-            for pt in pts:
-                try:
-                    thetas = ray_thetas(H, pt)
-                except BivasymError:
-                    continue
-                conj = CriticalPoint(mp.conj(pt.p), mp.conj(pt.q))
-                tracked = {(pt.p._mpc_, pt.q._mpc_): thetas}
-                assert winding_number(H, conj, ray, tracked) == winding_number(H, conj, ray)
-                assert tracked[conj.p._mpc_, conj.q._mpc_] == mirrored_thetas(thetas)
-                count += 1
-    assert count > 200
-
-
-def test_estimate_tracks_each_conjugate_pair_once(monkeypatch):
-    # branch_wrap's dominant class is one exact conjugate pair.
-    root = Path(__file__).resolve().parent.parent
-    spec = parse_problem((root / "problems" / "branch_wrap.json").read_text())
-    outcome = pipeline.run_solve(spec)
-    a, b = outcome.dominant.points
-    assert a.p == mp.conj(b.p) and a.q == mp.conj(b.q)
-    calls = []
-    tracked = estimates.ray_thetas
-    monkeypatch.setattr(estimates, "ray_thetas", lambda H, pt: calls.append(pt) or tracked(H, pt))
-    est = pipeline.estimate_target(spec, outcome, *spec.targets[0])
-    assert len(calls) == 1
-    windings = [c["winding"] for c in est.contributions]
-    ray = choose_branch_ray(spec.H, [a, b])
-    assert windings == [winding_number(spec.H, pt, ray) for pt in (a, b)]

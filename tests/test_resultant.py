@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction as F
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from bivasym.resultant import (
     shares_positive_dimensional_zero,
     sylvester_matrix,
 )
-from bivasym.unipoly import determinant_fraction, divmod_exact, eval_at, is_zero, trim
+from bivasym.unipoly import degree, determinant_fraction, divmod_exact, eval_at, gcd, is_zero, trim
 from tests.test_acceptance import _random_polynomials
 
 PROBLEM_FILES = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
@@ -92,6 +93,37 @@ def test_content_gcd_matches_two_eliminants_on_solved_systems():
         systems.append(critical_system(spec.H, spec.direction))
     for f, g in systems:
         assert shares_positive_dimensional_zero(f, g) == _two_eliminant_verdict(f, g)
+
+
+def _fraction_row_verdict(f, g, res_y) -> bool:
+    """The reference: the gcd over Q[x] of the ``coeffs_in_y`` Fraction rows."""
+    return is_zero(res_y) or degree(reduce(gcd, f.coeffs_in_y() + g.coeffs_in_y())) > 0
+
+
+def test_integer_row_gcd_matches_the_fraction_row_gcd():
+    # The critical systems of the first 64 family polynomials at 1:1, 2:1
+    # and 1:3 (where H is not a function of x^r0*y^s0 alone) and of every
+    # problem file, and the first eight of them times a factor 1 - 2x,
+    # which only the gcd can see.
+    family = itertools.islice(_random_polynomials(20260810), 64)
+    directions = [Direction(1, 1), Direction(2, 1), Direction(1, 3)]
+    systems = []
+    for H, d in itertools.product(family, directions):
+        try:
+            systems.append(critical_system(H, d))
+        except NonIsolatedCriticalSet:
+            pass
+    for path in PROBLEM_FILES:
+        spec = parse_problem(path.read_text())
+        systems.append(critical_system(spec.H, spec.direction))
+    factor = bp([(0, 0, "1"), (1, 0, "-2")])
+    systems += [(f * factor, g * factor) for f, g in systems[:8]]
+    verdicts = []
+    for f, g in systems:
+        res_y = resultant_eliminating(f, g, "y")
+        verdicts.append(shares_positive_dimensional_zero(f, g, res_y))
+        assert verdicts[-1] == _fraction_row_verdict(f, g, res_y)
+    assert verdicts.count(True) >= 8
 
 
 def test_no_common_factor_not_flagged(color_swap_h, color_swap_direction):
