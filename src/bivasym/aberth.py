@@ -1,28 +1,28 @@
 """Simultaneous (Aberth–Ehrlich) polynomial root finding in high precision.
 
 Roots are iterated all at once from starting points on the circles of
-the Newton polygon of the coefficient moduli (Bini 1996).  A first stage
-gets within 2^-40 of the roots cheaply: one vectorised complex128
-iteration from start points computed in doubles, or, when double
-precision cannot be trusted, a 64-bit mpmath one from start points
-computed at working precision.  An ambient precision stage finishes.
-Its p and p' are the exact polynomial's values at the iterate, computed
-on integers and rounded once to working precision
+the Newton polygon of the coefficient moduli (Bini 1996).  When the
+coefficients and start points have complex128 values, one vectorised
+complex128 iteration first gets within 2^-40 of the roots cheaply.  A
+finishing loop at working precision then starts from its iterates, or,
+when double precision cannot be trusted, from the start points computed
+at working precision.  Its p and p' are the exact polynomial's values at
+the iterate, computed on integers and rounded once to working precision
 (``unipoly.values_at``), and its step p/(p' - p*s), Aberth's
 w/(1 - w*s) with w = p/p' in one division, and the convergence test run
 at working precision: that is where a root's bits come from.  The pair
 sum s = sum_{j != i} 1/(z_i - z_j) only rescales a step whose size goes
-to 0, so after a complex128 first stage it is taken in doubles, from
-double copies of the iterates refreshed after every step (MPSolve raises
-precision only where the evaluation of p needs it; Bini and Robol 2014).
-A root with a double difference |z_i - z_j| <= ``_CLUSTER`` *
-(|z_i| + |z_j|) keeps the working-precision sum: so few bits of that
-difference survive that the sum would spoil the step.  After the 64-bit
-fallback every sum is at working precision.
+to 0, so it is taken in doubles, from double copies of the iterates
+refreshed after every step (MPSolve raises precision only where the
+evaluation of p needs it; Bini and Robol 2014).  A root keeps the
+working-precision sum when its double is below ``_FLOAT_TINY``, when the
+double sum is not finite, or when a double difference |z_i - z_j| <=
+``_CLUSTER`` * (|z_i| + |z_j|): so few bits of that difference survive
+that the sum would spoil the step.
 
-The finishing stage stops after a sweep whose steps are all within
-2^-(prec-12) of their roots, or, when no root is clustered, after a
-sweep whose steps bound the error they leave below 2^-(prec + 8).
+The finishing loop stops after a sweep whose steps are all within
+2^-(prec-12) of their roots, or, when every root took a double pair sum,
+after a sweep whose steps bound the error they leave below 2^-(prec + 8).
 Aberth's step leaves root i the error e_i^2 d_i / (1 + e_i d_i), where
 d_i is the pair sum over the other roots themselves less s_i; relative
 to z_i that is about r_i^2 g_i max(max_j r_j, n 2^-52), with r_j the
@@ -31,8 +31,8 @@ steps relative to their roots, g_i = sum_{j != i} |z_i| (|z_i| + |z_j|)
 makes the rate quadratic, not cubic, once the steps fall below 2^-53.
 The estimate holds while each iterate is nearer its root than its
 neighbours; an iterate that is not has g_j r_j^2 >= 1/4 and r_j >=
-2^-13, which fails the bound at any precision.  A clustered root, or
-the 64-bit fallback, leaves only the first rule.
+2^-13, which fails the bound at any precision.  A sweep with a
+working-precision sum leaves only the first rule.
 
 The residual acceptance takes |p| and the scale sum |c_k| |z|^k the same
 way as the steps' p.  Only exactly-zero leading coefficients are dropped:
@@ -52,7 +52,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .errors import RootFindingError
-from .precision import to_mpc, working_precision
+from .precision import to_mpc
 from .unipoly import ExactForm, exact_form, values_at
 
 # Fixed angular offset for the starting circles, breaking root symmetries.
@@ -61,9 +61,8 @@ _START_OFFSET = 0.376991118430775
 # A nonzero value below this modulus is lost in complex128 (subnormal or 0).
 _FLOAT_TINY = 2.0**-1000
 
-# The first stage stops at 2**-40; its fallback runs at 64 bits.
+# The complex128 stage stops at 2**-40.
 _STAGE_TOL = 2.0**-40
-_STAGE_PREC = 64
 
 # A double pair difference |z_i - z_j| at most this times |z_i| + |z_j|
 # has too few bits left: that root's pair sum is taken at working precision.
@@ -73,7 +72,7 @@ _CLUSTER = 2.0**-12
 # left, bounded from its steps, is below 2**-(prec + _LAST_SWEEP_BITS).
 _LAST_SWEEP_BITS = 8
 
-# Iteration cap of each stage.
+# Iteration cap of the complex128 stage and of the finishing loop.
 _MAX_ITER = 160
 
 # A root is accepted when |p(z)| is within 2**-24 of the coefficient scale at z.
@@ -95,17 +94,20 @@ def _pair_sum(z: Sequence[mpc], i: int, zi: mpc) -> mpc:
 def _float_pair_sum(
     zd: Sequence[complex], i: int, zi: complex
 ) -> Optional[Tuple[complex, float]]:
-    """``(s, g)`` in doubles, or None when ``zi`` is clustered.
+    """``(s, g)`` in doubles, or None when ``zi`` is clustered or tiny.
 
     ``s = sum_{j != i} 1/(zi - zd_j)`` and ``g = sum_{j != i} |zi|
     (|zi| + |zd_j|) / |zi - zd_j|^2``, the factor by which an error in the
     other iterates, relative to their moduli, spoils ``zi``'s next step.
     Clustered: some ``|zi - zd_j| <= _CLUSTER * (|zi| + |zd_j|)``, where a
-    double difference has lost the bits the sum needs.  None also when the
+    double difference has lost the bits the sum needs.  Tiny: ``|zi| <
+    _FLOAT_TINY``, where the double has lost them.  None also when the
     sum is not finite.
     """
     s, g = 0j, 0.0
     azi = abs(zi)
+    if azi < _FLOAT_TINY:
+        return None
     for j, zj in enumerate(zd):
         if j != i:
             d = zi - zj
@@ -117,24 +119,22 @@ def _float_pair_sum(
     return (s, g) if cmath.isfinite(s) else None
 
 
-def _aberth_iterate(
-    forms: Sequence[ExactForm], z: List[mpc], tol: mpf, float_sums: bool = False
-) -> List[mpc]:
+def _aberth_iterate(forms: Sequence[ExactForm], z: List[mpc], tol: mpf) -> List[mpc]:
     """Aberth sweeps, one root at a time, until the roots have their bits.
 
     ``forms`` holds the polynomial and its derivative (``_with_derivative``).
-    With ``float_sums`` (the iterates come from the complex128 stage) each
-    pair sum is taken in doubles from ``zd``, the double copies of the
-    iterates, unless the root is clustered.  A sweep is the last when every
-    step is within ``tol`` of its root, or when every root took a double
-    pair sum and ``max_i g_i r_i^2 * max(max_j r_j, n 2^-52)``, with the
-    ``g_i`` of ``_float_pair_sum`` and the steps ``r_i`` relative to their
-    roots, is at most ``2^-(prec + _LAST_SWEEP_BITS)``: that bounds the
-    error the sweep left.  After the 64-bit stage, and in a sweep with a
-    clustered root, only the ``tol`` rule applies.
+    Each pair sum is taken in doubles from ``zd``, the double copies of the
+    iterates, unless ``_float_pair_sum`` declines; then it is taken at
+    working precision.  A sweep is the last when every step is within
+    ``tol`` of its root, or when every root took a double pair sum and
+    ``max_i g_i r_i^2 * max(max_j r_j, n 2^-52)``, with the ``g_i`` of
+    ``_float_pair_sum`` and the steps ``r_i`` relative to their roots, is
+    at most ``2^-(prec + _LAST_SWEEP_BITS)``: that bounds the error the
+    sweep left.  A sweep with a working-precision sum keeps only the
+    ``tol`` rule.
     """
     n = len(z)
-    zd = [complex(v) for v in z] if float_sums else None
+    zd = [complex(v) for v in z]
     # The last-sweep test runs in log2: the bound on the error a sweep
     # leaves, and the double pair sum's own rounding.
     bound, rounding = -(mp.prec + _LAST_SWEEP_BITS), math.log2(n) - 52
@@ -153,15 +153,14 @@ def _aberth_iterate(
                 last = False
                 if not dp:
                     continue
-            pair = None if zd is None else _float_pair_sum(zd, i, complex(zi))
+            pair = _float_pair_sum(zd, i, complex(zi))
             # g = 0: a working-precision sum, whose sweep is not the last.
             s, g = pair or (_pair_sum(z, i, zi), 0.0)
             # The step p/p' / (1 - (p/p')*s) with one division.
             denom = dp - p * mpc(s)
             delta = p / (denom if denom else dp)
             z[i] = zi - delta
-            if zd is not None:
-                zd[i] = complex(z[i])
+            zd[i] = complex(z[i])
             # Relative, so a tiny root gets as many bits as a large one; an
             # iterate at exact zero has converged only on a zero step.
             step, size = abs(delta), abs(z[i])
@@ -200,7 +199,7 @@ def _float_stage(coeffs: Sequence[mpc]) -> Optional[List[mpc]]:
     coefficient or start point has no finite complex128 value, or a nonzero
     one falls below ``_FLOAT_TINY``, when an iterate becomes non-finite, or
     when ``_MAX_ITER`` sweeps do not reach the stopping tolerance; the
-    64-bit stage then runs instead.
+    finishing loop then starts from ``_start_points`` instead.
     """
     c = _complex128(coeffs)
     z = None if c is None else _float_start_points(c)
@@ -222,13 +221,6 @@ def _float_stage(coeffs: Sequence[mpc]) -> Optional[List[mpc]]:
             if (np.abs(delta) <= _STAGE_TOL * (1 + np.abs(z))).all():
                 return [mpc(v) for v in z]
     return None
-
-
-def _mp_stage(forms: Sequence[ExactForm], start: Sequence[mpc]) -> List[mpc]:
-    """The first stage at 64 bits, one root at a time."""
-    with working_precision(_STAGE_PREC):
-        z = _aberth_iterate(forms, [mpc(s) for s in start], mpf(_STAGE_TOL))
-    return [mpc(v) for v in z]
 
 
 def _with_derivative(form: ExactForm) -> List[ExactForm]:
@@ -268,14 +260,10 @@ def aberth_roots(coefficients: Sequence) -> List[mpc]:
 
     forms = _with_derivative(exact_form(exact))
 
-    # Stage 1: near the roots in complex128, or at 64 bits when that fails.
-    z = _float_stage(coeffs)
-    float_sums = z is not None
-    if z is None:
-        z = _mp_stage(forms, _start_points(coeffs))
-    # Stage 2: finish at ambient precision.
-    tol = mpf(2) ** (-(mp.prec - 12))
-    z = _aberth_iterate(forms, z, tol, float_sums)
+    # Near the roots in complex128, else from the start points at working
+    # precision; then finish at working precision.
+    z = _float_stage(coeffs) or _start_points(coeffs)
+    z = _aberth_iterate(forms, z, mpf(2) ** (-(mp.prec - 12)))
 
     # Residual acceptance: |p(z)| relative to the coefficient scale at z.
     loose = mpf(2) ** (-_RESIDUAL_BITS)
@@ -319,7 +307,8 @@ def _start_points(coeffs: Sequence[mpc]) -> List[mpc]:
     to j, gives j - i points evenly spread on the circle of radius
     (|c_i|/|c_j|)^(1/(j-i)), turned by 2*pi*i/n plus a fixed offset.  The
     roots of a polynomial whose moduli span many decades then start near
-    their own moduli.  Taken at working precision for the 64-bit stage.
+    their own moduli.  Taken at working precision for the finishing loop
+    when the complex128 stage declines.
     """
     n = len(coeffs) - 1
     start = []

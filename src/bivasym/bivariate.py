@@ -141,9 +141,6 @@ class BivariatePolynomial:
             other = BivariatePolynomial.constant(other)
         return self + (-other)
 
-    def __rsub__(self, other) -> "BivariatePolynomial":
-        return BivariatePolynomial.constant(other) - self
-
     def __mul__(self, other) -> "BivariatePolynomial":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -164,18 +161,6 @@ class BivariatePolynomial:
     def scale(self, c) -> "BivariatePolynomial":
         c = Fraction(c)
         return BivariatePolynomial({ij: c * v for ij, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> "BivariatePolynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        out = BivariatePolynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def partial(self, var: str) -> "BivariatePolynomial":
         """Exact formal partial derivative with respect to "x" or "y", made once."""

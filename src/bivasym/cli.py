@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -267,6 +268,23 @@ _COMMANDS = {
 }
 
 
+@contextmanager
+def _any_int_length():
+    """Lift Python's cap on the digits of ``str(int)`` (4,300 by default) for one call.
+
+    An exact table entry can have more: ``beyond_double_point``'s 40x40
+    table has denominators of 8,000 digits.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -275,7 +293,7 @@ def main(argv=None) -> int:
     bits = get_precision() if args.precision is None else args.precision
     try:
         # The precision holds for this call only, not for the caller's process.
-        with working_precision(bits):
+        with working_precision(bits), _any_int_length():
             spec = _load_spec(args)
             if args.dump_spec:
                 _emit(dump_problem(spec), args.out)

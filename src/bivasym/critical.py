@@ -131,9 +131,10 @@ class CriticalPoint:
 def same_point(a: Tuple[mpc, mpc], b: Tuple[mpc, mpc]) -> bool:
     """True when each coordinate of ``b`` is within ``MERGE_TOL * (1 + max(|p|, |q|))`` of ``a``'s.
 
-    ``a`` and ``b`` are ``(p, q)`` pairs, the scale taken from ``a``.
+    ``a`` and ``b`` are ``(p, q)`` pairs, the scale taken from ``a`` at
+    working precision, where a point past the double range keeps it.
     """
-    close = MERGE_TOL * (1 + float(max(abs(a[0]), abs(a[1]))))
+    close = MERGE_TOL * (1 + max(abs(a[0]), abs(a[1])))
     return abs(a[0] - b[0]) <= close and abs(a[1] - b[1]) <= close
 
 
@@ -151,10 +152,11 @@ def apart(a: Tuple[complex, complex], b: Tuple[complex, complex]) -> bool:
 def same_torus(a: Tuple[float, float], b: Tuple[float, float]) -> bool:
     """True when each modulus of ``b`` is within ``MERGE_TOL * (1 + max(a))`` of ``a``'s.
 
-    ``a`` and ``b`` are ``(|p|, |q|)`` pairs.
+    ``a`` and ``b`` are ``(|p|, |q|)`` pairs.  A modulus past the double
+    range reads inf, and such an ``a`` shares its torus with no point.
     """
     close = MERGE_TOL * (1 + max(a))
-    return abs(a[0] - b[0]) <= close and abs(a[1] - b[1]) <= close
+    return close < math.inf and abs(a[0] - b[0]) <= close and abs(a[1] - b[1]) <= close
 
 
 @dataclass
@@ -195,7 +197,7 @@ def eliminant(H: BivariatePolynomial, direction: Direction) -> List[Fraction]:
 
 def _system_eliminant(f: BivariatePolynomial, g: BivariatePolynomial) -> List[Fraction]:
     """``eliminant`` of the critical system ``(f, g)``."""
-    res = resultant_eliminating(f, g, "y")
+    res = resultant_eliminating(f, g)
     if shares_positive_dimensional_zero(f, g, res):
         raise NonIsolatedCriticalSet("non-isolated critical set")
     return res
@@ -410,19 +412,30 @@ def _merge_duplicates(points: List[CriticalPoint]) -> List[CriticalPoint]:
             dup.p, dup.q = pt.p, pt.q
             dup.residual_h, dup.residual_dir = pt.residual_h, pt.residual_dir
             doubles[k] = d
-    moduli = {id(pt): pt.moduli for pt in kept}
-    tori: List[Tuple[float, float]] = []
-    for m in moduli.values():
-        if not any(same_torus(t, m) for t in tori):
-            tori.append(m)
-    kept.sort(
-        key=lambda c: (
-            next(t for t in tori if same_torus(t, moduli[id(c)])),
-            float(mp.arg(c.p)),
-            float(mp.arg(c.q)),
-        )
-    )
+    homes, tori = _tori(kept)
+    torus = {id(pt): tori[k] for pt, k in zip(kept, homes)}
+    kept.sort(key=lambda c: (torus[id(c)], float(mp.arg(c.p)), float(mp.arg(c.q))))
     return kept
+
+
+def _tori(points: Sequence[CriticalPoint]) -> Tuple[List[int], List[Tuple[float, float]]]:
+    """``(homes, tori)``: the tori of ``points`` in order of their first point.
+
+    ``tori`` holds each torus's first point's moduli, and ``homes[k]`` the
+    index of the first torus that point k is on (``same_torus``).  A point
+    on no earlier torus starts one, as does every point with a modulus past
+    the double range.
+    """
+    homes: List[int] = []
+    tori: List[Tuple[float, float]] = []
+    for pt in points:
+        m = pt.moduli
+        home = next((k for k, t in enumerate(tori) if same_torus(t, m)), None)
+        if home is None:
+            home = len(tori)
+            tori.append(m)
+        homes.append(home)
+    return homes, tori
 
 
 def is_smooth(H: BivariatePolynomial, pt) -> bool:
@@ -592,24 +605,19 @@ def group_by_torus(
     """
     r0 = direction.r0 if direction else 1
     s0 = direction.s0 if direction else 1
-    classes: List[TorusClass] = []
-    for pt in points:
-        mp_, mq = pt.moduli
-        home = next(
-            (cl for cl in classes if same_torus((cl.modulus_p, cl.modulus_q), (mp_, mq))), None
+    homes, tori = _tori(points)
+    classes = [
+        TorusClass(
+            index=k,
+            points=[],
+            modulus_p=mp_,
+            modulus_q=mq,
+            weight=r0 * math.log(mp_) + s0 * math.log(mq) if mp_ > 0 and mq > 0 else math.inf,
         )
-        if home is None:
-            classes.append(
-                TorusClass(
-                    index=len(classes),
-                    points=[pt],
-                    modulus_p=mp_,
-                    modulus_q=mq,
-                    weight=r0 * math.log(mp_) + s0 * math.log(mq) if mp_ > 0 and mq > 0 else math.inf,
-                )
-            )
-        else:
-            home.points.append(pt)
+        for k, (mp_, mq) in enumerate(tori)
+    ]
+    for pt, home in zip(points, homes):
+        classes[home].points.append(pt)
     classes.sort(key=lambda c: (c.weight, c.modulus_p, c.modulus_q))
     for i, cl in enumerate(classes):
         cl.index = i

@@ -64,21 +64,13 @@ def _sample_minors(f_ints, g_ints, k: int, count: int) -> List[List[int]]:
     return out
 
 
-def resultant_eliminating(
-    f: BivariatePolynomial, g: BivariatePolynomial, eliminate: str = "y"
-) -> UPoly:
-    """Resultant of f and g with respect to one variable.
+def resultant_eliminating(f: BivariatePolynomial, g: BivariatePolynomial) -> UPoly:
+    """Resultant of f and g with respect to y: a polynomial in x, ascending.
 
-    Eliminating "y" returns a polynomial in x (ascending coefficients);
-    eliminating "x" returns a polynomial in y.  The zero polynomial is
-    returned exactly when the two inputs share a factor of positive degree
-    in the eliminated variable.
+    The zero polynomial is returned exactly when the two inputs share a
+    factor of positive degree in y.  The eliminant of x is that of
+    ``f.swap_variables()`` and ``g.swap_variables()``.
     """
-    if eliminate == "x":
-        f = f.swap_variables()
-        g = g.swap_variables()
-    elif eliminate != "y":
-        raise ValueError(f"unknown variable {eliminate!r}")
     if not f or not g:
         raise ValueError("resultant of the zero polynomial")
 
@@ -174,6 +166,6 @@ def shares_positive_dimensional_zero(
     caller has it already.
     """
     if res_y is None:
-        res_y = resultant_eliminating(f, g, "y")
+        res_y = resultant_eliminating(f, g)
     rows = f.integer_coeffs_in_y()[1] + g.integer_coeffs_in_y()[1]
     return is_zero(res_y) or len(reduce(_int_gcd, rows)) > 1

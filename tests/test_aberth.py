@@ -98,15 +98,26 @@ def _family_eliminants():
     return [squarefree_part(eliminant(H, Direction(1, 1))) for H in family]
 
 
-def test_float_stage_matches_mp_stage_on_the_family(monkeypatch):
+def _count_start_points(monkeypatch):
+    """A list that gains one entry per call of ``_start_points``: per fallback of the complex128 stage."""
+    calls = []
+    start_points = aberth._start_points
+    monkeypatch.setattr(aberth, "_start_points", lambda c: calls.append(1) or start_points(c))
+    return calls
+
+
+def test_float_stage_matches_the_start_point_fallback_on_the_family(monkeypatch):
     eliminants = _family_eliminants()
-    with monkeypatch.context() as m:
-        # The float stage must carry every eliminant without falling back.
-        m.setattr(aberth, "_mp_stage", lambda *a: pytest.fail("float stage fell back"))
-        float_first = [roots_of_rational_poly(e) for e in eliminants]
-    monkeypatch.setattr(aberth, "_float_stage", lambda *a: None)
-    mp_stage = [roots_of_rational_poly(e) for e in eliminants]
-    for got, ref in zip(float_first, mp_stage):
+    calls = _count_start_points(monkeypatch)
+    # The float stage must carry every eliminant without falling back.
+    float_first = [roots_of_rational_poly(e) for e in eliminants]
+    assert calls == []
+    # Each time the complex128 stage declines, the loop starts from _start_points.
+    declined = []
+    monkeypatch.setattr(aberth, "_float_stage", lambda *a: declined.append(1))
+    fallback = [roots_of_rational_poly(e) for e in eliminants]
+    assert declined and calls == declined
+    for got, ref in zip(float_first, fallback):
         assert len(got) == len(ref)
         nearest = [min(range(len(ref)), key=lambda k: abs(z - ref[k])) for z in got]
         assert sorted(nearest) == list(range(len(ref)))
@@ -114,12 +125,11 @@ def test_float_stage_matches_mp_stage_on_the_family(monkeypatch):
             assert abs(z - ref[k]) <= mpf(10) ** -30 * (1 + abs(ref[k]))
 
 
-def test_overflowing_coefficients_fall_back_to_the_mp_stage(monkeypatch):
-    # (x-1)(x-2)(x-3) * 10^400: no coefficient fits in a complex128.
+def test_overflowing_coefficients_fall_back_to_the_start_points(monkeypatch):
+    # (x-1)(x-2)(x-3) * 10^400: no coefficient fits in a complex128, so the
+    # finishing loop starts from _start_points at working precision.
     poly = [F(c * 10**400) for c in (-6, 11, -6, 1)]
-    calls = []
-    mp_stage = aberth._mp_stage
-    monkeypatch.setattr(aberth, "_mp_stage", lambda *a: calls.append(1) or mp_stage(*a))
+    calls = _count_start_points(monkeypatch)
     got = _sorted(roots_of_rational_poly(poly))
     assert calls == [1]
     assert len(got) == 3
@@ -136,12 +146,10 @@ def _from_roots(roots):
 
 
 def test_wilkinson_16_falls_back_and_solves(monkeypatch):
-    # Double precision cannot bring these roots within 2^-40, so the
-    # 64-bit stage takes over; started from the circle instead, the
-    # ambient stage alone does not converge.
-    calls = []
-    mp_stage = aberth._mp_stage
-    monkeypatch.setattr(aberth, "_mp_stage", lambda *a: calls.append(1) or mp_stage(*a))
+    # The complex128 stage cannot bring these roots within 2^-40, so it
+    # declines, and the finishing loop alone converges from Bini's points
+    # at working precision.
+    calls = _count_start_points(monkeypatch)
     got = _sorted(roots_of_rational_poly(_from_roots(range(1, 17))))
     assert calls == [1]
     for g, e in zip(got, range(1, 17)):
@@ -164,10 +172,8 @@ def test_roots_spanning_many_decades(exponent, falls_back, monkeypatch):
     # one circle of radius about 2 the small pair approached 0 only
     # linearly and 10^-100 raised RootFindingError; the Newton polygon
     # starts them on their own circle.  Below 2^-1000 the constant has no
-    # complex128 value, so the 64-bit stage runs.
-    calls = []
-    mp_stage = aberth._mp_stage
-    monkeypatch.setattr(aberth, "_mp_stage", lambda *a: calls.append(1) or mp_stage(*a))
+    # complex128 value, so the finishing loop starts from _start_points.
+    calls = _count_start_points(monkeypatch)
     negative, positive, big = sorted(
         aberth_roots([F(1, 10**exponent), F(0), F(-1), F(1)]), key=lambda z: (abs(z) > 0.5, z.real)
     )
@@ -182,7 +188,7 @@ def test_roots_spanning_many_decades(exponent, falls_back, monkeypatch):
 def test_float_start_points_match_the_mp_start_points():
     # The same hull, circles and angles in doubles.  A radius past the
     # double range gives None, one below _FLOAT_TINY a float stage that
-    # declines, and the 64-bit stage starts from _start_points.
+    # declines, and the finishing loop starts from _start_points.
     cases = ([mpf(10) ** -100, 0, -1, 1], [1, 2, 3, 4, 5, 6], [7, 0, 0, 1])
     for coeffs in ([mpc(c) for c in case] for case in cases):
         got = aberth._float_start_points(np.array([complex(c) for c in coeffs]))
@@ -309,15 +315,14 @@ def _finishing_sweeps(monkeypatch, coeffs, bits):
     """``(sweeps, roots)``: the iterates of each finishing sweep at ``bits``, and the roots.
 
     Every sweep evaluates p and p' once per root through ``values_at``; the
-    first stage and the residual acceptance are left out (the 64-bit stage
-    by its precision, the acceptance by its single form).  ``coeffs`` has
-    no root at 0.
+    residual acceptance is left out by its single form.  ``coeffs`` has no
+    root at 0.
     """
     points = []
     values_at = aberth.values_at
 
     def record(forms, z):
-        if len(forms) == 2 and mp.prec == bits:
+        if len(forms) == 2:
             points.append(z)
         return values_at(forms, z)
 
@@ -372,19 +377,31 @@ def test_clustered_roots_stop_by_tol(exponent, monkeypatch):
     assert max(_last_steps(sweeps, roots)) <= mpf(2) ** -(128 - 12)
 
 
-def test_fallback_stage_roots_stop_by_tol(monkeypatch):
-    # Wallis's cubic x^3 - 2x - 5 times 10^400: no coefficient fits in a
-    # complex128, so the 64-bit stage runs first, and the finishing stage
-    # keeps only the tol rule although its first steps are within 2^-50.
-    coeffs = [F(c * 10**400) for c in (-5, -2, 0, 1)]
-    sweeps, roots = _finishing_sweeps(monkeypatch, coeffs, 128)
-    assert len(sweeps) >= 2
-    assert max(_last_steps(sweeps, roots)) <= mpf(2) ** -(128 - 12)
+def test_fallback_roots_match_the_tol_rule(monkeypatch):
+    # Wallis's cubic x^3 - 2x - 5 times 10^400, Wilkinson-16 and x^3 - x^2 +
+    # 10^-e: the complex128 stage declines on each, so the finishing loop
+    # starts from _start_points, and its last-sweep exit ends the fallback
+    # too.  It leaves every root within noise_floor() of the tol rule's.
+    polys = [
+        [F(c * 10**400) for c in (-5, -2, 0, 1)],
+        _from_roots(range(1, 17)),
+        [F(1, 10**400), F(0), F(-1), F(1)],
+        [F(1, 10**1000), F(0), F(-1), F(1)],
+    ]
+    for bits in (64, 128, 256, 1024):
+        with monkeypatch.context() as m:
+            calls = _count_start_points(m)
+            _parity_with_the_tol_rule(polys, bits, m)
+        assert len(calls) == 2 * len(polys)
 
 
-def _reference_iterate(forms, z, tol, float_sums=False):
-    """The finishing loop with the tol rule alone and the step w/(1 - w*s), w = p/p'."""
-    zd = [complex(v) for v in z] if float_sums else None
+def _reference_iterate(forms, z, tol):
+    """The finishing loop with the tol rule alone and the step w/(1 - w*s), w = p/p'.
+
+    Its pair sums are the library's: in doubles unless ``_float_pair_sum``
+    declines.
+    """
+    zd = [complex(v) for v in z]
     for _ in range(aberth._MAX_ITER):
         converged = True
         for i in range(len(z)):
@@ -398,13 +415,12 @@ def _reference_iterate(forms, z, tol, float_sums=False):
                 if not dp:
                     continue
             w = p / dp
-            s = None if zd is None else aberth._float_pair_sum(zd, i, complex(zi))
+            s = aberth._float_pair_sum(zd, i, complex(zi))
             s = aberth._pair_sum(z, i, zi) if s is None else mpc(s[0])
             denom = 1 - w * s
             delta = w / denom if denom else w
             z[i] = zi - delta
-            if zd is not None:
-                zd[i] = complex(z[i])
+            zd[i] = complex(z[i])
             if abs(delta) > tol * abs(z[i]):
                 converged = False
         if converged:
@@ -465,3 +481,15 @@ def test_roots_just_outside_a_cluster_match_the_tol_rule(monkeypatch):
     zd = [complex(z) for z in roots]
     assert all(aberth._float_pair_sum(zd, i, zd[i]) is not None for i in range(3))
     _parity_with_the_tol_rule([coeffs], 128, monkeypatch)
+
+
+def test_float_pair_sum_declines_for_a_tiny_root():
+    # A root whose double is below _FLOAT_TINY, subnormal, zero or just a
+    # small normal, has lost the bits of its differences: its pair sum is
+    # taken at working precision.  The other roots keep their double sums.
+    for tiny in (complex(mpf(10) ** -400), 1e-310 + 0j, aberth._FLOAT_TINY / 2 + 0j):
+        zd = [tiny, 1j, -1j]
+        assert aberth._float_pair_sum(zd, 0, tiny) is None
+        assert aberth._float_pair_sum(zd, 1, 1j) is not None
+    zd = [2 * aberth._FLOAT_TINY + 0j, 1j, -1j]
+    assert aberth._float_pair_sum(zd, 0, zd[0]) is not None

@@ -236,6 +236,25 @@ def test_group_distinct_moduli_nearest_dominant():
     assert abs(classes[0].modulus_p - 0.5) < 1e-15
 
 
+def test_points_past_the_double_range_get_tori_of_their_own():
+    # Moduli past the double range read inf, and a torus with an inf
+    # modulus holds no other point: each such point starts a torus of its
+    # own, in the merge's order and in the classes, whatever the order the
+    # points come in, and sorts after the finite one.  same_point takes its
+    # scale at working precision, so the merge keeps all three.
+    big = mpf(10) ** 400
+    far = CriticalPoint(p=mpc(big), q=mpc(-big / 3))
+    near = CriticalPoint(p=mpc(0.5), q=mpc(0.5))
+    farther = CriticalPoint(p=mpc(0, 2 * big), q=mpc(big))
+    for points in itertools.permutations([far, near, farther]):
+        merged = _merge_duplicates(list(points))
+        assert len(merged) == 3 and merged[0] is near
+        classes = group_by_torus(list(points))
+        assert sorted(len(cl.points) for cl in classes) == [1, 1, 1]
+        assert classes[0].points == [near] and classes[0].dominant
+        assert classes[1].modulus_p == classes[2].modulus_p == math.inf
+
+
 def test_class_and_estimate_share_the_torus_rule():
     # |p| differs by 5e-10: within MERGE_TOL * (1 + max(|p|, |q|)) = 1.1e-9,
     # so the points form one class, which the estimate must then accept.

@@ -11,7 +11,8 @@ each point to exact zero, so the sign of the noise cannot reorder points.
 A change meant to keep behaviour must leave them unchanged; a
 change meant to move them regenerates them with
 
-    for p in color_swap multinomial_sqrt branch_wrap far_point negative_origin; do
+    for p in color_swap multinomial_sqrt branch_wrap far_point negative_origin \
+        beyond_double_point; do
       for c in solve estimate compare; do
         bivasym $c --spec problems/$p.json > tests/data/golden/$p.$c.out
       done
@@ -23,8 +24,9 @@ change meant to move them regenerates them with
       > tests/data/golden/origin_zero_inside.solve.out
 
 and says why in its description.  ``far_point`` has a critical point near
-(6.7e39, -2.2e39), the widest range of any input, and ``negative_origin``
-a negative ``H(0, 0)``.  ``origin_zero_inside`` is refused (exit
+(6.7e39, -2.2e39), and ``beyond_double_point`` one near (6.7e399,
+-2.2e399), whose moduli have no double value and print as ``inf``;
+``negative_origin`` has a negative ``H(0, 0)``.  ``origin_zero_inside`` is refused (exit
 2), and its report shows the witness of the refusal.  The ``oracle`` goldens print every entry
 of the exact table (numerator, denominator and value): ``negative_origin``
 carries a symbolic complex prefactor and ``color_swap`` a numerator ``G``.
@@ -47,7 +49,14 @@ GOLDEN = ROOT / "tests" / "data" / "golden"
 CLI_CASES = [
     (problem, command, bits)
     for bits in (None, 64, 256)
-    for problem in ("branch_wrap", "color_swap", "far_point", "multinomial_sqrt", "negative_origin")
+    for problem in (
+        "beyond_double_point",
+        "branch_wrap",
+        "color_swap",
+        "far_point",
+        "multinomial_sqrt",
+        "negative_origin",
+    )
     for command in ("compare", "estimate", "solve")
 ]
 

@@ -61,10 +61,8 @@ def fraction_determinant(matrix):
     return det
 
 
-def fraction_resultant(f, g, eliminate):
-    """Evaluation-interpolation over the rationals, the sample points 0, 1, -1, ..."""
-    if eliminate == "x":
-        f, g = f.swap_variables(), g.swap_variables()
+def fraction_resultant(f, g):
+    """The eliminant of y by evaluation-interpolation over the rationals, the sample points 0, 1, -1, ..."""
     f_rows, g_rows = f.coeffs_in_y(), g.coeffs_in_y()
     m, n = len(f_rows) - 1, len(g_rows) - 1
     if m == 0 or n == 0:
@@ -106,8 +104,11 @@ def _systems():
 
 
 def _check(f, g, eliminate):
-    got = resultant_eliminating(f, g, eliminate)
-    assert got == fraction_resultant(f, g, eliminate)
+    """The eliminant of ``eliminate``, "y" or "x", against the Fraction route."""
+    if eliminate == "x":
+        f, g = f.swap_variables(), g.swap_variables()
+    got = resultant_eliminating(f, g)
+    assert got == fraction_resultant(f, g)
     assert all(type(c) is Fraction for c in got)
     if degree(got) >= 1:
         assert squarefree_part(got) == fraction_squarefree_part(got)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -373,6 +374,24 @@ def test_oracle_csv(color_swap_spec_file, tmp_path):
     assert lines[1] == "r,s,numerator,denominator,value"
     # (0,0) entry of G*H^(-1/2) is 1
     assert lines[2].startswith("0,0,1,1,")
+
+
+def test_oracle_prints_entries_past_the_int_digit_cap(tmp_path):
+    # H = 1 - x - y + 10^-5000 x^2: the (2, 0) entry of H^(-1/2) has a
+    # denominator of 5,001 digits, past Python's default cap of 4,300 on
+    # str(int).  The CLI lifts the cap for its call and restores it.
+    spec = tmp_path / "tiny.json"
+    spec.write_text(
+        '{"H": [[0, 0, "1"], [1, 0, "-1"], [0, 1, "-1"], [2, 0, "1e-5000"]],'
+        ' "beta": "1/2", "direction": "1:1", "targets": [[2, 2]]}'
+    )
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    before = cap()
+    out = tmp_path / "table.csv"
+    assert main(["oracle", "--spec", str(spec), "--out", str(out)]) == 0
+    assert cap() == before
+    entry = next(l for l in out.read_text().splitlines() if l.startswith("2,0,"))
+    assert len(entry.split(",")[3]) == 5001
 
 
 def test_oracle_quadrature_discrepancy(color_swap_spec_file, tmp_path):

@@ -30,7 +30,7 @@ def test_linear_pair_gives_difference():
     # res_y(y - a(x), y - b(x)) = a(x) - b(x) up to sign
     f = bp([(0, 1, "1"), (1, 0, "-1")])        # y - x
     g = bp([(0, 1, "1"), (2, 0, "-3")])        # y - 3x^2
-    res = resultant_eliminating(f, g, "y")
+    res = resultant_eliminating(f, g)
     # Common roots exactly where x = 3x^2
     assert trim(res) in ([F(0), F(-1), F(3)], [F(0), F(1), F(-3)])
 
@@ -39,7 +39,7 @@ def test_designed_common_roots():
     # f = (y - x)(y - 2x), g = y - 3x: resultant roots where 3x hits x or 2x.
     f = bp([(0, 2, "1"), (1, 1, "-3"), (2, 0, "2")])
     g = bp([(0, 1, "1"), (1, 0, "-3")])
-    res = resultant_eliminating(f, g, "y")
+    res = resultant_eliminating(f, g)
     # (3x - x)(3x - 2x) = 2x^2
     assert trim(res) == [F(0), F(0), F(2)]
 
@@ -48,7 +48,7 @@ def test_common_factor_vanishes_identically():
     common = bp([(0, 0, "1"), (1, 0, "-1"), (0, 1, "-1")])
     f = common * bp([(0, 1, "1"), (1, 0, "1")])
     g = common * bp([(0, 0, "2"), (1, 0, "5")])
-    assert is_zero(resultant_eliminating(f, g, "y"))
+    assert is_zero(resultant_eliminating(f, g))
     assert shares_positive_dimensional_zero(f, g)
 
 
@@ -57,15 +57,15 @@ def test_common_factor_in_x_only_detected():
     common = bp([(0, 0, "1"), (1, 0, "-2")])  # 1 - 2x
     f = common * bp([(0, 1, "1"), (0, 0, "1")])
     g = common * bp([(0, 2, "1"), (0, 0, "-5")])
-    assert not is_zero(resultant_eliminating(f, g, "y"))
-    assert is_zero(resultant_eliminating(f, g, "x"))
+    assert not is_zero(resultant_eliminating(f, g))
+    assert is_zero(resultant_eliminating(f.swap_variables(), g.swap_variables()))
     assert shares_positive_dimensional_zero(f, g)
 
 
 def _two_eliminant_verdict(f, g) -> bool:
     """The reference: either eliminant vanishes identically."""
-    return is_zero(resultant_eliminating(f, g, "y")) or is_zero(
-        resultant_eliminating(f, g, "x")
+    return is_zero(resultant_eliminating(f, g)) or is_zero(
+        resultant_eliminating(f.swap_variables(), g.swap_variables())
     )
 
 
@@ -120,7 +120,7 @@ def test_integer_row_gcd_matches_the_fraction_row_gcd():
     systems += [(f * factor, g * factor) for f, g in systems[:8]]
     verdicts = []
     for f, g in systems:
-        res_y = resultant_eliminating(f, g, "y")
+        res_y = resultant_eliminating(f, g)
         verdicts.append(shares_positive_dimensional_zero(f, g, res_y))
         assert verdicts[-1] == _fraction_row_verdict(f, g, res_y)
     assert verdicts.count(True) >= 8
@@ -177,7 +177,7 @@ def test_first_subresultant_of_two_quadratics():
     assert (sigma0, sigma1) == ([0, 5], [-6])
     # The eliminant x*(25x/4 - 9/2) vanishes at 0 and 18/25; above each the
     # common root is y = -sigma0/sigma1 = 5x/6.
-    assert resultant_eliminating(f, g, "y") == [F(0), F(-9, 2), F(25, 4)]
+    assert resultant_eliminating(f, g) == [F(0), F(-9, 2), F(25, 4)]
     for x0 in (F(0), F(18, 25)):
         y0 = -F(eval_at(sigma0, x0)) / eval_at(sigma1, x0)
         assert f.eval_exact(x0, y0) == 0 and g.eval_exact(x0, y0) == 0

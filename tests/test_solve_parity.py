@@ -71,7 +71,7 @@ def test_squarefree_eliminant_finds_the_same_points(case, monkeypatch):
         m.setattr(critical, "upoly_squarefree_part", list)
         full = _solve(spec)
     if case not in PROBLEMS:
-        res = resultant_eliminating(*critical_system(spec.H, spec.direction), "y")
+        res = resultant_eliminating(*critical_system(spec.H, spec.direction))
         assert degree(squarefree_part(res)) < degree(res)
     if not isinstance(full, list):
         assert got is full
