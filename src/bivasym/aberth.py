@@ -34,11 +34,17 @@ neighbours; an iterate that is not has g_j r_j^2 >= 1/4 and r_j >=
 2^-13, which fails the bound at any precision.  A sweep with a
 working-precision sum leaves only the first rule.
 
-The residual acceptance takes |p| and the scale sum |c_k| |z|^k the same
-way as the steps' p.  Only exactly-zero leading coefficients are dropped:
-whether a computed one is noise is the caller's to judge, against its
-own scale.  Everything is deterministic: fixed starting angles, fixed
-iteration caps, no randomness.
+The residual acceptance asks whether |p(z)| exceeds 2^-24 of the scale
+sum |c_k| |z|^k, a 24-bit question, so it is settled in doubles:
+``unipoly.double_values`` gives p and the scale at the double of z with
+a rigorous bound on their error, and ``unipoly.certified_above`` decides
+when the bound leaves one answer.  Where it straddles the threshold, or
+a coefficient or z has no finite normal double, p and the scale are taken
+exactly, as the steps' p is, and compared at working precision; either
+way the verdict is the exact test's.  Only exactly-zero leading
+coefficients are dropped: whether a computed one is noise is the
+caller's to judge, against its own scale.  Everything is deterministic:
+fixed starting angles, fixed iteration caps, no randomness.
 """
 
 from __future__ import annotations
@@ -52,8 +58,16 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .errors import RootFindingError
-from .precision import to_mpc
-from .unipoly import ExactForm, exact_form, values_at
+from .precision import power_of_two, to_mpc
+from .unipoly import (
+    ExactForm,
+    certified_above,
+    double_coefficients,
+    double_point,
+    double_values,
+    exact_form,
+    values_at,
+)
 
 # Fixed angular offset for the starting circles, breaking root symmetries.
 _START_OFFSET = 0.376991118430775
@@ -86,7 +100,7 @@ def _pair_sum(z: Sequence[mpc], i: int, zi: mpc) -> mpc:
         if j != i:
             d = zi - zj
             if d == 0:
-                d = (abs(zi) + 1) * mpf(2) ** (-mp.prec + 4)
+                d = (abs(zi) + 1) * power_of_two(4 - mp.prec)
             s += 1 / d
     return s
 
@@ -148,7 +162,7 @@ def _aberth_iterate(forms: Sequence[ExactForm], z: List[mpc], tol: mpf) -> List[
                 continue
             if not dp:
                 # Nudge off an exact critical point; deterministic direction.
-                zi = zi + (abs(zi) + 1) * mpf(2) ** (-mp.prec // 2)
+                zi = zi + (abs(zi) + 1) * power_of_two(-mp.prec // 2)
                 p, dp = values_at(forms, zi)
                 last = False
                 if not dp:
@@ -263,17 +277,11 @@ def aberth_roots(coefficients: Sequence) -> List[mpc]:
     # Near the roots in complex128, else from the start points at working
     # precision; then finish at working precision.
     z = _float_stage(coeffs) or _start_points(coeffs)
-    z = _aberth_iterate(forms, z, mpf(2) ** (-(mp.prec - 12)))
+    z = _aberth_iterate(forms, z, power_of_two(12 - mp.prec))
 
     # Residual acceptance: |p(z)| relative to the coefficient scale at z.
-    loose = mpf(2) ** (-_RESIDUAL_BITS)
-    moduli = [exact_form([abs(c) for c in exact])]
-    bad = []
-    for zi in z:
-        (p,) = values_at(forms[:1], zi)
-        (scale,) = values_at(moduli, abs(zi))
-        if abs(p) > loose * scale.real:
-            bad.append(zi)
+    doubles = double_coefficients(forms[0])
+    bad = [zi for zi in z if _residual_fails(exact, forms[0], doubles, zi)]
     if bad:
         raise RootFindingError(
             f"root iteration failed to converge for {len(bad)} of {n} roots",
@@ -281,6 +289,35 @@ def aberth_roots(coefficients: Sequence) -> List[mpc]:
         )
     roots.extend(z)
     return roots
+
+
+def _residual_fails(exact: Sequence, form: ExactForm, doubles, zi: mpc) -> bool:
+    """True when |p(zi)| exceeds ``2^-_RESIDUAL_BITS`` of the scale ``sum |c_k| |zi|^k``.
+
+    ``form`` is p's exact form and ``exact`` its coefficients.  Settled
+    by ``_residual_fails_in_doubles`` where it can be, else on the exact
+    values rounded to working precision.
+    """
+    verdict = _residual_fails_in_doubles(doubles, zi)
+    if verdict is not None:
+        return verdict
+    (p,) = values_at([form], zi)
+    (scale,) = values_at([exact_form([abs(c) for c in exact])], abs(zi))
+    return abs(p) > power_of_two(-_RESIDUAL_BITS) * scale.real
+
+
+def _residual_fails_in_doubles(doubles, zi: mpc) -> Optional[bool]:
+    """``_residual_fails``'s verdict from p in doubles, or None where its bound leaves it open.
+
+    ``doubles`` holds p's ``double_coefficients``; None also when they or
+    ``zi`` have no finite normal double.
+    """
+    zd = None if doubles is None else double_point(zi)
+    if zd is None:
+        return None
+    p, scale, err = double_values([doubles], zd)
+    loose = 2.0**-_RESIDUAL_BITS
+    return certified_above(abs(p), err, loose * scale, loose * err, len(doubles) - 1)
 
 
 def _hull_edges(log_moduli) -> List[tuple]:

@@ -9,12 +9,13 @@ round the result once to ``mp.prec``.  A value is the correctly rounded
 value of the exact polynomial at the point.  The integer columns and each
 partial derivative are made once.  ``eval`` keeps its last 8 values,
 keyed by ``mp.prec`` and the bits of x and y, so a partial derivative
-asked for again at one point costs no second Horner pass: ``local_data``
-reuses the H_x and H_y of ``is_smooth``, and ``choose_branch_ray`` and
-``winding_number`` those of ``local_data``.
-``eval_array`` is the one double-precision evaluator, used for every
-numpy grid, curve and probe slice, and ``ray_argument`` the one tracker
-of arg H along a ray from the origin.
+asked for again at one point costs no second Horner pass:
+``winding_number`` reuses the H_x and H_y of ``local_data``.
+``eval_double`` is the scalar double-precision evaluator, with a
+rigorous error bound (``unipoly.double_values``), for the threshold tests
+that doubles can settle.  ``eval_array`` evaluates on numpy grids, curves
+and probe slices, and ``ray_argument`` is the one tracker of arg H along a
+ray from the origin.
 """
 
 from __future__ import annotations
@@ -30,7 +31,15 @@ from numpy.polynomial.polynomial import polyval
 from .errors import BranchTrackingError
 from .precision import to_mpc
 from .rationals import parse_rational
-from .unipoly import dyadic, horner_exact, round_exact, trim, values_at
+from .unipoly import (
+    double_coefficients,
+    double_values,
+    dyadic,
+    horner_exact,
+    round_exact,
+    trim,
+    values_at,
+)
 
 Exponent = Tuple[int, int]
 
@@ -43,10 +52,10 @@ class BivariatePolynomial:
 
     Zero coefficients are never stored; the zero polynomial has no terms.
     The terms are never changed after construction, which the caches of
-    integer columns, partial derivatives and values rely on.
+    integer and double columns, partial derivatives and values rely on.
     """
 
-    __slots__ = ("terms", "_columns", "_partials", "_values")
+    __slots__ = ("terms", "_columns", "_doubles", "_partials", "_values")
 
     def __init__(self, terms: Dict[Exponent, Fraction] | None = None):
         clean: Dict[Exponent, Fraction] = {}
@@ -59,6 +68,7 @@ class BivariatePolynomial:
                     clean[(int(i), int(j))] = c
         self.terms = clean
         self._columns: tuple | None = None
+        self._doubles: list | None = None
         self._partials: Dict[str, "BivariatePolynomial"] = {}
         self._values: Dict[tuple, object] = {}
 
@@ -287,6 +297,18 @@ class BivariatePolynomial:
             del self._values[next(iter(self._values))]
         self._values[key] = acc
         return acc
+
+    def eval_double(self, x: complex, y: complex):
+        """``unipoly.double_values`` at the complex doubles (x, y): value, magnitude sum, bound.
+
+        The coefficients are rounded to doubles once.  None when one has no
+        finite normal double.
+        """
+        if self._doubles is None:
+            den, cols, _ = self._integer_columns()
+            doubles = [double_coefficients((col, None, den)) for col in cols]
+            self._doubles = [] if None in doubles else doubles
+        return double_values(self._doubles, x, y) if self._doubles else None
 
     def eval_array(self, x, y, out=None) -> np.ndarray:
         """Double-precision values at numpy arrays ``x``, ``y`` broadcast together.

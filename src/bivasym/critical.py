@@ -14,7 +14,8 @@ y-degree of 0 leaves S1 undefined, or when ``q`` fails the 1e-4 residual
 filter.  That root solve first drops each top y-coefficient of ``F(w, .)``
 that vanishes.  One test, ``_vanishes_at``, decides both: a value at ``w``
 vanishes when it is at most ``2^-(prec/2)`` of its own coefficient scale
-at ``|w|``.  Every candidate is Newton-polished on the full 2x2 system with
+at ``|w|``, a scale taken in certified doubles where they settle the
+test.  Every candidate is Newton-polished on the full 2x2 system with
 its exact Jacobian.  Points come out by torus, in the order of each
 torus's first (|p|, |q|), and by arg p, then arg q, on one torus.  A root
 below the real axis whose conjugate is another root takes the exact
@@ -29,7 +30,8 @@ witness when violated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -40,9 +42,17 @@ from numpy.polynomial.polynomial import polyval
 from .aberth import aberth_roots, roots_of_rational_poly
 from .bivariate import BivariatePolynomial
 from .errors import ConfigError, NonIsolatedCriticalSet, RootFindingError
-from .precision import to_mpc, to_mpf
+from .precision import power_of_two, to_mpc, to_mpf
 from .resultant import first_subresultant, resultant_eliminating, shares_positive_dimensional_zero
-from .unipoly import ExactForm, exact_form, values_at
+from .unipoly import (
+    ExactForm,
+    certified_above,
+    double_coefficients,
+    double_point,
+    double_values,
+    exact_form,
+    values_at,
+)
 from .unipoly import degree as upoly_degree
 from .unipoly import squarefree_part as upoly_squarefree_part
 
@@ -102,7 +112,14 @@ class ProbeGrid:
 
 @dataclass
 class CriticalPoint:
-    """One polished solution of the critical system with its verdicts."""
+    """One polished solution of the critical system with its verdicts.
+
+    The point keeps |p|, |q|, arg p and arg q at working precision
+    (``abs_pq``, ``arg_pq``, ``moduli``), each taken once when first asked
+    for, for the bits of p and q and the ``mp.prec`` they were taken at; a
+    new p, q or precision takes them afresh.  The kept values are not part
+    of equality or ``repr``.
+    """
 
     p: mpc
     q: mpc
@@ -113,11 +130,32 @@ class CriticalPoint:
     witness: Optional[Tuple[complex, complex]] = None
     margin: Optional[float] = None  # least |x|/|p| - 1 the probe saw
     torus_class: Optional[int] = None
+    _kept: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+
+    def _keep(self, name: str, make):
+        """``make()``, taken once for the bits of p and q and ``mp.prec``."""
+        key = (mp.prec, self.p._mpc_, self.q._mpc_)
+        if self._kept is None or self._kept[0] != key:
+            self._kept = (key, {})
+        kept = self._kept[1]
+        if name not in kept:
+            kept[name] = make()
+        return kept[name]
+
+    @property
+    def abs_pq(self) -> Tuple[mpf, mpf]:
+        """``(|p|, |q|)`` at working precision."""
+        return self._keep("abs", lambda: (abs(self.p), abs(self.q)))
+
+    @property
+    def arg_pq(self) -> Tuple[mpf, mpf]:
+        """``(arg p, arg q)`` at working precision."""
+        return self._keep("arg", lambda: (mp.arg(self.p), mp.arg(self.q)))
 
     @property
     def moduli(self) -> Tuple[float, float]:
         """``(|p|, |q|)`` in doubles, as ``same_torus`` compares them."""
-        return float(abs(self.p)), float(abs(self.q))
+        return self._keep("moduli", lambda: tuple(float(v) for v in self.abs_pq))
 
     @property
     def doubles(self) -> Tuple[complex, complex]:
@@ -125,16 +163,21 @@ class CriticalPoint:
         return complex(self.p), complex(self.q)
 
     def conjugate_of(self, other: "CriticalPoint") -> bool:
-        return same_point((self.p, self.q), (mp.conj(other.p), mp.conj(other.q)))
+        return same_point(self, (mp.conj(other.p), mp.conj(other.q)))
 
 
-def same_point(a: Tuple[mpc, mpc], b: Tuple[mpc, mpc]) -> bool:
+def same_point(a, b: Tuple[mpc, mpc]) -> bool:
     """True when each coordinate of ``b`` is within ``MERGE_TOL * (1 + max(|p|, |q|))`` of ``a``'s.
 
-    ``a`` and ``b`` are ``(p, q)`` pairs, the scale taken from ``a`` at
-    working precision, where a point past the double range keeps it.
+    ``b`` is a ``(p, q)`` pair and ``a`` one too, or a CriticalPoint, whose
+    kept moduli give the scale.  The scale is taken from ``a`` at working
+    precision, where a point past the double range keeps it.
     """
-    close = MERGE_TOL * (1 + max(abs(a[0]), abs(a[1])))
+    if isinstance(a, CriticalPoint):
+        scale, a = max(a.abs_pq), (a.p, a.q)
+    else:
+        scale = max(abs(a[0]), abs(a[1]))
+    close = MERGE_TOL * (1 + scale)
     return abs(a[0] - b[0]) <= close and abs(a[1] - b[1]) <= close
 
 
@@ -205,7 +248,7 @@ def _system_eliminant(f: BivariatePolynomial, g: BivariatePolynomial) -> List[Fr
 
 def noise_floor() -> mpf:
     """Relative size at or below which a computed part is noise: 2^-(prec-8)."""
-    return mpf(2) ** (-(mp.prec - 8))
+    return power_of_two(8 - mp.prec)
 
 
 def snap_noise(z) -> mpc:
@@ -244,7 +287,7 @@ def _newton_polish(F1: BivariatePolynomial, F2: BivariatePolynomial, start):
         [F1.partial("x"), F1.partial("y")],
         [F2.partial("x"), F2.partial("y")],
     ]
-    target = mpf(2) ** (-(mp.prec - 16))
+    target = power_of_two(16 - mp.prec)
     best = start
     for _ in range(60):
         p, q, cur = best[0], best[1], max(best[2:])
@@ -347,37 +390,65 @@ def _partners(F1, F2, w: mpc, sigmas):
     (``_vanishes_at``) or the point fails the ``START_TOL`` residual
     filter; ``_recover_partner`` then gives them.
     """
+    aw = abs(w)
     if sigmas is not None:
         sigma0, sigma1 = values_at(sigmas[:2], w)
-        if not _vanishes_at(sigma1, sigmas[2], w):
+        if not _vanishes_at(sigma1, sigmas[2], aw):
             start = _snapped_point(F1, F2, w, -sigma0 / sigma1)
             if max(start[2:]) <= START_TOL:
                 return [start]
-    return _recover_partner(F1, F2, w)
+    return _recover_partner(F1, F2, w, aw)
 
 
-def _vanishes_at(value: mpc, moduli: ExactForm, w: mpc) -> bool:
+def _vanishes_at(value: mpc, moduli: ExactForm, aw: mpf) -> bool:
     """True when ``|value| <= 2^-(prec/2) * sum m_k |w|^k``.
 
-    ``value`` is a polynomial at ``w``, ``moduli`` the exact form of the
-    moduli ``m_k`` of its ascending coefficients: each value is judged
-    against its own scale.
+    ``value`` is a polynomial at ``w``, ``aw`` is ``|w|`` at working
+    precision, taken once per root, and ``moduli`` the exact form of the
+    moduli ``m_k`` of the polynomial's ascending coefficients: each value
+    is judged against its own scale.  The scale is taken in doubles with
+    its error bound (``unipoly.double_values``), and ``certified_above``
+    settles the test where it can.  Otherwise, and whenever the threshold
+    2^-(prec/2) is not a normal double (from 2046 bits on), the scale is
+    computed exactly and rounded to working precision.
     """
-    (scale,) = values_at([moduli], abs(w))
-    return abs(value) <= mpf(2) ** (-(mp.prec // 2)) * scale.real
+    verdict = _vanishes_in_doubles(value, moduli, aw)
+    if verdict is not None:
+        return verdict
+    (scale,) = values_at([moduli], aw)
+    return abs(value) <= power_of_two(-(mp.prec // 2)) * scale.real
 
 
-def _recover_partner(F1, F2, w: mpc):
+def _vanishes_in_doubles(value: mpc, moduli: ExactForm, aw: mpf) -> Optional[bool]:
+    """``_vanishes_at``'s verdict with the scale in doubles, or None where its bound leaves it open.
+
+    None also when the threshold, ``value``, ``aw`` or a modulus has no
+    finite normal double.
+    """
+    threshold = 2.0 ** -(mp.prec // 2)
+    vd, wd = double_point(value), double_point(aw)
+    if threshold < sys.float_info.min or vd is None or wd is None:
+        return None
+    dm = double_coefficients(moduli)
+    if dm is None:
+        return None
+    _, scale, err = double_values([dm], wd)
+    above = certified_above(abs(vd), 0.0, threshold * scale, threshold * err, len(dm) - 1)
+    return None if above is None else not above
+
+
+def _recover_partner(F1, F2, w: mpc, aw: mpf):
     """Start points (``_snapped_point`` tuples) above ``w`` by root-solving in y.
 
     The partners are the roots of whichever system polynomial still
     depends on y at x = ``w`` once each top y-coefficient that vanishes
-    there (``_vanishes_at`` on its exact row) is dropped; those with a
-    residual above ``START_TOL`` are dropped.  The fallback of ``_partners``.
+    there (``_vanishes_at`` on its exact row, at ``aw = |w|``) is dropped;
+    those with a residual above ``START_TOL`` are dropped.  The fallback of
+    ``_partners``.
     """
     for poly in (F1, F2):
         coeffs, moduli = poly.specialize_x(w), poly.moduli_in_y()
-        while len(coeffs) > 1 and _vanishes_at(coeffs[-1], moduli[len(coeffs) - 1], w):
+        while len(coeffs) > 1 and _vanishes_at(coeffs[-1], moduli[len(coeffs) - 1], aw):
             coeffs.pop()
         if len(coeffs) == 1:
             continue
@@ -403,7 +474,7 @@ def _merge_duplicates(points: List[CriticalPoint]) -> List[CriticalPoint]:
     for pt in points:
         d = pt.doubles
         near = [k for k, other in enumerate(doubles) if not apart(d, other)]
-        k = next((k for k in near if same_point((pt.p, pt.q), (kept[k].p, kept[k].q))), None)
+        k = next((k for k in near if same_point(pt, (kept[k].p, kept[k].q))), None)
         if k is None:
             kept.append(pt)
             doubles.append(d)
@@ -414,7 +485,7 @@ def _merge_duplicates(points: List[CriticalPoint]) -> List[CriticalPoint]:
             doubles[k] = d
     homes, tori = _tori(kept)
     torus = {id(pt): tori[k] for pt, k in zip(kept, homes)}
-    kept.sort(key=lambda c: (torus[id(c)], float(mp.arg(c.p)), float(mp.arg(c.q))))
+    kept.sort(key=lambda c: (torus[id(c)], *(float(a) for a in c.arg_pq)))
     return kept
 
 
@@ -443,14 +514,49 @@ def is_smooth(H: BivariatePolynomial, pt) -> bool:
 
     The gradient magnitude is compared against ``SMOOTH_TOL`` times the
     coefficient scale of H, so the verdict is invariant under rescaling H.
+    The test is settled in doubles where it can be (``_smooth_in_doubles``);
+    otherwise H_x and H_y are evaluated exactly, rounded once to working
+    precision, and compared there.
     """
     p, q = to_mpc(pt[0]), to_mpc(pt[1])
-    gx = abs(H.partial("x").eval(p, q))
-    gy = abs(H.partial("y").eval(p, q))
-    scale = to_mpf(H.coefficient_scale())
+    scale = H.coefficient_scale()
     if scale == 0:
         return False
-    return bool(max(gx, gy) > SMOOTH_TOL * scale)
+    verdict = _smooth_in_doubles(H, p, q, scale)
+    if verdict is not None:
+        return verdict
+    gx = abs(H.partial("x").eval(p, q))
+    gy = abs(H.partial("y").eval(p, q))
+    return bool(max(gx, gy) > SMOOTH_TOL * to_mpf(scale))
+
+
+def _smooth_in_doubles(H: BivariatePolynomial, p: mpc, q: mpc, scale: Fraction) -> Optional[bool]:
+    """``is_smooth``'s verdict from H_x and H_y in doubles, or None where they leave it open.
+
+    Each partial is evaluated by ``eval_double`` with its error bound, and
+    ``certified_above`` compares its modulus with ``SMOOTH_TOL * scale``:
+    smooth once one partial is certainly above, not smooth once both are
+    certainly not.  None also when p, q or a coefficient has no finite
+    normal double.
+    """
+    pd, qd = double_point(p), double_point(q)
+    if pd is None or qd is None:
+        return None
+    try:
+        threshold = SMOOTH_TOL * float(scale)
+    except OverflowError:
+        return None
+    verdicts = []
+    for var in ("x", "y"):
+        got = H.partial(var).eval_double(pd, qd)
+        if got is None:
+            return None
+        value, _, err = got
+        above = certified_above(abs(value), err, threshold, 0.0, 0)
+        if above:
+            return True
+        verdicts.append(above)
+    return False if verdicts == [False, False] else None
 
 
 # ----------------------------------------------------------------------
@@ -492,8 +598,7 @@ def minimality_probe(
     ``margin`` (the least |x|/|p| - 1 over the circle's checked roots) are
     written onto ``pt``, which is returned.
     """
-    mod_p = float(abs(pt.p))
-    mod_q = float(abs(pt.q))
+    mod_p, mod_q = pt.moduli
     if mod_p == 0 or mod_q == 0:
         pt.minimality = INCONCLUSIVE
         return pt

@@ -33,8 +33,9 @@ class LocalData:
 
     ``grad_ratio`` is H_y/H_x; ``curvature`` the second-order coefficient
     of the zero-set parametrization; ``phase_hessian`` the second
-    derivative of the logarithmic phase at the saddle.  ``checks`` maps
-    precondition names to pass/fail.
+    derivative of the logarithmic phase at the saddle.  ``hx`` and ``hy``
+    are H_x and H_y at the point, and ``w = -p*H_x`` the base of the branch
+    value ``w**(-beta)``.  ``checks`` maps precondition names to pass/fail.
     """
 
     point: CriticalPoint
@@ -42,6 +43,8 @@ class LocalData:
     curvature: mpc
     phase_hessian: mpc
     hx: mpc
+    hy: mpc
+    w: mpc
     checks: dict = field(default_factory=dict)
 
     def failed_checks(self) -> List[str]:
@@ -108,10 +111,11 @@ def local_data(
     curv = (ratio * ratio * hxx - 2 * ratio * hxy + hyy) / (2 * hx)
     m = -2 * curv / p - ratio * ratio / (p * p) - 1 / (lam * q * q)
 
+    abs_p, abs_q = pt.abs_pq
     checks = {
         "hx_nonzero": True,
-        "p_nonzero": abs(p) > 0,
-        "q_nonzero": abs(q) > 0,
+        "p_nonzero": abs_p > 0,
+        "q_nonzero": abs_q > 0,
         "phase_hessian_nonzero": abs(m) > SMOOTH_TOL**2,
         # A real part at rounding noise is no sign (as in ``_real_positive``).
         "saddle_real_part_positive": snap_noise(-(q * q) * m).real > 0,
@@ -125,6 +129,8 @@ def local_data(
         curvature=curv,
         phase_hessian=m,
         hx=hx,
+        hy=hy,
+        w=-p * hx,
         checks=checks,
     )
 
@@ -143,12 +149,18 @@ def choose_branch_ray(H: BivariatePolynomial, points: Sequence[CriticalPoint]) -
     every excluded direction.
     """
     hx_poly = H.partial("x")
-    excluded = [_wrap(mp.arg(to_mpc(H.constant_term())))]
+    w_args = []
     for pt in points:
         w = -pt.p * hx_poly.eval(pt.p, pt.q)
         if abs(w) == 0:
             raise HypothesisFailure("hx_nonzero", "cannot place branch ray: -p*H_x = 0")
-        excluded.append(_wrap(mp.arg(w)))
+        w_args.append(mp.arg(w))
+    return _ray_clear_of(H, w_args)
+
+
+def _ray_clear_of(H: BivariatePolynomial, w_args) -> BranchRay:
+    """``choose_branch_ray``'s ray, from the arguments of the points' ``w = -p*H_x``."""
+    excluded = [_wrap(mp.arg(to_mpc(H.constant_term())))] + [_wrap(a) for a in w_args]
     angles = sorted(set(excluded))
     best_angle, best_margin = None, -1.0
     for k, a in enumerate(angles):
@@ -172,12 +184,12 @@ def _dist_to_pi(angle: Optional[float]) -> float:
     return min(d, TWO_PI - d)
 
 
-def branch_argument(w: mpc, ray: BranchRay, anchor_arg) -> mpf:
-    """Argument of ``w`` on the branch cut along ``ray`` anchored at ``anchor_arg``.
+def branch_argument(theta, ray: BranchRay, anchor_arg) -> mpf:
+    """The argument ``theta`` of a value on the branch cut along ``ray`` anchored at ``anchor_arg``.
 
     The branch assigns arguments in the open 2*pi interval with endpoints
     on the ray that contains the anchor argument; values on the cut are an
-    error.
+    error.  ``theta`` is any argument of the value, as ``mp.arg`` gives it.
     """
     a0 = to_mpf(anchor_arg)
     ray_a = to_mpf(ray.angle)
@@ -186,7 +198,6 @@ def branch_argument(w: mpc, ray: BranchRay, anchor_arg) -> mpf:
     lo = ray_a + 2 * mp.pi * k
     if a0 == lo:
         raise BranchTrackingError("anchor argument lies on the branch cut")
-    theta = mp.arg(w)
     j = mp.floor((theta - lo) / (2 * mp.pi))
     rep = theta - 2 * mp.pi * j
     if rep == lo:
@@ -196,9 +207,13 @@ def branch_argument(w: mpc, ray: BranchRay, anchor_arg) -> mpf:
 
 def principal_on_ray(w: mpc, beta, ray: BranchRay, anchor_arg) -> mpc:
     """w**(-beta) using the anchored ray branch of the logarithm."""
-    theta = branch_argument(w, ray, anchor_arg)
-    b = to_mpf(beta)
-    return mp.exp(-b * (mp.log(abs(w)) + mpc(0, 1) * theta))
+    theta = branch_argument(mp.arg(w), ray, anchor_arg)
+    return _power_on_branch(mp.log(abs(w)), theta, to_mpf(beta))
+
+
+def _power_on_branch(log_abs_w, theta, b) -> mpc:
+    """``w**(-b)`` from ``log|w|`` and ``w``'s argument ``theta`` on the branch."""
+    return mp.exp(-b * mpc(log_abs_w, theta))
 
 
 def winding_number(
@@ -279,33 +294,38 @@ def estimate_general(
     b = _check_beta(beta)
     _require_same_torus(points)
     locals_ = [_checked_local_data(H, pt, direction) for pt in points]
-    ray = choose_branch_ray(H, points)
+    # Each point's w = -p*H_x with log|w| and arg w, taken once: the ray,
+    # the branch argument and the branch value read them.
+    log_abs_ws = [mp.log(abs(ld.w)) for ld in locals_]
+    w_args = [mp.arg(ld.w) for ld in locals_]
+    ray = _ray_clear_of(H, w_args)
     anchor = mp.arg(to_mpc(H.constant_term()))
 
     sign_gamma, ln_abs_gamma = gamma_log(b)
     ln_r = mp.log(to_mpf(r))
 
     logmods, args, contribs = [], [], []
-    for ld in locals_:
+    for ld, log_abs_w, w_arg in zip(locals_, log_abs_ws, w_args):
         pt = ld.point
-        w = -pt.p * ld.hx
-        theta_w = branch_argument(w, ray, anchor)
+        theta_w = branch_argument(w_arg, ray, anchor)
         omega = winding_number(H, pt, ray)
 
         q2m = -2 * mp.pi * pt.q * pt.q * ld.phase_hessian
         gval = G.eval(pt.p, pt.q) if G is not None else to_mpc(1)
+        abs_p, abs_q = pt.abs_pq
+        arg_p, arg_q = pt.arg_pq
 
         logmod = (
             (b - mpf(3) / 2) * ln_r
-            - to_mpf(r) * mp.log(abs(pt.p))
-            - to_mpf(s) * mp.log(abs(pt.q))
-            - b * mp.log(abs(w))
+            - to_mpf(r) * mp.log(abs_p)
+            - to_mpf(s) * mp.log(abs_q)
+            - b * log_abs_w
             - ln_abs_gamma
             - mp.log(abs(q2m)) / 2
         )
         arg = (
-            -to_mpf(r) * mp.arg(pt.p)
-            - to_mpf(s) * mp.arg(pt.q)
+            -to_mpf(r) * arg_p
+            - to_mpf(s) * arg_q
             - b * (theta_w + 2 * mp.pi * omega)
             - mp.arg(q2m) / 2
         )
@@ -323,7 +343,7 @@ def estimate_general(
                 "log10_modulus": logmod / mp.log(10),
                 "argument": arg,
                 "winding": omega,
-                "branch_value": principal_on_ray(w, b, ray, anchor),
+                "branch_value": _power_on_branch(log_abs_w, theta_w, b),
                 "point": (pt.p, pt.q),
             }
         )

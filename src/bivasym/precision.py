@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp, mpc, mpf
 
@@ -39,6 +40,12 @@ def working_precision(bits: int):
         yield
     finally:
         mp.prec = old
+
+
+@lru_cache(maxsize=256)
+def power_of_two(k: int) -> mpf:
+    """``2^k`` as an mpf, made once: it is exact, so one value serves every precision."""
+    return mpf(2) ** k
 
 
 def to_mpf(x) -> mpf:

@@ -13,6 +13,15 @@ ints, ``dyadic`` reads the point's parts as ``(a + b*i) / 2^s`` from their
 ``round_exact`` rounds the result once to ``mp.prec`` (``values_at`` does
 all four).  A value is then
 the correctly rounded value of the exact polynomial at the point.
+
+A threshold test on such a value is settled in doubles first.
+``double_values`` runs Horner in complex doubles and returns the value,
+the magnitude sum ``sum |c_k| |z|^k`` and a rigorous bound on the error of
+both (Higham, Accuracy and Stability of Numerical Algorithms, 5.1),
+counting the rounding of the coefficients (``double_coefficients``) and
+of the point (``double_point``) to doubles.  ``certified_above`` decides
+a test only when the bound, widened by the working precision's own
+rounding, leaves one answer; otherwise the caller runs the exact test.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, round_nearest
+from mpmath.libmp import from_man_exp, fzero, round_nearest, to_float
 
 from .errors import EvaluationOverflow
 
@@ -36,6 +45,10 @@ ExactForm = Tuple[List[int], Optional[List[int]], int]
 # of its larger part are rounded off, so the ints do not grow with the gap;
 # a value then moves by about 2^-(2*prec + _GAP_BITS) of its scale.
 _GAP_BITS = 1024
+
+# A double's unit roundoff, and the least positive normal double.
+_UNIT = 2.0**-53
+_NORMAL = 2.0**-1022
 
 
 def trim(p: Sequence[Fraction]) -> UPoly:
@@ -191,6 +204,104 @@ def values_at(forms: Sequence[ExactForm], z) -> list:
         ur, ui = horner_exact(re, im, a, b, s)
         out.append(round_exact(ur, ui, -s * (len(re) - 1), den))
     return out
+
+
+def _double(v: int, den: int) -> Optional[float]:
+    """``v / den`` rounded to a double, or None when nonzero and not a finite normal double."""
+    try:
+        d = v / den
+    except OverflowError:
+        return None
+    return d if not v or _NORMAL <= abs(d) < math.inf else None
+
+
+def double_coefficients(form: ExactForm) -> Optional[list]:
+    """The ascending coefficients of ``form`` rounded to doubles, complex when ``im`` is given.
+
+    None when a nonzero part has no finite normal double.
+    """
+    re, im, den = form
+    out = []
+    for k, v in enumerate(re):
+        a, b = _double(v, den), (_double(im[k], den) if im else 0.0)
+        if a is None or b is None:
+            return None
+        out.append(complex(a, b) if im else a)
+    return out
+
+
+def double_point(z) -> Optional[complex]:
+    """The mpf or mpc ``z`` rounded to a complex double, part by part, to nearest.
+
+    None when a nonzero part is not a finite normal double.
+    """
+    parts = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, fzero)
+    for _, man, exp, bc in parts:
+        if (man and not -1021 <= exp + bc <= 1023) or (not man and exp):
+            return None
+    return complex(to_float(parts[0], rnd=round_nearest), to_float(parts[1], rnd=round_nearest))
+
+
+def double_values(columns: Sequence[Sequence], x: complex, y: complex = 0j):
+    """``(v, m, e)``: ``sum_j y^j sum_i columns[j][i] x^i`` in doubles, with a bound on its error.
+
+    Each column is evaluated in x by Horner, then the column values by
+    Horner in y; a univariate polynomial is one column.  ``v`` is the
+    complex-double value, ``m`` the magnitude sum ``sum |c_ij| |x|^i |y|^j``
+    in doubles, and ``e`` bounds both ``|v - P|`` and ``|m - M|``, where P
+    is the exact polynomial whose coefficients round to ``columns`` (as
+    ``double_coefficients`` rounds them) at a point whose parts round to
+    x and y, and M its magnitude sum there.
+
+    With n = d_x + d_y and u = 2^-53, a complex Horner step perturbs each
+    term by at most (1 + u)^4 (the product by sqrt(2) gamma_2, the sum by
+    u), and the rounding of the coefficients and of the point by (1 +
+    u)^(n + 1), so |v - P| <= gamma_{5n+2} M, and |m - M| <= gamma_{4n+2} M,
+    with gamma_k = k u / (1 - k u).  ``e`` is gamma_{10n+10} m, which
+    covers both since M <= m / (1 - gamma_{4n+2}).  A product that
+    underflows adds at most 2^-1072 per step, times the powers of |x| and
+    |y| that follow it, so ``e`` adds (n + 1)^2 2^-1068 max(1, |x|)^d_x
+    max(1, |y|)^d_y.  ``e`` is inf or nan when a double overflowed.
+    """
+    ax, ay = abs(x), abs(y)
+    v, m = 0j, 0.0
+    for col in reversed(columns):
+        cv, cm = 0j, 0.0
+        for c in reversed(col):
+            cv = cv * x + c
+            cm = cm * ax + abs(c)
+        v = v * y + cv
+        m = m * ay + cm
+    dx, dy = max(len(col) for col in columns) - 1, len(columns) - 1
+    n = dx + dy
+    try:
+        tail = (n + 1) ** 2 * 2.0**-1068 * max(1.0, ax) ** dx * max(1.0, ay) ** dy
+    except OverflowError:
+        tail = math.inf
+    k = (10 * n + 10) * _UNIT
+    return v, m, k / (1 - k) * m + tail
+
+
+def certified_above(a: float, a_err: float, b: float, b_err: float, n: int) -> Optional[bool]:
+    """Whether ``A > B`` for every A within ``a_err`` of ``a`` and B within ``b_err`` of ``b``.
+
+    Each side is widened by (n + 16) 2^-prec + 2^-48 relative as well, so a
+    decided answer is also the exact test's: that test rounds A and B to
+    ``mp.prec``, B's scale at a modulus rounded once and raised to powers
+    up to ``n``, and the double test's own products and moduli move by
+    less than 2^-48.  None, for the exact test to decide, when the answer
+    depends on where A and B lie, when a bound is not finite, or when B's
+    lower end is not a normal double.
+    """
+    slack = (n + 16) * 2.0**-mp.prec + 2.0**-48
+    b_lo, b_hi = (b - b_err) * (1 - slack), (b + b_err) * (1 + slack)
+    if not (a < math.inf and a_err < math.inf and _NORMAL <= b_lo and b_hi < math.inf):
+        return None
+    if (a - a_err) * (1 - slack) > b_hi:
+        return True
+    if (a + a_err) * (1 + slack) < b_lo:
+        return False
+    return None
 
 
 def derivative(p: Sequence[Fraction]) -> UPoly:

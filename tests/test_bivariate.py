@@ -252,25 +252,24 @@ def test_kept_values_are_bounded():
         assert len(poly._values) <= bivariate._MEMO_SIZE == 8
 
 
-def test_local_data_reuses_the_gradient_of_is_smooth(monkeypatch):
-    # local_data right after is_smooth at color_swap's dominant point
-    # evaluates H_x and H_y without a pass of the integer Horner kernel.
+def test_is_smooth_runs_no_exact_pass_and_local_data_takes_exact_gradients(monkeypatch):
+    # At color_swap's dominant point the double gradient and its error bound
+    # settle is_smooth: no pass of the integer Horner kernel runs.
+    # local_data's H_x and H_y are the exact values rounded once, as a
+    # polynomial with no kept values evaluates them.
     spec = parse_problem((ROOT / "problems" / "color_swap.json").read_text())
     pt = run_solve(spec, probe=False).dominant.points[0]
     H = spec.H
-    assert is_smooth(H, (pt.p, pt.q))
-    gradient_columns = {
-        id(col) for var in ("x", "y") for col in H.partial(var)._integer_columns()[1]
-    }
     runs = []
     horner = bivariate.horner_exact
-    monkeypatch.setattr(
-        bivariate,
-        "horner_exact",
-        lambda re, *rest: runs.append(id(re) in gradient_columns) or horner(re, *rest),
-    )
-    local_data(H, pt, spec.direction)
-    assert runs and not any(runs)
+    monkeypatch.setattr(bivariate, "horner_exact", lambda *args: runs.append(1) or horner(*args))
+    assert is_smooth(H, (pt.p, pt.q))
+    assert runs == []
+    monkeypatch.undo()
+    ld = local_data(H, pt, spec.direction)
+    fresh = BivariatePolynomial(dict(H.terms))
+    assert ld.hx._mpc_ == fresh.partial("x").eval(pt.p, pt.q)._mpc_
+    assert ld.hy._mpc_ == fresh.partial("y").eval(pt.p, pt.q)._mpc_
 
 
 def test_moduli_in_y_give_the_row_scales_bit_for_bit():
