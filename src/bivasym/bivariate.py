@@ -52,10 +52,11 @@ class BivariatePolynomial:
 
     Zero coefficients are never stored; the zero polynomial has no terms.
     The terms are never changed after construction, which the caches of
-    integer and double columns, partial derivatives and values rely on.
+    the coefficient scale, integer and double columns, partial derivatives
+    and values rely on.
     """
 
-    __slots__ = ("terms", "_columns", "_doubles", "_partials", "_values")
+    __slots__ = ("terms", "_scale", "_columns", "_doubles", "_partials", "_values")
 
     def __init__(self, terms: Dict[Exponent, Fraction] | None = None):
         clean: Dict[Exponent, Fraction] = {}
@@ -67,6 +68,7 @@ class BivariatePolynomial:
                 if c != 0:
                     clean[(int(i), int(j))] = c
         self.terms = clean
+        self._scale: Fraction | None = None
         self._columns: tuple | None = None
         self._doubles: list | None = None
         self._partials: Dict[str, "BivariatePolynomial"] = {}
@@ -128,8 +130,10 @@ class BivariatePolynomial:
         return self.terms.get((i, j), Fraction(0))
 
     def coefficient_scale(self) -> Fraction:
-        """Largest coefficient magnitude (0 for the zero polynomial)."""
-        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
+        """Largest coefficient magnitude (0 for the zero polynomial), taken once."""
+        if self._scale is None:
+            self._scale = max((abs(c) for c in self.terms.values()), default=Fraction(0))
+        return self._scale
 
     # -- arithmetic (exact) ----------------------------------------------
 

@@ -21,7 +21,10 @@ it is read, so a caller that reads a few entries pays for those alone.
 
 The recurrence runs as a row kernel: row a is built from rows a - i,
 i <= deg_x H, by whole-row multiply-adds over Python ints, then divided by
-a.  ``coeff_recurrence`` keeps every row (the table for the CSV export);
+a.  It does no arithmetic on entries that are zero by construction: a row
+with no nonzero source row is the zero row, and a row's columns past the
+reach of its source rows' nonzero columns are zero.  ``coeff_recurrence``
+keeps every row (the table for the CSV export);
 ``coefficients_at`` streams the same rows and keeps a window of them, for
 callers that need a few entries.  ``coeff_recurrence(order="antidiagonal")``
 is the independent reference: a per-cell step along antidiagonals.
@@ -210,12 +213,27 @@ def _integer_rows(terms, beta: Fraction, R: int, S: int) -> Iterator[List[int]]:
     a pass along the row for the pure-y terms.  A pure-y term's factor
     m_0j*(v*a + u*0) is a multiple of a, so it subtracts v*m_0j*g[a][b-j]
     after the division, and a nonzero remainder of the division is one of
-    the full step.  Only the last deg_x H rows are kept.
+    the full step.  With one pure-y term y^j that pass is one multiply-add
+    per cell along each residue class of b mod j.  Only the last deg_x H
+    rows are kept.
+
+    Entries that are zero by construction take no arithmetic.  The rows are
+    kept trimmed to a bound hi_a on their nonzero columns: with no pure-y
+    term of degree <= S, row 0 is [1]; row a reaches min(S, hi_(a-i) + j)
+    over the terms whose source row a - i is nonzero, and all of 0..S when
+    a pure-y term spreads it along the row.  Every cell that adds a term of
+    the step lies in 0..hi_a, and every other cell is a sum of no terms, so
+    it is 0 and its division is exact.  A row with no nonzero source row
+    (x-exponent gcd above 1, or a < the least i) is the zero row, with no
+    division and no pure-y pass.  The bound is taken from the source rows'
+    lengths, not by scanning their entries, and every cell that is computed
+    keeps its exactness check, so a remainder names the same first cell as
+    a fill of every cell.  Rows are yielded padded with zeros to S + 1.
     """
     u, v = beta.numerator, beta.denominator
-    column = sorted((j, m) for i, j, m in terms if i == 0)
-    row = [1] + [0] * S
-    for b in range(1, S + 1):
+    column = sorted((j, m) for i, j, m in terms if i == 0 and j <= S)
+    row = [1] + [0] * S if column else [1]
+    for b in range(1, len(row)):
         total = 0
         for j, m in column:
             if j > b:
@@ -224,7 +242,7 @@ def _integer_rows(terms, beta: Fraction, R: int, S: int) -> Iterator[List[int]]:
         row[b], rem = divmod(-total, b)
         if rem:
             raise _inexact(0, b)
-    yield row
+    yield row + [0] * (S + 1 - len(row))
     shifted = sorted((i, j, -m) for i, j, m in terms if i and j <= S)
     in_row = [(j, v * m) for j, m in column]
     window = deque([row], maxlen=max((i for i, _, _ in shifted), default=1))
@@ -233,26 +251,43 @@ def _integer_rows(terms, beta: Fraction, R: int, S: int) -> Iterator[List[int]]:
         for i, j, m in shifted:
             if i > a:
                 break
-            tail = map((m * (v * (a - i) + u * i)).__mul__, window[-i][: S + 1 - j])
+            src = window[-i][: S + 1 - j]
+            if not src:
+                continue
+            tail = map((m * (v * (a - i) + u * i)).__mul__, src)
             if acc is None:
                 acc = [0] * j + list(tail)
             else:
-                acc[j:] = map(add, acc[j:], tail)
+                end = j + len(src)
+                if end > len(acc):
+                    acc += [0] * (end - len(acc))
+                acc[j:end] = map(add, acc[j:end], tail)
         if acc is None:
-            acc = [0] * (S + 1)
+            window.append([])
+            yield [0] * (S + 1)
+            continue
         row, rems = map(list, zip(*map(divmod, acc, repeat(a))))
         if any(rems):
             raise _inexact(a, next(b for b, rem in enumerate(rems) if rem))
         if in_row:
-            for b in range(1, S + 1):
-                t = row[b]
-                for j, e in in_row:
-                    if j > b:
-                        break
-                    t -= e * row[b - j]
-                row[b] = t
+            row += [0] * (S + 1 - len(row))
+            if len(in_row) == 1:
+                ((j, e),) = in_row
+                for r in range(j):
+                    t = row[r]
+                    for b in range(r + j, S + 1, j):
+                        t = row[b] - e * t
+                        row[b] = t
+            else:
+                for b in range(1, S + 1):
+                    t = row[b]
+                    for j, e in in_row:
+                        if j > b:
+                            break
+                        t -= e * row[b - j]
+                    row[b] = t
         window.append(row)
-        yield row
+        yield row if len(row) > S else row + [0] * (S + 1 - len(row))
 
 
 def _antidiagonal_rows(terms, beta: Fraction, R: int, S: int) -> List[List[int]]:

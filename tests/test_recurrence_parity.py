@@ -9,12 +9,15 @@ the same prefactor, under both fill schedules.
 """
 
 import itertools
+import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from bivasym import BivariatePolynomial, coeff_linear_closed_form, coeff_recurrence
+from bivasym import BivariatePolynomial, coeff_linear_closed_form, coeff_recurrence, coefficients_at
+from bivasym.oracle import _antidiagonal_rows, _integer_rows, _integer_terms
 from bivasym.problem import parse_problem
 from bivasym.series import Prefactor
 from tests.test_acceptance import _random_polynomials
@@ -163,3 +166,81 @@ def test_multinomial_400_corners_match_closed_form(multinomial_h):
         value, prefactor = coeff_linear_closed_form(F(1), F(-1), F(-1), F(1, 2), r, s)
         assert prefactor.is_one()
         assert table.series.coeffs[r][s] == value
+
+
+# Support shapes that take the row kernel's skips: zero rows (x-exponent gcd
+# above 1, or H with no x), columns beyond the bound the source rows give (no
+# pure-y term), and each form of the pure-y pass.
+SPARSE_H = {
+    "no_y": [(0, 0, "1"), (1, 0, "-1"), (3, 0, "1/2")],
+    "constant_only_x_free": [(0, 0, "1"), (1, 0, "-1"), (1, 2, "2/3"), (2, 1, "-1")],
+    "gcd_2_2": [(0, 0, "1"), (2, 0, "-1"), (0, 2, "-1/3"), (2, 4, "1/2")],
+    "gcd_3_3": [(0, 0, "1"), (3, 0, "-2"), (3, 3, "1"), (0, 6, "-1/4")],
+    "gcd_2_3": [(0, 0, "1"), (2, 0, "1/2"), (2, 3, "-1"), (4, 6, "3")],
+    "gcd_3_2": [(0, 0, "-2"), (3, 2, "1"), (3, 0, "5/3"), (0, 4, "1")],
+    "lone_y": [(0, 0, "1"), (1, 0, "-1/2"), (0, 1, "-1"), (2, 1, "1/3")],
+    "lone_y2": [(0, 0, "1"), (1, 1, "-1"), (0, 2, "-2/5"), (2, 0, "1")],
+    "several_pure_y": [(0, 0, "1"), (1, 0, "-1"), (0, 1, "1/2"), (0, 2, "-1"), (0, 3, "2/3")],
+    "no_x": [(0, 0, "1"), (0, 1, "-1"), (0, 3, "1/2")],
+}
+SPARSE_BETAS = [F(1, 2), F(-1, 2), F(2), F(1, 3), F(-7, 3)]
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_H))
+@pytest.mark.parametrize("box", [(0, 9), (9, 0), (1, 1), (9, 8)])
+def test_sparse_supports_match_the_references(name, box):
+    """Row and antidiagonal tables equal the Fraction fill; ``coefficients_at`` their entries."""
+    H = _poly(*SPARSE_H[name])
+    G = _poly((0, 0, "1"), (1, 1, "-3/2"), (0, 2, "1/4"))
+    R, S = box
+    targets = [(r, s) for r in range(R + 1) for s in range(S + 1)]
+    for beta in SPARSE_BETAS:
+        for g in (None, G):
+            _assert_parity(H, g, beta, box)
+            table = coeff_recurrence(H, g, beta, box)
+            values, prefactor = coefficients_at(H, g, beta, targets)
+            assert values == [table.series.coeffs[r][s] for r, s in targets], (beta, g)
+            assert prefactor == table.prefactor
+
+
+# Term lists (i, j, m) that no H gives: a division by a (or b) leaves a
+# remainder.  The messages are those of the kernel before it skipped zero
+# rows and columns past the source rows' bound, so the first inexact cell is
+# still the one named.
+FORGED = [
+    ([(2, 0, 1), (2, 1, 1)], F(1, 2), (8, 8), "(4, 0)"),
+    ([(2, 1, 3), (2, 2, 1)], F(1, 2), (8, 8), "(4, 2)"),
+    ([(2, 2, 1), (3, 1, 1)], F(1, 3), (9, 9), "(6, 6)"),
+    ([(2, 3, 2), (4, 4, 1)], F(-7, 3), (12, 12), "(6, 9)"),
+    ([(0, 1, 1), (1, 0, 1)], F(1, 2), (4, 4), "(0, 2)"),
+    ([(0, 1, 1), (1, 0, 1)], F(1, 2), (4, 1), "(2, 0)"),
+    ([(0, 2, 1), (1, 0, 3), (2, 1, 1)], F(1, 3), (6, 6), "(0, 6)"),
+]
+
+
+@pytest.mark.parametrize("terms, beta, box, cell", FORGED)
+def test_inexact_step_names_its_cell(terms, beta, box, cell):
+    with pytest.raises(ArithmeticError, match=f"^{re.escape('inexact recurrence step at ' + cell)}$"):
+        list(_integer_rows(terms, beta, *box))
+
+
+def main() -> int:
+    """The row kernel against the antidiagonal fill on boxes larger than tier-1's.
+
+    The first 64 criterion-4 family polynomials, beta in {1/2, -1/2, 2}, at
+    80x80: the zero rows and the column bounds of sparse supports reach
+    further into the box than at 20x20.
+    """
+    betas = [F(1, 2), F(-1, 2), F(2)]
+    for k, H in enumerate(itertools.islice(_random_polynomials(20260810), 64)):
+        for beta in betas:
+            _, terms = _integer_terms(H, beta)
+            if list(_integer_rows(terms, beta, 80, 80)) != _antidiagonal_rows(terms, beta, 80, 80):
+                print(f"family polynomial {k}, beta {beta}: the row kernel differs at 80x80")
+                return 1
+    print(f"{64 * len(betas)} tables at 80x80 equal the antidiagonal fill")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
