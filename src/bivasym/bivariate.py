@@ -7,15 +7,13 @@ arithmetic is exact, and so is evaluation at a working-precision point:
 column of x-coefficients first and then the column values in y, and
 round the result once to ``mp.prec``.  A value is the correctly rounded
 value of the exact polynomial at the point.  The integer columns and each
-partial derivative are made once.  ``eval`` keeps its last 8 values,
-keyed by ``mp.prec`` and the bits of x and y, so a partial derivative
-asked for again at one point costs no second Horner pass:
-``winding_number`` reuses the H_x and H_y of ``local_data``.
-``eval_double`` is the scalar double-precision evaluator, with a
-rigorous error bound (``unipoly.double_values``), for the threshold tests
-that doubles can settle.  ``eval_array`` evaluates on numpy grids, curves
-and probe slices, and ``ray_argument`` is the one tracker of arg H along a
-ray from the origin.
+partial derivative are made once; values are not kept, so a caller that
+needs one twice hands it along (``winding_number`` reads the H_x and H_y
+of ``local_data``).  ``eval_double`` is the scalar double-precision
+evaluator, with a rigorous error bound (``unipoly.double_values``), for
+the threshold tests that doubles can settle.  ``eval_array`` evaluates on
+numpy grids, curves and probe slices, and ``ray_argument`` is the one
+tracker of arg H along a ray from the origin.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import mpf
 from numpy.polynomial.polynomial import polyval
 
 from .errors import BranchTrackingError
@@ -43,20 +41,17 @@ from .unipoly import (
 
 Exponent = Tuple[int, int]
 
-# Values ``BivariatePolynomial.eval`` keeps, the oldest dropped first.
-_MEMO_SIZE = 8
-
 
 class BivariatePolynomial:
     """Polynomial in x and y over the rationals, stored sparsely.
 
     Zero coefficients are never stored; the zero polynomial has no terms.
     The terms are never changed after construction, which the caches of
-    the coefficient scale, integer and double columns, partial derivatives
-    and values rely on.
+    the coefficient scale, integer and double columns and partial
+    derivatives rely on.
     """
 
-    __slots__ = ("terms", "_scale", "_columns", "_doubles", "_partials", "_values")
+    __slots__ = ("terms", "_scale", "_columns", "_doubles", "_partials")
 
     def __init__(self, terms: Dict[Exponent, Fraction] | None = None):
         clean: Dict[Exponent, Fraction] = {}
@@ -72,7 +67,6 @@ class BivariatePolynomial:
         self._columns: tuple | None = None
         self._doubles: list | None = None
         self._partials: Dict[str, "BivariatePolynomial"] = {}
-        self._values: Dict[tuple, object] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -283,24 +277,12 @@ class BivariatePolynomial:
     def eval(self, x, y):
         """The value at complex (x, y), exact and rounded once to ``mp.prec``.
 
-        Raises EvaluationOverflow when a part of x or y is not finite.  The
-        last ``_MEMO_SIZE`` values are kept, keyed by ``mp.prec`` and the
-        bits of x and y; a repeated call returns the same bits without the
-        Horner pass.
+        Raises EvaluationOverflow when a part of x or y is not finite.
         """
         if not self.terms:
             return to_mpc(0)
-        xz, yz = to_mpc(x), to_mpc(y)
-        key = (mp.prec, xz._mpc_, yz._mpc_)
-        acc = self._values.get(key)
-        if acc is not None:
-            return acc
         den, cols, _ = self._integer_columns()
-        acc = round_exact(*self._horner_nested(cols, xz, yz), den)
-        if len(self._values) >= _MEMO_SIZE:
-            del self._values[next(iter(self._values))]
-        self._values[key] = acc
-        return acc
+        return round_exact(*self._horner_nested(cols, to_mpc(x), to_mpc(y)), den)
 
     def eval_double(self, x: complex, y: complex):
         """``unipoly.double_values`` at the complex doubles (x, y): value, magnitude sum, bound.

@@ -14,12 +14,12 @@ y-degree of 0 leaves S1 undefined, or when ``q`` fails the 1e-4 residual
 filter.  That root solve first drops each top y-coefficient of ``F(w, .)``
 that vanishes.  One test, ``_vanishes_at``, decides both: a value at ``w``
 vanishes when it is at most ``2^-(prec/2)`` of its own coefficient scale
-at ``|w|``, a scale taken in certified doubles where they settle the
-test.  Every candidate is Newton-polished on the full 2x2 system with
-its exact Jacobian.  Points come out by torus, in the order of each
-torus's first (|p|, |q|), and by arg p, then arg q, on one torus.  A root
-below the real axis whose conjugate is another root takes the exact
-conjugates of that root's points.  ``same_point`` alone
+at ``|w|``, a scale taken exactly and rounded once.  Every candidate is
+Newton-polished on the full 2x2 system with its exact Jacobian.  Points
+come out by torus, in the order of each torus's first (|p|, |q|), and by
+arg p, then arg q, on one torus.  A root below the real axis whose
+conjugate is another root takes the exact conjugates of that root's
+points.  ``same_point`` alone
 decides whether two points coincide (``apart`` settles it in doubles
 first where their difference is plain), and ``same_torus`` whether they
 share a torus.  Minimality is probed numerically on the
@@ -30,7 +30,6 @@ witness when violated.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -47,9 +46,7 @@ from .resultant import first_subresultant, resultant_eliminating, shares_positiv
 from .unipoly import (
     ExactForm,
     certified_above,
-    double_coefficients,
     double_point,
-    double_values,
     exact_form,
     values_at,
 )
@@ -406,35 +403,13 @@ def _vanishes_at(value: mpc, moduli: ExactForm, aw: mpf) -> bool:
     ``value`` is a polynomial at ``w``, ``aw`` is ``|w|`` at working
     precision, taken once per root, and ``moduli`` the exact form of the
     moduli ``m_k`` of the polynomial's ascending coefficients: each value
-    is judged against its own scale.  The scale is taken in doubles with
-    its error bound (``unipoly.double_values``), and ``certified_above``
-    settles the test where it can.  Otherwise, and whenever the threshold
-    2^-(prec/2) is not a normal double (from 2046 bits on), the scale is
-    computed exactly and rounded to working precision.
+    is judged against its own scale.  The scale is computed exactly and
+    rounded once to working precision.  A scale in certified doubles saved
+    no time here: it settled about half the calls at 512 bits, and none
+    from 2046 bits on, where 2^-(prec/2) is not a normal double.
     """
-    verdict = _vanishes_in_doubles(value, moduli, aw)
-    if verdict is not None:
-        return verdict
     (scale,) = values_at([moduli], aw)
     return abs(value) <= power_of_two(-(mp.prec // 2)) * scale.real
-
-
-def _vanishes_in_doubles(value: mpc, moduli: ExactForm, aw: mpf) -> Optional[bool]:
-    """``_vanishes_at``'s verdict with the scale in doubles, or None where its bound leaves it open.
-
-    None also when the threshold, ``value``, ``aw`` or a modulus has no
-    finite normal double.
-    """
-    threshold = 2.0 ** -(mp.prec // 2)
-    vd, wd = double_point(value), double_point(aw)
-    if threshold < sys.float_info.min or vd is None or wd is None:
-        return None
-    dm = double_coefficients(moduli)
-    if dm is None:
-        return None
-    _, scale, err = double_values([dm], wd)
-    above = certified_above(abs(vd), 0.0, threshold * scale, threshold * err, len(dm) - 1)
-    return None if above is None else not above
 
 
 def _recover_partner(F1, F2, w: mpc, aw: mpf):

@@ -218,21 +218,21 @@ def _power_on_branch(log_abs_w, theta, b) -> mpc:
 
 def winding_number(
     H: BivariatePolynomial,
-    pt: CriticalPoint,
+    ld: LocalData,
     ray: BranchRay,
 ) -> int:
     """Signed crossings of the cut ray by the curve H(t*p, t*q), 0 <= t < 1.
 
-    The curve is tracked by ``H.ray_argument`` up to t = 1 - 1e-6; the
-    remaining tail is linear to first order with direction
-    -(p*H_x + q*H_y), which at a critical point matches -p*H_x up to a
-    positive real factor.
+    ``ld`` is ``local_data`` at the critical point (p, q).  The curve is
+    tracked by ``H.ray_argument`` up to t = 1 - 1e-6; the remaining tail is
+    linear to first order with direction -(p*H_x + q*H_y), which at a
+    critical point matches -p*H_x up to a positive real factor.  H_x and
+    H_y are ``ld.hx`` and ``ld.hy``.
     """
+    pt = ld.point
     theta_start, theta_end = H.ray_argument(pt.p, pt.q, 1.0 - 1e-6, 1024)
     # Analytic tail: argument converges to the linearized direction.
-    hx = H.partial("x").eval(pt.p, pt.q)
-    hy = H.partial("y").eval(pt.p, pt.q)
-    tail = -(pt.p * hx + pt.q * hy)
+    tail = -(pt.p * ld.hx + pt.q * ld.hy)
     if abs(tail) == 0:
         raise HypothesisFailure("hx_nonzero", "degenerate tail direction")
     step = float(mp.arg(to_mpc(tail))) - (theta_end % TWO_PI)
@@ -308,7 +308,7 @@ def estimate_general(
     for ld, log_abs_w, w_arg in zip(locals_, log_abs_ws, w_args):
         pt = ld.point
         theta_w = branch_argument(w_arg, ray, anchor)
-        omega = winding_number(H, pt, ray)
+        omega = winding_number(H, ld, ray)
 
         q2m = -2 * mp.pi * pt.q * pt.q * ld.phase_hessian
         gval = G.eval(pt.p, pt.q) if G is not None else to_mpc(1)

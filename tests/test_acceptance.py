@@ -280,16 +280,16 @@ def test_criterion_6_winding(
 ):
     pt1 = _pt(solve_critical(multinomial_h, diag_direction), 0.5, 0.5)
     ray1 = choose_branch_ray(multinomial_h, [pt1])
-    w1 = winding_number(multinomial_h, pt1, ray1)
+    w1 = winding_number(multinomial_h, local_data(multinomial_h, pt1, diag_direction), ray1)
 
     pt2 = _pt(solve_critical(color_swap_h, color_swap_direction), 0.25, 1.0)
     ray2 = choose_branch_ray(color_swap_h, [pt2])
-    w2 = winding_number(color_swap_h, pt2, ray2)
+    w2 = winding_number(color_swap_h, local_data(color_swap_h, pt2, color_swap_direction), ray2)
 
     p, q = WINDING_POINT
     pts = CriticalPoint(p=mpc(p), q=mpc(q))
     rays = choose_branch_ray(winding_synthetic, [pts])
-    ws = winding_number(winding_synthetic, pts, rays)
+    ws = winding_number(winding_synthetic, local_data(winding_synthetic, pts, diag_direction), rays)
 
     # Dense-sampling oracle for the synthetic.
     t = np.linspace(0.0, 1.0 - 1e-6, 1_000_000)
@@ -306,25 +306,25 @@ def test_criterion_6_winding(
     )
 
     # Ray independence of {.}_P * exp(-2 pi i beta omega) on all inputs.
-    def invariant_spread(H, point, beta):
+    def invariant_spread(H, point, beta, direction):
         anchor = mp.arg(H.eval(0, 0))
-        w = -point.p * H.partial("x").eval(point.p, point.q)
+        ld = local_data(H, point, direction)
         products = []
         for deg in (100, 160, 220, 280):
             ray = BranchRay(math.radians(deg))
             try:
-                om = winding_number(H, point, ray)
+                om = winding_number(H, ld, ray)
             except BivasymError:
                 continue
-            branch = principal_on_ray(w, beta, ray, anchor)
+            branch = principal_on_ray(ld.w, beta, ray, anchor)
             products.append(branch * mp.exp(-mpc(0, 1) * mpf(beta) * 2 * mp.pi * om))
         spread = max(abs(v - products[0]) / abs(products[0]) for v in products[1:])
         return float(spread)
 
     spreads = [
-        invariant_spread(multinomial_h, pt1, mpf(1) / 2),
-        invariant_spread(color_swap_h, pt2, mpf(1) / 2),
-        invariant_spread(winding_synthetic, pts, mpf(1) / 2),
+        invariant_spread(multinomial_h, pt1, mpf(1) / 2, diag_direction),
+        invariant_spread(color_swap_h, pt2, mpf(1) / 2, color_swap_direction),
+        invariant_spread(winding_synthetic, pts, mpf(1) / 2, diag_direction),
     ]
     _report(
         "6 winding correctness",

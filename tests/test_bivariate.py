@@ -226,10 +226,10 @@ def test_magnitude_scale_equals_the_per_term_form(bits):
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_kept_values_equal_a_fresh_polynomials(bits):
-    # eval keeps its last values keyed by the precision and the bits of x
-    # and y.  x and y are exact at 64 bits and above, so each precision
-    # asks for the same bits; the value at (x, y) is a fresh polynomial's
-    # after the other precisions, and after 20 other points.
+    # A polynomial keeps its integer columns, not its values.  x and y are
+    # exact at 64 bits and above, so each precision asks for the same bits;
+    # the value at (x, y) is a fresh polynomial's after the other
+    # precisions, and after 20 other points.
     with working_precision(64):
         x, y = mp.mpc("0.3", "0.1"), mp.mpc("-0.7", "0.45")
     used = BivariatePolynomial(THIRDS)
@@ -244,19 +244,11 @@ def test_kept_values_equal_a_fresh_polynomials(bits):
         assert used.eval(x, y)._mpc_ == fresh._mpc_
 
 
-def test_kept_values_are_bounded():
-    poly = BivariatePolynomial(THIRDS)
-    for k in range(40):
-        poly.eval(mp.mpc(k, 1), mp.mpc(1, k % 3))
-        poly.eval(mp.mpc(k % 5, 1), mp.mpc(1, 0))
-        assert len(poly._values) <= bivariate._MEMO_SIZE == 8
-
-
 def test_is_smooth_runs_no_exact_pass_and_local_data_takes_exact_gradients(monkeypatch):
     # At color_swap's dominant point the double gradient and its error bound
     # settle is_smooth: no pass of the integer Horner kernel runs.
     # local_data's H_x and H_y are the exact values rounded once, as a
-    # polynomial with no kept values evaluates them.
+    # fresh polynomial evaluates them.
     spec = parse_problem((ROOT / "problems" / "color_swap.json").read_text())
     pt = run_solve(spec, probe=False).dominant.points[0]
     H = spec.H

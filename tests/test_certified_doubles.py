@@ -1,21 +1,27 @@
 """Threshold tests settled in certified doubles, against the exact tests they stand in for.
 
-Three tests are settled in doubles where a rigorous error bound allows
+Two tests are settled in doubles where a rigorous error bound allows
 (``unipoly.double_values`` with ``unipoly.certified_above``): Aberth's
-residual acceptance (``aberth._residual_fails``), ``critical.is_smooth``
-and the scale of ``critical._vanishes_at``.  Elsewhere each runs its exact
-test: values on integers, rounded once to working precision.  The sweep
-below records every decision of the solves of the first 64 family
-polynomials in three directions and of every problem file, at 64 to 512
-bits, recomputes each decision the exact way, and asserts that the two
-agree wherever doubles settled it.  The forced cases sit on a threshold,
-past the double range, or at a precision whose threshold is not a normal
-double, and must take the exact path.
+residual acceptance (``aberth._residual_fails``) and
+``critical.is_smooth``.  Elsewhere each runs its exact test: values on
+integers, rounded once to working precision.  ``critical._vanishes_at``
+always runs its exact test.  The sweep below records every decision of
+the solves of the first 64 family polynomials in three directions and of
+every problem file, at 64 to 512 bits, recomputes each decision the exact
+way, and asserts that the two agree wherever doubles settled it.  The
+forced cases sit on a threshold, past the double range, or at a precision
+whose threshold is not a normal double, and must take the exact path.
+From the repository root, ``python -m tests.test_certified_doubles
+--precision BITS`` runs the sweep at that precision and fails on any
+verdict that is not the exact one (CI does so at 1024 and 2048 bits).
 """
 
+import argparse
 import functools
 import itertools
+import json
 import math
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -62,7 +68,6 @@ def _exact_vanishes(value, moduli, aw):
 TESTS = {
     "residual": (aberth, "_residual_fails", "_residual_fails_in_doubles", _exact_residual_fails),
     "smooth": (critical, "is_smooth", "_smooth_in_doubles", _exact_smooth),
-    "vanishes": (critical, "_vanishes_at", "_vanishes_in_doubles", _exact_vanishes),
 }
 
 
@@ -112,22 +117,36 @@ def _solve_all(bits):
                 pass
 
 
-@pytest.mark.parametrize("bits", [64, 128, 256, 512])
-def test_every_double_verdict_is_the_exact_one(bits, monkeypatch):
-    log = _record(monkeypatch)
-    _solve_all(bits)
+def sweep(bits):
+    """``{test: counts}`` of the decisions of the solves at ``bits`` of precision.
+
+    The counts are the calls, those settled in doubles, the verdicts that
+    are not the exact test's, and the settled ones whose double verdict is
+    not.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        log = _record(patch)
+        _solve_all(bits)
+    counts = {}
     for name, calls in log.items():
-        assert all(got == exact for got, exact, *_ in calls), name
-        # Where doubles settle a decision, the exact test agrees with them.
         settled = [(double, exact) for _, exact, double, _ in calls if double is not None]
-        assert all(double == exact for double, exact in settled), name
-        # They settle almost every decision whose scale is not 0.  A row with
-        # no terms, or none but a constant term missing at w = 0, has the
-        # scale 0, not a normal double, and the exact test decides.
-        scaled = [c for c in calls if name != "vanishes" or values_at([c[3][1]], c[3][2])[0]]
-        assert len(settled) >= 0.9 * len(scaled), (name, len(settled), len(scaled))
-    # Both answers occur where doubles settle the vanishing test.
-    assert {double for *_, double, _ in log["vanishes"]} >= {True, False}
+        counts[name] = {
+            "calls": len(calls),
+            "settled": len(settled),
+            "wrong": sum(got != exact for got, exact, *_ in calls),
+            "wrong_in_doubles": sum(double != exact for double, exact in settled),
+        }
+    return counts
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+def test_every_double_verdict_is_the_exact_one(bits):
+    for name, c in sweep(bits).items():
+        assert c["wrong"] == 0, name
+        # Where doubles settle a decision, the exact test agrees with them.
+        assert c["wrong_in_doubles"] == 0, name
+        # They settle almost every decision.
+        assert c["settled"] >= 0.9 * c["calls"], (name, c)
 
 
 def _wallis_at_the_threshold():
@@ -184,9 +203,8 @@ def test_rounding_of_the_exact_test_takes_the_exact_path():
     # At 24 bits the exact test rounds the scale 2 + 3*2^-23 of 1 + |w| up to
     # 2 + 2^-21 and |value| = 2^-11 (1 + 1.75*2^-23) up to 2^-11 (1 + 2^-22):
     # it finds the value vanishing, although on the unrounded numbers it is
-    # above the threshold by 2^-25 relative.  The double bound alone is far
-    # tighter than that, so only the room left for the exact test's own
-    # rounding sends this case to the exact path.
+    # above the threshold by 2^-25 relative, and _vanishes_at gives the
+    # exact test's verdict.
     moduli = exact_form([F(1), F(1)])
     with working_precision(64):
         aw = 1 + 3 * mpf(2) ** -23
@@ -194,7 +212,6 @@ def test_rounding_of_the_exact_test_takes_the_exact_path():
     assert F(2) ** -11 * (1 + F(7, 4) * F(2) ** -23) > F(2) ** -12 * (2 + 3 * F(2) ** -23)
     with working_precision(24):
         assert _exact_vanishes(value, moduli, aw)
-        assert critical._vanishes_in_doubles(value, moduli, aw) is None
         assert critical._vanishes_at(value, moduli, aw)
 
 
@@ -219,20 +236,23 @@ def test_points_past_the_double_range_take_the_exact_path(monkeypatch):
 
 
 def test_vanishing_at_2048_bits_takes_the_exact_path(monkeypatch):
-    # At 2048 bits the threshold 2^-1024 is below the normal doubles, so
-    # every _vanishes_at call runs its exact test, and solves stay correct.
-    log = _record(monkeypatch)
+    # At 2048 bits the threshold 2^-1024 is below the normal doubles: every
+    # _vanishes_at verdict is the exact test's, and solves stay correct.
+    calls = []
+
+    def decide(*args, _original=critical._vanishes_at):
+        calls.append((_original(*args), _exact_vanishes(*args)))
+        return calls[-1][0]
+
+    monkeypatch.setattr(critical, "_vanishes_at", decide)
     with working_precision(2048):
         for H, direction in _systems()[:8]:
             critical.solve_critical(BivariatePolynomial(dict(H.terms)), direction)
         moduli = exact_form([F(1), F(3)])
-        assert critical._vanishes_in_doubles(mpc(1), moduli, mpf(2)) is None
         assert not critical._vanishes_at(mpc(1), moduli, mpf(2))
         assert critical._vanishes_at(mpc(mpf(2) ** -1100), moduli, mpf(2))
-    assert log["vanishes"]
-    assert all(double is None and got == exact for got, exact, double, _ in log["vanishes"])
-    with working_precision(2044):
-        assert critical._vanishes_in_doubles(mpc(1), moduli, mpf(2)) is False
+    assert calls
+    assert all(got == exact for got, exact in calls)
 
 
 def test_double_values_bound_the_exact_error():
@@ -253,3 +273,16 @@ def test_double_values_bound_the_exact_error():
             assert abs(want - mpc(value)) <= err
             assert abs(want_scale.real - scale) <= err
             assert err <= (10 * n + 11) * 2.0**-53 * scale + 1e-300
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--precision", type=int, default=128, help="significand bits")
+    args = parser.parse_args(argv)
+    counts = sweep(args.precision)
+    print(json.dumps({"precision": args.precision, "counts": counts}))
+    return 0 if all(c["wrong"] == c["wrong_in_doubles"] == 0 for c in counts.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

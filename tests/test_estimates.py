@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from bivasym import (
 from bivasym.cli import report_critical_points
 from bivasym.errors import ConfigError, HypothesisFailure
 from bivasym.estimates import principal_on_ray
+from bivasym.precision import to_mpc
 from bivasym.pipeline import estimate_target, run_solve
 from bivasym.problem import ProblemSpec
 from tests.conftest import WINDING_POINT
@@ -157,13 +159,14 @@ def test_far_point_problem_matches_recurrence(bits):
 def test_winding_zero_multinomial(multinomial_h, diag_direction):
     pt = _point(multinomial_h, diag_direction, 0.5, 0.5)
     ray = choose_branch_ray(multinomial_h, [pt])
-    assert winding_number(multinomial_h, pt, ray) == 0
+    assert winding_number(multinomial_h, local_data(multinomial_h, pt, diag_direction), ray) == 0
 
 
 def test_winding_zero_color_swap(color_swap_h, color_swap_direction):
     pt = _point(color_swap_h, color_swap_direction, 0.25, 1.0)
     ray = choose_branch_ray(color_swap_h, [pt])
-    assert winding_number(color_swap_h, pt, ray) == 0
+    ld = local_data(color_swap_h, pt, color_swap_direction)
+    assert winding_number(color_swap_h, ld, ray) == 0
 
 
 def _dense_winding_oracle(H, p, q, alpha, samples=1_000_000):
@@ -183,39 +186,38 @@ def _dense_winding_oracle(H, p, q, alpha, samples=1_000_000):
     )
 
 
-def test_winding_one_synthetic(winding_synthetic):
+def test_winding_one_synthetic(winding_synthetic, diag_direction):
     p, q = WINDING_POINT
     pt = CriticalPoint(p=mpc(p), q=mpc(q))
     ray = choose_branch_ray(winding_synthetic, [pt])
-    got = winding_number(winding_synthetic, pt, ray)
+    got = winding_number(winding_synthetic, local_data(winding_synthetic, pt, diag_direction), ray)
     assert got == 1
     oracle = _dense_winding_oracle(winding_synthetic, p, q, ray.angle)
     assert got == oracle
 
 
-def test_winding_synthetic_across_rays(winding_synthetic):
+def test_winding_synthetic_across_rays(winding_synthetic, diag_direction):
     p, q = WINDING_POINT
-    pt = CriticalPoint(p=mpc(p), q=mpc(q))
+    ld = local_data(winding_synthetic, CriticalPoint(p=mpc(p), q=mpc(q)), diag_direction)
     for deg in (100, 150, 200, 250, 300):
         ray = BranchRay(math.radians(deg))
-        got = winding_number(winding_synthetic, pt, ray)
+        got = winding_number(winding_synthetic, ld, ray)
         assert got == _dense_winding_oracle(winding_synthetic, p, q, ray.angle)
 
 
-def test_branch_ray_independence_invariant(winding_synthetic):
+def test_branch_ray_independence_invariant(winding_synthetic, diag_direction):
     # The product {(-Hx p)^(-beta)}_P * exp(-2*pi*i*beta*omega) must not
     # depend on the admissible ray.
     p, q = WINDING_POINT
     pt = CriticalPoint(p=mpc(p), q=mpc(q))
     beta = mpf(1) / 2
     anchor = mp.arg(winding_synthetic.eval(0, 0))
-    hx = winding_synthetic.partial("x").eval(pt.p, pt.q)
-    w = -pt.p * hx
+    ld = local_data(winding_synthetic, pt, diag_direction)
     products = []
     for deg in (100, 150, 200, 250, 300):
         ray = BranchRay(math.radians(deg))
-        omega = winding_number(winding_synthetic, pt, ray)
-        branch = principal_on_ray(w, beta, ray, anchor)
+        omega = winding_number(winding_synthetic, ld, ray)
+        branch = principal_on_ray(ld.w, beta, ray, anchor)
         products.append(branch * mp.exp(-mpc(0, 1) * beta * 2 * mp.pi * omega))
     for val in products[1:]:
         assert abs(val - products[0]) <= 1e-10 * abs(products[0])
@@ -228,7 +230,31 @@ def test_winding_rejects_vanishing_curve(diag_direction):
     from bivasym.errors import BranchTrackingError
 
     with pytest.raises(BranchTrackingError):
-        winding_number(H, pt, BranchRay(math.pi))
+        winding_number(H, local_data(H, pt, diag_direction), BranchRay(math.pi))
+
+
+@pytest.mark.parametrize("name", ["color_swap", "multinomial_sqrt", "branch_wrap"])
+def test_estimate_evaluates_each_polynomial_once_per_point(name, monkeypatch):
+    # local_data's H_x and H_y are handed to the winding number, so on the
+    # dominant class H_x, H_y, the second partials and G are each evaluated
+    # once at each point, and no polynomial twice at one point.
+    spec = parse_problem((PROBLEMS / f"{name}.json").read_text())
+    points = [pt for pt in run_solve(spec, probe=False).dominant.points if pt.smooth]
+    calls = Counter()
+    evaluate = BivariatePolynomial.eval
+
+    def counted(poly, x, y):
+        calls[id(poly), to_mpc(x)._mpc_, to_mpc(y)._mpc_] += 1
+        return evaluate(poly, x, y)
+
+    monkeypatch.setattr(BivariatePolynomial, "eval", counted)
+    estimate_general(spec.H, spec.G, spec.beta, points, *spec.targets[0], spec.direction)
+    hx, hy = spec.H.partial("x"), spec.H.partial("y")
+    polys = [hx, hy, hx.partial("x"), hx.partial("y"), hy.partial("y")]
+    polys += [spec.G] if spec.G is not None else []
+    for pt in points:
+        assert [calls[id(poly), pt.p._mpc_, pt.q._mpc_] for poly in polys] == [1] * len(polys)
+    assert max(calls.values()) == 1
 
 
 # ----------------------------------------------------------------------
