@@ -24,7 +24,8 @@ decides whether two points coincide (``apart`` settles it in doubles
 first where their difference is plain), and ``same_torus`` whether they
 share a torus.  Minimality is probed numerically on the
 one circle |y| = |q| plus the roots of H(0, y); verdicts carry a concrete
-witness when violated.
+witness when violated.  The probe root-solves the circle's first
+``FIRST_SLICES`` slices alone and stops there when they hold a witness.
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ IDENTITY_TOL = 1e-10  # H_y/H_x = p/(lambda*q) check in the local data
 MARGIN_TOL = 1e-6  # probe margin needed for probably_strictly_minimal
 BOUNDARY_TOL = 1e-9  # an x-root this close to the |p| circle touches it
 SMOOTH_TOL = 1e-6  # gradient below this times the coefficient scale is singular
+# Probe circle slices root-solved before the others: most circle witnesses
+# of violated points lie in slices 0..7.
+FIRST_SLICES = 8
 
 
 @dataclass(frozen=True)
@@ -107,14 +111,19 @@ class ProbeGrid:
     radii: int = 1
 
 
+# Slices 0..N/2 of the unit circle, the y-values of the probe over |q|.
+_HALF_CIRCLE = np.exp(2j * np.pi * np.arange(ProbeGrid.angles // 2 + 1) / ProbeGrid.angles)
+
+
 @dataclass
 class CriticalPoint:
     """One polished solution of the critical system with its verdicts.
 
-    The point keeps |p|, |q|, arg p and arg q at working precision
-    (``abs_pq``, ``arg_pq``, ``moduli``), each taken once when first asked
-    for, for the bits of p and q and the ``mp.prec`` they were taken at; a
-    new p, q or precision takes them afresh.  The kept values are not part
+    The point keeps |p|, |q|, arg p and arg q at working precision and
+    (|p|, |q|) and (p, q) in doubles (``abs_pq``, ``arg_pq``, ``moduli``,
+    ``doubles``), each taken once when first asked for, for the bits of p
+    and q and the ``mp.prec`` they were taken at; a new p, q or precision
+    takes them afresh.  The kept values are not part
     of equality or ``repr``.
     """
 
@@ -125,7 +134,7 @@ class CriticalPoint:
     smooth: bool = False
     minimality: str = UNTESTED
     witness: Optional[Tuple[complex, complex]] = None
-    margin: Optional[float] = None  # least |x|/|p| - 1 the probe saw
+    margin: Optional[float] = None  # least |x|/|p| - 1 the probe saw, up to a witness
     torus_class: Optional[int] = None
     _kept: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
@@ -157,7 +166,7 @@ class CriticalPoint:
     @property
     def doubles(self) -> Tuple[complex, complex]:
         """``(p, q)`` in doubles, as ``apart`` compares them."""
-        return complex(self.p), complex(self.q)
+        return self._keep("doubles", lambda: (complex(self.p), complex(self.q)))
 
     def conjugate_of(self, other: "CriticalPoint") -> bool:
         return same_point(self, (mp.conj(other.p), mp.conj(other.q)))
@@ -569,15 +578,20 @@ def minimality_probe(
     inside |p| reports ``violated``, and so does a root on the |p| circle
     that is not one of the known same-torus critical points.  The witness
     is the first such event in (angle, root) order, an identically zero
-    slice counting as the root x = 0 (margin -1).  The verdict, witness and
-    ``margin`` (the least |x|/|p| - 1 over the circle's checked roots) are
-    written onto ``pt``, which is returned.
+    slice counting as the root x = 0.  Slices 0..FIRST_SLICES-1 are solved
+    first, in one ``_radius_roots`` call, and an event there precedes every
+    later slice, mirrored ones too, so the probe stops; otherwise one more
+    call solves slices FIRST_SLICES..N/2.  The verdict, witness and
+    ``margin`` are written onto ``pt``, which is returned.  The margin is
+    the least |x|/|p| - 1 over every slice's checked roots; a violated
+    point's covers the slices up to and including its witness's (-1 when
+    that slice is identically zero).
     """
     mod_p, mod_q = pt.moduli
     if mod_p == 0 or mod_q == 0:
         pt.minimality = INCONCLUSIVE
         return pt
-    known = [(complex(c.p), complex(c.q)) for c in (pt, *peers)]
+    known = np.array([c.doubles for c in (pt, *peers)])
     match_tol = 1e-7 * max(1.0, mod_p, mod_q)
 
     # Rows: y-degree; columns: x-degree, so polyval gives x-coefficients per y.
@@ -594,40 +608,55 @@ def minimality_probe(
             return pt
 
     # Check (b): the circle |y| = |q|, slices in angle order.  H is real,
-    # so slice N - k is the conjugate of slice k: slices 0..N/2 are solved.
-    angles = ProbeGrid().angles
-    solved = angles // 2 + 1
-    ys = mod_q * np.exp(2j * np.pi * np.arange(solved) / angles)
-    roots, valid, zero = _radius_roots(polyval(ys, y_major).T, zero_top)
-    mirror = np.arange(angles - solved, 0, -1)
-    ys = np.concatenate([ys, ys[mirror].conj()])
-    roots = np.concatenate([roots, roots[mirror].conj()])
-    valid = np.concatenate([valid, valid[mirror]])
-    zero = np.concatenate([zero, zero[mirror]])
-    # hypot rounds as abs() of a numpy scalar; np.abs on arrays may not.
-    ax = np.hypot(roots.real, roots.imag)
-    checked = valid.copy()
-    for kp, kq in known:
-        dx, dy = roots - kp, ys - kq
-        near_y = np.hypot(dy.real, dy.imag) <= match_tol
-        checked &= ~((np.hypot(dx.real, dx.imag) <= match_tol) & near_y[:, None])
-    margin = float((ax[checked] / mod_p - 1.0).min()) if checked.any() else math.inf
-    # Inside the polydisk, or on the |p| circle without being a known
-    # same-torus point: either way strictness fails.
-    inside = checked & (ax <= mod_p * (1 + BOUNDARY_TOL))
-    hit = zero | inside.any(axis=1)
-    witness = None
+    # so slice N - k is the conjugate of slice k: slices 0..N/2 are solved,
+    # 0..FIRST_SLICES-1 first and the rest only when those hold no event.
+    ys = mod_q * _HALF_CIRCLE
+    head = ys[:FIRST_SLICES]
+    roots, valid, zero = _radius_roots(polyval(head, y_major).T, zero_top)
+    least, hit, inside = _circle_events(head, roots, valid, zero, known, match_tol, mod_p)
+    if not hit.any():
+        tail = _radius_roots(polyval(ys[FIRST_SLICES:], y_major).T, zero_top)
+        roots, valid, zero = (np.concatenate(pair) for pair in zip((roots, valid, zero), tail))
+        mirror = np.arange(ProbeGrid.angles - len(ys), 0, -1)
+        ys, roots = (np.concatenate([v, v[mirror].conj()]) for v in (ys, roots))
+        valid, zero = (np.concatenate([v, v[mirror]]) for v in (valid, zero))
+        rest = [v[FIRST_SLICES:] for v in (ys, roots, valid, zero)]
+        more = _circle_events(*rest, known, match_tol, mod_p)
+        least, hit, inside = (np.concatenate(pair) for pair in zip((least, hit, inside), more))
     if hit.any():
         a = int(np.argmax(hit))
         # A slice lying wholly in the zero set has the root x = 0.
         x_val = 0j if zero[a] else complex(roots[a, np.argmax(inside[a])])
-        witness = (x_val, complex(ys[a]))
-        pt.minimality = VIOLATED
-    else:
-        pt.minimality = PROBABLY_STRICTLY_MINIMAL if margin > MARGIN_TOL else INCONCLUSIVE
-    pt.witness = witness
-    pt.margin = -1.0 if zero.any() else margin
+        pt.minimality, pt.witness = VIOLATED, (x_val, complex(ys[a]))
+        pt.margin = -1.0 if zero[a] else float(least[: a + 1].min()) / mod_p - 1.0
+        return pt
+    pt.margin = float(least.min()) / mod_p - 1.0
+    pt.minimality = PROBABLY_STRICTLY_MINIMAL if pt.margin > MARGIN_TOL else INCONCLUSIVE
+    pt.witness = None
     return pt
+
+
+def _circle_events(ys, roots, valid, zero, known, match_tol: float, mod_p: float):
+    """``(least, hit, inside)`` of the circle slices at ``ys``, solved by ``_radius_roots``.
+
+    A root is checked unless it lies within ``match_tol`` of a ``known``
+    point (a row ``(p, q)``) in both coordinates.  ``least`` is each
+    slice's least |x| over its checked roots (inf when it has none), and
+    ``inside`` flags the checked roots inside the polydisk or on its |p|
+    circle.  A slice is ``hit`` when it has such a root or is identically
+    zero.  x / |p| - 1 does not decrease with x, so the least |x| gives
+    the least |x|/|p| - 1 exactly.
+    """
+    # hypot rounds as abs() of a numpy scalar; np.abs on arrays may not.
+    ax = np.hypot(roots.real, roots.imag)
+    checked = valid.copy()
+    dy = ys[:, None] - known[:, 1]
+    for a, k in zip(*np.nonzero(np.hypot(dy.real, dy.imag) <= match_tol)):
+        dx = roots[a] - known[k, 0]
+        checked[a] &= ~(np.hypot(dx.real, dx.imag) <= match_tol)
+    least = np.where(checked, ax, math.inf).min(axis=1, initial=math.inf)
+    inside = checked & (ax <= mod_p * (1 + BOUNDARY_TOL))
+    return least, zero | inside.any(axis=1), inside
 
 
 def _radius_roots(cmat: np.ndarray, zero_top: float):
@@ -640,9 +669,9 @@ def _radius_roots(cmat: np.ndarray, zero_top: float):
     identically zero.  Slices of one effective degree and one count of
     exact zero low coefficients share one stacked companion-matrix
     ``eigvals`` call, built as ``np.roots`` builds it, with the x = 0
-    roots after the others.  Returns ``(roots,
-    valid, zero)``: slice ``a`` has the roots ``roots[a][valid[a]]`` and is
-    identically zero when ``zero[a]``.
+    roots after the others; a linear slice has the root -c0/c1.  Returns
+    ``(roots, valid, zero)``: slice ``a`` has the roots
+    ``roots[a][valid[a]]`` and is identically zero when ``zero[a]``.
     """
     count, m = cmat.shape
     top = np.abs(cmat).max(axis=1)
@@ -655,20 +684,18 @@ def _radius_roots(cmat: np.ndarray, zero_top: float):
     low_zeros = np.argmax(cmat != 0, axis=1)
     roots = np.zeros((count, m - 1), dtype=complex)
     valid = np.arange(m - 1) < (n - 1)[:, None]
-    linear = n == 2
-    if linear.any():  # never when H does not depend on x
-        roots[linear, 0] = -cmat[linear, 0] / cmat[linear, 1]
-    wide = n > 2
-    for length, tz in set(zip(n[wide].tolist(), low_zeros[wide].tolist())):
-        rows = np.flatnonzero((n == length) & (low_zeros == tz))
+    groups = set(zip(n.tolist(), low_zeros.tolist()))
+    for length, tz in groups:
+        rows = slice(None) if len(groups) == 1 else (n == length) & (low_zeros == tz)
         d = length - 1 - tz
-        if d == 0:
-            continue
-        high_first = cmat[rows, tz:length][:, ::-1]
-        companion = np.zeros((len(rows), d, d), dtype=complex)
-        companion[:, 0, :] = -high_first[:, 1:] / high_first[:, :1]
-        companion[:, np.arange(1, d), np.arange(d - 1)] = 1
-        roots[rows, :d] = np.linalg.eigvals(companion)
+        if length == 2:  # never when H does not depend on x
+            roots[rows, 0] = -cmat[rows, 0] / cmat[rows, 1]
+        elif length > 2 and d > 0:
+            high_first = cmat[rows, tz:length][:, ::-1]
+            companion = np.zeros((len(high_first), d, d), dtype=complex)
+            companion[:, 0, :] = -high_first[:, 1:] / high_first[:, :1]
+            companion.reshape(len(high_first), -1)[:, d :: d + 1] = 1  # the subdiagonal
+            roots[rows, :d] = np.linalg.eigvals(companion)
     return roots, valid, zero
 
 

@@ -1,9 +1,12 @@
 """The one-circle minimality probe against the polydisk scan it replaced.
 
-``minimality_probe`` root-solves H(0, y) and slices 0..128 of the 256
-slices of the one circle |y| = |q|, with stacked companion-matrix
-``eigvals`` calls, and takes slices 129..255 as the conjugates of slices
-127..1.  The references scan the closed polydisk on 32 radii by 256 angles:
+``minimality_probe`` root-solves H(0, y), then slices 0..7 of the 256
+slices of the one circle |y| = |q|, and stops there when they hold a
+witness; otherwise it solves slices 8..128 and takes slices 129..255 as
+the conjugates of slices 127..1.  Each call is one ``_radius_roots`` of
+stacked companion-matrix ``eigvals`` calls.  A violated point's margin
+covers the slices up to and including its witness's.  The references
+scan the closed polydisk on 32 radii by 256 angles:
 ``_reference_probe`` with one ``np.roots`` call per slice, finishing the
 radius that shows the first violation, and ``_unpruned_probe`` with every
 slice of one radius batched at a time.  Verdicts must agree on every point
@@ -11,22 +14,36 @@ and margins to ``MARGIN_EPS`` on every point that is not violated (the
 mirrored slices' y differ from the references' by rounding); a violated
 point's witness comes from H(0, y) or from the circle, and must lie on the
 zero set inside the polydisk.  ``_every_slice_probe`` solves all 256
-slices of the circle as the probe did before the mirror: verdicts and
-witnesses equal it exactly.
+slices of the circle in one call, as the probe did before the mirror and
+the first batch.  On every torus class of the first 32 family
+polynomials in three directions, verdicts and witnesses equal it exactly
+and margins to ``MARGIN_EPS``.  A Hypothesis property draws random
+polynomials and points that put witnesses past slice 7, in the mirrored
+half and on an identically zero slice, and solves every slice at the
+probe's own y: verdicts, witnesses and margins equal it exactly.  From
+the repository root, ``python -m tests.test_probe_batch`` runs the
+family comparison on every torus class of the first 200 family
+polynomials in three directions and of every problem file (CI does so).
 """
 
+import argparse
 import itertools
 import math
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 from mpmath import mpc
 from numpy.polynomial.polynomial import polyval
 
 from bivasym import BivariatePolynomial, Direction, critical
 from bivasym.errors import BivasymError
 from bivasym.critical import (
+    _HALF_CIRCLE,
     BOUNDARY_TOL,
     INCONCLUSIVE,
     MARGIN_TOL,
@@ -305,18 +322,35 @@ def _family(item):
     return next(itertools.islice(_random_polynomials(20260810), item, None))
 
 
-@pytest.mark.parametrize("name", ["color_swap", "multinomial_sqrt", "branch_wrap"])
-def test_probe_solves_few_slices(name, monkeypatch):
-    spec = parse_problem((ROOT / "problems" / f"{name}.json").read_text())
-    pt = run_solve(spec, probe=False).dominant.points[0]
+@pytest.mark.parametrize(
+    "name, solved",
+    [
+        # Accepted: H(0, y), then slices 0..7 and 8..128 of the 256 of
+        # |y| = |q|; the polydisk had 8192.
+        pytest.param("color_swap", [1, 8, 121], id="color_swap"),
+        pytest.param("multinomial_sqrt", [1, 8, 121], id="multinomial_sqrt"),
+        pytest.param("branch_wrap", [1, 8, 121], id="branch_wrap"),
+        # Violated with its witness at slice 0: slices 8..128 are never solved.
+        pytest.param("family-7", [1, 8], id="family-7"),
+    ],
+)
+def test_probe_solves_few_slices(name, solved, monkeypatch):
+    if name.startswith("family-"):
+        H, direction = _family(int(name.split("-")[1])), Direction(1, 1)
+        dom = dominant_class(group_by_torus(solve_critical(H, direction), direction=direction))
+        pt, peers = dom.points[0], dom.points[1:]
+    else:
+        spec = parse_problem((ROOT / "problems" / f"{name}.json").read_text())
+        H, pt, peers = spec.H, run_solve(spec, probe=False).dominant.points[0], []
     rows = []
     radius_roots = critical._radius_roots
     monkeypatch.setattr(
         critical, "_radius_roots", lambda cmat, top: rows.append(len(cmat)) or radius_roots(cmat, top)
     )
-    minimality_probe(spec.H, pt)
-    # H(0, y), then slices 0..128 of the 256 of |y| = |q|; the polydisk had 8192.
-    assert rows == [1, 129]
+    got = minimality_probe(H, pt, peers=peers)
+    assert rows == solved
+    if len(solved) == 2:
+        assert got.minimality == VIOLATED and got.witness[1] == float(abs(pt.q))
 
 
 def test_origin_zero_is_found_only_by_the_origin_check():
@@ -358,8 +392,11 @@ def test_every_torus_class_matches_the_unpruned_probe():
     ]
 
 
-def _every_slice_probe(H, pt, peers=()):
-    """(minimality, witness, margin) of the circle check with all 256 slices solved."""
+def _every_slice_probe(H, pt, peers=(), ys=None):
+    """(minimality, witness, margin) of the circle check with all 256 slices solved.
+
+    The slices lie at ``ys``, by default exp(2 pi i k/256) |q|.
+    """
     mod_p, mod_q = float(abs(pt.p)), float(abs(pt.q))
     known = [(complex(c.p), complex(c.q)) for c in (pt, *peers)]
     match_tol = 1e-7 * max(1.0, mod_p, mod_q)
@@ -369,7 +406,8 @@ def _every_slice_probe(H, pt, peers=()):
     for y0 in roots[0][valid[0]]:
         if np.hypot(y0.real, y0.imag) <= mod_q * (1 + BOUNDARY_TOL):
             return VIOLATED, (0j, complex(y0)), -1.0
-    ys = mod_q * np.exp(2j * np.pi * np.arange(ANGLES) / ANGLES)
+    if ys is None:
+        ys = mod_q * np.exp(2j * np.pi * np.arange(ANGLES) / ANGLES)
     roots, valid, zero = _radius_roots(polyval(ys, y_major).T, zero_top)
     ax = np.hypot(roots.real, roots.imag)
     checked = valid.copy()
@@ -383,20 +421,23 @@ def _every_slice_probe(H, pt, peers=()):
     if hit.any():
         a = int(np.argmax(hit))
         x_val = 0j if zero[a] else complex(roots[a, np.argmax(inside[a])])
-        verdict, witness = VIOLATED, (x_val, complex(ys[a]))
-    else:
-        verdict = PROBABLY_STRICTLY_MINIMAL if margin > MARGIN_TOL else INCONCLUSIVE
-        witness = None
-    return verdict, witness, -1.0 if zero.any() else margin
+        # A violated point's margin covers the slices up to its witness's.
+        margin = -1.0 if zero[a] else float((ax[: a + 1][checked[: a + 1]] / mod_p - 1.0).min())
+        return VIOLATED, (x_val, complex(ys[a])), margin
+    verdict = PROBABLY_STRICTLY_MINIMAL if margin > MARGIN_TOL else INCONCLUSIVE
+    return verdict, None, margin
 
 
-def test_mirrored_slices_match_every_slice_solved():
-    # Every torus class of the first 32 family polynomials at 1:1, 2:1 and
-    # 1:3 (187 classes): the same verdicts and witnesses as solving all 256
-    # slices, and margins within MARGIN_EPS (30 move, by at most 6 eps).
-    checked = 0
-    for item, direction in itertools.product(range(32), ("1:1", "2:1", "1:3")):
-        H, direction = _family(item), Direction.from_string(direction)
+def _match_every_slice_probe(cases):
+    """The verdicts of every torus class of the ``(H, direction)`` cases, checked.
+
+    Each class's first point off the axes is probed with the others as
+    peers: verdict and witness equal ``_every_slice_probe``'s, and the
+    margin is within MARGIN_EPS of its.  A case the solve refuses is
+    skipped.
+    """
+    verdicts = []
+    for H, direction in cases:
         try:
             classes = group_by_torus(solve_critical(H, direction), direction=direction)
         except BivasymError:
@@ -409,5 +450,124 @@ def test_mirrored_slices_match_every_slice_solved():
             got = minimality_probe(H, pt, peers=cl.points[1:])
             assert (got.minimality, got.witness) == (verdict, witness)
             assert _margin_close(got.margin, margin)
-            checked += 1
-    assert checked == 187
+            verdicts.append(verdict)
+    return verdicts
+
+
+def _family_cases(count):
+    """The first ``count`` family polynomials at 1:1, 2:1 and 1:3."""
+    polys = itertools.islice(_random_polynomials(20260810), count)
+    return [(H, Direction.from_string(d)) for H in polys for d in ("1:1", "2:1", "1:3")]
+
+
+def test_mirrored_slices_match_every_slice_solved():
+    # Every torus class of the first 32 family polynomials at 1:1, 2:1 and
+    # 1:3 (187 classes): the same verdicts and witnesses as solving all 256
+    # slices, and margins within MARGIN_EPS (15 move, by at most 6 eps).
+    assert len(_match_every_slice_probe(_family_cases(32))) == 187
+
+
+# How _probe_cases places pt: (slice k, pt on slice k itself, its
+# conjugate a peer).  "least" is the slice of least root modulus of slices
+# 0..127, "upper" that of slices 1..128, "any" a drawn slice.  An upper
+# point without its conjugate has the witness of least index in the
+# mirrored half when no earlier slice has a root within |p|.
+_PLACEMENTS = [
+    ("upper", True, False),
+    ("upper", True, False),
+    ("upper", True, True),
+    ("least", False, False),
+    ("least", False, True),
+    ("any", True, False),
+    ("any", False, False),
+]
+
+
+@st.composite
+def _probe_cases(draw):
+    """``(H, pt, peers)``: pt on or near the zero set of H over a circle |y| = |q|.
+
+    H has x- and y-degree at most 3, small rational coefficients, an x
+    term and H(0, 0) != 0, and |q| lies inside every root of H(0, y), so that check
+    (a) passes; x (y - |q|) H, drawn too, has H(0, y) = 0 and an
+    identically zero slice 0.  |p| is the least root modulus of a slice k
+    (``_PLACEMENTS``): pt is that root at slice k's y, or a point of about
+    its modulus elsewhere on the torus.
+    """
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    nonzero = st.sampled_from([Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)])
+    zero_slice = draw(st.sampled_from([False, False, False, True]))
+    top = 2 if zero_slice else 3
+    exponents = st.tuples(st.integers(0, top), st.integers(0, top))
+    H = draw(st.dictionaries(exponents, coeffs, max_size=6))
+    x_term = (draw(st.integers(1, top)), draw(st.integers(0, top)))
+    H = BivariatePolynomial({**H, x_term: draw(nonzero), (0, 0): draw(nonzero)})
+    h0_roots = np.roots([float(H.terms.get((0, j), 0)) for j in range(H.degree_y(), -1, -1)])
+    inner = np.abs(h0_roots).min() if h0_roots.size else 2
+    mod_q = draw(st.sampled_from([0.25, 0.5, 0.9])) * inner
+    if zero_slice:
+        mod_q = Fraction(mod_q).limit_denominator(16)
+        y_minus_q = BivariatePolynomial({(0, 1): 1, (0, 0): -mod_q})
+        H = H * BivariatePolynomial.x() * y_minus_q
+    mod_q = float(mod_q)
+    ys = mod_q * np.exp(2j * np.pi * np.arange(ANGLES) / ANGLES)
+    zero_top = 1e-14 * max(float(H.coefficient_scale()), 1.0)
+    roots, valid, _ = _radius_roots(polyval(ys, H.float_coeffs().T).T, zero_top)
+    moduli = np.where(valid & (roots != 0), np.hypot(roots.real, roots.imag), math.inf)
+    least = moduli.min(axis=1, initial=math.inf)
+    pick, on_slice, conjugate = draw(st.sampled_from(_PLACEMENTS))
+    if pick == "any":
+        k = draw(st.integers(0, ANGLES - 1))
+    else:
+        first = 1 if pick == "upper" else 0
+        k = first + int(np.argmin(least[first : first + ANGLES // 2]))
+    assume(least[k] < math.inf)
+    x_k = roots[k, np.argmin(moduli[k])]
+    if on_slice:
+        p, q = complex(x_k), complex(ys[k])
+    else:
+        p = abs(x_k) * draw(st.sampled_from([1 - 1e-6, 1.0, 1 + 1e-6]))
+        q = complex(mod_q * np.exp(1j * draw(st.floats(0, 2 * math.pi))))
+    peers = [CriticalPoint(mpc(complex(p).conjugate()), mpc(q.conjugate()))] if conjugate else []
+    return H, CriticalPoint(mpc(p), mpc(q)), peers
+
+
+@settings(max_examples=200, deadline=None)
+@given(_probe_cases())
+def test_random_probes_match_every_slice_solved(case):
+    # The every-slice probe solves all 256 slices at the probe's own y,
+    # slice N - k at the conjugate of slice k's: only the early stop, the
+    # two batches, the mirror and the margin rule remain to differ, and
+    # verdict, witness and margin must be equal exactly.
+    H, pt, peers = case
+    ys = float(abs(pt.q)) * np.concatenate([_HALF_CIRCLE, _HALF_CIRCLE[-2:0:-1].conj()])
+    verdict, witness, margin = _every_slice_probe(H, pt, peers, ys=ys)
+    got = minimality_probe(H, pt, peers=peers)
+    assert (got.minimality, got.witness, got.margin) == (verdict, witness, margin)
+    if witness is None:
+        event(verdict)
+    elif witness[0] == 0:
+        event("zero slice 0")
+    else:
+        a = int(np.flatnonzero(ys == witness[1])[0])
+        event(f"witness in slices {'0..7' if a < 8 else '8..128' if a <= 128 else '129..255'}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Probe every torus class of the first ITEMS family polynomials at 1:1, "
+        "2:1 and 1:3 and of every problem file against the every-slice probe."
+    )
+    parser.add_argument("--items", type=int, default=200, help="family polynomials")
+    args = parser.parse_args(argv)
+    specs = [parse_problem(path.read_text()) for path in sorted((ROOT / "problems").glob("*.json"))]
+    verdicts = _match_every_slice_probe(
+        _family_cases(args.items) + [(spec.H, spec.direction) for spec in specs]
+    )
+    counts = {v: verdicts.count(v) for v in (VIOLATED, PROBABLY_STRICTLY_MINIMAL, INCONCLUSIVE)}
+    print(f"{len(verdicts)} torus classes match the every-slice probe: {counts}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
