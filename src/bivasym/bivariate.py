@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 from mpmath import mpf
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyval, polyval2d
 
 from .errors import BranchTrackingError
 from .precision import to_mpc
@@ -47,11 +47,10 @@ class BivariatePolynomial:
 
     Zero coefficients are never stored; the zero polynomial has no terms.
     The terms are never changed after construction, which the caches of
-    the coefficient scale, integer and double columns and partial
-    derivatives rely on.
+    the integer and double columns and partial derivatives rely on.
     """
 
-    __slots__ = ("terms", "_scale", "_columns", "_doubles", "_partials")
+    __slots__ = ("terms", "_columns", "_doubles", "_partials")
 
     def __init__(self, terms: Dict[Exponent, Fraction] | None = None):
         clean: Dict[Exponent, Fraction] = {}
@@ -63,7 +62,6 @@ class BivariatePolynomial:
                 if c != 0:
                     clean[(int(i), int(j))] = c
         self.terms = clean
-        self._scale: Fraction | None = None
         self._columns: tuple | None = None
         self._doubles: list | None = None
         self._partials: Dict[str, "BivariatePolynomial"] = {}
@@ -124,10 +122,8 @@ class BivariatePolynomial:
         return self.terms.get((i, j), Fraction(0))
 
     def coefficient_scale(self) -> Fraction:
-        """Largest coefficient magnitude (0 for the zero polynomial), taken once."""
-        if self._scale is None:
-            self._scale = max((abs(c) for c in self.terms.values()), default=Fraction(0))
-        return self._scale
+        """Largest coefficient magnitude (0 for the zero polynomial)."""
+        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
 
     # -- arithmetic (exact) ----------------------------------------------
 
@@ -314,19 +310,22 @@ class BivariatePolynomial:
             out += polyval(x, A[:, j])
         return out
 
-    def vanish_floor(self) -> float:
-        """|H| at or below this counts as zero on a numpy curve or grid."""
-        return 1e-9 * max(float(self.coefficient_scale()), 1.0)
+    def vanish_floor(self, x, y) -> float:
+        """|H| at or below this counts as zero on a numpy curve or grid within radii |x|, |y|.
+
+        It is 1e-9 of the magnitude sum ``sum |h_ij| |x|^i |y|^j``, in doubles.
+        """
+        return 1e-9 * float(polyval2d(abs(x), abs(y), np.abs(self.float_coeffs())))
 
     def ray_argument(self, a, b, t_end: float, steps: int) -> Tuple[float, float]:
         """Continuous argument of H(t*a, t*b) at t = 0 and at t = ``t_end``.
 
         Bisects ``steps`` equal steps, for at most 24 rounds, until no step
         turns the argument by more than pi/8.  Raises BranchTrackingError
-        when a sample of |H| is at or below ``vanish_floor``.
+        when a sample of |H| is at or below ``vanish_floor`` at the far end.
         """
         a, b = complex(a), complex(b)
-        floor = self.vanish_floor()
+        floor = self.vanish_floor(t_end * a, t_end * b)
         ts = np.linspace(0.0, t_end, steps + 1)
         vals = self.eval_array(ts * a, ts * b)
         for _ in range(24):

@@ -26,6 +26,8 @@ share a torus.  Minimality is probed numerically on the
 one circle |y| = |q| plus the roots of H(0, y); verdicts carry a concrete
 witness when violated.  The probe root-solves the circle's first
 ``FIRST_SLICES`` slices alone and stops there when they hold a witness.
+Every zero test judges a value against its own magnitude at the point
+(``negligible``), so no verdict depends on the units of x and y.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ MERGE_TOL = 1e-10  # coordinates, moduli or weights this close count as equal
 IDENTITY_TOL = 1e-10  # H_y/H_x = p/(lambda*q) check in the local data
 MARGIN_TOL = 1e-6  # probe margin needed for probably_strictly_minimal
 BOUNDARY_TOL = 1e-9  # an x-root this close to the |p| circle touches it
-SMOOTH_TOL = 1e-6  # gradient below this times the coefficient scale is singular
+SMOOTH_TOL = 1e-6  # a value below this times its magnitude sum at the point is zero
 # Probe circle slices root-solved before the others: most circle witnesses
 # of violated points lie in slices 0..7.
 FIRST_SLICES = 8
@@ -493,50 +495,45 @@ def _tori(points: Sequence[CriticalPoint]) -> Tuple[List[int], List[Tuple[float,
     return homes, tori
 
 
-def is_smooth(H: BivariatePolynomial, pt) -> bool:
-    """True when the gradient of H does not vanish at the point.
+def negligible(poly: BivariatePolynomial, value, x, y) -> bool:
+    """True when ``value``, poly at (x, y), is at most SMOOTH_TOL of its magnitude sum there."""
+    return abs(value) <= SMOOTH_TOL * poly.eval_magnitude_scale(x, y)
 
-    The gradient magnitude is compared against ``SMOOTH_TOL`` times the
-    coefficient scale of H, so the verdict is invariant under rescaling H.
-    The test is settled in doubles where it can be (``_smooth_in_doubles``);
-    otherwise H_x and H_y are evaluated exactly, rounded once to working
-    precision, and compared there.
+
+def is_smooth(H: BivariatePolynomial, pt) -> bool:
+    """True when H_x or H_y is not ``negligible`` at the point.
+
+    Each partial is judged against its own magnitude sum at the point, so
+    rescaling H, x or y changes no verdict.  Settled in doubles where they
+    can (``_smooth_in_doubles``), else on exact values rounded once.
     """
     p, q = to_mpc(pt[0]), to_mpc(pt[1])
-    scale = H.coefficient_scale()
-    if scale == 0:
-        return False
-    verdict = _smooth_in_doubles(H, p, q, scale)
+    verdict = _smooth_in_doubles(H, p, q)
     if verdict is not None:
         return verdict
-    gx = abs(H.partial("x").eval(p, q))
-    gy = abs(H.partial("y").eval(p, q))
-    return bool(max(gx, gy) > SMOOTH_TOL * to_mpf(scale))
+    return not all(negligible(H.partial(v), H.partial(v).eval(p, q), p, q) for v in "xy")
 
 
-def _smooth_in_doubles(H: BivariatePolynomial, p: mpc, q: mpc, scale: Fraction) -> Optional[bool]:
+def _smooth_in_doubles(H: BivariatePolynomial, p: mpc, q: mpc) -> Optional[bool]:
     """``is_smooth``'s verdict from H_x and H_y in doubles, or None where they leave it open.
 
-    Each partial is evaluated by ``eval_double`` with its error bound, and
-    ``certified_above`` compares its modulus with ``SMOOTH_TOL * scale``:
+    ``certified_above`` compares each partial's modulus with ``SMOOTH_TOL``
+    times its magnitude sum, both from ``eval_double`` with one bound:
     smooth once one partial is certainly above, not smooth once both are
     certainly not.  None also when p, q or a coefficient has no finite
-    normal double.
+    normal double, or a partial is the zero polynomial.
     """
     pd, qd = double_point(p), double_point(q)
     if pd is None or qd is None:
         return None
-    try:
-        threshold = SMOOTH_TOL * float(scale)
-    except OverflowError:
-        return None
     verdicts = []
-    for var in ("x", "y"):
-        got = H.partial(var).eval_double(pd, qd)
+    for partial in (H.partial("x"), H.partial("y")):
+        got = partial.eval_double(pd, qd)
         if got is None:
             return None
-        value, _, err = got
-        above = certified_above(abs(value), err, threshold, 0.0, 0)
+        value, total, err = got
+        degree = max((i + j for i, j in partial.terms), default=0)
+        above = certified_above(abs(value), err, SMOOTH_TOL * total, SMOOTH_TOL * err, degree)
         if above:
             return True
         verdicts.append(above)
@@ -576,9 +573,11 @@ def minimality_probe(
     mirrored y differs from exp(2 pi i (N - k)/N) |q| by rounding alone,
     and check (b) reads the slices as before: a root strictly
     inside |p| reports ``violated``, and so does a root on the |p| circle
-    that is not one of the known same-torus critical points.  The witness
-    is the first such event in (angle, root) order, an identically zero
-    slice counting as the root x = 0.  Slices 0..FIRST_SLICES-1 are solved
+    that is not one of the known same-torus critical points (within 1e-7
+    |p| in x and 1e-7 |q| in y).  The witness is the first such event in
+    (angle, root) order, an identically zero slice counting as x = 0; an
+    x^i coefficient is zero at 1e-13 of its magnitude on the circle, one
+    of H(0, .) only when exact.  Slices 0..FIRST_SLICES-1 are solved
     first, in one ``_radius_roots`` call, and an event there precedes every
     later slice, mirrored ones too, so the probe stops; otherwise one more
     call solves slices FIRST_SLICES..N/2.  The verdict, witness and
@@ -592,14 +591,12 @@ def minimality_probe(
         pt.minimality = INCONCLUSIVE
         return pt
     known = np.array([c.doubles for c in (pt, *peers)])
-    match_tol = 1e-7 * max(1.0, mod_p, mod_q)
 
     # Rows: y-degree; columns: x-degree, so polyval gives x-coefficients per y.
     y_major = H.float_coeffs().T
-    zero_top = 1e-14 * max(float(H.coefficient_scale()), 1.0)
 
     # Check (a): the roots of H(0, .), the one coefficient column x^0.
-    roots, valid, _ = _radius_roots(y_major[:, :1].T, zero_top)
+    roots, valid, _ = _radius_roots(y_major[:, :1].T, 0.0)
     for y0 in roots[0][valid[0]]:
         if np.hypot(y0.real, y0.imag) <= mod_q * (1 + BOUNDARY_TOL):
             pt.minimality = VIOLATED
@@ -612,16 +609,17 @@ def minimality_probe(
     # 0..FIRST_SLICES-1 first and the rest only when those hold no event.
     ys = mod_q * _HALF_CIRCLE
     head = ys[:FIRST_SLICES]
-    roots, valid, zero = _radius_roots(polyval(head, y_major).T, zero_top)
-    least, hit, inside = _circle_events(head, roots, valid, zero, known, match_tol, mod_p)
+    magnitudes = polyval(mod_q, np.abs(y_major))  # of each x^i coefficient on the circle
+    roots, valid, zero = _radius_roots(polyval(head, y_major).T, magnitudes)
+    least, hit, inside = _circle_events(head, roots, valid, zero, known, pt.moduli)
     if not hit.any():
-        tail = _radius_roots(polyval(ys[FIRST_SLICES:], y_major).T, zero_top)
+        tail = _radius_roots(polyval(ys[FIRST_SLICES:], y_major).T, magnitudes)
         roots, valid, zero = (np.concatenate(pair) for pair in zip((roots, valid, zero), tail))
         mirror = np.arange(ProbeGrid.angles - len(ys), 0, -1)
         ys, roots = (np.concatenate([v, v[mirror].conj()]) for v in (ys, roots))
         valid, zero = (np.concatenate([v, v[mirror]]) for v in (valid, zero))
         rest = [v[FIRST_SLICES:] for v in (ys, roots, valid, zero)]
-        more = _circle_events(*rest, known, match_tol, mod_p)
+        more = _circle_events(*rest, known, pt.moduli)
         least, hit, inside = (np.concatenate(pair) for pair in zip((least, hit, inside), more))
     if hit.any():
         a = int(np.argmax(hit))
@@ -636,50 +634,50 @@ def minimality_probe(
     return pt
 
 
-def _circle_events(ys, roots, valid, zero, known, match_tol: float, mod_p: float):
+def _circle_events(ys, roots, valid, zero, known, moduli):
     """``(least, hit, inside)`` of the circle slices at ``ys``, solved by ``_radius_roots``.
 
-    A root is checked unless it lies within ``match_tol`` of a ``known``
-    point (a row ``(p, q)``) in both coordinates.  ``least`` is each
-    slice's least |x| over its checked roots (inf when it has none), and
-    ``inside`` flags the checked roots inside the polydisk or on its |p|
-    circle.  A slice is ``hit`` when it has such a root or is identically
-    zero.  x / |p| - 1 does not decrease with x, so the least |x| gives
-    the least |x|/|p| - 1 exactly.
+    ``moduli`` is ``(|p|, |q|)``.  A root is checked unless it lies within
+    1e-7 |p| in x and 1e-7 |q| in y of a ``known`` point, a row (p, q).
+    ``least`` is each slice's least |x| over its checked roots (inf when it
+    has none), and ``inside`` flags the checked roots inside the polydisk
+    or on its |p| circle.  A slice is ``hit`` when it has such a root or is
+    identically zero.  x / |p| - 1 does not decrease with x, so the least
+    |x| gives the least |x|/|p| - 1 exactly.
     """
     # hypot rounds as abs() of a numpy scalar; np.abs on arrays may not.
     ax = np.hypot(roots.real, roots.imag)
     checked = valid.copy()
+    mod_p, mod_q = moduli
     dy = ys[:, None] - known[:, 1]
-    for a, k in zip(*np.nonzero(np.hypot(dy.real, dy.imag) <= match_tol)):
+    for a, k in zip(*np.nonzero(np.hypot(dy.real, dy.imag) <= 1e-7 * mod_q)):
         dx = roots[a] - known[k, 0]
-        checked[a] &= ~(np.hypot(dx.real, dx.imag) <= match_tol)
+        checked[a] &= ~(np.hypot(dx.real, dx.imag) <= 1e-7 * mod_p)
     least = np.where(checked, ax, math.inf).min(axis=1, initial=math.inf)
     inside = checked & (ax <= mod_p * (1 + BOUNDARY_TOL))
     return least, zero | inside.any(axis=1), inside
 
 
-def _radius_roots(cmat: np.ndarray, zero_top: float):
+def _radius_roots(cmat: np.ndarray, magnitudes):
     """x-roots of each slice in ``cmat``, each slice in ``np.roots`` order.
 
     ``cmat`` holds one slice per row, coefficients from x^0 up: the
     probe's circle of y-values, or the one row of H(0, y) with y in the
-    place of x.  Each slice is cut at its last coefficient above 1e-13
-    times its largest; a slice whose largest is at most ``zero_top`` is
-    identically zero.  Slices of one effective degree and one count of
-    exact zero low coefficients share one stacked companion-matrix
-    ``eigvals`` call, built as ``np.roots`` builds it, with the x = 0
-    roots after the others; a linear slice has the root -c0/c1.  Returns
-    ``(roots, valid, zero)``: slice ``a`` has the roots
+    place of x.  Each slice is cut after its last coefficient above 1e-13
+    of its magnitude on the circle, ``magnitudes[i]`` (or one scalar); a
+    slice with none is identically zero.  Slices of one effective degree
+    and one count of exact zero low coefficients share one stacked
+    companion-matrix ``eigvals`` call, built as ``np.roots`` builds it,
+    with the x = 0 roots after the others; a linear slice has the root
+    -c0/c1.  Returns ``(roots, valid, zero)``: slice ``a`` has the roots
     ``roots[a][valid[a]]`` and is identically zero when ``zero[a]``.
     """
     count, m = cmat.shape
-    top = np.abs(cmat).max(axis=1)
-    zero = top <= zero_top
-    # Effective length: one past the last coefficient above the floor,
+    # Effective length: one past the last coefficient that is not zero,
     # moduli by hypot as abs() gives them on a numpy scalar.
-    above = np.hypot(cmat.real, cmat.imag) > 1e-13 * top[:, None]
+    above = np.hypot(cmat.real, cmat.imag) > 1e-13 * magnitudes
     n = m - np.argmax(above[:, ::-1], axis=1)
+    zero = ~above.any(axis=1)
     n[zero] = 1
     low_zeros = np.argmax(cmat != 0, axis=1)
     roots = np.zeros((count, m - 1), dtype=complex)

@@ -19,7 +19,7 @@ from mpmath import mp, mpc, mpf
 
 from .bivariate import BivariatePolynomial
 from .critical import IDENTITY_TOL, SMOOTH_TOL, CriticalPoint, Direction, same_torus, snap_noise
-from .critical import apart
+from .critical import apart, negligible
 from .errors import BranchTrackingError, ConfigError, HypothesisFailure
 from .gammafn import gamma_log
 from .precision import to_mpc, to_mpf
@@ -93,14 +93,15 @@ def local_data(
     """Evaluate the local derivative data of H at a polished critical point.
 
     All partial derivatives are taken exactly and only then evaluated.
-    Raises HypothesisFailure when H_x vanishes at the point (the saddle
-    geometry needs the zero set to be a graph over y there).
+    Raises HypothesisFailure when H_x is ``negligible`` at the point (the
+    saddle geometry needs the zero set to be a graph over y there); the
+    phase Hessian M counts as zero by the dimensionless ``|q^2 M|``.
     """
     p, q = pt.p, pt.q
     hx = H.partial("x").eval(p, q)
     hy = H.partial("y").eval(p, q)
-    scale = to_mpf(H.coefficient_scale())
-    if abs(hx) <= SMOOTH_TOL * scale:
+    abs_p, abs_q = pt.abs_pq
+    if negligible(H.partial("x"), hx, abs_p, abs_q):
         raise HypothesisFailure("hx_nonzero", "non-smooth in x; estimate inapplicable")
     hxx = H.partial("x").partial("x").eval(p, q)
     hxy = H.partial("x").partial("y").eval(p, q)
@@ -110,15 +111,15 @@ def local_data(
     ratio = hy / hx
     curv = (ratio * ratio * hxx - 2 * ratio * hxy + hyy) / (2 * hx)
     m = -2 * curv / p - ratio * ratio / (p * p) - 1 / (lam * q * q)
+    q2m = q * q * m
 
-    abs_p, abs_q = pt.abs_pq
     checks = {
         "hx_nonzero": True,
         "p_nonzero": abs_p > 0,
         "q_nonzero": abs_q > 0,
-        "phase_hessian_nonzero": abs(m) > SMOOTH_TOL**2,
+        "phase_hessian_nonzero": abs(q2m) > SMOOTH_TOL**2,
         # A real part at rounding noise is no sign (as in ``_real_positive``).
-        "saddle_real_part_positive": snap_noise(-(q * q) * m).real > 0,
+        "saddle_real_part_positive": snap_noise(-q2m).real > 0,
         "grad_ratio_identity": bool(
             abs(ratio - p / (lam * q)) <= to_mpf(IDENTITY_TOL) * max(abs(ratio), to_mpf(1e-30))
         ),
@@ -294,6 +295,11 @@ def estimate_general(
     b = _check_beta(beta)
     _require_same_torus(points)
     locals_ = [_checked_local_data(H, pt, direction) for pt in points]
+    return _saddle_sum(H, G, b, locals_, r, s, direction)
+
+
+def _saddle_sum(H, G, b: mpf, locals_: Sequence[LocalData], r: int, s: int, direction):
+    """``estimate_general``'s sum over the checked local data of its points, ``b`` = beta."""
     # Each point's w = -p*H_x with log|w| and arg w, taken once: the ray,
     # the branch argument and the branch value read them.
     log_abs_ws = [mp.log(abs(ld.w)) for ld in locals_]
@@ -369,7 +375,7 @@ def estimate_general(
         )
     # Judged against the largest contribution: where they cancel, the value
     # is itself rounding noise.
-    if peak != mp.ninf and _conjugate_closed(points):
+    if peak != mp.ninf and _conjugate_closed([ld.point for ld in locals_]):
         if abs(value.imag) > 1e-8 * mp.exp(peak):
             warnings.append(
                 "conjugate-cancellation failed: imaginary part "
@@ -406,9 +412,7 @@ def estimate_real_positive(
     argument (0 or pi) and each contribution's argument and branch value
     are returned as reals.
     """
-    _check_beta(beta)
-    ld = _checked_local_data(H, pt, direction)
-
+    b = _check_beta(beta)
     p = snap_noise(pt.p)
     if not _real_positive(p):
         raise HypothesisFailure("p_real_positive", "p is not real positive")
@@ -416,12 +420,13 @@ def estimate_real_positive(
         raise HypothesisFailure("q_real_positive", "q is not real positive")
     if H.constant_term() <= 0:
         raise HypothesisFailure("origin_positive", "H(0,0) must be positive")
+    ld = _checked_local_data(H, pt, direction)
     if not _real_positive(-p * ld.hx):
         raise HypothesisFailure("neg_hx_p_positive", "-H_x(p,q)*p is not real positive")
     if not _real_positive(-ld.phase_hessian):
         raise HypothesisFailure("saddle_real_part_positive", "-2*pi*q^2*M is not positive")
 
-    est = estimate_general(H, G, beta, [pt], r, s, direction)
+    est = _saddle_sum(H, G, b, [ld], r, s, direction)
     value = est.value.real
     for c in est.contributions:
         c["argument"] = mpf(0) if mp.cos(c["argument"]) >= 0 else +mp.pi

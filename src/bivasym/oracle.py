@@ -527,7 +527,7 @@ def quadrature_values(
     c1, c2 = cfg.quadrature_radii
     N1, N2 = cfg.quadrature_grid
     b = float(to_mpf(beta))
-    floor = H.vanish_floor()
+    floor = H.vanish_floor(c1, c2)
     X = c1 * np.exp(1j * (2.0 * np.pi * np.arange(N1) / N1)).reshape(-1, 1)
     Y = c2 * np.exp(1j * (2.0 * np.pi * np.arange(N2) / N2)).reshape(1, -1)
 

@@ -7,12 +7,12 @@ from typing import List, Optional
 
 from .critical import (
     PROBABLY_STRICTLY_MINIMAL,
-    SMOOTH_TOL,
     CriticalPoint,
     TorusClass,
     dominant_class,
     group_by_torus,
     minimality_probe,
+    negligible,
     solve_critical,
 )
 from .errors import HypothesisFailure
@@ -21,7 +21,6 @@ from .estimates import (
     estimate_general,
     estimate_real_positive,
 )
-from .precision import to_mpf
 from .problem import ProblemSpec
 
 
@@ -72,8 +71,7 @@ def estimate_target(
     if not smooth_pts:
         raise HypothesisFailure("smooth_point_exists", "no smooth dominant point")
     if spec.G is not None:
-        floor = SMOOTH_TOL * to_mpf(spec.G.coefficient_scale())
-        if all(abs(spec.G.eval(pt.p, pt.q)) <= floor for pt in smooth_pts):
+        if all(negligible(spec.G, spec.G.eval(pt.p, pt.q), *pt.abs_pq) for pt in smooth_pts):
             # The leading term vanishes; the true order is lower in n.
             raise HypothesisFailure("G_nonzero_at_point", "G vanishes at every dominant point")
     if len(smooth_pts) == 1:

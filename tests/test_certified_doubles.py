@@ -30,7 +30,7 @@ from mpmath import mp, mpc, mpf
 
 from bivasym import BivariatePolynomial, Direction, aberth, critical
 from bivasym.errors import BivasymError
-from bivasym.precision import to_mpc, to_mpf, working_precision
+from bivasym.precision import to_mpc, working_precision
 from bivasym.problem import parse_problem
 from bivasym.unipoly import (
     double_coefficients,
@@ -53,10 +53,10 @@ def _exact_residual_fails(exact, form, doubles, zi):
 
 def _exact_smooth(H, pt):
     p, q = to_mpc(pt[0]), to_mpc(pt[1])
-    scale = to_mpf(H.coefficient_scale())
-    if scale == 0:
-        return False
-    return max(abs(H.partial(v).eval(p, q)) for v in "xy") > critical.SMOOTH_TOL * scale
+    return any(
+        abs(P.eval(p, q)) > critical.SMOOTH_TOL * P.eval_magnitude_scale(p, q)
+        for P in (H.partial("x"), H.partial("y"))
+    )
 
 
 def _exact_vanishes(value, moduli, aw):
@@ -185,18 +185,22 @@ def test_residual_at_the_threshold_takes_the_exact_path():
 
 
 def test_gradient_within_the_bound_of_the_threshold_takes_the_exact_path():
-    # H = x^2 + y^2 - 1 has scale 1 and gradient (2x, 2y).  At x just above
-    # SMOOTH_TOL/2 and y = 0, |grad H| is within the double bound of
-    # SMOOTH_TOL: doubles leave it open, and the exact test finds it smooth.
-    H = BivariatePolynomial({(2, 0): F(1), (0, 2): F(1), (0, 0): F(-1)})
-    p = mpc(mpf(critical.SMOOTH_TOL) / 2 * (1 + mpf(2) ** -60))
-    q = mpc(0)
-    assert critical._smooth_in_doubles(H, p, q, H.coefficient_scale()) is None
-    assert critical.is_smooth(H, (p, q))
-    below = mpc(mpf(critical.SMOOTH_TOL) / 2 * (1 - mpf(2) ** -60))
-    assert not critical.is_smooth(H, (below, q))
-    assert critical._smooth_in_doubles(H, mpc(0.25), q, H.coefficient_scale()) is True
-    assert critical._smooth_in_doubles(H, mpc(1e-9), q, H.coefficient_scale()) is False
+    # H = x^2 - 2x + y^2 - 2y at (x, 1): H_y = 2y - 2 vanishes, and the terms
+    # of H_x = 2x - 2 cancel to SMOOTH_TOL of its magnitude sum 2|x| + 2 at
+    # x = 1 + d, d = 2 SMOOTH_TOL/(1 - SMOOTH_TOL).  Within 2^-60 of d the
+    # double bound straddles that threshold, and the exact test decides.
+    H = BivariatePolynomial({(2, 0): F(1), (1, 0): F(-2), (0, 2): F(1), (0, 1): F(-2)})
+    tol = mpf(critical.SMOOTH_TOL)
+    d = 2 * tol / (1 - tol)
+    q = mpc(1)
+    above, below = mpc(1 + d * (1 + mpf(2) ** -60)), mpc(1 + d * (1 - mpf(2) ** -60))
+    assert critical._smooth_in_doubles(H, above, q) is None
+    assert critical._smooth_in_doubles(H, below, q) is None
+    assert critical.is_smooth(H, (above, q)) and _exact_smooth(H, (above, q))
+    assert not critical.is_smooth(H, (below, q)) and not _exact_smooth(H, (below, q))
+    # Well above and well below it, doubles settle it.
+    assert critical._smooth_in_doubles(H, mpc(1.25), q) is True
+    assert critical._smooth_in_doubles(H, mpc(1 + 1e-9), q) is False
 
 
 def test_rounding_of_the_exact_test_takes_the_exact_path():
@@ -227,7 +231,7 @@ def test_points_past_the_double_range_take_the_exact_path(monkeypatch):
     assert far
     for pt in far:
         assert double_point(pt.p) is None
-        assert critical._smooth_in_doubles(spec.H, pt.p, pt.q, spec.H.coefficient_scale()) is None
+        assert critical._smooth_in_doubles(spec.H, pt.p, pt.q) is None
         assert pt.smooth == _exact_smooth(spec.H, (pt.p, pt.q))
     roots = aberth.aberth_roots([F(1, 10**400), F(0), F(-1), F(1)])
     assert len(log["residual"]) == len(roots) == 3

@@ -31,6 +31,7 @@ from bivasym.critical import (
 )
 from bivasym.errors import BivasymError, ConfigError, NonIsolatedCriticalSet
 from bivasym.estimates import _conjugate_closed, _require_same_torus
+from bivasym.precision import working_precision
 from tests.test_acceptance import _random_polynomials
 
 
@@ -329,3 +330,36 @@ def test_gated_merge_and_conjugates_equal_the_plain_rule(monkeypatch):
                 conj = tuple(v.conjugate() for v in b.doubles)
                 assert not (apart(a.doubles, conj) and a.conjugate_of(b))
                 assert not (apart(a.doubles, b.doubles) and same_point((a.p, a.q), (b.p, b.q)))
+
+
+@pytest.mark.parametrize(
+    "items, direction, bits, unpolished",
+    [
+        (
+            [(0, 0, "1"), (0, 1, "2/15"), (1, 3, "1/6"), (2, 0, "-1/11"), (3, 0, "-11/23"),
+             (4, 0, "11/6000000")],
+            "1:3",
+            64,
+            10,
+        ),
+        ([(0, 0, "1"), (0, 1, "-7/4"), (1, 2, "6/7"), (2, 2, "1e-11"), (4, 0, "9")], "3:2", 128, 9),
+    ],
+)
+def test_newton_polish_keeps_the_points_its_start_points_miss(
+    items, direction, bits, unpolished, monkeypatch
+):
+    # A coefficient near 10^-6 or 10^-11 leaves some start points above
+    # RESIDUAL_TOL at this precision; Newton's steps bring them below it, so
+    # the solve has the points of the 256-bit solve, and without the steps
+    # it drops some.
+    H, d = bp(items), Direction.from_string(direction)
+    with working_precision(256):
+        want = solve_critical(H, d)
+    with working_precision(bits):
+        got = solve_critical(H, d)
+        monkeypatch.setattr(critical, "_newton_polish", lambda F1, F2, start: start)
+        assert len(solve_critical(H, d)) == unpolished < len(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for u, v in zip(a.doubles, b.doubles):
+            assert abs(u - v) <= 1e-12 * abs(v)

@@ -14,6 +14,7 @@ from bivasym import (
     Direction,
     choose_branch_ray,
     coeff_recurrence,
+    coefficients_at,
     estimate_general,
     estimate_real_positive,
     local_data,
@@ -25,6 +26,7 @@ from bivasym import (
 from bivasym.cli import report_critical_points
 from bivasym.errors import ConfigError, HypothesisFailure
 from bivasym.estimates import principal_on_ray
+from bivasym.oracle import exact_value
 from bivasym.precision import to_mpc
 from bivasym.pipeline import estimate_target, run_solve
 from bivasym.problem import ProblemSpec
@@ -149,6 +151,20 @@ def test_far_point_problem_matches_recurrence(bits):
     assert abs(far.modulus_q / (2e40 / 9) - 1) < 1e-12
     exact = coeff_recurrence(spec.H, spec.G, spec.beta, (40, 40)).value(40, 40)
     assert abs(est.value / exact - 1) < 0.01
+
+
+@pytest.mark.parametrize(
+    "name, ratio", [("scaled_multinomial", 1.0046984115), ("large_coefficients", 0.9984190465)]
+)
+def test_rescaled_multinomials_match_the_recurrence(name, ratio):
+    # 1 - x/10^7 - y/10^7, and 1 - 10^7 x - 10^7 y with G = x, are 1 - x - y
+    # in other units: the critical point moves to 5e6 or 5e-8 and [x^40 y^40]
+    # to about 10^-539 or 10^574.  Both were refused while the gradient and
+    # G were judged against coefficient scales, not their own magnitudes.
+    spec = parse_problem((PROBLEMS / f"{name}.json").read_text())
+    est = estimate_target(spec, run_solve(spec), 40, 40)
+    (exact,), prefactor = coefficients_at(spec.H, spec.G, spec.beta, [(40, 40)])
+    assert abs(est.value / exact_value(exact, prefactor) / ratio - 1) < 1e-10
 
 
 # ----------------------------------------------------------------------

@@ -72,17 +72,15 @@ def _margin_close(got, want):
     return got == want or abs(got - want) <= MARGIN_EPS * np.finfo(float).eps * (1 + abs(want))
 
 
-def _reference_slice_roots(coeffs, coeff_scale):
-    mags = np.abs(coeffs)
-    top = mags.max()
-    if top <= 1e-14 * max(coeff_scale, 1.0):
+def _reference_slice_roots(coeffs, magnitudes):
+    """The roots of one slice, None when each coefficient is at most 1e-13 of its magnitude."""
+    zero = [abs(c) <= 1e-13 * m for c, m in zip(coeffs, magnitudes)]
+    if all(zero):
         return None
-    floor = 1e-13 * top
-    trimmed = coeffs.copy()
-    n = len(trimmed)
-    while n > 1 and abs(trimmed[n - 1]) <= floor:
+    n = len(coeffs)
+    while n > 1 and zero[n - 1]:
         n -= 1
-    trimmed = trimmed[:n]
+    trimmed = coeffs[:n]
     if n == 1:
         return []
     if n == 2:
@@ -91,10 +89,19 @@ def _reference_slice_roots(coeffs, coeff_scale):
 
 
 def _matches_known(x_val, y_val, known, match_tol):
+    tol_x, tol_y = match_tol
+    return any(abs(x_val - kp) <= tol_x and abs(y_val - kq) <= tol_y for kp, kq in known)
+
+
+def _unmatched(roots, ys, known, match_tol):
+    """``valid``-shaped flags: the roots not within ``match_tol`` of a known point."""
+    tol_x, tol_y = match_tol
+    free = np.ones(roots.shape, dtype=bool)
     for kp, kq in known:
-        if abs(x_val - kp) <= match_tol and abs(y_val - kq) <= match_tol:
-            return True
-    return False
+        dx, dy = roots - kp, ys - kq
+        near_y = np.hypot(dy.real, dy.imag) <= tol_y
+        free &= ~((np.hypot(dx.real, dx.imag) <= tol_x) & near_y[:, None])
+    return free
 
 
 def _reference_probe(H, pt, peers=()):
@@ -102,18 +109,18 @@ def _reference_probe(H, pt, peers=()):
     mod_p = float(abs(pt.p))
     mod_q = float(abs(pt.q))
     known = [(complex(c.p), complex(c.q)) for c in (pt, *peers)]
-    match_tol = 1e-7 * max(1.0, mod_p, mod_q)
+    match_tol = (1e-7 * mod_p, 1e-7 * mod_q)
     y_major = H.float_coeffs().T
-    coeff_scale = float(H.coefficient_scale())
     min_margin = math.inf
     witness = None
     phis = 2.0 * np.pi * np.arange(ANGLES) / ANGLES
     for t in [k / RADII for k in range(1, RADII + 1)]:
         ys = t * mod_q * np.exp(1j * phis)
         cmat = polyval(ys, y_major)
+        magnitudes = polyval(t * mod_q, np.abs(y_major))
         for a in range(ANGLES):
             y_val = ys[a]
-            roots = _reference_slice_roots(cmat[:, a], coeff_scale)
+            roots = _reference_slice_roots(cmat[:, a], magnitudes)
             if roots is None:
                 min_margin = -1.0
                 witness = witness or (0j, complex(y_val))
@@ -136,20 +143,16 @@ def _unpruned_probe(H, pt, peers=()):
     mod_p = float(abs(pt.p))
     mod_q = float(abs(pt.q))
     known = [(complex(c.p), complex(c.q)) for c in (pt, *peers)]
-    match_tol = 1e-7 * max(1.0, mod_p, mod_q)
+    match_tol = (1e-7 * mod_p, 1e-7 * mod_q)
     y_major = H.float_coeffs().T
-    zero_top = 1e-14 * max(float(H.coefficient_scale()), 1.0)
     min_margin = math.inf
     phis = 2.0 * np.pi * np.arange(ANGLES) / ANGLES
     for k in range(1, RADII + 1):
         ys = k / RADII * mod_q * np.exp(1j * phis)
-        roots, valid, zero = _radius_roots(polyval(ys, y_major).T, zero_top)
+        magnitudes = polyval(k / RADII * mod_q, np.abs(y_major))
+        roots, valid, zero = _radius_roots(polyval(ys, y_major).T, magnitudes)
         ax = np.hypot(roots.real, roots.imag)
-        checked = valid.copy()
-        for kp, kq in known:
-            dx, dy = roots - kp, ys - kq
-            near_y = np.hypot(dy.real, dy.imag) <= match_tol
-            checked &= ~((np.hypot(dx.real, dx.imag) <= match_tol) & near_y[:, None])
+        checked = valid & _unmatched(roots, ys, known, match_tol)
         if checked.any():
             min_margin = min(min_margin, float((ax[checked] / mod_p - 1.0).min()))
         inside = checked & (ax <= mod_p * (1 + BOUNDARY_TOL))
@@ -194,6 +197,8 @@ PROBLEM_VERDICTS = {
     "multinomial_sqrt": PROBABLY_STRICTLY_MINIMAL,
     "negative_origin": PROBABLY_STRICTLY_MINIMAL,
     "origin_zero_inside": VIOLATED,
+    "large_coefficients": PROBABLY_STRICTLY_MINIMAL,
+    "scaled_multinomial": PROBABLY_STRICTLY_MINIMAL,
 }
 
 
@@ -221,9 +226,10 @@ def test_family_items_match_reference(item):
 
 
 def _radius(H, mod_q, k):
-    """Slices of radius k/32 of |q| = mod_q, in the probe's layout."""
+    """``(slices, magnitudes)`` of radius k/32 of |q| = mod_q, in the probe's layout."""
     ys = k / 32 * mod_q * np.exp(2j * np.pi * np.arange(256) / 256)
-    return polyval(ys, H.float_coeffs().T).T
+    y_major = H.float_coeffs().T
+    return polyval(ys, y_major).T, polyval(k / 32 * mod_q, np.abs(y_major))
 
 
 @pytest.mark.parametrize(
@@ -243,18 +249,17 @@ def _radius(H, mod_q, k):
 )
 def test_radius_roots_match_np_roots_per_slice(items):
     H = bp(items)
-    scale = float(H.coefficient_scale())
-    cmat = _radius(H, 1.0, 16)  # y = 1/2 exactly at angle 0
-    roots, valid, zero = _radius_roots(cmat, 1e-14 * max(scale, 1.0))
+    cmat, magnitudes = _radius(H, 1.0, 16)  # y = 1/2 exactly at angle 0
+    roots, valid, zero = _radius_roots(cmat, magnitudes)
     assert not zero.any()
     for a in range(len(cmat)):
-        expected = np.array(_reference_slice_roots(cmat[a], scale), dtype=complex)
+        expected = np.array(_reference_slice_roots(cmat[a], magnitudes), dtype=complex)
         assert roots[a][valid[a]].tobytes() == expected.tobytes()
 
 
 def test_mixed_degree_radius_matches_reference():
     H = bp([(0, 0, "3"), (1, 0, "-1"), (2, 0, "1"), (2, 1, "-2")])
-    roots, valid, zero = _radius_roots(_radius(H, 1.0, 16), 1e-14 * 2)
+    roots, valid, zero = _radius_roots(*_radius(H, 1.0, 16))
     assert valid.sum(axis=1).tolist() == [1] + [2] * 255
     # H(0, y) = 3 has no root, so the witness is on the circle |y| = 1;
     # the reference finds its first violation at radius 31 of 32.
@@ -345,7 +350,7 @@ def test_probe_solves_few_slices(name, solved, monkeypatch):
     rows = []
     radius_roots = critical._radius_roots
     monkeypatch.setattr(
-        critical, "_radius_roots", lambda cmat, top: rows.append(len(cmat)) or radius_roots(cmat, top)
+        critical, "_radius_roots", lambda cmat, mags: rows.append(len(cmat)) or radius_roots(cmat, mags)
     )
     got = minimality_probe(H, pt, peers=peers)
     assert rows == solved
@@ -358,11 +363,10 @@ def test_origin_zero_is_found_only_by_the_origin_check():
     # = sqrt(2), yet every x-root on the circle |y| = |q| lies beyond |p|:
     # the circle alone would accept the point at margin 8.7e-6.
     spec = parse_problem((ROOT / "problems" / "origin_zero_inside.json").read_text())
-    zero_top = 1e-14 * max(float(spec.H.coefficient_scale()), 1.0)
     dom = run_solve(spec, probe=False).dominant
     for pt in dom.points:
         mod_p, mod_q = float(abs(pt.p)), float(abs(pt.q))
-        roots, valid, zero = _radius_roots(_radius(spec.H, mod_q, 32), zero_top)
+        roots, valid, zero = _radius_roots(*_radius(spec.H, mod_q, 32))
         assert not zero.any()
         assert np.abs(roots[valid]).min() / mod_p - 1 > MARGIN_TOL
         got = _assert_same(spec.H, pt, [o for o in dom.points if o is not pt])
@@ -399,22 +403,16 @@ def _every_slice_probe(H, pt, peers=(), ys=None):
     """
     mod_p, mod_q = float(abs(pt.p)), float(abs(pt.q))
     known = [(complex(c.p), complex(c.q)) for c in (pt, *peers)]
-    match_tol = 1e-7 * max(1.0, mod_p, mod_q)
-    zero_top = 1e-14 * max(float(H.coefficient_scale()), 1.0)
     y_major = H.float_coeffs().T
-    roots, valid, _ = _radius_roots(y_major[:, :1].T, zero_top)
+    roots, valid, _ = _radius_roots(y_major[:, :1].T, 0.0)
     for y0 in roots[0][valid[0]]:
         if np.hypot(y0.real, y0.imag) <= mod_q * (1 + BOUNDARY_TOL):
             return VIOLATED, (0j, complex(y0)), -1.0
     if ys is None:
         ys = mod_q * np.exp(2j * np.pi * np.arange(ANGLES) / ANGLES)
-    roots, valid, zero = _radius_roots(polyval(ys, y_major).T, zero_top)
+    roots, valid, zero = _radius_roots(polyval(ys, y_major).T, polyval(mod_q, np.abs(y_major)))
     ax = np.hypot(roots.real, roots.imag)
-    checked = valid.copy()
-    for kp, kq in known:
-        dx, dy = roots - kp, ys - kq
-        near_y = np.hypot(dy.real, dy.imag) <= match_tol
-        checked &= ~((np.hypot(dx.real, dx.imag) <= match_tol) & near_y[:, None])
+    checked = valid & _unmatched(roots, ys, known, (1e-7 * mod_p, 1e-7 * mod_q))
     margin = float((ax[checked] / mod_p - 1.0).min()) if checked.any() else math.inf
     inside = checked & (ax <= mod_p * (1 + BOUNDARY_TOL))
     hit = zero | inside.any(axis=1)
@@ -511,8 +509,8 @@ def _probe_cases(draw):
         H = H * BivariatePolynomial.x() * y_minus_q
     mod_q = float(mod_q)
     ys = mod_q * np.exp(2j * np.pi * np.arange(ANGLES) / ANGLES)
-    zero_top = 1e-14 * max(float(H.coefficient_scale()), 1.0)
-    roots, valid, _ = _radius_roots(polyval(ys, H.float_coeffs().T).T, zero_top)
+    y_major = H.float_coeffs().T
+    roots, valid, _ = _radius_roots(polyval(ys, y_major).T, polyval(mod_q, np.abs(y_major)))
     moduli = np.where(valid & (roots != 0), np.hypot(roots.real, roots.imag), math.inf)
     least = moduli.min(axis=1, initial=math.inf)
     pick, on_slice, conjugate = draw(st.sampled_from(_PLACEMENTS))

@@ -80,7 +80,7 @@ def reference_quadrature(H, G, beta, cfg):
     b = float(to_mpf(F(beta)))
     X, Y = _torus(cfg)
     W = H.eval_array(X, Y)
-    if np.min(np.abs(W)) <= H.vanish_floor():
+    if np.min(np.abs(W)) <= H.vanish_floor(c1, c2):
         raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
     _, anchor = H.ray_argument(c1, c2, 1.0, 256)
     d0 = np.angle(W[1:, 0] / W[:-1, 0])
