@@ -6,14 +6,15 @@ arithmetic is exact, and so is evaluation at a working-precision point:
 ``unipoly.horner_exact`` over the coefficients put over their lcm, each
 column of x-coefficients first and then the column values in y, and
 round the result once to ``mp.prec``.  A value is the correctly rounded
-value of the exact polynomial at the point.  The integer columns and each
-partial derivative are made once; values are not kept, so a caller that
-needs one twice hands it along (``winding_number`` reads the H_x and H_y
-of ``local_data``).  ``eval_double`` is the scalar double-precision
-evaluator, with a rigorous error bound (``unipoly.double_values``), for
-the threshold tests that doubles can settle.  ``eval_array`` evaluates on
-numpy grids, curves and probe slices, and ``ray_argument`` is the one
-tracker of arg H along a ray from the origin.
+value of the exact polynomial at the point.  The integer columns, the
+dense float matrix and each partial derivative are made once; values are
+not kept, so a caller that needs one twice hands it along
+(``winding_number`` reads the H_x and H_y of ``local_data``).
+``eval_double`` is the scalar double-precision evaluator, with a rigorous
+error bound (``unipoly.double_values``), for the threshold tests that
+doubles can settle.  ``eval_array`` evaluates on numpy grids, curves and
+probe slices, and ``ray_argument`` is the one tracker of arg H along a
+ray from the origin.
 """
 
 from __future__ import annotations
@@ -47,10 +48,11 @@ class BivariatePolynomial:
 
     Zero coefficients are never stored; the zero polynomial has no terms.
     The terms are never changed after construction, which the caches of
-    the integer and double columns and partial derivatives rely on.
+    the integer and double columns, the float matrix and the partial
+    derivatives rely on.
     """
 
-    __slots__ = ("terms", "_columns", "_doubles", "_partials")
+    __slots__ = ("terms", "_columns", "_doubles", "_floats", "_partials")
 
     def __init__(self, terms: Dict[Exponent, Fraction] | None = None):
         clean: Dict[Exponent, Fraction] = {}
@@ -64,6 +66,7 @@ class BivariatePolynomial:
         self.terms = clean
         self._columns: tuple | None = None
         self._doubles: list | None = None
+        self._floats: np.ndarray | None = None
         self._partials: Dict[str, "BivariatePolynomial"] = {}
 
     # -- construction ----------------------------------------------------
@@ -205,11 +208,17 @@ class BivariatePolynomial:
         return den, cols
 
     def float_coeffs(self) -> np.ndarray:
-        """Dense float matrix A with A[i, j] = [x^i y^j] self."""
-        out = np.zeros((self.degree_x() + 1, self.degree_y() + 1))
-        for (i, j), c in self.terms.items():
-            out[i, j] = float(c)
-        return out
+        """Dense float matrix A with A[i, j] = [x^i y^j] self, made once.
+
+        The array is shared by every caller and read-only.
+        """
+        if self._floats is None:
+            out = np.zeros((self.degree_x() + 1, self.degree_y() + 1))
+            for (i, j), c in self.terms.items():
+                out[i, j] = float(c)
+            out.flags.writeable = False
+            self._floats = out
+        return self._floats
 
     def moduli_in_y(self):
         """The moduli of each y^j's x-coefficients as ``unipoly`` exact forms, j ascending."""

@@ -1,8 +1,9 @@
 """Command line front end: solve, estimate, oracle, compare.
 
 Exit codes: 0 success, 2 no valid critical point, 64 problem-file or usage
-error, 65 configuration error, 70 internal numerical failure.  All file
-output is deterministic (sorted keys, fixed formats, LF endings).
+error, 65 configuration error, 70 internal numerical failure (among them
+``oracle --quadrature`` on radii whose powers leave the double range).  All
+file output is deterministic (sorted keys, fixed formats, LF endings).
 """
 
 from __future__ import annotations

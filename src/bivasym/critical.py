@@ -2,7 +2,8 @@
 
 The critical system { H = 0, r0*y*H_y = s0*x*H_x } is reduced to one
 variable by an exact Sylvester resultant, and all roots of its square-free
-part are found by simultaneous iteration.  The partner of a root ``w`` is
+part x^m R(x^d), d the gcd of its exponents less the least one, are found
+by simultaneous iteration on R and d-th roots.  The partner of a root ``w`` is
 read off the first subresultant ``S1 = sigma1(x)*y + sigma0(x)`` of the
 system: when ``sigma1(w) != 0`` the two polynomials share exactly one root
 above ``w``, namely ``q = -sigma0(w)/sigma1(w)`` (González-Vega and
@@ -19,7 +20,12 @@ Newton-polished on the full 2x2 system with its exact Jacobian.  Points
 come out by torus, in the order of each torus's first (|p|, |q|), and by
 arg p, then arg q, on one torus.  A root below the real axis whose
 conjugate is another root takes the exact conjugates of that root's
-points.  ``same_point`` alone
+points.  The orbit rule: the characters chi = (zeta^s, zeta^t) of the
+exponent lattice of H (``lattice.characters``) leave H and the critical
+system unchanged, so one eliminant root per orbit under the characters
+and conjugation is partnered and polished, and each other root of the
+orbit takes the exact images (chi_1 p, chi_2 q), or their conjugates, of
+its points, with their residuals and smoothness.  ``same_point`` alone
 decides whether two points coincide (``apart`` settles it in doubles
 first where their difference is plain), and ``same_torus`` whether they
 share a torus.  Minimality is probed numerically on the
@@ -44,6 +50,7 @@ from numpy.polynomial.polynomial import polyval
 from .aberth import aberth_roots, roots_of_rational_poly
 from .bivariate import BivariatePolynomial
 from .errors import ConfigError, NonIsolatedCriticalSet, RootFindingError
+from .lattice import Characters, characters, root_of_unity
 from .precision import power_of_two, to_mpc, to_mpf
 from .resultant import first_subresultant, resultant_eliminating, shares_positive_dimensional_zero
 from .unipoly import (
@@ -327,9 +334,16 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
     H has rational coefficients, so the eliminant's non-real roots and
     their points come in conjugate pairs.  A root ``w`` below the real
     axis with a twin ``u`` above it (``_conjugate_twins``) is not solved:
-    its points are the exact conjugates (``mp.conj``) of ``u``'s, with
-    their residuals.  A root without a unique twin, or a near-real one, is
-    solved on its own.  Each merged point gets its own ``is_smooth``.
+    its points are the exact conjugates (``mp.conj``) of ``u``'s.  The
+    characters chi of H's exponent lattice (``lattice.characters``) move
+    the roots in orbits, ``_eliminant_roots`` lists them, and only the
+    first root of an orbit under the characters and conjugation is
+    partnered and polished: another root ``w = chi_1 * u`` takes the
+    images (chi_1 p, chi_2 q) of ``u``'s points under the first character
+    that maps ``u`` to ``w``, and the twin above the axis of such a ``w``
+    their conjugates.  Residuals and ``is_smooth`` are invariant under
+    conjugation and the characters, so each polished point's go to its
+    conjugates and images.
 
     Raises NonIsolatedCriticalSet when the system polynomials share a
     factor, and RootFindingError (with partial results) when the
@@ -341,34 +355,85 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
         return []
     # Each distinct root once: Aberth converges only linearly on a repeated
     # root, and the partners of a shared x come from _recover_partner.
-    first_roots = roots_of_rational_poly(upoly_squarefree_part(res))
+    first_roots, moves = _eliminant_roots(upoly_squarefree_part(res), characters(H))
     s1 = first_subresultant(F1, F2)
     sigmas = None if s1 is None else [exact_form(v) for v in (*s1, [abs(c) for c in s1[1]])]
     twins = _conjugate_twins(first_roots)
 
-    solved = {}
+    solved, source = {}, {}
     for k, w in enumerate(first_roots):
-        if k not in twins:
-            polished = (_newton_polish(F1, F2, start) for start in _partners(F1, F2, w, sigmas))
-            solved[k] = [
-                CriticalPoint(p, q, float(res_h), float(res_dir))
-                for p, q, res_h, res_dir in polished
-                if max(res_h, res_dir) <= RESIDUAL_TOL
-            ]
+        if k in twins or k in source:
+            continue
+        polished = (_newton_polish(F1, F2, start) for start in _partners(F1, F2, w, sigmas))
+        solved[k] = [
+            CriticalPoint(p, q, float(res_h), float(res_dir), smooth=is_smooth(H, (p, q)))
+            for p, q, res_h, res_dir in polished
+            if max(res_h, res_dir) <= RESIDUAL_TOL
+        ]
+        for image, chi in moves(k):
+            source.setdefault(image, (k, chi, False))
+            if image in twins:  # its twin above the axis takes the conjugates
+                source.setdefault(twins[image], (k, chi, True))
+    own = {
+        k: [_image(c, chi, conjugate) for c in solved[rep]]
+        for k, (rep, chi, conjugate) in source.items()
+        if k not in twins
+    }
     points: List[CriticalPoint] = []
     for k in range(len(first_roots)):
         if k in twins:
-            points += [
-                CriticalPoint(mp.conj(c.p), mp.conj(c.q), c.residual_h, c.residual_dir)
-                for c in solved[twins[k]]
-            ]
+            points += [_image(c, None, conjugate=True) for c in own[twins[k]]]
         else:
-            points += solved[k]
+            points += own[k]
+    return _merge_duplicates(points)
 
-    merged = _merge_duplicates(points)
-    for pt in merged:
-        pt.smooth = is_smooth(H, (pt.p, pt.q))
-    return merged
+
+def _image(pt: CriticalPoint, chi, conjugate: bool = False) -> CriticalPoint:
+    """``pt``, or ``(chi_1 p, chi_2 q)``, conjugated when asked, with its residuals and smoothness.
+
+    ``chi`` is None for the identity, which returns ``pt`` itself unless
+    it is conjugated.
+    """
+    if chi is None and not conjugate:
+        return pt
+    p, q = (pt.p, pt.q) if chi is None else (snap_noise(pt.p * chi[0]), snap_noise(pt.q * chi[1]))
+    if conjugate:
+        p, q = mp.conj(p), mp.conj(q)
+    return CriticalPoint(p, q, pt.residual_h, pt.residual_dir, smooth=pt.smooth)
+
+
+def _eliminant_roots(poly: Sequence[Fraction], group: Characters):
+    """``(roots, moves)``: the roots of the square-free eliminant and the characters' moves.
+
+    With ``poly = x^m R(x^d)``, ``d`` the gcd of its exponents less the
+    least one, read exactly from the coefficients, Aberth solves ``R``,
+    and each of its roots ``u`` gives the ``d`` roots ``u^(1/d) exp(2 pi
+    i j/d)``, ``j = 0..d-1``, after the ``m`` zero roots.  The roots are
+    closed under each character's first coordinate ``exp(2 pi i s/k)``
+    (``poly(chi_1 x)`` is ``poly(x)`` times a unit), so ``d`` is a
+    multiple of its order and it moves ``j`` on by ``s d/k``.
+    ``moves(k)`` lists ``(image, chi)`` for each character of ``group``,
+    the identity first as ``(k, None)``, and ``chi`` as its values
+    ``(zeta^s, zeta^t)``.  A zero root, or any root when ``d`` is 1, has
+    the identity alone.
+    """
+    exponents = [e for e, c in enumerate(poly) if c]
+    m = exponents[0]
+    d = math.gcd(*(e - m for e in exponents))
+    if d <= 1:
+        return roots_of_rational_poly(poly), lambda k: [(k, None)]
+    turns = [root_of_unity(j, d) for j in range(d)]
+    roots = [mpc(0)] * m + [
+        mp.root(u, d) * turn for u in roots_of_rational_poly(poly[m::d]) for turn in turns
+    ]
+    pairs = zip(group.exponents[1:], group.values()[1:])
+    chis = [(0, None)] + [(s * d // group.index, chi) for (s, _), chi in pairs]
+
+    def moves(k: int):
+        j = (k - m) % d
+        return [(k - j + (j + shift) % d, chi) for shift, chi in (chis if k >= m else chis[:1])]
+
+    return roots, moves
 
 
 def _conjugate_twins(roots: Sequence[mpc]) -> dict:
@@ -468,6 +533,7 @@ def _merge_duplicates(points: List[CriticalPoint]) -> List[CriticalPoint]:
             dup = kept[k]
             dup.p, dup.q = pt.p, pt.q
             dup.residual_h, dup.residual_dir = pt.residual_h, pt.residual_dir
+            dup.smooth = pt.smooth
             doubles[k] = d
     homes, tori = _tori(kept)
     torus = {id(pt): tori[k] for pt, k in zip(kept, homes)}

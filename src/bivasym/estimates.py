@@ -4,7 +4,12 @@ Per critical point the estimate needs the gradient ratio and curvature of
 the zero set, the second derivative of the saddle phase, a branch value
 of (-H_x*p)**(-beta) on a chosen ray, and the signed count of branch-cut
 crossings along H(t*p, t*q).  The general path sums contributions over
-one torus class in log space.  The real-positive entry point checks that
+one torus class in log space.  The orbit rule: the characters chi of the
+exponent lattice of H (``lattice.characters``) map a point (p, q) of the
+class to (chi_1 p, chi_2 q) and leave w = -p*H_x, q^2*M and the curve
+H(t*p, t*q) unchanged, so the local data and the winding number are taken
+once per character orbit, and each point adds its own |p|, |q|, arg p,
+arg q and G(p, q).  The real-positive entry point checks that
 a single critical point of a real H is real and positive, then returns
 that same sum as a real value.
 """
@@ -19,9 +24,10 @@ from mpmath import mp, mpc, mpf
 
 from .bivariate import BivariatePolynomial
 from .critical import IDENTITY_TOL, SMOOTH_TOL, CriticalPoint, Direction, same_torus, snap_noise
-from .critical import apart, negligible
+from .critical import apart, negligible, same_point
 from .errors import BranchTrackingError, ConfigError, HypothesisFailure
 from .gammafn import gamma_log
+from .lattice import characters
 from .precision import to_mpc, to_mpf
 
 TWO_PI = 2.0 * math.pi
@@ -294,47 +300,88 @@ def estimate_general(
         raise ConfigError("no critical points supplied")
     b = _check_beta(beta)
     _require_same_torus(points)
-    locals_ = [_checked_local_data(H, pt, direction) for pt in points]
-    return _saddle_sum(H, G, b, locals_, r, s, direction)
+    firsts = _orbit_firsts(points, characters(H))
+    locals_ = {k: _checked_local_data(H, points[k], direction) for k in dict.fromkeys(firsts)}
+    return _saddle_sum(H, G, b, points, [locals_[k] for k in firsts], r, s, direction)
 
 
-def _saddle_sum(H, G, b: mpf, locals_: Sequence[LocalData], r: int, s: int, direction):
-    """``estimate_general``'s sum over the checked local data of its points, ``b`` = beta."""
-    # Each point's w = -p*H_x with log|w| and arg w, taken once: the ray,
+def _orbit_firsts(points: Sequence[CriticalPoint], group) -> List[int]:
+    """For each point, the index of the first of ``points`` in its character orbit.
+
+    Point ``k`` is in the orbit of an earlier first point ``(p, q)`` when
+    it is ``same_point`` with ``(chi_1 p, chi_2 q)`` for a character
+    ``chi`` of ``group`` (``apart`` settles it in doubles first where the
+    difference is plain); else it starts an orbit.
+    """
+    chis = [(z1, z2, complex(z1), complex(z2)) for z1, z2 in group.values()[1:]]
+    starts: List[int] = []
+    firsts: List[int] = []
+    for k, pt in enumerate(points):
+        d = pt.doubles
+        home = next(
+            (
+                j
+                for j in starts
+                for z1, z2, d1, d2 in chis
+                if not apart(d, (d1 * points[j].doubles[0], d2 * points[j].doubles[1]))
+                and same_point(pt, (z1 * points[j].p, z2 * points[j].q))
+            ),
+            None,
+        )
+        if home is None:
+            home = k
+            starts.append(k)
+        firsts.append(home)
+    return firsts
+
+
+def _saddle_sum(H, G, b: mpf, points, locals_: Sequence[LocalData], r: int, s: int, direction):
+    """``estimate_general``'s sum over ``points``, ``b`` = beta.
+
+    ``locals_[i]`` is the checked local data of the first point of
+    ``points[i]``'s character orbit, shared by the whole orbit: w = -p*H_x,
+    q^2*M, the branch value and the winding number are invariant under the
+    characters, so they are taken once per orbit.  Each point adds its
+    own |p|, |q|, arg p, arg q (kept on the point) and G(p, q).
+    """
+    # Each orbit's w = -p*H_x with log|w| and arg w, taken once: the ray,
     # the branch argument and the branch value read them.
-    log_abs_ws = [mp.log(abs(ld.w)) for ld in locals_]
-    w_args = [mp.arg(ld.w) for ld in locals_]
+    orbits = list({id(ld): ld for ld in locals_}.values())
+    log_abs_ws = [mp.log(abs(ld.w)) for ld in orbits]
+    w_args = [mp.arg(ld.w) for ld in orbits]
     ray = _ray_clear_of(H, w_args)
     anchor = mp.arg(to_mpc(H.constant_term()))
 
     sign_gamma, ln_abs_gamma = gamma_log(b)
     ln_r = mp.log(to_mpf(r))
 
-    logmods, args, contribs = [], [], []
-    for ld, log_abs_w, w_arg in zip(locals_, log_abs_ws, w_args):
-        pt = ld.point
+    shared = {}
+    for ld, log_abs_w, w_arg in zip(orbits, log_abs_ws, w_args):
         theta_w = branch_argument(w_arg, ray, anchor)
         omega = winding_number(H, ld, ray)
+        q2m = -2 * mp.pi * ld.point.q * ld.point.q * ld.phase_hessian
+        shared[id(ld)] = (
+            (b * log_abs_w, mp.log(abs(q2m)) / 2),
+            (b * (theta_w + 2 * mp.pi * omega), mp.arg(q2m) / 2),
+            omega,
+            _power_on_branch(log_abs_w, theta_w, b),
+        )
 
-        q2m = -2 * mp.pi * pt.q * pt.q * ld.phase_hessian
+    logmods, args, contribs = [], [], []
+    for pt, ld in zip(points, locals_):
+        (branch_log, hessian_log), (branch_turn, hessian_turn), omega, branch_value = shared[id(ld)]
         gval = G.eval(pt.p, pt.q) if G is not None else to_mpc(1)
         abs_p, abs_q = pt.abs_pq
         arg_p, arg_q = pt.arg_pq
-
         logmod = (
             (b - mpf(3) / 2) * ln_r
             - to_mpf(r) * mp.log(abs_p)
             - to_mpf(s) * mp.log(abs_q)
-            - b * log_abs_w
+            - branch_log
             - ln_abs_gamma
-            - mp.log(abs(q2m)) / 2
+            - hessian_log
         )
-        arg = (
-            -to_mpf(r) * arg_p
-            - to_mpf(s) * arg_q
-            - b * (theta_w + 2 * mp.pi * omega)
-            - mp.arg(q2m) / 2
-        )
+        arg = -to_mpf(r) * arg_p - to_mpf(s) * arg_q - branch_turn - hessian_turn
         if sign_gamma < 0:
             arg = arg + mp.pi
         if abs(gval) == 0:
@@ -349,7 +396,7 @@ def _saddle_sum(H, G, b: mpf, locals_: Sequence[LocalData], r: int, s: int, dire
                 "log10_modulus": logmod / mp.log(10),
                 "argument": arg,
                 "winding": omega,
-                "branch_value": _power_on_branch(log_abs_w, theta_w, b),
+                "branch_value": branch_value,
                 "point": (pt.p, pt.q),
             }
         )
@@ -375,7 +422,7 @@ def _saddle_sum(H, G, b: mpf, locals_: Sequence[LocalData], r: int, s: int, dire
         )
     # Judged against the largest contribution: where they cancel, the value
     # is itself rounding noise.
-    if peak != mp.ninf and _conjugate_closed([ld.point for ld in locals_]):
+    if peak != mp.ninf and _conjugate_closed(points):
         if abs(value.imag) > 1e-8 * mp.exp(peak):
             warnings.append(
                 "conjugate-cancellation failed: imaginary part "
@@ -426,7 +473,7 @@ def estimate_real_positive(
     if not _real_positive(-ld.phase_hessian):
         raise HypothesisFailure("saddle_real_part_positive", "-2*pi*q^2*M is not positive")
 
-    est = _saddle_sum(H, G, b, [ld], r, s, direction)
+    est = _saddle_sum(H, G, b, [pt], [ld], r, s, direction)
     value = est.value.real
     for c in est.contributions:
         c["argument"] = mpf(0) if mp.cos(c["argument"]) >= 0 else +mp.pi

@@ -1,0 +1,82 @@
+"""The exponent lattice of H and its characters.
+
+L is the lattice spanned by the exponents (i, j) of H's nonconstant
+monomials.  When L has rank 2, its index k in Z^2 is the gcd of the 2x2
+minors of those exponents, and the characters of Z^2/L are the k pairs
+chi = (zeta^s, zeta^t) of powers of zeta = exp(2 pi i/k) with s*i + t*j
+= 0 mod k on every exponent.  H(zeta^s x, zeta^t y) = H(x, y), so chi
+maps each solution of the critical system { H = 0, r0*y*H_y = s0*x*H_x }
+to one on the same torus and leaves every ray curve H(t*x, t*y)
+unchanged (Pemantle and Wilson, *Analytic Combinatorics in Several
+Variables*, CUP 2013).  A rank below 2, or k = 1, gives the trivial
+group: the identity alone.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import List, Tuple
+
+from mpmath import mp, mpc, mpf
+
+from .bivariate import BivariatePolynomial
+
+
+@dataclass(frozen=True)
+class Characters:
+    """The characters of Z^2/L: each ``(s, t)`` mod ``index`` in ``exponents``, identity first."""
+
+    index: int
+    exponents: Tuple[Tuple[int, int], ...]
+
+    def values(self) -> List[Tuple[mpc, mpc]]:
+        """Each ``(zeta^s, zeta^t)`` at working precision, in ``exponents`` order."""
+        k = self.index
+        return [(root_of_unity(s, k), root_of_unity(t, k)) for s, t in self.exponents]
+
+
+def root_of_unity(s: int, k: int) -> mpc:
+    """``exp(2 pi i s/k)``; exact when ``4 s / k`` is an integer."""
+    turn = mpf(2 * s) / k
+    return mpc(mp.cospi(turn), mp.sinpi(turn))
+
+
+def characters(H: BivariatePolynomial) -> Characters:
+    """The characters of Z^2/L for the exponent lattice L of H's nonconstant monomials.
+
+    L is put in Hermite form, the basis (a, b), (0, c), by one extended
+    gcd per exponent: (a, b) is the vector of L with the least positive
+    first coordinate, and c the gcd of the second coordinates of L's
+    vectors on the y axis.  Then k = a*c, and (zeta_1, zeta_2) is a
+    character exactly when zeta_2^c = 1 and zeta_1^a = zeta_2^(-b): with
+    zeta_2 = zeta^(a*u), u < c, and zeta_1 = zeta^(m*c - b*u), m < a.
+    """
+    a, b, c = 0, 0, 0
+    for i, j in H.terms:
+        if (i, j) == (0, 0):
+            continue
+        g, x, y = _extended_gcd(a, i)
+        if g == 0:  # (i, j) and every vector so far lie on the y axis
+            c = math.gcd(c, j)
+            continue
+        # (a, b) and (i, j) span what (g, x*b + y*j) and the axis vector
+        # (i/g)*(a, b) - (a/g)*(i, j) span.
+        c = math.gcd(c, (i // g) * b - (a // g) * j)
+        a, b = g, x * b + y * j
+    k = a * c
+    if k <= 1:
+        return Characters(1, ((0, 0),))
+    return Characters(
+        k,
+        tuple(sorted(((m * c - b * u) % k, a * u % k) for m in range(a) for u in range(c))),
+    )
+
+
+def _extended_gcd(a: int, b: int) -> Tuple[int, int, int]:
+    """``(g, x, y)`` with ``g = gcd(a, b) = x*a + y*b`` and ``g >= 0``."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, (a, b) = a // b, (b, a % b)
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)

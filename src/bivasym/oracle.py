@@ -44,7 +44,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .bivariate import BivariatePolynomial
-from .errors import BranchTrackingError, ConfigError, SingularAtOrigin
+from .errors import BranchTrackingError, ConfigError, EvaluationOverflow, SingularAtOrigin
 from .precision import to_mpc, to_mpf
 from .rationals import binomial_general
 from .series import Prefactor, TruncatedSeries, poly_times_series
@@ -522,10 +522,20 @@ def quadrature_values(
     order; the first failure raises ``BranchTrackingError``: the column (H
     vanishing, then a jump), the ray, the column's winding, then each block
     of rows 0..N1/2 in theta1 order (vanishing, a jump, then winding).
+    Before any of them, ``EvaluationOverflow`` (the CLI's exit 70) refuses
+    a box and radii for which some ``c1^r * c2^s`` is not a finite nonzero
+    double: entry (r, s) is the DFT output divided by it.
     """
     R, S = cfg.box
     c1, c2 = cfg.quadrature_radii
     N1, N2 = cfg.quadrature_grid
+    with np.errstate(over="ignore", under="ignore"):
+        scale = c1 ** np.arange(R + 1).reshape(-1, 1) * c2 ** np.arange(S + 1).reshape(1, -1)
+    if not (np.isfinite(scale) & (scale != 0)).all():
+        raise EvaluationOverflow(
+            f"c1^r * c2^s leaves the double range in the box {cfg.box} "
+            f"at radii ({c1:.6g}, {c2:.6g})"
+        )
     b = float(to_mpf(beta))
     floor = H.vanish_floor(c1, c2)
     X = c1 * np.exp(1j * (2.0 * np.pi * np.arange(N1) / N1)).reshape(-1, 1)
@@ -564,7 +574,6 @@ def quadrature_values(
     if has_G:
         full, half = _times_G(G, full, X, c2, S), _times_G(G, half, X[::2], c2, S)
 
-    scale = c1 ** np.arange(R + 1).reshape(-1, 1) * c2 ** np.arange(S + 1).reshape(1, -1)
     full, half = (
         np.fft.fft(strip, axis=0)[: R + 1] / (strip.shape[0] * n2) / scale
         for strip, n2 in ((full, N2), (half, N2 // 2))

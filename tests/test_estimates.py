@@ -25,7 +25,8 @@ from bivasym import (
 )
 from bivasym.cli import report_critical_points
 from bivasym.errors import ConfigError, HypothesisFailure
-from bivasym.estimates import principal_on_ray
+from bivasym.estimates import _orbit_firsts, principal_on_ray
+from bivasym.lattice import characters
 from bivasym.oracle import exact_value
 from bivasym.precision import to_mpc
 from bivasym.pipeline import estimate_target, run_solve
@@ -249,10 +250,13 @@ def test_winding_rejects_vanishing_curve(diag_direction):
         winding_number(H, local_data(H, pt, diag_direction), BranchRay(math.pi))
 
 
-@pytest.mark.parametrize("name", ["color_swap", "multinomial_sqrt", "branch_wrap"])
+@pytest.mark.parametrize(
+    "name", ["color_swap", "multinomial_sqrt", "branch_wrap", "lattice_orbits"]
+)
 def test_estimate_evaluates_each_polynomial_once_per_point(name, monkeypatch):
     # local_data's H_x and H_y are handed to the winding number, so on the
-    # dominant class H_x, H_y, the second partials and G are each evaluated
+    # dominant class H_x, H_y and the second partials are each evaluated
+    # once at the first point of each character orbit and nowhere else, G
     # once at each point, and no polynomial twice at one point.
     spec = parse_problem((PROBLEMS / f"{name}.json").read_text())
     points = [pt for pt in run_solve(spec, probe=False).dominant.points if pt.smooth]
@@ -266,11 +270,15 @@ def test_estimate_evaluates_each_polynomial_once_per_point(name, monkeypatch):
     monkeypatch.setattr(BivariatePolynomial, "eval", counted)
     estimate_general(spec.H, spec.G, spec.beta, points, *spec.targets[0], spec.direction)
     hx, hy = spec.H.partial("x"), spec.H.partial("y")
-    polys = [hx, hy, hx.partial("x"), hx.partial("y"), hy.partial("y")]
-    polys += [spec.G] if spec.G is not None else []
-    for pt in points:
-        assert [calls[id(poly), pt.p._mpc_, pt.q._mpc_] for poly in polys] == [1] * len(polys)
+    partials = [hx, hy, hx.partial("x"), hx.partial("y"), hy.partial("y")]
+    firsts = _orbit_firsts(points, characters(spec.H))
+    for k, pt in enumerate(points):
+        once = 1 if firsts[k] == k else 0
+        assert [calls[id(poly), pt.p._mpc_, pt.q._mpc_] for poly in partials] == [once] * 5
+        if spec.G is not None:
+            assert calls[id(spec.G), pt.p._mpc_, pt.q._mpc_] == 1
     assert max(calls.values()) == 1
+    assert len(set(firsts)) == {"branch_wrap": 1, "lattice_orbits": 2}.get(name, len(points))
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ A change meant to keep behaviour must leave them unchanged; a
 change meant to move them regenerates them with
 
     for p in color_swap multinomial_sqrt branch_wrap far_point negative_origin \
-        beyond_double_point large_coefficients scaled_multinomial; do
+        beyond_double_point large_coefficients scaled_multinomial lattice_orbits; do
       for c in solve estimate compare; do
         bivasym $c --spec problems/$p.json > tests/data/golden/$p.$c.out
       done
@@ -30,7 +30,9 @@ and says why in its description.  ``far_point`` has a critical point near
 ``negative_origin`` has a negative ``H(0, 0)``.  ``scaled_multinomial``
 and ``large_coefficients`` (with ``G = x``) are ``1 - x - y`` with x and
 y in units of 10^7 and 10^-7, refused before every zero test judged a
-value against its own magnitude at the point.  ``origin_zero_inside`` is refused (exit
+value against its own magnitude at the point.  ``lattice_orbits`` has a
+periodic support: its 8 dominant points form 2 orbits of 4 under the
+characters (+-1, +-1) of its exponent lattice 2Z x 2Z.  ``origin_zero_inside`` is refused (exit
 2), and its report shows the witness of the refusal.  The ``oracle`` goldens print every entry
 of the exact table (numerator, denominator and value): ``negative_origin``
 carries a symbolic complex prefactor and ``color_swap`` a numerator ``G``.
@@ -63,13 +65,14 @@ CLI_CASES = [
     )
     for command in ("compare", "estimate", "solve")
 ]
-# The rescaled multinomials' estimates lie near 1e-539 and 1e574, whose
-# 17th digit a 64-bit log-space sum does not hold: their estimate and
-# compare are pinned at the default precision and 256 bits.
+# The rescaled multinomials' estimates lie near 1e-539 and 1e574, and
+# lattice_orbits' (80, 80) estimate near 1.5e18, whose 17th digit a 64-bit
+# log-space sum does not hold: their estimate and compare are pinned at
+# the default precision and 256 bits.
 CLI_CASES += [
     (problem, command, bits)
     for bits in (None, 64, 256)
-    for problem in ("large_coefficients", "scaled_multinomial")
+    for problem in ("large_coefficients", "lattice_orbits", "scaled_multinomial")
     for command in ("compare", "estimate", "solve")
     if bits != 64 or command == "solve"
 ]

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from bivasym import (
     coeff_recurrence,
 )
 from bivasym.cli import main
-from bivasym.errors import BranchTrackingError, ConfigError, SingularAtOrigin
+from bivasym.errors import BranchTrackingError, ConfigError, EvaluationOverflow, SingularAtOrigin
 from bivasym.oracle import quadrature_values, table_to_csv
 from bivasym.precision import to_mpf
 from bivasym.problem import parse_problem
@@ -350,6 +353,29 @@ def test_quadrature_refuses_a_torus_round_which_h_winds(capsys):
         quadrature_values(spec.H, spec.G, spec.beta, cfg)
     assert main(["oracle", "--quadrature", "--spec", str(TORUS_WINDS)]) == 70
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "problem, radius", [("large_coefficients", 2.5e-8), ("scaled_multinomial", 2.5e6)]
+)
+def test_quadrature_refuses_scales_outside_the_double_range(problem, radius):
+    # The default radii are half the dominant moduli.  c1^r * c2^s at the
+    # far corner of the 40 x 40 box underflows to 0 for large_coefficients
+    # and overflows for scaled_multinomial: the CLI once printed inf, nan or
+    # zeros after numpy RuntimeWarnings, and exited 0.
+    spec = parse_problem((ROOT / "problems" / f"{problem}.json").read_text())
+    cfg = OracleConfig(box=(40, 40), beta=spec.beta, quadrature_radii=(radius, radius))
+    with pytest.raises(EvaluationOverflow, match="leaves the double range"):
+        quadrature_values(spec.H, spec.G, spec.beta, cfg)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["oracle", "--quadrature", "--spec", str(ROOT / "problems" / f"{problem}.json")]
+    run = subprocess.run(
+        [sys.executable, "-m", "bivasym.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 70
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: c1^r * c2^s leaves the double range")
+    assert "Warning" not in run.stderr
 
 
 def test_torus_winds_exact_entries():

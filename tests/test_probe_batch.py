@@ -194,6 +194,7 @@ PROBLEM_VERDICTS = {
     "branch_wrap": PROBABLY_STRICTLY_MINIMAL,
     "color_swap": PROBABLY_STRICTLY_MINIMAL,
     "g_vanishes": PROBABLY_STRICTLY_MINIMAL,
+    "lattice_orbits": PROBABLY_STRICTLY_MINIMAL,
     "multinomial_sqrt": PROBABLY_STRICTLY_MINIMAL,
     "negative_origin": PROBABLY_STRICTLY_MINIMAL,
     "origin_zero_inside": VIOLATED,

@@ -106,8 +106,8 @@ def check_family(count=32):
 
 
 def test_rescaled_problem_files_compare_alike(tmp_path):
-    # 11 problem files have targets.
-    assert check_problem_files(tmp_path) == 11 * len(FILE_SCALINGS)
+    # 12 problem files have targets.
+    assert check_problem_files(tmp_path) == 12 * len(FILE_SCALINGS)
 
 
 def test_rescaled_family_keeps_its_dominant_verdicts():

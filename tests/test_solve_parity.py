@@ -41,7 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # repeated root.  In items 18 and 20 Aberth's root order differs between
 # the two solves for points that tie on (|p|, |q|, arg p).
 REPEATED_ROOT_ITEMS = [1, 3, 4, 5, 7, 9, 10, 11, 14, 15, 16, 18, 20, 22, 23, 24, 25, 27, 28, 30]
-PROBLEMS = ["color_swap", "multinomial_sqrt", "branch_wrap"]
+PROBLEMS = ["color_swap", "multinomial_sqrt", "branch_wrap", "lattice_orbits"]
 
 
 def _spec(case) -> ProblemSpec:
