@@ -18,14 +18,12 @@ vanishes when it is at most ``2^-(prec/2)`` of its own coefficient scale
 at ``|w|``, a scale taken exactly and rounded once.  Every candidate is
 Newton-polished on the full 2x2 system with its exact Jacobian.  Points
 come out by torus, in the order of each torus's first (|p|, |q|), and by
-arg p, then arg q, on one torus.  A root below the real axis whose
-conjugate is another root takes the exact conjugates of that root's
-points.  The orbit rule: the characters chi = (zeta^s, zeta^t) of the
-exponent lattice of H (``lattice.characters``) leave H and the critical
-system unchanged, so one eliminant root per orbit under the characters
-and conjugation is partnered and polished, and each other root of the
-orbit takes the exact images (chi_1 p, chi_2 q), or their conjugates, of
-its points, with their residuals and smoothness.  ``same_point`` alone
+arg p, then arg q, on one torus.  The orbit rule: conjugation and the
+characters chi = (zeta^s, zeta^t) of H's exponent lattice
+(``lattice.characters``) leave the critical system unchanged, so one
+partner per orbit is polished, and every other point is an exact image
+(chi_1 p, chi_2 q) of it, or the conjugate of one, tagged with the
+polished point and whether it was conjugated.  ``same_point`` alone
 decides whether two points coincide (``apart`` settles it in doubles
 first where their difference is plain), and ``same_torus`` whether they
 share a torus.  Minimality is probed numerically on the
@@ -38,6 +36,7 @@ Every zero test judges a value against its own magnitude at the point
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -132,8 +131,11 @@ class CriticalPoint:
     (|p|, |q|) and (p, q) in doubles (``abs_pq``, ``arg_pq``, ``moduli``,
     ``doubles``), each taken once when first asked for, for the bits of p
     and q and the ``mp.prec`` they were taken at; a new p, q or precision
-    takes them afresh.  The kept values are not part
-    of equality or ``repr``.
+    takes them afresh.  ``orbit`` is the solve's tag ``(source,
+    conjugated)``: the point is the image of the polished point ``source``
+    under a character, conjugated when ``conjugated``, or either way when
+    it is None.  The kept values and the tag are not part of equality or
+    ``repr``.
     """
 
     p: mpc
@@ -145,6 +147,7 @@ class CriticalPoint:
     witness: Optional[Tuple[complex, complex]] = None
     margin: Optional[float] = None  # least |x|/|p| - 1 the probe saw, up to a witness
     torus_class: Optional[int] = None
+    orbit: Optional[tuple] = field(default=None, compare=False, repr=False)
     _kept: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def _keep(self, name: str, make):
@@ -235,8 +238,8 @@ def critical_system(
     """The exact polynomial pair (H, r0*y*H_y - s0*x*H_x)."""
     if H.is_constant():
         raise ConfigError("H must be nonconstant")
-    x, y = BivariatePolynomial.x(), BivariatePolynomial.y()
-    dir_poly = direction.r0 * (y * H.partial("y")) - direction.s0 * (x * H.partial("x"))
+    r0, s0 = direction.r0, direction.s0
+    dir_poly = BivariatePolynomial({(i, j): (r0 * j - s0 * i) * c for (i, j), c in H.terms.items()})
     if not dir_poly:
         # H is a function of x^r0 * y^s0 alone: its whole zero curve is critical.
         raise NonIsolatedCriticalSet("non-isolated critical set")
@@ -331,19 +334,15 @@ def _newton_polish(F1: BivariatePolynomial, F2: BivariatePolynomial, start):
 def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[CriticalPoint]:
     """All isolated solutions of the critical system, polished and deduplicated.
 
-    H has rational coefficients, so the eliminant's non-real roots and
-    their points come in conjugate pairs.  A root ``w`` below the real
-    axis with a twin ``u`` above it (``_conjugate_twins``) is not solved:
-    its points are the exact conjugates (``mp.conj``) of ``u``'s.  The
-    characters chi of H's exponent lattice (``lattice.characters``) move
-    the roots in orbits, ``_eliminant_roots`` lists them, and only the
-    first root of an orbit under the characters and conjugation is
-    partnered and polished: another root ``w = chi_1 * u`` takes the
-    images (chi_1 p, chi_2 q) of ``u``'s points under the first character
-    that maps ``u`` to ``w``, and the twin above the axis of such a ``w``
-    their conjugates.  Residuals and ``is_smooth`` are invariant under
-    conjugation and the characters, so each polished point's go to its
-    conjugates and images.
+    H is real, so the eliminant's roots come in conjugate pairs
+    (``_conjugate_twins``), and the characters chi of its exponent lattice
+    move them in orbits (``_eliminant_roots``).  Above the first root ``u``
+    of an orbit under both, one partner is polished per orbit under the
+    characters that fix x (``_partners``) and, where conj(u) = chi_1 u,
+    under (p, q) -> conj(chi_1 p, chi_2 q) (``_partner_mates``).  It gives
+    its images (chi_1 p, chi_2 q) and their conjugates, with its residuals,
+    smoothness and orbit tag (``_image``); where its conjugate is one of
+    its images, roots below the axis take only conjugates, others images.
 
     Raises NonIsolatedCriticalSet when the system polynomials share a
     factor, and RootFindingError (with partial results) when the
@@ -353,85 +352,100 @@ def solve_critical(H: BivariatePolynomial, direction: Direction) -> List[Critica
     res = _system_eliminant(F1, F2)
     if upoly_degree(res) < 1:
         return []
+    group = characters(H)
     # Each distinct root once: Aberth converges only linearly on a repeated
     # root, and the partners of a shared x come from _recover_partner.
-    first_roots, moves = _eliminant_roots(upoly_squarefree_part(res), characters(H))
+    first_roots, moves = _eliminant_roots(upoly_squarefree_part(res), group)
     s1 = first_subresultant(F1, F2)
     sigmas = None if s1 is None else [exact_form(v) for v in (*s1, [abs(c) for c in s1[1]])]
     twins = _conjugate_twins(first_roots)
+    mates = {**twins, **{j: k for k, j in twins.items()}}  # each paired root's conjugate
+    fixing = sum(s == 0 for s, _ in group.exponents)
 
-    solved, source = {}, {}
+    done, points = set(), []
     for k, w in enumerate(first_roots):
-        if k in twins or k in source:
+        if k in twins or k in done:
             continue
-        polished = (_newton_polish(F1, F2, start) for start in _partners(F1, F2, w, sigmas))
-        solved[k] = [
-            CriticalPoint(p, q, float(res_h), float(res_dir), smooth=is_smooth(H, (p, q)))
-            for p, q, res_h, res_dir in polished
-            if max(res_h, res_dir) <= RESIDUAL_TOL
-        ]
-        for image, chi in moves(k):
-            source.setdefault(image, (k, chi, False))
-            if image in twins:  # its twin above the axis takes the conjugates
-                source.setdefault(twins[image], (k, chi, True))
-    own = {
-        k: [_image(c, chi, conjugate) for c in solved[rep]]
-        for k, (rep, chi, conjugate) in source.items()
-        if k not in twins
-    }
-    points: List[CriticalPoint] = []
-    for k in range(len(first_roots)):
-        if k in twins:
-            points += [_image(c, None, conjugate=True) for c in own[twins[k]]]
-        else:
-            points += own[k]
+        cosets = moves(k)
+        targets = [(image, chi) for image, chis in cosets.items() for chi in chis]
+        done |= {j for image in cosets for j in (image, mates.get(image))}
+        closed = any(mates.get(image) in cosets for image in cosets)
+        starts = _partners(F1, F2, w, sigmas, fixing)
+        swap = cosets.get(mates.get(k, k), [None])[0]  # chi with chi_1 u = conj(u)
+        paired, fixed = _partner_mates(starts, swap, fixing) if closed else ({}, set())
+        for i, start in enumerate(starts):
+            if i in paired:  # its points are the conjugate images of its mate's
+                continue
+            p, q, res_h, res_dir = _newton_polish(F1, F2, start)
+            if max(res_h, res_dir) > RESIDUAL_TOL:
+                continue
+            pt = CriticalPoint(p, q, float(res_h), float(res_dir), smooth=is_smooth(H, (p, q)))
+            pt.orbit = (pt, None if closed and (len(starts) == 1 or i in fixed) else False)
+            both = i in paired.values()
+            for image, chi in targets:
+                mate = mates.get(image)
+                if both or not (image in twins and mate in cosets):
+                    points.append(_image(pt, chi))
+                if both or (mate is not None and (mate not in cosets or mate in twins)):
+                    points.append(_image(pt, chi, conjugate=True))
     return _merge_duplicates(points)
 
 
 def _image(pt: CriticalPoint, chi, conjugate: bool = False) -> CriticalPoint:
     """``pt``, or ``(chi_1 p, chi_2 q)``, conjugated when asked, with its residuals and smoothness.
 
-    ``chi`` is None for the identity, which returns ``pt`` itself unless
-    it is conjugated.
+    ``pt`` is a polished point, and ``chi`` None for the identity, which
+    returns ``pt`` itself unless it is conjugated.  The image's tag is
+    ``(pt, conjugate)``, or ``(pt, None)`` when ``pt``'s is.
     """
     if chi is None and not conjugate:
         return pt
     p, q = (pt.p, pt.q) if chi is None else (snap_noise(pt.p * chi[0]), snap_noise(pt.q * chi[1]))
     if conjugate:
         p, q = mp.conj(p), mp.conj(q)
-    return CriticalPoint(p, q, pt.residual_h, pt.residual_dir, smooth=pt.smooth)
+    orbit = (pt, None if pt.orbit[1] is None else conjugate)
+    return CriticalPoint(p, q, pt.residual_h, pt.residual_dir, smooth=pt.smooth, orbit=orbit)
 
 
-def _eliminant_roots(poly: Sequence[Fraction], group: Characters):
-    """``(roots, moves)``: the roots of the square-free eliminant and the characters' moves.
+def _power_roots(poly: Sequence, solve, fixing: int = 1):
+    """``(roots, m, d)``: roots of ``poly = z^m R(z^d)``, by ``solve`` on ``R`` when ``d > 1``.
 
-    With ``poly = x^m R(x^d)``, ``d`` the gcd of its exponents less the
-    least one, read exactly from the coefficients, Aberth solves ``R``,
-    and each of its roots ``u`` gives the ``d`` roots ``u^(1/d) exp(2 pi
-    i j/d)``, ``j = 0..d-1``, after the ``m`` zero roots.  The roots are
-    closed under each character's first coordinate ``exp(2 pi i s/k)``
-    (``poly(chi_1 x)`` is ``poly(x)`` times a unit), so ``d`` is a
-    multiple of its order and it moves ``j`` on by ``s d/k``.
-    ``moves(k)`` lists ``(image, chi)`` for each character of ``group``,
-    the identity first as ``(k, None)``, and ``chi`` as its values
-    ``(zeta^s, zeta^t)``.  A zero root, or any root when ``d`` is 1, has
-    the identity alone.
+    ``d`` is the gcd of the exponents less the least one, ``m``, read
+    exactly from the coefficients.  Each root ``u`` of ``R`` gives the
+    roots ``u^(1/d) exp(2 pi i j/d)``, ``j < d/fixing``, after the ``m``
+    zero roots: one per orbit under ``z -> exp(2 pi i/fixing) z``,
+    ``fixing`` a divisor of ``d``.  When ``d <= 1``, ``solve(poly)``.
     """
     exponents = [e for e, c in enumerate(poly) if c]
     m = exponents[0]
     d = math.gcd(*(e - m for e in exponents))
     if d <= 1:
-        return roots_of_rational_poly(poly), lambda k: [(k, None)]
-    turns = [root_of_unity(j, d) for j in range(d)]
-    roots = [mpc(0)] * m + [
-        mp.root(u, d) * turn for u in roots_of_rational_poly(poly[m::d]) for turn in turns
-    ]
-    pairs = zip(group.exponents[1:], group.values()[1:])
-    chis = [(0, None)] + [(s * d // group.index, chi) for (s, _), chi in pairs]
+        return solve(poly), m, d
+    turns = [root_of_unity(j, d) for j in range(d // fixing)]
+    return [mpc(0)] * m + [mp.root(u, d) * turn for u in solve(poly[m::d]) for turn in turns], m, d
+
+
+def _eliminant_roots(poly: Sequence[Fraction], group: Characters):
+    """``(roots, moves)``: the roots of the square-free eliminant and the characters' moves.
+
+    The roots come from ``_power_roots`` with ``poly = x^m R(x^d)``: they
+    are closed under each character's ``chi_1 = exp(2 pi i s/k)``, so ``d``
+    is a multiple of its order and it moves ``j`` on by ``s d/k``.
+    ``moves(k)`` maps each image of root ``k``, itself first, to the
+    values ``(zeta^s, zeta^t)`` of the characters that move ``k`` there,
+    in ``group`` order, the identity as None; a zero root, or any root
+    when ``d`` is 1, has those that fix x alone.
+    """
+    roots, m, d = _power_roots(poly, roots_of_rational_poly)
+    cosets = {}
+    for (s, _), chi in zip(group.exponents, [None] + group.values()[1:]):
+        cosets.setdefault(s, []).append(chi)
 
     def moves(k: int):
+        if d <= 1 or k < m:
+            return {k: cosets[0]}
         j = (k - m) % d
-        return [(k - j + (j + shift) % d, chi) for shift, chi in (chis if k >= m else chis[:1])]
+        return {k - j + (j + s * d // group.index) % d: chis for s, chis in cosets.items()}
 
     return roots, moves
 
@@ -454,7 +468,21 @@ def _conjugate_twins(roots: Sequence[mpc]) -> dict:
     return {k: js[0] for k, js in near.items() if len(js) == 1 and claims.count(js[0]) == 1}
 
 
-def _partners(F1, F2, w: mpc, sigmas):
+def _partner_mates(starts, swap, fixing: int):
+    """``(paired, fixed)``: the partner starts that q -> conj(chi_2 q) swaps or fixes.
+
+    ``swap``, a character chi (None for the identity), maps the root to
+    its conjugate, and the starts are one per orbit under the ``fixing``
+    characters that fix x.  On ``v = q^fixing h``, ``h^2 = chi_2^fixing``,
+    the map is conjugation: ``_conjugate_twins`` pairs the starts, and a
+    ``v`` within ``MERGE_TOL`` of the real axis is fixed.
+    """
+    h = cmath.sqrt(complex(1 if swap is None else swap[1]) ** fixing)
+    v = [complex(q) ** fixing * h for _, q, *_ in starts]
+    return _conjugate_twins(v), {i for i, z in enumerate(v) if abs(z.imag) <= MERGE_TOL * (1 + abs(z))}
+
+
+def _partners(F1, F2, w: mpc, sigmas, fixing: int = 1):
     """Start points (``_snapped_point`` tuples) for the eliminant root p = ``w``.
 
     ``sigmas`` holds the exact forms of sigma0, sigma1 and sigma1's
@@ -470,7 +498,7 @@ def _partners(F1, F2, w: mpc, sigmas):
             start = _snapped_point(F1, F2, w, -sigma0 / sigma1)
             if max(start[2:]) <= START_TOL:
                 return [start]
-    return _recover_partner(F1, F2, w, aw)
+    return _recover_partner(F1, F2, w, aw, fixing)
 
 
 def _vanishes_at(value: mpc, moduli: ExactForm, aw: mpf) -> bool:
@@ -488,14 +516,15 @@ def _vanishes_at(value: mpc, moduli: ExactForm, aw: mpf) -> bool:
     return abs(value) <= power_of_two(-(mp.prec // 2)) * scale.real
 
 
-def _recover_partner(F1, F2, w: mpc, aw: mpf):
+def _recover_partner(F1, F2, w: mpc, aw: mpf, fixing: int = 1):
     """Start points (``_snapped_point`` tuples) above ``w`` by root-solving in y.
 
     The partners are the roots of whichever system polynomial still
     depends on y at x = ``w`` once each top y-coefficient that vanishes
     there (``_vanishes_at`` on its exact row, at ``aw = |w|``) is dropped;
-    those with a residual above ``START_TOL`` are dropped.  The fallback of
-    ``_partners``.
+    those with a residual above ``START_TOL`` are dropped.  Both are
+    polynomials in ``y^fixing``, ``fixing`` the number of characters that
+    fix x, and ``_power_roots`` gives one partner per orbit under those.
     """
     for poly in (F1, F2):
         coeffs, moduli = poly.specialize_x(w), poly.moduli_in_y()
@@ -504,7 +533,7 @@ def _recover_partner(F1, F2, w: mpc, aw: mpf):
         if len(coeffs) == 1:
             continue
         try:
-            partners = aberth_roots(coeffs)
+            partners, _, _ = _power_roots(coeffs, aberth_roots, fixing)
         except RootFindingError:
             continue
         starts = [_snapped_point(F1, F2, w, q) for q in partners]
@@ -513,7 +542,7 @@ def _recover_partner(F1, F2, w: mpc, aw: mpf):
 
 
 def _merge_duplicates(points: List[CriticalPoint]) -> List[CriticalPoint]:
-    """``points`` with near-duplicates merged (the copy of least residual kept).
+    """``points`` with near-duplicates merged (the copy of least residual kept, with its tag).
 
     A stable sort orders them by the moduli of their torus's first point in
     merged order (``same_torus``), then by ``arg p`` and ``arg q``: on one
@@ -530,11 +559,7 @@ def _merge_duplicates(points: List[CriticalPoint]) -> List[CriticalPoint]:
             kept.append(pt)
             doubles.append(d)
         elif max(pt.residual_h, pt.residual_dir) < max(kept[k].residual_h, kept[k].residual_dir):
-            dup = kept[k]
-            dup.p, dup.q = pt.p, pt.q
-            dup.residual_h, dup.residual_dir = pt.residual_h, pt.residual_dir
-            dup.smooth = pt.smooth
-            doubles[k] = d
+            kept[k], doubles[k] = pt, d
     homes, tori = _tori(kept)
     torus = {id(pt): tori[k] for pt, k in zip(kept, homes)}
     kept.sort(key=lambda c: (torus[id(c)], *(float(a) for a in c.arg_pq)))

@@ -8,8 +8,9 @@ one torus class in log space.  The orbit rule: the characters chi of the
 exponent lattice of H (``lattice.characters``) map a point (p, q) of the
 class to (chi_1 p, chi_2 q) and leave w = -p*H_x, q^2*M and the curve
 H(t*p, t*q) unchanged, so the local data and the winding number are taken
-once per character orbit, and each point adds its own |p|, |q|, arg p,
-arg q and G(p, q).  The real-positive entry point checks that
+once per character orbit, at the first point of each orbit tag the solve
+gave (``CriticalPoint.orbit``), and each point adds its own |p|, |q|,
+arg p, arg q and G(p, q).  The real-positive entry point checks that
 a single critical point of a real H is real and positive, then returns
 that same sum as a real value.
 """
@@ -24,10 +25,9 @@ from mpmath import mp, mpc, mpf
 
 from .bivariate import BivariatePolynomial
 from .critical import IDENTITY_TOL, SMOOTH_TOL, CriticalPoint, Direction, same_torus, snap_noise
-from .critical import apart, negligible, same_point
+from .critical import apart, negligible
 from .errors import BranchTrackingError, ConfigError, HypothesisFailure
 from .gammafn import gamma_log
-from .lattice import characters
 from .precision import to_mpc, to_mpf
 
 TWO_PI = 2.0 * math.pi
@@ -293,46 +293,20 @@ def estimate_general(
 
     Complex powers p**(-r), q**(-s) are carried in log space (modulus via
     logarithms, argument separately), so targets far beyond double range
-    are fine.  Raises HypothesisFailure naming the first violated
-    precondition.
+    are fine.  The points of one orbit tag (``CriticalPoint.orbit``: one
+    polished point, conjugated or not) are character images of each other
+    and share the local data and winding number of the first of them; a
+    point without a tag, such as one built by hand, is its own orbit.
+    Raises HypothesisFailure naming the first violated precondition.
     """
     if not points:
         raise ConfigError("no critical points supplied")
     b = _check_beta(beta)
     _require_same_torus(points)
-    firsts = _orbit_firsts(points, characters(H))
-    locals_ = {k: _checked_local_data(H, points[k], direction) for k in dict.fromkeys(firsts)}
-    return _saddle_sum(H, G, b, points, [locals_[k] for k in firsts], r, s, direction)
-
-
-def _orbit_firsts(points: Sequence[CriticalPoint], group) -> List[int]:
-    """For each point, the index of the first of ``points`` in its character orbit.
-
-    Point ``k`` is in the orbit of an earlier first point ``(p, q)`` when
-    it is ``same_point`` with ``(chi_1 p, chi_2 q)`` for a character
-    ``chi`` of ``group`` (``apart`` settles it in doubles first where the
-    difference is plain); else it starts an orbit.
-    """
-    chis = [(z1, z2, complex(z1), complex(z2)) for z1, z2 in group.values()[1:]]
-    starts: List[int] = []
-    firsts: List[int] = []
-    for k, pt in enumerate(points):
-        d = pt.doubles
-        home = next(
-            (
-                j
-                for j in starts
-                for z1, z2, d1, d2 in chis
-                if not apart(d, (d1 * points[j].doubles[0], d2 * points[j].doubles[1]))
-                and same_point(pt, (z1 * points[j].p, z2 * points[j].q))
-            ),
-            None,
-        )
-        if home is None:
-            home = k
-            starts.append(k)
-        firsts.append(home)
-    return firsts
+    tags = [id(pt) if pt.orbit is None else (id(pt.orbit[0]), pt.orbit[1]) for pt in points]
+    firsts = {tag: points[tags.index(tag)] for tag in dict.fromkeys(tags)}
+    locals_ = {tag: _checked_local_data(H, pt, direction) for tag, pt in firsts.items()}
+    return _saddle_sum(H, G, b, points, [locals_[tag] for tag in tags], r, s, direction)
 
 
 def _saddle_sum(H, G, b: mpf, points, locals_: Sequence[LocalData], r: int, s: int, direction):

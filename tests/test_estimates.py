@@ -25,8 +25,7 @@ from bivasym import (
 )
 from bivasym.cli import report_critical_points
 from bivasym.errors import ConfigError, HypothesisFailure
-from bivasym.estimates import _orbit_firsts, principal_on_ray
-from bivasym.lattice import characters
+from bivasym.estimates import principal_on_ray
 from bivasym.oracle import exact_value
 from bivasym.precision import to_mpc
 from bivasym.pipeline import estimate_target, run_solve
@@ -256,8 +255,9 @@ def test_winding_rejects_vanishing_curve(diag_direction):
 def test_estimate_evaluates_each_polynomial_once_per_point(name, monkeypatch):
     # local_data's H_x and H_y are handed to the winding number, so on the
     # dominant class H_x, H_y and the second partials are each evaluated
-    # once at the first point of each character orbit and nowhere else, G
-    # once at each point, and no polynomial twice at one point.
+    # once at the first point of each character orbit (the solve's orbit
+    # tag) and nowhere else, G once at each point, and no polynomial twice
+    # at one point.
     spec = parse_problem((PROBLEMS / f"{name}.json").read_text())
     points = [pt for pt in run_solve(spec, probe=False).dominant.points if pt.smooth]
     calls = Counter()
@@ -271,7 +271,8 @@ def test_estimate_evaluates_each_polynomial_once_per_point(name, monkeypatch):
     estimate_general(spec.H, spec.G, spec.beta, points, *spec.targets[0], spec.direction)
     hx, hy = spec.H.partial("x"), spec.H.partial("y")
     partials = [hx, hy, hx.partial("x"), hx.partial("y"), hy.partial("y")]
-    firsts = _orbit_firsts(points, characters(spec.H))
+    tags = [(id(pt.orbit[0]), pt.orbit[1]) for pt in points]
+    firsts = [tags.index(tag) for tag in tags]
     for k, pt in enumerate(points):
         once = 1 if firsts[k] == k else 0
         assert [calls[id(poly), pt.p._mpc_, pt.q._mpc_] for poly in partials] == [once] * 5

@@ -3,16 +3,26 @@
 When the exponents of H's nonconstant monomials span a lattice L of index
 k > 1, the k characters chi of Z^2/L (``lattice.characters``) map each
 critical point to one on the same torus.  ``solve_critical`` solves the
-square-free eliminant x^m R(x^d) through R, partners and polishes one
-eliminant root per orbit, and emits the others as the images (chi_1 p,
-chi_2 q) of its points; ``estimate_general`` takes the local data and the
-winding number once per orbit.  These tests hold:
+square-free eliminant x^m R(x^d) through R, partners one eliminant root
+per orbit, polishes one partner per orbit under the characters that fix
+x, and emits the other points as the images (chi_1 p, chi_2 q) of the
+polished ones, each point tagged with its polished point and whether it
+was conjugated; ``estimate_general`` takes the local data and the
+winding number once per tag.  These tests hold:
 
 * the characters against every pair (s, t) mod k, and k against the gcd
   of the 2x2 exponent minors;
 * every emitted point against a polished point, one of its exact images
   or the conjugate of one, with that point's residuals and smoothness, and
   the points against closure under the characters;
+* the orbit tags, on every torus class of the first 32 family polynomials
+  at 1:1, 2:1 and 1:3 and of every problem file: each tag groups exactly
+  k off-axis points, and each tagged point is, bit for bit, ``_image`` of
+  the tag's polished point under one character;
+* the solve of ``problems/lattice_orbits.json`` against 2 polishes, one
+  partner per orbit under the characters that fix x, and of family item
+  167 at 2:1 against 1, one of two partners that conjugation and a
+  character swap;
 * the per-orbit estimate against the per-point sum, within 2^-(prec-8) of
   the largest contribution times 1 + the largest argument (the argument's
   own rounding), on every periodic family item at 1:1, 2:1 and 1:3 and on
@@ -20,8 +30,9 @@ winding number once per orbit.  These tests hold:
 * ``problems/lattice_orbits.json`` against the exact recurrence.
 
 ``python -m tests.test_lattice_orbits --precision BITS`` runs the solve and
-estimate checks at that precision (CI does so at 64, 256 and 1024 bits;
-tier-1 runs them at 128).
+estimate checks at that precision, and the tag checks on the first 200
+family polynomials (CI does so at 64, 256 and 1024 bits; tier-1 runs them
+at 128).
 """
 
 from __future__ import annotations
@@ -120,6 +131,45 @@ def check_images(spec) -> int:
     return len(points)
 
 
+def check_tags(H, direction) -> int:
+    """Assert that each orbit tag of the solve is one whole character orbit; returns the tag count.
+
+    Each point is, bit for bit, ``_image`` of its tag's polished point
+    under one character, conjugated when the tag says so (either way when
+    it says None), and each tag groups exactly ``characters(H).index``
+    points off the axes.
+    """
+    with _recorded_polish() as polished:
+        try:
+            points = critical.solve_critical(H, direction)
+        except BivasymError:
+            return 0
+    group = characters(H)
+    chis = [None] + group.values()[1:]
+    found = {(p._mpc_, q._mpc_) for p, q, *_ in polished}
+    tags = {}
+    for pt in points:
+        source, conjugated = pt.orbit
+        assert (source.p._mpc_, source.q._mpc_) in found
+        flags = (False, True) if conjugated is None else (conjugated,)
+        images = [critical._image(source, chi, c) for chi in chis for c in flags]
+        assert (pt.p._mpc_, pt.q._mpc_) in {(c.p._mpc_, c.q._mpc_) for c in images}, (H, direction)
+        if pt.p != 0 and pt.q != 0:
+            tags.setdefault((id(source), conjugated), []).append(pt)
+    assert all(len(pts) == group.index for pts in tags.values()), (H, direction)
+    return len(tags)
+
+
+def _tag_cases(count):
+    """``(H, direction)`` for the first ``count`` family polynomials in each direction and every problem file."""
+    for H in itertools.islice(_random_polynomials(20260810), count):
+        for d in TARGETS:
+            yield H, Direction.from_string(d)
+    for path in sorted((ROOT / "problems").glob("*.json")):
+        spec = parse_problem(path.read_text())
+        yield spec.H, spec.direction
+
+
 def _per_point(spec, G, points, r, s):
     """``estimate_general`` with every point its own orbit: local data and winding per point."""
     b = estimates._check_beta(spec.beta)
@@ -198,6 +248,34 @@ def test_checks_cover_the_orbits():
     assert sum(check_estimates(spec) for spec in SPECS.values()) > 100
 
 
+def test_orbit_tags_group_whole_orbits():
+    # 292 tags at 128 bits.
+    assert sum(check_tags(H, direction) for H, direction in _tag_cases(32)) > 250
+
+
+def test_lattice_orbits_polishes_one_partner_per_orbit():
+    # 12 points in 3 character orbits of 4, two of them conjugate: one
+    # point is polished per orbit under the characters and conjugation, as
+    # the characters (1, -1) fix x and map one partner onto the other.
+    spec = SPECS["lattice_orbits"]
+    with _recorded_polish() as polished:
+        points = critical.solve_critical(spec.H, spec.direction)
+    assert len(polished) == 2
+    assert len(points) == 12
+
+
+def test_partners_swapped_by_conjugation_are_polished_once():
+    # Family item 167 at 2:1: the characters are (+-1, 1), and the roots
+    # +-0.943i are conjugate, so (p, q) -> conj(-p, q) maps the two partners
+    # above 0.943i onto each other.  One is polished, and the 4 points form
+    # 2 orbits of 2, one the conjugate of the other.
+    H = BivariatePolynomial.from_items([(0, 0, 1), (0, 2, "-2/3"), (2, 1, "1/2"), (2, 2, "-3/2")])
+    with _recorded_polish() as polished:
+        points = critical.solve_critical(H, Direction(2, 1))
+    assert len(polished) == 1 and len(points) == 4
+    assert check_tags(H, Direction(2, 1)) == 2
+
+
 def test_characters_match_the_exponent_minors():
     for H in FAMILY:
         exps = [ij for ij in H.terms if ij != (0, 0)]
@@ -258,7 +336,8 @@ def main(argv=None) -> int:
     with working_precision(args.precision):
         points = sum(check_images(spec) for spec in SPECS.values())
         sums = sum(check_estimates(spec) for spec in SPECS.values())
-    print(json.dumps({"precision": args.precision, "points": points, "sums": sums}))
+        tags = sum(check_tags(H, direction) for H, direction in _tag_cases(200))
+    print(json.dumps({"precision": args.precision, "points": points, "sums": sums, "tags": tags}))
     return 0
 
 
