@@ -301,18 +301,15 @@ class BivariatePolynomial:
             self._doubles = [] if None in doubles else doubles
         return double_values(self._doubles, x, y) if self._doubles else None
 
-    def eval_array(self, x, y, out=None) -> np.ndarray:
+    def eval_array(self, x, y) -> np.ndarray:
         """Double-precision values at numpy arrays ``x``, ``y`` broadcast together.
 
         Horner in y over columns evaluated in x; the result array is updated
-        in place so a large grid holds one complex128 buffer.  ``out``, a
-        complex128 array of the broadcast shape, is that buffer when given,
-        and the values are the same bits either way.
+        in place so a large grid holds one complex128 buffer.
         """
         A = self.float_coeffs()
         x, y = np.asarray(x), np.asarray(y)
-        if out is None:
-            out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
         out[...] = polyval(x, A[:, -1])
         for j in range(A.shape[1] - 2, -1, -1):
             out *= y

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 from mpmath import mp, mpc, mpf
@@ -38,6 +39,12 @@ class Characters:
 
 def root_of_unity(s: int, k: int) -> mpc:
     """``exp(2 pi i s/k)``; exact when ``4 s / k`` is an integer."""
+    return _root_of_unity(s, k, mp.prec)
+
+
+@lru_cache(maxsize=256)
+def _root_of_unity(s: int, k: int, prec: int) -> mpc:
+    """``root_of_unity`` at ``prec`` bits, made once: a solve asks for the same few."""
     turn = mpf(2 * s) / k
     return mpc(mp.cospi(turn), mp.sinpi(turn))
 

@@ -10,7 +10,10 @@ Three independent routes:
   have real coefficients and the radii are real, the rows past the middle
   of the theta1 grid mirror the rows below it.  The rows are walked in
   blocks of a fixed node count, ``_BLOCK_NODES``, in buffers allocated once
-  per call, and G is applied to the kept outputs of the row FFTs of
+  per call.  A block's H is one real matrix product per pair of rows, from
+  H's coefficients in y evaluated once per row and the powers of y, written
+  as contiguous real and imaginary parts; |H|**(-beta) is one log and one
+  exp of |H|**2.  G is applied to the kept outputs of the row FFTs of
   H**(-beta) rather than at every node.
 
 Exact tables are stored for (H/h00)**(-beta); the scalar h00**(-beta) is
@@ -42,6 +45,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp, mpc, mpf
+from numpy.polynomial.polynomial import polyval
 
 from .bivariate import BivariatePolynomial
 from .errors import BranchTrackingError, ConfigError, EvaluationOverflow, SingularAtOrigin
@@ -492,7 +496,7 @@ def quadrature_values(
     Composite trapezoid rule over both angles (spectrally accurate for the
     periodic analytic integrand), with the half-resolution grid's difference
     as the error estimate.  arg H is anchored by the ray from the origin,
-    tracked down the theta2 = 0 column, then along theta2
+    tracked down the theta2 = 0 column (``eval_array``), then along theta2
     (``_tracked_argument``: one arctan2 per node, and 2 pi added or taken
     away after each crossing of the negative real axis).  That branch of
     Phi = H^(-beta) is periodic only when arg H turns by 0 round the column
@@ -505,8 +509,18 @@ def quadrature_values(
     Only rows 0..N1/2 of the theta1 grid are evaluated, in blocks of
     2*max(1, _BLOCK_NODES // (2*N2)) rows (an even count, so each block
     starts on a row of the half grid), in buffers allocated once per call.
-    Each block scales the tracked argument by -beta/2 once and takes the
-    phase of Phi from tan(-beta*arg/2) (``_polar``).  It runs one row FFT
+    H is taken over 2^e, the power of two just above its magnitude sum on
+    the torus, which rounds no product and keeps |H|^2 in the double range;
+    the outputs are multiplied by 2^(-beta*e) at the end.  Once per call,
+    h_j(x) = [y^j] H is evaluated on the rows and y^j on the row's nodes
+    (``_power_basis``); a block's Re H and Im H are then one 2-row matrix
+    product per pair of rows (``_pair_products``), written straight into
+    the float buffers that arctan2 reads, so a block's values do not depend
+    on its size.  The last pair may reach row N1/2 + 1, which is computed
+    and not used.  The tracker tests |H|^2 against floor^2, with no square
+    root, and |H|^(-beta) is exp(-beta/2 * log |H|^2).  Each block scales
+    the tracked argument by -beta/2 once and takes the phase of Phi from
+    tan(-beta*arg/2) (``_polar``).  It runs one row FFT
     and keeps outputs -J..S of it, J = deg_y G, indices mod the row's
     length.  The half grid's nodes on an even row are every other node of
     that row, so output s of the half grid's row FFT is the mean of outputs
@@ -537,13 +551,17 @@ def quadrature_values(
             f"at radii ({c1:.6g}, {c2:.6g})"
         )
     b = float(to_mpf(beta))
+    # H is taken over 2^e, the power of two just above its magnitude sum on
+    # the torus: that rounds no product, and |H|^2 stays in the double range.
     floor = H.vanish_floor(c1, c2)
+    e = math.frexp(1e9 * floor)[1]
+    floor, shrink = math.ldexp(floor, -e), math.ldexp(1.0, -e)
     X = c1 * np.exp(1j * (2.0 * np.pi * np.arange(N1) / N1)).reshape(-1, 1)
     Y = c2 * np.exp(1j * (2.0 * np.pi * np.arange(N2) / N2)).reshape(1, -1)
 
-    column = H.eval_array(X, Y[:, :1]).reshape(1, -1)
-    _, start, _ = bufs = np.empty((3, 1, N1))
-    column_winds = _tracked_argument(column, floor, *bufs)
+    column = H.eval_array(X, Y[:, :1]).reshape(1, -1) * shrink
+    sq, start = np.empty((2,) + column.shape)
+    column_winds = _tracked_argument(column.real.copy(), column.imag.copy(), floor, sq, start)
     _, anchor = H.ray_argument(c1, c2, 1.0, 256)
     _unwound(column_winds)
     start = start[0] + (anchor - start[0, 0])
@@ -553,17 +571,24 @@ def quadrature_values(
     cols, upper = keep % N2, (keep + N2 // 2) % N2
     full = np.empty((N1, keep.size), dtype=np.complex128)
     half = np.empty((N1 // 2, keep.size), dtype=np.complex128)
+    # Row pairs from row 0 on: the last pair may reach row N1/2 + 1.
+    lre, lim, ypow = _power_basis(H.float_coeffs() * shrink, X[: N1 // 2 + 2, 0], c2, N2)
     step = 2 * max(1, _BLOCK_NODES // (2 * N2))
-    W = np.empty((min(step, N1 // 2 + 1), N2), dtype=np.complex128)
-    bufs = np.empty((3,) + W.shape)  # |H|, arg H and a scratch array
+    W = np.empty((min(step, N1 // 2 + 2), N2), dtype=np.complex128)
+    # Re H in the first half of W, which is free until _polar writes it.
+    re = W.view(np.float64).reshape(-1)[: W.size].reshape(W.shape)
+    bufs = np.empty((3,) + W.shape)  # Im H then a scratch array, |H|^2, arg H
     for lo in range(0, N1 // 2 + 1, step):
         hi = min(lo + step, N1 // 2 + 1)
-        w, (m, a, q) = W[: hi - lo], bufs[:, : hi - lo]
-        H.eval_array(X[lo:hi], Y, out=w)
-        _unwound(_tracked_argument(w, floor, m, a, q))
+        _pair_products(lre, lim, ypow, lo, (hi - lo + 1) // 2, re, bufs[0])
+        w, (q, m, a) = W[: hi - lo], bufs[:, : hi - lo]
+        _unwound(_tracked_argument(re[: hi - lo], q, floor, m, a))
         a += (start[lo:hi] - a[:, 0]).reshape(-1, 1)
         a *= -0.5 * b
-        np.power(m, -b, out=m)
+        # |H|^(-beta) = exp(-beta/2 * log |H|^2)
+        np.log(m, out=m)
+        m *= -0.5 * b
+        np.exp(m, out=m)
         rows = np.fft.fft(_polar(m, a, q, out=w), axis=1)
         full[lo:hi] = rows[:, cols]
         half[lo // 2 : (hi + 1) // 2] = (rows[::2, cols] + rows[::2, upper]) * 0.5
@@ -574,8 +599,9 @@ def quadrature_values(
     if has_G:
         full, half = _times_G(G, full, X, c2, S), _times_G(G, half, X[::2], c2, S)
 
+    unit = 2.0 ** (-b * e)  # (2^e)^(-beta): Phi above is that of H over 2^e
     full, half = (
-        np.fft.fft(strip, axis=0)[: R + 1] / (strip.shape[0] * n2) / scale
+        np.fft.fft(strip, axis=0)[: R + 1] * (unit / (strip.shape[0] * n2)) / scale
         for strip, n2 in ((full, N2), (half, N2 // 2))
     )
     return CoefficientTable(values=full, errors=np.abs(full - half))
@@ -586,34 +612,76 @@ def _unwound(winds: bool) -> None:
         raise BranchTrackingError("branch tracking failed; H winds around 0 on the torus")
 
 
-def _tracked_argument(
-    W: np.ndarray, floor: float, mod: np.ndarray, arg: np.ndarray, scratch: np.ndarray
-) -> bool:
-    """|W| into ``mod``, arg W tracked along each row into ``arg``; whether a row winds.
+def _power_basis(
+    A: np.ndarray, x: np.ndarray, c2: float, n2: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lre, lim, ypow)``: H = sum_j h_j(x)*y^j as real matrices.
 
-    ``mod``, ``arg`` and ``scratch`` are C-contiguous float arrays of W's
-    two-dimensional shape.  Raises ``BranchTrackingError`` when |W| is at
-    most ``floor`` somewhere, then when an argument step along a row is at
-    least ``_JUMP_LIMIT``.
-    A = arg W is one arctan2 per node, on copies of W's real and imaginary
-    parts in ``scratch`` and ``arg``: numpy's arctan2 runs faster on
-    contiguous arrays than on the strided views of a complex array, with
+    ``A[i, j]`` is [x^i y^j] H, ``x`` the grid's column of x and the y grid
+    the ``n2`` points of the circle of radius ``c2``.  With h_j = polyval(x,
+    A[:, j]), row n of ``lre`` is [Re h_j, -Im h_j] and of ``lim`` [Im h_j,
+    Re h_j] at x[n], and ``ypow`` stacks the rows Re y^j over Im y^j, so Re H
+    is ``lre @ ypow`` and Im H is ``lim @ ypow``.
+    """
+    hx = polyval(x, A).T
+    m = np.arange(n2)
+    yj = np.array(
+        [c2**j * np.exp(1j * (2.0 * np.pi * (j * m % n2) / n2)) for j in range(A.shape[1])]
+    )
+    lre = np.concatenate((hx.real, -hx.imag), axis=1)
+    lim = np.concatenate((hx.imag, hx.real), axis=1)
+    return lre, lim, np.concatenate((yj.real, yj.imag))
+
+
+def _pair_products(
+    lre: np.ndarray,
+    lim: np.ndarray,
+    ypow: np.ndarray,
+    lo: int,
+    pairs: int,
+    re: np.ndarray,
+    im: np.ndarray,
+) -> None:
+    """Re H and Im H on rows lo..lo + 2*pairs - 1 into the first rows of ``re`` and ``im``.
+
+    One matrix product per pair of rows (``_power_basis``): a 2-row product
+    rounds the same whatever block it sits in, where BLAS rounds one
+    product of a whole block differently as its row count changes.
+    """
+    k = 2 * pairs
+    for coef, out in ((lre, re), (lim, im)):
+        np.matmul(coef[lo : lo + k].reshape(pairs, 2, -1), ypow, out=out[:k].reshape(pairs, 2, -1))
+
+
+def _tracked_argument(
+    re: np.ndarray, im: np.ndarray, floor: float, sq: np.ndarray, arg: np.ndarray
+) -> bool:
+    """|W|^2 into ``sq``, arg W tracked along each row into ``arg``; whether a row winds.
+
+    ``re`` and ``im`` hold Re W and Im W and are overwritten; all four
+    arrays are C-contiguous float arrays of one two-dimensional shape.
+    Raises ``BranchTrackingError`` when |W|^2 is at most ``floor``^2
+    somewhere, then when an argument step along a row is at least
+    ``_JUMP_LIMIT``.  |W|^2 is re^2 + im^2, with no square root.
+    A = arg W is one arctan2 per node: numpy's arctan2 runs faster on the
+    contiguous parts than on the strided views of a complex array, with
     the same bits.  With d = A[n+1] - A[n], the true step is d when
     |d| <= pi and d -+ 2 pi when the row crosses the negative real axis,
     |d| > pi; a step is a jump when min(|d|, 2 pi - |d|) is at least the
-    limit.  ``arg`` is A plus -2 pi*sign(d) after each crossing, so its
+    limit.  ``arg`` ends as A plus -2 pi*sign(d) after each crossing, so its
     first node stays A[0].  A row winds exactly when its signed crossings,
     the wrap step from the last node back to the first counted, do not sum
     to 0.
     """
-    np.abs(W, out=mod)
-    if mod.min() <= floor:
+    np.arctan2(im, re, out=arg)
+    np.multiply(re, re, out=sq)
+    np.multiply(im, im, out=im)
+    sq += im
+    if sq.min() <= floor * floor:
         raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
-    np.copyto(scratch, W.real)
-    np.copyto(arg, W.imag)
-    np.arctan2(arg, scratch, out=arg)
     # One pass over the flat buffer; column 0 would hold the step from the
     # row above, and holds 0.
+    scratch = re
     flat = scratch.ravel()
     np.subtract(arg.ravel()[1:], arg.ravel()[:-1], out=flat[1:])
     scratch[:, 0] = 0.0

@@ -27,7 +27,9 @@ winding number once per tag.  These tests hold:
   the largest contribution times 1 + the largest argument (the argument's
   own rounding), on every periodic family item at 1:1, 2:1 and 1:3 and on
   the periodic problem files, with and without a G;
-* ``problems/lattice_orbits.json`` against the exact recurrence.
+* ``problems/lattice_orbits.json`` against the exact recurrence;
+* a cached ``root_of_unity`` against a fresh one, bit for bit, at 64, 128
+  and 256 bits.
 
 ``python -m tests.test_lattice_orbits --precision BITS`` runs the solve and
 estimate checks at that precision, and the tag checks on the first 200
@@ -53,7 +55,7 @@ from bivasym import BivariatePolynomial, Direction, critical, estimates
 from bivasym.aberth import roots_of_rational_poly
 from bivasym.critical import same_point, snap_noise
 from bivasym.errors import BivasymError
-from bivasym.lattice import characters
+from bivasym.lattice import characters, root_of_unity
 from bivasym.oracle import coeff_recurrence
 from bivasym.pipeline import estimate_target, run_solve
 from bivasym.precision import working_precision
@@ -296,6 +298,22 @@ def test_characters_match_the_exponent_minors():
     assert [(complex(a), complex(b)) for a, b in characters(spec.H).values()] == [
         (1, 1), (1, -1), (-1, 1), (-1, -1)
     ]
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_cached_root_of_unity_is_a_fresh_one(bits):
+    # The cache is keyed by the precision: a value made at another precision
+    # is never handed out.
+    cases = [(s, k) for k in (1, 2, 3, 4, 6, 8, 12) for s in range(k)]
+    for other in (bits // 2, bits):
+        with working_precision(other):
+            for s, k in cases:
+                root_of_unity(s, k)
+    with working_precision(bits):
+        for s, k in cases:
+            turn = mp.mpf(2 * s) / k
+            fresh = mp.mpc(mp.cospi(turn), mp.sinpi(turn))
+            assert root_of_unity(s, k)._mpc_ == fresh._mpc_
 
 
 def test_eliminant_roots_match_the_full_root_solve():

@@ -2,12 +2,15 @@
 
 ``quadrature_values`` evaluates rows 0..N1/2 of the theta1 grid only, in
 blocks of an even number of rows holding about ``_BLOCK_NODES`` nodes, in
-buffers allocated once per call.  arg H is one arctan2 per node, with 2 pi
-added or taken away after each crossing of the negative real axis
-(``_tracked_argument``).  Each block runs one row FFT of Phi = H^(-beta)
-and keeps its outputs -deg_y G..S; on even rows, output s of the half
-grid's row FFT is the mean of outputs s and s + N2/2 of that one.  H and G
-have real coefficients and the radii are real, so
+buffers allocated once per call.  A block's H is one real matrix product
+per pair of rows from H's power basis in y (``_pair_products``), within
+8*eps times H's magnitude sum of ``eval_array`` at every node.  arg H is
+one arctan2 per node, with 2 pi added or taken away after each crossing
+of the negative real axis, and |H|^2 is tested against the vanishing
+floor squared (``_tracked_argument``).  Each block runs one row FFT of
+Phi = H^(-beta) and keeps its outputs -deg_y G..S; on even rows, output s
+of the half grid's row FFT is the mean of outputs s and s + N2/2 of that
+one.  H and G have real coefficients and the radii are real, so
 Phi(conj x, conj y) = phi*conj Phi(x, y) with phi = exp(-2i*beta*anchor),
 and row N1 - k of a kept strip is phi times the conjugate of row k.  G is
 applied to the strip: output s of the row FFT of y^j*Phi is c2^j times
@@ -26,7 +29,11 @@ block, on grids of several blocks, where phi is not real, and where
 deg_y G exceeds the half grid's row.  The block size changes no value: the
 blocked route gives the same bits at every block size, where phi is real
 and where it is not, and no block holds more than max(_BLOCK_NODES, 2*N2)
-nodes.
+nodes.  Scaling H by 10^200 or 10^-200, where |H|^2 leaves the double
+range, scales the values by the power -beta of it.
+``python -m tests.test_quadrature_parity`` prints a digest of the values
+and errors on every problem file that gives radii, at 256^2 and 2048^2;
+CI requires equal digests under 1 and 2 BLAS threads.
 
 Each ``BranchTrackingError`` cause keeps its message.  The reference checks
 the whole grid for a vanishing H, then the ray anchor, then every jump.  The
@@ -37,6 +44,7 @@ does.  So where more than one cause holds, the first in that order wins,
 and within one block a vanishing H wins over a jump.  The cases below pin it.
 """
 
+import hashlib
 import sys
 import tracemalloc
 from fractions import Fraction as F
@@ -195,8 +203,9 @@ def test_G_applied_to_the_kept_strip(H, G, radii, grids):
 def _track(W, floor=1e-9):
     """(tracked argument, whether a row winds) of the rows of W."""
     W = np.atleast_2d(W)
-    arg = np.empty(W.shape)
-    winds = _tracked_argument(W, floor, np.empty(W.shape), arg, np.empty(W.shape))
+    sq, arg = np.empty((2,) + W.shape)
+    winds = _tracked_argument(W.real.copy(), W.imag.copy(), floor, sq, arg)
+    assert np.array_equal(sq, W.real**2 + W.imag**2)
     return arg, winds
 
 
@@ -252,19 +261,38 @@ def test_a_step_of_0_96_pi_is_a_jump(base):
         _track(RHO * np.exp(1j * theta))
 
 
-def _record_blocks(monkeypatch, H):
-    """The shapes of H's two-dimensional evaluations, in call order."""
+def _record_evaluations(monkeypatch, H):
+    """The shapes of H's two-dimensional ``eval_array`` calls, in call order."""
     shapes = []
     eval_array = BivariatePolynomial.eval_array
 
-    def recording(poly, x, y, out=None):
-        out = eval_array(poly, x, y, out=out)
+    def recording(poly, x, y):
+        out = eval_array(poly, x, y)
         if poly is H and out.ndim == 2:
             shapes.append(out.shape)
         return out
 
     monkeypatch.setattr(BivariatePolynomial, "eval_array", recording)
     return shapes
+
+
+def _record_pairs(monkeypatch):
+    """The rows of each block's pair products, one list per block, in call order."""
+    blocks = []
+    pair_products = oracle._pair_products
+
+    def recording(lre, lim, ypow, lo, pairs, re, im):
+        blocks.append(list(range(lo, lo + 2 * pairs)))
+        pair_products(lre, lim, ypow, lo, pairs, re, im)
+
+    monkeypatch.setattr(oracle, "_pair_products", recording)
+    return blocks
+
+
+def _assert_half_torus(blocks, N1):
+    """Rows 0..N1/2 each once, plus at most row N1/2 + 1, in theta1 order."""
+    rows = [n for block in blocks for n in block]
+    assert rows in (list(range(N1 // 2 + 1)), list(range(N1 // 2 + 2)))
 
 
 def _record_ffts(monkeypatch):
@@ -283,18 +311,18 @@ def _record_ffts(monkeypatch):
 @pytest.mark.parametrize("grid", [256, 2048])
 def test_quadrature_evaluates_half_the_torus(grid, monkeypatch):
     H, G, beta, radii = CASES["color_swap"]
-    shapes = _record_blocks(monkeypatch, H)
+    shapes = _record_evaluations(monkeypatch, H)
+    blocks = _record_pairs(monkeypatch)
     axes = _record_ffts(monkeypatch)
     cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=(grid, grid))
     quadrature_values(H, G, beta, cfg)
-    # The theta2 = 0 column, then the blocks of rows 0..N1/2; the ray's
-    # samples are one-dimensional.
-    assert shapes[0] == (grid, 1)
-    assert {n2 for _, n2 in shapes[1:]} == {grid}
-    assert sum(n1 for n1, _ in shapes[1:]) == grid // 2 + 1
+    # eval_array gives the theta2 = 0 column alone (the ray's samples are
+    # one-dimensional); the blocks' pair products give rows 0..N1/2.
+    assert shapes == [(grid, 1)]
+    _assert_half_torus(blocks, grid)
     # One row transform per block gives the full and the half grid's
     # outputs; then one column transform of each strip.
-    assert axes == [1] * len(shapes[1:]) + [0, 0]
+    assert axes == [1] * len(blocks) + [0, 0]
 
 
 @pytest.mark.parametrize("grid", [(256, 256), (1024, 1024), (128, 4096)])
@@ -304,20 +332,19 @@ def test_values_do_not_depend_on_the_block_size(grid, monkeypatch):
     for H, G, beta, radii in (CASES["color_swap"], (PHASE_H, PHASE_G, F(1, 3), (0.25, 0.3))):
         cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=grid)
         with monkeypatch.context() as patch:
-            shapes = _record_blocks(patch, H)
+            blocks = _record_pairs(patch)
             default = quadrature_values(H, G, beta, cfg)
             # 1 gives blocks of 2 rows; 3*N2 would give 3 rows, and odd first
             # rows, were the count not rounded down to an even one; N1*N2
             # gives one block.
             for nodes in (1, 3 * N2, 6 * N2, N1 * N2):
                 patch.setattr(oracle, "_BLOCK_NODES", nodes)
-                del shapes[:]
+                del blocks[:]
                 got = quadrature_values(H, G, beta, cfg)
                 assert np.array_equal(got.values, default.values)
                 assert np.array_equal(got.errors, default.errors)
-                blocks = shapes[1:]
-                assert sum(n1 for n1, _ in blocks) == N1 // 2 + 1
-                assert max(n1 * n2 for n1, n2 in blocks) <= max(nodes, 2 * N2)
+                _assert_half_torus(blocks, N1)
+                assert max(len(rows) * N2 for rows in blocks) <= max(nodes, 2 * N2)
 
 
 @pytest.mark.parametrize("grid", [(2048, 2048), (256, 16384)])
@@ -333,15 +360,35 @@ def test_quadrature_memory_does_not_grow_with_the_grid(grid):
     assert peak < 8 * 2**20, peak
 
 
-def test_eval_array_fills_the_buffer_it_is_given():
-    X, Y = _torus(OracleConfig(box=BOX, beta=F(1, 2), quadrature_radii=(0.3, 0.4)))
-    x = X[:16]
+def test_pair_products_match_eval_array():
+    # Each H on its own torus, or on (0.3, 0.4) when its file gives no radii.
+    polys = [(PHASE_H, (0.25, 0.3))]
     for path in sorted((ROOT / "problems").glob("*.json")):
         spec = parse_problem(path.read_text())
-        for poly in filter(None, (spec.H, spec.G)):
-            buf = np.empty((16, Y.size), dtype=np.complex128)
-            assert poly.eval_array(x, Y, out=buf) is buf
-            assert np.array_equal(buf, poly.eval_array(x, Y))
+        polys.append((spec.H, spec.quadrature_radii or (0.3, 0.4)))
+    eps = np.finfo(float).eps
+    for H, radii in polys:
+        cfg = OracleConfig(box=BOX, beta=F(1, 2), quadrature_radii=radii, quadrature_grid=(64, 64))
+        X, Y = _torus(cfg)
+        lre, lim, ypow = oracle._power_basis(H.float_coeffs(), X[:, 0], radii[1], Y.size)
+        re, im = np.empty((2, X.size, Y.size))
+        oracle._pair_products(lre, lim, ypow, 0, X.size // 2, re, im)
+        magnitude = np.polynomial.polynomial.polyval2d(*radii, np.abs(H.float_coeffs()))
+        assert np.all(np.abs(re + 1j * im - H.eval_array(X, Y)) <= 8 * eps * magnitude)
+
+
+# |H|^2 of these leaves the double range; H is taken over a power of two
+# near its magnitude sum, so the values only scale by k^(-beta).
+@pytest.mark.parametrize("k", [F(10) ** 200, F(1, 10**200)])
+def test_values_scale_with_H(k):
+    H, G, beta, radii = CASES["color_swap"]
+    cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=(256, 256))
+    base = quadrature_values(H, G, beta, cfg)
+    got = quadrature_values(H.scale(k), G, beta, cfg)
+    factor = float(k) ** -float(beta)
+    floor = _roundoff_floor(H.scale(k), G, beta, cfg)
+    assert np.all(np.abs(got.values - factor * base.values) <= floor)
+    assert np.all(np.abs(got.errors - factor * base.errors) <= floor)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt counts pages on Linux")
@@ -427,3 +474,32 @@ def test_first_cause_in_grid_order_wins(name):
     H, radii, blocked, full_grid = SEVERAL_CAUSES[name]
     assert _message(quadrature_values, H, radii) == blocked
     assert _message(reference_quadrature, H, radii) == full_grid
+
+
+def digest(grids=(256, 2048)) -> str:
+    """SHA-256 of the values and errors on every problem file that gives radii.
+
+    A refused problem contributes its ``BranchTrackingError`` message.
+    """
+    sha = hashlib.sha256()
+    for path in sorted((ROOT / "problems").glob("*.json")):
+        spec = parse_problem(path.read_text())
+        if spec.quadrature_radii is None:
+            continue
+        for grid in grids:
+            cfg = OracleConfig(
+                box=(10, 10), beta=spec.beta, quadrature_radii=spec.quadrature_radii,
+                quadrature_grid=(grid, grid),
+            )
+            try:
+                table = quadrature_values(spec.H, spec.G, spec.beta, cfg)
+            except BranchTrackingError as exc:
+                sha.update(str(exc).encode())
+            else:
+                sha.update(table.values.tobytes() + table.errors.tobytes())
+    return sha.hexdigest()
+
+
+if __name__ == "__main__":
+    # Run under several OPENBLAS_NUM_THREADS settings: the digests must agree.
+    print(digest())
