@@ -13,8 +13,8 @@ not kept, so a caller that needs one twice hands it along
 ``eval_double`` is the scalar double-precision evaluator, with a rigorous
 error bound (``unipoly.double_values``), for the threshold tests that
 doubles can settle.  ``eval_array`` evaluates on numpy grids, curves and
-probe slices, and ``ray_argument`` is the one tracker of arg H along a
-ray from the origin.
+probe slices, and ``ray_argument`` gives arg H along a ray from the
+origin from the roots of H on it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from mpmath import mpf
 from numpy.polynomial.polynomial import polyval, polyval2d
 
-from .errors import BranchTrackingError
+from .errors import BranchTrackingError, EvaluationOverflow
 from .precision import to_mpc
 from .rationals import parse_rational
 from .unipoly import (
@@ -317,37 +317,36 @@ class BivariatePolynomial:
         return out
 
     def vanish_floor(self, x, y) -> float:
-        """|H| at or below this counts as zero on a numpy curve or grid within radii |x|, |y|.
+        """|H| at or below this counts as zero on the quadrature's torus of radii |x|, |y|.
 
         It is 1e-9 of the magnitude sum ``sum |h_ij| |x|^i |y|^j``, in doubles.
         """
         return 1e-9 * float(polyval2d(abs(x), abs(y), np.abs(self.float_coeffs())))
 
-    def ray_argument(self, a, b, t_end: float, steps: int) -> Tuple[float, float]:
-        """Continuous argument of H(t*a, t*b) at t = 0 and at t = ``t_end``.
+    def ray_argument(self, a, b, t_end: float) -> Tuple[float, float]:
+        """Continuous argument of h(t) = H(t*a, t*b) at t = 0 and at t = ``t_end``.
 
-        Bisects ``steps`` equal steps, for at most 24 rounds, until no step
-        turns the argument by more than pi/8.  Raises BranchTrackingError
-        when a sample of |H| is at or below ``vanish_floor`` at the far end.
+        h, from ``float_coeffs`` with its top zero coefficients trimmed, is
+        h(0) prod (1 - t/z_k); each factor runs along a segment from 1, so
+        arg h turns by exactly sum Arg(1 - t_end/z_k), or 0 when h is real.
+        Raises EvaluationOverflow when h leaves the double range, and
+        BranchTrackingError when a root's Smith disk (radius n |h(z_k)| /
+        |h_n prod_{j != k} (z_k - z_j)| about ``np.roots``' z_k; the disks
+        hold every root) meets (0, t_end].
         """
-        a, b = complex(a), complex(b)
-        floor = self.vanish_floor(t_end * a, t_end * b)
-        ts = np.linspace(0.0, t_end, steps + 1)
-        vals = self.eval_array(ts * a, ts * b)
-        for _ in range(24):
-            if np.min(np.abs(vals)) <= floor:
-                raise BranchTrackingError("H vanishes on the ray from the origin")
-            deltas = np.angle(vals[1:] / vals[:-1])
-            coarse = np.abs(deltas) > math.pi / 8
-            if not coarse.any():
-                break
-            mids = 0.5 * (ts[:-1][coarse] + ts[1:][coarse])
-            ts = np.sort(np.concatenate([ts, mids]))
-            vals = self.eval_array(ts * a, ts * b)
-        else:
-            raise BranchTrackingError("argument along the ray did not settle")
-        start = float(np.angle(vals[0]))
-        return start, start + float(deltas.sum())
+        i, j = np.indices(self.float_coeffs().shape)
+        h = np.zeros(i.max() + j.max() + 1, dtype=np.complex128)
+        with np.errstate(all="ignore"):  # a power past the double range is refused below
+            np.add.at(h, i + j, self.float_coeffs() * complex(a) ** i * complex(b) ** j)
+            if not np.isfinite(h).all():
+                raise EvaluationOverflow("H on the ray leaves the double range")
+            h = np.trim_zeros(h, "b")[::-1]  # descending, as np.roots and np.polyval take it
+            z, start = np.roots(h), float(np.angle(h[-1]))
+            apart = np.prod(np.where(np.eye(z.size, dtype=bool), 1, z[:, None] - z), axis=1)
+            radii = z.size * np.abs(np.polyval(h, z) / (h[0] * apart))
+        if not (np.abs(z - np.clip(z.real, 0.0, t_end)) > radii).all():  # NaN radii fail
+            raise BranchTrackingError("H vanishes on the ray from the origin")
+        return start, start + float(np.angle(1 - t_end / z).sum()) if h.imag.any() else start
 
     def eval_magnitude_scale(self, x, y) -> mpf:
         """Sum of |h_ij| |x|^i |y|^j: the natural scale for residual checks.

@@ -126,9 +126,8 @@ def local_data(
         "phase_hessian_nonzero": abs(q2m) > SMOOTH_TOL**2,
         # A real part at rounding noise is no sign (as in ``_real_positive``).
         "saddle_real_part_positive": snap_noise(-q2m).real > 0,
-        "grad_ratio_identity": bool(
-            abs(ratio - p / (lam * q)) <= to_mpf(IDENTITY_TOL) * max(abs(ratio), to_mpf(1e-30))
-        ),
+        # Against |ratio| alone: a zero ratio passes only at p = 0 (p_nonzero).
+        "grad_ratio_identity": bool(abs(ratio - p / (lam * q)) <= to_mpf(IDENTITY_TOL) * abs(ratio)),
     }
     return LocalData(
         point=pt,
@@ -230,14 +229,14 @@ def winding_number(
 ) -> int:
     """Signed crossings of the cut ray by the curve H(t*p, t*q), 0 <= t < 1.
 
-    ``ld`` is ``local_data`` at the critical point (p, q).  The curve is
-    tracked by ``H.ray_argument`` up to t = 1 - 1e-6; the remaining tail is
-    linear to first order with direction -(p*H_x + q*H_y), which at a
+    ``ld`` is ``local_data`` at (p, q).  Up to t = 1 - 1e-6 the argument is
+    ``H.ray_argument``'s, from the roots of H(t*p, t*q); the remaining tail
+    is linear to first order with direction -(p*H_x + q*H_y), which at a
     critical point matches -p*H_x up to a positive real factor.  H_x and
     H_y are ``ld.hx`` and ``ld.hy``.
     """
     pt = ld.point
-    theta_start, theta_end = H.ray_argument(pt.p, pt.q, 1.0 - 1e-6, 1024)
+    theta_start, theta_end = H.ray_argument(pt.p, pt.q, 1.0 - 1e-6)
     # Analytic tail: argument converges to the linearized direction.
     tail = -(pt.p * ld.hx + pt.q * ld.hy)
     if abs(tail) == 0:

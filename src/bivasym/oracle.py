@@ -495,8 +495,9 @@ def quadrature_values(
 
     Composite trapezoid rule over both angles (spectrally accurate for the
     periodic analytic integrand), with the half-resolution grid's difference
-    as the error estimate.  arg H is anchored by the ray from the origin,
-    tracked down the theta2 = 0 column (``eval_array``), then along theta2
+    as the error estimate.  arg H is anchored by the ray from the origin (H
+    is real on it: ``ray_argument`` gives arg H(0, 0)), tracked down the
+    theta2 = 0 column (``eval_array``), then along theta2
     (``_tracked_argument``: one arctan2 per node, and 2 pi added or taken
     away after each crossing of the negative real axis).  That branch of
     Phi = H^(-beta) is periodic only when arg H turns by 0 round the column
@@ -562,7 +563,7 @@ def quadrature_values(
     column = H.eval_array(X, Y[:, :1]).reshape(1, -1) * shrink
     sq, start = np.empty((2,) + column.shape)
     column_winds = _tracked_argument(column.real.copy(), column.imag.copy(), floor, sq, start)
-    _, anchor = H.ray_argument(c1, c2, 1.0, 256)
+    _, anchor = H.ray_argument(c1, c2, 1.0)
     _unwound(column_winds)
     start = start[0] + (anchor - start[0, 0])
 

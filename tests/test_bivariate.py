@@ -160,19 +160,32 @@ def test_scale_and_degree_helpers(color_swap_h):
 
 
 def test_ray_argument_is_continuous_past_pi():
-    # arg (1 - 2it)^3 = -3*atan(2t) leaves (-pi, pi] before t = 1; four
-    # starting steps force the tracker to bisect.
+    # arg (1 - 2it)^3 = -3*atan(2t) leaves (-pi, pi] before t = 1: the turn
+    # is the sum of the root factors' turns, not a principal value.
     H = BivariatePolynomial.from_items([(0, 0, 1), (1, 0, -3), (2, 0, 3), (3, 0, -1)])
-    start, end = H.ray_argument(2j, 0.0, 1.0, 4)
+    start, end = H.ray_argument(2j, 0.0, 1.0)
     assert start == 0.0
     assert end == pytest.approx(-3 * np.arctan(2.0), abs=1e-12)
+    # negative_origin's H = -1 + x + y is real on a real ray: it stays at pi.
+    negative = parse_problem((ROOT / "problems" / "negative_origin.json").read_text()).H
+    assert negative.ray_argument(0.25, 0.25, 1.0) == (np.pi, np.pi)
+    # Family item 50, 1 - x^2 y + x^2 y^2/2 - x^4/2: on the diagonal its t^4
+    # coefficient cancels exactly, and the trimmed h has no root in (0, 1].
+    H50 = BivariatePolynomial.from_items([(0, 0, 1), (2, 1, -1), (2, 2, "1/2"), (4, 0, "-1/2")])
+    for c in (0.1, 0.5):
+        assert H50.ray_argument(c, c, 1.0) == (0.0, 0.0)
 
 
 def test_ray_argument_rejects_a_zero_on_the_ray():
-    # 1 - 2x vanishes at t = 1/2 on the ray x = t.
+    # 1 - 2x vanishes at t = 1/2 on the ray x = t, inside the segment and
+    # at its far end.
     H = BivariatePolynomial.from_items([(0, 0, 1), (1, 0, -2)])
-    with pytest.raises(BranchTrackingError, match="vanishes on the ray"):
-        H.ray_argument(1.0, 0.0, 1.0, 1024)
+    for t_end in (1.0, 0.5):
+        with pytest.raises(BranchTrackingError, match="vanishes on the ray"):
+            H.ray_argument(1.0, 0.0, t_end)
+    # A ray to a point past the double range has no h in doubles.
+    with pytest.raises(EvaluationOverflow):
+        H.ray_argument(mpf("1e400"), 0.0, 1.0)
 
 
 # Coefficients with no finite binary expansion round differently per precision.

@@ -73,6 +73,18 @@ def test_grad_ratio_matches_direction_form(color_swap_h, color_swap_direction):
         assert abs(ld.grad_ratio - pt.p / (lam * pt.q)) <= 1e-10 * abs(ld.grad_ratio)
 
 
+def test_grad_ratio_identity_has_no_absolute_floor(diag_direction):
+    # H = 1 - 10^22 x - 10^-23 y has H_y/H_x = 10^-45 everywhere, and its 1:1
+    # critical point is (p, q) = (5e-23, 5e22).  Off the curve at (2p, q),
+    # p/(lambda q) = 2e-45 misses the ratio by half of it, which a floor of
+    # 1e-30 under |ratio| would hide.
+    H = BivariatePolynomial.from_items([(0, 0, "1"), (1, 0, "-1e22"), (0, 1, "-1e-23")])
+    p, q = mpf("5e-23"), mpf("5e22")
+    assert local_data(H, CriticalPoint(p=mpc(p), q=mpc(q)), diag_direction).checks["grad_ratio_identity"]
+    off = local_data(H, CriticalPoint(p=mpc(2 * p), q=mpc(q)), diag_direction)
+    assert not off.checks["grad_ratio_identity"]
+
+
 def test_local_data_rejects_vanishing_hx(diag_direction):
     # H = 1 - y - x^2: at the 1:1 critical point... construct directly a
     # point with H_x = 0: H = 1 - y, any x; gradient in x vanishes.

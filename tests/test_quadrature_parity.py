@@ -90,7 +90,7 @@ def reference_quadrature(H, G, beta, cfg):
     W = H.eval_array(X, Y)
     if np.min(np.abs(W)) <= H.vanish_floor(c1, c2):
         raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
-    _, anchor = H.ray_argument(c1, c2, 1.0, 256)
+    _, anchor = H.ray_argument(c1, c2, 1.0)
     d0 = np.angle(W[1:, 0] / W[:-1, 0])
     d1 = np.angle(W[:, 1:] / W[:, :-1])
     if max(np.max(np.abs(d0)), np.max(np.abs(d1))) >= _JUMP_LIMIT:
