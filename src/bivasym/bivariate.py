@@ -210,12 +210,19 @@ class BivariatePolynomial:
     def float_coeffs(self) -> np.ndarray:
         """Dense float matrix A with A[i, j] = [x^i y^j] self, made once.
 
-        The array is shared by every caller and read-only.
+        The array is shared by every caller and read-only.  Raises
+        ``EvaluationOverflow``, naming the term, when a coefficient is
+        beyond the double range.
         """
         if self._floats is None:
             out = np.zeros((self.degree_x() + 1, self.degree_y() + 1))
             for (i, j), c in self.terms.items():
-                out[i, j] = float(c)
+                try:
+                    out[i, j] = float(c)
+                except OverflowError:
+                    raise EvaluationOverflow(
+                        f"coefficient of x^{i} y^{j} is beyond the double range"
+                    ) from None
             out.flags.writeable = False
             self._floats = out
         return self._floats

@@ -100,8 +100,9 @@ def local_data(
 
     All partial derivatives are taken exactly and only then evaluated.
     Raises HypothesisFailure when H_x is ``negligible`` at the point (the
-    saddle geometry needs the zero set to be a graph over y there); the
-    phase Hessian M counts as zero by the dimensionless ``|q^2 M|``.
+    saddle geometry needs the zero set to be a graph over y there), then
+    when p or q is 0 (M divides by both); the phase Hessian M counts as zero
+    by the dimensionless ``|q^2 M|``.
     """
     p, q = pt.p, pt.q
     hx = H.partial("x").eval(p, q)
@@ -109,6 +110,9 @@ def local_data(
     abs_p, abs_q = pt.abs_pq
     if negligible(H.partial("x"), hx, abs_p, abs_q):
         raise HypothesisFailure("hx_nonzero", "non-smooth in x; estimate inapplicable")
+    for name, modulus in (("p_nonzero", abs_p), ("q_nonzero", abs_q)):
+        if not modulus > 0:
+            raise HypothesisFailure(name, "critical point on an axis; estimate inapplicable")
     hxx = H.partial("x").partial("x").eval(p, q)
     hxy = H.partial("x").partial("y").eval(p, q)
     hyy = H.partial("y").partial("y").eval(p, q)
@@ -121,12 +125,12 @@ def local_data(
 
     checks = {
         "hx_nonzero": True,
-        "p_nonzero": abs_p > 0,
-        "q_nonzero": abs_q > 0,
+        "p_nonzero": True,
+        "q_nonzero": True,
         "phase_hessian_nonzero": abs(q2m) > SMOOTH_TOL**2,
         # A real part at rounding noise is no sign (as in ``_real_positive``).
         "saddle_real_part_positive": snap_noise(-q2m).real > 0,
-        # Against |ratio| alone: a zero ratio passes only at p = 0 (p_nonzero).
+        # Against |ratio| alone: a zero ratio would pass only at p = 0, refused above.
         "grad_ratio_identity": bool(abs(ratio - p / (lam * q)) <= to_mpf(IDENTITY_TOL) * abs(ratio)),
     }
     return LocalData(

@@ -10,10 +10,12 @@ Three independent routes:
   have real coefficients and the radii are real, the rows past the middle
   of the theta1 grid mirror the rows below it.  The rows are walked in
   blocks of a fixed node count, ``_BLOCK_NODES``, in buffers allocated once
-  per call.  A block's H is one real matrix product per pair of rows, from
-  H's coefficients in y evaluated once per row and the powers of y, written
-  as contiguous real and imaginary parts; |H|**(-beta) is one log and one
-  exp of |H|**2.  G is applied to the kept outputs of the row FFTs of
+  per call, and each block's row FFT runs in place in them.  A block's H is
+  one real matrix product per pair of rows, from H's coefficients in y
+  evaluated once per row and the powers of y, written as contiguous real
+  and imaginary parts; |H|**(-beta) is one log and one exp of |H|**2.  A
+  block's argument steps are scanned only when its argument range allows a
+  jump.  G is applied to the kept outputs of the row FFTs of
   H**(-beta) rather than at every node.
 
 Exact tables are stored for (H/h00)**(-beta); the scalar h00**(-beta) is
@@ -117,10 +119,15 @@ class CoefficientTable:
             raise ConfigError("target outside the oracle box")
 
     def value(self, r: int, s: int):
-        """Entry value at current precision (prefactor folded in)."""
+        """Entry value at current precision (prefactor folded in).
+
+        An exact entry is its numerator over its scale rounded once
+        (``ScaledRow.value``): no Fraction is built, and the bits equal
+        ``to_mpf`` of the reduced entry.
+        """
         self._check(r, s)
         if self.series is not None:
-            return exact_value(self.series.coeffs[r][s], self.prefactor)
+            return exact_value(self.series.coeffs[r].value(s), self.prefactor)
         return to_mpc(complex(self.values[r, s]))
 
     def csv_cells(self):
@@ -146,7 +153,7 @@ class CoefficientTable:
         """log10 |entry|, exact path overflow-safe; -inf for a zero entry."""
         self._check(r, s)
         if self.series is not None:
-            return exact_log10_abs(self.series.coeffs[r][s], self.prefactor)
+            return exact_log10_abs(self.series.coeffs[r].value(s), self.prefactor)
         v = abs(complex(self.values[r, s]))
         return mp.ninf if v == 0 else mp.log(to_mpf(v), 10)
 
@@ -155,14 +162,14 @@ class CoefficientTable:
         return 0.0 if self.errors is None else float(self.errors[r, s])
 
 
-def exact_value(c: Fraction, prefactor: Prefactor):
-    """c times the prefactor, at current precision."""
+def exact_value(c, prefactor: Prefactor):
+    """c (a Fraction or an mpf) times the prefactor, at current precision."""
     v = to_mpf(c)
     return v if prefactor.is_one() else v * prefactor.value()
 
 
-def exact_log10_abs(c: Fraction, prefactor: Prefactor):
-    """log10 |c times the prefactor|, overflow-safe; -inf for c = 0."""
+def exact_log10_abs(c, prefactor: Prefactor):
+    """log10 |c times the prefactor|, overflow-safe; -inf for c = 0; c as in ``exact_value``."""
     if c == 0:
         return mp.ninf
     return mp.log(abs(to_mpf(c)), 10) + prefactor.log10_abs()
@@ -499,12 +506,13 @@ def quadrature_values(
     is real on it: ``ray_argument`` gives arg H(0, 0)), tracked down the
     theta2 = 0 column (``eval_array``), then along theta2
     (``_tracked_argument``: one arctan2 per node, and 2 pi added or taken
-    away after each crossing of the negative real axis).  That branch of
-    Phi = H^(-beta) is periodic only when arg H turns by 0 round the column
-    and round every row; a zero of H inside the polydisk off the positive
-    ray can make it turn by 2 pi.  H and G have real coefficients and the
-    radii are real, so H(conj x, conj y) = conj H(x, y), the tracked
-    argument maps to 2*anchor - arg H, and Phi, like F = G*Phi, has
+    away after each crossing of the negative real axis; a block whose
+    arguments span less than ``_JUMP_LIMIT`` takes no step scan).  That
+    branch of Phi = H^(-beta) is periodic only when arg H turns by 0 round
+    the column and round every row; a zero of H inside the polydisk off the
+    positive ray can make it turn by 2 pi.  H and G have real coefficients
+    and the radii are real, so H(conj x, conj y) = conj H(x, y), the
+    tracked argument maps to 2*anchor - arg H, and Phi, like F = G*Phi, has
     Phi(conj x, conj y) = phi*conj Phi(x, y) with phi = exp(-2i*beta*anchor).
 
     Only rows 0..N1/2 of the theta1 grid are evaluated, in blocks of
@@ -521,12 +529,13 @@ def quadrature_values(
     and not used.  The tracker tests |H|^2 against floor^2, with no square
     root, and |H|^(-beta) is exp(-beta/2 * log |H|^2).  Each block scales
     the tracked argument by -beta/2 once and takes the phase of Phi from
-    tan(-beta*arg/2) (``_polar``).  It runs one row FFT
-    and keeps outputs -J..S of it, J = deg_y G, indices mod the row's
-    length.  The half grid's nodes on an even row are every other node of
-    that row, so output s of the half grid's row FFT is the mean of outputs
-    s and s + N2/2 of the full row's; the block keeps that mean for its
-    even rows.  Row N1 - k of a kept strip is phi times the conjugate of
+    tan(-beta*arg/2) (``_polar``).  It runs one row FFT, in place in the
+    block's complex buffer, so no block allocates its transform, and keeps
+    outputs -J..S of it, J = deg_y G, indices mod the row's length.  The
+    half grid's nodes on an even row are every other node of that row, so
+    output s of the half grid's row FFT is the mean of outputs s and
+    s + N2/2 of the full row's; the block keeps that mean for its even
+    rows.  Row N1 - k of a kept strip is phi times the conjugate of
     row k.  G is applied to the strips: output s of the row FFT of y^j*Phi
     is c2^j times output s - j of that of Phi, so output s of the row FFT
     of F is sum_j g_j(x)*c2^j*(output s - j), with g_j(x) = [y^j] G.  A
@@ -590,10 +599,9 @@ def quadrature_values(
         np.log(m, out=m)
         m *= -0.5 * b
         np.exp(m, out=m)
-        rows = np.fft.fft(_polar(m, a, q, out=w), axis=1)
-        full[lo:hi] = rows[:, cols]
-        half[lo // 2 : (hi + 1) // 2] = (rows[::2, cols] + rows[::2, upper]) * 0.5
-        del rows  # freed before the next block's transform is allocated
+        np.fft.fft(_polar(m, a, q, out=w), axis=1, out=w)
+        full[lo:hi] = w[:, cols]
+        half[lo // 2 : (hi + 1) // 2] = (w[::2, cols] + w[::2, upper]) * 0.5
     phi = np.exp(-2j * b * anchor)  # Phi(conj x, conj y) = phi * conj Phi(x, y)
     for n, strip in ((N1 // 2, full), (N1 // 4, half)):
         strip[n + 1 :] = phi * np.conj(strip[n - 1 : 0 : -1])
@@ -659,7 +667,7 @@ def _tracked_argument(
 ) -> bool:
     """|W|^2 into ``sq``, arg W tracked along each row into ``arg``; whether a row winds.
 
-    ``re`` and ``im`` hold Re W and Im W and are overwritten; all four
+    ``re`` and ``im`` hold Re W and Im W and may be overwritten; all four
     arrays are C-contiguous float arrays of one two-dimensional shape.
     Raises ``BranchTrackingError`` when |W|^2 is at most ``floor``^2
     somewhere, then when an argument step along a row is at least
@@ -672,7 +680,10 @@ def _tracked_argument(
     limit.  ``arg`` ends as A plus -2 pi*sign(d) after each crossing, so its
     first node stays A[0].  A row winds exactly when its signed crossings,
     the wrap step from the last node back to the first counted, do not sum
-    to 0.
+    to 0.  The steps are scanned only where a jump is possible: when
+    max A - min A over the whole array is below the limit, every |d|, the
+    wrap step's included, is too, so no step jumps or crosses, ``arg`` is A
+    and no row winds.  A NaN fails that test and goes to the scan.
     """
     np.arctan2(im, re, out=arg)
     np.multiply(re, re, out=sq)
@@ -680,6 +691,8 @@ def _tracked_argument(
     sq += im
     if sq.min() <= floor * floor:
         raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
+    if arg.max() - arg.min() < _JUMP_LIMIT:
+        return False  # no step, the wrap step included, can jump or cross
     # One pass over the flat buffer; column 0 would hold the step from the
     # row above, and holds 0.
     scratch = re

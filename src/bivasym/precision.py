@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 DEFAULT_PRECISION = 128
 MIN_PRECISION = 24
@@ -48,10 +49,38 @@ def power_of_two(k: int) -> mpf:
     return mpf(2) ** k
 
 
+def rational_mpf(num: int, den: int) -> mpf:
+    """num/den, den > 0, rounded once to nearest at current precision.
+
+    The pair need not be in lowest terms: no gcd is taken, and every pair
+    of one rational gives the same bits.  As in mpmath's ``mpf_div``, the
+    integer quotient keeps at least 5 bits past the precision, and a
+    remainder sets one more bit below them, so rounding the quotient rounds
+    num/den.  Neither integer is normalized first: mpmath strips trailing
+    zero bits a byte at a time, which on a scale such as 10^(400k) costs
+    far more than the division.  An exact quotient is stripped in one step.
+    """
+    if not num:
+        return mpf(0)
+    n = -num if num < 0 else num
+    extra = max(mp.prec + 5 - n.bit_length() + den.bit_length(), 5)
+    quot, rem = divmod(n << extra, den)
+    if rem:
+        quot, extra = (quot << 1) | 1, extra + 1
+    else:
+        zeros = (quot & -quot).bit_length() - 1
+        quot, extra = quot >> zeros, extra - zeros
+    return mp.make_mpf(from_man_exp(-quot if num < 0 else quot, -extra, mp.prec, round_nearest))
+
+
 def to_mpf(x) -> mpf:
-    """Convert an int/Fraction/float/mpf to an mpf at current precision."""
+    """Convert an int/Fraction/float/mpf to an mpf at current precision.
+
+    A Fraction is rounded once (``rational_mpf``), not as the quotient of
+    its rounded numerator and denominator.
+    """
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / mpf(x.denominator)
+        return rational_mpf(x.numerator, x.denominator)
     return mpf(x)
 
 

@@ -20,7 +20,7 @@ from mpmath import mp, mpf
 
 from .bivariate import BivariatePolynomial
 from .errors import BoxMismatch
-from .precision import to_mpf
+from .precision import rational_mpf, to_mpf
 from .rationals import format_rational, rational_power
 
 Box = Tuple[int, int]
@@ -90,6 +90,10 @@ class ScaledRow(Sequence):
             return [self[k] for k in range(len(self.nums))[s]]
         s = range(len(self.nums))[s]
         return Fraction(self.nums[s], self.scales[self.r + s])
+
+    def value(self, s: int) -> mpf:
+        """Entry s rounded once at current precision, with no Fraction and no gcd."""
+        return rational_mpf(self.nums[s], self.scales[self.r + s])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, ScaledRow)):
@@ -175,14 +179,21 @@ def poly_times_series(p: BivariatePolynomial, b: TruncatedSeries) -> TruncatedSe
     With b's entries n[r][s] / scales[r + s], scales[k] = scales[0] * w**k
     and L the lcm of the denominators of p, the product's entry (r, s) is
     sum c_ij * L * w**(i+j) * n[r-i][s-j] over the scale L * scales[r + s].
+    A constant term whose integer factor is 1 copies b's rows.
     """
     R, S = b.box
     nums, scales = [row.nums for row in b.coeffs], b.coeffs[0].scales
     w = scales[1] // scales[0] if len(scales) > 1 else 1
     L = math.lcm(*(c.denominator for c in p.terms.values()))
-    out = [[0] * (S + 1) for _ in range(R + 1)]
-    for (i, j), c in p.terms.items():
-        m = c.numerator * (L // c.denominator) * w ** (i + j)
+    factors = {
+        (i, j): c.numerator * (L // c.denominator) * w ** (i + j) for (i, j), c in p.terms.items()
+    }
+    if factors.get((0, 0)) == 1:
+        del factors[0, 0]
+        out = [list(row) for row in nums]
+    else:
+        out = [[0] * (S + 1) for _ in range(R + 1)]
+    for (i, j), m in factors.items():
         for r in range(i, R + 1):
             orow, src = out[r], nums[r - i]
             for s in range(j, S + 1):

@@ -94,6 +94,25 @@ def test_local_data_rejects_vanishing_hx(diag_direction):
         local_data(H, pt, diag_direction)
 
 
+def test_local_data_refuses_an_axis_point():
+    # axis_point's H = 1 + x - 2y + y^2 has the smooth 1:1 critical point
+    # (0, 1); M divides by p, so the refusal comes before the division.
+    spec = parse_problem((PROBLEMS / "axis_point.json").read_text())
+    pt = _point(spec.H, spec.direction, 0, 1)
+    assert pt.p == 0 and abs(pt.q - 1) < mpf(10) ** -30
+    with pytest.raises(HypothesisFailure) as info:
+        local_data(spec.H, pt, spec.direction)
+    assert info.value.name == "p_nonzero"
+    with pytest.raises(HypothesisFailure) as info:
+        estimate_general(spec.H, spec.G, spec.beta, [pt], 40, 40, spec.direction)
+    assert info.value.name == "p_nonzero"
+    # q = 0 is refused the same way: H = 1 + y - x, any direction.
+    H = BivariatePolynomial.from_items([(0, 0, "1"), (0, 1, "1"), (1, 0, "-1")])
+    with pytest.raises(HypothesisFailure) as info:
+        local_data(H, CriticalPoint(p=mpc(1), q=mpc(0)), spec.direction)
+    assert info.value.name == "q_nonzero"
+
+
 # ----------------------------------------------------------------------
 # Branch rays
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from bivasym import (
     BivariatePolynomial,
@@ -20,8 +21,8 @@ from bivasym import (
 )
 from bivasym.cli import main
 from bivasym.errors import BranchTrackingError, ConfigError, EvaluationOverflow, SingularAtOrigin
-from bivasym.oracle import quadrature_values, table_to_csv
-from bivasym.precision import to_mpf
+from bivasym.oracle import exact_log10_abs, exact_value, quadrature_values, table_to_csv
+from bivasym.precision import rational_mpf, to_mpf, working_precision
 from bivasym.problem import parse_problem
 from bivasym.rationals import binomial_general
 from bivasym.series import Prefactor
@@ -306,11 +307,75 @@ def test_reading_one_entry_reduces_only_that_entry(monkeypatch, multinomial_h):
     assert built == []
     value = table.value(100, 100)
     log10 = table.log10_abs(100, 100)
-    assert len(built) == 2 and built[0] == built[1]
+    # The entry is rounded from its numerator and scale: no Fraction at all.
+    assert built == []
     assert closed_table.value(100, 100) == value
     closed, _ = coeff_linear_closed_form(F(1), F(-1), F(-1), F(1, 2), 100, 100)
     assert value == to_mpf(closed)
     assert abs(log10 - mp.log(value, 10)) < mpf(10) ** (-30)
+
+
+def _half_ulp_from(v, f: F) -> bool:
+    """Whether the mpf v lies within half a unit in the last place of ``mp.prec`` bits of f."""
+    sign, man, exp, bc = v._mpf_
+    ulp = F(2) ** (exp + bc - mp.prec)
+    return abs((-1) ** sign * man * F(2) ** exp - f) <= ulp / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-(10**80), 10**80),
+    st.integers(1, 10**80),
+    st.integers(1, 10**20),
+    st.integers(0, 600),
+    st.sampled_from([24, 53, 64, 128, 256]),
+)
+def test_rational_mpf_rounds_once_to_nearest(num, den, k, shift, bits):
+    # An unreduced pair, with trailing zero bits or not, gives mpmath's
+    # correctly rounded num/den: exact quotients, and quotients a hair
+    # either side of a tie between two bits-bit mantissas M, included.
+    M = 2 ** (bits - 1) + 2 * (abs(num) % 2 ** (bits - 3))
+    ties = [((2 * M + 1) * den + e, 2 * den) for e in (-1, 1)]
+    with working_precision(bits):
+        for a, b in [(num, den), (num * den, den), (num << shift, den), (num, den << shift)] + ties:
+            want = from_rational(a, b, bits, round_nearest)
+            assert rational_mpf(a * k, b * k)._mpf_ == want
+            assert to_mpf(F(a, b))._mpf_ == want
+
+
+# beyond_double_point's entries have about 8,000 digits, and reducing one
+# costs milliseconds: only its diagonal and last row are read.
+@pytest.mark.parametrize(
+    "name, box, cells",
+    [
+        ("color_swap", (70, 35), lambda R, S: [(r, s) for r in range(R + 1) for s in range(S + 1)]),
+        (
+            "beyond_double_point",
+            (40, 40),
+            lambda R, S: sorted({(k, k) for k in range(R + 1)} | {(R, s) for s in range(S + 1)}),
+        ),
+    ],
+)
+def test_exact_reads_round_once_with_no_fraction(monkeypatch, name, box, cells):
+    spec = parse_problem((ROOT / "problems" / f"{name}.json").read_text())
+    table = coeff_recurrence(spec.H, spec.G, spec.beta, box)
+    targets = cells(*box)
+    reduced = [table.series.coeffs[r][s] for r, s in targets]
+    built = _count_fractions(monkeypatch)
+    for bits in (64, 128, 256):
+        with working_precision(bits):
+            got = [(table.value(r, s), table.log10_abs(r, s)) for r, s in targets]
+            assert built == []
+            for (v, log10), c in zip(got, reduced):
+                assert v._mpf_ == exact_value(c, table.prefactor)._mpf_
+                assert log10 == exact_log10_abs(c, table.prefactor)
+            if name == "color_swap":
+                # Rounded once to nearest: mpmath's own rational conversion.
+                for (r, s), (v, _) in zip(targets, got):
+                    row = table.series.coeffs[r]
+                    exact = from_rational(row.nums[s], row.scales[r + s], bits, round_nearest)
+                    assert v._mpf_ == exact
+                assert all(_half_ulp_from(v, c) for (v, _), c in zip(got, reduced))
 
 
 def test_quadrature_export_reads_each_exact_entry_once(monkeypatch, tmp_path):

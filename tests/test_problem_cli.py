@@ -467,6 +467,26 @@ def test_whole_curve_critical_exit_70(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bits", ["64", "128", "256"])
+@pytest.mark.parametrize("command", ["solve", "estimate", "compare"])
+def test_coefficient_beyond_doubles_exit_70(tmp_path, capfd, command, bits):
+    # H = 1 - 10^310 x - 10^310 y: a coefficient past the double range is
+    # refused by name, on one line of stderr, with no traceback.
+    big = str(10**310)
+    spec = {
+        "H": [[0, 0, "1"], [1, 0, "-" + big], [0, 1, "-" + big]],
+        "beta": "1/2",
+        "direction": "1:1",
+        "targets": [[40, 40]],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(spec))
+    assert main([command, "--spec", str(path), "--precision", bits]) == 70
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coefficient of x^1 y^0 is beyond the double range\n"
+
+
 def test_precision_flag(multinomial_spec_file, tmp_path):
     out = tmp_path / "est.json"
     code = main(

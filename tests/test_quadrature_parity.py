@@ -7,10 +7,14 @@ per pair of rows from H's power basis in y (``_pair_products``), within
 8*eps times H's magnitude sum of ``eval_array`` at every node.  arg H is
 one arctan2 per node, with 2 pi added or taken away after each crossing
 of the negative real axis, and |H|^2 is tested against the vanishing
-floor squared (``_tracked_argument``).  Each block runs one row FFT of
-Phi = H^(-beta) and keeps its outputs -deg_y G..S; on even rows, output s
-of the half grid's row FFT is the mean of outputs s and s + N2/2 of that
-one.  H and G have real coefficients and the radii are real, so
+floor squared (``_tracked_argument``).  A block whose arguments span
+less than ``_JUMP_LIMIT`` skips the step scan;
+``reference_tracked_argument`` scans every block, and the two give the
+same |W|^2, argument, winding and errors on blocks below and above that
+limit.  Each block runs one row FFT of Phi = H^(-beta), in place, and
+keeps its outputs -deg_y G..S; on even rows, output s of the half grid's
+row FFT is the mean of outputs s and s + N2/2 of that one.  H and G have
+real coefficients and the radii are real, so
 Phi(conj x, conj y) = phi*conj Phi(x, y) with phi = exp(-2i*beta*anchor),
 and row N1 - k of a kept strip is phi times the conjugate of row k.  G is
 applied to the strip: output s of the row FFT of y^j*Phi is c2^j times
@@ -213,6 +217,88 @@ T = 2.0 * np.pi * np.arange(2048) / 2048
 RHO = 1.0 + 0.5 * np.cos(3 * T)
 
 
+def reference_tracked_argument(re, im, floor, sq, arg):
+    """``_tracked_argument`` with the step scan on every block, whatever its argument range."""
+    np.arctan2(im, re, out=arg)
+    np.multiply(re, re, out=sq)
+    np.multiply(im, im, out=im)
+    sq += im
+    if sq.min() <= floor * floor:
+        raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
+    scratch = re
+    flat = scratch.ravel()
+    np.subtract(arg.ravel()[1:], arg.ravel()[:-1], out=flat[1:])
+    scratch[:, 0] = 0.0
+    np.abs(flat, out=flat)
+    size = scratch[:, 1:]
+    wrap = arg[:, 0] - arg[:, -1]
+    turns = np.where(np.abs(wrap) > np.pi, np.sign(wrap), 0.0)
+    if flat.max() >= _JUMP_LIMIT:
+        if np.any((size >= _JUMP_LIMIT) & (size <= 2 * np.pi - _JUMP_LIMIT)):
+            raise BranchTrackingError("branch tracking failed; refine grid")
+        hot = np.flatnonzero(np.any(size > np.pi, axis=1))
+        d = np.diff(arg[hot], axis=1)
+        crossings = np.cumsum(np.where(np.abs(d) > np.pi, np.sign(d), 0.0), axis=1)
+        arg[hot, 1:] -= 2 * np.pi * crossings
+        turns[hot] += crossings[:, -1]
+    return bool(turns.any())
+
+
+def _outcome(tracker, W):
+    """(|W|^2, tracked argument, winds) of the rows of W, or the error's message."""
+    sq, arg = np.empty((2,) + W.shape)
+    try:
+        winds = tracker(W.real.copy(), W.imag.copy(), 1e-9, sq, arg)
+    except BranchTrackingError as exc:
+        return str(exc)
+    return sq, arg, winds
+
+
+def _nan_at(W, n):
+    W = W.copy()
+    W.flat[n] = np.nan
+    return W
+
+
+CALM = np.stack([RHO * np.exp(1j * k * 0.3 * np.sin(T + k)) for k in range(1, 4)])
+CROSSING = RHO * np.exp(1j * (np.pi + 2.5 * np.sin(T)))
+JUMP_ROW = RHO * np.exp(0.96j * np.pi * (np.arange(T.size) >= T.size // 2))
+# name: (block of rows, whether its arguments span less than _JUMP_LIMIT,
+# whether a row winds or the error's message)
+TRACKED_BLOCKS = {
+    "calm rows": (CALM, True, False),
+    "arguments from -0.47 pi to 0.47 pi": (
+        np.stack([RHO * np.exp(0.47j * np.pi * np.sin(T))]), True, False
+    ),
+    "arguments from -0.48 pi to 0.48 pi": (
+        np.stack([RHO * np.exp(0.48j * np.pi * np.sin(T))]), False, False
+    ),
+    "calm rows and a row crossing the cut": (np.vstack([CALM, CROSSING]), False, False),
+    "a jump": (np.stack([JUMP_ROW]), False, "branch tracking failed; refine grid"),
+    "a winding row": (np.vstack([CALM, RHO * np.exp(1j * T)]), False, True),
+    "a zero": (
+        np.vstack([CALM, RHO * np.sin(T)]), False,
+        "branch tracking failed; H nearly vanishes on the torus",
+    ),
+    "a NaN among calm rows": (_nan_at(CALM, 5000), False, False),
+    "a NaN in a row crossing the cut": (_nan_at(np.vstack([CALM, CROSSING]), 7000), False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACKED_BLOCKS))
+def test_step_scan_only_where_a_jump_is_possible(name):
+    W, below_limit, outcome = TRACKED_BLOCKS[name]
+    A = np.arctan2(W.imag, W.real)
+    assert (np.max(A) - np.min(A) < _JUMP_LIMIT) == below_limit
+    got, want = _outcome(_tracked_argument, W), _outcome(reference_tracked_argument, W)
+    if isinstance(want, str):
+        assert got == want == outcome
+        return
+    assert got[2] == want[2] == outcome
+    for a, b in zip(got[:2], want[:2]):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
 # Half a step later, the wrap step from the last node to the first crosses
 # the cut too.
 @pytest.mark.parametrize("shift", [0.0, np.pi / T.size])
@@ -396,15 +482,19 @@ def test_quadrature_reuses_its_block_buffers():
     # Blocks of 16 x 2048 nodes: a complex temporary of each block would be
     # 512 KB, which the allocator maps and unmaps, about 8,300 page faults
     # a call; the buffers allocated once per call take a few hundred.
+    # Blocks of 2 x 16384 nodes: an FFT output of each block's own would be
+    # 512 KB too, 46,000-54,000 page faults a call; the row FFT runs in
+    # place in the block's buffer.
     import resource
 
     H, G, beta, radii = CASES["color_swap"]
-    cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=(2048, 2048))
-    quadrature_values(H, G, beta, cfg)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    quadrature_values(H, G, beta, cfg)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults < 2500, faults
+    for grid in ((2048, 2048), (512, 16384)):
+        cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=grid)
+        quadrature_values(H, G, beta, cfg)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        quadrature_values(H, G, beta, cfg)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 2500, (grid, faults)
 
 
 def test_polar_matches_cos_and_sin():

@@ -95,8 +95,8 @@ def windings(count: int):
         except BivasymError:
             continue
         for i, pt in enumerate(points):
-            # local_data divides by p and q, and the ray is taken in doubles.
-            if not pt.smooth or not all(pt.abs_pq) or math.isinf(max(pt.moduli)):
+            # The ray is taken in doubles; local_data refuses an axis point.
+            if not pt.smooth or math.isinf(max(pt.moduli)):
                 continue
             try:
                 ld = estimates.local_data(H, pt, direction)

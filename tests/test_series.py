@@ -101,6 +101,36 @@ def test_poly_times_scaled_series_stays_on_integers(box):
     assert poly_times_series(G, eager) == expected
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # Constant terms whose integer factor L*c_00 is 1: the rows are copied.
+        [(0, 0, "1"), (1, 0, "-1"), (1, 1, "-1")],
+        [(0, 0, "1/6"), (1, 0, "5/2"), (0, 2, "-1/3")],
+        [(0, 0, "1")],
+        # Factor 2, -1, and no constant term: the rows are multiplied.
+        [(0, 0, "1"), (1, 0, "1/2")],
+        [(0, 0, "-1"), (0, 1, "3")],
+        [(1, 0, "1"), (2, 1, "-7/5")],
+    ],
+)
+def test_poly_times_series_against_fractions(terms):
+    G = BivariatePolynomial.from_items(terms)
+    box = (6, 5)
+    scaled, eager, _ = _scaled(box, den=12, w=15)
+    before = [list(row.nums) for row in scaled.coeffs]
+    product = poly_times_series(G, scaled)
+    R, S = box
+    for r in range(R + 1):
+        for s in range(S + 1):
+            want = sum(
+                (c * eager[r - i, s - j] for (i, j), c in G.terms.items() if i <= r and j <= s),
+                F(0),
+            )
+            assert product[r, s] == want
+    assert [row.nums for row in scaled.coeffs] == before
+
+
 def test_scaled_shape_is_checked():
     with pytest.raises(ValueError):
         TruncatedSeries.scaled((1, 1), [[1, 2], [3]], [1, 2, 4])
