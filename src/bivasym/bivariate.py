@@ -124,10 +124,6 @@ class BivariatePolynomial:
     def coefficient(self, i: int, j: int) -> Fraction:
         return self.terms.get((i, j), Fraction(0))
 
-    def coefficient_scale(self) -> Fraction:
-        """Largest coefficient magnitude (0 for the zero polynomial)."""
-        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
-
     # -- arithmetic (exact) ----------------------------------------------
 
     def __add__(self, other) -> "BivariatePolynomial":

@@ -124,9 +124,6 @@ def local_data(
     q2m = q * q * m
 
     checks = {
-        "hx_nonzero": True,
-        "p_nonzero": True,
-        "q_nonzero": True,
         "phase_hessian_nonzero": abs(q2m) > SMOOTH_TOL**2,
         # A real part at rounding noise is no sign (as in ``_real_positive``).
         "saddle_real_part_positive": snap_noise(-q2m).real > 0,
@@ -397,13 +394,15 @@ def _saddle_sum(H, G, b: mpf, points, locals_: Sequence[LocalData], r: int, s: i
             f"target ({r},{s}) drifts from direction {direction} "
             f"by {drift}; estimate uses the solve direction"
         )
-    # Judged against the largest contribution: where they cancel, the value
-    # is itself rounding noise.
+    # Every coefficient carries the phase of H(0,0)^(-beta), so the value
+    # turned back by it is real.  Judged against the largest contribution:
+    # where they cancel, the value is itself rounding noise.
     if peak != mp.ninf and _conjugate_closed(points):
-        if abs(value.imag) > 1e-8 * mp.exp(peak):
+        residue = (value * mp.expj(b * anchor)).imag
+        if abs(residue) > 1e-8 * mp.exp(peak):
             warnings.append(
                 "conjugate-cancellation failed: imaginary part "
-                f"{mp.nstr(value.imag, 5)} survives; square-root branch suspect"
+                f"{mp.nstr(residue, 5)} survives; square-root branch suspect"
             )
 
     return AsymptoticEstimate(

@@ -3,7 +3,8 @@
 All floating computation in the package runs on mpmath's global context.
 The precision (in bits of significand) is a single package-wide setting so
 that every tolerance downstream is stated against one precision.  Default
-is a 128-bit significand.
+is a 128-bit significand.  ``round_ratio`` rounds an exact ratio of ints
+once: table entries, Fractions and exact polynomial values all pass it.
 """
 
 from __future__ import annotations
@@ -49,28 +50,29 @@ def power_of_two(k: int) -> mpf:
     return mpf(2) ** k
 
 
-def rational_mpf(num: int, den: int) -> mpf:
-    """num/den, den > 0, rounded once to nearest at current precision.
+def round_ratio(v: int, exp: int, den: int) -> tuple:
+    """The mpf tuple of ``v * 2^exp / den``, den > 0, rounded once to ``mp.prec``, to nearest.
 
-    The pair need not be in lowest terms: no gcd is taken, and every pair
-    of one rational gives the same bits.  As in mpmath's ``mpf_div``, the
-    integer quotient keeps at least 5 bits past the precision, and a
-    remainder sets one more bit below them, so rounding the quotient rounds
-    num/den.  Neither integer is normalized first: mpmath strips trailing
-    zero bits a byte at a time, which on a scale such as 10^(400k) costs
-    far more than the division.  An exact quotient is stripped in one step.
+    No gcd is taken: every pair of one rational gives the same bits.  Off
+    a power of two, the quotient keeps at least ``prec + 3`` bits and a
+    sticky bit for a nonzero remainder, so the one rounding is correct.
+    Neither integer is normalized first: mpmath strips trailing zero bits
+    a byte at a time, which on a scale such as 10^(400k) costs far more
+    than the division.
     """
-    if not num:
-        return mpf(0)
-    n = -num if num < 0 else num
-    extra = max(mp.prec + 5 - n.bit_length() + den.bit_length(), 5)
-    quot, rem = divmod(n << extra, den)
-    if rem:
-        quot, extra = (quot << 1) | 1, extra + 1
-    else:
-        zeros = (quot & -quot).bit_length() - 1
-        quot, extra = quot >> zeros, extra - zeros
-    return mp.make_mpf(from_man_exp(-quot if num < 0 else quot, -extra, mp.prec, round_nearest))
+    k = den.bit_length() - 1
+    if den != 1 << k:
+        m = -v if v < 0 else v
+        shift = max(0, mp.prec + 4 + k - m.bit_length())
+        q, r = divmod(m << shift, den)
+        m = (q << 1) | (r > 0)
+        v, exp, k = (-m if v < 0 else m), exp - shift - 1, 0
+    return from_man_exp(v, exp - k, mp.prec, round_nearest)
+
+
+def rational_mpf(num: int, den: int) -> mpf:
+    """num/den, den > 0, rounded once to nearest at current precision (``round_ratio``)."""
+    return mp.make_mpf(round_ratio(num, 0, den))
 
 
 def to_mpf(x) -> mpf:

@@ -7,6 +7,8 @@ m and n.  At each sample point x = 0, 1, ..., past the degree bound, every
 y-coefficient is evaluated once and the integer Sylvester determinant is
 taken by Bareiss elimination.  Forward differences recover the integer
 polynomial, and the factor ``a^n * b^m`` is divided out once at the end.
+One route serves every y-degree: a y-free f makes the Sylvester matrix
+f times the n x n identity (f^n), and with g also y-free it is empty (1).
 
 The first subresultant ``S1 = sigma1(x)*y + sigma0(x)`` comes from the same
 integer rows, sample points and interpolation: its two coefficients are
@@ -27,7 +29,7 @@ from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from .bivariate import BivariatePolynomial
-from .unipoly import UPoly, _int_gcd, bareiss_minors, eval_at, is_zero, mul
+from .unipoly import UPoly, _int_gcd, bareiss_minors, eval_at, is_zero
 
 
 def sylvester_matrix(f_rows: Sequence, g_rows: Sequence, k: int = 0) -> List[list]:
@@ -76,13 +78,6 @@ def resultant_eliminating(f: BivariatePolynomial, g: BivariatePolynomial) -> UPo
 
     m = f.degree_y()
     n = g.degree_y()
-    if m == 0 and n == 0:
-        return [Fraction(1)]
-    if m == 0:
-        return _power(f.coeffs_in_y()[0], n)
-    if n == 0:
-        return _power(g.coeffs_in_y()[0], m)
-
     a, f_ints = f.integer_coeffs_in_y()
     b, g_ints = g.integer_coeffs_in_y()
     bound = n * f.degree_x() + m * g.degree_x()
@@ -145,15 +140,8 @@ def _interpolate_from_zero(values: Sequence[int]) -> List[int]:
     return out
 
 
-def _power(p: UPoly, n: int) -> UPoly:
-    out: UPoly = [Fraction(1)]
-    for _ in range(n):
-        out = mul(out, p)
-    return out
-
-
 def shares_positive_dimensional_zero(
-    f: BivariatePolynomial, g: BivariatePolynomial, res_y: Optional[UPoly] = None
+    f: BivariatePolynomial, g: BivariatePolynomial, res_y: UPoly
 ) -> bool:
     """True when f and g have a common factor, i.e. a curve of common zeros.
 
@@ -162,10 +150,7 @@ def shares_positive_dimensional_zero(
     y-coefficient of f (Gauss's lemma), so f and g share one exactly when
     the gcd in Q[x] of all their y-coefficients is not constant.  It is
     taken over the integer rows of ``integer_coeffs_in_y``: scaling by a
-    constant changes no factor.  ``res_y`` is the eliminant of y when the
-    caller has it already.
+    constant changes no factor.  ``res_y`` is ``resultant_eliminating(f, g)``.
     """
-    if res_y is None:
-        res_y = resultant_eliminating(f, g)
     rows = f.integer_coeffs_in_y()[1] + g.integer_coeffs_in_y()[1]
     return is_zero(res_y) or len(reduce(_int_gcd, rows)) > 1

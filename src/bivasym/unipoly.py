@@ -10,9 +10,9 @@ Every value at a working-precision point is computed here too, exactly:
 ``exact_form`` puts the coefficients over one denominator as Gaussian
 ints, ``dyadic`` reads the point's parts as ``(a + b*i) / 2^s`` from their
 ``_mpf_`` tuples, ``horner_exact`` runs Horner on ints, and
-``round_exact`` rounds the result once to ``mp.prec`` (``values_at`` does
-all four).  A value is then
-the correctly rounded value of the exact polynomial at the point.
+``round_exact`` rounds the result once by ``precision.round_ratio``
+(``values_at`` does all four).  A value is then the correctly rounded
+value of the exact polynomial at the point.
 
 A threshold test on such a value is settled in doubles first.
 ``double_values`` runs Horner in complex doubles and returns the value,
@@ -31,9 +31,10 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, round_nearest, to_float
+from mpmath.libmp import fzero, round_nearest, to_float
 
 from .errors import EvaluationOverflow
+from .precision import round_ratio
 
 UPoly = List[Fraction]
 
@@ -176,24 +177,8 @@ def horner_exact(re: Sequence[int], im: Optional[Sequence[int]], a: int, b: int,
 
 
 def round_exact(re: int, im: int, exp: int, den: int):
-    """The mpc ``(re + i*im) * 2^exp / den``, each part rounded once to ``mp.prec``, to nearest."""
-    return mp.make_mpc((_round_part(re, exp, den), _round_part(im, exp, den)))
-
-
-def _round_part(v: int, exp: int, den: int) -> tuple:
-    """The mpf tuple of ``v * 2^exp / den`` rounded once to ``mp.prec``, to nearest.
-
-    Off a power of two, the quotient keeps at least ``prec + 3`` bits and
-    a sticky bit for a nonzero remainder, so the one rounding is correct.
-    """
-    if den & (den - 1):
-        m = abs(v)
-        shift = max(0, mp.prec + 3 + den.bit_length() - m.bit_length())
-        q, r = divmod(m << shift, den)
-        m = (q << 1) | (r > 0)
-        v, exp = (-m if v < 0 else m), exp - shift - 1
-        den = 1
-    return from_man_exp(v, exp - den.bit_length() + 1, mp.prec, round_nearest)
+    """The mpc ``(re + i*im) * 2^exp / den``, each part rounded once by ``precision.round_ratio``."""
+    return mp.make_mpc((round_ratio(re, exp, den), round_ratio(im, exp, den)))
 
 
 def values_at(forms: Sequence[ExactForm], z) -> list:
@@ -424,20 +409,22 @@ def lagrange_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> UPol
 
 def determinant_int(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (1 for the empty one); see ``bareiss_minors``."""
-    return bareiss_minors(matrix)[0] if matrix else 1
+    return bareiss_minors(matrix)[0]
 
 
 def bareiss_minors(matrix: Sequence[Sequence[int]]) -> List[int]:
-    """Minors of an r x c integer matrix (0 < r <= c) by Bareiss elimination.
+    """Minors of an r x c integer matrix (0 <= r <= c) by Bareiss elimination.
 
     Entry ``t`` of the result is the determinant of the first r - 1 columns
-    together with column r - 1 + t, so a square matrix gives ``[det]``.
-    Each step's 2x2 cross-multiplication is divided exactly by the previous
-    pivot (Bareiss, Math. Comp. 22, 1968), so entries stay minors of the
-    input and no fraction is formed.  A zero pivot swaps in a lower row;
-    when there is none, the first r - 1 columns are dependent and every
-    minor is 0.
+    together with column r - 1 + t: a square matrix gives ``[det]``, the
+    empty one ``[1]``.  Each step's 2x2 cross-multiplication is divided
+    exactly by the previous pivot (Bareiss, Math. Comp. 22, 1968), so
+    entries stay minors of the input and no fraction is formed.  A zero
+    pivot swaps in a lower row; when there is none, the first r - 1 columns
+    are dependent and every minor is 0.
     """
+    if not matrix:
+        return [1]
     n, width = len(matrix), len(matrix[0])
     m = [list(row) for row in matrix]
     sign, prev = 1, 1

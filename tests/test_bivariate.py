@@ -155,7 +155,6 @@ def test_precision_context_changes_eval():
 def test_scale_and_degree_helpers(color_swap_h):
     assert color_swap_h.degree_x() == 2
     assert color_swap_h.degree_y() == 2
-    assert color_swap_h.coefficient_scale() == 2
     assert color_swap_h.coefficient(2, 1) == 2
 
 

@@ -23,6 +23,7 @@ from bivasym import (
     winding_number,
     working_precision,
 )
+from bivasym import estimates
 from bivasym.cli import report_critical_points
 from bivasym.errors import ConfigError, HypothesisFailure
 from bivasym.estimates import principal_on_ray
@@ -394,6 +395,43 @@ def test_conjugate_pair_cancellation(diag_direction):
     est = estimate_general(H, None, F(1, 2), pair, 60, 60, diag_direction)
     assert abs(est.value.imag) <= 1e-8 * abs(est.value)
     assert not est.warnings
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_value_with_the_phase_of_the_origin_gives_no_warning(bits):
+    # negative_origin's H(0,0) = -1: every coefficient of H^(-1/2) carries
+    # the phase of (-1)^(-1/2) = -i, and so does the estimate
+    # (-23601.25i at (10, 10)).  Turned back by that phase it is real.
+    spec = parse_problem((PROBLEMS / "negative_origin.json").read_text())
+    with working_precision(bits):
+        outcome = run_solve(spec)
+        exacts, prefactor = coefficients_at(spec.H, spec.G, spec.beta, spec.targets)
+        for (r, s), exact in zip(spec.targets, exacts):
+            est = estimate_target(spec, outcome, r, s)
+            assert not any("conjugate-cancellation" in w for w in est.warnings)
+            ratio = est.value / exact_value(exact, prefactor)
+            assert ratio.imag == 0 and abs(ratio.real - 1) < 0.02
+
+
+def test_conjugate_pair_with_a_wrong_winding_warns(diag_direction, monkeypatch):
+    # The conjugate pair of test_conjugate_pair_cancellation, with the
+    # winding of one point off by one: its contribution turns by 2*pi*beta
+    # = pi, and the imaginary parts no longer cancel.
+    H = BivariatePolynomial.from_items(
+        [(0, 0, "1"), (1, 0, "-1"), (0, 1, "-1"), (2, 0, "2")]
+    )
+    pair = [pt for pt in solve_critical(H, diag_direction) if abs(pt.p.imag) > 1e-8]
+    winding = estimates.winding_number
+    calls = []
+
+    def off_by_one_once(H, ld, ray):
+        calls.append(ld)
+        return winding(H, ld, ray) + (len(calls) == 1)
+
+    monkeypatch.setattr(estimates, "winding_number", off_by_one_once)
+    est = estimate_general(H, None, F(1, 2), pair, 60, 60, diag_direction)
+    assert len(calls) == 2
+    assert any("conjugate-cancellation failed" in w for w in est.warnings)
 
 
 def test_real_positive_rejections(multinomial_h, diag_direction):

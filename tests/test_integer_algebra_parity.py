@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bivasym import BivariatePolynomial, Direction, parse_problem
@@ -23,6 +23,7 @@ from bivasym.critical import critical_system
 from bivasym.errors import NonIsolatedCriticalSet
 from bivasym.resultant import resultant_eliminating, sylvester_matrix
 from bivasym.unipoly import (
+    bareiss_minors,
     degree,
     derivative,
     determinant_fraction,
@@ -124,6 +125,10 @@ def test_integer_eliminant_equals_fraction_route(eliminate):
         _check(f, g, eliminate)
 
 
+def _poly(terms):
+    return BivariatePolynomial({ij: Fraction(c) for ij, c in terms.items()})
+
+
 rational_polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
     st.fractions(min_value=-9, max_value=9, max_denominator=12),
@@ -134,6 +139,13 @@ rational_polys = st.dictionaries(
 
 @settings(max_examples=80, deadline=None)
 @given(rational_polys, rational_polys, st.sampled_from(["y", "x"]))
+# A y-degree 0 on either side, where the Sylvester matrix is diagonal and the
+# reference is the Fraction power f^n or g^m, and on both, where it is empty
+# and the eliminant 1.  The y-free x/2 - 1/2 and x^2/2 - x/2 vanish at the
+# sample points x = 1 and x = 0, 1.
+@example(_poly({(1, 0): "1/2", (0, 0): "-1/2"}), _poly({(0, 2): "1", (1, 1): "1", (0, 0): "-3"}), "y")
+@example(_poly({(0, 3): "1/3", (1, 1): "1", (0, 0): "1"}), _poly({(2, 0): "1/2", (1, 0): "-1/2"}), "y")
+@example(_poly({(1, 0): "1/3", (0, 0): "1"}), _poly({(0, 0): "2", (1, 0): "-1"}), "y")
 def test_rational_pairs_match_the_fraction_route(f, g, eliminate):
     # A non-integer coefficient makes the scaling a^n b^m differ from 1.
     assume(f and g and any(c.denominator > 1 for c in (*f.terms.values(), *g.terms.values())))
@@ -152,3 +164,4 @@ def test_fraction_determinant_is_the_integer_one_over_the_row_denominators():
     m = [[Fraction(1, 2), Fraction(2, 3)], [Fraction(3), Fraction(-4, 5)]]
     assert determinant_fraction(m) == fraction_determinant(m) == Fraction(-12, 5)
     assert determinant_int([[2, 0, 1], [0, 0, 3], [1, 4, 0]]) == -24
+    assert bareiss_minors([]) == [1] and determinant_int([]) == 1

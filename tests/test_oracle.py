@@ -22,7 +22,7 @@ from bivasym import (
 from bivasym.cli import main
 from bivasym.errors import BranchTrackingError, ConfigError, EvaluationOverflow, SingularAtOrigin
 from bivasym.oracle import exact_log10_abs, exact_value, quadrature_values, table_to_csv
-from bivasym.precision import rational_mpf, to_mpf, working_precision
+from bivasym.precision import rational_mpf, round_ratio, to_mpf, working_precision
 from bivasym.problem import parse_problem
 from bivasym.rationals import binomial_general
 from bivasym.series import Prefactor
@@ -328,19 +328,26 @@ def _half_ulp_from(v, f: F) -> bool:
     st.integers(1, 10**80),
     st.integers(1, 10**20),
     st.integers(0, 600),
-    st.sampled_from([24, 53, 64, 128, 256]),
+    st.integers(-600, 600),
+    st.sampled_from([24, 53, 64, 128, 256, 1024, 2048]),
 )
-def test_rational_mpf_rounds_once_to_nearest(num, den, k, shift, bits):
+def test_rational_mpf_rounds_once_to_nearest(num, den, k, shift, exp, bits):
     # An unreduced pair, with trailing zero bits or not, gives mpmath's
-    # correctly rounded num/den: exact quotients, and quotients a hair
-    # either side of a tie between two bits-bit mantissas M, included.
+    # correctly rounded num/den, and round_ratio its num * 2^exp / den:
+    # odd and power-of-two denominators, exact quotients, and quotients a
+    # hair either side of a tie between two bits-bit mantissas M, included.
     M = 2 ** (bits - 1) + 2 * (abs(num) % 2 ** (bits - 3))
     ties = [((2 * M + 1) * den + e, 2 * den) for e in (-1, 1)]
+    pairs = [(num, den), (num, den | 1), (num, 1 << shift), (num * den, den)]
+    pairs += [(num << shift, den), (num, den << shift)] + ties
     with working_precision(bits):
-        for a, b in [(num, den), (num * den, den), (num << shift, den), (num, den << shift)] + ties:
+        for a, b in pairs:
             want = from_rational(a, b, bits, round_nearest)
             assert rational_mpf(a * k, b * k)._mpf_ == want
             assert to_mpf(F(a, b))._mpf_ == want
+            a2, b2 = (a << exp, b) if exp >= 0 else (a, b << -exp)
+            want = from_rational(a2, b2, bits, round_nearest)
+            assert round_ratio(a, exp, b) == round_ratio(a * k, exp, b * k) == want
 
 
 # beyond_double_point's entries have about 8,000 digits, and reducing one

@@ -26,6 +26,10 @@ def bp(items):
     return BivariatePolynomial.from_items(items)
 
 
+def _shares(f, g) -> bool:
+    return shares_positive_dimensional_zero(f, g, resultant_eliminating(f, g))
+
+
 def test_linear_pair_gives_difference():
     # res_y(y - a(x), y - b(x)) = a(x) - b(x) up to sign
     f = bp([(0, 1, "1"), (1, 0, "-1")])        # y - x
@@ -49,7 +53,7 @@ def test_common_factor_vanishes_identically():
     f = common * bp([(0, 1, "1"), (1, 0, "1")])
     g = common * bp([(0, 0, "2"), (1, 0, "5")])
     assert is_zero(resultant_eliminating(f, g))
-    assert shares_positive_dimensional_zero(f, g)
+    assert _shares(f, g)
 
 
 def test_common_factor_in_x_only_detected():
@@ -59,7 +63,7 @@ def test_common_factor_in_x_only_detected():
     g = common * bp([(0, 2, "1"), (0, 0, "-5")])
     assert not is_zero(resultant_eliminating(f, g))
     assert is_zero(resultant_eliminating(f.swap_variables(), g.swap_variables()))
-    assert shares_positive_dimensional_zero(f, g)
+    assert _shares(f, g)
 
 
 def _two_eliminant_verdict(f, g) -> bool:
@@ -79,7 +83,7 @@ def _two_eliminant_verdict(f, g) -> bool:
     ],
 )
 def test_content_gcd_matches_two_eliminants_on_small_pairs(f, g):
-    assert shares_positive_dimensional_zero(f, g) == _two_eliminant_verdict(f, g)
+    assert _shares(f, g) == _two_eliminant_verdict(f, g)
 
 
 def test_content_gcd_matches_two_eliminants_on_solved_systems():
@@ -92,7 +96,7 @@ def test_content_gcd_matches_two_eliminants_on_solved_systems():
         spec = parse_problem(path.read_text())
         systems.append(critical_system(spec.H, spec.direction))
     for f, g in systems:
-        assert shares_positive_dimensional_zero(f, g) == _two_eliminant_verdict(f, g)
+        assert _shares(f, g) == _two_eliminant_verdict(f, g)
 
 
 def _fraction_row_verdict(f, g, res_y) -> bool:
@@ -128,7 +132,7 @@ def test_integer_row_gcd_matches_the_fraction_row_gcd():
 
 def test_no_common_factor_not_flagged(color_swap_h, color_swap_direction):
     f, g = critical_system(color_swap_h, color_swap_direction)
-    assert not shares_positive_dimensional_zero(f, g)
+    assert not _shares(f, g)
 
 
 def test_color_swap_eliminant_contains_reported_cubic(
