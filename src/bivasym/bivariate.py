@@ -25,7 +25,6 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 from mpmath import mpf
-from numpy.polynomial.polynomial import polyval, polyval2d
 
 from .errors import BranchTrackingError, EvaluationOverflow
 from .precision import to_mpc
@@ -41,6 +40,20 @@ from .unipoly import (
 )
 
 Exponent = Tuple[int, int]
+
+
+def polyval(x, c: np.ndarray):
+    """``sum_k c[k] x^k`` by Horner, as ``numpy.polynomial.polynomial.polyval(x, c)``.
+
+    The same operations in the same order give the same bits.  At an array
+    ``x`` the value has shape ``c.shape[1:] + x.shape`` (numpy's tensor
+    mode).  Importing ``numpy.polynomial`` would cost every process 2-6 ms.
+    """
+    c = c.reshape(c.shape + (1,) * np.ndim(x))
+    value = c[-1] + x * 0
+    for k in range(len(c) - 2, -1, -1):
+        value = c[k] + value * x
+    return value
 
 
 class BivariatePolynomial:
@@ -324,7 +337,7 @@ class BivariatePolynomial:
 
         It is 1e-9 of the magnitude sum ``sum |h_ij| |x|^i |y|^j``, in doubles.
         """
-        return 1e-9 * float(polyval2d(abs(x), abs(y), np.abs(self.float_coeffs())))
+        return 1e-9 * float(polyval(abs(y), polyval(abs(x), np.abs(self.float_coeffs()))))
 
     def ray_argument(self, a, b, t_end: float) -> Tuple[float, float]:
         """Continuous argument of h(t) = H(t*a, t*b) at t = 0 and at t = ``t_end``.

@@ -245,7 +245,8 @@ def cmd_compare(spec: ProblemSpec, args) -> int:
     values, prefactor = coefficients_at(spec.H, spec.G, spec.beta, spec.targets)
     lines = ["r,s,estimate_log10,estimate,exact_log10,exact,ratio"]
     ln10 = mp.log(10)
-    for (r, s), c in zip(spec.targets, values):
+    for k, (r, s) in enumerate(spec.targets):
+        c = values.value(k)  # rounded once from its numerator and scale, with no gcd
         exact_log10 = exact_log10_abs(c, prefactor)
         exact = f"{_digits(exact_log10)},{format_entry(exact_value(c, prefactor))}"
         if r == 0 or s == 0:

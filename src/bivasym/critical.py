@@ -44,13 +44,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp, mpc, mpf
-from numpy.polynomial.polynomial import polyval
 
 from .aberth import aberth_roots, roots_of_rational_poly
-from .bivariate import BivariatePolynomial
+from .bivariate import BivariatePolynomial, polyval
 from .errors import ConfigError, NonIsolatedCriticalSet, RootFindingError
 from .lattice import Characters, characters, root_of_unity
 from .precision import power_of_two, to_mpc, to_mpf
+from .problem import Direction
 from .resultant import first_subresultant, resultant_eliminating, shares_positive_dimensional_zero
 from .unipoly import (
     ExactForm,
@@ -66,36 +66,6 @@ PROBABLY_STRICTLY_MINIMAL = "probably_strictly_minimal"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 UNTESTED = "untested"
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Ratio direction r0:s0 (both >= 1, lowest terms); lambda = r0/s0."""
-
-    r0: int
-    s0: int
-
-    def __post_init__(self):
-        if self.r0 < 1 or self.s0 < 1:
-            raise ConfigError("direction components must be >= 1")
-        g = math.gcd(self.r0, self.s0)
-        object.__setattr__(self, "r0", self.r0 // g)
-        object.__setattr__(self, "s0", self.s0 // g)
-
-    @classmethod
-    def from_string(cls, text: str) -> "Direction":
-        try:
-            r0, s0 = text.split(":")
-            return cls(int(r0), int(s0))
-        except (AttributeError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad direction {text!r}; expected 'r0:s0'") from exc
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.r0, self.s0)
-
-    def __str__(self) -> str:
-        return f"{self.r0}:{self.s0}"
 
 
 # Fixed numeric thresholds, each relative to the scale it is compared with.

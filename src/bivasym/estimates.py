@@ -24,11 +24,12 @@ from typing import List, Optional, Sequence
 from mpmath import mp, mpc, mpf
 
 from .bivariate import BivariatePolynomial
-from .critical import IDENTITY_TOL, SMOOTH_TOL, CriticalPoint, Direction, same_torus, snap_noise
+from .critical import IDENTITY_TOL, SMOOTH_TOL, CriticalPoint, same_torus, snap_noise
 from .critical import apart, negligible
 from .errors import BranchTrackingError, ConfigError, HypothesisFailure
 from .gammafn import gamma_log
 from .precision import to_mpc, to_mpf
+from .problem import Direction
 
 TWO_PI = 2.0 * math.pi
 

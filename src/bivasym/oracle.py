@@ -47,13 +47,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp, mpc, mpf
-from numpy.polynomial.polynomial import polyval
 
-from .bivariate import BivariatePolynomial
+from .bivariate import BivariatePolynomial, polyval
 from .errors import BranchTrackingError, ConfigError, EvaluationOverflow, SingularAtOrigin
 from .precision import to_mpc, to_mpf
 from .rationals import binomial_general
-from .series import Prefactor, TruncatedSeries, poly_times_series
+from .series import Prefactor, ScaledRow, TruncatedSeries, poly_times_series
 
 Box = Tuple[int, int]
 
@@ -392,15 +391,17 @@ def coefficients_at(
     G: Optional[BivariatePolynomial],
     beta: Fraction,
     targets: Sequence[Tuple[int, int]],
-) -> Tuple[List[Fraction], Prefactor]:
+) -> Tuple[ScaledRow, Prefactor]:
     """Exact [x^r y^s] G*H**(-beta) at each target, without the full table.
 
     Streams the row kernel of ``coeff_recurrence`` up to the largest target
     row, over columns 0..max s, and keeps at most deg_x H + deg_x G + 1
     integer rows: the kernel reads rows a - i for i <= deg_x H and the
-    product with G rows r - i for i <= deg_x G.  Returns one Fraction per
-    target, in order, equal to ``coeff_recurrence``'s entry, and the
-    prefactor shared by all of them.
+    product with G rows r - i for i <= deg_x G.  Returns the targets' values,
+    in order, as a ``ScaledRow`` of integer numerators over their own
+    scales: entry k reads as the reduced Fraction equal to
+    ``coeff_recurrence``'s entry, and ``.value(k)`` rounds it once with no
+    gcd.  The prefactor is shared by all of them.
     """
     if any(r < 0 or s < 0 for r, s in targets):
         raise ConfigError("targets must be nonnegative")
@@ -408,21 +409,21 @@ def coefficients_at(
     w, terms = _integer_terms(H, beta)
     if G is None:
         G = BivariatePolynomial.constant(1)
+    g_den = math.lcm(*(c.denominator for c in G.terms.values()))
+    g_terms = [(i, j, c.numerator * (g_den // c.denominator)) for (i, j), c in G.terms.items()]
     R = max((r for r, _ in targets), default=-1)
     S = max((s for _, s in targets), default=0)
     kept = deque(maxlen=G.degree_x() + 1)
-    values = {}
+    nums, scales = {}, {}
     for a, row in enumerate(_integer_rows(terms, beta, R, S)):
         kept.append(row)
         for r, s in targets:
             if r == a:
-                total = sum(
-                    c * w ** (i + j) * kept[-1 - i][s - j]
-                    for (i, j), c in G.terms.items()
-                    if i <= r and j <= s
+                nums[r, s] = num * sum(
+                    c * w ** (i + j) * kept[-1 - i][s - j] for i, j, c in g_terms if i <= r and j <= s
                 )
-                values[r, s] = total * num / (den * w ** (r + s))
-    return [values[t] for t in targets], prefactor
+                scales[r, s] = g_den * den * w ** (r + s)
+    return ScaledRow([nums[t] for t in targets], [scales[t] for t in targets], 0), prefactor
 
 
 def coeff_linear_closed_form(

@@ -1,7 +1,9 @@
 """Problem files: JSON descriptions of one H, G, beta, direction, targets.
 
 Coefficients are exact rational strings ("'-3/64'"), never floats, so a
-problem file round-trips byte-for-byte through ``dump``.
+problem file round-trips byte-for-byte through ``dump``.  ``Direction``,
+the spec's ratio r0:s0, lives here too, so that a caller of the oracles
+alone can read a problem file without loading the solve layer.
 """
 
 from __future__ import annotations
@@ -13,9 +15,38 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .bivariate import BivariatePolynomial
-from .critical import Direction
 from .errors import ConfigError, SpecFileError
 from .rationals import format_rational, parse_rational
+
+
+@dataclass(frozen=True)
+class Direction:
+    """Ratio direction r0:s0 (both >= 1, lowest terms); lambda = r0/s0."""
+
+    r0: int
+    s0: int
+
+    def __post_init__(self):
+        if self.r0 < 1 or self.s0 < 1:
+            raise ConfigError("direction components must be >= 1")
+        g = math.gcd(self.r0, self.s0)
+        object.__setattr__(self, "r0", self.r0 // g)
+        object.__setattr__(self, "s0", self.s0 // g)
+
+    @classmethod
+    def from_string(cls, text: str) -> "Direction":
+        try:
+            r0, s0 = text.split(":")
+            return cls(int(r0), int(s0))
+        except (AttributeError, ValueError, TypeError) as exc:
+            raise ConfigError(f"bad direction {text!r}; expected 'r0:s0'") from exc
+
+    @property
+    def ratio(self) -> Fraction:
+        return Fraction(self.r0, self.s0)
+
+    def __str__(self) -> str:
+        return f"{self.r0}:{self.s0}"
 
 
 @dataclass

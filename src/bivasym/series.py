@@ -72,6 +72,8 @@ class ScaledRow(Sequence):
     """Row r of a scaled series: entry s is nums[s] / scales[r + s], reduced when read.
 
     ``==`` compares entry by entry with lists and other rows.
+    ``oracle.coefficients_at`` returns its targets as one row, with r = 0
+    and one scale per target.
     """
 
     __slots__ = ("nums", "scales", "r")

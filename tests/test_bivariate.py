@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,6 +122,43 @@ def test_eval_array_matches_mpmath_eval(p, xs, ys):
     curve = p.eval_array(np.array(xs[:n]), np.array(ys[:n]))
     assert curve.shape == (n,)
     assert all(close(v, x, y) for v, x, y in zip(curve, xs, ys))
+
+
+doubles = st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False)
+complexes = st.builds(complex, doubles, doubles)
+
+
+@st.composite
+def coefficient_arrays(draw, ndim):
+    shape = draw(st.tuples(*[st.integers(min_value=1, max_value=6)] * ndim))
+    values = draw(st.lists(doubles, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(values).reshape(shape)
+
+
+@given(coefficient_arrays(1), st.lists(complexes, min_size=1, max_size=12), st.booleans())
+@settings(max_examples=100)
+def test_horner_matches_numpy_at_complex_arrays(c, xs, as_column):
+    # eval_array's columns: 1-D coefficients at a vector or an (N1, 1) grid column.
+    x = np.array(xs).reshape((-1, 1) if as_column else (-1,))
+    assert np.array_equal(bivariate.polyval(x, c), P.polyval(x, c))
+
+
+@given(coefficient_arrays(2), st.lists(doubles, min_size=1, max_size=12), st.booleans())
+@settings(max_examples=100)
+def test_horner_tensor_mode_matches_numpy(c, xs, complex_nodes):
+    # The quadrature's power basis and the probe's slices: 2-D coefficients
+    # at a real or complex vector give one row per trailing index.
+    x = np.array(xs) * (np.exp(0.7j) if complex_nodes else 1.0)
+    assert np.array_equal(bivariate.polyval(x, c), P.polyval(x, c))
+
+
+@given(coefficient_arrays(2), st.floats(min_value=0, max_value=10), st.floats(min_value=0, max_value=10))
+@settings(max_examples=100)
+def test_horner_at_scalar_moduli_matches_numpy(c, x, y):
+    # The probe's coefficient magnitudes and vanish_floor's magnitude sum.
+    c = np.abs(c)
+    assert np.array_equal(bivariate.polyval(y, c.T), P.polyval(y, c.T))
+    assert np.array_equal(bivariate.polyval(y, bivariate.polyval(x, c)), P.polyval2d(x, y, c))
 
 
 def test_eval_deterministic_bits(color_swap_h):
