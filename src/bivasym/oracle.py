@@ -15,7 +15,9 @@ Three independent routes:
   evaluated once per row and the powers of y, written as contiguous real
   and imaginary parts; |H|**(-beta) is one log and one exp of |H|**2.  A
   block's argument steps are scanned only when its argument range allows a
-  jump.  G is applied to the kept outputs of the row FFTs of
+  jump.  With beta = 1/2, a row that stays within half the jump limit of
+  the anchor's direction takes H**(-1/2) from two square roots per node
+  instead.  G is applied to the kept outputs of the row FFTs of
   H**(-beta) rather than at every node.
 
 Exact tables are stored for (H/h00)**(-beta); the scalar h00**(-beta) is
@@ -57,6 +59,8 @@ from .series import Prefactor, ScaledRow, TruncatedSeries, poly_times_series
 Box = Tuple[int, int]
 
 _JUMP_LIMIT = 0.95 * math.pi
+_CONE_SIN2 = math.sin(_JUMP_LIMIT / 2) ** 2  # the cone of ``_in_cone``
+_HALF = Fraction(1, 2)
 # Nodes per quadrature block: a block's temporaries stay in a core's L2
 # cache, and a call's memory does not grow with N2.
 _BLOCK_NODES = 1 << 15
@@ -507,8 +511,8 @@ def quadrature_values(
     is real on it: ``ray_argument`` gives arg H(0, 0)), tracked down the
     theta2 = 0 column (``eval_array``), then along theta2
     (``_tracked_argument``: one arctan2 per node, and 2 pi added or taken
-    away after each crossing of the negative real axis; a block whose
-    arguments span less than ``_JUMP_LIMIT`` takes no step scan).  That
+    away after each crossing of the negative real axis; rows whose
+    arguments span less than ``_JUMP_LIMIT`` take no step scan).  That
     branch of Phi = H^(-beta) is periodic only when arg H turns by 0 round
     the column and round every row; a zero of H inside the polydisk off the
     positive ray can make it turn by 2 pi.  H and G have real coefficients
@@ -525,14 +529,33 @@ def quadrature_values(
     h_j(x) = [y^j] H is evaluated on the rows and y^j on the row's nodes
     (``_power_basis``); a block's Re H and Im H are then one 2-row matrix
     product per pair of rows (``_pair_products``), written straight into
-    the float buffers that arctan2 reads, so a block's values do not depend
-    on its size.  The last pair may reach row N1/2 + 1, which is computed
-    and not used.  The tracker tests |H|^2 against floor^2, with no square
-    root, and |H|^(-beta) is exp(-beta/2 * log |H|^2).  Each block scales
-    the tracked argument by -beta/2 once and takes the phase of Phi from
-    tan(-beta*arg/2) (``_polar``).  It runs one row FFT, in place in the
-    block's complex buffer, so no block allocates its transform, and keeps
-    outputs -J..S of it, J = deg_y G, indices mod the row's length.  The
+    contiguous float buffers, so a block's values do not depend on its
+    size.  The last pair may reach row N1/2 + 1, which is computed and not
+    used.  |H|^2 is tested against floor^2 on the whole block, with no
+    square root (``_squared_modulus``).
+
+    Then each row takes one of two routes, chosen per row so that the
+    values do not depend on the block size; a block runs each run of
+    consecutive rows of one route at once.  The tan route (``_tan_phase``)
+    tracks arg H along the row (``_unwrapped_argument``) and takes
+    |H|^(-beta) = exp(-beta/2 * log |H|^2) and the phase of Phi from
+    tan(-beta*arg/2) (``_polar``).  With beta = 1/2, the exponent of every
+    problem file, a row whose nodes all lie within _JUMP_LIMIT/2 of the
+    anchor's direction sign = +-1 (H(0, 0) is real; ``_in_cone``) takes the
+    square-root route (``_root_phase``) instead.  No step of such a row
+    jumps or crosses the cut of that direction and the row does not wind,
+    so it passes the tracker's checks, and its tracked argument is
+    anchor + 2 pi*c + Arg(sign*H), c the column's turns up to the row.  So
+    Phi there is exp(-i*anchor/2)*(-1)^c*(sign*H)^(-1/2), and the principal
+    root is (s - i*sign*Im H)/(sqrt(2)*|H|*sqrt(s)), s = |H| + sign*Re H:
+    two square roots and two divisions per node.  The constant factors,
+    -i*(-1)^c/sqrt(2) over what ``_root_phase`` writes (``_root_factors``),
+    go on the row's kept outputs.  Every other row, and every row at
+    another beta, keeps the tan route bit for bit.
+
+    Each block runs one row FFT, in place in the block's complex buffer,
+    so no block allocates its transform, and keeps outputs -J..S of it,
+    J = deg_y G, indices mod the row's length.  The
     half grid's nodes on an even row are every other node of that row, so
     output s of the half grid's row FFT is the mean of outputs s and
     s + N2/2 of the full row's; the block keeps that mean for its even
@@ -546,7 +569,8 @@ def quadrature_values(
     Row N1 - k fails a check exactly when row k does.  Checks run in grid
     order; the first failure raises ``BranchTrackingError``: the column (H
     vanishing, then a jump), the ray, the column's winding, then each block
-    of rows 0..N1/2 in theta1 order (vanishing, a jump, then winding).
+    of rows 0..N1/2 in theta1 order (vanishing, a jump, then winding; the
+    rows of the square-root route can fail only the first).
     Before any of them, ``EvaluationOverflow`` (the CLI's exit 70) refuses
     a box and radii for which some ``c1^r * c2^s`` is not a finite nonzero
     double: entry (r, s) is the DFT output divided by it.
@@ -582,27 +606,41 @@ def quadrature_values(
     cols, upper = keep % N2, (keep + N2 // 2) % N2
     full = np.empty((N1, keep.size), dtype=np.complex128)
     half = np.empty((N1 // 2, keep.size), dtype=np.complex128)
+    # H(0, 0) is real, so the anchor is 0 or pi: the direction +1 or -1.
+    root, sign = beta == _HALF, 1.0 if anchor == 0.0 else -1.0
+    routed = np.zeros(N1 // 2 + 1, dtype=bool)  # rows of the square-root route
     # Row pairs from row 0 on: the last pair may reach row N1/2 + 1.
     lre, lim, ypow = _power_basis(H.float_coeffs() * shrink, X[: N1 // 2 + 2, 0], c2, N2)
     step = 2 * max(1, _BLOCK_NODES // (2 * N2))
     W = np.empty((min(step, N1 // 2 + 2), N2), dtype=np.complex128)
-    # Re H in the first half of W, which is free until _polar writes it.
-    re = W.view(np.float64).reshape(-1)[: W.size].reshape(W.shape)
-    bufs = np.empty((3,) + W.shape)  # Im H then a scratch array, |H|^2, arg H
+    # Re H in the second half of W, the cone test's scratch in the first:
+    # writing row k of W overwrites rows <= k of Re H, so each run of rows
+    # below reads its own rows before it writes.
+    spare, re = W.view(np.float64).reshape((2,) + W.shape)
+    bufs = np.empty((3,) + W.shape)  # Im H, |H|^2, then a scratch array
     for lo in range(0, N1 // 2 + 1, step):
         hi = min(lo + step, N1 // 2 + 1)
         _pair_products(lre, lim, ypow, lo, (hi - lo + 1) // 2, re, bufs[0])
-        w, (q, m, a) = W[: hi - lo], bufs[:, : hi - lo]
-        _unwound(_tracked_argument(re[: hi - lo], q, floor, m, a))
-        a += (start[lo:hi] - a[:, 0]).reshape(-1, 1)
-        a *= -0.5 * b
-        # |H|^(-beta) = exp(-beta/2 * log |H|^2)
-        np.log(m, out=m)
-        m *= -0.5 * b
-        np.exp(m, out=m)
-        np.fft.fft(_polar(m, a, q, out=w), axis=1, out=w)
+        w, r, (q, m, a) = W[: hi - lo], re[: hi - lo], bufs[:, : hi - lo]
+        _squared_modulus(r, q, floor, m, a)
+        if root:
+            routed[lo:hi] = _in_cone(r, m, a, sign, spare[: hi - lo])
+        winds = False
+        for i, j, inside in _runs(routed[lo:hi]):
+            if inside:
+                _root_phase(r[i:j], q[i:j], m[i:j], a[i:j], sign, w[i:j])
+            else:
+                starts = start[lo + i : lo + j]
+                winds |= _tan_phase(r[i:j], q[i:j], m[i:j], a[i:j], starts, b, w[i:j])
+        _unwound(winds)
+        np.fft.fft(w, axis=1, out=w)
         full[lo:hi] = w[:, cols]
         half[lo // 2 : (hi + 1) // 2] = (w[::2, cols] + w[::2, upper]) * 0.5
+    if routed.any():
+        factor = _root_factors(start[: N1 // 2 + 1], anchor).reshape(-1, 1)
+        for strip, rows in ((full, slice(None)), (half, slice(None, None, 2))):
+            part = strip[: routed[rows].size]
+            np.multiply(part, factor[rows], out=part, where=routed[rows].reshape(-1, 1))
     phi = np.exp(-2j * b * anchor)  # Phi(conj x, conj y) = phi * conj Phi(x, y)
     for n, strip in ((N1 // 2, full), (N1 // 4, half)):
         strip[n + 1 :] = phi * np.conj(strip[n - 1 : 0 : -1])
@@ -663,35 +701,61 @@ def _pair_products(
         np.matmul(coef[lo : lo + k].reshape(pairs, 2, -1), ypow, out=out[:k].reshape(pairs, 2, -1))
 
 
+def _squared_modulus(
+    re: np.ndarray, im: np.ndarray, floor: float, sq: np.ndarray, scratch: np.ndarray
+) -> None:
+    """|W|^2 = re^2 + im^2 into ``sq``, and im^2 into ``scratch``, with no square root.
+
+    Raises ``BranchTrackingError`` when |W|^2 is at most ``floor``^2
+    somewhere.  ``re`` and ``im`` are left as they are.
+    """
+    np.multiply(re, re, out=sq)
+    np.multiply(im, im, out=scratch)
+    sq += scratch
+    if sq.min() <= floor * floor:
+        raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
+
+
 def _tracked_argument(
     re: np.ndarray, im: np.ndarray, floor: float, sq: np.ndarray, arg: np.ndarray
 ) -> bool:
     """|W|^2 into ``sq``, arg W tracked along each row into ``arg``; whether a row winds.
 
-    ``re`` and ``im`` hold Re W and Im W and may be overwritten; all four
-    arrays are C-contiguous float arrays of one two-dimensional shape.
+    ``re`` and ``im`` hold Re W and Im W, and ``re`` may be overwritten; all
+    four arrays are C-contiguous float arrays of one two-dimensional shape.
     Raises ``BranchTrackingError`` when |W|^2 is at most ``floor``^2
-    somewhere, then when an argument step along a row is at least
-    ``_JUMP_LIMIT``.  |W|^2 is re^2 + im^2, with no square root.
-    A = arg W is one arctan2 per node: numpy's arctan2 runs faster on the
-    contiguous parts than on the strided views of a complex array, with
-    the same bits.  With d = A[n+1] - A[n], the true step is d when
-    |d| <= pi and d -+ 2 pi when the row crosses the negative real axis,
-    |d| > pi; a step is a jump when min(|d|, 2 pi - |d|) is at least the
-    limit.  ``arg`` ends as A plus -2 pi*sign(d) after each crossing, so its
-    first node stays A[0].  A row winds exactly when its signed crossings,
-    the wrap step from the last node back to the first counted, do not sum
-    to 0.  The steps are scanned only where a jump is possible: when
-    max A - min A over the whole array is below the limit, every |d|, the
-    wrap step's included, is too, so no step jumps or crosses, ``arg`` is A
-    and no row winds.  A NaN fails that test and goes to the scan.
+    somewhere (``_squared_modulus``), then when an argument step along a
+    row is at least ``_JUMP_LIMIT`` (``_unwrapped_argument``).  The
+    quadrature runs it on the theta2 = 0 column and, through
+    ``_tan_phase``, on each run of a block's rows that does not take the
+    square-root route: with beta = 1/2, a row whose nodes all lie within
+    ``_JUMP_LIMIT``/2 of the anchor's direction (``_in_cone``) has no step
+    that jumps or crosses the cut of that direction, so it cannot fail the
+    checks and does not wind, and it skips the tracking.
+    """
+    _squared_modulus(re, im, floor, sq, arg)
+    return _unwrapped_argument(re, im, arg)
+
+
+def _unwrapped_argument(re: np.ndarray, im: np.ndarray, arg: np.ndarray) -> bool:
+    """arg W tracked along each row into ``arg``; whether a row winds.
+
+    Uses ``re`` as scratch.  Raises ``BranchTrackingError`` when an
+    argument step along a row is at least ``_JUMP_LIMIT``.  A = arg W is
+    one arctan2 per node: numpy's arctan2 runs faster on the contiguous
+    parts than on the strided views of a complex array, with the same
+    bits.  With d = A[n+1] - A[n], the true step is d when |d| <= pi and
+    d -+ 2 pi when the row crosses the negative real axis, |d| > pi; a step
+    is a jump when min(|d|, 2 pi - |d|) is at least the limit.  ``arg`` ends
+    as A plus -2 pi*sign(d) after each crossing, so its first node stays
+    A[0].  A row winds exactly when its signed crossings, the wrap step from
+    the last node back to the first counted, do not sum to 0.  The steps
+    are scanned only where a jump is possible: when max A - min A over the
+    whole array is below the limit, every |d|, the wrap step's included, is
+    too, so no step jumps or crosses, ``arg`` is A and no row winds.  A NaN
+    fails that test and goes to the scan.
     """
     np.arctan2(im, re, out=arg)
-    np.multiply(re, re, out=sq)
-    np.multiply(im, im, out=im)
-    sq += im
-    if sq.min() <= floor * floor:
-        raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
     if arg.max() - arg.min() < _JUMP_LIMIT:
         return False  # no step, the wrap step included, can jump or cross
     # One pass over the flat buffer; column 0 would hold the step from the
@@ -713,6 +777,93 @@ def _tracked_argument(
         arg[hot, 1:] -= 2 * math.pi * crossings
         turns[hot] += crossings[:, -1]
     return bool(turns.any())
+
+
+def _tan_phase(
+    re: np.ndarray,
+    im: np.ndarray,
+    sq: np.ndarray,
+    arg: np.ndarray,
+    start: np.ndarray,
+    b: float,
+    out: np.ndarray,
+) -> bool:
+    """Phi = |H|^(-b)*exp(-i*b*arg H) on rows of a block into ``out``; whether a row winds.
+
+    ``re`` and ``im`` hold Re H and Im H, ``sq`` |H|^2 (``_squared_modulus``)
+    and ``start`` the tracked argument of each row's first node, from the
+    theta2 = 0 column; ``re``, ``im``, ``sq`` and ``arg`` are overwritten.
+    arg H is tracked along each row (``_unwrapped_argument``, which raises
+    on a jump) and moved to start from ``start``; |H|^(-b) is
+    exp(-b/2 * log |H|^2), and the phase comes from tan(-b*arg/2)
+    (``_polar``).
+    """
+    winds = _unwrapped_argument(re, im, arg)
+    arg += (start - arg[:, 0]).reshape(-1, 1)
+    arg *= -0.5 * b
+    np.log(sq, out=sq)
+    sq *= -0.5 * b
+    np.exp(sq, out=sq)
+    _polar(sq, arg, im, out=out)
+    return winds
+
+
+def _in_cone(
+    re: np.ndarray, sq: np.ndarray, im2: np.ndarray, sign: float, scratch: np.ndarray
+) -> np.ndarray:
+    """Per row: whether every node lies within ``_JUMP_LIMIT``/2 of the direction ``sign``.
+
+    ``re``, ``sq`` and ``im2`` hold Re H, |H|^2 and (Im H)^2.  A node lies
+    in that cone when sign*Re H > 0 and (Im H)^2 < sin^2(_JUMP_LIMIT/2)*|H|^2.
+    ``scratch`` is overwritten.
+    """
+    np.multiply(sq, _CONE_SIN2, out=scratch)
+    scratch -= im2
+    inside = scratch.min(axis=1) > 0
+    inside &= re.min(axis=1) > 0 if sign > 0 else re.max(axis=1) < 0
+    return inside
+
+
+def _runs(flags: np.ndarray) -> List[Tuple[int, int, bool]]:
+    """``(i, j, flag)`` for each maximal run ``flags[i:j]`` of one value."""
+    edges = [0, *(np.flatnonzero(flags[1:] != flags[:-1]) + 1).tolist(), flags.size]
+    return [(i, j, bool(flags[i])) for i, j in zip(edges, edges[1:])]
+
+
+def _root_phase(
+    re: np.ndarray, im: np.ndarray, sq: np.ndarray, s: np.ndarray, sign: float, out: np.ndarray
+) -> None:
+    """sqrt(2)*(sign*H)^(-1/2), times i for sign = 1, on rows of a block into ``out``.
+
+    ``re`` and ``im`` hold Re H and Im H and ``sq`` |H|^2; ``re``, ``sq`` and
+    ``s`` are overwritten.  With s = |H| + sign*Re H > 0, the principal
+    (sign*H)^(-1/2) is (s - i*sign*Im H)/(sqrt(2)*|H|*sqrt(s)).  ``out``
+    is sqrt(2) times it, and times i for sign = 1, so that neither part
+    needs a sign change: (Im H + i*s)/(|H|*sqrt(s)) for sign = 1 and
+    (s + i*Im H)/(|H|*sqrt(s)) for sign = -1.
+    """
+    np.sqrt(sq, out=sq)
+    (np.add if sign > 0 else np.subtract)(sq, re, out=s)
+    np.sqrt(s, out=re)
+    sq *= re
+    real, imag = (im, s) if sign > 0 else (s, im)
+    np.divide(real, sq, out=out.real)
+    np.divide(imag, sq, out=out.imag)
+
+
+def _root_factors(start: np.ndarray, anchor: float) -> np.ndarray:
+    """-i*(-1)^c/sqrt(2) per row: Phi over ``_root_phase``'s values on a row in the cone.
+
+    ``start`` is the tracked argument of the theta2 = 0 column, ``anchor``
+    (0 or pi) that of its first node.  A row in the cone about the anchor's
+    direction has start - anchor = 2 pi*c + q with |q| < ``_JUMP_LIMIT``/2,
+    c the column's net turns about 0 up to that row, and tracked argument
+    anchor + 2 pi*c + arg(sign*H) at every node.  So Phi = H^(-1/2) there
+    is exp(-i*anchor/2)*(-1)^c*(sign*H)^(-1/2), which is -i*(-1)^c/sqrt(2)
+    times ``_root_phase``'s value at either anchor.
+    """
+    turns = np.rint((start - anchor) / (2 * math.pi))
+    return np.where(turns % 2 == 0, -1j, 1j) / math.sqrt(2)
 
 
 def _times_G(

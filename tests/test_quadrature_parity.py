@@ -11,9 +11,15 @@ floor squared (``_tracked_argument``).  A block whose arguments span
 less than ``_JUMP_LIMIT`` skips the step scan;
 ``reference_tracked_argument`` scans every block, and the two give the
 same |W|^2, argument, winding and errors on blocks below and above that
-limit.  Each block runs one row FFT of Phi = H^(-beta), in place, and
-keeps its outputs -deg_y G..S; on even rows, output s of the half grid's
-row FFT is the mean of outputs s and s + N2/2 of that one.  H and G have
+limit.  With beta = 1/2, a row whose nodes all lie within
+``_JUMP_LIMIT``/2 of the anchor's direction (``_in_cone``) takes
+Phi = H^(-1/2) from two square roots per node instead (``_root_phase``),
+and its kept outputs take the factor -i*(-1)^c/sqrt(2), c the column's
+turns up to that row (``_root_factors``); every other row, and every row
+at another beta, keeps the tan route bit for bit.  Each block runs one row
+FFT of Phi = H^(-beta), in place, and keeps its outputs -deg_y G..S; on
+even rows, output s of the half grid's row FFT is the mean of outputs s
+and s + N2/2 of that one.  H and G have
 real coefficients and the radii are real, so
 Phi(conj x, conj y) = phi*conj Phi(x, y) with phi = exp(-2i*beta*anchor),
 and row N1 - k of a kept strip is phi times the conjugate of row k.  G is
@@ -24,20 +30,23 @@ argument and the integrand F = G*Phi on the whole grid at once, then one
 ``fft2`` of the full and of the half grid.  The values do not equal
 ``fft2``'s bit for bit: the mirrored rows, the shifted outputs and the
 half grid's means are a different rounding of the same sums, and the
-blocked route takes the phase from tan(-beta*arg/2) where the reference
-takes exp.  So values and error estimates must agree to a roundoff floor
-per entry, 4*eps*max|G*H^(-beta)| / (c1^r*c2^s) with the max over the
+blocked route takes the phase from tan(-beta*arg/2) or from square roots
+where the reference takes exp.  So values and error estimates must agree
+to a roundoff floor per entry, 4*eps*max|G*H^(-beta)| / (c1^r*c2^s) with the max over the
 grid, and no entry may lie further from the exact recurrence's table than
 the reference's entry does, plus one floor.  This holds on a grid of one
 block, on grids of several blocks, where phi is not real, and where
-deg_y G exceeds the half grid's row.  The block size changes no value: the
-blocked route gives the same bits at every block size, where phi is real
-and where it is not, and no block holds more than max(_BLOCK_NODES, 2*N2)
-nodes.  Scaling H by 10^200 or 10^-200, where |H|^2 leaves the double
+deg_y G exceeds the half grid's row, and where the rows split between
+the square-root and the tan route.  The block size changes no value: the
+blocked route gives the same bits at every block size, where phi is real,
+where it is not and where the rows split, and no block holds more than
+max(_BLOCK_NODES, 2*N2) nodes.  Scaling H by 10^200 or 10^-200, where |H|^2 leaves the double
 range, scales the values by the power -beta of it.
 ``python -m tests.test_quadrature_parity`` prints a digest of the values
-and errors on every problem file that gives radii, at 256^2 and 2048^2;
-CI requires equal digests under 1 and 2 BLAS threads.
+and errors on every problem file that gives radii, at 256^2 and 2048^2,
+then those of four cases at other exponents, and fails when one of these
+differs from the one stored in ``tests/data/quadrature_pinned.json``; CI
+requires equal output under 1 and 2 BLAS threads.
 
 Each ``BranchTrackingError`` cause keeps its message.  The reference checks
 the whole grid for a vanishing H, then the ray anchor, then every jump.  The
@@ -45,10 +54,12 @@ half-torus route checks in grid order: the theta2 = 0 column (vanishing,
 then a jump), the ray anchor, then each block of rows 0..N1/2 in theta1
 order (vanishing, then a jump).  Row N1 - k fails a check exactly when row k
 does.  So where more than one cause holds, the first in that order wins,
-and within one block a vanishing H wins over a jump.  The cases below pin it.
+and within one block a vanishing H wins over a jump.  The cases below pin
+it, and each problem file's outcome at 64^2 and 512^2 is stored.
 """
 
 import hashlib
+import json
 import sys
 import tracemalloc
 from fractions import Fraction as F
@@ -64,6 +75,8 @@ from bivasym.oracle import (
     _JUMP_LIMIT,
     CoefficientTable,
     _polar,
+    _root_factors,
+    _root_phase,
     _tracked_argument,
     coeff_recurrence,
     quadrature_values,
@@ -202,6 +215,22 @@ MULT_H = CASES["multinomial_sqrt"][0]
 def test_G_applied_to_the_kept_strip(H, G, radii, grids):
     for grid in grids:
         _assert_matches_references(H, G, F(1, 2), radii, grid)
+
+
+# arg (1 + x)^2 reaches 0.64 pi on |x| = 0.85, so the rows about theta1 =
+# +-0.82 pi leave the cone about the positive axis and take the tan route,
+# and the others take the square-root route; -H does the same about pi.
+SPLIT_H = _poly((0, 0, "1"), (1, 0, "2"), (2, 0, "1"), (0, 1, "1/64"))
+SPLIT = {
+    "(1 + x)^2 + y/64": (SPLIT_H, None, F(1, 2), (0.85, 0.5)),
+    "-(1 + x)^2 - y/64, PHASE_G": (SPLIT_H.scale(F(-1)), PHASE_G, F(1, 2), (0.85, 0.5)),
+}
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("name", sorted(SPLIT))
+def test_rows_split_between_the_routes_match_full_grid(name, grid):
+    _assert_matches_references(*SPLIT[name], grid)
 
 
 def _track(W, floor=1e-9):
@@ -347,6 +376,87 @@ def test_a_step_of_0_96_pi_is_a_jump(base):
         _track(RHO * np.exp(1j * theta))
 
 
+def _record_routes(monkeypatch):
+    """Each block's ``_in_cone`` rows, and the row count of each call of either route."""
+    calls = {"cone": [], "root": [], "tan": []}
+    in_cone, root_phase, tan_phase = oracle._in_cone, oracle._root_phase, oracle._tan_phase
+
+    def cone(*args):
+        inside = in_cone(*args)
+        calls["cone"].append(inside.copy())
+        return inside
+
+    def root(re, im, sq, s, sign, out):
+        calls["root"].append(len(out))
+        root_phase(re, im, sq, s, sign, out)
+
+    def tan(re, im, sq, arg, start, b, out):
+        calls["tan"].append(len(out))
+        return tan_phase(re, im, sq, arg, start, b, out)
+
+    for name, f in (("_in_cone", cone), ("_root_phase", root), ("_tan_phase", tan)):
+        monkeypatch.setattr(oracle, name, f)
+    return calls
+
+
+@pytest.mark.parametrize("grid", [1024, 2048])
+@pytest.mark.parametrize("name", ["color_swap", "multinomial_sqrt"])
+def test_bench_problems_take_the_square_root_route_on_every_row(name, grid, monkeypatch):
+    H, G, beta, radii = CASES[name]
+    calls = _record_routes(monkeypatch)
+    cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=(grid, grid))
+    quadrature_values(H, G, beta, cfg)
+    assert sum(calls["root"]) == grid // 2 + 1
+    assert calls["tan"] == []
+
+
+@pytest.mark.parametrize("grid", [64, 256, 1024])
+@pytest.mark.parametrize("name", ["negative_origin", *sorted(SPLIT)])
+def test_rows_in_the_cone_take_the_square_root_route(name, grid, monkeypatch):
+    H, G, beta, radii = {**CASES, **SPLIT}[name]
+    cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=(grid, grid))
+    # The anchor's direction, +-1: the sign of H(0, 0).
+    direction = 1.0 if H.constant_term() > 0 else -1.0
+    X, Y = _torus(cfg)
+    angles = np.angle(direction * H.eval_array(X[: grid // 2 + 1], Y))
+    cone = np.all(np.abs(angles) < _JUMP_LIMIT / 2, axis=1)
+    calls = _record_routes(monkeypatch)
+    quadrature_values(H, G, beta, cfg)
+    routed = np.concatenate(calls["cone"])
+    assert np.array_equal(routed, cone)
+    assert sum(calls["root"]) == routed.sum()
+    assert sum(calls["tan"]) == routed.size - routed.sum()
+    if name == "negative_origin":
+        assert direction < 0 and routed.all()  # the route about pi, on every row
+    else:
+        assert 0 < routed.sum() < routed.size
+
+
+def test_root_factor_counts_the_column_turns():
+    # start - anchor = 2 pi*c + q with |q| < _JUMP_LIMIT/2: (-1)^c times -i/sqrt(2).
+    c = np.repeat(np.arange(-3, 4), 5)
+    q = np.tile(np.linspace(-0.47, 0.47, 5) * np.pi, 7)
+    for anchor in (0.0, np.pi):
+        got = _root_factors(anchor + 2 * np.pi * c + q, anchor)
+        assert np.array_equal(got, np.where(c % 2 == 0, -1j, 1j) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("anchor", [0.0, np.pi])
+def test_square_root_route_gives_the_tracked_branch(anchor):
+    # A row whose tracked argument is anchor + 2 pi*c + q, |q| < 0.47 pi: the
+    # route's values times the row's factor are |H|^(-1/2)*exp(-i*arg/2).
+    eps = np.finfo(float).eps
+    for c in range(-2, 3):
+        arg = anchor + 2 * np.pi * c + 0.47 * np.pi * np.sin(T + c)
+        W = RHO * np.exp(1j * arg)
+        re, im = W.real.reshape(1, -1).copy(), W.imag.reshape(1, -1).copy()
+        sq, s = re * re + im * im, np.empty(re.shape)
+        out = np.empty(re.shape, dtype=np.complex128)
+        _root_phase(re, im, sq, s, np.cos(anchor), out)
+        got = _root_factors(arg[:1], anchor) * out[0]
+        assert np.max(np.abs(got - RHO**-0.5 * np.exp(-0.5j * arg))) <= 8 * eps
+
+
 def _record_evaluations(monkeypatch, H):
     """The shapes of H's two-dimensional ``eval_array`` calls, in call order."""
     shapes = []
@@ -433,6 +543,23 @@ def test_values_do_not_depend_on_the_block_size(grid, monkeypatch):
                 assert max(len(rows) * N2 for rows in blocks) <= max(nodes, 2 * N2)
 
 
+@pytest.mark.parametrize("grid", [(256, 256), (1024, 1024), (128, 4096)])
+def test_split_rows_do_not_depend_on_the_block_size(grid, monkeypatch):
+    # A block may hold rows of both routes, in runs.
+    N1, N2 = grid
+    for H, G, beta, radii in SPLIT.values():
+        cfg = OracleConfig(box=BOX, beta=beta, quadrature_radii=radii, quadrature_grid=grid)
+        with monkeypatch.context() as patch:
+            calls = _record_routes(patch)
+            default = quadrature_values(H, G, beta, cfg)
+            assert 0 < sum(calls["root"]) < N1 // 2 + 1
+            for nodes in (1, 3 * N2, 6 * N2, N1 * N2):
+                patch.setattr(oracle, "_BLOCK_NODES", nodes)
+                got = quadrature_values(H, G, beta, cfg)
+                assert np.array_equal(got.values, default.values)
+                assert np.array_equal(got.errors, default.errors)
+
+
 @pytest.mark.parametrize("grid", [(2048, 2048), (256, 16384)])
 def test_quadrature_memory_does_not_grow_with_the_grid(grid):
     H, G, beta, radii = CASES["color_swap"]
@@ -511,6 +638,7 @@ def test_polar_matches_cos_and_sin():
 VANISH = "branch tracking failed; H nearly vanishes on the torus"
 JUMP = "branch tracking failed; refine grid"
 RAY = "H vanishes on the ray from the origin"
+WINDS = "branch tracking failed; H winds around 0 on the torus"
 
 # 2 + x**2 + y is zero on the unit torus at (x, y) = (+-i, -1): rows N/4 and
 # 3N/4, column N/2, so not on the theta2 = 0 column nor in the first block.
@@ -566,23 +694,49 @@ def test_first_cause_in_grid_order_wins(name):
     assert _message(reference_quadrature, H, radii) == full_grid
 
 
-def digest(grids=(256, 2048)) -> str:
-    """SHA-256 of the values and errors on every problem file that gives radii.
+def test_a_row_that_winds_off_the_column_is_refused():
+    # 1 + x + y/4 on radii (0.9, 0.5): the column, 1.125 + x, does not wind,
+    # but the rows about theta1 = pi, where |1 + x| < 1/8, do.  They lie in
+    # the last block and off the cone, so the tan route refuses them.
+    H = _poly((0, 0, "1"), (1, 0, "1"), (0, 1, "1/4"))
+    assert _message(quadrature_values, H, (0.9, 0.5)) == WINDS
 
-    A refused problem contributes its ``BranchTrackingError`` message.
+
+PINNED = json.loads((ROOT / "tests" / "data" / "quadrature_pinned.json").read_text())
+
+
+def _problem_outcome(name, grid):
+    """The ``BranchTrackingError`` message of a problem file's quadrature, or None."""
+    spec = parse_problem((ROOT / "problems" / f"{name}.json").read_text())
+    cfg = OracleConfig(
+        box=BOX, beta=spec.beta, quadrature_radii=spec.quadrature_radii or (0.25, 0.25),
+        quadrature_grid=(grid, grid),
+    )
+    try:
+        quadrature_values(spec.H, spec.G, spec.beta, cfg)
+    except BranchTrackingError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(PINNED["outcomes"]))
+def test_problem_files_keep_their_outcomes(name):
+    assert [_problem_outcome(name, grid) for grid in (64, 512)] == PINNED["outcomes"][name]
+
+
+def _digest(cases, grids) -> str:
+    """SHA-256 of the values and errors of each case at each grid, box 10x10.
+
+    A refused case contributes its ``BranchTrackingError`` message.
     """
     sha = hashlib.sha256()
-    for path in sorted((ROOT / "problems").glob("*.json")):
-        spec = parse_problem(path.read_text())
-        if spec.quadrature_radii is None:
-            continue
+    for H, G, beta, radii in cases:
         for grid in grids:
             cfg = OracleConfig(
-                box=(10, 10), beta=spec.beta, quadrature_radii=spec.quadrature_radii,
-                quadrature_grid=(grid, grid),
+                box=(10, 10), beta=beta, quadrature_radii=radii, quadrature_grid=(grid, grid)
             )
             try:
-                table = quadrature_values(spec.H, spec.G, spec.beta, cfg)
+                table = quadrature_values(H, G, beta, cfg)
             except BranchTrackingError as exc:
                 sha.update(str(exc).encode())
             else:
@@ -590,6 +744,37 @@ def digest(grids=(256, 2048)) -> str:
     return sha.hexdigest()
 
 
+def digest(grids=(256, 2048)) -> str:
+    """SHA-256 of the values and errors on every problem file that gives radii."""
+    specs = [parse_problem(path.read_text()) for path in sorted((ROOT / "problems").glob("*.json"))]
+    return _digest(
+        [(s.H, s.G, s.beta, s.quadrature_radii) for s in specs if s.quadrature_radii], grids
+    )
+
+
+# Exponents other than 1/2 take the tan route on every row.
+OTHER_EXPONENTS = {
+    f"PHASE_H, PHASE_G, beta = {beta}": (PHASE_H, PHASE_G, beta, (0.25, 0.3))
+    for beta in (F(1, 3), F(3, 2), F(5, 7))
+}
+OTHER_EXPONENTS["color_swap, beta = 1/3"] = (
+    CASES["color_swap"][:2] + (F(1, 3),) + CASES["color_swap"][3:]
+)
+
+
+def exponent_digests(grids=(256, 2048)) -> dict:
+    return {name: _digest([case], grids) for name, case in OTHER_EXPONENTS.items()}
+
+
+def test_other_exponents_keep_their_bits():
+    assert exponent_digests() == PINNED["digests"]
+
+
 if __name__ == "__main__":
-    # Run under several OPENBLAS_NUM_THREADS settings: the digests must agree.
+    # Run under several OPENBLAS_NUM_THREADS settings: the output must agree,
+    # and the other exponents' digests must equal the stored ones.
     print(digest())
+    digests = exponent_digests()
+    for name, value in digests.items():
+        print(f"{value}  {name}")
+    sys.exit(digests != PINNED["digests"])
