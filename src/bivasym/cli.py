@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -56,6 +57,7 @@ def _precision_bits(text: str) -> int:
     return bits
 
 
+@lru_cache(maxsize=1)  # built once per process; argparse finds sys.stdout when it prints
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bivasym",

@@ -14,7 +14,6 @@ group: the identity alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
@@ -22,6 +21,7 @@ from typing import List, Tuple
 from mpmath import mp, mpc, mpf
 
 from .bivariate import BivariatePolynomial
+from .rationals import hermite_basis
 
 
 @dataclass(frozen=True)
@@ -52,25 +52,13 @@ def _root_of_unity(s: int, k: int, prec: int) -> mpc:
 def characters(H: BivariatePolynomial) -> Characters:
     """The characters of Z^2/L for the exponent lattice L of H's nonconstant monomials.
 
-    L is put in Hermite form, the basis (a, b), (0, c), by one extended
-    gcd per exponent: (a, b) is the vector of L with the least positive
-    first coordinate, and c the gcd of the second coordinates of L's
-    vectors on the y axis.  Then k = a*c, and (zeta_1, zeta_2) is a
-    character exactly when zeta_2^c = 1 and zeta_1^a = zeta_2^(-b): with
-    zeta_2 = zeta^(a*u), u < c, and zeta_1 = zeta^(m*c - b*u), m < a.
+    L is put in Hermite form, the basis (a, b), (0, c)
+    (``rationals.hermite_basis``; the constant term adds nothing).  Then
+    k = a*c, and (zeta_1, zeta_2) is a character exactly when zeta_2^c = 1
+    and zeta_1^a = zeta_2^(-b): with zeta_2 = zeta^(a*u), u < c, and
+    zeta_1 = zeta^(m*c - b*u), m < a.
     """
-    a, b, c = 0, 0, 0
-    for i, j in H.terms:
-        if (i, j) == (0, 0):
-            continue
-        g, x, y = _extended_gcd(a, i)
-        if g == 0:  # (i, j) and every vector so far lie on the y axis
-            c = math.gcd(c, j)
-            continue
-        # (a, b) and (i, j) span what (g, x*b + y*j) and the axis vector
-        # (i/g)*(a, b) - (a/g)*(i, j) span.
-        c = math.gcd(c, (i // g) * b - (a // g) * j)
-        a, b = g, x * b + y * j
+    a, b, c = hermite_basis(H.terms)
     k = a * c
     if k <= 1:
         return Characters(1, ((0, 0),))
@@ -79,11 +67,3 @@ def characters(H: BivariatePolynomial) -> Characters:
         tuple(sorted(((m * c - b * u) % k, a * u % k) for m in range(a) for u in range(c))),
     )
 
-
-def _extended_gcd(a: int, b: int) -> Tuple[int, int, int]:
-    """``(g, x, y)`` with ``g = gcd(a, b) = x*a + y*b`` and ``g >= 0``."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, (a, b) = a // b, (b, a % b)
-        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
-    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)

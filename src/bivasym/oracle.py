@@ -28,9 +28,12 @@ it is read, so a caller that reads a few entries pays for those alone.
 
 The recurrence runs as a row kernel: row a is built from rows a - i,
 i <= deg_x H, by whole-row multiply-adds over Python ints, then divided by
-a.  It does no arithmetic on entries that are zero by construction: a row
-with no nonzero source row is the zero row, and a row's columns past the
-reach of its source rows' nonzero columns are zero.  ``coeff_recurrence``
+a, the division checked by one sum per row.  It does no arithmetic on
+entries that are zero by construction: a row with no nonzero source row is
+the zero row, a row's columns past the reach of its source rows' nonzero
+columns are zero, and so is every cell off the lattice of H's exponents
+(Pemantle and Wilson, CUP 2013), a sum of no terms; a row keeps only its
+cells on that lattice, every C-th column.  ``coeff_recurrence``
 keeps every row (the table for the CSV export);
 ``coefficients_at`` streams the same rows and keeps a window of them, for
 callers that need a few entries.  ``coeff_recurrence(order="antidiagonal")``
@@ -43,8 +46,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add
+from itertools import cycle, repeat
+from operator import add, floordiv
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,7 +56,7 @@ from mpmath import mp, mpc, mpf
 from .bivariate import BivariatePolynomial, polyval
 from .errors import BranchTrackingError, ConfigError, EvaluationOverflow, SingularAtOrigin
 from .precision import to_mpc, to_mpf
-from .rationals import binomial_general
+from .rationals import binomial_general, hermite_basis
 from .series import Prefactor, ScaledRow, TruncatedSeries, poly_times_series
 
 Box = Tuple[int, int]
@@ -229,43 +232,61 @@ def _integer_rows(terms, beta: Fraction, R: int, S: int) -> Iterator[List[int]]:
     after the division, and a nonzero remainder of the division is one of
     the full step.  With one pure-y term y^j that pass is one multiply-add
     per cell along each residue class of b mod j.  Only the last deg_x H
-    rows are kept.
+    rows are kept.  The division is checked by one sum: with a > 0 each
+    remainder lies in [0, a), so a*sum(quotients) = sum(row) exactly when
+    every remainder is 0, and only a failing row is scanned for its cell.
 
-    Entries that are zero by construction take no arithmetic.  The rows are
-    kept trimmed to a bound hi_a on their nonzero columns: with no pure-y
-    term of degree <= S, row 0 is [1]; row a reaches min(S, hi_(a-i) + j)
-    over the terms whose source row a - i is nonzero, and all of 0..S when
-    a pure-y term spreads it along the row.  Every cell that adds a term of
-    the step lies in 0..hi_a, and every other cell is a sum of no terms, so
-    it is 0 and its division is exact.  A row with no nonzero source row
-    (x-exponent gcd above 1, or a < the least i) is the zero row, with no
-    division and no pure-y pass.  The bound is taken from the source rows'
-    lengths, not by scanning their entries, and every cell that is computed
-    keeps its exactness check, so a remainder names the same first cell as
-    a fill of every cell.  Rows are yielded padded with zeros to S + 1.
+    Entries that are zero by construction take no arithmetic.  A cell's
+    step sums cells one term exponent (i, j) back, so from g[0][0] = 1 only
+    cells of the exponents' lattice L are reached.  With its basis (A, B),
+    (0, C) (``hermite_basis``), row a is zero unless A divides a, and holds
+    only the cells b = t_a (mod C), t_a = (a/A)*B mod C.  A row is kept as
+    those cells alone: a term (i, j) shifts its source row by
+    (j + t_(a-i) - t_a)/C cells, a pure-y term y^j by j/C, and the row is
+    spread to S + 1 columns only when it is yielded.  A rank-1 L is kept as
+    a rank-2 lattice that holds it: A = 1 when L lies on the y axis, C = 1
+    when it lies on the x axis, and else C past every column a row reaches,
+    so that a row holds one cell at most.  A row with no nonzero source row
+    is the zero row, with no division and no pure-y pass, and the rows are
+    kept trimmed to a bound hi_a on their nonzero cells: with no pure-y
+    term of degree <= S, row 0 is [1]; row a reaches column
+    min(S, hi_(a-i) + j) over the terms whose source row a - i is nonzero,
+    and its last cell when a pure-y term spreads it.  Every cell off L or
+    past hi_a is a sum of no terms, so it is 0 and its division is exact:
+    a remainder names the same first cell as a fill of every cell.
     """
     u, v = beta.numerator, beta.denominator
+    A, B, C = hermite_basis((i, j) for i, j, _ in terms)
+    A = A or 1  # every exponent on the y axis: B = 0, and rows >= 1 have no term
+    C = C or (S + 1 + B * (R // A) if B else 1)  # rank 1: t_a = (a/A)*B, a row's one cell
     column = sorted((j, m) for i, j, m in terms if i == 0 and j <= S)
-    row = [1] + [0] * S if column else [1]
-    for b in range(1, len(row)):
-        total = 0
+    row = [1] + [0] * (S // C) if column else [1]
+    for k in range(1, len(row)):
+        b, total = C * k, 0
         for j, m in column:
             if j > b:
                 break
-            total += m * (v * (b - j) + u * j) * row[b - j]
-        row[b], rem = divmod(-total, b)
+            total += m * (v * (b - j) + u * j) * row[k - j // C]
+        row[k], rem = divmod(-total, b)
         if rem:
             raise _inexact(0, b)
-    yield row + [0] * (S + 1 - len(row))
+    yield _spread(row, 0, C, S)
     shifted = sorted((i, j, -m) for i, j, m in terms if i and j <= S)
-    in_row = [(j, v * m) for j, m in column]
+    in_row = [(j // C, v * m) for j, m in column]
+    # Row a's (t_a, cell count, its terms (i, shift, m)), periodic in a.
+    plans = []
+    for a in range(1, min(R, A * C) + 1):
+        t = a // A * B % C
+        n = (S - t) // C + 1
+        shifts = [(i, (j + (a - i) // A * B % C - t) // C, m) for i, j, m in shifted]
+        plans.append((t, n, [term for term in shifts if term[1] < n and a % A == 0]))
     window = deque([row], maxlen=max((i for i, _, _ in shifted), default=1))
-    for a in range(1, R + 1):
+    for a, (t, n, plan) in zip(range(1, R + 1), cycle(plans)):
         acc = None
-        for i, j, m in shifted:
+        for i, j, m in plan:
             if i > a:
                 break
-            src = window[-i][: S + 1 - j]
+            src = window[-i][: n - j]
             if not src:
                 continue
             tail = map((m * (v * (a - i) + u * i)).__mul__, src)
@@ -280,28 +301,35 @@ def _integer_rows(terms, beta: Fraction, R: int, S: int) -> Iterator[List[int]]:
             window.append([])
             yield [0] * (S + 1)
             continue
-        row, rems = map(list, zip(*map(divmod, acc, repeat(a))))
-        if any(rems):
-            raise _inexact(a, next(b for b, rem in enumerate(rems) if rem))
+        row = list(map(floordiv, acc, repeat(a)))
+        if a * sum(row) != sum(acc):
+            raise _inexact(a, t + C * next(k for k, x in enumerate(acc) if x % a))
         if in_row:
-            row += [0] * (S + 1 - len(row))
+            row += [0] * (n - len(row))
             if len(in_row) == 1:
                 ((j, e),) = in_row
                 for r in range(j):
-                    t = row[r]
-                    for b in range(r + j, S + 1, j):
-                        t = row[b] - e * t
-                        row[b] = t
+                    x = row[r]
+                    for k in range(r + j, n, j):
+                        x = row[k] - e * x
+                        row[k] = x
             else:
-                for b in range(1, S + 1):
-                    t = row[b]
+                for k in range(1, n):
+                    x = row[k]
                     for j, e in in_row:
-                        if j > b:
+                        if j > k:
                             break
-                        t -= e * row[b - j]
-                    row[b] = t
+                        x -= e * row[k - j]
+                    row[k] = x
         window.append(row)
-        yield row if len(row) > S else row + [0] * (S + 1 - len(row))
+        yield row if len(row) > S else _spread(row, t, C, S)
+
+
+def _spread(row: List[int], t: int, C: int, S: int) -> List[int]:
+    """The S + 1 columns of a row kept as its cells t, t + C, ..."""
+    out = [0] * (S + 1)
+    out[t : t + C * len(row) : C] = row
+    return out
 
 
 def _antidiagonal_rows(terms, beta: Fraction, R: int, S: int) -> List[List[int]]:

@@ -1,4 +1,4 @@
-"""Helpers for exact rational values: parsing, formatting, binomials, roots.
+"""Helpers for exact rational values: parsing, formatting, binomials, roots, lattices.
 
 Rationals are plain ``fractions.Fraction`` everywhere in the package:
 always in lowest terms with a positive denominator, which matches the
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional, Tuple
 
 # Unicode minus shows up in hand-written coefficient strings.
 _MINUS = "−"
@@ -94,3 +94,33 @@ def rational_power(base: Fraction, expo: Fraction) -> Optional[Fraction]:
     if ra is None or rb is None:
         return None
     return Fraction(ra, rb) ** u
+
+
+def hermite_basis(exponents: Iterable[Tuple[int, int]]) -> Tuple[int, int, int]:
+    """``(a, b, c)``: (a, b), (0, c) span the lattice of the pairs ``exponents``.
+
+    The Hermite form, by one extended gcd per pair: (a, b) is the vector of
+    the lattice with the least positive first coordinate, and c the gcd of
+    the second coordinates of its vectors on the y axis; a = 0 when every
+    vector lies on the y axis, c = 0 when none but 0 does.  b is not reduced.
+    """
+    a, b, c = 0, 0, 0
+    for i, j in exponents:
+        g, x, y = _extended_gcd(a, i)
+        if g == 0:  # (i, j) and every vector so far lie on the y axis
+            c = math.gcd(c, j)
+            continue
+        # (a, b) and (i, j) span what (g, x*b + y*j) and the axis vector
+        # (i/g)*(a, b) - (a/g)*(i, j) span.
+        c = math.gcd(c, (i // g) * b - (a // g) * j)
+        a, b = g, x * b + y * j
+    return a, b, c
+
+
+def _extended_gcd(a: int, b: int) -> Tuple[int, int, int]:
+    """``(g, x, y)`` with ``g = gcd(a, b) = x*a + y*b`` and ``g >= 0``."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, (a, b) = a // b, (b, a % b)
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)

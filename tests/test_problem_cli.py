@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bivasym import dump_problem, get_precision, parse_problem, solve_critical
-from bivasym.cli import main
+from bivasym.cli import _build_parser, main
 from bivasym.errors import SpecFileError
 from bivasym.oracle import coeff_recurrence, format_entry
+from bivasym.precision import DEFAULT_PRECISION, working_precision
 
 MULTINOMIAL = """{
   "H": [[0, 0, "1"], [1, 0, "-1"], [0, 1, "-1"]],
@@ -211,6 +212,23 @@ def test_origin_zero_inside_is_refused(capsys):
 
 
 NEGATIVE_ORIGIN = Path(__file__).resolve().parent.parent / "problems" / "negative_origin.json"
+
+
+def test_one_process_runs_several_commands_on_one_parser(capsys):
+    """A usage error, --help, then a good compare: the parser is built once and reused."""
+    assert main(["frobnicate"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: bivasym")
+    assert "invalid choice: 'frobnicate'" in captured.err
+    assert main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: bivasym") and captured.err == ""
+    with working_precision(DEFAULT_PRECISION):
+        assert main(["compare", "--spec", str(NEGATIVE_ORIGIN)]) == 0
+    golden = Path(__file__).resolve().parent / "data" / "golden" / "negative_origin.compare.out"
+    assert capsys.readouterr() == (golden.read_text(), "")
+    assert _build_parser() is _build_parser()
 
 
 def test_negative_origin_compare_prints_complex_exact(capsys):

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from bivasym.rationals import (
     binomial_general,
     format_rational,
+    hermite_basis,
     integer_nth_root,
     parse_rational,
     rational_power,
@@ -62,3 +65,23 @@ def test_rational_power():
     assert rational_power(F(2), F(-1, 2)) is None
     assert rational_power(F(-2), F(1, 2)) is None
     assert rational_power(F(-2), F(3)) == F(-8)
+
+
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=5))
+def test_hermite_basis_spans_the_exponents(exponents):
+    """(a, b), (0, c) spans the pairs: each lies in it, and a and a*c are the lattice's."""
+    a, b, c = hermite_basis(exponents)
+    for i, j in exponents:
+        assert i % a == 0 if a else i == 0
+        rest = j - (i // a) * b if a else j
+        assert rest % c == 0 if c else rest == 0
+    assert a == math.gcd(*(i for i, _ in exponents))
+    minors = math.gcd(*(i * l - j * k for (i, j), (k, l) in itertools.combinations(exponents, 2)))
+    assert a * c == minors if a else c == math.gcd(*(j for _, j in exponents))
+
+
+def test_hermite_basis_of_a_family_lattice():
+    assert hermite_basis([(0, 0), (2, 2), (3, 1), (4, 0)]) == (1, -1, 4)
+    assert hermite_basis([(2, 1), (4, 2)]) == (2, 1, 0)
+    assert hermite_basis([(0, 2), (0, 4)]) == (0, 0, 2)
+    assert hermite_basis([]) == (0, 0, 0)

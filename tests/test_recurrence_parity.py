@@ -17,8 +17,9 @@ from pathlib import Path
 import pytest
 
 from bivasym import BivariatePolynomial, coeff_linear_closed_form, coeff_recurrence, coefficients_at
-from bivasym.oracle import _antidiagonal_rows, _integer_rows, _integer_terms
+from bivasym.oracle import _integer_rows
 from bivasym.problem import parse_problem
+from bivasym.rationals import hermite_basis
 from bivasym.series import Prefactor
 from tests.test_acceptance import _random_polynomials
 
@@ -182,6 +183,17 @@ SPARSE_H = {
     "lone_y2": [(0, 0, "1"), (1, 1, "-1"), (0, 2, "-2/5"), (2, 0, "1")],
     "several_pure_y": [(0, 0, "1"), (1, 0, "-1"), (0, 1, "1/2"), (0, 2, "-1"), (0, 3, "2/3")],
     "no_x": [(0, 0, "1"), (0, 1, "-1"), (0, 3, "1/2")],
+    # Lattices (A, B), (0, C) of the exponents whose rows keep only the cells
+    # b = (a/A)*B mod C: C = 2 with t_a = a mod 2 and a pure-y term; B = -1,
+    # C = 4 (family item 14's lattice); C = 3 and C = 4 with pure-y terms;
+    # rank 1, one cell a row; pure-y terms only, C = 2.
+    "moving_offset": [(0, 0, "1"), (1, 1, "-1"), (0, 2, "1/3")],
+    "negative_b": [(0, 0, "1"), (2, 2, "-1/2"), (3, 1, "1"), (4, 0, "-2/3")],
+    "c3_two_pure_y": [(0, 0, "1"), (1, 1, "-1"), (0, 3, "1/2"), (0, 6, "-1/5"), (2, 2, "1/4")],
+    "c4_pure_y": [(0, 0, "1"), (1, 3, "-1"), (0, 4, "2/3")],
+    "rank_1": [(0, 0, "1"), (2, 1, "-1")],
+    "rank_1_two_terms": [(0, 0, "-1"), (2, 1, "1/2"), (4, 2, "3")],
+    "pure_y_c2": [(0, 0, "1"), (0, 2, "-1"), (0, 4, "1/3")],
 }
 SPARSE_BETAS = [F(1, 2), F(-1, 2), F(2), F(1, 3), F(-7, 3)]
 
@@ -215,6 +227,12 @@ FORGED = [
     ([(0, 1, 1), (1, 0, 1)], F(1, 2), (4, 4), "(0, 2)"),
     ([(0, 1, 1), (1, 0, 1)], F(1, 2), (4, 1), "(2, 0)"),
     ([(0, 2, 1), (1, 0, 3), (2, 1, 1)], F(1, 3), (6, 6), "(0, 6)"),
+    # C > 1 and rank-1 lattices: the named cell is t_a + C*k, from row a's
+    # kept cells.
+    ([(1, 3, 1), (0, 4, 2)], F(1, 2), (9, 12), "(2, 6)"),
+    ([(2, 2, 1), (3, 1, 1), (4, 0, 1)], F(1, 2), (12, 12), "(4, 4)"),
+    ([(1, 1, 1), (0, 3, 1), (0, 6, 1)], F(1, 2), (8, 9), "(0, 6)"),
+    ([(2, 1, 1)], F(1, 2), (8, 8), "(4, 2)"),
 ]
 
 
@@ -224,21 +242,49 @@ def test_inexact_step_names_its_cell(terms, beta, box, cell):
         list(_integer_rows(terms, beta, *box))
 
 
+def _skips_columns(H) -> bool:
+    """Whether the row kernel keeps only every C-th column, C > 1, or one cell a row."""
+    a, b, c = hermite_basis(H.terms)
+    return c > 1 or (c == 0 and a > 0 and b > 0)
+
+
 def main() -> int:
     """The row kernel against the antidiagonal fill on boxes larger than tier-1's.
 
     The first 64 criterion-4 family polynomials, beta in {1/2, -1/2, 2}, at
-    80x80: the zero rows and the column bounds of sparse supports reach
-    further into the box than at 20x20.
+    80x80; the first 200, beta in {1/2, -1/2, 2, 1/3, -7/3}, at 40x40 and
+    13x29, with G = 1 and G = 1 + 2x - y/3; and every problem file at its
+    oracle box with its own G and beta: the zero rows, the column bounds
+    and the lattice's cells of sparse supports reach further into the box
+    than at 20x20.  Any refusal fails the scan.  Prints how many tables
+    have a column step above 1 (the kernel keeps every C-th column, or one
+    cell a row).
     """
-    betas = [F(1, 2), F(-1, 2), F(2)]
-    for k, H in enumerate(itertools.islice(_random_polynomials(20260810), 64)):
-        for beta in betas:
-            _, terms = _integer_terms(H, beta)
-            if list(_integer_rows(terms, beta, 80, 80)) != _antidiagonal_rows(terms, beta, 80, 80):
-                print(f"family polynomial {k}, beta {beta}: the row kernel differs at 80x80")
-                return 1
-    print(f"{64 * len(betas)} tables at 80x80 equal the antidiagonal fill")
+    G = _poly((0, 0, "1"), (1, 0, "2"), (0, 1, "-1/3"))
+    family = list(itertools.islice(_random_polynomials(20260810), 200))
+    cases = [
+        (f"family polynomial {k}, beta {beta}, box (80, 80)", H, None, beta, (80, 80))
+        for k, H in enumerate(family[:64])
+        for beta in (F(1, 2), F(-1, 2), F(2))
+    ]
+    cases += [
+        (f"family polynomial {k}, beta {beta}, G {g}, box {box}", H, g, beta, box)
+        for k, H in enumerate(family)
+        for beta in SPARSE_BETAS
+        for box in ((40, 40), (13, 29))
+        for g in (None, G)
+    ]
+    for path in sorted((ROOT / "problems").glob("*.json")):
+        spec = parse_problem(path.read_text())
+        cases.append((path.name, spec.H, spec.G, spec.beta, spec.effective_box()))
+    stepped = 0
+    for name, H, g, beta, box in cases:
+        rows, antidiagonal = (coeff_recurrence(H, g, beta, box, order=order) for order in ("rows", "antidiagonal"))
+        if (rows.series.coeffs, rows.prefactor) != (antidiagonal.series.coeffs, antidiagonal.prefactor):
+            print(f"{name}: the row kernel differs from the antidiagonal fill")
+            return 1
+        stepped += _skips_columns(H)
+    print(f"{len(cases)} tables equal the antidiagonal fill; {stepped} have a column step above 1")
     return 0
 
 
