@@ -1,8 +1,8 @@
 """Sparse bivariate polynomials with exact rational coefficients.
 
 Terms are a map from exponent pairs ``(i, j)`` to nonzero Fractions.  All
-arithmetic is exact, and so is evaluation at a working-precision point:
-``eval``, ``eval_magnitude_scale`` and ``specialize_x`` run
+arithmetic is exact, and so is evaluation at a working-precision point,
+on integers: ``eval``, ``eval_magnitude_scale`` and ``specialize_x`` run
 ``unipoly.horner_exact`` over the coefficients put over their lcm, each
 column of x-coefficients first and then the column values in y, and
 round the result once to ``mp.prec``.  A value is the correctly rounded
@@ -12,9 +12,10 @@ not kept, so a caller that needs one twice hands it along
 (``winding_number`` reads the H_x and H_y of ``local_data``).
 ``eval_double`` is the scalar double-precision evaluator, with a rigorous
 error bound (``unipoly.double_values``), for the threshold tests that
-doubles can settle.  ``eval_array`` evaluates on numpy grids, curves and
-probe slices, and ``ray_argument`` gives arg H along a ray from the
-origin from the roots of H on it.
+doubles can settle.  ``eval_array`` evaluates on numpy arrays (the
+quadrature's theta2 = 0 column), ``polyval`` is numpy's Horner, and
+``ray_argument`` gives arg H along a ray from the origin from the roots
+of H on it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .unipoly import (
     dyadic,
     horner_exact,
     round_exact,
-    trim,
     values_at,
 )
 
@@ -194,21 +194,8 @@ class BivariatePolynomial:
 
     # -- views ------------------------------------------------------------
 
-    def coeffs_in_y(self):
-        """Coefficients as polynomials in x, indexed by y-degree.
-
-        Returns a list of length degree_y + 1; element j is the list of
-        Fraction x-coefficients of [y^j] self.
-        """
-        dy = self.degree_y()
-        dx = self.degree_x()
-        out = [[Fraction(0)] * (dx + 1) for _ in range(dy + 1)]
-        for (i, j), c in self.terms.items():
-            out[j][i] = c
-        return [trim(row) for row in out]
-
     def integer_coeffs_in_y(self):
-        """``(den, rows)``: ``coeffs_in_y`` of ``den * self`` as ints.
+        """``(den, rows)``: the x-coefficients of each y^j of ``den * self``, as ints.
 
         ``den`` is the lcm of the denominators.  The rows are the cached
         integer columns, shared by every caller: they must not be changed.
@@ -250,14 +237,6 @@ class BivariatePolynomial:
         return values_at([(col, None, den) for col in cols], to_mpc(value))
 
     # -- evaluation --------------------------------------------------------
-
-    def eval_exact(self, qx: Fraction, qy: Fraction) -> Fraction:
-        """Exact rational evaluation (reference path for tests)."""
-        qx, qy = Fraction(qx), Fraction(qy)
-        total = Fraction(0)
-        for (i, j), c in sorted(self.terms.items()):
-            total += c * qx**i * qy**j
-        return total
 
     def _integer_columns(self):
         """``(den, columns, moduli)``: the coefficients over their lcm ``den``.

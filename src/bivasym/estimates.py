@@ -213,12 +213,6 @@ def branch_argument(theta, ray: BranchRay, anchor_arg) -> mpf:
     return rep
 
 
-def principal_on_ray(w: mpc, beta, ray: BranchRay, anchor_arg) -> mpc:
-    """w**(-beta) using the anchored ray branch of the logarithm."""
-    theta = branch_argument(mp.arg(w), ray, anchor_arg)
-    return _power_on_branch(mp.log(abs(w)), theta, to_mpf(beta))
-
-
 def _power_on_branch(log_abs_w, theta, b) -> mpc:
     """``w**(-b)`` from ``log|w|`` and ``w``'s argument ``theta`` on the branch."""
     return mp.exp(-b * mpc(log_abs_w, theta))

@@ -599,10 +599,13 @@ def quadrature_values(
     vanishing, then a jump), the ray, the column's winding, then each block
     of rows 0..N1/2 in theta1 order (vanishing, a jump, then winding; the
     rows of the square-root route can fail only the first).
-    Before any of them, ``EvaluationOverflow`` (the CLI's exit 70) refuses
-    a box and radii for which some ``c1^r * c2^s`` is not a finite nonzero
-    double: entry (r, s) is the DFT output divided by it.
+    Before any of them, ``ConfigError`` refuses a ``beta`` other than
+    ``cfg.beta``, and ``EvaluationOverflow`` (the CLI's exit 70) a box and
+    radii for which some ``c1^r * c2^s`` is not a finite nonzero double:
+    entry (r, s) is the DFT output divided by it.
     """
+    if beta != cfg.beta:
+        raise ConfigError(f"beta {beta} differs from the configuration's {cfg.beta}")
     R, S = cfg.box
     c1, c2 = cfg.quadrature_radii
     N1, N2 = cfg.quadrature_grid

@@ -1,10 +1,10 @@
-"""Univariate polynomial utilities over exact rationals.
+"""Univariate polynomial kernels on integers, for exact rational polynomials.
 
-Polynomials are ascending coefficient lists of Fractions.  These back the
-resultant elimination and the exact seeding of root finding.  The gcd,
-the square-free part and the determinant clear denominators first and
-work on Python ints: a primitive remainder sequence (each pseudo-remainder
-divided by its content) and Bareiss's fraction-free elimination.
+Polynomials are ascending coefficient lists of Fractions; every exact step
+on them runs on ints, the package's one exact-polynomial route.  The gcd
+and square-free part run a primitive remainder sequence (each
+pseudo-remainder divided by its content), and ``bareiss_minors`` gives
+the resultant's determinants by Bareiss's fraction-free elimination.
 
 Every value at a working-precision point is computed here too, exactly:
 ``exact_form`` puts the coefficients over one denominator as Gaussian
@@ -68,33 +68,6 @@ def degree(p: Sequence[Fraction]) -> int:
     if is_zero(p):
         return -1
     return len(p) - 1
-
-
-def add(a: Sequence[Fraction], b: Sequence[Fraction]) -> UPoly:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return trim(out)
-
-
-def mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> UPoly:
-    if is_zero(a) or is_zero(b):
-        return [Fraction(0)]
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb != 0:
-                out[i + j] += ca * cb
-    return trim(out)
-
-
-def scale(a: Sequence[Fraction], c: Fraction) -> UPoly:
-    return trim([Fraction(c) * v for v in a])
 
 
 def eval_at(p: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -295,24 +268,6 @@ def derivative(p: Sequence[Fraction]) -> UPoly:
     return trim([Fraction(c) * i for i, c in enumerate(p)][1:])
 
 
-def divmod_exact(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Quotient and remainder over the rationals."""
-    a, b = trim(a), trim(b)
-    if is_zero(b):
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    db, lb = degree(b), b[-1]
-    while not is_zero(r) and degree(r) >= db:
-        dr = degree(r)
-        c = r[dr] / lb
-        q[dr - db] = c
-        for i in range(db + 1):
-            r[dr - db + i] -= c * b[i]
-        r = trim(r)
-    return trim(q), trim(r)
-
-
 def _int_primitive(a: List[int]) -> List[int]:
     """``a`` over the gcd of its coefficients, leading coefficient positive."""
     content = math.gcd(*a)
@@ -388,30 +343,6 @@ def squarefree_part(p: Sequence[Fraction]) -> UPoly:
     return [scale * v for v in _int_divexact(P, G)]
 
 
-def lagrange_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> UPoly:
-    """Exact polynomial through (xs[i], ys[i]) via Newton divided differences."""
-    n = len(xs)
-    if n != len(ys) or n == 0:
-        raise ValueError("need equally many sample points and values")
-    coeffs = [Fraction(y) for y in ys]
-    # Divided-difference table, in place.
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    # Expand the Newton form into monomial coefficients.
-    out: UPoly = [Fraction(0)]
-    basis: UPoly = [Fraction(1)]
-    for i in range(n):
-        out = add(out, scale(basis, coeffs[i]))
-        basis = mul(basis, [-Fraction(xs[i]), Fraction(1)])
-    return trim(out)
-
-
-def determinant_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (1 for the empty one); see ``bareiss_minors``."""
-    return bareiss_minors(matrix)[0]
-
-
 def bareiss_minors(matrix: Sequence[Sequence[int]]) -> List[int]:
     """Minors of an r x c integer matrix (0 <= r <= c) by Bareiss elimination.
 
@@ -442,13 +373,3 @@ def bareiss_minors(matrix: Sequence[Sequence[int]]) -> List[int]:
                 row[j] = (pk * row[j] - a * row_k[j]) // prev
         prev = pk
     return [sign * v for v in m[n - 1][n - 1 :]]
-
-
-def determinant_fraction(matrix: List[List[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix: rows over their denominators, then Bareiss."""
-    scale, rows = 1, []
-    for row in matrix:
-        den = math.lcm(*(Fraction(c).denominator for c in row))
-        rows.append([int(c * den) for c in row])
-        scale *= den
-    return Fraction(determinant_int(rows), scale)

@@ -31,9 +31,9 @@ from bivasym import (
 )
 from bivasym.critical import PROBABLY_STRICTLY_MINIMAL, VIOLATED
 from bivasym.errors import BivasymError, HypothesisFailure
-from bivasym.estimates import principal_on_ray
 from bivasym.oracle import quadrature_values
 from tests.conftest import WINDING_POINT
+from tests.reference import principal_on_ray
 
 
 def _report(name: str, ok: bool, detail: str = ""):

@@ -26,12 +26,12 @@ from bivasym import (
 from bivasym import estimates
 from bivasym.cli import report_critical_points
 from bivasym.errors import ConfigError, HypothesisFailure
-from bivasym.estimates import principal_on_ray
 from bivasym.oracle import exact_value
 from bivasym.precision import to_mpc
 from bivasym.pipeline import estimate_target, run_solve
 from bivasym.problem import ProblemSpec
 from tests.conftest import WINDING_POINT
+from tests.reference import principal_on_ray
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 

@@ -3,10 +3,11 @@
 ``resultant_eliminating`` clears denominators, takes integer Sylvester
 determinants by Bareiss elimination at x = 0, 1, ... and interpolates by
 forward differences; ``squarefree_part`` runs a primitive remainder
-sequence on integers.  The references below are the Fraction routes they
-replaced: Gaussian elimination over the rationals at the sample points
-0, 1, -1, 2, -2, ..., Newton divided differences, and the monic Euclidean
-gcd.  The results must be equal, coefficient for coefficient.
+sequence on integers.  The references are the Fraction routes they
+replaced, from ``tests/reference.py``: Gaussian elimination over the
+rationals at the sample points 0, 1, -1, 2, -2, ..., Newton divided
+differences, and the monic Euclidean gcd.  The results must be equal,
+coefficient for coefficient.
 """
 
 import functools
@@ -22,20 +23,14 @@ from bivasym import BivariatePolynomial, Direction, parse_problem
 from bivasym.critical import critical_system
 from bivasym.errors import NonIsolatedCriticalSet
 from bivasym.resultant import resultant_eliminating, sylvester_matrix
-from bivasym.unipoly import (
-    bareiss_minors,
-    degree,
-    derivative,
-    determinant_fraction,
-    determinant_int,
+from bivasym.unipoly import bareiss_minors, degree, derivative, eval_at, is_zero, squarefree_part, trim
+from tests.reference import (
+    coeffs_in_y,
     divmod_exact,
-    eval_at,
-    is_zero,
+    fraction_determinant,
     lagrange_interpolate,
     mul,
     scale,
-    squarefree_part,
-    trim,
 )
 from tests.test_acceptance import _random_polynomials
 
@@ -43,28 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 DIRECTIONS = [Direction(1, 1), Direction(2, 1), Direction(1, 3)]
 
 
-def fraction_determinant(matrix):
-    """Fraction Gaussian elimination with row pivoting."""
-    m = [list(row) for row in matrix]
-    n, det = len(m), Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            if f:
-                m[r][col:] = [a - f * b for a, b in zip(m[r][col:], m[col][col:])]
-    return det
-
-
 def fraction_resultant(f, g):
     """The eliminant of y by evaluation-interpolation over the rationals, the sample points 0, 1, -1, ..."""
-    f_rows, g_rows = f.coeffs_in_y(), g.coeffs_in_y()
+    f_rows, g_rows = coeffs_in_y(f), coeffs_in_y(g)
     m, n = len(f_rows) - 1, len(g_rows) - 1
     if m == 0 or n == 0:
         base, power = (f_rows[0], n) if m == 0 else (g_rows[0], m)
@@ -161,7 +137,11 @@ def test_squarefree_part_of_a_rational_polynomial():
 
 
 def test_fraction_determinant_is_the_integer_one_over_the_row_denominators():
+    # Rows 1/2, 2/3 and 3, -4/5 over their denominators 6 and 5.
     m = [[Fraction(1, 2), Fraction(2, 3)], [Fraction(3), Fraction(-4, 5)]]
-    assert determinant_fraction(m) == fraction_determinant(m) == Fraction(-12, 5)
-    assert determinant_int([[2, 0, 1], [0, 0, 3], [1, 4, 0]]) == -24
-    assert bareiss_minors([]) == [1] and determinant_int([]) == 1
+    assert fraction_determinant(m) == Fraction(bareiss_minors([[3, 4], [15, -4]])[0], 30) == Fraction(-12, 5)
+    assert bareiss_minors([[2, 0, 1], [0, 0, 3], [1, 4, 0]]) == [-24]
+    assert bareiss_minors([]) == [1] and fraction_determinant([]) == 1
+    # Singular: a zero last pivot, and no pivot in the first column.
+    assert bareiss_minors([[1, 2], [2, 4]]) == [0] == bareiss_minors([[0, 1], [0, 2]])
+    assert fraction_determinant([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]]) == 0

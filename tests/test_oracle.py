@@ -260,6 +260,20 @@ def test_config_refuses_a_radius_that_is_not_finite(radii):
         OracleConfig(box=(2, 2), beta=F(1, 2), quadrature_radii=radii, quadrature_grid=(64, 64))
 
 
+def test_quadrature_refuses_an_exponent_other_than_the_configs(multinomial_h):
+    # A configuration built for beta = 1/2 must not integrate the argument's
+    # exponent, 3/2.
+    cfg = OracleConfig(box=(2, 2), beta=F(1, 2), quadrature_radii=(0.3, 0.3), quadrature_grid=(64, 64))
+    for call in (
+        lambda: quadrature_values(multinomial_h, None, F(3, 2), cfg),
+        lambda: cauchy_quadrature(multinomial_h, None, F(3, 2), 1, 1, cfg),
+    ):
+        with pytest.raises(ConfigError, match="differs from the configuration"):
+            call()
+    # An equal value of another type is the same exponent.
+    assert quadrature_values(multinomial_h, None, mpf(1) / 2, cfg).values.shape == (3, 3)
+
+
 def test_csv_export_exact(multinomial_h):
     table = coeff_recurrence(multinomial_h, None, F(1, 2), (1, 1))
     text = table_to_csv(table)

