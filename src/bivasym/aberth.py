@@ -75,7 +75,7 @@ _START_OFFSET = 0.376991118430775
 # A nonzero value below this modulus is lost in complex128 (subnormal or 0).
 _FLOAT_TINY = 2.0**-1000
 
-# The complex128 stage stops at 2**-40.
+# The complex128 stage stops when each step is at most 2**-40 of its root.
 _STAGE_TOL = 2.0**-40
 
 # A double pair difference |z_i - z_j| at most this times |z_i| + |z_j|
@@ -232,7 +232,7 @@ def _float_stage(coeffs: Sequence[mpc]) -> Optional[List[mpc]]:
             z = z - delta
             if not np.isfinite(z).all():
                 return None
-            if (np.abs(delta) <= _STAGE_TOL * (1 + np.abs(z))).all():
+            if (np.abs(delta) <= _STAGE_TOL * np.abs(z)).all():
                 return [mpc(v) for v in z]
     return None
 

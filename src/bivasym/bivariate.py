@@ -6,10 +6,10 @@ on integers: ``eval``, ``eval_magnitude_scale`` and ``specialize_x`` run
 ``unipoly.horner_exact`` over the coefficients put over their lcm, each
 column of x-coefficients first and then the column values in y, and
 round the result once to ``mp.prec``.  A value is the correctly rounded
-value of the exact polynomial at the point.  The integer columns, the
-dense float matrix and each partial derivative are made once; values are
-not kept, so a caller that needs one twice hands it along
-(``winding_number`` reads the H_x and H_y of ``local_data``).
+value of the exact polynomial at the point.  The integer columns and each
+partial derivative are made once; values are not kept, so a caller that
+needs one twice hands it along (``winding_number`` reads the H_x and H_y
+of ``local_data``).
 ``eval_double`` is the scalar double-precision evaluator, with a rigorous
 error bound (``unipoly.double_values``), for the threshold tests that
 doubles can settle.  ``eval_array`` evaluates on numpy arrays (the
@@ -61,11 +61,10 @@ class BivariatePolynomial:
 
     Zero coefficients are never stored; the zero polynomial has no terms.
     The terms are never changed after construction, which the caches of
-    the integer and double columns, the float matrix and the partial
-    derivatives rely on.
+    the integer columns and the partial derivatives rely on.
     """
 
-    __slots__ = ("terms", "_columns", "_doubles", "_floats", "_partials")
+    __slots__ = ("terms", "_columns", "_partials")
 
     def __init__(self, terms: Dict[Exponent, Fraction] | None = None):
         clean: Dict[Exponent, Fraction] = {}
@@ -78,8 +77,6 @@ class BivariatePolynomial:
                     clean[(int(i), int(j))] = c
         self.terms = clean
         self._columns: tuple | None = None
-        self._doubles: list | None = None
-        self._floats: np.ndarray | None = None
         self._partials: Dict[str, "BivariatePolynomial"] = {}
 
     # -- construction ----------------------------------------------------
@@ -204,24 +201,20 @@ class BivariatePolynomial:
         return den, cols
 
     def float_coeffs(self) -> np.ndarray:
-        """Dense float matrix A with A[i, j] = [x^i y^j] self, made once.
+        """Dense float matrix A with A[i, j] = [x^i y^j] self.
 
-        The array is shared by every caller and read-only.  Raises
-        ``EvaluationOverflow``, naming the term, when a coefficient is
-        beyond the double range.
+        Raises ``EvaluationOverflow``, naming the term, when a coefficient
+        is beyond the double range.
         """
-        if self._floats is None:
-            out = np.zeros((self.degree_x() + 1, self.degree_y() + 1))
-            for (i, j), c in self.terms.items():
-                try:
-                    out[i, j] = float(c)
-                except OverflowError:
-                    raise EvaluationOverflow(
-                        f"coefficient of x^{i} y^{j} is beyond the double range"
-                    ) from None
-            out.flags.writeable = False
-            self._floats = out
-        return self._floats
+        out = np.zeros((self.degree_x() + 1, self.degree_y() + 1))
+        for (i, j), c in self.terms.items():
+            try:
+                out[i, j] = float(c)
+            except OverflowError:
+                raise EvaluationOverflow(
+                    f"coefficient of x^{i} y^{j} is beyond the double range"
+                ) from None
+        return out
 
     def moduli_in_y(self):
         """The moduli of each y^j's x-coefficients as ``unipoly`` exact forms, j ascending."""
@@ -287,14 +280,11 @@ class BivariatePolynomial:
     def eval_double(self, x: complex, y: complex):
         """``unipoly.double_values`` at the complex doubles (x, y): value, magnitude sum, bound.
 
-        The coefficients are rounded to doubles once.  None when one has no
-        finite normal double.
+        None when a coefficient has no finite normal double.
         """
-        if self._doubles is None:
-            den, cols, _ = self._integer_columns()
-            doubles = [double_coefficients((col, None, den)) for col in cols]
-            self._doubles = [] if None in doubles else doubles
-        return double_values(self._doubles, x, y) if self._doubles else None
+        den, cols, _ = self._integer_columns()
+        doubles = [double_coefficients((col, None, den)) for col in cols]
+        return None if None in doubles else double_values(doubles, x, y)
 
     def eval_array(self, x, y) -> np.ndarray:
         """Double-precision values at numpy arrays ``x``, ``y`` broadcast together.
@@ -329,10 +319,11 @@ class BivariatePolynomial:
         |h_n prod_{j != k} (z_k - z_j)| about ``np.roots``' z_k; the disks
         hold every root) meets (0, t_end].
         """
-        i, j = np.indices(self.float_coeffs().shape)
-        h = np.zeros(i.max() + j.max() + 1, dtype=np.complex128)
+        A = self.float_coeffs()
+        i, j = np.indices(A.shape)
+        h = np.zeros(sum(A.shape) - 1, dtype=np.complex128)
         with np.errstate(all="ignore"):  # a power past the double range is refused below
-            np.add.at(h, i + j, self.float_coeffs() * complex(a) ** i * complex(b) ** j)
+            np.add.at(h, i + j, A * complex(a) ** i * complex(b) ** j)
             if not np.isfinite(h).all():
                 raise EvaluationOverflow("H on the ray leaves the double range")
             h = np.trim_zeros(h, "b")[::-1]  # descending, as np.roots and np.polyval take it

@@ -31,7 +31,8 @@ one circle |y| = |q| plus the roots of H(0, y); verdicts carry a concrete
 witness when violated.  The probe root-solves the circle's first
 ``FIRST_SLICES`` slices alone and stops there when they hold a witness.
 Every zero test judges a value against its own magnitude at the point
-(``negligible``), so no verdict depends on the units of x and y.
+(``negligible``), and every match a coordinate or modulus against its
+own (``_excess``), so no verdict depends on the units of x and y.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ UNTESTED = "untested"
 # Fixed numeric thresholds, each relative to the scale it is compared with.
 RESIDUAL_TOL = 1e-12  # polished system residual accepted as a solution
 START_TOL = 1e-4  # unpolished residual a partner candidate needs to be polished
-MERGE_TOL = 1e-10  # coordinates, moduli or weights this close count as equal
+MERGE_TOL = 1e-10  # a coordinate or modulus this close to its own modulus, or a weight, matches
 IDENTITY_TOL = 1e-10  # H_y/H_x = p/(lambda*q) check in the local data
 MARGIN_TOL = 1e-6  # probe margin needed for probably_strictly_minimal
 BOUNDARY_TOL = 1e-9  # an x-root this close to the |p| circle touches it
@@ -154,40 +155,43 @@ class CriticalPoint:
         return same_point(self, (mp.conj(other.p), mp.conj(other.q)))
 
 
+def _excess(u, v, size=None):
+    """``|u - v| - MERGE_TOL * |u|``: ``v`` matches ``u`` when this is at most 0.
+
+    The one match rule for coordinates and moduli.  ``size`` is ``|u|``
+    where the caller has it.  It is nan when ``u`` is not finite.
+    """
+    return abs(u - v) - MERGE_TOL * (abs(u) if size is None else size)
+
+
 def same_point(a, b: Tuple[mpc, mpc]) -> bool:
-    """True when each coordinate of ``b`` is within ``MERGE_TOL * (1 + max(|p|, |q|))`` of ``a``'s.
+    """True when each coordinate of ``b`` matches ``a``'s (``_excess``).
 
     ``b`` is a ``(p, q)`` pair and ``a`` one too, or a CriticalPoint, whose
-    kept moduli give the scale.  The scale is taken from ``a`` at working
-    precision, where a point past the double range keeps it.
+    kept moduli are used.  They are taken at working precision, where a
+    point past the double range keeps them.
     """
-    if isinstance(a, CriticalPoint):
-        scale, a = max(a.abs_pq), (a.p, a.q)
-    else:
-        scale = max(abs(a[0]), abs(a[1]))
-    close = MERGE_TOL * (1 + scale)
-    return abs(a[0] - b[0]) <= close and abs(a[1] - b[1]) <= close
+    sizes, a = (a.abs_pq, (a.p, a.q)) if isinstance(a, CriticalPoint) else ((None, None), a)
+    return all(_excess(u, v, size) <= 0 for u, v, size in zip(a, b, sizes))
 
 
 def apart(a: Tuple[complex, complex], b: Tuple[complex, complex]) -> bool:
     """True when the doubles of two points settle that ``same_point`` fails.
 
-    ``a`` and ``b`` are ``(p, q)`` in doubles, the scale taken from ``a``:
-    some coordinate differs by more than the tolerance plus what rounding
-    to doubles can move.  Not finite doubles settle nothing.
+    ``a`` and ``b`` are ``(p, q)`` in doubles: some coordinate's excess is
+    above what rounding to doubles can move.  Not finite doubles settle
+    nothing.
     """
-    close = MERGE_TOL * (1 + max(abs(a[0]), abs(a[1]))) * (1 + 1e-12)
-    return any(abs(u - v) > close + 1e-15 * (abs(u) + abs(v)) + 1e-300 for u, v in zip(a, b))
+    return any(_excess(u, v) > 1e-15 * (abs(u) + abs(v)) + 1e-300 for u, v in zip(a, b))
 
 
 def same_torus(a: Tuple[float, float], b: Tuple[float, float]) -> bool:
-    """True when each modulus of ``b`` is within ``MERGE_TOL * (1 + max(a))`` of ``a``'s.
+    """True when each modulus of ``b`` matches ``a``'s (``_excess``).
 
     ``a`` and ``b`` are ``(|p|, |q|)`` pairs.  A modulus past the double
     range reads inf, and such an ``a`` shares its torus with no point.
     """
-    close = MERGE_TOL * (1 + max(a))
-    return close < math.inf and abs(a[0] - b[0]) <= close and abs(a[1] - b[1]) <= close
+    return all(_excess(u, v, u) <= 0 for u, v in zip(a, b))
 
 
 @dataclass
@@ -423,17 +427,16 @@ def _eliminant_roots(poly: Sequence[Fraction], group: Characters):
 def _conjugate_twins(roots: Sequence[mpc]) -> dict:
     """``{k: j}``: root ``k`` lies below the real axis and ``roots[j]`` is its twin above it.
 
-    Decided in doubles: ``|Im w| > MERGE_TOL * (1 + |w|)`` for ``w =
-    roots[k]``, ``roots[j]`` is the one root with a positive imaginary part
-    within that tolerance of ``conj(w)``, and ``w`` is the one such root
-    for ``roots[j]``.  A root whose double is not finite has no twin.
+    Decided in doubles: ``w = roots[k]`` does not match its real part
+    (``_excess``), ``roots[j]`` is the one root with a positive imaginary
+    part that matches ``conj(w)``, and ``w`` is the one such root for
+    ``roots[j]``.  A root whose double is not finite has no twin.
     """
     z = [complex(w) for w in roots]
     near = {}
     for k, w in enumerate(z):
-        tol = MERGE_TOL * (1 + abs(w))
-        if w.imag < -tol:
-            near[k] = [j for j, u in enumerate(z) if u.imag > 0 and abs(u - w.conjugate()) <= tol]
+        if w.imag < 0 and _excess(w, w.real) > 0:
+            near[k] = [j for j, u in enumerate(z) if u.imag > 0 and _excess(w.conjugate(), u) <= 0]
     claims = [js[0] for js in near.values() if len(js) == 1]
     return {k: js[0] for k, js in near.items() if len(js) == 1 and claims.count(js[0]) == 1}
 
@@ -445,11 +448,13 @@ def _partner_mates(starts, swap, fixing: int):
     its conjugate, and the starts are one per orbit under the ``fixing``
     characters that fix x.  On ``v = q^fixing h``, ``h^2 = chi_2^fixing``,
     the map is conjugation: ``_conjugate_twins`` pairs the starts, and a
-    ``v`` within ``MERGE_TOL`` of the real axis is fixed.
+    ``v`` matching its real part is fixed.  One power of two divides the
+    partners first: ``q^fixing`` stays in range, and no relative test moves.
     """
     h = cmath.sqrt(complex(1 if swap is None else swap[1]) ** fixing)
-    v = [complex(q) ** fixing * h for _, q, *_ in starts]
-    return _conjugate_twins(v), {i for i, z in enumerate(v) if abs(z.imag) <= MERGE_TOL * (1 + abs(z))}
+    unit = power_of_two(-max((mp.mag(start[1]) for start in starts if start[1]), default=0))
+    v = [complex(q * unit) ** fixing * h for _, q, *_ in starts]
+    return _conjugate_twins(v), {i for i, z in enumerate(v) if _excess(z, z.real) <= 0}
 
 
 def _partners(F1, F2, w: mpc, sigmas, fixing: int = 1):
@@ -799,13 +804,14 @@ def dominant_class(classes: List[TorusClass]) -> TorusClass:
 
     Distinct classes of ``group_by_torus`` lie on distinct tori
     (``same_torus``), and the single-torus estimate cannot combine them, so
-    a direction-weight tie with the first class is refused with a diagnostic.
+    a direction-weight tie with the first class, within ``MERGE_TOL``
+    (rescaling shifts every weight alike), is refused with a diagnostic.
     """
     if not classes:
         raise ConfigError("no critical points to classify")
     best = classes[0]
     for other in classes[1:]:
-        if abs(other.weight - best.weight) <= MERGE_TOL * max(1.0, abs(best.weight)):
+        if abs(other.weight - best.weight) <= MERGE_TOL:
             raise ConfigError(
                 "two torus classes share the dominant direction weight "
                 f"({best.modulus_p:.6g},{best.modulus_q:.6g}) vs "

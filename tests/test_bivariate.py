@@ -334,22 +334,11 @@ def test_moduli_in_y_give_the_row_scales_bit_for_bit():
                         assert got._mpc_ == want._mpc_
 
 
-def test_float_coeffs_are_made_once_and_read_only():
-    # eval_array and vanish_floor read one cached matrix; its values are
-    # those of a matrix built afresh, and no caller can write to it: the
-    # minimality probe reads its transpose.
-    spec = parse_problem((ROOT / "problems" / "color_swap.json").read_text())
-    H = spec.H
-    A = H.float_coeffs()
-    assert H.float_coeffs() is A
+def test_float_coeffs_equal_a_fresh_matrix():
+    # eval_array, vanish_floor and the minimality probe read float_coeffs:
+    # each coefficient rounded to its double, every other cell zero.
+    H = parse_problem((ROOT / "problems" / "color_swap.json").read_text()).H
     fresh = np.zeros((H.degree_x() + 1, H.degree_y() + 1))
     for (i, j), c in H.terms.items():
         fresh[i, j] = float(c)
-    assert A.tobytes() == fresh.tobytes()
-    with pytest.raises(ValueError):
-        A[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        A.T[0, 0] = 2.0
-    outcome = run_solve(spec)
-    assert outcome.dominant.points[0].minimality == "probably_strictly_minimal"
-    assert H.float_coeffs() is A and A.tobytes() == fresh.tobytes()
+    assert H.float_coeffs().tobytes() == fresh.tobytes()

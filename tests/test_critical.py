@@ -257,15 +257,49 @@ def test_points_past_the_double_range_get_tori_of_their_own():
 
 
 def test_class_and_estimate_share_the_torus_rule():
-    # |p| differs by 5e-10: within MERGE_TOL * (1 + max(|p|, |q|)) = 1.1e-9,
-    # so the points form one class, which the estimate must then accept.
+    # |p| differs by 5e-12: within MERGE_TOL * |p| = 1e-11, so the points
+    # form one class, which the estimate must then accept.  |q| = 10 lends
+    # |p| no tolerance: 2e-11 apart is another torus.
     a = CriticalPoint(p=mpc(0.1), q=mpc(10))
-    b = CriticalPoint(p=mpc(0.1 + 5e-10), q=mpc(0, 10))
+    b = CriticalPoint(p=mpc(0.1 + 5e-12), q=mpc(0, 10))
     (only,) = group_by_torus([a, b])
     assert only.points == [a, b]
     _require_same_torus(only.points)
+    c = CriticalPoint(p=mpc(0.1 + 2e-11), q=mpc(10))
+    assert len(group_by_torus([a, c])) == 2
     with pytest.raises(ConfigError, match="not on one torus"):
-        _require_same_torus([a, CriticalPoint(p=mpc(0.1 + 2e-9), q=mpc(10))])
+        _require_same_torus([a, c])
+
+
+@pytest.mark.parametrize("ea, eb", [(0, 0), (1000, 1000), (-1000, -1000), (1000, -1000), (0, -1000)])
+def test_matching_rules_ignore_the_units(ea, eb):
+    # x -> 2^ea x, y -> 2^eb y moves p to p/2^ea and q to q/2^eb exactly,
+    # and no match, torus, conjugate twin or weight tie with them: each
+    # coordinate is judged against its own modulus, and every weight moves
+    # by one constant.
+    a, b = mpf(2) ** ea, mpf(2) ** eb
+
+    def point(p, q):
+        return CriticalPoint(p=mpc(p) / a, q=mpc(q) / b)
+
+    base = point(mpc(1e-3, 2e-3), mpc(10, -3))
+    others = [
+        point(mpc(1e-3, 2e-3) * (1 + 3e-11), mpc(10, -3)),
+        point(mpc(1e-3, 2e-3) * (1 + 3e-10), mpc(10, -3)),
+        point(mpc(1e-3, 2e-3), mpc(10, -3) + mpc(0, 3e-9)),
+        point(mpc(1e-3, 2e-3), mpc(10, -3) * (1 - 5e-11)),
+    ]
+    matches = [same_point(base, (o.p, o.q)) for o in others]
+    assert matches == [True, False, False, True]
+    assert not any(apart(base.doubles, o.doubles) for o, match in zip(others, matches) if match)
+    assert [same_torus(base.moduli, o.moduli) for o in others] == [True, False, True, True]
+    roots = [mpc(3e6, 1e6), mpc(3e6, -1e6) * (1 + 3e-11), mpc(1e6, 3e-5), mpc(1e6, -3e-5), mpc(2e6, -1e6)]
+    assert critical._conjugate_twins([w / a for w in roots]) == {1: 0}
+    first = point(0.5, 2.0)
+    with pytest.raises(ConfigError, match="share the dominant direction weight"):
+        dominant_class(group_by_torus([first, point(2.0 * (1 + 3e-11), 0.5)]))
+    classes = group_by_torus([point(2.0 * (1 + 3e-10), 0.5), first])
+    assert dominant_class(classes).points == [first]
 
 
 def test_dominant_tie_refused():

@@ -8,9 +8,12 @@ estimate is.  Every zero test judges a value against its own magnitude at
 the point, so ``compare`` on a rescaled problem file ends as on the
 file: the same exit code and, on success, the same ratios to 1e-12.  On
 the first 32 family polynomials at 1:1, 2:1 and 1:3 the dominant class
-keeps its ``smooth`` flags and probe verdicts.  From the repository root,
+keeps its ``smooth`` flags and probe verdicts.  Both hold at factors
+10^+-7 and 10^+-30.  From the repository root,
 ``python -m tests.test_scale_invariance --precision BITS`` runs both
-checks at that precision (CI does so at 64 and 256 bits).
+checks at that precision, then ``scan_extremes``: at factors 10^+-200 and
+10^+-300 every solve and estimate ends in an estimate or a typed
+``BivasymError``, never a traceback (CI does so at 64 and 256 bits).
 """
 
 import argparse
@@ -23,18 +26,27 @@ import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 from bivasym import BivariatePolynomial, Direction
 from bivasym import cli
-from bivasym.errors import BivasymError
-from bivasym.pipeline import run_solve
+from bivasym.errors import BivasymError, EvaluationOverflow
+from bivasym.pipeline import estimate_target, run_solve
 from bivasym.precision import DEFAULT_PRECISION, working_precision
 from bivasym.problem import ProblemSpec, dump_problem, parse_problem
 from tests.test_acceptance import _random_polynomials
 
 ROOT = Path(__file__).resolve().parent.parent
-BIG, SMALL = F(10**7), F(1, 10**7)
-FILE_SCALINGS = [(BIG, BIG), (SMALL, SMALL), (BIG, F(1))]
-FAMILY_SCALINGS = FILE_SCALINGS + [(F(1), SMALL)]
+DIRECTIONS = ("1:1", "2:1", "1:3")
+
+
+def _file_scalings(big):
+    return [(big, big), (1 / big, 1 / big), (big, F(1))]
+
+
+FILE_SCALINGS = _file_scalings(F(10**7)) + _file_scalings(F(10**30))
+FAMILY_SCALINGS = FILE_SCALINGS + [(F(1), F(1, 10**7))]
+FAMILY_SCALINGS += [(F(1), F(1, 10**30)), (F(10**30), F(1, 10**30)), (F(1, 10**30), F(10**30))]
 
 
 def _rescaled(poly, a, b):
@@ -95,7 +107,7 @@ def check_family(count=32):
     """
     runs = 0
     for H in itertools.islice(_random_polynomials(20260810), count):
-        for d in ("1:1", "2:1", "1:3"):
+        for d in DIRECTIONS:
             spec = ProblemSpec(H=H, beta=F(1, 2), direction=Direction.from_string(d))
             want = _dominant(spec)
             for a, b in FAMILY_SCALINGS:
@@ -103,6 +115,29 @@ def check_family(count=32):
                 assert got == want, (H, d, a, b)
                 runs += 1
     return runs
+
+
+def scan_extremes(count=32):
+    """``(runs, untyped)`` on the first ``count`` family polynomials at factors 10^+-200 and 10^+-300.
+
+    Each rescaled spec in each direction is solved and estimated at 40
+    times the direction; ``untyped`` lists every run that raised anything
+    but a ``BivasymError``, with the exception.
+    """
+    runs, untyped = 0, []
+    for k, H in enumerate(itertools.islice(_random_polynomials(20260810), count)):
+        for d, e in itertools.product(DIRECTIONS, (200, 300)):
+            big, small = F(10**e), F(1, 10**e)
+            for a, b in [(big, big), (small, small), (big, F(1)), (F(1), small)]:
+                spec = ProblemSpec(H=_rescaled(H, a, b), beta=F(1, 2), direction=Direction.from_string(d))
+                try:
+                    estimate_target(spec, run_solve(spec), 40 * spec.direction.r0, 40 * spec.direction.s0)
+                except BivasymError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - a traceback is what the scan looks for
+                    untyped.append((k, d, a, b, repr(exc)))
+                runs += 1
+    return runs, untyped
 
 
 def test_rescaled_problem_files_compare_alike(tmp_path):
@@ -115,6 +150,21 @@ def test_rescaled_family_keeps_its_dominant_verdicts():
         assert check_family() == 32 * 3 * len(FAMILY_SCALINGS)
 
 
+def test_far_partners_keep_their_verdicts():
+    # Family item 1 at 2:1 rescaled by 10^-300: its partners q lie near
+    # 10^300, where q^fixing leaves the double range.  The solve keeps the
+    # unscaled classes and verdicts; the estimate is refused at the ray,
+    # where H leaves the double range.
+    H = list(itertools.islice(_random_polynomials(20260810), 2))[1]
+    spec = ProblemSpec(H=H, beta=F(1, 2), direction=Direction.from_string("2:1"))
+    tiny = F(1, 10**300)
+    scaled = dataclasses.replace(spec, H=_rescaled(H, tiny, tiny))
+    with working_precision(DEFAULT_PRECISION):
+        assert _dominant(scaled) == _dominant(spec)
+        with pytest.raises(EvaluationOverflow, match="on the ray"):
+            estimate_target(scaled, run_solve(scaled), 80, 40)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION, help="significand bits")
@@ -123,8 +173,12 @@ def main(argv=None) -> int:
         files = check_problem_files(folder, args.precision)
     with working_precision(args.precision):
         family = check_family()
+        runs, untyped = scan_extremes()
     print(f"{files} rescaled compare runs, {family} rescaled solves match at {args.precision} bits")
-    return 0
+    for item in untyped:
+        print("untyped:", *item)
+    print(f"{runs} runs at factors 10^+-200 and 10^+-300, {len(untyped)} untyped exceptions")
+    return 1 if untyped else 0
 
 
 if __name__ == "__main__":
