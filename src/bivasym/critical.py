@@ -179,10 +179,11 @@ def apart(a: Tuple[complex, complex], b: Tuple[complex, complex]) -> bool:
     """True when the doubles of two points settle that ``same_point`` fails.
 
     ``a`` and ``b`` are ``(p, q)`` in doubles: some coordinate's excess is
-    above what rounding to doubles can move.  Not finite doubles settle
-    nothing.
+    above what rounding to doubles can move, relative rounding plus a few
+    subnormal roundings of at most 2^-1075 each.  Not finite doubles
+    settle nothing.
     """
-    return any(_excess(u, v) > 1e-15 * (abs(u) + abs(v)) + 1e-300 for u, v in zip(a, b))
+    return any(_excess(u, v) > 1e-15 * (abs(u) + abs(v)) + 2.0**-1072 for u, v in zip(a, b))
 
 
 def same_torus(a: Tuple[float, float], b: Tuple[float, float]) -> bool:

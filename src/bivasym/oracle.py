@@ -21,10 +21,12 @@ Three independent routes:
   H**(-beta) rather than at every node.
 
 Exact tables are stored for (H/h00)**(-beta); the scalar h00**(-beta) is
-kept as a symbolic prefactor and folded in only when it is rational.  Both
-exact routes fill integer numerators over one scale per total degree
-(``TruncatedSeries.scaled``) and an entry is reduced to a Fraction only when
-it is read, so a caller that reads a few entries pays for those alone.
+kept as a symbolic prefactor and folded in only when it is rational, and
+with h00 = 1 no rational power or division by h00 is taken.  Both exact
+routes fill integer numerators over one scale per total degree, den*w**k
+taken as one running product (``TruncatedSeries.scaled``), and an entry is
+reduced to a Fraction only when it is read, so a caller that reads a few
+entries pays for those alone.
 
 The recurrence runs as a row kernel: row a is built from rows a - i,
 i <= deg_x H, by whole-row multiply-adds over Python ints, then divided by
@@ -46,8 +48,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle, repeat
-from operator import add, floordiv
+from itertools import accumulate, cycle, repeat
+from operator import add, floordiv, mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -187,6 +189,8 @@ def _origin_power(h00: Fraction, beta) -> Tuple[int, int, Prefactor]:
     When the power is rational it is num/den and the prefactor is 1; else
     num = den = 1 and the power is the symbolic prefactor.
     """
+    if h00 == 1:
+        return 1, 1, Prefactor()
     if h00 == 0:
         raise SingularAtOrigin("singular at origin")
     prefactor = Prefactor(h00, -beta)
@@ -195,6 +199,11 @@ def _origin_power(h00: Fraction, beta) -> Tuple[int, int, Prefactor]:
         return 1, 1, prefactor
     num, den = folded.as_integer_ratio()
     return num, den, Prefactor()
+
+
+def _powers(first: int, w: int, n: int) -> List[int]:
+    """[first*w**k for k = 0..n], as one running product."""
+    return list(accumulate(repeat(w, n), mul, initial=first))
 
 
 def _integer_terms(
@@ -207,7 +216,7 @@ def _integer_terms(
     with n_ij = D*h_ij and k = i + j.
     """
     h00 = H.constant_term()
-    h = {ij: c / h00 for ij, c in H.terms.items() if ij != (0, 0)}
+    h = {ij: c if h00 == 1 else c / h00 for ij, c in H.terms.items() if ij != (0, 0)}
     v = beta.denominator
     D = math.lcm(*(c.denominator for c in h.values()))
     terms = [
@@ -289,7 +298,7 @@ def _integer_rows(terms, beta: Fraction, R: int, S: int) -> Iterator[List[int]]:
             src = window[-i][: n - j]
             if not src:
                 continue
-            tail = map((m * (v * (a - i) + u * i)).__mul__, src)
+            tail = map(mul, src, repeat(m * (v * (a - i) + u * i)))
             if acc is None:
                 acc = [0] * j + list(tail)
             else:
@@ -412,7 +421,7 @@ def coeff_recurrence(
         raise ConfigError(f"unknown fill order {order!r}")
     if num != 1:
         g = [[x * num for x in row] for row in g]
-    series = TruncatedSeries.scaled((R, S), g, [den * w**k for k in range(R + S + 1)])
+    series = TruncatedSeries.scaled((R, S), g, _powers(den, w, R + S))
     if G is not None and G != BivariatePolynomial.constant(1):
         series = poly_times_series(G, series)
     return CoefficientTable(series=series, prefactor=prefactor)
@@ -445,6 +454,7 @@ def coefficients_at(
     g_terms = [(i, j, c.numerator * (g_den // c.denominator)) for (i, j), c in G.terms.items()]
     R = max((r for r, _ in targets), default=-1)
     S = max((s for _, s in targets), default=0)
+    powers = _powers(1, w, R + S)
     kept = deque(maxlen=G.degree_x() + 1)
     nums, scales = {}, {}
     for a, row in enumerate(_integer_rows(terms, beta, R, S)):
@@ -452,9 +462,9 @@ def coefficients_at(
         for r, s in targets:
             if r == a:
                 nums[r, s] = num * sum(
-                    c * w ** (i + j) * kept[-1 - i][s - j] for i, j, c in g_terms if i <= r and j <= s
+                    c * powers[i + j] * kept[-1 - i][s - j] for i, j, c in g_terms if i <= r and j <= s
                 )
-                scales[r, s] = g_den * den * w ** (r + s)
+                scales[r, s] = g_den * den * powers[r + s]
     return ScaledRow([nums[t] for t in targets], [scales[t] for t in targets], 0), prefactor
 
 
@@ -511,12 +521,12 @@ def closed_form_table(
             raise ArithmeticError(f"inexact closed-form step at degree {n + 1}")
         K.append(k)
     a1, a2 = (c.numerator * (M // c.denominator) for c in (c1, c2))
-    p1, p2 = [a1**r for r in range(R + 1)], [a2**s for s in range(S + 1)]
+    p1, p2 = _powers(1, a1, R), _powers(1, a2, S)
     nums = [
         [K[r + s] * math.comb(r + s, r) * p1[r] * p2[s] for s in range(S + 1)]
         for r in range(R + 1)
     ]
-    series = TruncatedSeries.scaled((R, S), nums, [den * w**n for n in range(R + S + 1)])
+    series = TruncatedSeries.scaled((R, S), nums, _powers(den, w, R + S))
     return CoefficientTable(series=series, prefactor=prefactor)
 
 

@@ -81,6 +81,8 @@ def to_mpf(x) -> mpf:
     A Fraction is rounded once (``rational_mpf``), not as the quotient of
     its rounded numerator and denominator.
     """
+    if isinstance(x, mpf) and x._mpf_[3] <= mp.prec:
+        return x  # already at working precision: mpf(x) would equal it
     if isinstance(x, Fraction):
         return rational_mpf(x.numerator, x.denominator)
     return mpf(x)

@@ -46,6 +46,10 @@ ALLOWED = {
     "aberth._start_points": "Aberth's fallback start; tests/test_aberth.py reaches it",
     "oracle._inexact": "the row kernel's refusal of an inexact division, which no exact table takes",
     "critical.eliminant": "the tests' entry to the solve's eliminant",
+    "rationals.integer_nth_root": (
+        "the root of a positive H(0,0) other than 1, which no problem file has; "
+        "tests/test_recurrence_parity.py reaches it"
+    ),
     "series.ScaledRow.__eq__": "a row of TruncatedSeries.coeffs; the tests compare rows",
     "series.ScaledRow.__len__": "a row of TruncatedSeries.coeffs; the tests take its length",
     "unipoly.gcd": "bench/tracing.py reads it",

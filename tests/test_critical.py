@@ -292,6 +292,9 @@ def test_matching_rules_ignore_the_units(ea, eb):
     matches = [same_point(base, (o.p, o.q)) for o in others]
     assert matches == [True, False, False, True]
     assert not any(apart(base.doubles, o.doubles) for o, match in zip(others, matches) if match)
+    # The doubles settle the points 3e-10 apart relative to their moduli at
+    # every scale, down to p near 2e-304 at 2^-1000.
+    assert [apart(base.doubles, o.doubles) for o in others] == [False, True, True, False]
     assert [same_torus(base.moduli, o.moduli) for o in others] == [True, False, True, True]
     roots = [mpc(3e6, 1e6), mpc(3e6, -1e6) * (1 + 3e-11), mpc(1e6, 3e-5), mpc(1e6, -3e-5), mpc(2e6, -1e6)]
     assert critical._conjugate_twins([w / a for w in roots]) == {1: 0}

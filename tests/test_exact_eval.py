@@ -10,7 +10,7 @@ from mpmath.libmp import from_rational, round_nearest
 
 from bivasym import BivariatePolynomial
 from bivasym.errors import EvaluationOverflow
-from bivasym.precision import working_precision
+from bivasym.precision import to_mpf, working_precision
 from bivasym.unipoly import dyadic, exact_form, values_at
 
 
@@ -126,3 +126,14 @@ def test_a_part_that_is_not_finite_raises(z):
         values_at([exact_form([F(1), F(1, 3)])], z)
     with pytest.raises(EvaluationOverflow):
         BivariatePolynomial({(1, 0): F(1), (0, 1): F(2)}).eval(z, 1)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_to_mpf_keeps_an_mpf_at_working_precision(bits):
+    with working_precision(bits):
+        x = mpf(1) / 3
+        assert to_mpf(x) is x and to_mpf(x)._mpf_ == mpf(x)._mpf_
+        with working_precision(2 * bits):
+            wide = mpf(1) / 3
+        rounded = to_mpf(wide)
+        assert rounded._mpf_ == mpf(wide)._mpf_ == x._mpf_ != wide._mpf_

@@ -9,6 +9,7 @@ the same prefactor, under both fill schedules.
 """
 
 import itertools
+import math
 import re
 import sys
 from fractions import Fraction as F
@@ -16,10 +17,16 @@ from pathlib import Path
 
 import pytest
 
-from bivasym import BivariatePolynomial, coeff_linear_closed_form, coeff_recurrence, coefficients_at
+from bivasym import (
+    BivariatePolynomial,
+    closed_form_table,
+    coeff_linear_closed_form,
+    coeff_recurrence,
+    coefficients_at,
+)
 from bivasym.oracle import _integer_rows
 from bivasym.problem import parse_problem
-from bivasym.rationals import hermite_basis
+from bivasym.rationals import hermite_basis, rational_power
 from bivasym.series import Prefactor
 from tests.test_acceptance import _random_polynomials
 
@@ -107,11 +114,50 @@ def test_criterion_4_family_at_20x20():
             _assert_parity(H, None, beta, (20, 20), orders=("rows",))
 
 
-@pytest.mark.parametrize("h00", ["2", "-1", "4/9"])
-@pytest.mark.parametrize("beta", BETAS)
+# Constant terms other than 1 (h00**(-beta) folded in or kept as the
+# prefactor), which the bench's family and all but one problem file never
+# take; main() runs them at 20x20 as well.
+ORIGINS = ["2", "-1", "4/9", "9/4"]
+ORIGIN_BETAS = BETAS + [F(-1, 2), F(2), F(1, 3)]
+ORIGIN_G = _poly((0, 0, "-2/3"), (1, 1, "5/2"), (0, 2, "-1/11"))
+
+
+def _origin_h(h00):
+    return _poly((0, 0, h00), (1, 0, "-1"), (0, 1, "1/3"), (1, 1, "-2"))
+
+
+def _by_powers(first, w, n):
+    return [first * w**k for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("h00", ORIGINS)
+@pytest.mark.parametrize("beta", ORIGIN_BETAS)
 def test_constant_terms_other_than_one(h00, beta):
-    H = _poly((0, 0, h00), (1, 0, "-1"), (0, 1, "1/3"), (1, 1, "-2"))
-    _assert_parity(H, None, beta, (8, 7))
+    """Both fills equal the Fraction fill, ``coefficients_at`` their entries,
+    and every scale list is den*w**k taken by powers."""
+    H = _origin_h(h00)
+    h00 = F(h00)
+    box = R, S = (8, 7)
+    targets = [(r, s) for r in range(R + 1) for s in range(S + 1)]
+    folded = rational_power(h00, -beta)
+    den = 1 if folded is None else folded.denominator
+    v = beta.denominator
+    w = v * v * math.lcm(*((c / h00).denominator for ij, c in H.terms.items() if ij != (0, 0)))
+    for g in (None, ORIGIN_G):
+        _assert_parity(H, g, beta, box)
+        table = coeff_recurrence(H, g, beta, box)
+        g_den = 1 if g is None else 66  # lcm(3, 2, 11)
+        assert table.series.coeffs[0].scales == _by_powers(g_den * den, w, R + S)
+        values, prefactor = coefficients_at(H, g, beta, targets)
+        assert values == [table.series.coeffs[r][s] for r, s in targets]
+        assert values.scales == [g_den * den * w ** (r + s) for r, s in targets]
+        assert prefactor == table.prefactor
+    # Linear H: c0 = h00, c1 = -1/2, c2 = 3/5, so M = 10 and w = v*v*|p0|*M.
+    linear = _poly((0, 0, h00), (1, 0, "-1/2"), (0, 1, "3/5"))
+    closed = closed_form_table(linear, beta, box)
+    assert closed.series.coeffs[0].scales == _by_powers(den, v * v * abs(h00.numerator) * 10, R + S)
+    reference, prefactor = reference_recurrence(linear, None, beta, box)
+    assert closed.series.coeffs == reference and closed.prefactor == prefactor
 
 
 @pytest.mark.parametrize("beta", BETAS)
@@ -259,6 +305,12 @@ def main() -> int:
     than at 20x20.  Any refusal fails the scan.  Prints how many tables
     have a column step above 1 (the kernel keeps every C-th column, or one
     cell a row).
+
+    Both fills share the set-up (``_origin_power``, ``_integer_terms`` and
+    the scale list), so the row kernel is also held to the Fraction fill,
+    which shares none of it, on every problem file and on the constant
+    terms other than 1 of ``test_constant_terms_other_than_one`` at 20x20,
+    with and without G.
     """
     G = _poly((0, 0, "1"), (1, 0, "2"), (0, 1, "-1/3"))
     family = list(itertools.islice(_random_polynomials(20260810), 200))
@@ -274,9 +326,18 @@ def main() -> int:
         for box in ((40, 40), (13, 29))
         for g in (None, G)
     ]
-    for path in sorted((ROOT / "problems").glob("*.json")):
-        spec = parse_problem(path.read_text())
-        cases.append((path.name, spec.H, spec.G, spec.beta, spec.effective_box()))
+    files = [
+        (path.name, spec.H, spec.G, spec.beta, spec.effective_box())
+        for path in sorted((ROOT / "problems").glob("*.json"))
+        for spec in [parse_problem(path.read_text())]
+    ]
+    cases += files
+    references = files + [
+        (f"h00 {h00}, beta {beta}, G {g}", _origin_h(h00), g, beta, (20, 20))
+        for h00 in ORIGINS
+        for beta in ORIGIN_BETAS
+        for g in (None, ORIGIN_G)
+    ]
     stepped = 0
     for name, H, g, beta, box in cases:
         rows, antidiagonal = (coeff_recurrence(H, g, beta, box, order=order) for order in ("rows", "antidiagonal"))
@@ -284,7 +345,13 @@ def main() -> int:
             print(f"{name}: the row kernel differs from the antidiagonal fill")
             return 1
         stepped += _skips_columns(H)
+    for name, H, g, beta, box in references:
+        rows = coeff_recurrence(H, g, beta, box)
+        if (rows.series.coeffs, rows.prefactor) != reference_recurrence(H, g, beta, box):
+            print(f"{name}: the row kernel differs from the Fraction fill")
+            return 1
     print(f"{len(cases)} tables equal the antidiagonal fill; {stepped} have a column step above 1")
+    print(f"{len(references)} tables equal the Fraction fill")
     return 0
 
 
