@@ -22,11 +22,11 @@ Three independent routes:
 
 Exact tables are stored for (H/h00)**(-beta); the scalar h00**(-beta) is
 kept as a symbolic prefactor and folded in only when it is rational, and
-with h00 = 1 no rational power or division by h00 is taken.  Both exact
-routes fill integer numerators over one scale per total degree, den*w**k
-taken as one running product (``TruncatedSeries.scaled``), and an entry is
-reduced to a Fraction only when it is read, so a caller that reads a few
-entries pays for those alone.
+with h00 = 1 no rational power is taken.  Both exact routes fill integer
+numerators over one scale per total degree, den*w**k taken as one running
+product (``TruncatedSeries.scaled``), and an entry is reduced to a Fraction
+only when it is read, so a caller that reads a few entries pays for those
+alone.
 
 The recurrence runs as a row kernel: row a is built from rows a - i,
 i <= deg_x H, by whole-row multiply-adds over Python ints, then divided by
@@ -216,7 +216,7 @@ def _integer_terms(
     with n_ij = D*h_ij and k = i + j.
     """
     h00 = H.constant_term()
-    h = {ij: c if h00 == 1 else c / h00 for ij, c in H.terms.items() if ij != (0, 0)}
+    h = {ij: c / h00 for ij, c in H.terms.items() if ij != (0, 0)}
     v = beta.denominator
     D = math.lcm(*(c.denominator for c in h.values()))
     terms = [
@@ -454,7 +454,6 @@ def coefficients_at(
     g_terms = [(i, j, c.numerator * (g_den // c.denominator)) for (i, j), c in G.terms.items()]
     R = max((r for r, _ in targets), default=-1)
     S = max((s for _, s in targets), default=0)
-    powers = _powers(1, w, R + S)
     kept = deque(maxlen=G.degree_x() + 1)
     nums, scales = {}, {}
     for a, row in enumerate(_integer_rows(terms, beta, R, S)):
@@ -462,9 +461,9 @@ def coefficients_at(
         for r, s in targets:
             if r == a:
                 nums[r, s] = num * sum(
-                    c * powers[i + j] * kept[-1 - i][s - j] for i, j, c in g_terms if i <= r and j <= s
+                    c * w ** (i + j) * kept[-1 - i][s - j] for i, j, c in g_terms if i <= r and j <= s
                 )
-                scales[r, s] = g_den * den * powers[r + s]
+                scales[r, s] = g_den * den * w ** (r + s)
     return ScaledRow([nums[t] for t in targets], [scales[t] for t in targets], 0), prefactor
 
 

@@ -9,10 +9,11 @@ is called while it runs:
 
 - every CLI command (``solve``, ``estimate``, ``compare``, ``oracle`` and
   ``oracle --quadrature``) on every problem file, in this process, and
-  every command on ``color_swap`` once more at ``--precision 64``
-  (both ``oracle`` modes on ``beyond_double_point`` are skipped for time:
-  its exact table takes 9 s and reaches no function that the other files
-  do not);
+  every command on ``color_swap`` once more at ``--precision 64`` and
+  once more with H multiplied by 4, a positive H(0,0) other than 1, which
+  no problem file has (both ``oracle`` modes on ``beyond_double_point``
+  are skipped for time: its exact table takes 9 s and reaches no function
+  that the other files do not);
 - the 192 pairs of the family sweep (``tests/test_family_sweep.py``)
   through ``pipeline``;
 - both experiment scripts, with small arguments;
@@ -30,8 +31,11 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import json
 import runpy
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import bivasym
@@ -46,10 +50,6 @@ ALLOWED = {
     "aberth._start_points": "Aberth's fallback start; tests/test_aberth.py reaches it",
     "oracle._inexact": "the row kernel's refusal of an inexact division, which no exact table takes",
     "critical.eliminant": "the tests' entry to the solve's eliminant",
-    "rationals.integer_nth_root": (
-        "the root of a positive H(0,0) other than 1, which no problem file has; "
-        "tests/test_recurrence_parity.py reaches it"
-    ),
     "series.ScaledRow.__eq__": "a row of TruncatedSeries.coeffs; the tests compare rows",
     "series.ScaledRow.__len__": "a row of TruncatedSeries.coeffs; the tests take its length",
     "unipoly.gcd": "bench/tracing.py reads it",
@@ -103,8 +103,16 @@ def exercise():
         for command in COMMANDS:
             if not (command[0] == "oracle" and spec.stem == "beyond_double_point"):
                 _quiet(main, [*command, "--spec", str(spec)])
+    color_swap = ROOT / "problems" / "color_swap.json"
     for command in COMMANDS:
-        _quiet(main, [*command, "--spec", str(ROOT / "problems" / "color_swap.json"), "--precision", "64"])
+        _quiet(main, [*command, "--spec", str(color_swap), "--precision", "64"])
+    spec = json.loads(color_swap.read_text())
+    spec["H"] = [[i, j, str(4 * Fraction(c))] for i, j, c in spec["H"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "color_swap_times_4.json"
+        path.write_text(json.dumps(spec))
+        for command in COMMANDS:
+            _quiet(main, [*command, "--spec", str(path)])
 
     from tests.test_family_sweep import sweep
 

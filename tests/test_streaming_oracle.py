@@ -1,7 +1,8 @@
 """``coefficients_at`` streams the row kernel and keeps a few rows.
 
 Its values and prefactor must equal the full table's entries, and its
-traced memory must stay a small fraction of the table's.
+traced memory must stay a small fraction of the table's, and for a tall
+target a few of its one-cell rows.
 """
 
 import itertools
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bivasym import coeff_recurrence, coefficients_at
+from bivasym import BivariatePolynomial, coeff_recurrence, coefficients_at
 from bivasym.errors import ConfigError
 from bivasym.problem import parse_problem
 from tests.test_acceptance import _random_polynomials
@@ -62,3 +63,15 @@ def test_streaming_memory_is_a_window(color_swap_h, color_swap_g):
     stream = _traced_peak(lambda: coefficients_at(color_swap_h, color_swap_g, F(1, 2), [box]))
     table = _traced_peak(lambda: coeff_recurrence(color_swap_h, color_swap_g, F(1, 2), box))
     assert stream < table / 10
+
+
+def test_a_tall_target_keeps_a_few_one_cell_rows():
+    # Rows of a target (r, 0) have one cell each, about as wide as the
+    # target's scale 4**r; holding every power of w up to r would take
+    # r/2 such cells.
+    H = BivariatePolynomial({(0, 0): F(1), (1, 0): F(-1), (0, 1): F(-1)})
+    target = (2000, 0)
+    values = []
+    peak = _traced_peak(lambda: values.append(coefficients_at(H, None, F(1, 2), [target])[0]))
+    assert values[0] == [coeff_recurrence(H, None, F(1, 2), target).series[target]]
+    assert peak < 64 * values[0].scales[0].bit_length() // 8
