@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the direction ratio for the color-swap generating function.
 
+H, G and beta are those of ``problems/color_swap.json``.
+
 For each direction r0:s0 the script solves the critical system and
 probes the dominant class (``pipeline.run_solve``), reports the first
 dominant critical point with its minimality verdict, and estimates the
@@ -13,26 +15,26 @@ Usage: python scripts/direction_sweep.py [base_r]
 """
 
 import sys
-from fractions import Fraction as F
+from dataclasses import replace
+from pathlib import Path
 
 from mpmath import mp
 
-from bivasym import BivariatePolynomial, Direction
+from bivasym import Direction
 from bivasym.errors import BivasymError
 from bivasym.pipeline import estimate_target, run_solve
-from bivasym.problem import ProblemSpec
+from bivasym.problem import parse_problem
+
+PROBLEM = Path(__file__).resolve().parent.parent / "problems" / "color_swap.json"
 
 
 def main(argv):
     base_r = int(argv[1]) if len(argv) > 1 else 60
-    H = BivariatePolynomial.from_items(
-        [(0, 0, "1"), (1, 0, "-2"), (1, 1, "-2"), (2, 0, "-1"), (2, 1, "2"), (2, 2, "-1")]
-    )
-    G = BivariatePolynomial.from_items([(0, 0, "1"), (1, 0, "-1"), (1, 1, "-1")])
+    problem = parse_problem(PROBLEM.read_text())
     print("direction,p,q,minimality,target_r,target_s,estimate")
     for r0, s0 in ((5, 1), (4, 1), (3, 1), (2, 1), (3, 2), (5, 4)):
         direction = Direction(r0, s0)
-        spec = ProblemSpec(H=H, G=G, beta=F(1, 2), direction=direction)
+        spec = replace(problem, direction=direction)
         r = base_r - base_r % r0
         s = r * s0 // r0
         try:

@@ -40,6 +40,7 @@ from .unipoly import (
 )
 
 Exponent = Tuple[int, int]
+_ZERO = Fraction(0)  # immutable: every absent coefficient reads as this one
 
 
 def polyval(x, c: np.ndarray):
@@ -87,7 +88,7 @@ class BivariatePolynomial:
         terms: Dict[Exponent, Fraction] = {}
         for i, j, c in items:
             key = (int(i), int(j))
-            terms[key] = terms.get(key, Fraction(0)) + parse_rational(c)
+            terms[key] = terms.get(key, _ZERO) + parse_rational(c)
         return cls(terms)
 
     @classmethod
@@ -129,10 +130,10 @@ class BivariatePolynomial:
         return all(ij == (0, 0) for ij in self.terms)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0, 0), Fraction(0))
+        return self.terms.get((0, 0), _ZERO)
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
+        return self.terms.get((i, j), _ZERO)
 
     # -- arithmetic (exact) ----------------------------------------------
 
@@ -141,7 +142,7 @@ class BivariatePolynomial:
             other = BivariatePolynomial.constant(other)
         terms = dict(self.terms)
         for ij, c in other.terms.items():
-            terms[ij] = terms.get(ij, Fraction(0)) + c
+            terms[ij] = terms.get(ij, _ZERO) + c
         return BivariatePolynomial(terms)
 
     __radd__ = __add__
@@ -163,7 +164,7 @@ class BivariatePolynomial:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 key = (i1 + i2, j1 + j2)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+                terms[key] = terms.get(key, _ZERO) + c1 * c2
         return BivariatePolynomial(terms)
 
     def __rmul__(self, other):
@@ -183,9 +184,9 @@ class BivariatePolynomial:
             terms: Dict[Exponent, Fraction] = {}
             for (i, j), c in self.terms.items():
                 if var == "x" and i > 0:
-                    terms[(i - 1, j)] = terms.get((i - 1, j), Fraction(0)) + c * i
+                    terms[(i - 1, j)] = terms.get((i - 1, j), _ZERO) + c * i
                 elif var == "y" and j > 0:
-                    terms[(i, j - 1)] = terms.get((i, j - 1), Fraction(0)) + c * j
+                    terms[(i, j - 1)] = terms.get((i, j - 1), _ZERO) + c * j
             self._partials[var] = BivariatePolynomial(terms)
         return self._partials[var]
 

@@ -773,7 +773,10 @@ def group_by_torus(
     Dominance uses the direction-weighted product order: the class
     minimizing r0*log|p| + s0*log|q| dominates (1:1 when no direction is
     given).  A class on an axis (p = 0 or q = 0) has no torus to estimate
-    from: its weight is +inf, it sorts last and never dominates.
+    from: its weight is +inf, it sorts last and never dominates.  Distinct
+    classes lie on distinct tori (``same_torus``), which one estimate cannot
+    combine: a second class whose weight is within ``MERGE_TOL`` of the
+    first's (rescaling shifts every weight alike) raises ``ConfigError``.
     """
     r0 = direction.r0 if direction else 1
     s0 = direction.s0 if direction else 1
@@ -795,29 +798,16 @@ def group_by_torus(
         cl.index = i
         for pt in cl.points:
             pt.torus_class = i
+    # Weights ascend, so only the second class can tie the first (inf - inf
+    # is nan, so classes all on an axis never tie).
+    if len(classes) > 1 and classes[1].weight - classes[0].weight <= MERGE_TOL:
+        best, other = classes[:2]
+        raise ConfigError(
+            "two torus classes share the dominant direction weight "
+            f"({best.modulus_p:.6g},{best.modulus_q:.6g}) vs "
+            f"({other.modulus_p:.6g},{other.modulus_q:.6g}); "
+            "cannot combine distinct tori in one estimate"
+        )
     if classes and classes[0].weight < math.inf:
         classes[0].dominant = True
     return classes
-
-
-def dominant_class(classes: List[TorusClass]) -> TorusClass:
-    """The unique dominant torus class.
-
-    Distinct classes of ``group_by_torus`` lie on distinct tori
-    (``same_torus``), and the single-torus estimate cannot combine them, so
-    a direction-weight tie with the first class, within ``MERGE_TOL``
-    (rescaling shifts every weight alike), is refused with a diagnostic.
-    """
-    if not classes:
-        raise ConfigError("no critical points to classify")
-    best = classes[0]
-    for other in classes[1:]:
-        if abs(other.weight - best.weight) <= MERGE_TOL:
-            raise ConfigError(
-                "two torus classes share the dominant direction weight "
-                f"({best.modulus_p:.6g},{best.modulus_q:.6g}) vs "
-                f"({other.modulus_p:.6g},{other.modulus_q:.6g}); "
-                "cannot combine distinct tori in one estimate"
-            )
-    return best
-

@@ -59,7 +59,7 @@ from .bivariate import BivariatePolynomial, polyval
 from .errors import BranchTrackingError, ConfigError, EvaluationOverflow, SingularAtOrigin
 from .precision import to_mpc, to_mpf
 from .rationals import binomial_general, hermite_basis
-from .series import Prefactor, ScaledRow, TruncatedSeries, poly_times_series
+from .series import Prefactor, ScaledRow, TruncatedSeries, integer_form, poly_times_series
 
 Box = Tuple[int, int]
 
@@ -450,8 +450,7 @@ def coefficients_at(
     w, terms = _integer_terms(H, beta)
     if G is None:
         G = BivariatePolynomial.constant(1)
-    g_den = math.lcm(*(c.denominator for c in G.terms.values()))
-    g_terms = [(i, j, c.numerator * (g_den // c.denominator)) for (i, j), c in G.terms.items()]
+    g_den, g_terms = integer_form(G, w)
     R = max((r for r, _ in targets), default=-1)
     S = max((s for _, s in targets), default=0)
     kept = deque(maxlen=G.degree_x() + 1)
@@ -461,7 +460,7 @@ def coefficients_at(
         for r, s in targets:
             if r == a:
                 nums[r, s] = num * sum(
-                    c * w ** (i + j) * kept[-1 - i][s - j] for i, j, c in g_terms if i <= r and j <= s
+                    m * kept[-1 - i][s - j] for (i, j), m in g_terms.items() if i <= r and j <= s
                 )
                 scales[r, s] = g_den * den * w ** (r + s)
     return ScaledRow([nums[t] for t in targets], [scales[t] for t in targets], 0), prefactor
@@ -547,7 +546,7 @@ def quadrature_values(
     as the error estimate.  arg H is anchored by the ray from the origin (H
     is real on it: ``ray_argument`` gives arg H(0, 0)), tracked down the
     theta2 = 0 column (``eval_array``), then along theta2
-    (``_tracked_argument``: one arctan2 per node, and 2 pi added or taken
+    (``_unwrapped_argument``: one arctan2 per node, and 2 pi added or taken
     away after each crossing of the negative real axis; rows whose
     arguments span less than ``_JUMP_LIMIT`` take no step scan).  That
     branch of Phi = H^(-beta) is periodic only when arg H turns by 0 round
@@ -635,8 +634,10 @@ def quadrature_values(
     Y = c2 * np.exp(1j * (2.0 * np.pi * np.arange(N2) / N2)).reshape(1, -1)
 
     column = H.eval_array(X, Y[:, :1]).reshape(1, -1) * shrink
+    re, im = column.real.copy(), column.imag.copy()
     sq, start = np.empty((2,) + column.shape)
-    column_winds = _tracked_argument(column.real.copy(), column.imag.copy(), floor, sq, start)
+    _squared_modulus(re, im, floor, sq, start)
+    column_winds = _unwrapped_argument(re, im, start)
     _, anchor = H.ray_argument(c1, c2, 1.0)
     _unwound(column_winds)
     start = start[0] + (anchor - start[0, 0])
@@ -754,27 +755,6 @@ def _squared_modulus(
     sq += scratch
     if sq.min() <= floor * floor:
         raise BranchTrackingError("branch tracking failed; H nearly vanishes on the torus")
-
-
-def _tracked_argument(
-    re: np.ndarray, im: np.ndarray, floor: float, sq: np.ndarray, arg: np.ndarray
-) -> bool:
-    """|W|^2 into ``sq``, arg W tracked along each row into ``arg``; whether a row winds.
-
-    ``re`` and ``im`` hold Re W and Im W, and ``re`` may be overwritten; all
-    four arrays are C-contiguous float arrays of one two-dimensional shape.
-    Raises ``BranchTrackingError`` when |W|^2 is at most ``floor``^2
-    somewhere (``_squared_modulus``), then when an argument step along a
-    row is at least ``_JUMP_LIMIT`` (``_unwrapped_argument``).  The
-    quadrature runs it on the theta2 = 0 column and, through
-    ``_tan_phase``, on each run of a block's rows that does not take the
-    square-root route: with beta = 1/2, a row whose nodes all lie within
-    ``_JUMP_LIMIT``/2 of the anchor's direction (``_in_cone``) has no step
-    that jumps or crosses the cut of that direction, so it cannot fail the
-    checks and does not wind, and it skips the tracking.
-    """
-    _squared_modulus(re, im, floor, sq, arg)
-    return _unwrapped_argument(re, im, arg)
 
 
 def _unwrapped_argument(re: np.ndarray, im: np.ndarray, arg: np.ndarray) -> bool:

@@ -9,7 +9,6 @@ from .critical import (
     PROBABLY_STRICTLY_MINIMAL,
     CriticalPoint,
     TorusClass,
-    dominant_class,
     group_by_torus,
     minimality_probe,
     negligible,
@@ -28,12 +27,14 @@ from .problem import ProblemSpec
 class SolveOutcome:
     points: List[CriticalPoint]
     classes: List[TorusClass]
-    dominant: Optional[TorusClass]
+
+    @property
+    def dominant(self) -> Optional[TorusClass]:
+        """The dominant class, or None with no points or all on an axis."""
+        return self.classes[0] if self.classes and self.classes[0].dominant else None
 
     def has_usable_point(self) -> bool:
-        if self.dominant is None:
-            return False
-        return any(
+        return self.dominant is not None and any(
             pt.smooth and pt.minimality == PROBABLY_STRICTLY_MINIMAL
             for pt in self.dominant.points
         )
@@ -42,18 +43,15 @@ class SolveOutcome:
 def run_solve(spec: ProblemSpec, probe: bool = True) -> SolveOutcome:
     """Solve the critical system, classify tori, probe the dominant class once."""
     points = solve_critical(spec.H, spec.direction)
-    classes = group_by_torus(points, direction=spec.direction)
-    if not classes or not classes[0].dominant:  # no points, or all on an axis
-        return SolveOutcome(points=points, classes=classes, dominant=None)
-    dom = dominant_class(classes)
-    if probe:
+    outcome = SolveOutcome(points=points, classes=group_by_torus(points, direction=spec.direction))
+    if probe and outcome.dominant is not None:
         # The probe sees a point only through its torus and the class's
         # known points, so one probe answers for the whole class.
-        first, *rest = dom.points
+        first, *rest = outcome.dominant.points
         minimality_probe(spec.H, first, peers=rest)
         for pt in rest:
             pt.minimality, pt.witness, pt.margin = first.minimality, first.witness, first.margin
-    return SolveOutcome(points=points, classes=classes, dominant=dom)
+    return outcome
 
 
 def estimate_target(

@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from mpmath import mp, mpf
 
@@ -175,21 +175,26 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return poly_times_series(BivariatePolynomial(terms), b)
 
 
+def integer_form(p: BivariatePolynomial, w: int) -> Tuple[int, Dict[Tuple[int, int], int]]:
+    """``(L, {(i, j): L * p_ij * w**(i+j)})``, L the lcm of the denominators of p.
+
+    The integer factors of p against a scale that grows by w per degree.
+    """
+    L = math.lcm(*(c.denominator for c in p.terms.values()))
+    return L, {(i, j): c.numerator * (L // c.denominator) * w ** (i + j) for (i, j), c in p.terms.items()}
+
+
 def poly_times_series(p: BivariatePolynomial, b: TruncatedSeries) -> TruncatedSeries:
     """Truncated product polynomial * series, on integers.
 
-    With b's entries n[r][s] / scales[r + s], scales[k] = scales[0] * w**k
-    and L the lcm of the denominators of p, the product's entry (r, s) is
-    sum c_ij * L * w**(i+j) * n[r-i][s-j] over the scale L * scales[r + s].
-    A constant term whose integer factor is 1 copies b's rows.
+    With b's entries n[r][s] / scales[r + s] and scales[k] = scales[0] * w**k,
+    the product's entry (r, s) is sum m_ij * n[r-i][s-j] over the scale
+    L * scales[r + s], with ``(L, m) = integer_form(p, w)``.  A constant
+    term whose integer factor is 1 copies b's rows.
     """
     R, S = b.box
     nums, scales = [row.nums for row in b.coeffs], b.coeffs[0].scales
-    w = scales[1] // scales[0] if len(scales) > 1 else 1
-    L = math.lcm(*(c.denominator for c in p.terms.values()))
-    factors = {
-        (i, j): c.numerator * (L // c.denominator) * w ** (i + j) for (i, j), c in p.terms.items()
-    }
+    L, factors = integer_form(p, scales[1] // scales[0] if len(scales) > 1 else 1)
     if factors.get((0, 0)) == 1:
         del factors[0, 0]
         out = [list(row) for row in nums]

@@ -24,7 +24,6 @@ from bivasym.critical import (
     VIOLATED,
     _merge_duplicates,
     apart,
-    dominant_class,
     same_point,
     same_torus,
     snap_noise,
@@ -300,17 +299,25 @@ def test_matching_rules_ignore_the_units(ea, eb):
     assert critical._conjugate_twins([w / a for w in roots]) == {1: 0}
     first = point(0.5, 2.0)
     with pytest.raises(ConfigError, match="share the dominant direction weight"):
-        dominant_class(group_by_torus([first, point(2.0 * (1 + 3e-11), 0.5)]))
+        group_by_torus([first, point(2.0 * (1 + 3e-11), 0.5)])
     classes = group_by_torus([point(2.0 * (1 + 3e-10), 0.5), first])
-    assert dominant_class(classes).points == [first]
+    assert classes[0].dominant and classes[0].points == [first]
 
 
 def test_dominant_tie_refused():
     a = CriticalPoint(p=mpc(0.5), q=mpc(2.0))
     b = CriticalPoint(p=mpc(2.0), q=mpc(0.5))
-    classes = group_by_torus([a, b])
-    with pytest.raises(ConfigError):
-        dominant_class(classes)
+    with pytest.raises(ConfigError, match="share the dominant direction weight"):
+        group_by_torus([a, b])
+
+
+def test_group_refuses_the_tied_tori_of_a_symmetric_h(diag_direction):
+    # H = 1 + x + y + x^2 + y^2 - 2x^3y - 2xy^3 is symmetric in x and y, so
+    # at 1:1 its dominant torus and the swapped one share their weight.
+    H = bp([(0, 0, "1"), (1, 0, "1"), (0, 1, "1"), (2, 0, "1"), (0, 2, "1"), (3, 1, "-2"), (1, 3, "-2")])
+    points = solve_critical(H, diag_direction)
+    with pytest.raises(ConfigError, match=r"\(0\.260885,1\.30431\) vs \(1\.30431,0\.260885\)"):
+        group_by_torus(points, direction=diag_direction)
 
 
 def _plain_merge(points):

@@ -54,7 +54,6 @@ from bivasym.critical import (
     CriticalPoint,
     _radius_roots,
     _relative_residual,
-    dominant_class,
     group_by_torus,
     minimality_probe,
     solve_critical,
@@ -223,7 +222,7 @@ def test_problem_files_match_reference(name):
 def test_family_items_match_reference(item):
     H = next(itertools.islice(_random_polynomials(20260810), item, None))
     direction = Direction(1, 1)
-    dom = dominant_class(group_by_torus(solve_critical(H, direction), direction=direction))
+    dom = group_by_torus(solve_critical(H, direction), direction=direction)[0]
     for pt in dom.points:
         _assert_same(H, pt, [o for o in dom.points if o is not pt])
 
@@ -345,7 +344,7 @@ def _family(item):
 def test_probe_solves_few_slices(name, solved, monkeypatch):
     if name.startswith("family-"):
         H, direction = _family(int(name.split("-")[1])), Direction(1, 1)
-        dom = dominant_class(group_by_torus(solve_critical(H, direction), direction=direction))
+        dom = group_by_torus(solve_critical(H, direction), direction=direction)[0]
         pt, peers = dom.points[0], dom.points[1:]
     else:
         spec = parse_problem((ROOT / "problems" / f"{name}.json").read_text())

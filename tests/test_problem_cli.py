@@ -211,6 +211,31 @@ def test_origin_zero_inside_is_refused(capsys):
     assert capsys.readouterr().out == ""
 
 
+# H = 1 + x + y + x^2 + y^2 - 2x^3y - 2xy^3 is symmetric in x and y: at 1:1
+# its dominant torus (0.260885, 1.30431) and the swapped one tie in weight,
+# and one estimate cannot combine two tori.
+TIED_TORI = {
+    "H": [[0, 0, "1"], [1, 0, "1"], [0, 1, "1"], [2, 0, "1"], [0, 2, "1"], [3, 1, "-2"], [1, 3, "-2"]],
+    "beta": "1/2",
+    "direction": "1:1",
+    "targets": [[40, 40]],
+}
+
+
+@pytest.mark.parametrize("bits", ["64", "128", "256"])
+@pytest.mark.parametrize("command", ["solve", "estimate", "compare"])
+def test_tied_tori_exit_65(tmp_path, capsys, command, bits):
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps(TIED_TORI))
+    assert main([command, "--spec", str(path), "--precision", bits]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: two torus classes share the dominant direction weight "
+        "(0.260885,1.30431) vs (1.30431,0.260885); cannot combine distinct tori in one estimate\n"
+    )
+
+
 NEGATIVE_ORIGIN = Path(__file__).resolve().parent.parent / "problems" / "negative_origin.json"
 
 

@@ -7,7 +7,8 @@ per pair of rows from H's power basis in y (``_pair_products``), within
 8*eps times H's magnitude sum of ``eval_array`` at every node.  arg H is
 one arctan2 per node, with 2 pi added or taken away after each crossing
 of the negative real axis, and |H|^2 is tested against the vanishing
-floor squared (``_tracked_argument``).  A block whose arguments span
+floor squared (``_squared_modulus``, then ``_unwrapped_argument``, as
+``tracked_argument`` composes them).  A block whose arguments span
 less than ``_JUMP_LIMIT`` skips the step scan;
 ``reference_tracked_argument`` scans every block, and the two give the
 same |W|^2, argument, winding and errors on blocks below and above that
@@ -80,7 +81,8 @@ from bivasym.oracle import (
     _polar,
     _root_factors,
     _root_phase,
-    _tracked_argument,
+    _squared_modulus,
+    _unwrapped_argument,
     coeff_recurrence,
     quadrature_values,
 )
@@ -236,11 +238,21 @@ def test_rows_split_between_the_routes_match_full_grid(name, grid):
     _assert_matches_references(*SPLIT[name], grid)
 
 
+def tracked_argument(re, im, floor, sq, arg):
+    """|W|^2 into ``sq``, arg W tracked along each row into ``arg``; whether a row winds.
+
+    The quadrature's two kernels in its order, as the theta2 = 0 column and
+    each tan-route run of rows take them.
+    """
+    _squared_modulus(re, im, floor, sq, arg)
+    return _unwrapped_argument(re, im, arg)
+
+
 def _track(W, floor=1e-9):
     """(tracked argument, whether a row winds) of the rows of W."""
     W = np.atleast_2d(W)
     sq, arg = np.empty((2,) + W.shape)
-    winds = _tracked_argument(W.real.copy(), W.imag.copy(), floor, sq, arg)
+    winds = tracked_argument(W.real.copy(), W.imag.copy(), floor, sq, arg)
     assert np.array_equal(sq, W.real**2 + W.imag**2)
     return arg, winds
 
@@ -250,7 +262,7 @@ RHO = 1.0 + 0.5 * np.cos(3 * T)
 
 
 def reference_tracked_argument(re, im, floor, sq, arg):
-    """``_tracked_argument`` with the step scan on every block, whatever its argument range."""
+    """``tracked_argument`` with the step scan on every block, whatever its argument range."""
     np.arctan2(im, re, out=arg)
     np.multiply(re, re, out=sq)
     np.multiply(im, im, out=im)
@@ -322,7 +334,7 @@ def test_step_scan_only_where_a_jump_is_possible(name):
     W, below_limit, outcome = TRACKED_BLOCKS[name]
     A = np.arctan2(W.imag, W.real)
     assert (np.max(A) - np.min(A) < _JUMP_LIMIT) == below_limit
-    got, want = _outcome(_tracked_argument, W), _outcome(reference_tracked_argument, W)
+    got, want = _outcome(tracked_argument, W), _outcome(reference_tracked_argument, W)
     if isinstance(want, str):
         assert got == want == outcome
         return

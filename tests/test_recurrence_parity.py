@@ -294,6 +294,11 @@ def _skips_columns(H) -> bool:
     return c > 1 or (c == 0 and a > 0 and b > 0)
 
 
+def _streamed_targets(R, S):
+    """The corners of the box, a cell in the middle of its far sides, and its diagonal."""
+    return [(R, S), (R, 0), (0, S), (0, 0), (R, S // 2), (R // 2, S)] + [(k, k) for k in range(min(R, S) + 1)]
+
+
 def main() -> int:
     """The row kernel against the antidiagonal fill on boxes larger than tier-1's.
 
@@ -311,6 +316,11 @@ def main() -> int:
     which shares none of it, on every problem file and on the constant
     terms other than 1 of ``test_constant_terms_other_than_one`` at 20x20,
     with and without G.
+
+    ``coefficients_at`` streams the same kernel and applies G on its own:
+    on every case with a G and on every problem file, its values at the
+    corner, edge and diagonal targets (``_streamed_targets``) must equal
+    the table's entries, with the same prefactor.
     """
     G = _poly((0, 0, "1"), (1, 0, "2"), (0, 1, "-1/3"))
     family = list(itertools.islice(_random_polynomials(20260810), 200))
@@ -332,25 +342,34 @@ def main() -> int:
         for spec in [parse_problem(path.read_text())]
     ]
     cases += files
+    file_names = {name for name, *_ in files}
     references = files + [
         (f"h00 {h00}, beta {beta}, G {g}", _origin_h(h00), g, beta, (20, 20))
         for h00 in ORIGINS
         for beta in ORIGIN_BETAS
         for g in (None, ORIGIN_G)
     ]
-    stepped = 0
+    stepped = streamed = 0
     for name, H, g, beta, box in cases:
         rows, antidiagonal = (coeff_recurrence(H, g, beta, box, order=order) for order in ("rows", "antidiagonal"))
         if (rows.series.coeffs, rows.prefactor) != (antidiagonal.series.coeffs, antidiagonal.prefactor):
             print(f"{name}: the row kernel differs from the antidiagonal fill")
             return 1
         stepped += _skips_columns(H)
+        if g is not None or name in file_names:
+            targets = _streamed_targets(*box)
+            values, prefactor = coefficients_at(H, g, beta, targets)
+            if values != [rows.series.coeffs[r][s] for r, s in targets] or prefactor != rows.prefactor:
+                print(f"{name}: coefficients_at differs from the table")
+                return 1
+            streamed += 1
     for name, H, g, beta, box in references:
         rows = coeff_recurrence(H, g, beta, box)
         if (rows.series.coeffs, rows.prefactor) != reference_recurrence(H, g, beta, box):
             print(f"{name}: the row kernel differs from the Fraction fill")
             return 1
     print(f"{len(cases)} tables equal the antidiagonal fill; {stepped} have a column step above 1")
+    print(f"{streamed} tables give coefficients_at's values at their corner, edge and diagonal targets")
     print(f"{len(references)} tables equal the Fraction fill")
     return 0
 
