@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from mpmath import mp
 
-from .critical import CriticalPoint, noise_floor, snap_noise
+from .critical import CriticalPoint, noise_floor, snap_noise, snap_real
 from .errors import (
     BivasymError,
     ConfigError,
@@ -250,15 +250,19 @@ def cmd_compare(spec: ProblemSpec, args) -> int:
     for k, (r, s) in enumerate(spec.targets):
         c = values.value(k)  # rounded once from its numerator and scale, with no gcd
         exact_log10 = exact_log10_abs(c, prefactor)
-        exact = f"{_digits(exact_log10)},{format_entry(exact_value(c, prefactor))}"
+        v = exact_value(c, prefactor)
+        exact = f"{_digits(exact_log10)},{format_entry(v)}"
         if r == 0 or s == 0:
             lines.append(f"{r},{s},n/a,n/a,{exact},n/a")
             continue
         est = estimate_target(spec, outcome, r, s)
-        ratio = mp.exp((est.log10_modulus - exact_log10) * ln10)
+        # The ratio's modulus from the log moduli, which hold beyond the
+        # double range, and its phase from the two arguments.
+        turn = snap_real(mp.expj(mp.arg(est.value) - mp.arg(v)))
+        ratio = mp.exp((est.log10_modulus - exact_log10) * ln10) * turn
         lines.append(
-            f"{r},{s},{_digits(est.log10_modulus)},{_digits(abs(est.value))},"
-            f"{exact},{_digits(ratio)}"
+            f"{r},{s},{_digits(est.log10_modulus)},{format_entry(snap_real(est.value))},"
+            f"{exact},{format_entry(ratio)}"
         )
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -255,6 +255,12 @@ def snap_noise(z) -> mpc:
     return mpc(0 if abs(z.real) <= floor else z.real, 0 if abs(z.imag) <= floor else z.imag)
 
 
+def snap_real(z):
+    """``snap_noise(z)``, as a real number when that leaves no imaginary part."""
+    z = snap_noise(z)
+    return z.real if z.imag == 0 else z
+
+
 def _relative_residual(poly: BivariatePolynomial, p: mpc, q: mpc, moduli=None) -> mpf:
     """``|poly(p, q)|`` over its magnitude scale; ``moduli``, when given, is ``(|p|, |q|)``."""
     scale = poly.eval_magnitude_scale(*(moduli or (p, q)))

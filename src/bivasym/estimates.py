@@ -10,21 +10,21 @@ class to (chi_1 p, chi_2 q) and leave w = -p*H_x, q^2*M and the curve
 H(t*p, t*q) unchanged, so the local data and the winding number are taken
 once per character orbit, at the first point of each orbit tag the solve
 gave (``CriticalPoint.orbit``), and each point adds its own |p|, |q|,
-arg p, arg q and G(p, q).  The real-positive entry point checks that
-a single critical point of a real H is real and positive, then returns
-that same sum as a real value.
+arg p, arg q and G(p, q).  The sum is returned as a real value when
+``snap_noise`` leaves it no imaginary part, as at a single real positive
+point of a real H.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from mpmath import mp, mpc, mpf
 
 from .bivariate import BivariatePolynomial
-from .critical import IDENTITY_TOL, SMOOTH_TOL, CriticalPoint, same_torus, snap_noise
+from .critical import IDENTITY_TOL, SMOOTH_TOL, CriticalPoint, same_torus, snap_noise, snap_real
 from .critical import apart, negligible
 from .errors import BranchTrackingError, ConfigError, HypothesisFailure
 from .gammafn import gamma_log
@@ -126,7 +126,7 @@ def local_data(
 
     checks = {
         "phase_hessian_nonzero": abs(q2m) > SMOOTH_TOL**2,
-        # A real part at rounding noise is no sign (as in ``_real_positive``).
+        # A real part at rounding noise is no sign (``snap_noise``, as in the report).
         "saddle_real_part_positive": snap_noise(-q2m).real > 0,
         # Against |ratio| alone: a zero ratio would pass only at p = 0, refused above.
         "grad_ratio_identity": bool(abs(ratio - p / (lam * q)) <= to_mpf(IDENTITY_TOL) * abs(ratio)),
@@ -292,7 +292,9 @@ def estimate_general(
     polished point, conjugated or not) are character images of each other
     and share the local data and winding number of the first of them; a
     point without a tag, such as one built by hand, is its own orbit.
-    Raises HypothesisFailure naming the first violated precondition.
+    The value is real when ``snap_noise`` leaves it no imaginary part, as
+    at a single real positive point of a real H.  Raises HypothesisFailure
+    naming the first violated precondition.
     """
     if not points:
         raise ConfigError("no critical points supplied")
@@ -301,23 +303,11 @@ def estimate_general(
     tags = [id(pt) if pt.orbit is None else (id(pt.orbit[0]), pt.orbit[1]) for pt in points]
     firsts = {tag: points[tags.index(tag)] for tag in dict.fromkeys(tags)}
     locals_ = {tag: _checked_local_data(H, pt, direction) for tag, pt in firsts.items()}
-    return _saddle_sum(H, G, b, points, [locals_[tag] for tag in tags], r, s, direction)
 
-
-def _saddle_sum(H, G, b: mpf, points, locals_: Sequence[LocalData], r: int, s: int, direction):
-    """``estimate_general``'s sum over ``points``, ``b`` = beta.
-
-    ``locals_[i]`` is the checked local data of the first point of
-    ``points[i]``'s character orbit, shared by the whole orbit: w = -p*H_x,
-    q^2*M, the branch value and the winding number are invariant under the
-    characters, so they are taken once per orbit.  Each point adds its
-    own |p|, |q|, arg p, arg q (kept on the point) and G(p, q).
-    """
     # Each orbit's w = -p*H_x with log|w| and arg w, taken once: the ray,
     # the branch argument and the branch value read them.
-    orbits = list({id(ld): ld for ld in locals_}.values())
-    log_abs_ws = [mp.log(abs(ld.w)) for ld in orbits]
-    w_args = [mp.arg(ld.w) for ld in orbits]
+    log_abs_ws = [mp.log(abs(ld.w)) for ld in locals_.values()]
+    w_args = [mp.arg(ld.w) for ld in locals_.values()]
     ray = _ray_clear_of(H, w_args)
     anchor = mp.arg(to_mpc(H.constant_term()))
 
@@ -325,11 +315,11 @@ def _saddle_sum(H, G, b: mpf, points, locals_: Sequence[LocalData], r: int, s: i
     ln_r = mp.log(to_mpf(r))
 
     shared = {}
-    for ld, log_abs_w, w_arg in zip(orbits, log_abs_ws, w_args):
+    for (tag, ld), log_abs_w, w_arg in zip(locals_.items(), log_abs_ws, w_args):
         theta_w = branch_argument(w_arg, ray, anchor)
         omega = winding_number(H, ld, ray)
         q2m = -2 * mp.pi * ld.point.q * ld.point.q * ld.phase_hessian
-        shared[id(ld)] = (
+        shared[tag] = (
             (b * log_abs_w, mp.log(abs(q2m)) / 2),
             (b * (theta_w + 2 * mp.pi * omega), mp.arg(q2m) / 2),
             omega,
@@ -337,8 +327,8 @@ def _saddle_sum(H, G, b: mpf, points, locals_: Sequence[LocalData], r: int, s: i
         )
 
     logmods, args, contribs = [], [], []
-    for pt, ld in zip(points, locals_):
-        (branch_log, hessian_log), (branch_turn, hessian_turn), omega, branch_value = shared[id(ld)]
+    for pt, tag in zip(points, tags):
+        (branch_log, hessian_log), (branch_turn, hessian_turn), omega, branch_value = shared[tag]
         gval = G.eval(pt.p, pt.q) if G is not None else to_mpc(1)
         abs_p, abs_q = pt.abs_pq
         arg_p, arg_q = pt.arg_pq
@@ -371,16 +361,14 @@ def _saddle_sum(H, G, b: mpf, points, locals_: Sequence[LocalData], r: int, s: i
         )
 
     peak = max(lm for lm in logmods)
-    if peak == mp.ninf:
-        value = to_mpc(0)
-    else:
-        acc = to_mpc(0)
+    acc = to_mpc(0)
+    if peak != mp.ninf:
         for lm, a in zip(logmods, args):
-            if lm == mp.ninf:
-                continue
-            acc += mp.exp(mpc(lm - peak, a))
-        # Conjugate contributions cancel only to the working precision.
-        value = snap_noise(acc * mp.exp(peak))
+            if lm != mp.ninf:
+                acc += mp.exp(mpc(lm - peak, a))
+        acc *= mp.exp(peak)
+    # Conjugate contributions cancel only to the working precision.
+    value = snap_real(acc)
 
     warnings = []
     drift = abs(r * direction.s0 - s * direction.r0)
@@ -412,56 +400,10 @@ def _saddle_sum(H, G, b: mpf, points, locals_: Sequence[LocalData], r: int, s: i
     )
 
 
-def estimate_real_positive(
-    H: BivariatePolynomial,
-    G: Optional[BivariatePolynomial],
-    beta,
-    pt: CriticalPoint,
-    r: int,
-    s: int,
-    direction: Direction,
-) -> AsymptoticEstimate:
-    """``estimate_general`` at a single real-positive point of a real H, made real.
-
-    Every precondition is checked first, and a violation raises
-    HypothesisFailure directing the caller to the general sum; "real" is
-    ``snap_noise``'s, as in the solve and the report.  At such a
-    point the sum's imaginary parts are rounding noise, so the value, its
-    argument (0 or pi) and each contribution's argument and branch value
-    are returned as reals.
-    """
-    b = _check_beta(beta)
-    p = snap_noise(pt.p)
-    if not _real_positive(p):
-        raise HypothesisFailure("p_real_positive", "p is not real positive")
-    if not _real_positive(pt.q):
-        raise HypothesisFailure("q_real_positive", "q is not real positive")
-    if H.constant_term() <= 0:
-        raise HypothesisFailure("origin_positive", "H(0,0) must be positive")
-    ld = _checked_local_data(H, pt, direction)
-    if not _real_positive(-p * ld.hx):
-        raise HypothesisFailure("neg_hx_p_positive", "-H_x(p,q)*p is not real positive")
-    if not _real_positive(-ld.phase_hessian):
-        raise HypothesisFailure("saddle_real_part_positive", "-2*pi*q^2*M is not positive")
-
-    est = _saddle_sum(H, G, b, [pt], [ld], r, s, direction)
-    value = est.value.real
-    for c in est.contributions:
-        c["argument"] = mpf(0) if mp.cos(c["argument"]) >= 0 else +mp.pi
-        c["branch_value"] = c["branch_value"].real
-    return replace(
-        est,
-        value=value,
-        log10_modulus=_log10_modulus(value),
-        argument=0.0 if value >= 0 else math.pi,
-        formula="real-positive",
-    )
-
-
-def _real_positive(z) -> bool:
-    """True when ``snap_noise(z)`` is real and positive."""
-    z = snap_noise(z)
-    return z.imag == 0 and z.real > 0
+def estimate_real_positive(H, G, beta, pt, r, s, direction) -> AsymptoticEstimate:
+    """``estimate_general`` at the one point ``pt``.  A name only: the package exports it and
+    ``bench/tracing.py`` wraps ``pipeline.estimate_real_positive``; it goes with that wrap."""
+    return estimate_general(H, G, beta, [pt], r, s, direction)
 
 
 def _require_same_torus(points: Sequence[CriticalPoint]) -> None:

@@ -15,11 +15,8 @@ from .critical import (
     solve_critical,
 )
 from .errors import HypothesisFailure
-from .estimates import (
-    AsymptoticEstimate,
-    estimate_general,
-    estimate_real_positive,
-)
+from .estimates import AsymptoticEstimate, estimate_general
+from .estimates import estimate_real_positive  # noqa: F401  (bench/tracing.py wraps this name)
 from .problem import ProblemSpec
 
 
@@ -57,12 +54,7 @@ def run_solve(spec: ProblemSpec, probe: bool = True) -> SolveOutcome:
 def estimate_target(
     spec: ProblemSpec, outcome: SolveOutcome, r: int, s: int
 ) -> AsymptoticEstimate:
-    """Estimate one coefficient from the dominant torus class.
-
-    A single smooth point that passes the real-positive checks gets the
-    general sum projected to a real value (formula "real-positive");
-    otherwise the general sum is returned as it is.
-    """
+    """Estimate one coefficient by ``estimate_general`` over the smooth points of the dominant class."""
     if outcome.dominant is None:
         raise HypothesisFailure("critical_point_exists", "no critical points found")
     smooth_pts = [pt for pt in outcome.dominant.points if pt.smooth]
@@ -72,13 +64,4 @@ def estimate_target(
         if all(negligible(spec.G, spec.G.eval(pt.p, pt.q), *pt.abs_pq) for pt in smooth_pts):
             # The leading term vanishes; the true order is lower in n.
             raise HypothesisFailure("G_nonzero_at_point", "G vanishes at every dominant point")
-    if len(smooth_pts) == 1:
-        try:
-            return estimate_real_positive(
-                spec.H, spec.G, spec.beta, smooth_pts[0], r, s, spec.direction
-            )
-        except HypothesisFailure:
-            pass
-    return estimate_general(
-        spec.H, spec.G, spec.beta, smooth_pts, r, s, spec.direction
-    )
+    return estimate_general(spec.H, spec.G, spec.beta, smooth_pts, r, s, spec.direction)

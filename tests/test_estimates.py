@@ -16,7 +16,6 @@ from bivasym import (
     coeff_recurrence,
     coefficients_at,
     estimate_general,
-    estimate_real_positive,
     local_data,
     parse_problem,
     solve_critical,
@@ -24,7 +23,7 @@ from bivasym import (
     working_precision,
 )
 from bivasym import estimates
-from bivasym.cli import report_critical_points
+from bivasym.cli import report_critical_points, report_estimate
 from bivasym.errors import ConfigError, HypothesisFailure
 from bivasym.oracle import exact_value
 from bivasym.precision import to_mpc
@@ -340,27 +339,32 @@ def _multinomial_log10(r):
 
 
 def test_real_positive_path_agrees(multinomial_h, diag_direction):
+    # At the real positive point (1/2, 1/2) the general sum keeps no
+    # imaginary part, so its value comes back real, at argument 0.
     pt = _point(multinomial_h, diag_direction, 0.5, 0.5)
-    est = estimate_real_positive(
-        multinomial_h, None, F(1, 2), pt, 100, 100, diag_direction
-    )
+    est = estimate_general(multinomial_h, None, F(1, 2), [pt], 100, 100, diag_direction)
     expected = mpf(10) ** _multinomial_log10(100)
     assert abs(est.value - expected) <= 1e-12 * expected
-    assert est.formula == "real-positive"
-    assert mpc(est.value).imag == 0 and est.argument == 0.0
+    assert est.formula == "general"
+    assert isinstance(est.value, mpf) and est.argument == 0.0
     (c,) = est.contributions
     assert c["argument"] == 0.0 and mpc(c["branch_value"]).imag == 0
     # A negative G turns the value and its one contribution to argument pi.
     G = BivariatePolynomial.constant(-1)
-    neg = estimate_real_positive(multinomial_h, G, F(1, 2), pt, 100, 100, diag_direction)
-    assert abs(neg.value + est.value) <= 1e-30 * est.value
+    neg = estimate_general(multinomial_h, G, F(1, 2), [pt], 100, 100, diag_direction)
+    assert isinstance(neg.value, mpf) and abs(neg.value + est.value) <= 1e-30 * est.value
     assert neg.argument == math.pi and neg.contributions[0]["argument"] == mp.pi
+    # The name the package still exports returns the same estimate.
+    kept = estimates.estimate_real_positive(
+        multinomial_h, None, F(1, 2), pt, 100, 100, diag_direction
+    )
+    assert kept.value == est.value and kept.formula == "general"
 
 
 def test_color_swap_estimate(color_swap_h, color_swap_g, color_swap_direction):
     pt = _point(color_swap_h, color_swap_direction, 0.25, 1.0)
-    est = estimate_real_positive(
-        color_swap_h, color_swap_g, F(1, 2), pt, 70, 35, color_swap_direction
+    est = estimate_general(
+        color_swap_h, color_swap_g, F(1, 2), [pt], 70, 35, color_swap_direction
     )
     # 4^r / (r pi sqrt(3)) at r = 70, numerator correction folded in once.
     expected = mpf(4) ** 70 / (70 * mp.pi * mp.sqrt(3))
@@ -374,7 +378,7 @@ def test_central_binomial_reduction(multinomial_h, diag_direction):
     pt = _point(multinomial_h, diag_direction, 0.5, 0.5)
     prev_gap = None
     for r in (50, 100, 200, 400):
-        est = estimate_real_positive(multinomial_h, None, F(1), pt, r, r, diag_direction)
+        est = estimate_general(multinomial_h, None, F(1), [pt], r, r, diag_direction)
         exact = math.comb(2 * r, r)
         gap = abs(float(est.value) / exact - 1)
         assert gap < 1.0 / (7.5 * r)
@@ -435,22 +439,28 @@ def test_conjugate_pair_with_a_wrong_winding_warns(diag_direction, monkeypatch):
 
 
 def test_real_positive_rejections(multinomial_h, diag_direction):
+    # (-1/2, 1/2) is not a critical point of 1 - x - y at 1:1: H_y/H_x = 1
+    # but p/(lam*q) = -1, so the local data refuse it.
     pt = CriticalPoint(p=mpc(-0.5), q=mpc(0.5))
     with pytest.raises(HypothesisFailure) as info:
-        estimate_real_positive(multinomial_h, None, F(1, 2), pt, 10, 10, diag_direction)
-    assert info.value.name in ("p_real_positive", "hx_nonzero", "grad_ratio_identity")
+        estimate_general(multinomial_h, None, F(1, 2), [pt], 10, 10, diag_direction)
+    assert info.value.name == "grad_ratio_identity"
 
 
 def test_real_positive_uses_the_report_noise_rule(multinomial_h, diag_direction):
     # At 64 bits an imaginary part of 1e-14 on p = 0.5 is far above the
     # noise floor 2^-56 that the report applies: it is printed, so p is not
-    # real.  A decimal tolerance of 10^(6 - dps) once let it through.
+    # real, and the value keeps an imaginary part.  A decimal tolerance of
+    # 10^(6 - dps) once let it through.
     with working_precision(64):
         pt = CriticalPoint(p=mpc(0.5, 1e-14), q=mpc(0.5))
         assert report_critical_points([pt])["critical_points"][0]["p"]["im"] == "1.0e-14"
-        with pytest.raises(HypothesisFailure) as info:
-            estimate_real_positive(multinomial_h, None, F(1, 2), pt, 100, 100, diag_direction)
-    assert info.value.name == "p_real_positive"
+        est = estimate_general(multinomial_h, None, F(1, 2), [pt], 100, 100, diag_direction)
+        assert isinstance(est.value, mpc) and est.value.imag != 0
+        assert report_estimate(est)["value"]["im"] != "0.0"
+        real_pt = CriticalPoint(p=mpc(0.5), q=mpc(0.5))
+        real = estimate_general(multinomial_h, None, F(1, 2), [real_pt], 100, 100, diag_direction)
+        assert isinstance(real.value, mpf)
 
 
 def test_nonpositive_integer_beta_rejected(multinomial_h, diag_direction):
@@ -474,12 +484,9 @@ def test_overflow_safety(multinomial_h, diag_direction):
     r = 1_670_000
     expected = _multinomial_log10(r)
     assert expected > 1e6
-    for est in (
-        estimate_real_positive(multinomial_h, None, F(1, 2), pt, r, r, diag_direction),
-        estimate_general(multinomial_h, None, F(1, 2), [pt], r, r, diag_direction),
-    ):
-        assert mp.isfinite(est.value)
-        assert abs(est.log10_modulus - expected) <= 1e-12
+    est = estimate_general(multinomial_h, None, F(1, 2), [pt], r, r, diag_direction)
+    assert isinstance(est.value, mpf) and mp.isfinite(est.value)
+    assert abs(est.log10_modulus - expected) <= 1e-12
 
 
 def test_mixed_torus_rejected(diag_direction):

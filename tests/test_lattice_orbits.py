@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import dataclasses
 import json
 import math
 import sys
@@ -174,9 +175,8 @@ def _tag_cases(count):
 
 def _per_point(spec, G, points, r, s):
     """``estimate_general`` with every point its own orbit: local data and winding per point."""
-    b = estimates._check_beta(spec.beta)
-    locals_ = [estimates._checked_local_data(spec.H, pt, spec.direction) for pt in points]
-    return estimates._saddle_sum(spec.H, G, b, points, locals_, r, s, spec.direction)
+    untagged = [dataclasses.replace(pt, orbit=None) for pt in points]
+    return estimates.estimate_general(spec.H, G, spec.beta, untagged, r, s, spec.direction)
 
 
 def _estimate_or_error(make):

@@ -11,6 +11,7 @@ when a solve-layer module or ``numpy.polynomial`` is among them:
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -103,6 +104,23 @@ def test_cli_loads_every_module_the_bench_tracer_wraps():
         "print(sorted({module for module, *_ in WRAPS} - loaded))"
     )
     assert _fresh(code).strip() == "[]"
+
+
+def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
+    # bench/tracing.py swaps each (module, attribute) of its WRAPS for a
+    # span-recording wrapper, so a name the library drops breaks only the
+    # bench, whose own tests fail for other reasons too.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # tracing imports calibration
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    wrapped = [(module, attr) for module, attr, *_ in tracing.WRAPS]
+    missing = [
+        (module, attr) for module, attr in wrapped
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert wrapped and missing == []
 
 
 def main() -> int:

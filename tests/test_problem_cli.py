@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bivasym import dump_problem, get_precision, parse_problem, solve_critical
+from bivasym import cli
 from bivasym.cli import _build_parser, main
 from bivasym.errors import SpecFileError
 from bivasym.oracle import coeff_recurrence, format_entry
@@ -270,6 +272,30 @@ def test_negative_origin_compare_prints_complex_exact(capsys):
     assert abs(float(rows[1][-1]) - 1) < 0.02  # 1.0094 at (20, 20)
 
 
+@pytest.mark.parametrize(
+    "turn, estimate, ratios",
+    [
+        (-1, "0.0+23601.252038268841j", ["-1.0189209310928685", "-1.0094183441510678"]),
+        (1j, "23601.252038268841", ["0.0+1.0189209310928685j", "0.0+1.0094183441510678j"]),
+    ],
+)
+def test_compare_ratio_carries_the_phase_of_the_estimate(capsys, monkeypatch, turn, estimate, ratios):
+    # An estimate turned away from the exact value's phase prints turned,
+    # and so does its ratio: a modulus ratio alone would read 1.0189 and
+    # 1.0094 for every turn.
+    estimate_target = cli.estimate_target
+
+    def turned(*args):
+        est = estimate_target(*args)
+        return dataclasses.replace(est, value=est.value * turn)
+
+    monkeypatch.setattr(cli, "estimate_target", turned)
+    assert main(["compare", "--spec", str(NEGATIVE_ORIGIN)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows[0][3] == estimate
+    assert [row[-1] for row in rows] == ratios
+
+
 def test_negative_origin_exact_entries_parse_as_complex(capsys):
     # The prefactor (-1)^(-1/2) is exactly -1j, so every exact entry is
     # purely imaginary and prints its sign once: "0.0-12258399404.308869j".
@@ -393,7 +419,7 @@ def test_estimate_report(multinomial_spec_file, tmp_path):
     doc = json.loads(out.read_text())
     est = doc["estimates"][0]
     assert est["r"] == 12 and est["s"] == 12
-    assert est["formula"] == "real-positive"
+    assert est["formula"] == "general"
     assert est["contributions"][0]["winding"] == 0
     assert float(est["value"]["re"]) > 0
 
